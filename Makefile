@@ -61,9 +61,11 @@ readpath-bench:
 # Sharded front-door benchmark (range-sharded router, group commit,
 # admission control) with the liveness smoke check: fails on zero
 # batching, a shard left stalled over the hard limit at run end, or a
-# 4-shard scaling ratio below 1.5x. Writes BENCH_shard.json; the gate
-# compares it against the committed baseline via
-#   dune exec bin/perf_gate.exe -- BENCH_shard.json <fresh>
+# 4-shard scaling ratio below 1.5x. The fresh run goes to a temp file
+# and the perf gate compares it against the committed BENCH_shard.json,
+# which this target never rewrites. Refresh the baseline after an
+# intentional change:
+#   dune exec bench/main.exe -- shard --json BENCH_shard.json
 shard-bench:
 	sh scripts/check_shard.sh BENCH_shard.json
 

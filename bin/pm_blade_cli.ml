@@ -887,6 +887,10 @@ let doctor_router cfg ~records ~ops ~value_bytes =
         (Core.Engine.compaction_debt_tables e)
         (Core.Engine.metrics e).Core.Metrics.write_stalls)
     (Shard.Router.engines router);
+  Array.iteri
+    (fun i e ->
+      if Core.Engine.wal e <> None then Fmt.pr "  shard%d %a@." i Core.Engine.pp_wal e)
+    (Shard.Router.engines router);
   Fmt.pr "@.";
   Fmt.pr "shard health (EWMA latency vs baseline, breaker states):@.";
   Fmt.pr "%a@." Shard.Router.pp_health router;
@@ -977,8 +981,10 @@ let doctor_cmd =
       (mb space) (mb logical);
     Fmt.pr "compaction debt: %.1f MB of level-0 backlog in %d table(s)@."
       (mb debt_bytes) debt_tables;
-    Fmt.pr "write stalls: %d stall(s), %s total@.@." m.Core.Metrics.write_stalls
+    Fmt.pr "write stalls: %d stall(s), %s total@." m.Core.Metrics.write_stalls
       (dur m.Core.Metrics.write_stall_time);
+    if Core.Engine.wal engine <> None then Fmt.pr "%a@." Core.Engine.pp_wal engine;
+    Fmt.pr "@.";
 
     let probes = !Pmtable.Pm_table.bloom_probes - bloom_probes0 in
     let negs = !Pmtable.Pm_table.bloom_negatives - bloom_negs0 in
@@ -1161,6 +1167,9 @@ let info_cmd =
   Cmd.v (Cmd.info "info" ~doc:"List the engine variants.") Term.(const run $ const ())
 
 let () =
+  (* PMB_PLANT=wal_skip_drain plants the unfenced-log bug (every WAL sync
+     skips its fence): the crash sweep and the sanitizer must then fail. *)
+  if Sys.getenv_opt "PMB_PLANT" = Some "wal_skip_drain" then Core.Wal.chaos_skip_drain := true;
   let doc = "PM-Blade: a persistent-memory augmented LSM-tree storage engine (simulated)." in
   exit
     (Cmd.eval

@@ -3,8 +3,9 @@
    at a chosen injection site, the devices crash to their durable contents
    (torn SSD tail included), and the recovered engine is audited against a
    golden model of every acknowledged write. The same machinery then shows
-   the counterfactual: an engine that skips the WAL barrier loses
-   acknowledged writes, and the checker catches it red-handed.
+   the counterfactual: an engine whose WAL ring write-backs never reach
+   the medium loses acknowledged writes, and the checker catches it
+   red-handed.
 
      dune exec examples/crash_recovery.exe *)
 
@@ -54,7 +55,7 @@ let crash_and_audit ~plan_rules ~crash_at ~label =
   | None -> Printf.printf "%s: workload outran the crash schedule\n" label);
   Fault.Plan.disarm ~pm ~ssd ?wal:(Core.Engine.wal engine) ();
 
-  (* The devices lose everything not flushed/fsynced; the SSD keeps a
+  (* The devices lose everything not fenced/fsynced; the SSD keeps a
      3-byte torn tail on every file to make replay earn its keep. *)
   Pmem.crash pm;
   Ssd.crash ~keep:(fun ~file_id:_ ~durable:_ ~size:_ -> 3) ssd;
@@ -91,8 +92,8 @@ let () =
   Printf.printf "  post-crash write readable: %b\n\n"
     (Core.Engine.get recovered "post-crash" = Some "still alive");
 
-  (* Act 2: the same crash against an engine whose WAL "sync" skips the
-     barrier. The writes were acknowledged, the bytes never became
+  (* Act 2: the same crash against a medium that drops the WAL ring's
+     write-backs. The writes were acknowledged, the bytes never became
      durable — exactly the bug class this subsystem exists to catch. *)
   let _, violations =
     crash_and_audit

@@ -122,6 +122,8 @@ let max_key_sentinel = "\xff\xff\xff\xff\xff\xff\xff\xff"
 
 (* --- Construction ---------------------------------------------------- *)
 
+let wal_capacity config = Wal.ring_bytes ~memtable_bytes:config.Config.memtable_bytes
+
 (* The engine starts with a single partition covering the whole keyspace
    and splits partitions at their data median as they grow (see
    maybe_split), up to [config.partition_count]. Explicit [boundaries]
@@ -186,7 +188,9 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) ?pm ?ssd ?cache con
     memtable_seed = config.Config.seed;
     retry_rng = Util.Xoshiro.create (config.Config.seed lxor 0x7e77);
     in_foreground = false;
-    wal = (if config.Config.durable then Some (Wal.create ssd) else None);
+    wal =
+      (if config.Config.durable then Some (Wal.create ~capacity:(wal_capacity config) pm)
+       else None);
     quarantined = [];
     pipe_recording = None;
     pipe_totals = Compaction.Pipeline.create_totals ();
@@ -215,9 +219,7 @@ let pm_bloom_bits t = t.config.Config.pm_bloom_bits_per_key
 (* Transient SSD errors (injected by lib/fault, or a flaky device model)
    are retried with bounded exponential backoff before they surface; each
    retry charges the backoff to the virtual clock. Only wrap operations
-   that are idempotent at the device level: reads, and WAL syncs (the
-   group buffer survives a failed sync, so re-syncing writes the same
-   group once). *)
+   that are idempotent at the device level: reads. *)
 let rec with_ssd_retry ?(attempt = 0) t f =
   try f ()
   with Ssd.Io_error _ as e ->
@@ -1064,7 +1066,7 @@ let maybe_split t =
 let manifest_state t =
   {
     Manifest.next_seq = t.next_seq;
-    wal_file_id = Option.map Wal.file_id t.wal;
+    wal_region_id = Option.map Wal.region_id t.wal;
     partitions =
       Array.to_list t.partitions
       |> List.map (fun p ->
@@ -1215,6 +1217,25 @@ let create ?boundaries ?clock ?pm ?ssd ?cache config =
 
 (* --- Minor compaction (memtable flush) --------------------------------- *)
 
+(* Out-of-space fallback: force major compaction of the coldest partitions
+   until the allocation fits. *)
+let relieve_pm_pressure t =
+  let by_coldness =
+    Array.to_list t.partitions
+    |> List.filter (fun p -> partition_l0_bytes p > 0)
+    |> List.sort (fun a b -> compare a.reads b.reads)
+  in
+  match by_coldness with
+  | [] -> ()
+  | coldest :: _ -> ignore (guard_integrity t (fun () -> major_compact_partition t coldest))
+
+(* A fresh ring needs PM room like any level-0 table. *)
+let rec rotate_wal ?(attempts = 0) t w =
+  try Wal.rotate w
+  with Pmem.Out_of_space _ when attempts < 32 ->
+    relieve_pm_pressure t;
+    rotate_wal ~attempts:(attempts + 1) t w
+
 let flush_memtable t =
   if not (Memtable.is_empty t.memtable) then begin
     let flushed_entries = Memtable.count t.memtable in
@@ -1271,81 +1292,69 @@ let flush_memtable t =
     maybe_split t;
     (* The flushed data is durable in level-0: retire the old log and
        record the new structure. *)
-    (match t.wal with Some w -> Wal.rotate w | None -> ());
+    (match t.wal with Some w -> rotate_wal t w | None -> ());
     persist_manifest t
   end
 
-(* Out-of-space fallback: force major compaction of the coldest partitions
-   until the allocation fits. *)
-let relieve_pm_pressure t =
-  let by_coldness =
-    Array.to_list t.partitions
-    |> List.filter (fun p -> partition_l0_bytes p > 0)
-    |> List.sort (fun a b -> compare a.reads b.reads)
-  in
-  match by_coldness with
-  | [] -> ()
-  | coldest :: _ -> ignore (guard_integrity t (fun () -> major_compact_partition t coldest))
-
 (* --- Write path --------------------------------------------------------- *)
+
+(* Flush the memtable on the foreground path. The write blocks until
+   level-0 has room: everything from here to the flush's return is stall
+   time, whatever mix of flush and emergency compaction it took to clear
+   the backlog. *)
+let flush_in_foreground t =
+  t.in_foreground <- true;
+  let attempts = ref 0 in
+  let rec try_flush () =
+    match flush_memtable t with
+    | () -> ()
+    | exception Pmem.Out_of_space _ when !attempts < 32 ->
+        incr attempts;
+        relieve_pm_pressure t;
+        try_flush ()
+  in
+  let stall0 = Sim.Clock.now t.clock in
+  Obs.Attr.with_phase Obs.Attr.Stall_wait (fun () ->
+      Fun.protect ~finally:(fun () -> t.in_foreground <- false) try_flush);
+  t.metrics.Metrics.write_stalls <- t.metrics.Metrics.write_stalls + 1;
+  t.metrics.Metrics.write_stall_time <-
+    t.metrics.Metrics.write_stall_time +. Float.max 0.0 (Sim.Clock.now t.clock -. stall0)
+
+(* Durability point: sync whatever the WAL has staged (every writer's
+   records since the last sync) as one ring write and one fence. A group
+   that would overflow the ring flushes the memtable first — it holds
+   every logged and staged record — which rotates the log and leaves
+   nothing to sync. A no-op without a WAL. *)
+let sync_wal t =
+  match t.wal with
+  | Some w ->
+      if not (Wal.fits w) then begin
+        t.metrics.Metrics.wal_ring_full_flushes <- t.metrics.Metrics.wal_ring_full_flushes + 1;
+        if Obs.Trace.is_enabled () then
+          Obs.Trace.instant "wal.ring_full" ~attrs:(fun () ->
+              [ ("staged", Obs.Trace.Int (Wal.buffered_bytes w)) ]);
+        flush_in_foreground t
+      end;
+      Obs.Attr.with_phase Obs.Attr.Wal_sync (fun () -> Wal.sync w)
+  | None -> ()
 
 let apply t entry =
   Obs.Attr.with_op Obs.Attr.Write @@ fun () ->
   let t0 = Sim.Clock.now t.clock in
-  (* Strict durability: the log entry is synced before the write is
-     acknowledged (there are no concurrent committers to group with in a
-     single-timeline simulation). A transiently-failed sync keeps the
-     group buffered, so the retry re-issues the same bytes. *)
   (match t.wal with
-  | Some w ->
-      Obs.Attr.with_phase Obs.Attr.Wal_stage (fun () -> Wal.append w entry);
-      (* under group commit the durability-point sync is deferred to the
-         batcher ([sync_wal]); the record stays staged in the group buffer *)
-      if not t.config.Config.wal_external_sync then
-        Obs.Attr.with_phase Obs.Attr.Wal_sync (fun () ->
-            with_ssd_retry t (fun () -> Wal.sync w);
-            (* acknowledging the write promises durability of everything the
-               entry's visibility depends on — including PM state *)
-            Pmem.commit_point t.pm "wal.sync")
+  | Some w -> Obs.Attr.with_phase Obs.Attr.Wal_stage (fun () -> Wal.append w entry)
   | None -> ());
   Obs.Attr.with_phase Obs.Attr.Memtable_probe (fun () ->
       Memtable.insert t.memtable entry);
   t.metrics.Metrics.user_bytes_written <-
     t.metrics.Metrics.user_bytes_written + Util.Kv.encoded_size entry;
-  if Memtable.byte_size t.memtable >= t.config.Config.memtable_bytes then begin
-    t.in_foreground <- true;
-    let attempts = ref 0 in
-    let rec try_flush () =
-      match flush_memtable t with
-      | () -> ()
-      | exception Pmem.Out_of_space _ when !attempts < 32 ->
-          incr attempts;
-          relieve_pm_pressure t;
-          try_flush ()
-    in
-    (* The foreground write blocks until level-0 has room: everything from
-       here to the flush's return is stall time, whatever mix of flush and
-       emergency compaction it took to clear the backlog. *)
-    let stall0 = Sim.Clock.now t.clock in
-    Obs.Attr.with_phase Obs.Attr.Stall_wait (fun () ->
-        Fun.protect ~finally:(fun () -> t.in_foreground <- false) try_flush);
-    t.metrics.Metrics.write_stalls <- t.metrics.Metrics.write_stalls + 1;
-    t.metrics.Metrics.write_stall_time <-
-      t.metrics.Metrics.write_stall_time
-      +. Float.max 0.0 (Sim.Clock.now t.clock -. stall0)
-  end;
+  (* Strict durability: the log entry is synced before the write is
+     acknowledged. Under group commit the sync is deferred to the batcher
+     ([sync_wal]) and the record stays staged in the group buffer. *)
+  if not t.config.Config.wal_external_sync then sync_wal t;
+  if Memtable.byte_size t.memtable >= t.config.Config.memtable_bytes then
+    flush_in_foreground t;
   Metrics.note_write t.metrics (Sim.Clock.now t.clock -. t0)
-
-(* Group-commit durability point: sync whatever the WAL has staged (all
-   writers' records since the last sync) in one log append + fsync. The
-   batcher calls this once per batch; a no-op without a WAL. *)
-let sync_wal t =
-  match t.wal with
-  | Some w ->
-      Obs.Attr.with_phase Obs.Attr.Wal_sync (fun () ->
-          with_ssd_retry t (fun () -> Wal.sync w);
-          Pmem.commit_point t.pm "wal.sync")
-  | None -> ()
 
 let memtable_bytes t = Memtable.byte_size t.memtable
 
@@ -1628,7 +1637,6 @@ let owned_file_ids t =
         (List.iter (fun sst -> Hashtbl.replace ids (Sstable.file_id sst) ()))
         p.levels)
     t.partitions;
-  (match t.wal with Some w -> Hashtbl.replace ids (Wal.file_id w) () | None -> ());
   Hashtbl.fold (fun id () acc -> id :: acc) ids [] |> List.sort compare
 
 let owned_region_ids t =
@@ -1642,6 +1650,7 @@ let owned_region_ids t =
         (fun tbl -> Hashtbl.replace ids (Pmtable.Table.region_id tbl) ())
         p.sorted_run)
     t.partitions;
+  (match t.wal with Some w -> Hashtbl.replace ids (Wal.region_id w) () | None -> ());
   Hashtbl.fold (fun id () acc -> id :: acc) ids [] |> List.sort compare
 
 (* --- Scans ---------------------------------------------------------------- *)
@@ -2108,13 +2117,15 @@ let recover ?(orphan_gc = true) ?cache config ~pm ~ssd =
     }
   in
   t.metrics.Metrics.quarantined <- List.length !fresh_damage;
-  (* Replay the WAL into the fresh memtable; the high-water mark includes
-     logged writes that never reached level-0. Records that fail their CRC
-     are skipped (counted, never applied) — returning a value assembled
-     from rotten log bytes would be silent corruption. *)
-  (match state.Manifest.wal_file_id with
-  | Some file_id -> (
-      match Wal.open_existing ssd ~file_id with
+  (* Replay the WAL ring into the fresh memtable; the high-water mark
+     includes logged writes that never reached level-0. Records that fail
+     their CRC are skipped (counted, never applied) — returning a value
+     assembled from rotten log bytes would be silent corruption. *)
+  let fresh_ring () = Wal.create ~capacity:(wal_capacity config) pm in
+  let superseded = ref None in
+  (match state.Manifest.wal_region_id with
+  | Some region_id -> (
+      match Wal.open_existing pm ~region_id with
       | wal ->
           let stats =
             Wal.replay wal (fun entry ->
@@ -2122,16 +2133,29 @@ let recover ?(orphan_gc = true) ?cache config ~pm ~ssd =
                 if entry.Util.Kv.seq >= t.next_seq then t.next_seq <- entry.seq + 1)
           in
           t.metrics.Metrics.wal_corrupt_records <- stats.Wal.corrupt_records;
-          t.wal <- Some wal
+          if stats.Wal.torn_tail || stats.Wal.corrupt_records > 0 then begin
+            (* Never append to a damaged ring: records synced after the
+               damage would be unreachable at the next replay. Re-log what
+               replay recovered into a fresh ring; the old one goes once
+               the manifest names its successor. *)
+            let relog =
+              Wal.create ~capacity:(max (Wal.capacity wal) (wal_capacity config)) pm
+            in
+            Memtable.iter t.memtable (Wal.append relog);
+            Wal.sync relog;
+            superseded := Some wal;
+            t.wal <- Some relog
+          end
+          else t.wal <- Some wal
       | exception Failure _ when fell_back ->
-          (* the fallback snapshot names a log that was rotated away when
+          (* the fallback snapshot names a ring that was rotated away when
              its successor (now rotten) was written; the logged writes are
              in a level-0 this snapshot cannot see — report, start fresh *)
           if Obs.Trace.is_enabled () then
             Obs.Trace.instant "recover.wal_missing" ~attrs:(fun () ->
-                [ ("file_id", Obs.Trace.Int file_id) ]);
-          t.wal <- Some (Wal.create ssd))
-  | None -> if config.Config.durable then t.wal <- Some (Wal.create ssd));
+                [ ("region_id", Obs.Trace.Int region_id) ]);
+          t.wal <- Some (fresh_ring ()))
+  | None -> if config.Config.durable then t.wal <- Some (fresh_ring ()));
   (* Orphan GC: a crash resurrects PM regions and SSD files that were
      freed/deleted after the durable manifest was written (the medium still
      held their bytes), and may leave behind half-built tables from an
@@ -2146,10 +2170,10 @@ let recover ?(orphan_gc = true) ?cache config ~pm ~ssd =
       List.iter (fun id -> Hashtbl.replace file_referenced id ()) ps.ssd_l0;
       List.iter (List.iter (fun id -> Hashtbl.replace file_referenced id ())) ps.levels)
     state.Manifest.partitions;
-  (match state.Manifest.wal_file_id with
-  | Some id -> Hashtbl.replace file_referenced id ()
+  (match state.Manifest.wal_region_id with
+  | Some id -> Hashtbl.replace region_referenced id ()
   | None -> ());
-  (match t.wal with Some w -> Hashtbl.replace file_referenced (Wal.file_id w) () | None -> ());
+  (match t.wal with Some w -> Hashtbl.replace region_referenced (Wal.region_id w) () | None -> ());
   (* Every superblock slot — unnamed and named — stays referenced (each
      previous manifest is its namespace's dual-slot fallback), and
      quarantined structures are preserved for salvage/forensics rather
@@ -2188,10 +2212,21 @@ let recover ?(orphan_gc = true) ?cache config ~pm ~ssd =
             ("ssd_files", Obs.Trace.Int (List.length orphan_files));
           ])
   end;
-  (* Make any newly-discovered damage durable: the corrupt structures are
-     out of the manifest's partition lists, their damage records in. *)
-  if !fresh_damage <> [] then persist_manifest t;
+  (* Make any newly-discovered damage durable (the corrupt structures are
+     out of the manifest's partition lists, their damage records in), and
+     name a ring the manifest does not know yet before anything is logged
+     to it. *)
+  if !fresh_damage <> [] || Option.map Wal.region_id t.wal <> state.Manifest.wal_region_id
+  then persist_manifest t;
+  Option.iter Wal.free !superseded;
   t
+
+let pp_wal ppf t =
+  match t.wal with
+  | Some w ->
+      Fmt.pf ppf "wal: %a; %d ring-full flushes" Wal.pp_summary w
+        t.metrics.Metrics.wal_ring_full_flushes
+  | None -> Fmt.pf ppf "wal: none (not durable)"
 
 (* One-look storage report: occupancy per tier, compaction counters, and
    write amplification. *)
@@ -2253,6 +2288,7 @@ let pp_stats ppf t =
      Fmt.pf ppf "  PM bloom: %d probes, filter rate %.2f@," probes
        (float_of_int !Pmtable.Pm_table.bloom_negatives /. float_of_int probes));
   Fmt.pf ppf "  fence rebuilds: %d@," m.Metrics.fence_rebuilds;
+  if t.wal <> None then Fmt.pf ppf "  %a@," pp_wal t;
   (* Sharding knobs, when this engine runs behind the router front door:
      the perf gate and doctor must be able to tell a sharded run apart. *)
   (let c = t.config in
@@ -2326,6 +2362,24 @@ let register_metrics reg t =
   register_int reg "engine.fence_rebuilds"
     ~help:"fence-pointer sets rebuilt after structural changes" (fun () ->
       m.Metrics.fence_rebuilds);
+  let wal_stat f = match t.wal with Some w -> f (Wal.stats w) | None -> 0 in
+  register_int reg "wal.syncs" ~help:"WAL group syncs (one ring write + one fence each)"
+    (fun () -> wal_stat (fun s -> s.Wal.syncs));
+  register_int reg "wal.bytes" ~help:"framed WAL bytes made durable on the PM ring"
+    (fun () -> wal_stat (fun s -> s.Wal.bytes));
+  register_int reg "wal.lines_flushed" ~help:"cache lines the WAL wrote back (clwb)"
+    (fun () -> wal_stat (fun s -> s.Wal.lines));
+  register_int reg "wal.fences" ~help:"persistence fences issued by WAL syncs" (fun () ->
+      wal_stat (fun s -> s.Wal.fences));
+  register_int reg "wal.ring_capacity_bytes" ~kind:Gauge
+    ~help:"size of the WAL's PM ring region" (fun () ->
+      match t.wal with Some w -> Wal.capacity w | None -> 0);
+  register_int reg "wal.ring_high_water_bytes" ~kind:Gauge
+    ~help:"deepest WAL ring fill reached, across rotations" (fun () ->
+      wal_stat (fun s -> s.Wal.high_water));
+  register_int reg "wal.ring_full_flushes"
+    ~help:"memtable flushes forced because a WAL sync would overflow the ring" (fun () ->
+      m.Metrics.wal_ring_full_flushes);
   register_int reg "pmtable.bloom_probes" ~help:"gets that consulted a PM-table bloom"
     (fun () -> !Pmtable.Pm_table.bloom_probes);
   register_int reg "pmtable.bloom_negatives"

@@ -47,7 +47,8 @@ val create :
 (** The engine starts with one partition and splits at the data median as
     partitions grow, up to [config.partition_count]; explicit [boundaries]
     pre-create the partitioning instead. With [config.durable] a WAL and a
-    persisted manifest make {!recover} possible. [pm]/[ssd]/[cache] supply
+    persisted manifest make {!recover} possible; the WAL is a ring in one PM
+    region of {!Wal.ring_bytes} for the configured memtable. [pm]/[ssd]/[cache] supply
     pre-existing (shared) devices instead of creating fresh ones — range
     shards pass the same devices and block cache to every engine; when [pm]
     is given its clock becomes the engine clock. The manifest chain
@@ -57,8 +58,10 @@ val recover :
   ?orphan_gc:bool -> ?cache:Cache.Block_cache.t -> Config.t -> pm:Pmem.t -> ssd:Ssd.t -> t
 (** Rebuild an engine from the devices after a crash: the superblock points
     at the manifest (the [config.manifest_root] named slot), tables are
-    reopened in place, and the WAL replays the (durable) writes the
-    memtable lost. PM regions and SSD files the manifest does not name —
+    reopened in place, and the WAL ring replays the (durable) writes the
+    memtable lost. A ring whose replay hit a torn tail or a rotten record
+    is never appended to: its surviving records are re-logged into a fresh
+    ring, which the manifest names before the old ring is freed. PM regions and SSD files the manifest does not name —
     crash-resurrected frees and half-built tables from an interrupted
     compaction — are garbage-collected (every superblock slot, named and
     unnamed, and quarantined structures stay referenced). On a shared
@@ -76,8 +79,8 @@ val ssd : t -> Ssd.t
 val metrics : t -> Metrics.t
 
 val wal : t -> Wal.t option
-(** The live write-ahead log of a durable engine (fault plans arm their
-    [wal.sync] site through this handle). *)
+(** The live write-ahead log of a durable engine: a PM ring (fault plans
+    arm their [wal.sync] site through this handle). *)
 
 val block_cache : t -> Cache.Block_cache.t option
 (** The engine-wide shared SSTable block cache, when
@@ -99,10 +102,12 @@ val put : ?update:bool -> t -> key:string -> string -> unit
 val delete : t -> string -> unit
 
 val sync_wal : t -> unit
-(** Group-commit durability point: one log append + fsync of everything
-    the WAL has staged since the last sync (all writers' records), plus
-    the [wal.sync] PM commit point. Used by the shard batcher together
-    with [config.wal_external_sync]; a no-op without a WAL. *)
+(** Group-commit durability point: one PM ring write and one fence for
+    everything the WAL has staged since the last sync (all writers'
+    records), plus the [wal.sync] PM commit point. A group that would
+    overflow the ring flushes the memtable first (counted in
+    [wal_ring_full_flushes]). Used by the shard batcher together with
+    [config.wal_external_sync]; a no-op without a WAL. *)
 
 val memtable_bytes : t -> int
 (** Current encoded byte size of the live memtable (the router's pre-put
@@ -181,13 +186,13 @@ val damaged_key : t -> string -> bool
 (** {1 Introspection} *)
 
 val owned_file_ids : t -> int list
-(** Ids of every SSD file this engine currently reaches — level files,
-    SSD-L0 tables, and the live WAL — ascending. The device footprint a
-    shard-scoped gray fault should target. *)
+(** Ids of every SSD file this engine currently reaches — level files and
+    SSD-L0 tables — ascending. The device footprint a shard-scoped gray
+    fault should target. *)
 
 val owned_region_ids : t -> int list
-(** Ids of every live PM region this engine's level-0 references,
-    ascending. *)
+(** Ids of every live PM region this engine references — its level-0
+    tables and the WAL ring — ascending. *)
 
 val partitions : t -> partition array
 val partition_of : t -> string -> partition
@@ -228,6 +233,10 @@ val pipeline_stats : t -> Compaction.Pipeline.totals
     ([Config.pipeline_compaction]): runs, serial vs pipelined time, clock
     rebate, per-stage busy time, queue waits and replay sanitizer counts.
     All zero while the pipeline is disabled. *)
+
+val pp_wal : t Fmt.t
+(** One-line WAL ring summary: region, size, tail, high-water mark,
+    syncs, lines, fences and ring-full flushes. *)
 
 val pp_stats : t Fmt.t
 (** One-look storage report: per-tier occupancy, latency percentiles,

@@ -1,7 +1,7 @@
 (* The manifest: the engine's structural state, persisted to an SSD file
    whose id is the device's superblock root pointer. Recovery starts here:
-   it names every PM region and SSD file of every partition, the WAL, the
-   sequence-number high-water mark, and any quarantined (damage-recorded)
+   it names every PM region and SSD file of every partition, the WAL's PM
+   ring, the sequence-number high-water mark, and any quarantined (damage-recorded)
    structures, so a fresh process can rebuild the DRAM handles without
    moving any data.
 
@@ -35,7 +35,7 @@ type quarantine = { source : quarantined_source; q_lo : string; q_hi : string }
 
 type state = {
   next_seq : int;
-  wal_file_id : int option;
+  wal_region_id : int option;
   partitions : partition_state list;
   quarantined : quarantine list;  (* newest first *)
 }
@@ -44,7 +44,7 @@ let encode state =
   let buf = Buffer.create 1024 in
   Util.Varint.write buf magic;
   Util.Varint.write buf state.next_seq;
-  (match state.wal_file_id with
+  (match state.wal_region_id with
   | Some id ->
       Util.Varint.write buf 1;
       Util.Varint.write buf id
@@ -110,7 +110,7 @@ let decode raw =
   if m <> magic then failwith "Manifest.decode: bad magic";
   let next_seq, pos = Util.Varint.read raw pos in
   let has_wal, pos = Util.Varint.read raw pos in
-  let wal_file_id, pos =
+  let wal_region_id, pos =
     if has_wal = 1 then
       let id, pos = Util.Varint.read raw pos in
       (Some id, pos)
@@ -155,7 +155,7 @@ let decode raw =
         let source = if tag = 0 then Q_region id else Q_file id in
         ({ source; q_lo; q_hi }, pos))
   in
-  { next_seq; wal_file_id; partitions; quarantined }
+  { next_seq; wal_region_id; partitions; quarantined }
 
 (* Fallbacks are rare enough that a process-wide counter (exposed as the
    manifest.fallback metric) is the right grain. *)

@@ -1,6 +1,6 @@
 (** The engine's structural state, persisted to an SSD file reachable from
     the device superblock: every PM region and SSD file of every partition,
-    the WAL id, the sequence high-water mark, and the damage records of
+    the WAL's PM ring, the sequence high-water mark, and the damage records of
     quarantined structures. Recovery starts here. Snapshots carry a
     trailing CRC32 and the superblock keeps two slots, so a rotten current
     snapshot falls back to the previous good one. *)
@@ -26,7 +26,7 @@ type quarantine = { source : quarantined_source; q_lo : string; q_hi : string }
 
 type state = {
   next_seq : int;
-  wal_file_id : int option;
+  wal_region_id : int option;  (** the WAL's PM ring *)
   partitions : partition_state list;
   quarantined : quarantine list;
 }

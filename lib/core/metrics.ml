@@ -30,6 +30,7 @@ type t = {
   mutable degraded_reads : int;  (* reads/scans that hit a quarantine (typed error) *)
   mutable salvaged : int;  (* corrupt tables rebuilt from their surviving blocks *)
   mutable wal_corrupt_records : int;  (* rotten WAL records skipped at replay *)
+  mutable wal_ring_full_flushes : int;  (* memtable flushes forced by a full WAL ring *)
   mutable fence_rebuilds : int;  (* fence-pointer sets rebuilt after structural changes *)
 }
 
@@ -59,6 +60,7 @@ let create () =
     degraded_reads = 0;
     salvaged = 0;
     wal_corrupt_records = 0;
+    wal_ring_full_flushes = 0;
     fence_rebuilds = 0;
   }
 

@@ -37,6 +37,8 @@ type t = {
       (** corrupt tables rebuilt from their surviving blocks *)
   mutable wal_corrupt_records : int;
       (** rotten WAL records skipped at replay *)
+  mutable wal_ring_full_flushes : int;
+      (** memtable flushes forced because a WAL sync would overflow the ring *)
   mutable fence_rebuilds : int;
       (** fence-pointer sets rebuilt after structural changes *)
 }

@@ -1,6 +1,7 @@
 (* Full-store integrity pass: every live PM table and SSTable re-verified
-   from the medium (via Engine.scrub, optionally salvaging), the durable
-   WAL checksum-walked, and the dual-slot manifest superblock checked. One
+   from the medium (via Engine.scrub, optionally salvaging), the WAL
+   ring's fenced extent checksum-walked, and the dual-slot manifest
+   superblock checked. One
    call answers "is everything on these devices still trustworthy, and what
    did we lose?" — the scrub CLI subcommand and the corruption sweep both
    drive it. *)

@@ -1,6 +1,6 @@
 (** Full-store integrity pass: every live table re-verified from the medium
-    (via {!Engine.scrub}, optionally salvaging), the durable WAL
-    checksum-walked, and the dual-slot manifest superblock checked. The
+    (via {!Engine.scrub}, optionally salvaging), the WAL ring's fenced
+    extent checksum-walked, and the dual-slot manifest superblock checked. The
     [scrub] CLI subcommand and the corruption sweep drive this. *)
 
 type report = {

@@ -1,26 +1,28 @@
-(* Write-ahead log on the SSD.
+(* Write-ahead log on a persistent-memory ring.
 
-   Every write is appended (and durable) before it enters the DRAM
-   memtable, so a crash loses nothing: recovery replays the log into a
-   fresh memtable. The log rotates after each memtable flush — the flushed
-   data is durable in level-0 by then, so the old log is deleted.
+   Every write is logged before it is acknowledged, so a crash loses
+   nothing acknowledged: recovery replays the ring into a fresh memtable.
+   The ring is one PM region sized for a memtable's worth of records; it
+   is never wrapped — [rotate] starts a fresh region at every memtable
+   flush, when the flushed data is durable in level-0 and the old ring can
+   go.
 
-   [append] only stages the entry in the DRAM group-commit buffer; [sync]
-   is the durability point — it writes the buffered group to the device and
-   issues the barrier (fsync), the way production WALs amortise device
-   writes across concurrent committers. [replay] reads the device alone:
-   entries that were buffered but never synced before a crash do not exist
-   and must not be resurrected, and a torn tail (a partial page image of
-   the last unsynced group) truncates the replay at the last complete
-   entry.
+   [append] only stages the record in a DRAM group buffer; [sync] is the
+   durability point. It writes the whole staged group to the ring in one
+   PM write, writes back exactly the cache lines the group touched, and
+   issues one fence. A group of k writers therefore costs one fence. No
+   tail pointer is persisted: each record carries its own validity, so
+   there is no second flush+fence per append (van Renen et al.,
+   "Persistent Memory I/O Primitives").
 
    Each record is framed as [crc32 | length | payload] so replay can tell
    medium rot from a torn tail: a record whose checksum fails but whose
    length field still bounds a plausible payload is skipped and counted,
-   and replay continues with the next frame; a frame that does not fit the
-   remaining bytes ends the replay (torn tail). *)
-
-type sync_outcome = Sync_ok | Sync_skip_fsync
+   and replay continues with the next frame; a frame that does not fit
+   the remaining bytes ends the replay (torn tail). Replay reads only the
+   ring's fenced extent ([Pmem.durable_upto]): bytes past it were never
+   banked, so the ring's unwritten (never-zeroed) remainder is never
+   decoded, and staged-but-unsynced records are never resurrected. *)
 
 type replay_stats = {
   entries : int;  (* entries decoded and delivered *)
@@ -29,23 +31,45 @@ type replay_stats = {
   dropped_bytes : int;  (* bytes not delivered (skipped + torn) *)
 }
 
-type t = {
-  ssd : Ssd.t;
-  mutable file : Ssd.file;
-  buf : Buffer.t;
-  scratch : Buffer.t;  (* one encoded entry, reused across appends *)
-  group_bytes : int;
-  mutable appended : int;  (* entries in the current log, buffered included *)
-  mutable sync_hook : (entries:int -> bytes:int -> sync_outcome) option;
+type stats = {
+  mutable syncs : int;
+  mutable bytes : int;
+  mutable lines : int;
+  mutable fences : int;
+  mutable high_water : int;
 }
 
-let default_group_bytes = 4096
+type t = {
+  pm : Pmem.t;
+  capacity : int;
+  mutable ring : Pmem.region;
+  mutable tail : int;  (* end of the last synced group: the next append offset *)
+  buf : Buffer.t;  (* the staged group *)
+  scratch : Buffer.t;  (* one encoded entry, reused across appends *)
+  mutable appended : int;  (* entries in the current ring, staged included *)
+  mutable sync_hook : (unit -> unit) option;
+  stats : stats;
+}
+
+let line_bytes = 64
 
 (* A record longer than this cannot be real: a "length" above it is frame
    garbage, not a skippable record. *)
 let max_record_bytes = 16 * 1024 * 1024
 
 let frame_header_bytes = 8
+
+(* Planted-bug kill switch (cf. [Pmtable.Builder.chaos_skip_drain]): sync
+   writes back the group but skips the fence, so the acknowledged group is
+   not durable until some later fence. pmsan, pmlint and the crash sweep
+   must each catch it. Never set in production code. *)
+let chaos_skip_drain = ref false
+
+(* A memtable's records plus their frame headers: the memtable flushes at
+   [memtable_bytes] of encoded entries, and each record adds an 8-byte
+   header. A quarter of headroom covers the headers of entries down to
+   32 B; smaller entries reach the ring-full path, which flushes early. *)
+let ring_bytes ~memtable_bytes = memtable_bytes + (memtable_bytes / 4)
 
 let write_u32 buf v =
   Buffer.add_char buf (Char.chr (v land 0xff));
@@ -59,46 +83,68 @@ let read_u32 s pos =
   lor (Char.code s.[pos + 2] lsl 16)
   lor (Char.code s.[pos + 3] lsl 24)
 
-let create ?(group_bytes = default_group_bytes) ssd =
+let fresh_stats () = { syncs = 0; bytes = 0; lines = 0; fences = 0; high_water = 0 }
+
+let attach pm ring ~tail =
   {
-    ssd;
-    file = Ssd.create_file ssd;
-    buf = Buffer.create group_bytes;
+    pm;
+    capacity = Pmem.region_len ring;
+    ring;
+    tail;
+    buf = Buffer.create 4096;
     scratch = Buffer.create 256;
-    group_bytes;
     appended = 0;
     sync_hook = None;
+    stats = { (fresh_stats ()) with high_water = tail };
   }
 
-let file_id t = Ssd.file_id t.file
+let create ~capacity pm = attach pm (Pmem.alloc pm capacity) ~tail:0
+
+let region_id t = Pmem.region_id t.ring
+let capacity t = t.capacity
+let tail t = t.tail
+let stats t = t.stats
 
 let set_sync_hook t hook = t.sync_hook <- hook
 
 let buffered_bytes t = Buffer.length t.buf
 
-(* Durability point. The fault hook runs first: it may raise (crash at the
-   site) or downgrade the sync to a barrier-less write (sync loss). On a
-   transient device error the buffer is left intact, so the caller can
-   retry the sync without duplicating entries. *)
-let sync t =
-  if Buffer.length t.buf > 0 then begin
-    let outcome =
-      match t.sync_hook with
-      | Some hook -> hook ~entries:t.appended ~bytes:(Buffer.length t.buf)
-      | None -> Sync_ok
-    in
-    if Obs.Trace.is_enabled () then
-      Obs.Trace.instant "wal.sync" ~attrs:(fun () ->
-          [ ("bytes", Obs.Trace.Int (Buffer.length t.buf)) ]);
-    Ssd.append t.ssd t.file (Buffer.contents t.buf);
-    (match outcome with
-    | Sync_ok -> Ssd.fsync t.ssd t.file
-    | Sync_skip_fsync -> ());
-    Buffer.clear t.buf
-  end
+let fits t = t.tail + Buffer.length t.buf <= t.capacity
 
-(* Stage the entry in the group-commit buffer; it reaches the device (and
-   becomes durable) at the next [sync]. *)
+(* Durability point. The fault hook runs first and may raise (crash at the
+   site, nothing written). The group goes to the ring in one write; the
+   write-back starts at the line holding the group's first byte, so every
+   line the group touched is flushed exactly once. *)
+let sync t =
+  let len = Buffer.length t.buf in
+  if len > 0 then begin
+    if t.tail + len > t.capacity then invalid_arg "Wal.sync: group overflows the ring";
+    (match t.sync_hook with Some hook -> hook () | None -> ());
+    if Obs.Trace.is_enabled () then
+      Obs.Trace.instant "wal.sync" ~attrs:(fun () -> [ ("bytes", Obs.Trace.Int len) ]);
+    let off = t.tail in
+    let line0 = off land lnot (line_bytes - 1) in
+    Pmem.write t.pm t.ring ~off (Buffer.contents t.buf);
+    Pmem.flush t.pm t.ring ~off:line0 ~len:(off + len - line0);
+    if not !chaos_skip_drain then begin
+      Pmem.drain t.pm;
+      t.stats.fences <- t.stats.fences + 1
+    end;
+    t.tail <- off + len;
+    Buffer.clear t.buf;
+    t.stats.syncs <- t.stats.syncs + 1;
+    t.stats.bytes <- t.stats.bytes + len;
+    t.stats.lines <- t.stats.lines + ((off + len - line0 + line_bytes - 1) / line_bytes);
+    t.stats.high_water <- max t.stats.high_water t.tail
+  end;
+  (* pmlint:allow flush-before-commit: the only unfenced path is the
+     chaos_skip_drain kill switch above, planted so pmsan, the pmlint
+     fixture and the crash sweep can prove they catch an unfenced log;
+     pmsan checks the real protocol on every sanitized run *)
+  Pmem.commit_point t.pm "wal.sync"
+
+(* Stage the entry in the group buffer; it reaches the ring (and becomes
+   durable) at the next [sync]. *)
 let append t entry =
   Buffer.clear t.scratch;
   Util.Kv.encode t.scratch entry;
@@ -108,30 +154,34 @@ let append t entry =
   Buffer.add_string t.buf payload;
   t.appended <- t.appended + 1
 
-(* Start a new log; the previous one's contents are durable in level-0. *)
+(* Start a fresh ring: the old ring's records — staged ones included —
+   are in the memtable being flushed, hence durable in level-0. The new
+   region is allocated first, so an [Out_of_space] leaves the log as it
+   was. *)
 let rotate t =
   if Obs.Trace.is_enabled () then
     Obs.Trace.instant "wal.rotate" ~attrs:(fun () ->
-        [ ("entries", Obs.Trace.Int t.appended) ]);
+        [ ("entries", Obs.Trace.Int t.appended); ("bytes", Obs.Trace.Int t.tail) ]);
+  let fresh = Pmem.alloc t.pm t.capacity in
+  Pmem.free t.pm t.ring;
+  t.ring <- fresh;
+  t.tail <- 0;
   Buffer.clear t.buf;
-  Ssd.delete_file t.ssd t.file;
-  t.file <- Ssd.create_file t.ssd;
   t.appended <- 0
+
+let free t = Pmem.free t.pm t.ring
 
 let entry_count t = t.appended
 
 (* Decode every *durable* entry, oldest first (replay order). The DRAM
    buffer is deliberately not consulted: after a crash those entries were
-   never acknowledged as synced and must not be resurrected. A frame whose
-   checksum fails is skipped (and counted) using its length field; a frame
-   that does not fit the remaining bytes is a torn tail and ends the
-   replay. *)
+   never acknowledged as synced and must not be resurrected. *)
 let replay t f =
-  let size = Ssd.file_size t.file in
+  let size = Pmem.durable_upto t.ring in
   if size = 0 then
     { entries = 0; corrupt_records = 0; torn_tail = false; dropped_bytes = 0 }
   else begin
-    let raw = Ssd.pread t.ssd t.file ~off:0 ~len:size in
+    let raw = Pmem.read t.pm t.ring ~off:0 ~len:size in
     let pos = ref 0 in
     let entries = ref 0 in
     let corrupt = ref 0 in
@@ -195,21 +245,17 @@ let replay t f =
 (* Checksum-walk the durable log without delivering entries (scrub). *)
 let verify t = replay t (fun _ -> ())
 
-(* Reattach to a persisted log after a restart. *)
-let open_existing ssd ~file_id =
-  match Ssd.find_file ssd file_id with
-  | Some file ->
-      let t =
-        {
-          ssd;
-          file;
-          buf = Buffer.create default_group_bytes;
-          scratch = Buffer.create 256;
-          group_bytes = default_group_bytes;
-          appended = 0;
-          sync_hook = None;
-        }
-      in
-      (* entry count unknown until replay; leave 0, replay recomputes *)
-      t
-  | None -> failwith (Printf.sprintf "Wal.open_existing: log file %d missing" file_id)
+(* Reattach to a persisted ring after a restart; appends resume at its
+   fenced extent. *)
+let open_existing pm ~region_id =
+  match Pmem.find_region pm region_id with
+  | Some ring -> attach pm ring ~tail:(Pmem.durable_upto ring)
+  | None -> failwith (Printf.sprintf "Wal.open_existing: log region %d missing" region_id)
+
+let pp_summary ppf t =
+  let kib n = float_of_int n /. 1024.0 in
+  Fmt.pf ppf
+    "PM ring region %d, %.1f KiB: tail %.1f KiB, high water %.1f KiB; %d syncs, %d lines, \
+     %d fences"
+    (region_id t) (kib t.capacity) (kib t.tail) (kib t.stats.high_water) t.stats.syncs
+    t.stats.lines t.stats.fences

@@ -153,7 +153,7 @@ let check_manifest engine =
           List.iter check_file p.ssd_l0;
           List.iter (List.iter check_file) p.levels)
         state.partitions;
-      Option.iter check_file state.wal_file_id);
+      Option.iter check_region state.wal_region_id);
   List.rev !violations
 
 let check golden engine =

@@ -136,6 +136,32 @@ let hit ?id t site =
             note_injected t site;
             Some r.action)
 
+(* The WAL's "wal.sync" site on the log's current ring; the id is
+   re-queried per hit so scoped rules survive rotation. Sync loss does not
+   touch the log itself: the ring's next write-back — the one this sync is
+   about to issue — is dropped on the device, through a one-shot rule on
+   "pm.flush" scoped to the ring's region. The WAL still issues its clwb,
+   so pmsan (which records the program's clwbs) stays quiet on the
+   injected fault. *)
+let arm_wal t w =
+  Core.Wal.set_sync_hook w
+    (Some
+       (fun () ->
+         let ring = Core.Wal.region_id w in
+         match hit ~id:ring t "wal.sync" with
+         | Some Wal_sync_loss ->
+             t.rules <-
+               {
+                 site = "pm.flush";
+                 trigger = Nth (site_hit_count t "pm.flush" + 1);
+                 scope = Some (fun id -> id = ring);
+                 action = Pm_drop_flush;
+               }
+               :: t.rules
+         | _ -> ()))
+
+let disarm_wal w = Core.Wal.set_sync_hook w None
+
 (* Arming installs one closure per device hook; each maps the plan's
    answer onto that site's outcome type. Actions foreign to a site (e.g. a
    [Wal_sync_loss] rule on "ssd.read") count as injected but degrade to the
@@ -172,28 +198,7 @@ let arm t ~pm ~ssd ?wal () =
          | Some Ssd_io_error -> Ssd.Io_fail
          | Some (Slow mult) -> Ssd.Io_slow mult
          | _ -> Ssd.Io_ok));
-  match wal with
-  | None -> ()
-  | Some w ->
-      Core.Wal.set_sync_hook w
-        (Some
-           (fun ~entries:_ ~bytes:_ ->
-             match hit ~id:(Core.Wal.file_id w) t "wal.sync" with
-             | Some Wal_sync_loss -> Core.Wal.Sync_skip_fsync
-             | _ -> Core.Wal.Sync_ok))
-
-(* Additional WALs on the same plan (one per shard); all report to the
-   shared "wal.sync" site so a crash schedule covers every shard's log.
-   The id is re-queried per hit so scoped rules survive WAL rotation. *)
-let arm_wal t w =
-  Core.Wal.set_sync_hook w
-    (Some
-       (fun ~entries:_ ~bytes:_ ->
-         match hit ~id:(Core.Wal.file_id w) t "wal.sync" with
-         | Some Wal_sync_loss -> Core.Wal.Sync_skip_fsync
-         | _ -> Core.Wal.Sync_ok))
-
-let disarm_wal w = Core.Wal.set_sync_hook w None
+  Option.iter (arm_wal t) wal
 
 let disarm ~pm ~ssd ?wal () =
   Pmem.set_flush_hook pm None;
@@ -201,7 +206,7 @@ let disarm ~pm ~ssd ?wal () =
   Ssd.set_write_hook ssd None;
   Ssd.set_read_hook ssd None;
   Ssd.set_fsync_hook ssd None;
-  match wal with None -> () | Some w -> Core.Wal.set_sync_hook w None
+  Option.iter disarm_wal wal
 
 (* --- Seeded corruption injection -----------------------------------------
 
@@ -239,6 +244,12 @@ let inject_corruption t ~pm ~ssd ?wal ?(wals = []) ~target ~mode () =
     note_injected t (target_site target);
     Some { target; corruption_mode = mode; victim }
   in
+  let pick rng l = List.nth l (Util.Xoshiro.int rng (List.length l)) in
+  let corrupt_pm_region kind r ~size =
+    let off = pick_off size in
+    Pmem.corrupt_region ~len ~mode:dev_mode pm r ~off;
+    injected (Printf.sprintf "%s:%d off=%d len=%d" kind (Pmem.region_id r) off len)
+  in
   let corrupt_ssd_file kind file =
     let size = Ssd.durable_size file in
     if size < len then None
@@ -250,30 +261,31 @@ let inject_corruption t ~pm ~ssd ?wal ?(wals = []) ~target ~mode () =
   in
   match target with
   | Pm_table_bytes -> (
+      (* Every live WAL ring is off-limits: a ring corrupted as a "table"
+         would surface as replay loss the table excusal rules never cover.
+         Rings have their own target. *)
+      let rings = List.map Core.Wal.region_id wals in
       let regions =
         Pmem.live_regions pm
-        |> List.filter (fun r -> Pmem.region_len r >= len)
+        |> List.filter (fun r ->
+               Pmem.region_len r >= len && not (List.mem (Pmem.region_id r) rings))
         |> List.sort (fun a b -> compare (Pmem.region_id a) (Pmem.region_id b))
       in
       match regions with
       | [] -> None
       | regions ->
-          let r = List.nth regions (Util.Xoshiro.int t.rng (List.length regions)) in
-          let off = pick_off (Pmem.region_len r) in
-          Pmem.corrupt_region ~len ~mode:dev_mode pm r ~off;
-          injected
-            (Printf.sprintf "pm_region:%d off=%d len=%d" (Pmem.region_id r) off len))
+          let r = pick t.rng regions in
+          corrupt_pm_region "pm_region" r ~size:(Pmem.region_len r))
   | Sstable_bytes -> (
       (* Every superblock chain — the unnamed pair and each shard's named
-         namespace — and every live WAL is off-limits: those have their own
-         corruption targets with their own excusal rules. *)
+         namespace — is off-limits: manifests have their own corruption
+         target with its own excusal rules. *)
       let excluded =
         List.concat_map
           (fun name ->
             let cur, prev = Ssd.root_slots ~name ssd in
             List.filter_map Fun.id [ cur; prev ])
           ("" :: Ssd.root_names ssd)
-        @ List.map Core.Wal.file_id wals
       in
       let candidates =
         Ssd.live_file_ids ssd
@@ -283,20 +295,23 @@ let inject_corruption t ~pm ~ssd ?wal ?(wals = []) ~target ~mode () =
       in
       match candidates with
       | [] -> None
-      | candidates ->
-          let f = List.nth candidates (Util.Xoshiro.int t.rng (List.length candidates)) in
-          corrupt_ssd_file "ssd_file" f)
+      | candidates -> corrupt_ssd_file "ssd_file" (pick t.rng candidates))
   | Wal_bytes -> (
+      (* A ring's durable bytes only: the tail past the fenced extent holds
+         nothing replay would read. *)
       let candidates =
-        List.filter_map (fun w -> Ssd.find_file ssd (Core.Wal.file_id w)) wals
+        List.filter_map
+          (fun w ->
+            match Pmem.find_region pm (Core.Wal.region_id w) with
+            | Some r when Pmem.durable_upto r >= len -> Some r
+            | _ -> None)
+          wals
       in
       match candidates with
       | [] -> None
       | candidates ->
-          let f =
-            List.nth candidates (Util.Xoshiro.int t.rng (List.length candidates))
-          in
-          corrupt_ssd_file "wal_file" f)
+          let r = pick t.rng candidates in
+          corrupt_pm_region "wal_ring" r ~size:(Pmem.durable_upto r))
   | Manifest_bytes -> (
       let candidates =
         ("" :: Ssd.root_names ssd)
@@ -305,11 +320,7 @@ let inject_corruption t ~pm ~ssd ?wal ?(wals = []) ~target ~mode () =
       in
       match candidates with
       | [] -> None
-      | candidates ->
-          let f =
-            List.nth candidates (Util.Xoshiro.int t.rng (List.length candidates))
-          in
-          corrupt_ssd_file "manifest_file" f)
+      | candidates -> corrupt_ssd_file "manifest_file" (pick t.rng candidates))
 
 let register_metrics reg stats =
   Obs.Registry.register_int reg "fault.injected"

@@ -15,7 +15,9 @@ type action =
       (** only this fraction of the flushed range persists *)
   | Pm_drop_flush  (** the clwb is silently lost *)
   | Ssd_io_error  (** fail the request with [Ssd.Io_error] (transient) *)
-  | Wal_sync_loss  (** the WAL group is written but the barrier is swallowed *)
+  | Wal_sync_loss
+      (** the WAL group is written but its write-back never reaches the
+          medium: the ring's next flush is dropped on the device *)
   | Slow of float
       (** fail-slow (gray) fault: the operation succeeds but costs this
           multiple of its normal latency. Maps to [Pmem.Flush_slow] at
@@ -66,9 +68,10 @@ val add_rule :
 (** First matching rule wins; an action foreign to the site (e.g.
     [Wal_sync_loss] at ["ssd.read"]) counts as injected but acts as ok.
     [scope] restricts the rule to device objects whose id satisfies the
-    predicate — PM region ids at ["pm.flush"], SSD file ids at the ssd
-    sites and ["wal.sync"] — so a gray fault can be confined to one
-    shard's file range. A scoped rule never matches ["pm.drain"] (no id). *)
+    predicate — PM region ids at ["pm.flush"] and ["wal.sync"] (the
+    log's ring), SSD file ids at the ssd sites — so a gray fault can be
+    confined to one shard's structures. A scoped rule never matches
+    ["pm.drain"] (no id). *)
 
 val clear_rules : t -> unit
 (** Drop every rule (the crash schedule is untouched); used by episodic
@@ -77,7 +80,10 @@ val clear_rules : t -> unit
 val arm : t -> pm:Pmem.t -> ssd:Ssd.t -> ?wal:Core.Wal.t -> unit -> unit
 (** Install the plan's closures on the device hook points. The WAL handle
     (from [Engine.wal]) arms the ["wal.sync"] site; hooks survive WAL
-    rotation but not recovery (which builds a fresh handle). *)
+    rotation but not recovery (which builds a fresh handle). A
+    [Wal_sync_loss] answer at ["wal.sync"] drops the ring's next
+    ["pm.flush"] (a one-shot rule scoped to the ring's region): the log
+    still issues its clwb, the medium loses it. *)
 
 val disarm : pm:Pmem.t -> ssd:Ssd.t -> ?wal:Core.Wal.t -> unit -> unit
 (** Uninstall every hook the plan armed (safe on a fresh system too). *)
@@ -97,9 +103,9 @@ val disarm_wal : Core.Wal.t -> unit
     served. *)
 
 type corruption_target =
-  | Pm_table_bytes  (** a seeded live PM region (some level-0 table) *)
-  | Sstable_bytes  (** a seeded SSD file that is not the WAL or a manifest *)
-  | Wal_bytes  (** the durable bytes of the live WAL *)
+  | Pm_table_bytes  (** a seeded live PM region that is not a WAL ring *)
+  | Sstable_bytes  (** a seeded SSD file that is not a manifest *)
+  | Wal_bytes  (** the durable (fenced) bytes of a live WAL ring *)
   | Manifest_bytes  (** the current superblock slot's manifest snapshot *)
 
 type corruption_mode = Bit_flip | Zero_range of int
@@ -124,10 +130,11 @@ val inject_corruption :
     victim and offset, so a seed reproduces the same damage). Counts in
     [stats.injected]. [None] when no eligible victim exists — e.g. no live
     PM regions yet, or no WAL handle supplied. Pass every live log via
-    [wal]/[wals] (a sharded system has one per shard): [Sstable_bytes]
-    must not mistake a WAL — nor any superblock chain, named or unnamed —
-    for a data file, and [Wal_bytes]/[Manifest_bytes] pick a seeded victim
-    among all logs / all current manifest slots. *)
+    [wal]/[wals] (a sharded system has one per shard): [Pm_table_bytes]
+    must not mistake a WAL ring for a table, [Sstable_bytes] must not
+    mistake any superblock chain, named or unnamed, for a data file, and
+    [Wal_bytes]/[Manifest_bytes] pick a seeded victim among all rings /
+    all current manifest slots. *)
 
 val register_metrics : Obs.Registry.t -> stats -> unit
 (** [fault.injected], [fault.crashes], [fault.recoveries]. *)

@@ -20,13 +20,17 @@ type rule = { pattern : string; tol : float; direction : direction }
 let rule ?(tol = 0.05) ?(direction = Lower_is_better) pattern =
   { pattern; tol; direction }
 
-(* Exact name, or a prefix glob written "prefix*". *)
+(* Exact name, a prefix glob written "prefix*", or a suffix glob written
+   "*suffix". *)
 let matches name ~pattern =
-  match String.index_opt pattern '*' with
-  | None -> String.equal name pattern
-  | Some i ->
-      let prefix = String.sub pattern 0 i in
-      String.length name >= i && String.equal (String.sub name 0 i) prefix
+  let n = String.length name and m = String.length pattern in
+  if m > 0 && pattern.[0] = '*' then
+    let suffix = String.sub pattern 1 (m - 1) in
+    n >= m - 1 && String.equal (String.sub name (n - m + 1) (m - 1)) suffix
+  else
+    match String.index_opt pattern '*' with
+    | None -> String.equal name pattern
+    | Some i -> n >= i && String.equal (String.sub name 0 i) (String.sub pattern 0 i)
 
 type status = Ok | Improved | Regressed | Missing
 

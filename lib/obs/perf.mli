@@ -7,8 +7,9 @@
 type direction = Lower_is_better | Higher_is_better
 
 type rule = { pattern : string; tol : float; direction : direction }
-(** [pattern] is an exact metric name or a prefix glob ("attr.*"); [tol] a
-    fractional tolerance (0.05 = 5%). *)
+(** [pattern] is an exact metric name, a prefix glob ("attr.*") or a
+    suffix glob ("*throughput_ops"); [tol] a fractional tolerance (0.05 =
+    5%). *)
 
 val rule : ?tol:float -> ?direction:direction -> string -> rule
 (** Defaults: 5% tolerance, lower-is-better. *)

@@ -9,8 +9,10 @@
    slower than DRAM, writes substantially slower and bandwidth-limited.
 
    Persistence semantics: writes land in a (simulated) CPU-cache domain and
-   become durable only after [flush] + [drain] (clwb + sfence). Crash tests
-   use [crash] to discard unflushed writes and [recover] to reopen the
+   become durable only after [flush] + [drain] (clwb + sfence): a flush
+   queues its range for write-back and the next fence banks every queued
+   range, so a crash between the two loses the flushed bytes. Crash tests
+   use [crash] to discard unfenced writes and [recover] to reopen the
    device from its durable contents. *)
 
 type params = {
@@ -46,6 +48,7 @@ type stats = {
   mutable bytes_read : int;
   mutable bytes_written : int;
   mutable flushes : int;
+  mutable drains : int;
   mutable read_time : float;
   mutable write_time : float;
   mutable flush_time : float;
@@ -60,6 +63,7 @@ let fresh_stats () =
     bytes_read = 0;
     bytes_written = 0;
     flushes = 0;
+    drains = 0;
     read_time = 0.0;
     write_time = 0.0;
     flush_time = 0.0;
@@ -72,7 +76,7 @@ type region = {
   buf : Bytes.t;
   len : int;
   mutable live : bool;
-  mutable durable_upto : int;  (* bytes [0, durable_upto) survived the last flush *)
+  mutable durable_upto : int;  (* high-water mark of fenced bytes *)
   mutable shadow : Bytes.t option;  (* durable image, materialised lazily on crash tests *)
 }
 
@@ -99,6 +103,9 @@ type t = {
      resurrect them — exactly what recovery needs when the manifest that
      referenced them was the last durable one *)
   mutable graveyard : region list;
+  (* ranges flushed since the last fence: (region, off, len), durable only
+     once the next [drain] banks them *)
+  mutable unfenced : (region * int * int) list;
   mutable flush_hook : (region_id:int -> off:int -> len:int -> flush_outcome) option;
   mutable drain_hook : (unit -> unit) option;
   (* persistence-ordering sanitizer (lib/sanitize); attached at creation
@@ -118,6 +125,7 @@ let create ?(params = default_params) clock =
     regions = [];
     crash_mode = false;
     graveyard = [];
+    unfenced = [];
     flush_hook = None;
     drain_hook = None;
     san =
@@ -150,7 +158,10 @@ let alloc t len =
   let region =
     { id = t.next_id; buf = Bytes.create len; len; live = true; durable_upto = 0; shadow = None }
   in
-  if t.crash_mode then region.shadow <- Some (Bytes.create len);
+  (* Never-fenced bytes revert to zeroes at a crash, not to whatever the
+     host allocator left behind: recovery of the same seed sees the same
+     image. *)
+  if t.crash_mode then region.shadow <- Some (Bytes.make len '\000');
   t.next_id <- t.next_id + 1;
   t.used <- t.used + len;
   t.stats.allocs <- t.stats.allocs + 1;
@@ -261,26 +272,33 @@ let flush t region ~off ~len =
             t.stats.flush_time <- t.stats.flush_time +. extra;
             len)
   in
-  if persisted > 0 then begin
-    (match region.shadow with
-    | Some shadow -> Bytes.blit region.buf off shadow off persisted
-    | None -> ());
-    region.durable_upto <- max region.durable_upto (off + persisted)
-  end
+  if persisted > 0 then t.unfenced <- (region, off, persisted) :: t.unfenced
 
 let drain t =
   (* The hook may raise (crash between flush and fence): the sanitizer
-     must only see fences that actually executed, so it runs after. *)
+     must only see fences that actually executed, and the queued
+     write-backs stay unbanked, so both run after. *)
   (match t.drain_hook with Some hook -> hook () | None -> ());
   (match t.san with Some san -> Sanitize.Pmsan.on_drain san | None -> ());
+  List.iter
+    (fun (region, off, len) ->
+      (match region.shadow with
+      | Some shadow -> Bytes.blit region.buf off shadow off len
+      | None -> ());
+      region.durable_upto <- max region.durable_upto (off + len))
+    t.unfenced;
+  t.unfenced <- [];
+  t.stats.drains <- t.stats.drains + 1;
   Sim.Clock.advance t.clock t.params.drain_ns
 
-(* Crash simulation: unflushed bytes revert to the durable image, and
+(* Crash simulation: unfenced bytes revert to the durable image, and
    regions freed since crash mode was enabled come back (their durable
    contents were never overwritten; recovery's orphan GC reclaims the ones
    no manifest references). Only meaningful when crash mode was enabled
    before the writes. *)
 let crash t =
+  (* write-backs no fence banked never reached the medium *)
+  t.unfenced <- [];
   let resurrected = t.graveyard in
   List.iter
     (fun region ->
@@ -344,6 +362,8 @@ let register_metrics reg ?(prefix = "pmem") t =
       t.stats.bytes_written);
   register_int reg (name "flushes") ~help:"cache-line flushes (clwb)" (fun () ->
       t.stats.flushes);
+  register_int reg (name "drains") ~help:"persistence fences (sfence)" (fun () ->
+      t.stats.drains);
   register_float reg (name "read_time_ns") ~kind:Counter
     ~help:"simulated ns spent in PM reads" (fun () -> t.stats.read_time);
   register_float reg (name "write_time_ns") ~kind:Counter
@@ -367,6 +387,7 @@ let reset_stats t =
   s.bytes_read <- 0;
   s.bytes_written <- 0;
   s.flushes <- 0;
+  s.drains <- 0;
   s.read_time <- 0.0;
   s.write_time <- 0.0;
   s.flush_time <- 0.0;
@@ -375,6 +396,6 @@ let reset_stats t =
 
 let pp_stats ppf s =
   Fmt.pf ppf
-    "@[<v>reads: %d (%d B, %a)@,writes: %d (%d B, %a)@,flushes: %d@,allocs/frees: %d/%d@]"
+    "@[<v>reads: %d (%d B, %a)@,writes: %d (%d B, %a)@,flushes: %d, fences: %d@,allocs/frees: %d/%d@]"
     s.reads s.bytes_read Sim.Clock.pp_duration s.read_time s.writes s.bytes_written
-    Sim.Clock.pp_duration s.write_time s.flushes s.allocs s.frees
+    Sim.Clock.pp_duration s.write_time s.flushes s.drains s.allocs s.frees

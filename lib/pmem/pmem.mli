@@ -5,7 +5,7 @@
     small factor slower than DRAM, writes ~3x slower than reads) plus
     per-byte bandwidth terms, matching the paper's Table I measurements.
     Writes become durable only after {!flush} + {!drain}; {!crash} discards
-    unflushed bytes for recovery tests. *)
+    unfenced bytes for recovery tests. *)
 
 type params = {
   capacity : int;
@@ -26,7 +26,8 @@ type stats = {
   mutable writes : int;
   mutable bytes_read : int;
   mutable bytes_written : int;
-  mutable flushes : int;
+  mutable flushes : int;  (** cache lines written back *)
+  mutable drains : int;  (** persistence fences *)
   mutable read_time : float;
   mutable write_time : float;
   mutable flush_time : float;
@@ -68,11 +69,12 @@ val read_byte : t -> region -> off:int -> char
 val write : t -> region -> off:int -> string -> unit
 
 val flush : t -> region -> off:int -> len:int -> unit
-(** Simulated clwb over the range: charges per-cache-line cost and marks the
-    bytes durable. *)
+(** Simulated clwb over the range: charges per-cache-line cost and queues
+    the bytes for write-back. They become durable at the next {!drain}. *)
 
 val drain : t -> unit
-(** Simulated sfence. *)
+(** Simulated sfence: every range flushed since the previous fence becomes
+    durable. *)
 
 val enable_crash_mode : t -> unit
 (** Track durable images so {!crash} can revert unflushed writes. Must be
@@ -81,7 +83,8 @@ val enable_crash_mode : t -> unit
     is allocator metadata; the bytes remain on the medium). *)
 
 val crash : t -> unit
-(** Revert every region to its last flushed image and resurrect regions
+(** Revert every region to its last fenced image (never-fenced bytes read
+    as zeroes) and resurrect regions
     freed since crash mode was enabled (crash mode only). Recovery is
     expected to garbage-collect resurrected regions no manifest names. *)
 
@@ -109,6 +112,8 @@ val set_drain_hook : t -> (unit -> unit) option -> unit
     charged; raising models a crash between flush and fence. *)
 
 val durable_upto : region -> int
+(** High-water mark of the region's fenced bytes: every byte below it was
+    written back and fenced at least once. *)
 
 (** {1 Persistence-ordering sanitizer}
 

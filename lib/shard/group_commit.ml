@@ -1,5 +1,5 @@
 (* Per-shard group commit: coalesce concurrent writers' WAL syncs into one
-   log append + fsync.
+   PM ring write and one fence (flush+fence batching).
 
    Shard engines run with [wal_external_sync]: a put stages its record into
    the WAL's DRAM group buffer but does not sync — the durability point is

@@ -1,5 +1,5 @@
 (** Per-shard group commit: coalesce concurrent writers' WAL syncs into
-    one log append + fsync.
+    one PM ring write and one fence.
 
     Shard engines run with [wal_external_sync]: a put stages its record
     but the durability point — {!Core.Engine.sync_wal} — happens here. In

@@ -189,7 +189,7 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) cfg =
 (* Rebuild every shard from the shared devices. Each shard recovers its
    own manifest chain with [~orphan_gc:false] — one shard's view is too
    narrow to reclaim on a shared device — and the router then GCs the
-   union: anything no shard's manifest, WAL, quarantine list, or
+   union: anything no shard's manifest, WAL ring, quarantine list, or
    superblock slot references. *)
 let recover ?(boundaries = []) cfg ~pm ~ssd =
   let n = max 1 cfg.Core.Config.shard_count in
@@ -211,7 +211,7 @@ let recover ?(boundaries = []) cfg ~pm ~ssd =
         List.iter keep_file ps.ssd_l0;
         List.iter (List.iter keep_file) ps.levels)
       state.Core.Manifest.partitions;
-    (match state.Core.Manifest.wal_file_id with Some id -> keep_file id | None -> ());
+    (match state.Core.Manifest.wal_region_id with Some id -> keep_region id | None -> ());
     List.iter
       (fun (q : Core.Manifest.quarantine) ->
         match q.Core.Manifest.source with
@@ -228,7 +228,7 @@ let recover ?(boundaries = []) cfg ~pm ~ssd =
       | Some state -> keep_state state
       | None -> ());
       match Core.Engine.wal s.engine with
-      | Some w -> keep_file (Core.Wal.file_id w)
+      | Some w -> keep_region (Core.Wal.region_id w)
       | None -> ())
     shards;
   let keep_slots (cur, prev) =

@@ -28,7 +28,7 @@ val recover : ?boundaries:string list -> Core.Config.t -> pm:Pmem.t -> ssd:Ssd.t
     configuration, not persisted state). Each shard recovers its own
     named manifest chain with per-engine orphan GC disabled; the router
     then reclaims the union's orphans: structures referenced by no
-    shard's manifest, WAL, quarantine list, or superblock slot. *)
+    shard's manifest, WAL ring, quarantine list, or superblock slot. *)
 
 val default_boundaries : int -> string list
 (** Byte-uniform fallback split used when [create] gets no boundaries. *)

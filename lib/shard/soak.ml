@@ -1,5 +1,5 @@
 (* Chaos soak: a long seeded run that interleaves gray-fault episodes
-   (fail-slow devices, error storms, stuck fsyncs), crash-restart cycles
+   (fail-slow devices, error storms, stuck log barriers), crash-restart cycles
    (including a crash *during* recovery), and bit-rot injection over the
    sharded front door, continuously checked against the golden model.
 
@@ -402,6 +402,11 @@ let check_full st =
 
 (* --- Episodes ------------------------------------------------------------ *)
 
+(* A stuck log barrier: how long one WAL ring write-back line hangs. Long
+   enough that an acked write blows a millisecond-scale write budget, so
+   only an open breaker keeps the shard's writers from waiting on it. *)
+let stuck_line_ns = 2_500_000.0
+
 (* Scope closures re-query ownership per hit, so structures the sick shard
    creates mid-episode (its own flushes and compactions) stay in scope. *)
 let arm_gray st ~round ~sick kind =
@@ -425,6 +430,19 @@ let arm_gray st ~round ~sick kind =
         ~trigger:(Fault.Plan.Duty { period = 6; on = 4 })
         ~scope:file_scope Fault.Plan.Ssd_io_error
   | Stuck_fsync ->
+      (* the sick shard's durability barriers are stuck: each WAL ring
+         write-back line hangs for [stuck_line_ns] (every write on the
+         shard waits that long for its ack), and its SSD fsyncs crawl. The
+         ring id is re-queried per hit, so the rule follows the log across
+         rotations. *)
+      let ring_scope id =
+        match Core.Engine.wal engine with
+        | Some w -> id = Core.Wal.region_id w
+        | None -> false
+      in
+      Fault.Plan.add_rule plan ~site:"pm.flush" ~trigger:Fault.Plan.Every
+        ~scope:ring_scope
+        (Fault.Plan.Slow (stuck_line_ns /. Pmem.default_params.Pmem.flush_ns));
       Fault.Plan.add_rule plan ~site:"ssd.fsync" ~trigger:Fault.Plan.Every
         ~scope:file_scope
         (Fault.Plan.Slow (4.0 *. mult))

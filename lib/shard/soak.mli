@@ -20,7 +20,9 @@ type episode_kind =
   | Slow_pm  (** fail-slow PM flush on the sick shard's regions *)
   | Slow_read  (** fail-slow SSD reads on the sick shard's files *)
   | Error_storm  (** duty-cycled [Ssd.Io_error] on the sick shard's files *)
-  | Stuck_fsync  (** stuck-slow fsync (WAL and data) on the sick shard *)
+  | Stuck_fsync
+      (** stuck durability barriers on the sick shard: each WAL ring
+          write-back line hangs for 2.5 ms and its SSD fsyncs crawl *)
   | Crash  (** crash both devices, recover, full checkpoint *)
   | Crash_in_recovery  (** crash, then crash again mid-recovery *)
   | Corrupt  (** seeded bit rot; later checks excuse recorded damage *)

@@ -1,21 +1,34 @@
 #!/bin/sh
-# Sharding smoke check: run the shard benchmark and fail if the new front
-# door is demonstrably broken — group commit never coalescing (mean batch
-# size <= 1 means every writer paid its own fsync), a shard left stalled
-# over the admission hard limit when the run ends, a scaling ratio below
-# the 1.5x acceptance floor, or an incomplete run. The benchmark prints
-# one machine-greppable line:
+# Sharding gate: run the shard benchmark into a fresh file, fail if the
+# front door is demonstrably broken, then compare the fresh run against
+# the committed BENCH_shard.json with bin/perf_gate.exe. The smoke check
+# fails on group commit never coalescing (mean batch size <= 1 means every
+# writer paid its own log sync), a shard left stalled over the admission
+# hard limit when the run ends, a scaling ratio below the 1.5x acceptance
+# floor, or an incomplete run. The benchmark prints one
+# machine-greppable line:
 #
 #   SHARD speedup4=S mean_batch4=M stalled=K completed=N
 #
-# Usage: scripts/check_shard.sh [OUT_JSON]  (default BENCH_shard.json)
+# The committed baseline is never rewritten here. To refresh it after an
+# intentional change:
+#   dune exec bench/main.exe -- shard --json BENCH_shard.json
+#
+# Usage: scripts/check_shard.sh [BASELINE_JSON]  (default BENCH_shard.json)
 set -eu
 
-out_json="${1:-BENCH_shard.json}"
-log="$(mktemp)"
-trap 'rm -f "$log"' EXIT
+baseline="${1:-BENCH_shard.json}"
+if [ ! -f "$baseline" ]; then
+    echo "check_shard: baseline $baseline not found (generate it with:" >&2
+    echo "  dune exec bench/main.exe -- shard --json $baseline)" >&2
+    exit 1
+fi
 
-dune exec bench/main.exe -- shard --json "$out_json" | tee "$log"
+fresh="$(mktemp)"
+log="$(mktemp)"
+trap 'rm -f "$fresh" "$log"' EXIT
+
+dune exec bench/main.exe -- shard --json "$fresh" | tee "$log"
 
 summary="$(grep -o 'SHARD [a-z0-9_.=[:space:]]*' "$log" | head -n 1)"
 if [ -z "$summary" ]; then
@@ -50,6 +63,11 @@ if [ "$stalled" != 0 ]; then
 fi
 if [ "$completed" != 6 ]; then
     echo "check_shard: FAIL - expected 6 completed runs, got $completed" >&2
+    fail=1
+fi
+
+if ! dune exec bin/perf_gate.exe -- "$baseline" "$fresh"; then
+    echo "check_shard: FAIL - fresh run regressed against $baseline" >&2
     fail=1
 fi
 exit $fail

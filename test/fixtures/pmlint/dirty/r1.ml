@@ -1,6 +1,6 @@
 (* Planted R1 violations — parse-only fixture, never compiled. Every
    durability point below is reachable with un-persisted PM bytes; pmlint
-   must flag all four. *)
+   must flag all five. *)
 
 let direct_commit dev region data =
   Pmem.write dev region ~off:0 data;
@@ -31,3 +31,12 @@ let finish dev region data =
   spill dev region data;
   Pmem.drain dev;
   Pmem.commit_point dev "pmtable.seal"
+
+(* the Wal.chaos_skip_drain shape: the group goes to the log ring and its
+   lines are written back, but the fence sits behind a kill switch, so one
+   path acknowledges the group flushed-but-unfenced *)
+let ring_sync dev ring ~off group ~chaos =
+  Pmem.write dev ring ~off group;
+  Pmem.flush dev ring ~off ~len:(String.length group);
+  if not chaos then Pmem.drain dev;
+  Pmem.commit_point dev "wal.sync"

@@ -43,14 +43,16 @@ let test_clean_fixtures () =
 
 let test_dirty_flush_before_commit () =
   (* direct commit, conditional (chaos-style) flush, tail write after
-     flush, and a dirty helper seen through its summary *)
+     flush, a dirty helper seen through its summary, and a log-ring sync
+     whose fence sits behind a kill switch *)
   let s = run [ fixture "dirty/r1.ml" ] in
-  check_findings "all four unpersisted commits flagged"
+  check_findings "all five unpersisted commits flagged"
     [
       (7, "flush-before-commit");
       (15, "flush-before-commit");
       (24, "flush-before-commit");
       (33, "flush-before-commit");
+      (42, "flush-before-commit");
     ]
     s
 
@@ -96,7 +98,7 @@ let test_dirty_partial_accessor () =
 
 let test_dirty_tree_fails () =
   let s = run [ fixture "dirty" ] in
-  check Alcotest.int "all planted violations surface" 18
+  check Alcotest.int "all planted violations surface" 19
     (List.length s.Analyze.Report.findings);
   check Alcotest.bool "dirty tree is an error exit" true
     (Analyze.Driver.has_errors s)

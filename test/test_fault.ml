@@ -71,14 +71,37 @@ let sweep_with_bug rules =
   let cfg = small_sweep_config ~rules () in
   Fault.Crash_sweep.sweep cfg
 
+let violations report =
+  List.concat_map (fun p -> p.Fault.Crash_sweep.violations) report.Fault.Crash_sweep.points
+
+let is_sanitizer v = v.Fault.Checker.invariant = "sanitizer"
+
 let test_wal_sync_loss_caught () =
-  (* an engine that buffers the WAL group but skips the barrier loses
-     acknowledged writes at a crash — the sweep must see it *)
+  (* the medium drops every WAL ring write-back: acknowledged writes are
+     lost at a crash — the sweep must see it. The log still issued its
+     clwb, so pmsan (an ordering checker) has nothing to say. *)
   let report =
     sweep_with_bug [ ("wal.sync", Fault.Plan.Every, Fault.Plan.Wal_sync_loss) ]
   in
   check Alcotest.bool "durability bug detected" true
-    (Fault.Crash_sweep.violation_count report > 0)
+    (Fault.Crash_sweep.violation_count report > 0);
+  check Alcotest.bool "pmsan silent on the injected fault" true
+    (not (List.exists is_sanitizer (violations report)))
+
+(* The planted protocol bug: every WAL sync skips its fence. With pmsan
+   detached, the golden model alone must see acknowledged writes vanish. *)
+let test_wal_skip_drain_caught () =
+  Sanitize.Control.disable ();
+  Core.Wal.chaos_skip_drain := true;
+  let report =
+    Fun.protect
+      ~finally:(fun () ->
+        Core.Wal.chaos_skip_drain := false;
+        Sanitize.Control.enable ())
+      (fun () -> sweep_with_bug [])
+  in
+  check Alcotest.bool "acked writes lost" true
+    (List.exists (fun v -> not (is_sanitizer v)) (violations report))
 
 let test_pm_drop_flush_caught () =
   (* PM tables built without clwb: contents vanish at the crash *)
@@ -90,26 +113,84 @@ let test_pm_drop_flush_caught () =
 
 (* --- transient I/O errors: retried, not fatal --- *)
 
+(* The WAL lives on PM, so the SSD path a foreground op retries is a read:
+   the first SSD read of a get whose key was compacted to the SSD fails
+   once, the retry serves it. *)
 let test_ssd_io_error_retried () =
   let cfg = durable_config () in
   let engine = Core.Engine.create cfg in
+  Core.Engine.put engine ~key:"k" "v";
+  Core.Engine.flush engine;
+  Core.Engine.force_major_compaction engine;
   let plan = Fault.Plan.create 3 in
-  Fault.Plan.add_rule plan ~site:"ssd.write" ~trigger:(Fault.Plan.Nth 1)
+  Fault.Plan.add_rule plan ~site:"ssd.read" ~trigger:(Fault.Plan.Nth 1)
     Fault.Plan.Ssd_io_error;
   Fault.Plan.arm plan
     ~pm:(Core.Engine.pm engine)
     ~ssd:(Core.Engine.ssd engine)
     ?wal:(Core.Engine.wal engine) ();
-  Core.Engine.put engine ~key:"k" "v";
+  let got = Core.Engine.get engine "k" in
   Fault.Plan.disarm
     ~pm:(Core.Engine.pm engine)
     ~ssd:(Core.Engine.ssd engine)
     ?wal:(Core.Engine.wal engine) ();
-  check (Alcotest.option Alcotest.string) "write acknowledged" (Some "v")
-    (Core.Engine.get engine "k");
+  check (Alcotest.option Alcotest.string) "read served" (Some "v") got;
   check Alcotest.bool "retry was needed" true
     ((Core.Engine.metrics engine).Core.Metrics.ssd_retries >= 1);
   check Alcotest.int "fault counted" 1 (Fault.Plan.stats plan).Fault.Plan.injected
+
+(* --- corruption targeting --- *)
+
+(* An engine with level-0 tables and a live WAL ring holding synced
+   records: both are live PM regions of similar standing. *)
+let ring_and_tables () =
+  let engine = Core.Engine.create (durable_config ()) in
+  for i = 0 to 299 do
+    Core.Engine.put ~update:true engine ~key:(Printf.sprintf "user%06d" (i mod 64))
+      (Printf.sprintf "v%d" i)
+  done;
+  let wal = Option.get (Core.Engine.wal engine) in
+  check Alcotest.bool "the ring holds synced records" true (Core.Wal.tail wal > 0);
+  (engine, wal)
+
+let victim_region victim = Scanf.sscanf victim "%s@:%d" (fun _ id -> id)
+
+let test_pm_table_target_skips_rings () =
+  let engine, wal = ring_and_tables () in
+  let pm = Core.Engine.pm engine and ssd = Core.Engine.ssd engine in
+  let ring = Core.Wal.region_id wal in
+  check Alcotest.bool "tables exist beside the ring" true
+    (List.length (Pmem.live_regions pm) > 1);
+  for seed = 1 to 200 do
+    let plan = Fault.Plan.create seed in
+    match
+      Fault.Plan.inject_corruption plan ~pm ~ssd ~wal ~target:Fault.Plan.Pm_table_bytes
+        ~mode:Fault.Plan.Bit_flip ()
+    with
+    | Some c ->
+        if victim_region c.Fault.Plan.victim = ring then
+          Alcotest.failf "seed %d hit the WAL ring as a PM table: %s" seed c.Fault.Plan.victim
+    | None -> Alcotest.failf "seed %d found no PM table" seed
+  done
+
+let test_wal_target_hits_durable_ring_bytes () =
+  let engine, wal = ring_and_tables () in
+  let pm = Core.Engine.pm engine and ssd = Core.Engine.ssd engine in
+  let durable =
+    Pmem.durable_upto (Option.get (Pmem.find_region pm (Core.Wal.region_id wal)))
+  in
+  for seed = 1 to 50 do
+    let plan = Fault.Plan.create seed in
+    match
+      Fault.Plan.inject_corruption plan ~pm ~ssd ~wal ~target:Fault.Plan.Wal_bytes
+        ~mode:(Fault.Plan.Zero_range 16) ()
+    with
+    | Some c ->
+        Scanf.sscanf c.Fault.Plan.victim "wal_ring:%d off=%d len=%d" (fun id off len ->
+            check Alcotest.int "the ring" (Core.Wal.region_id wal) id;
+            check Alcotest.bool "inside the durable bytes" true (off + len <= durable))
+    | None -> Alcotest.fail "no WAL victim"
+  done
 
 (* --- observability wiring --- *)
 
@@ -166,6 +247,14 @@ let () =
             test_wal_sync_loss_caught;
           Alcotest.test_case "pm drop flush caught" `Quick
             test_pm_drop_flush_caught;
+          Alcotest.test_case "wal skipped fence caught" `Quick test_wal_skip_drain_caught;
+        ] );
+      ( "corruption targeting",
+        [
+          Alcotest.test_case "pm-table skips rings" `Quick
+            test_pm_table_target_skips_rings;
+          Alcotest.test_case "wal hits ring bytes" `Quick
+            test_wal_target_hits_durable_ring_bytes;
         ] );
       ( "faults",
         [

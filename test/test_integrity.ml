@@ -74,16 +74,23 @@ let test_sstable_verify_salvage () =
 
 (* --- Engine: degraded reads + quarantine ----------------------------------- *)
 
+(* The first live PM region that is a level-0 table, not the WAL ring. *)
+let table_region engine =
+  let ring = Option.map Core.Wal.region_id (Core.Engine.wal engine) in
+  match
+    List.filter
+      (fun r -> Some (Pmem.region_id r) <> ring)
+      (Pmem.live_regions (Core.Engine.pm engine))
+  with
+  | r :: _ -> r
+  | [] -> Alcotest.fail "no live PM table region after flush"
+
 let test_engine_quarantines_rotten_table () =
   let engine = build_engine () in
   Core.Engine.flush engine;
   Core.Engine.force_internal_compaction engine;
   let pm = Core.Engine.pm engine in
-  let region =
-    match Pmem.live_regions pm with
-    | r :: _ -> r
-    | [] -> Alcotest.fail "no live PM region after flush"
-  in
+  let region = table_region engine in
   (* rot the head of the entry layer: reads into the first group(s) fail *)
   Pmem.corrupt_region ~len:64 ~mode:`Zero pm region ~off:0;
   let degraded = ref 0 in
@@ -112,9 +119,7 @@ let test_engine_degraded_scan_is_typed () =
   Core.Engine.flush engine;
   Core.Engine.force_internal_compaction engine;
   let pm = Core.Engine.pm engine in
-  let region =
-    match Pmem.live_regions pm with r :: _ -> r | [] -> Alcotest.fail "no region"
-  in
+  let region = table_region engine in
   Pmem.corrupt_region ~len:64 ~mode:`Zero pm region ~off:0;
   (match Core.Engine.scan_range_checked engine ~start:"" ~stop:"zzzz" with
   | Ok _ -> () (* the rot may sit in a partition the scan widened past *)
@@ -133,9 +138,7 @@ let test_engine_scrub_salvages () =
   Core.Engine.flush engine;
   Core.Engine.force_internal_compaction engine;
   let pm = Core.Engine.pm engine in
-  let region =
-    match Pmem.live_regions pm with r :: _ -> r | [] -> Alcotest.fail "no region"
-  in
+  let region = table_region engine in
   Pmem.corrupt_region ~len:32 ~mode:`Zero pm region ~off:0;
   let report = Core.Engine.scrub engine in
   check Alcotest.int "one corrupt PM table" 1 report.Core.Engine.corrupt_pm_tables;
@@ -166,11 +169,11 @@ let test_engine_scrub_rate_limit_charges_clock () =
 
 let test_scrubber_sees_wal_rot () =
   let engine = build_engine ~ops:40 () in
-  (* no flush: everything acked lives in the durable WAL *)
-  let ssd = Core.Engine.ssd engine in
+  (* no flush: everything acked lives in the durable WAL ring *)
+  let pm = Core.Engine.pm engine in
   let wal = Option.get (Core.Engine.wal engine) in
-  let file = Option.get (Ssd.find_file ssd (Core.Wal.file_id wal)) in
-  Ssd.corrupt_file ssd file ~off:(Ssd.durable_size file / 2);
+  let ring = Option.get (Pmem.find_region pm (Core.Wal.region_id wal)) in
+  Pmem.corrupt_region pm ring ~off:(Core.Wal.tail wal / 2);
   let report = Core.Scrubber.run engine in
   check Alcotest.bool "wal rot detected" true
     (match report.Core.Scrubber.wal with

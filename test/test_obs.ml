@@ -581,6 +581,10 @@ let test_perf_rule_matching () =
   check Alcotest.bool "prefix glob" true (Obs.Perf.matches "attr.coverage" ~pattern:"attr.*");
   check Alcotest.bool "glob mismatch" false (Obs.Perf.matches "engine.waf" ~pattern:"attr.*");
   check Alcotest.bool "universal" true (Obs.Perf.matches "anything" ~pattern:"*");
+  check Alcotest.bool "suffix glob" true
+    (Obs.Perf.matches "shard.ycsb_b.s4.mean_batch" ~pattern:"*mean_batch");
+  check Alcotest.bool "suffix mismatch" false
+    (Obs.Perf.matches "shard.gc.mean_batch_4" ~pattern:"*mean_batch");
   (* First matching rule wins over the default. *)
   let rules = [ Obs.Perf.rule "m.*" ~tol:0.5 ] in
   let r =

@@ -76,10 +76,22 @@ let test_sstable_reopen () =
 
 (* --- Wal -------------------------------------------------------------------- *)
 
+let ring_pm () =
+  let pm = Pmem.create (Sim.Clock.create ()) in
+  Pmem.enable_crash_mode pm;
+  pm
+
+let new_wal pm = Core.Wal.create ~capacity:(64 * 1024) pm
+
+let replay_keys wal =
+  let replayed = ref [] in
+  let stats = Core.Wal.replay wal (fun e -> replayed := e.Util.Kv.key :: !replayed) in
+  (List.rev !replayed, stats)
+
+let reopen pm wal = Core.Wal.open_existing pm ~region_id:(Core.Wal.region_id wal)
+
 let test_wal_roundtrip () =
-  let clock = Sim.Clock.create () in
-  let ssd = Ssd.create clock in
-  let wal = Core.Wal.create ssd in
+  let wal = new_wal (ring_pm ()) in
   let entries =
     List.init 100 (fun i ->
         if i mod 9 = 0 then Util.Kv.tombstone ~key:(Printf.sprintf "k%03d" i) ~seq:i
@@ -93,84 +105,129 @@ let test_wal_roundtrip () =
   check Alcotest.bool "replay order + content" true (List.rev !replayed = entries)
 
 let test_wal_rotate () =
-  let clock = Sim.Clock.create () in
-  let ssd = Ssd.create clock in
-  let wal = Core.Wal.create ssd in
+  let pm = ring_pm () in
+  let wal = new_wal pm in
   Core.Wal.append wal (Util.Kv.entry ~key:"old" ~seq:1 "x");
   Core.Wal.sync wal;
+  let old_ring = Core.Wal.region_id wal in
   Core.Wal.rotate wal;
+  check Alcotest.bool "fresh ring region" true (Core.Wal.region_id wal <> old_ring);
+  check Alcotest.bool "old ring freed" true (Pmem.find_region pm old_ring = None);
   Core.Wal.append wal (Util.Kv.entry ~key:"new" ~seq:2 "y");
   Core.Wal.sync wal;
-  let replayed = ref [] in
-  ignore @@ Core.Wal.replay wal (fun e -> replayed := e.Util.Kv.key :: !replayed);
-  check (Alcotest.list Alcotest.string) "only post-rotate entries" [ "new" ] !replayed
+  check (Alcotest.list Alcotest.string) "only post-rotate entries" [ "new" ]
+    (fst (replay_keys wal))
 
-(* Regression: entries staged in the group-commit buffer but never synced
-   before a crash must not be resurrected by replay — an acknowledged-sync
+(* Regression: entries staged in the group buffer but never synced before
+   a crash must not be resurrected by replay — an acknowledged-sync
    boundary is exactly what recovery may trust. *)
 let test_wal_unsynced_not_resurrected () =
-  let clock = Sim.Clock.create () in
-  let ssd = Ssd.create clock in
-  let wal = Core.Wal.create ssd in
+  let pm = ring_pm () in
+  let wal = new_wal pm in
   Core.Wal.append wal (Util.Kv.entry ~key:"synced" ~seq:1 "v");
   Core.Wal.sync wal;
   Core.Wal.append wal (Util.Kv.entry ~key:"buffered" ~seq:2 "v");
   check Alcotest.bool "buffer non-empty" true (Core.Wal.buffered_bytes wal > 0);
-  (* replay on the live log: the buffered entry is not durable *)
-  let replayed = ref [] in
-  ignore @@ Core.Wal.replay wal (fun e -> replayed := e.Util.Kv.key :: !replayed);
   check (Alcotest.list Alcotest.string) "live replay sees only synced" [ "synced" ]
-    (List.rev !replayed);
-  (* and after a crash (fresh handle over the same device file) likewise *)
-  let again = Core.Wal.open_existing ssd ~file_id:(Core.Wal.file_id wal) in
-  let replayed = ref [] in
-  ignore @@ Core.Wal.replay again (fun e -> replayed := e.Util.Kv.key :: !replayed);
+    (fst (replay_keys wal));
+  Pmem.crash pm;
   check (Alcotest.list Alcotest.string) "post-crash replay sees only synced" [ "synced" ]
-    (List.rev !replayed)
+    (fst (replay_keys (reopen pm wal)))
 
-(* A torn tail — the crash kept only part of the final unsynced group —
-   truncates replay at the last complete entry instead of failing. *)
+(* A torn last group — the medium kept only part of the ring's final
+   write-back — ends the replay at the last complete entry instead of
+   failing. *)
 let test_wal_torn_tail () =
-  let clock = Sim.Clock.create () in
-  let ssd = Ssd.create clock in
-  Ssd.enable_crash_mode ssd;
-  let wal = Core.Wal.create ssd in
+  let pm = ring_pm () in
+  let wal = new_wal pm in
   Core.Wal.append wal (Util.Kv.entry ~key:"aaaa" ~seq:1 "first");
   Core.Wal.sync wal;
-  let durable =
-    Ssd.durable_size (Option.get (Ssd.find_file ssd (Core.Wal.file_id wal)))
-  in
+  let durable = Core.Wal.tail wal in
   Core.Wal.append wal (Util.Kv.entry ~key:"bbbb" ~seq:2 "second");
-  (* written to the device but never fsynced *)
-  Core.Wal.set_sync_hook wal (Some (fun ~entries:_ ~bytes:_ -> Core.Wal.Sync_skip_fsync));
+  Core.Wal.append wal (Util.Kv.entry ~key:"cccc" ~seq:3 "third");
+  (* the group's write-back persists only its first 11 bytes: past the
+     start of the group's first record, short of its end *)
+  let line0 = durable land lnot 63 in
+  Pmem.set_flush_hook pm
+    (Some (fun ~region_id:_ ~off:_ ~len:_ -> Pmem.Flush_partial (durable - line0 + 11)));
   Core.Wal.sync wal;
-  (* the crash keeps 3 bytes of the unsynced tail: a torn page image *)
-  Ssd.crash ~keep:(fun ~file_id:_ ~durable:_ ~size:_ -> 3) ssd;
-  let file = Option.get (Ssd.find_file ssd (Core.Wal.file_id wal)) in
-  check Alcotest.int "torn file size" (durable + 3) (Ssd.file_size file);
-  let again = Core.Wal.open_existing ssd ~file_id:(Core.Wal.file_id wal) in
-  let replayed = ref [] in
-  ignore @@ Core.Wal.replay again (fun e -> replayed := e.Util.Kv.key :: !replayed);
-  check (Alcotest.list Alcotest.string) "replay stops at last complete entry" [ "aaaa" ]
-    (List.rev !replayed)
+  Pmem.set_flush_hook pm None;
+  Pmem.crash pm;
+  let keys, stats = replay_keys (reopen pm wal) in
+  check (Alcotest.list Alcotest.string) "replay stops at last complete entry" [ "aaaa" ] keys;
+  check Alcotest.bool "torn tail reported" true stats.Core.Wal.torn_tail;
+  check Alcotest.int "no record counted corrupt" 0 stats.Core.Wal.corrupt_records
 
 let test_wal_reattach () =
-  let clock = Sim.Clock.create () in
-  let ssd = Ssd.create clock in
-  let wal = Core.Wal.create ssd in
+  let pm = ring_pm () in
+  let wal = new_wal pm in
   Core.Wal.append wal (Util.Kv.entry ~key:"survives" ~seq:7 "v");
   Core.Wal.sync wal;
-  let again = Core.Wal.open_existing ssd ~file_id:(Core.Wal.file_id wal) in
-  let replayed = ref [] in
-  ignore @@ Core.Wal.replay again (fun e -> replayed := e.Util.Kv.key :: !replayed);
-  check (Alcotest.list Alcotest.string) "reattached log replays" [ "survives" ] !replayed
+  let again = reopen pm wal in
+  check (Alcotest.list Alcotest.string) "reattached log replays" [ "survives" ]
+    (fst (replay_keys again));
+  (* appends resume at the fenced extent, after the surviving record *)
+  Core.Wal.append again (Util.Kv.entry ~key:"appended" ~seq:8 "w");
+  Core.Wal.sync again;
+  Pmem.crash pm;
+  check (Alcotest.list Alcotest.string) "resumed log replays both" [ "survives"; "appended" ]
+    (fst (replay_keys (reopen pm again)))
+
+(* One bit flipped in the middle record's payload: that record is skipped
+   and counted, the records on both sides of it still replay. *)
+let test_wal_mid_log_bit_flip () =
+  let pm = ring_pm () in
+  let wal = new_wal pm in
+  let sync_one key =
+    Core.Wal.append wal (Util.Kv.entry ~key ~seq:(Char.code key.[0]) "payload");
+    Core.Wal.sync wal
+  in
+  sync_one "a";
+  let mid = Core.Wal.tail wal in
+  sync_one "b";
+  sync_one "c";
+  let ring = Option.get (Pmem.find_region pm (Core.Wal.region_id wal)) in
+  let off = mid + 8 + 2 in
+  let byte = Char.code (Pmem.unsafe_peek ring ~off ~len:1).[0] in
+  Pmem.write pm ring ~off (String.make 1 (Char.chr (byte lxor 0x10)));
+  Pmem.flush pm ring ~off ~len:1;
+  Pmem.drain pm;
+  Pmem.crash pm;
+  let keys, stats = replay_keys (reopen pm wal) in
+  check (Alcotest.list Alcotest.string) "neighbours replay" [ "a"; "c" ] keys;
+  check Alcotest.int "flipped record counted" 1 stats.Core.Wal.corrupt_records;
+  check Alcotest.bool "not a torn tail" false stats.Core.Wal.torn_tail
+
+(* Replay reads the fenced extent and nothing past it: a complete,
+   checksum-valid frame written beyond the tail but never fenced — here a
+   group whose sync skipped its fence — is never delivered, live or after
+   a crash. *)
+let test_wal_nothing_past_durable_tail () =
+  let pm = ring_pm () in
+  let wal = new_wal pm in
+  Core.Wal.append wal (Util.Kv.entry ~key:"fenced" ~seq:1 "v");
+  Core.Wal.sync wal;
+  Core.Wal.append wal (Util.Kv.entry ~key:"unfenced" ~seq:2 "v");
+  Core.Wal.chaos_skip_drain := true;
+  Fun.protect ~finally:(fun () -> Core.Wal.chaos_skip_drain := false) (fun () ->
+      Core.Wal.sync wal);
+  check Alcotest.bool "the frame is on the ring" true
+    (Core.Wal.tail wal > Pmem.durable_upto
+                           (Option.get (Pmem.find_region pm (Core.Wal.region_id wal))));
+  check (Alcotest.list Alcotest.string) "live replay stops at the fenced extent"
+    [ "fenced" ] (fst (replay_keys wal));
+  Pmem.crash pm;
+  let keys, stats = replay_keys (reopen pm wal) in
+  check (Alcotest.list Alcotest.string) "post-crash replay too" [ "fenced" ] keys;
+  check Alcotest.bool "clean" true
+    ((not stats.Core.Wal.torn_tail) && stats.Core.Wal.corrupt_records = 0)
 
 (* --- Manifest ----------------------------------------------------------------- *)
 
 let manifest_sample =
   {
     Core.Manifest.next_seq = 4242;
-    wal_file_id = Some 17;
+    wal_region_id = Some 17;
     partitions =
       [
         {
@@ -243,15 +300,14 @@ let prop_manifest_flip_detected =
       with Failure _ -> true)
 
 (* Same bar for the WAL framing: a flipped byte anywhere in the durable
-   log is either a counted corrupt record or a torn tail, and replay never
+   ring is either a counted corrupt record or a torn tail, and replay never
    delivers an entry that was not written. *)
 let prop_wal_flip_detected =
   QCheck.Test.make ~name:"any single-byte flip in the WAL is detected" ~count:100
     QCheck.(int_range 0 100_000)
     (fun pos_seed ->
-      let clock = Sim.Clock.create () in
-      let ssd = Ssd.create clock in
-      let wal = Core.Wal.create ssd in
+      let pm = Pmem.create (Sim.Clock.create ()) in
+      let wal = new_wal pm in
       let entries =
         List.init 20 (fun i ->
             Util.Kv.entry ~key:(Printf.sprintf "key%04d" i) ~seq:(i + 1)
@@ -259,8 +315,8 @@ let prop_wal_flip_detected =
       in
       List.iter (Core.Wal.append wal) entries;
       Core.Wal.sync wal;
-      let file = Option.get (Ssd.find_file ssd (Core.Wal.file_id wal)) in
-      Ssd.corrupt_file ssd file ~off:(pos_seed mod Ssd.file_size file);
+      let ring = Option.get (Pmem.find_region pm (Core.Wal.region_id wal)) in
+      Pmem.corrupt_region pm ring ~off:(pos_seed mod Core.Wal.tail wal);
       let delivered = ref [] in
       let stats = Core.Wal.replay wal (fun e -> delivered := e :: !delivered) in
       (stats.Core.Wal.corrupt_records > 0 || stats.Core.Wal.torn_tail)
@@ -402,8 +458,8 @@ let test_recover_skips_corrupt_wal_record () =
       (Printf.sprintf "value%02d" i)
   done;
   let wal = Option.get (Core.Engine.wal eng) in
-  let file = Option.get (Ssd.find_file ssd (Core.Wal.file_id wal)) in
-  Ssd.corrupt_file ssd file ~off:(Ssd.durable_size file / 2);
+  let ring = Option.get (Pmem.find_region pm (Core.Wal.region_id wal)) in
+  Pmem.corrupt_region pm ring ~off:(Core.Wal.tail wal / 2);
   Pmem.crash pm;
   Ssd.crash ~keep:(fun ~file_id:_ ~durable:_ ~size:_ -> 0) ssd;
   let recovered = Core.Engine.recover cfg ~pm ~ssd in
@@ -417,7 +473,49 @@ let test_recover_skips_corrupt_wal_record () =
     | None -> () (* the skipped record's key: lost, not wrong *)
   done;
   check Alcotest.int "no silently wrong values" 0 !wrong;
-  check Alcotest.bool "most acked writes survive" true (!survivors >= 18)
+  check Alcotest.bool "most acked writes survive" true (!survivors >= 18);
+  (* the rotten ring was re-logged, not appended to: writes after recovery
+     survive the next crash *)
+  check Alcotest.bool "fresh ring" true
+    (Core.Wal.region_id (Option.get (Core.Engine.wal recovered)) <> Core.Wal.region_id wal);
+  Core.Engine.put recovered ~key:"after" "recovery";
+  Pmem.crash pm;
+  Ssd.crash ssd;
+  let again = Core.Engine.recover cfg ~pm ~ssd in
+  check (Alcotest.option Alcotest.string) "post-recovery write survives" (Some "recovery")
+    (Core.Engine.get again "after");
+  check Alcotest.int "the re-logged ring replays clean" 0
+    (Core.Engine.metrics again).Core.Metrics.wal_corrupt_records
+
+(* A group that would overflow the ring flushes the memtable first: the
+   flush rotates the log, the write lands in the fresh ring, and nothing
+   acknowledged is lost. Tiny entries make the frame headers outgrow the
+   ring's headroom before the memtable fills. *)
+let test_ring_full_flushes_and_rotates () =
+  let cfg = durable_config () in
+  let eng = Core.Engine.create cfg in
+  let pm = Core.Engine.pm eng and ssd = Core.Engine.ssd eng in
+  Pmem.enable_crash_mode pm;
+  Ssd.enable_crash_mode ssd;
+  let first_ring = Core.Wal.region_id (Option.get (Core.Engine.wal eng)) in
+  for i = 0 to 999 do
+    Core.Engine.put eng ~key:(Printf.sprintf "%03d" i) "v"
+  done;
+  let m = Core.Engine.metrics eng in
+  check Alcotest.bool "ring-full path taken" true (m.Core.Metrics.wal_ring_full_flushes > 0);
+  check Alcotest.bool "it flushed the memtable" true
+    (m.Core.Metrics.minor_compactions >= m.Core.Metrics.wal_ring_full_flushes);
+  let wal = Option.get (Core.Engine.wal eng) in
+  check Alcotest.bool "and rotated the ring" true (Core.Wal.region_id wal <> first_ring);
+  check Alcotest.bool "the ring never overflowed" true
+    ((Core.Wal.stats wal).Core.Wal.high_water <= Core.Wal.capacity wal);
+  Pmem.crash pm;
+  Ssd.crash ssd;
+  let recovered = Core.Engine.recover cfg ~pm ~ssd in
+  for i = 0 to 999 do
+    check (Alcotest.option Alcotest.string) "acked write survives" (Some "v")
+      (Core.Engine.get recovered (Printf.sprintf "%03d" i))
+  done
 
 let () =
   Alcotest.run "recovery"
@@ -436,6 +534,9 @@ let () =
           Alcotest.test_case "unsynced not resurrected" `Quick
             test_wal_unsynced_not_resurrected;
           Alcotest.test_case "torn tail" `Quick test_wal_torn_tail;
+          Alcotest.test_case "mid-log bit flip skipped" `Quick test_wal_mid_log_bit_flip;
+          Alcotest.test_case "nothing past the durable tail" `Quick
+            test_wal_nothing_past_durable_tail;
         ] );
       ( "manifest",
         [
@@ -457,6 +558,8 @@ let () =
           Alcotest.test_case "manifest fallback" `Quick test_recover_manifest_fallback;
           Alcotest.test_case "skips corrupt WAL record" `Quick
             test_recover_skips_corrupt_wal_record;
+          Alcotest.test_case "ring full flushes and rotates" `Quick
+            test_ring_full_flushes_and_rotates;
           qtest prop_recover_model;
         ] );
     ]

@@ -183,6 +183,33 @@ let test_planted_missing_fence_at_wal_sync () =
   check Alcotest.bool "unfenced lines at wal.sync" true
     (Sanitize.Pmsan.missing_flush_at_commit san > 0)
 
+(* The real log ring: with the kill switch on, Wal.sync writes its group
+   back but skips the fence, and pmsan flags the commit point; the same
+   syncs without the plant are clean and flush each line exactly once. *)
+let wal_syncs pm =
+  let wal = Core.Wal.create ~capacity:4096 pm in
+  for i = 1 to 5 do
+    Core.Wal.append wal (Util.Kv.entry ~key:(Printf.sprintf "k%d" i) ~seq:i "value");
+    Core.Wal.sync wal
+  done
+
+let test_planted_wal_skip_drain () =
+  let pm = make_pm () in
+  with_chaos Core.Wal.chaos_skip_drain (fun () -> wal_syncs pm);
+  let san = Option.get (Pmem.sanitizer pm) in
+  check Alcotest.bool "pmsan catches the skipped fence" true
+    (Sanitize.Pmsan.missing_flush_at_commit san > 0);
+  check Alcotest.bool "attributed to wal.sync" true
+    (List.exists
+       (fun f -> has_substring f.Sanitize.Pmsan.detail ~sub:"wal.sync")
+       (Sanitize.Pmsan.findings san));
+  let pm = make_pm () in
+  wal_syncs pm;
+  let san = Option.get (Pmem.sanitizer pm) in
+  check Alcotest.int "unplanted log: no errors" 0 (Sanitize.Pmsan.error_count san);
+  check Alcotest.int "unplanted log: no redundant flushes" 0
+    (Sanitize.Pmsan.redundant_flushes san)
+
 let test_builder_is_dedup_clean () =
   (* multi-chunk builds must flush each line exactly once per build *)
   let pm = make_pm () in
@@ -388,6 +415,7 @@ let () =
             test_planted_missing_fence_in_seal;
           Alcotest.test_case "dropped fence at wal.sync" `Quick
             test_planted_missing_fence_at_wal_sync;
+          Alcotest.test_case "wal ring skipped fence" `Quick test_planted_wal_skip_drain;
           Alcotest.test_case "builder is dedup-clean" `Quick
             test_builder_is_dedup_clean;
           Alcotest.test_case "detached when disabled" `Quick

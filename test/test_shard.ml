@@ -206,6 +206,24 @@ let test_group_commit_durable_after_ack () =
   check Alcotest.int "every acked write recovered" 24
     (List.length (Shard.Router.scan_range r2 ~start:"" ~stop:"\xff"))
 
+(* One batch of k concurrent writers costs one WAL ring write-back and one
+   fence: the memtable is big enough that nothing else (no table build)
+   fences during the run. *)
+let test_group_commit_one_fence_per_batch () =
+  let k = 6 in
+  let cfg = { (base_config ~shards:1 ~durable:true ()) with Core.Config.memtable_bytes = 1 lsl 20 } in
+  let r = Shard.Router.create cfg in
+  let pm = Shard.Router.pm r in
+  let drains0 = (Pmem.stats pm).Pmem.drains in
+  ignore (run_batched_clients r ~clients:k ~per_client:1);
+  check Alcotest.int "one batch" 1 (Shard.Router.gc_batches r);
+  check Alcotest.int "of every writer" k (Shard.Router.gc_synced_entries r);
+  check Alcotest.int "one fence on the device" 1 ((Pmem.stats pm).Pmem.drains - drains0);
+  let wal = Option.get (Core.Engine.wal (Shard.Router.engines r).(0)) in
+  let s = Core.Wal.stats wal in
+  check Alcotest.int "one WAL sync" 1 s.Core.Wal.syncs;
+  check Alcotest.int "one WAL fence" 1 s.Core.Wal.fences
+
 (* --- admission control -------------------------------------------------- *)
 
 let test_admission_stall_and_resume () =
@@ -311,6 +329,8 @@ let () =
           Alcotest.test_case "coalesces" `Quick test_group_commit_coalesces;
           Alcotest.test_case "durable after ack" `Quick
             test_group_commit_durable_after_ack;
+          Alcotest.test_case "one fence per batch" `Quick
+            test_group_commit_one_fence_per_batch;
         ] );
       ( "admission",
         [
