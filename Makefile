@@ -39,9 +39,9 @@ lint:
 
 # Static analyzer on its own: pmlint parses every lib/ module with
 # compiler-libs and enforces the protocol rules (flush-before-commit,
-# checked-path, suspend-in-critical-section, metric-hygiene,
-# partial-accessor); only reasoned inline allow markers silence a
-# finding. Writes the machine-readable report to PMLINT.json. The
+# suspend-in-critical-section, metric-hygiene, partial-accessor); only
+# reasoned inline allow markers silence a finding. Writes the
+# machine-readable report to PMLINT.json. The
 # planted leg (PMB_PLANT=pmlint_fixture scripts/check_pmlint.sh) adds
 # the dirty fixtures and must fail.
 pmlint:
@@ -72,10 +72,11 @@ shard-bench:
 # Pipelined-compaction benchmark (staged read/merge/build/write overlap
 # vs the Table III serial baseline) with the liveness smoke check: fails
 # on a 4-core speedup under 1.8x, a stage with zero overlap work,
-# idleness not below the serial run, or replay sanitizer findings.
-# Writes BENCH_pipeline.json; the gate compares it against the committed
-# baseline via
-#   dune exec bin/perf_gate.exe -- BENCH_pipeline.json <fresh>
+# idleness not below the serial run, or replay sanitizer findings. The
+# fresh run goes to a temp file and the perf gate compares it against the
+# committed BENCH_pipeline.json, which this target never rewrites.
+# Refresh the baseline after an intentional change:
+#   dune exec bench/main.exe -- pipeline --json BENCH_pipeline.json
 pipeline-bench:
 	sh scripts/check_pipeline.sh BENCH_pipeline.json
 
@@ -90,9 +91,10 @@ soak:
 # Chaos-soak benchmark with the availability gate: fails on any
 # correctness violation, a healthy-shard within-budget ratio under 0.99,
 # or a deadline-ok ratio under 0.992 (the bar a breaker-less build
-# misses). Writes BENCH_soak.json; the perf gate compares it against the
-# committed baseline via
-#   dune exec bin/perf_gate.exe -- BENCH_soak.json <fresh>
+# misses). The fresh run goes to a temp file and the perf gate compares
+# it against the committed BENCH_soak.json, which this target never
+# rewrites. Refresh the baseline after an intentional change:
+#   dune exec bench/main.exe -- soak --json BENCH_soak.json
 soak-bench:
 	sh scripts/check_soak.sh BENCH_soak.json
 

@@ -66,16 +66,7 @@ let recording_of_task (p : Exec_model.Task.params) (sp : Ssd.params) =
   done;
   r
 
-let sim_config ~cores =
-  let cfg = Core.Config.pmblade in
-  {
-    Pipeline.cores;
-    queue_capacity = cfg.Core.Config.pipeline_queue_capacity;
-    block_bytes = cfg.Core.Config.pipeline_block_bytes;
-    q_max = cfg.Core.Config.pipeline_q_max;
-    flush_reserve = cfg.Core.Config.pipeline_flush_reserve;
-    ssd_params = Ssd.default_params;
-  }
+let sim_config ~cores = { Pipeline.default_sim_config with cores }
 
 let stage_busy (res : Pipeline.result) stage =
   match

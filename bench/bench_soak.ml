@@ -74,8 +74,7 @@ let run_leg ~breakers name =
 let run () =
   Report.heading
     "Chaos soak: gray faults, crashes and corruption under deadline serving";
-  let cfg = config ~breakers:(not (planted ())) "soak" in
-  Report.note_config cfg;
+  Report.note_config (config ~breakers:true "soak");
   let r = run_leg ~breakers:(not (planted ())) "soak" in
   let l = r.Shard.Soak.ledger in
   Report.table

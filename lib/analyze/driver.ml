@@ -1,7 +1,6 @@
 let default_rules =
   [
     Rules_pm.rule;
-    Rules_checked.rule;
     Rules_sched.rule;
     Rules_metrics.rule;
     Rules_partial.rule;

@@ -8,7 +8,7 @@
     [bad-suppress] findings and suppress nothing. *)
 
 val default_rules : Rule.t list
-(** R1–R5, report order. *)
+(** R1 and R3–R5, report order. *)
 
 val rule_ids : Rule.t list -> string list
 

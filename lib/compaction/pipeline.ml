@@ -200,6 +200,16 @@ type sim_config = {
   ssd_params : Ssd.params;
 }
 
+let default_sim_config =
+  {
+    cores = 4;
+    queue_capacity = 4;
+    block_bytes = 256 * 1024;
+    q_max = 8;
+    flush_reserve = 2;
+    ssd_params = Ssd.default_params;
+  }
+
 type plant = No_plant | Drop_hb | Serial_stages
 
 type stage_stat = { s_stage : stage; busy_ns : float; wait_ns : float; items : int }

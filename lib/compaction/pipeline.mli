@@ -115,6 +115,10 @@ type sim_config = {
   ssd_params : Ssd.params;  (** shadow-device parameters for stage I/O *)
 }
 
+val default_sim_config : sim_config
+(** The engine's stage scheduler: 4 cores, queues of 4, 256 KiB blocks,
+    q_max 8 with 2 slots reserved for flush/write, default SSD. *)
+
 type plant =
   | No_plant
   | Drop_hb  (** drop the enqueue→dequeue happens-before edge (see above) *)

@@ -31,25 +31,14 @@ type t = {
   l0_run_table_bytes : int;       (* target size of sorted-run tables *)
   partition_count : int;
   level_base_bytes : int;         (* L1 target size *)
-  level_ratio : int;
   sstable_target_bytes : int;
-  bottom_level : int;             (* deepest level index (1-based); tombstones drop there *)
-  coroutine_compaction : bool;    (* overlap CPU and I/O during major compaction *)
   pipeline_compaction : bool;
       (* stage major/internal compaction as a read/merge/build/write
          pipeline over bounded SPSC queues (Compaction.Pipeline): the
          engine's serial data plane records per-stage cost tokens, the
          staged replay on a coroutine scheduler measures the overlapped
-         makespan, and the difference is applied as the timing rebate —
-         replacing coroutine_compaction's fixed overlap efficiency with a
-         measured mechanism *)
-  pipeline_cores : int;           (* simulated cores of the stage scheduler *)
-  pipeline_queue_capacity : int;  (* bound of each inter-stage SPSC queue *)
-  pipeline_block_bytes : int;     (* granularity blocks stream through stages *)
-  pipeline_q_max : int;           (* I/O admission cap of the stage scheduler *)
-  pipeline_flush_reserve : int;
-      (* device slots of pipeline_q_max the read stage may never occupy,
-         reserved for flush/write admission (the q_flush extension) *)
+         makespan, and the difference is applied as the timing rebate;
+         off, compaction runs serially with no rebate *)
   background_share : float;
       (* compactions run on background cores; the foreground operation that
          triggered one observes only this share of its duration
@@ -60,17 +49,10 @@ type t = {
          compressed PM table (the only self-describing level-0 format) *)
   matrix_flush_overhead_ns_per_byte : float;
       (* extra level-0 construction cost at flush (MatrixKV cross-hint) *)
-  ssd_retry_limit : int;
-      (* bounded retries of a transiently-failed SSD request before the
-         error surfaces to the caller *)
-  ssd_retry_backoff_ns : float;
-      (* base backoff before the first retry; doubles per attempt *)
   ssd_retry_jitter : float;
       (* seeded jitter fraction on each backoff: the sleep is scaled by a
          factor drawn uniformly from [1 - j/2, 1 + j/2], decorrelating
          retry storms across shards; 0 restores pure exponential *)
-  scrub_rate_limit_mb_s : float option;
-      (* background scrub I/O budget; None verifies at device speed *)
   block_cache_mb : int;
       (* DRAM budget of the engine-wide shared SSTable block cache, in MiB;
          0 disables it (every uncached block read hits the SSD) *)
@@ -96,25 +78,11 @@ type t = {
   admission_hard_tables : int;
       (* per-shard debt table count where admission stalls writers until
          compaction drains below the limit *)
-  admission_soft_delay_ns : float;
-      (* delay per unit of soft-zone overshoot, scaled linearly from the
-         soft to the hard limit *)
   breaker_enabled : bool;
       (* per-shard circuit breakers in the router (lib/health): open on
          error bursts or fail-slow drift, answer degraded/unavailable fast
-         instead of queueing behind a sick device *)
-  breaker_window : int;
-      (* sliding outcome window per shard breaker *)
-  breaker_failure_threshold : int;
-      (* consecutive failures that trip a breaker open *)
-  breaker_error_rate : float;
-      (* windowed failure rate that trips a breaker open *)
-  breaker_slow_factor : float;
-      (* latency-tracker drift (EWMA/baseline) diagnosed as fail-slow *)
-  breaker_cooldown_ns : float;
-      (* open-state dwell before half-open probing *)
-  breaker_half_open_probes : int;
-      (* probe successes required to close a half-open breaker *)
+         instead of queueing behind a sick device. Off by default: with
+         no fault injected they trip on background-work latency alone *)
   deadline_read_ns : float;
       (* per-read latency budget for deadline-aware serving; 0 = none *)
   deadline_write_ns : float;
@@ -155,27 +123,16 @@ let base =
     group_size = 8;
     l0_run_table_bytes = kib 256;
     partition_count = 8;
-    (* per-partition L1 target; with 8 partitions and ratio 10 the global
-       levels are 4 MB / 40 MB / 400 MB, RocksDB-proportioned at this
-       scale *)
+    (* per-partition L1 target; with 8 partitions and the engine's level
+       ratio of 10 the global levels are 4 MB / 40 MB / 400 MB,
+       RocksDB-proportioned at this scale *)
     level_base_bytes = kib 512;
-    level_ratio = 10;
     sstable_target_bytes = kib 256;
-    bottom_level = 3;
-    coroutine_compaction = false;
     pipeline_compaction = true;
-    pipeline_cores = 4;
-    pipeline_queue_capacity = 4;
-    pipeline_block_bytes = kib 256;
-    pipeline_q_max = 8;
-    pipeline_flush_reserve = 2;
     background_share = 0.3;
     durable = false;
     matrix_flush_overhead_ns_per_byte = 0.0;
-    ssd_retry_limit = 3;
-    ssd_retry_backoff_ns = 100_000.0;  (* 100 us, doubling *)
     ssd_retry_jitter = 0.5;
-    scrub_rate_limit_mb_s = None;
     block_cache_mb = 0;
     pm_bloom_bits_per_key = 10;
     sanitize = true;
@@ -184,14 +141,7 @@ let base =
     group_commit_max = 8;
     admission_soft_tables = 12;
     admission_hard_tables = 24;
-    admission_soft_delay_ns = 100_000.0;  (* 100 us at the hard limit *)
-    breaker_enabled = true;
-    breaker_window = 32;
-    breaker_failure_threshold = 4;
-    breaker_error_rate = 0.5;
-    breaker_slow_factor = 8.0;
-    breaker_cooldown_ns = 10_000_000.0;  (* 10 ms *)
-    breaker_half_open_probes = 3;
+    breaker_enabled = false;
     deadline_read_ns = 0.0;
     deadline_write_ns = 0.0;
     manifest_root = "";
@@ -202,7 +152,7 @@ let base =
   }
 
 (* The full system: every technique of the paper enabled. *)
-let pmblade = { base with name = "PMBlade"; coroutine_compaction = true }
+let pmblade = { base with name = "PMBlade" }
 
 (* 80 GB PM level-0 but the conventional whole-L0 compaction strategy and
    uncompressed tables (the PMBlade-PM configuration of §VI-B). *)
@@ -212,8 +162,7 @@ let pmblade_pm =
     name = "PMBlade-PM";
     l0_strategy = Conventional { max_tables = None; max_bytes = Some (mib 72) };
     table_kind = Pmtable.Table.Array_plain;
-    (* like the seed repo's choice of [coroutine_compaction = false] here:
-       the placement variants keep serial compaction so Fig. 5-7 isolate
+    (* the placement variants keep serial compaction so Fig. 5-7 isolate
        the L0 medium, not the overlap technique *)
     pipeline_compaction = false;
   }
@@ -300,7 +249,7 @@ let fingerprint t =
         Buffer.add_char b '|')
       fmt
   in
-  add "v4";
+  add "v5";
   add "%s" t.name;
   add "%d" t.memtable_bytes;
   add "%s" (match t.l0_medium with L0_pm -> "pm" | L0_ssd -> "ssd");
@@ -324,24 +273,12 @@ let fingerprint t =
   add "%d" t.l0_run_table_bytes;
   add "%d" t.partition_count;
   add "%d" t.level_base_bytes;
-  add "%d" t.level_ratio;
   add "%d" t.sstable_target_bytes;
-  add "%d" t.bottom_level;
-  add "%b" t.coroutine_compaction;
   add "%b" t.pipeline_compaction;
-  add "%d" t.pipeline_cores;
-  add "%d" t.pipeline_queue_capacity;
-  add "%d" t.pipeline_block_bytes;
-  add "%d" t.pipeline_q_max;
-  add "%d" t.pipeline_flush_reserve;
   add "%g" t.background_share;
   add "%b" t.durable;
   add "%g" t.matrix_flush_overhead_ns_per_byte;
-  add "%d" t.ssd_retry_limit;
-  add "%g" t.ssd_retry_backoff_ns;
   add "%g" t.ssd_retry_jitter;
-  add "%s"
-    (match t.scrub_rate_limit_mb_s with None -> "none" | Some r -> Printf.sprintf "%g" r);
   add "%d" t.block_cache_mb;
   add "%d" t.pm_bloom_bits_per_key;
   add "%b" t.sanitize;
@@ -350,14 +287,7 @@ let fingerprint t =
   add "%d" t.group_commit_max;
   add "%d" t.admission_soft_tables;
   add "%d" t.admission_hard_tables;
-  add "%g" t.admission_soft_delay_ns;
   add "%b" t.breaker_enabled;
-  add "%d" t.breaker_window;
-  add "%d" t.breaker_failure_threshold;
-  add "%g" t.breaker_error_rate;
-  add "%g" t.breaker_slow_factor;
-  add "%g" t.breaker_cooldown_ns;
-  add "%d" t.breaker_half_open_probes;
   add "%g" t.deadline_read_ns;
   add "%g" t.deadline_write_ns;
   add "%s" t.manifest_root;

@@ -22,32 +22,17 @@ type t = {
   l0_run_table_bytes : int;
   partition_count : int;
   level_base_bytes : int;
-  level_ratio : int;
   sstable_target_bytes : int;
-  bottom_level : int;
-  coroutine_compaction : bool;
   pipeline_compaction : bool;
       (** stage major/internal compaction as a read/merge/build/write
           pipeline over bounded SPSC queues (Compaction.Pipeline) and
-          rebate the measured stage overlap, replacing
-          [coroutine_compaction]'s fixed overlap efficiency *)
-  pipeline_cores : int;  (** simulated cores of the stage scheduler *)
-  pipeline_queue_capacity : int;  (** bound of each inter-stage SPSC queue *)
-  pipeline_block_bytes : int;
-      (** granularity at which blocks stream through the stages *)
-  pipeline_q_max : int;  (** I/O admission cap of the stage scheduler *)
-  pipeline_flush_reserve : int;
-      (** device slots of [pipeline_q_max] the read stage may never occupy,
-          reserved so flush/write admission (q_flush) cannot starve *)
+          rebate the measured stage overlap; off = serial, no rebate *)
   background_share : float;
   durable : bool;
   matrix_flush_overhead_ns_per_byte : float;
-  ssd_retry_limit : int;
-  ssd_retry_backoff_ns : float;
   ssd_retry_jitter : float;
       (** seeded jitter fraction on retry backoff: each sleep is scaled by
           a factor uniform in [1 - j/2, 1 + j/2]; 0 = pure exponential *)
-  scrub_rate_limit_mb_s : float option;
   block_cache_mb : int;
       (** DRAM budget of the engine-wide shared SSTable block cache (MiB);
           0 disables it *)
@@ -68,21 +53,11 @@ type t = {
       (** per-shard compaction-debt tables where admission starts delaying *)
   admission_hard_tables : int;
       (** per-shard debt tables where admission stalls until drained *)
-  admission_soft_delay_ns : float;
-      (** delay per unit of soft-zone overshoot (linear to the hard limit) *)
   breaker_enabled : bool;
-      (** per-shard circuit breakers in the router: open on error bursts or
-          fail-slow drift and answer degraded/unavailable fast *)
-  breaker_window : int;  (** sliding outcome window per shard breaker *)
-  breaker_failure_threshold : int;
-      (** consecutive failures that trip a breaker open *)
-  breaker_error_rate : float;
-      (** windowed failure rate that trips a breaker open *)
-  breaker_slow_factor : float;
-      (** latency-tracker drift (EWMA/baseline) diagnosed as fail-slow *)
-  breaker_cooldown_ns : float;  (** open-state dwell before probing *)
-  breaker_half_open_probes : int;
-      (** probe successes required to close a half-open breaker *)
+      (** per-shard circuit breakers in the router, built from
+          [Health.Breaker.default_config]: open on error bursts or
+          fail-slow drift and answer degraded/unavailable fast. Default
+          false — opt in where a fault is expected *)
   deadline_read_ns : float;
       (** per-read latency budget for deadline-aware serving; 0 = none *)
   deadline_write_ns : float;

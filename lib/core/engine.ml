@@ -120,6 +120,12 @@ exception Degraded_scan of scan_error
 
 let max_key_sentinel = "\xff\xff\xff\xff\xff\xff\xff\xff"
 
+(* SSD level shape: each level [level_ratio] times its parent's target;
+   [bottom_level] is the deepest level index (1-based), where tombstones
+   drop. *)
+let level_ratio = 10
+let bottom_level = 3
+
 (* --- Construction ---------------------------------------------------- *)
 
 let wal_capacity config = Wal.ring_bytes ~memtable_bytes:config.Config.memtable_bytes
@@ -146,7 +152,7 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) ?pm ?ssd ?cache con
              unsorted = [];
              sorted_run = [];
              ssd_l0 = [];
-             levels = Array.make config.Config.bottom_level [];
+             levels = Array.make bottom_level [];
              fences = None;
              matrix_wms = [];
              reads = 0;
@@ -220,13 +226,16 @@ let pm_bloom_bits t = t.config.Config.pm_bloom_bits_per_key
    are retried with bounded exponential backoff before they surface; each
    retry charges the backoff to the virtual clock. Only wrap operations
    that are idempotent at the device level: reads. *)
+let ssd_retry_limit = 3
+let ssd_retry_backoff_ns = 100_000.0 (* 100 us, doubling per attempt *)
+
 let rec with_ssd_retry ?(attempt = 0) t f =
   try f ()
   with Ssd.Io_error _ as e ->
-    if attempt >= t.config.Config.ssd_retry_limit then raise e
+    if attempt >= ssd_retry_limit then raise e
     else begin
       t.metrics.Metrics.ssd_retries <- t.metrics.Metrics.ssd_retries + 1;
-      let backoff = t.config.Config.ssd_retry_backoff_ns *. (2.0 ** float_of_int attempt) in
+      let backoff = ssd_retry_backoff_ns *. (2.0 ** float_of_int attempt) in
       (* Seeded jitter decorrelates retry storms across engines that share
          a sick device: scale each sleep uniformly within [1-j/2, 1+j/2]. *)
       let backoff =
@@ -293,7 +302,7 @@ let compaction_debt_tables t =
 
 (* --- Level helpers ---------------------------------------------------- *)
 
-let level_target t j = t.config.Config.level_base_bytes * int_of_float (float_of_int t.config.Config.level_ratio ** float_of_int j)
+let level_target t j = t.config.Config.level_base_bytes * int_of_float (float_of_int level_ratio ** float_of_int j)
 
 let level_bytes p j =
   List.fold_left (fun acc sst -> acc + Sstable.byte_size sst) 0 p.levels.(j)
@@ -327,18 +336,10 @@ let install_level p j ~removed ~fresh =
    tagging) and records a cost token into the live recording. After the
    serial sections finish, [with_pipeline_overlap] replays the recording
    as four coroutines on simulated cores connected by bounded SPSC queues
-   and rewinds the clock by the measured overlap (serial - makespan),
-   replacing [coroutine_overlap_efficiency]'s fixed rebate. *)
+   and rewinds the clock by the measured overlap (serial - makespan). *)
 
 let pipeline_sim_config t =
-  {
-    Compaction.Pipeline.cores = t.config.Config.pipeline_cores;
-    queue_capacity = t.config.Config.pipeline_queue_capacity;
-    block_bytes = t.config.Config.pipeline_block_bytes;
-    q_max = t.config.Config.pipeline_q_max;
-    flush_reserve = t.config.Config.pipeline_flush_reserve;
-    ssd_params = t.config.Config.ssd_params;
-  }
+  { Compaction.Pipeline.default_sim_config with ssd_params = t.config.Config.ssd_params }
 
 let pipeline_stats t = t.pipe_totals
 
@@ -553,25 +554,12 @@ let internal_compaction t p =
    overlaps its I/O instead of serialising with it. The staged pipeline
    (config.pipeline_compaction, the default) measures that overlap by
    replaying the compaction's recorded stage costs on simulated cores —
-   see [with_pipeline_overlap] above. The fixed-efficiency rebate below
-   (duration = max(io, other) + (1 - efficiency) * min(io, other)) is the
-   pre-pipeline model, kept for configurations that enable
-   [coroutine_compaction] with the pipeline off. *)
-let coroutine_overlap_efficiency = 0.85
-
+   see [with_pipeline_overlap] above; with the pipeline off compaction
+   runs serially. *)
 let with_major_timing t f =
   Obs.Attr.with_phase Obs.Attr.Compaction @@ fun () ->
   let t0 = Sim.Clock.now t.clock in
-  let ssd0 = (Ssd.stats t.ssd).Ssd.read_time +. (Ssd.stats t.ssd).Ssd.write_time in
   let result = with_pipeline_overlap t f in
-  let io = (Ssd.stats t.ssd).Ssd.read_time +. (Ssd.stats t.ssd).Ssd.write_time -. ssd0 in
-  let total = Sim.Clock.now t.clock -. t0 in
-  let other = Float.max 0.0 (total -. io) in
-  if t.config.Config.coroutine_compaction && not t.config.Config.pipeline_compaction
-  then begin
-    let saving = coroutine_overlap_efficiency *. Float.min io other in
-    Sim.Clock.rewind t.clock saving
-  end;
   let duration = Sim.Clock.now t.clock -. t0 in
   t.metrics.Metrics.major_compactions <- t.metrics.Metrics.major_compactions + 1;
   t.metrics.Metrics.major_compaction_time <-
@@ -1885,11 +1873,6 @@ let replace_sst p ~old fresh =
   Array.iteri (fun j level -> p.levels.(j) <- subst level) p.levels
 
 let scrub ?(salvage = true) ?rate_limit_mb_s t =
-  let rate =
-    match rate_limit_mb_s with
-    | Some _ as r -> r
-    | None -> t.config.Config.scrub_rate_limit_mb_s
-  in
   let t0 = Sim.Clock.now t.clock in
   let scrubbed = ref 0 and bytes = ref 0 in
   let bad_pm = ref [] and bad_sst = ref [] in
@@ -1911,7 +1894,7 @@ let scrub ?(salvage = true) ?rate_limit_mb_s t =
       Array.iter (List.iter check_sst) p.levels)
     t.partitions;
   (* Rate limit: a budgeted scrub takes at least bytes/rate of wall time. *)
-  (match rate with
+  (match rate_limit_mb_s with
   | Some mb_s when mb_s > 0.0 ->
       let floor_ns = float_of_int !bytes /. (mb_s *. 1048576.) *. 1e9 in
       let elapsed = Sim.Clock.now t.clock -. t0 in

@@ -170,9 +170,8 @@ val scrub : ?salvage:bool -> ?rate_limit_mb_s:float -> t -> scrub_report
 (** Re-verify every live PM table and SSTable from the medium. Corrupt
     tables are rebuilt from their surviving blocks ([salvage], the default)
     with the lost key range recorded as a damage record, or quarantined
-    ([salvage:false]). [rate_limit_mb_s] (default
-    [config.scrub_rate_limit_mb_s]) floors the scrub's wall time to model a
-    budgeted background task. *)
+    ([salvage:false]). [rate_limit_mb_s] (default: none, device speed)
+    floors the scrub's wall time to model a budgeted background task. *)
 
 val pp_scrub_report : scrub_report Fmt.t
 

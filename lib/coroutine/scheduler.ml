@@ -26,7 +26,7 @@
    Compaction.Pipeline extends this admission policy to its staged
    read/merge/build/write pipeline: the read stage's prefetch I/O is
    admitted only while in-flight requests stay under
-   q_max - pipeline_flush_reserve, so the reserved headroom guarantees the
+   q_max - flush_reserve, so the reserved headroom guarantees the
    flush coroutine (and the write stage behind it) always finds q_flush > 0
    and never starves behind a deep prefetch pipeline. The per-stage quota
    logic lives in lib/compaction/pipeline.ml; this scheduler only exposes

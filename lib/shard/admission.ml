@@ -11,26 +11,30 @@
    backed-up shard shows up in doctor output rather than as mystery
    latency. *)
 
+(* Delay per unit of soft-zone overshoot, scaled linearly from the soft
+   to the hard limit: 100 us just below the hard limit. *)
+let soft_delay_ns = 100_000.0
+
 type t = {
   clock : Sim.Clock.t;
   soft_tables : int;
   hard_tables : int;
-  soft_delay_ns : float;
   mutable soft_delays : int;
   mutable stalls : int;
   mutable stall_ns : float;
 }
 
-let create ~clock ~soft_tables ~hard_tables ~soft_delay_ns =
+let create ~clock ~soft_tables ~hard_tables =
   {
     clock;
     soft_tables = max 1 soft_tables;
     hard_tables = max 2 (max soft_tables hard_tables);
-    soft_delay_ns = Float.max 0.0 soft_delay_ns;
     soft_delays = 0;
     stalls = 0;
     stall_ns = 0.0;
   }
+
+let at_hard_limit t engine = Core.Engine.compaction_debt_tables engine >= t.hard_tables
 
 (* Admit one write to [engine]. [wait_background] blocks the caller until
    the shard's in-flight background job (if any) completes; [relieve]
@@ -58,7 +62,7 @@ let admit t engine ~wait_background ~relieve =
     t.soft_delays <- t.soft_delays + 1;
     let span = max 1 (t.hard_tables - t.soft_tables) in
     let over = d - t.soft_tables + 1 in
-    let delay = t.soft_delay_ns *. float_of_int over /. float_of_int span in
+    let delay = soft_delay_ns *. float_of_int over /. float_of_int span in
     Obs.Attr.with_phase Obs.Attr.Admission_stall (fun () ->
         Sim.Clock.advance t.clock delay)
   end

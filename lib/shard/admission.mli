@@ -10,12 +10,13 @@
 
 type t
 
-val create :
-  clock:Sim.Clock.t ->
-  soft_tables:int ->
-  hard_tables:int ->
-  soft_delay_ns:float ->
-  t
+val create : clock:Sim.Clock.t -> soft_tables:int -> hard_tables:int -> t
+(** The hard limit is clamped to at least [max 2 soft_tables]; the soft
+    zone delays each write by up to 100 us, linear in the overshoot. *)
+
+val at_hard_limit : t -> Core.Engine.t -> bool
+(** Is the engine's debt at or past the (clamped) hard limit — would
+    {!admit} stall a write now? *)
 
 val admit :
   t ->

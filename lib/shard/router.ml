@@ -3,6 +3,11 @@
    clock, while each shard owns its WAL, memtable, and manifest chain (a
    named superblock root slot per shard).
 
+   Point operations have one path, the health-gated one: put_checked,
+   delete_checked and get_checked return typed results, and [sink] wraps
+   them for the workload generators. With breakers off (the default) and
+   no deadline budget the gates cost nothing on the virtual clock.
+
    Writes route by binary search over the shard boundaries; cross-shard
    scans concatenate per-shard results in shard order — shards hold
    disjoint ranges, so the concatenation is globally ordered and
@@ -88,7 +93,16 @@ let shard_config cfg n i =
     seed = cfg.Core.Config.seed + (131 * i);
   }
 
-let ranges n boundaries =
+(* Fallback split: byte-uniform over the first key byte. Workload-aware
+   callers pass real boundaries (see {!ycsb_boundaries}). *)
+let default_boundaries n =
+  List.init (n - 1) (fun i -> String.make 1 (Char.chr ((i + 1) * 256 / n)))
+
+(* Shard ranges for [cfg.shard_count] shards; [] boundaries on several
+   shards means the byte-uniform fallback split. *)
+let ranges cfg boundaries =
+  let n = max 1 cfg.Core.Config.shard_count in
+  let boundaries = if boundaries = [] && n > 1 then default_boundaries n else boundaries in
   let boundaries = List.sort_uniq String.compare boundaries in
   if List.length boundaries <> n - 1 then
     invalid_arg
@@ -98,11 +112,6 @@ let ranges n boundaries =
     (fun b -> if b = "" then invalid_arg "Router: empty boundary key")
     boundaries;
   List.combine ("" :: boundaries) (boundaries @ [ max_key_sentinel ])
-
-(* Fallback split: byte-uniform over the first key byte. Workload-aware
-   callers pass real boundaries (see {!ycsb_boundaries}). *)
-let default_boundaries n =
-  List.init (n - 1) (fun i -> String.make 1 (Char.chr ((i + 1) * 256 / n)))
 
 let ycsb_boundaries ~records ~shards =
   List.init (shards - 1) (fun i -> Util.Keys.ycsb_key (records * (i + 1) / shards))
@@ -117,29 +126,19 @@ let shared_cache clock cfg =
          ~capacity_bytes:(cfg.Core.Config.block_cache_mb * 1024 * 1024) ())
   else None
 
-let breaker_config cfg =
-  {
-    Health.Breaker.window = cfg.Core.Config.breaker_window;
-    failure_threshold = cfg.Core.Config.breaker_failure_threshold;
-    error_rate = cfg.Core.Config.breaker_error_rate;
-    cooldown_ns = cfg.Core.Config.breaker_cooldown_ns;
-    half_open_probes = cfg.Core.Config.breaker_half_open_probes;
-  }
-
-let make_shards cfg n mk_engine rs =
+let make_shards cfg mk_engine rs =
+  let n = List.length rs in
   Array.of_list
     (List.mapi
        (fun i (lo, hi) ->
          let scfg = shard_config cfg n i in
-         let engine = mk_engine i scfg in
+         let engine = mk_engine scfg in
          {
            s_idx = i;
            s_lo = lo;
            s_hi = hi;
            engine;
-           breaker =
-             Health.Breaker.create ~config:(breaker_config cfg)
-               (Core.Engine.clock engine);
+           breaker = Health.Breaker.create (Core.Engine.clock engine);
            read_tracker = Health.Tracker.create ();
            write_tracker = Health.Tracker.create ();
            ledger = Health.Ledger.create ();
@@ -152,8 +151,7 @@ let make_shards cfg n mk_engine rs =
              Admission.create
                ~clock:(Core.Engine.clock engine)
                ~soft_tables:cfg.Core.Config.admission_soft_tables
-               ~hard_tables:cfg.Core.Config.admission_hard_tables
-               ~soft_delay_ns:cfg.Core.Config.admission_soft_delay_ns;
+               ~hard_tables:cfg.Core.Config.admission_hard_tables;
            busy_until = 0.0;
          })
        rs)
@@ -176,14 +174,12 @@ let make config clock pm ssd cache shards =
   }
 
 let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) cfg =
-  let n = max 1 cfg.Core.Config.shard_count in
-  let boundaries = if boundaries = [] && n > 1 then default_boundaries n else boundaries in
-  let rs = ranges n boundaries in
+  let rs = ranges cfg boundaries in
   let pm = Pmem.create ~params:cfg.Core.Config.pm_params clock in
   if not cfg.Core.Config.sanitize then Pmem.set_sanitizer pm None;
   let ssd = Ssd.create ~params:cfg.Core.Config.ssd_params clock in
   let cache = shared_cache clock cfg in
-  let shards = make_shards cfg n (fun _ scfg -> Core.Engine.create ~pm ~ssd ?cache scfg) rs in
+  let shards = make_shards cfg (fun scfg -> Core.Engine.create ~pm ~ssd ?cache scfg) rs in
   make cfg clock pm ssd cache shards
 
 (* Rebuild every shard from the shared devices. Each shard recovers its
@@ -192,13 +188,11 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) cfg =
    union: anything no shard's manifest, WAL ring, quarantine list, or
    superblock slot references. *)
 let recover ?(boundaries = []) cfg ~pm ~ssd =
-  let n = max 1 cfg.Core.Config.shard_count in
-  let boundaries = if boundaries = [] && n > 1 then default_boundaries n else boundaries in
-  let rs = ranges n boundaries in
+  let rs = ranges cfg boundaries in
   let clock = Pmem.clock pm in
   let cache = shared_cache clock cfg in
   let shards =
-    make_shards cfg n (fun _ scfg -> Core.Engine.recover ~orphan_gc:false ?cache scfg ~pm ~ssd) rs
+    make_shards cfg (fun scfg -> Core.Engine.recover ~orphan_gc:false ?cache scfg ~pm ~ssd) rs
   in
   let region_referenced = Hashtbl.create 64 and file_referenced = Hashtbl.create 64 in
   let keep_region id = Hashtbl.replace region_referenced id () in
@@ -260,7 +254,7 @@ let shard_count t = Array.length t.shards
 let engines t = Array.map (fun s -> s.engine) t.shards
 
 (* Last shard whose lower bound is <= key (boundaries are sorted). *)
-let shard_index t key =
+let shard_of t key =
   let n = Array.length t.shards in
   let rec bs lo hi =
     if lo >= hi then lo
@@ -269,8 +263,6 @@ let shard_index t key =
       if String.compare t.shards.(mid).s_lo key <= 0 then bs mid hi else bs lo (mid - 1)
   in
   bs 0 (n - 1)
-
-let shard_of t key = shard_index t key
 
 (* --- Background worker model ------------------------------------------- *)
 
@@ -316,68 +308,26 @@ let flush_engine s =
    own inline threshold. *)
 let entry_overhead = 64
 
+(* Would a write of [bytes] fill the shard's memtable? Such a write hands
+   the memtable to the background worker before the engine's inline
+   (fully foreground) flush path would fire. *)
+let will_flush s ~bytes =
+  Core.Engine.memtable_bytes s.engine + bytes + entry_overhead
+  >= (Core.Engine.config s.engine).Core.Config.memtable_bytes
+
 (* --- Operations --------------------------------------------------------- *)
 
-let dispatch t key =
-  Obs.Attr.with_phase Obs.Attr.Router_dispatch (fun () -> t.shards.(shard_index t key))
-
-let durable t = t.config.Core.Config.durable
-
-let apply_write t ~key ~bytes f =
-  Obs.Attr.with_op Obs.Attr.Write @@ fun () ->
-  let t0 = Sim.Clock.now t.clock in
-  let s = dispatch t key in
-  Admission.admit s.adm s.engine
-    ~wait_background:(fun () -> wait_background t s)
-    ~relieve:(fun () ->
-      background_run t s (fun () ->
-          Core.Engine.force_internal_compaction s.engine;
-          Core.Engine.force_major_compaction s.engine));
-  (* Hand a full memtable to the shard's background worker before the
-     engine's inline (fully foreground) flush path would fire. *)
-  if
-    Core.Engine.memtable_bytes s.engine + bytes + entry_overhead
-    >= (Core.Engine.config s.engine).Core.Config.memtable_bytes
-  then background_run t s (fun () -> flush_engine s);
-  f s.engine;
-  if durable t then Group_commit.commit s.gc s.engine;
-  Util.Histogram.record t.write_lat (Float.max 0.0 (Sim.Clock.now t.clock -. t0))
-
-let put ?(update = false) t ~key value =
-  t.puts <- t.puts + 1;
-  apply_write t ~key
-    ~bytes:(String.length key + String.length value)
-    (* pmlint:allow checked-path: Router.put is the documented unchecked
-       API — crash sweeps and benches bypass health gating by design *)
-    (fun engine -> Core.Engine.put ~update engine ~key value)
-
-let delete t key =
-  t.deletes <- t.deletes + 1;
-  apply_write t ~key ~bytes:(String.length key) (fun engine ->
-      (* pmlint:allow checked-path: Router.delete is the documented
-         unchecked API, same contract as Router.put above *)
-      Core.Engine.delete engine key)
-
-let get t key =
-  t.gets <- t.gets + 1;
-  Obs.Attr.with_op Obs.Attr.Read @@ fun () ->
-  let t0 = Sim.Clock.now t.clock in
-  let s = dispatch t key in
-  (* pmlint:allow checked-path: Router.get is the documented unchecked
-     API — the golden-model checkers need raw answers, not typed degraded
-     ones *)
-  let r = Core.Engine.get s.engine key in
-  Util.Histogram.record t.read_lat (Float.max 0.0 (Sim.Clock.now t.clock -. t0));
-  r
-
-(* --- Health-aware operations -------------------------------------------- *)
-
-(* The gray-failure front door: the same dispatch and write path as
-   [put]/[get], plus per-shard circuit breaking, latency-vs-baseline
+(* The gray-failure front door: dispatch, admission, background hand-off
+   and group commit, plus per-shard circuit breaking, latency-vs-baseline
    fail-slow diagnosis, deadline budgets, and typed degraded answers.
    Breakers are consulted *before* any engine mutation, so a shed write
    provably never reached the store; a healthy shard never consults a
    sibling's breaker, so one sick device range cannot stall the rest. *)
+
+let dispatch t key =
+  Obs.Attr.with_phase Obs.Attr.Router_dispatch (fun () -> t.shards.(shard_of t key))
+
+let durable t = t.config.Core.Config.durable
 
 type write_result =
   | Acked
@@ -394,19 +344,17 @@ let breaker_decision t s =
   else Health.Breaker.Allow
 
 (* One operation latency against the shard's frozen baseline: a sample
-   past [breaker_slow_factor] x baseline is diagnosed fail-slow and
-   counts as a breaker failure even though it returned the right answer.
-   The instantaneous comparison (not the EWMA) is deliberate — probes
-   after the fault clears must read as healthy immediately, or a
-   half-open breaker could never close. *)
+   past [slow_factor] x baseline is diagnosed fail-slow and counts as a
+   breaker failure even though it returned the right answer. The
+   instantaneous comparison (not the EWMA) is deliberate — probes after
+   the fault clears must read as healthy immediately, or a half-open
+   breaker could never close. *)
+let slow_factor = 8.0
+
 let note_latency t s tracker lat =
   Health.Tracker.observe tracker lat;
   if t.config.Core.Config.breaker_enabled then
-    if
-      Health.Tracker.warmed_up tracker
-      && lat
-         >= t.config.Core.Config.breaker_slow_factor
-            *. Health.Tracker.baseline tracker
+    if Health.Tracker.warmed_up tracker && lat >= slow_factor *. Health.Tracker.baseline tracker
     then Health.Breaker.record_failure s.breaker
     else Health.Breaker.record_success s.breaker
 
@@ -431,22 +379,18 @@ let deadline_of t kind deadline_ns =
    typed refusal now instead of an ack that arrives too late to matter.
    The worker horizon only matters when *this* write would hand a full
    memtable to the background worker (that path waits for the horizon);
-   a non-flushing write sails past a busy worker untouched. *)
+   a non-flushing write sails past a busy worker untouched. A shard at
+   admission's hard limit would stall the write behind compaction relief. *)
 let would_blow_deadline t s ~bytes deadline =
   let now = Sim.Clock.now t.clock in
-  let will_flush =
-    Core.Engine.memtable_bytes s.engine + bytes + entry_overhead
-    >= (Core.Engine.config s.engine).Core.Config.memtable_bytes
-  in
   deadline -. now <= 0.0
-  || (will_flush && s.busy_until -. now > deadline -. now)
-  || Core.Engine.compaction_debt_tables s.engine
-     >= t.config.Core.Config.admission_hard_tables
+  || (will_flush s ~bytes && s.busy_until -. now > deadline -. now)
+  || Admission.at_hard_limit s.adm s.engine
 
 let missed_deadline t deadline =
   match deadline with Some d -> Sim.Clock.now t.clock > d | None -> false
 
-let apply_write_checked ?deadline_ns t ~key ~bytes f =
+let apply_write ?deadline_ns t ~key ~bytes f =
   Obs.Attr.with_op Obs.Attr.Write @@ fun () ->
   let t0 = Sim.Clock.now t.clock in
   let s = dispatch t key in
@@ -475,10 +419,7 @@ let apply_write_checked ?deadline_ns t ~key ~bytes f =
                 background_run t s (fun () ->
                     Core.Engine.force_internal_compaction s.engine;
                     Core.Engine.force_major_compaction s.engine));
-            if
-              Core.Engine.memtable_bytes s.engine + bytes + entry_overhead
-              >= (Core.Engine.config s.engine).Core.Config.memtable_bytes
-            then background_run t s (fun () -> flush_engine s);
+            if will_flush s ~bytes then background_run t s (fun () -> flush_engine s);
             (* Device time only: measured after admission and background
                hand-off, so stalls on a *healthy* shard do not read as
                fail-slow. *)
@@ -499,19 +440,14 @@ let apply_write_checked ?deadline_ns t ~key ~bytes f =
 
 let put_checked ?(update = false) ?deadline_ns t ~key value =
   t.puts <- t.puts + 1;
-  apply_write_checked ?deadline_ns t ~key
+  apply_write ?deadline_ns t ~key
     ~bytes:(String.length key + String.length value)
-    (* pmlint:allow checked-path: this lambda is the checked path's own
-       final dispatch — apply_write_checked has already run the breaker,
-       deadline and shed gates before it calls the engine *)
     (fun engine -> Core.Engine.put ~update engine ~key value)
 
 let delete_checked ?deadline_ns t key =
   t.deletes <- t.deletes + 1;
-  apply_write_checked ?deadline_ns t ~key ~bytes:(String.length key)
-    (* pmlint:allow checked-path: final dispatch after gating, same
-       contract as put_checked above *)
-    (fun engine -> Core.Engine.delete engine key)
+  apply_write ?deadline_ns t ~key ~bytes:(String.length key) (fun engine ->
+      Core.Engine.delete engine key)
 
 let get_checked ?deadline_ns t key =
   t.gets <- t.gets + 1;
@@ -575,9 +511,6 @@ let scan_range t ~start ~stop =
   let r =
     overlapping t ~start ~stop
     |> List.concat_map (fun s ->
-           (* pmlint:allow checked-path: Router.scan_range is the
-              documented unchecked API — the scan-vs-get checker
-              invariants need the raw merged view *)
            Core.Engine.scan_range s.engine ~start:(max_str start s.s_lo)
              ~stop:(if String.compare stop s.s_hi <= 0 then stop else s.s_hi))
   in
@@ -599,7 +532,7 @@ let scan t ~start ~limit =
       let got = Core.Iterator.take it remaining in
       go (i + 1) s.s_hi (remaining - List.length got) (got :: acc)
   in
-  let r = go (shard_index t start) start limit [] in
+  let r = go (shard_of t start) start limit [] in
   Util.Histogram.record t.scan_lat (Float.max 0.0 (Sim.Clock.now t.clock -. t0));
   r
 
@@ -709,19 +642,32 @@ let pp_health ppf t =
     (health t);
   Fmt.pf ppf "@]"
 
+(* The workload generators want plain answers: anything but [Acked] or
+   [Served] raises [Failure] naming the outcome. *)
 let sink t =
+  let acked = function
+    | Acked -> ()
+    | Write_shed why -> failwith ("Router: write shed: " ^ why)
+    | Write_failed why -> failwith ("Router: write failed: " ^ why)
+  in
   {
-    Workload.Sink.put = (fun ~update ~key value -> put ~update t ~key value);
-    delete = (fun key -> delete t key);
-    get = (fun key -> get t key);
+    Workload.Sink.put = (fun ~update ~key value -> acked (put_checked ~update t ~key value));
+    delete = (fun key -> acked (delete_checked t key));
+    get =
+      (fun key ->
+        match get_checked t key with
+        | Served v -> v
+        | Served_degraded { reason; _ } -> failwith ("Router: read degraded: " ^ reason)
+        | Read_unavailable why -> failwith ("Router: read unavailable: " ^ why));
     scan = (fun ~start ~limit -> scan t ~start ~limit);
     scan_range = (fun ~start ~stop -> scan_range t ~start ~stop);
   }
 
+(* Checker reads bypass the breakers: they ask the owning engine. *)
 let view t =
   {
     Fault.Checker.v_scan_all = (fun () -> scan_range t ~start:"" ~stop:max_key_sentinel);
-    v_get = (fun key -> get t key);
+    v_get = (fun key -> Core.Engine.get t.shards.(shard_of t key).engine key);
     v_iter_all = (fun () -> iter_all t);
   }
 

@@ -1,9 +1,12 @@
 (** Range-sharded multi-engine front door.
 
     [shard_count] engines partition the keyspace by range behind one
-    router that mirrors the single-engine API. Shards share the PM and
-    SSD devices, the block cache, and the clock; each owns its WAL,
-    memtable, and manifest chain (a named superblock root per shard).
+    router with a single, health-gated front door: {!put_checked},
+    {!delete_checked} and {!get_checked} are the only point operations,
+    and {!sink} wraps them for the workload generators. Shards share the
+    PM and SSD devices, the block cache, and the clock; each owns its
+    WAL, memtable, and manifest chain (a named superblock root per
+    shard).
     Writes route by binary search over the boundaries; cross-shard scans
     concatenate per-shard results in shard order — ranges are disjoint,
     so the result is globally ordered and duplicate-free by construction.
@@ -54,27 +57,19 @@ val engines : t -> Core.Engine.t array
 val shard_of : t -> string -> int
 (** Index of the shard owning [key]. *)
 
-(** {1 Operations} *)
+(** {1 Point operations}
 
-val put : ?update:bool -> t -> key:string -> string -> unit
-val delete : t -> string -> unit
-val get : t -> string -> string option
-val scan_range : t -> start:string -> stop:string -> (string * string) list
-val scan : t -> start:string -> limit:int -> (string * string) list
-
-val iter_all : t -> (string * string) list
-(** Full iterator walk across all shards (the checker's third path). *)
-
-(** {1 Health-aware operations}
-
-    The gray-failure front door: the same dispatch and write path as
-    {!put}/{!get}, plus per-shard circuit breaking, fail-slow diagnosis
-    against each shard's own latency baseline, deadline budgets, and
-    typed degraded answers. Breakers are consulted before any engine
-    mutation, so a [Write_shed] provably never reached the store; a
-    healthy shard never consults a sibling's breaker, so one sick device
-    range cannot stall the rest. Governed by [config.breaker_enabled]
-    and the [config.breaker_*] / [config.deadline_*] knobs. *)
+    Dispatch, admission, background flush hand-off, the engine call and
+    group commit, gated by per-shard circuit breaking, fail-slow
+    diagnosis against each shard's own latency baseline, deadline
+    budgets, and typed degraded answers. Breakers are consulted before
+    any engine mutation, so a [Write_shed] provably never reached the
+    store; a healthy shard never consults a sibling's breaker, so one
+    sick device range cannot stall the rest. Breakers are opt-in
+    ([config.breaker_enabled], built from
+    [Health.Breaker.default_config]); budgets come from
+    [config.deadline_*]. With both off the gates cost nothing on the
+    virtual clock. *)
 
 type write_result =
   | Acked
@@ -105,6 +100,14 @@ val get_checked : ?deadline_ns:float -> t -> string -> read_result
 (** [deadline_ns] overrides [config.deadline_read_ns] /
     [config.deadline_write_ns] for this op; 0 or an absent config budget
     means no deadline. *)
+
+(** {1 Scans} *)
+
+val scan_range : t -> start:string -> stop:string -> (string * string) list
+val scan : t -> start:string -> limit:int -> (string * string) list
+
+val iter_all : t -> (string * string) list
+(** Full iterator walk across all shards (the checker's third path). *)
 
 val flush : t -> unit
 val close : t -> unit
@@ -171,10 +174,13 @@ val pp_health : t Fmt.t
 (** Breaker states, outcome totals and per-shard health table (doctor). *)
 
 val sink : t -> Workload.Sink.t
-(** Drive the router from the workload generators. *)
+(** Drive the router from the workload generators. Point operations go
+    through the checked calls; an outcome other than [Acked] or [Served]
+    raises [Failure]. *)
 
 val view : t -> Fault.Checker.view
-(** The router's merged read paths for golden-model checking. *)
+(** The router's merged read paths for golden-model checking. Point reads
+    ask the owning engine directly and never pass through a breaker. *)
 
 val pp_stats : t Fmt.t
 (** Router aggregate (dispatch counts, admission, group commit, op

@@ -143,9 +143,11 @@ let pp_v = Fmt.(Dump.option Dump.string)
 let expected st key =
   match Fault.Golden.acked st.golden key with Some v -> v | None -> None
 
-let damaged st key =
-  let e = (Router.engines st.router).(Router.shard_of st.router key) in
-  Core.Engine.damaged_key e key
+(* The engine owning [key]: checker reads go here directly, never through
+   a breaker. *)
+let owner st key = (Router.engines st.router).(Router.shard_of st.router key)
+
+let damaged st key = Core.Engine.damaged_key (owner st key) key
 
 let matches_ambiguous st key got =
   match Hashtbl.find_opt st.ambiguous key with
@@ -290,7 +292,7 @@ let resolve_ambiguous st =
     | () ->
         List.iter
     (fun (key, attempted) ->
-      match Router.get st.router key with
+      match Core.Engine.get (owner st key) key with
       | got ->
           Hashtbl.remove st.ambiguous key;
           if got = attempted then begin
@@ -316,7 +318,7 @@ let resolve_ambiguous st =
    not punished for its past. *)
 let close_breakers st =
   let clock = Router.clock st.router in
-  let cooldown = st.cfg.router_config.Core.Config.breaker_cooldown_ns in
+  let cooldown = Health.Breaker.default_config.Health.Breaker.cooldown_ns in
   for i = 0 to Router.shard_count st.router - 1 do
     let b = Router.shard_breaker st.router i in
     let tries = ref 0 in
@@ -364,7 +366,7 @@ let tolerant_check st =
   List.iter
     (fun (key, expect) ->
       if not (Hashtbl.mem st.ambiguous key) then
-        let e = (Router.engines st.router).(Router.shard_of st.router key) in
+        let e = owner st key in
         match Core.Engine.get_checked e key with
         | exception ex ->
             fail st "no-crash"

@@ -62,21 +62,24 @@ let clean r = violation_count r = 0 && List.for_all (fun p -> p.recovered) r.poi
 
 (* Identical op stream to [Fault.Crash_sweep.run_workload], but driven
    through the router: the golden mirror still holds because the sweep
-   runs the committers in [Sync] mode, where a returned put is durable. *)
+   runs the committers in [Sync] mode, where a returned put is durable.
+   The sink raises on any outcome but an ack, so a refused write can
+   never be mirrored as acked. *)
 let run_workload cfg golden router =
   let rng = Util.Xoshiro.create (cfg.seed lxor 0x9E3779B9) in
+  let sink = Router.sink router in
   try
     for i = 0 to cfg.ops - 1 do
       let key = Printf.sprintf "user%06d" (Util.Xoshiro.int rng cfg.keyspace) in
       if Util.Xoshiro.int rng 10 < 8 then begin
         let value = Printf.sprintf "%d:%s" i (Util.Xoshiro.string rng cfg.value_len) in
         Fault.Golden.begin_put golden ~key value;
-        Router.put ~update:true router ~key value;
+        sink.Workload.Sink.put ~update:true ~key value;
         Fault.Golden.ack golden
       end
       else begin
         Fault.Golden.begin_delete golden key;
-        Router.delete router key;
+        sink.Workload.Sink.delete key;
         Fault.Golden.ack golden
       end
     done;

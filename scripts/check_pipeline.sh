@@ -1,6 +1,8 @@
 #!/bin/sh
-# Pipelined-compaction smoke check: run the pipeline benchmark and fail
-# if the staged overlap is demonstrably broken — 4-core speedup below the
+# Pipelined-compaction gate: run the pipeline benchmark into a fresh file,
+# fail if the staged overlap is demonstrably broken, then compare the
+# fresh run against the committed BENCH_pipeline.json with
+# bin/perf_gate.exe. The smoke check fails on a 4-core speedup below the
 # 1.8x acceptance floor, any stage that never got busy (zero overlap
 # work), either idleness figure not measurably below the serial baseline,
 # or sanitizer findings inside the replay. The benchmark prints one
@@ -14,14 +16,25 @@
 # this script must then fail on the speedup floor — CI runs that leg and
 # asserts the failure, proving the check has teeth.
 #
-# Usage: scripts/check_pipeline.sh [OUT_JSON]  (default BENCH_pipeline.json)
+# The committed baseline is never rewritten here. To refresh it after an
+# intentional change:
+#   dune exec bench/main.exe -- pipeline --json BENCH_pipeline.json
+#
+# Usage: scripts/check_pipeline.sh [BASELINE_JSON]  (default BENCH_pipeline.json)
 set -eu
 
-out_json="${1:-BENCH_pipeline.json}"
-log="$(mktemp)"
-trap 'rm -f "$log"' EXIT
+baseline="${1:-BENCH_pipeline.json}"
+if [ ! -f "$baseline" ]; then
+    echo "check_pipeline: baseline $baseline not found (generate it with:" >&2
+    echo "  dune exec bench/main.exe -- pipeline --json $baseline)" >&2
+    exit 1
+fi
 
-dune exec bench/main.exe -- pipeline --json "$out_json" | tee "$log"
+fresh="$(mktemp)"
+log="$(mktemp)"
+trap 'rm -f "$fresh" "$log"' EXIT
+
+dune exec bench/main.exe -- pipeline --json "$fresh" | tee "$log"
 
 summary="$(grep -o 'PIPELINE [a-z0-9_.=[:space:]]*' "$log" | head -n 1)"
 if [ -z "$summary" ]; then
@@ -66,6 +79,11 @@ if [ "$(echo "$io_idle $serial_io_idle" | awk '{print ($1 < $2) ? 1 : 0}')" != 1
 fi
 if [ "$races" != 0 ] || [ "$lost" != 0 ]; then
     echo "check_pipeline: FAIL - sanitizer findings in the replay (races=$races lost_wakeups=$lost)" >&2
+    fail=1
+fi
+
+if ! dune exec bin/perf_gate.exe -- "$baseline" "$fresh"; then
+    echo "check_pipeline: FAIL - fresh run regressed against $baseline" >&2
     fail=1
 fi
 exit $fail

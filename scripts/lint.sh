@@ -17,7 +17,7 @@
 #   5. pmlint (bin/pmlint.exe): the AST-level analyzer — metric ~help
 #      hygiene (which subsumed the old 6-line-window scan), lib-wide
 #      partial accessors, and the protocol rules greps cannot express
-#      (flush-before-commit, checked-path, suspend-in-critical-section).
+#      (flush-before-commit, suspend-in-critical-section).
 #      Only reasoned inline allow markers silence a finding.
 #
 # Exits non-zero with a file:line listing on any violation.
@@ -73,7 +73,7 @@ printf '%s' "$missing" | complain "every lib/ module needs a .mli"
 
 # 5. pmlint: metric hygiene (formerly a 6-line-window python scan, now
 #    AST-precise), lib-wide partial accessors, and the protocol rules —
-#    flush-before-commit, checked-path, suspend-in-critical-section.
+#    flush-before-commit and suspend-in-critical-section.
 pmlint_out="$(dune exec bin/pmlint.exe -- lib 2>&1)" || {
   printf '%s\n' "$pmlint_out" \
     | complain "pmlint findings (see 'dune exec bin/pmlint.exe -- lib')"

@@ -37,7 +37,7 @@ let test_clean_fixtures () =
   check_findings "clean tree is silent" [] s;
   check Alcotest.int "no suppressions needed" 0
     (List.length s.Analyze.Report.suppressed);
-  check Alcotest.int "all five fixtures parsed" 5 s.Analyze.Report.files
+  check Alcotest.int "all four fixtures parsed" 4 s.Analyze.Report.files
 
 (* --- One dirty fixture per rule ----------------------------------------- *)
 
@@ -54,12 +54,6 @@ let test_dirty_flush_before_commit () =
       (33, "flush-before-commit");
       (42, "flush-before-commit");
     ]
-    s
-
-let test_dirty_checked_path () =
-  let s = run [ fixture "dirty/shard/r2.ml" ] in
-  check_findings "raw engine calls under shard/ flagged"
-    [ (7, "checked-path"); (9, "checked-path") ]
     s
 
 let test_dirty_suspend_in_critical_section () =
@@ -98,7 +92,7 @@ let test_dirty_partial_accessor () =
 
 let test_dirty_tree_fails () =
   let s = run [ fixture "dirty" ] in
-  check Alcotest.int "all planted violations surface" 19
+  check Alcotest.int "all planted violations surface" 17
     (List.length s.Analyze.Report.findings);
   check Alcotest.bool "dirty tree is an error exit" true
     (Analyze.Driver.has_errors s)
@@ -192,7 +186,6 @@ let () =
           Alcotest.test_case "clean fixtures" `Quick test_clean_fixtures;
           Alcotest.test_case "flush-before-commit" `Quick
             test_dirty_flush_before_commit;
-          Alcotest.test_case "checked-path" `Quick test_dirty_checked_path;
           Alcotest.test_case "suspend-in-critical-section" `Quick
             test_dirty_suspend_in_critical_section;
           Alcotest.test_case "metric-hygiene" `Quick test_dirty_metric_hygiene;

@@ -327,31 +327,6 @@ let test_background_share_softens_stalls () =
   in
   check Alcotest.bool "foreground >= background" true (run 1.0 >= run 0.3)
 
-let test_coroutine_rebate_shortens_majors () =
-  (* The same workload with coroutine compaction on must accumulate less
-     major-compaction time (the CPU/IO overlap rebate). Pipeline off: this
-     exercises the legacy fixed-efficiency path, which only applies when
-     the staged pipeline is disabled; the pipeline's own measured rebate
-     is covered in test_pipeline.ml. *)
-  let run coroutine =
-    let cfg =
-      {
-        (small Core.Config.pmblade) with
-        Core.Config.coroutine_compaction = coroutine;
-        pipeline_compaction = false;
-      }
-    in
-    let eng = Core.Engine.create cfg in
-    let rng = Util.Xoshiro.create 15 in
-    for i = 0 to 3999 do
-      Core.Engine.put eng ~key:(Util.Keys.record_key ~table_id:1 ~row_id:i)
-        (Util.Xoshiro.string rng 64)
-    done;
-    Core.Engine.force_major_compaction eng;
-    (Core.Engine.metrics eng).Core.Metrics.major_compaction_time
-  in
-  check Alcotest.bool "coroutine majors cheaper" true (run true < run false)
-
 let prop_engine_model =
   QCheck.Test.make ~name:"pmblade engine = model under random ops" ~count:15
     QCheck.(int_range 0 10000)
@@ -401,7 +376,12 @@ let test_config_fingerprint () =
         { base with
           Core.Config.l0_strategy =
             Core.Config.Conventional { max_tables = Some 4; max_bytes = None } } );
+      ("pipeline", { base with Core.Config.pipeline_compaction = false });
+      ("breakers", { base with Core.Config.breaker_enabled = true });
+      ("admission", { base with Core.Config.admission_hard_tables = 48 });
+      ("deadline", { base with Core.Config.deadline_write_ns = 1e6 });
     ];
+  Alcotest.(check bool) "breakers are opt-in" false base.Core.Config.breaker_enabled;
   (* Distinct named variants never collide (paranoia, not a guarantee). *)
   let fps = List.map Core.Config.fingerprint Core.Config.all_variants in
   Alcotest.(check int) "all variants distinct"
@@ -508,7 +488,6 @@ let () =
           Alcotest.test_case "dynamic split grows partitions" `Quick test_dynamic_split_grows_partitions;
           Alcotest.test_case "explicit boundaries" `Quick test_explicit_boundaries_respected;
           Alcotest.test_case "background share softens stalls" `Quick test_background_share_softens_stalls;
-          Alcotest.test_case "coroutine rebate" `Quick test_coroutine_rebate_shortens_majors;
           qtest prop_engine_model;
         ] );
       ( "ledger",

@@ -162,6 +162,21 @@ let test_retry_jitter_seeded () =
 
 (* --- deadline / breaker write shedding ----------------------------------- *)
 
+(* Loads and clean reads must be plain: anything but an ack or a served
+   answer fails the test. *)
+let put r ~key value =
+  match Shard.Router.put_checked r ~key value with
+  | Shard.Router.Acked -> ()
+  | _ -> Alcotest.failf "put %S was not acked" key
+
+let get r key =
+  match Shard.Router.get_checked r key with
+  | Shard.Router.Served v -> v
+  | _ -> Alcotest.failf "get %S was not served" key
+
+(* What the store holds, read past every breaker from the owning engine. *)
+let stored r key = Core.Engine.get (Shard.Router.engines r).(Shard.Router.shard_of r key) key
+
 let shed_config () =
   {
     Core.Config.pmblade with
@@ -178,7 +193,7 @@ let shed_config () =
 
 let test_shed_never_reaches_store () =
   let r = Shard.Router.create ~boundaries:[ "g"; "n"; "t" ] (shed_config ()) in
-  Shard.Router.put r ~key:"apple" "keep";
+  put r ~key:"apple" "keep";
   (* trip shard 0's breaker by hand: every checked write to it must be
      refused before the engine is touched *)
   Health.Breaker.force_open (Shard.Router.shard_breaker r 0);
@@ -208,21 +223,20 @@ let test_shed_absent_after_recovery () =
   let cfg = shed_config () in
   let boundaries = [ "g"; "n"; "t" ] in
   let r = Shard.Router.create ~boundaries cfg in
-  Shard.Router.put r ~key:"apple" "keep";
-  Shard.Router.put r ~key:"zebra" "keep";
+  put r ~key:"apple" "keep";
+  put r ~key:"zebra" "keep";
   Health.Breaker.force_open (Shard.Router.shard_breaker r 0);
   (match Shard.Router.put_checked r ~key:"banana" "ghost" with
   | Shard.Router.Write_shed _ -> ()
   | _ -> Alcotest.fail "expected shed");
-  check Alcotest.(option string) "shed write invisible live" None
-    (Shard.Router.get r "banana");
+  check Alcotest.(option string) "shed write invisible live" None (stored r "banana");
   Shard.Router.flush r;
   let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
   let r2 = Shard.Router.recover ~boundaries cfg ~pm ~ssd in
   check Alcotest.(option string) "survivor present after recovery"
-    (Some "keep") (Shard.Router.get r2 "apple");
+    (Some "keep") (get r2 "apple");
   check Alcotest.(option string) "shed write absent after recovery" None
-    (Shard.Router.get r2 "banana");
+    (get r2 "banana");
   Shard.Router.close r2
 
 (* --- degraded reads are never silently wrong ----------------------------- *)
@@ -241,17 +255,28 @@ let test_degraded_reads_exact () =
           };
     }
   in
-  let r = Shard.Router.create ~boundaries:[ "g"; "n"; "t" ] cfg in
+  let boundaries = [ "g"; "n"; "t" ] in
+  (* Load outside the gate: no breakers and no budget, so background-work
+     latency cannot shed a load write. The storm then meets a router
+     recovered from the same devices with breakers and budgets on. *)
+  let load_cfg =
+    { cfg with Core.Config.breaker_enabled = false; deadline_read_ns = 0.0; deadline_write_ns = 0.0 }
+  in
+  let loader = Shard.Router.create ~boundaries load_cfg in
   let golden = Hashtbl.create 64 in
   (* values sized so each shard's slice overflows the 16 KB PM budget and
      lands on the SSD, where the scoped storm can reach it *)
   for i = 0 to 799 do
     let key = Printf.sprintf "%c%03d" (Char.chr (Char.code 'a' + (i mod 26))) i in
     let v = Printf.sprintf "v%d-%s" i (String.make 120 'x') in
-    Shard.Router.put r ~key v;
+    put loader ~key v;
     Hashtbl.replace golden key v
   done;
-  Shard.Router.flush r;
+  Shard.Router.flush loader;
+  let r =
+    Shard.Router.recover ~boundaries cfg ~pm:(Shard.Router.pm loader)
+      ~ssd:(Shard.Router.ssd loader)
+  in
   (* storm every sick-shard read; breakers will trip, the PM-only path
      serves what it can, and whatever is answered must be the truth *)
   let sick = (Shard.Router.engines r).(1) in

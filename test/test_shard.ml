@@ -19,6 +19,18 @@ let base_config ?(shards = 4) ?(durable = false) () =
 
 let pairs = Alcotest.(list (pair string string))
 
+(* The router's one path is the checked one; under these configs every
+   write must be acked and every read served plainly. *)
+let put ?update r ~key value =
+  match Shard.Router.put_checked ?update r ~key value with
+  | Shard.Router.Acked -> ()
+  | _ -> Alcotest.failf "put %S was not acked" key
+
+let get r key =
+  match Shard.Router.get_checked r key with
+  | Shard.Router.Served v -> v
+  | _ -> Alcotest.failf "get %S was not served" key
+
 (* --- routing ----------------------------------------------------------- *)
 
 let test_boundary_routing () =
@@ -31,7 +43,7 @@ let test_boundary_routing () =
         (Shard.Router.shard_of r key))
     [ ("", 0); ("a", 0); ("fzzz", 0); ("g", 1); ("m", 1); ("n", 2); ("t", 3); ("zz", 3) ];
   List.iter
-    (fun key -> Shard.Router.put r ~key ("v:" ^ key))
+    (fun key -> put r ~key ("v:" ^ key))
     [ "apple"; "grape"; "nut"; "tea"; "zebra" ];
   List.iter
     (fun key ->
@@ -39,7 +51,7 @@ let test_boundary_routing () =
         Alcotest.(option string)
         (Printf.sprintf "get %S" key)
         (Some ("v:" ^ key))
-        (Shard.Router.get r key))
+        (get r key))
     [ "apple"; "grape"; "nut"; "tea"; "zebra" ];
   Shard.Router.close r
 
@@ -48,9 +60,9 @@ let test_empty_shard_ranges () =
      every read path rather than contributing phantoms. *)
   let r = Shard.Router.create ~boundaries:[ "m"; "p"; "x" ] (base_config ()) in
   for i = 0 to 19 do
-    Shard.Router.put r ~key:(Printf.sprintf "a%03d" i) (string_of_int i)
+    put r ~key:(Printf.sprintf "a%03d" i) (string_of_int i)
   done;
-  check Alcotest.(option string) "empty shard get" None (Shard.Router.get r "q");
+  check Alcotest.(option string) "empty shard get" None (get r "q");
   check pairs "scan over empty shards" [] (Shard.Router.scan_range r ~start:"m" ~stop:"z");
   check Alcotest.int "all rows, none duplicated" 20
     (List.length (Shard.Router.scan_range r ~start:"" ~stop:"z"));
@@ -64,9 +76,9 @@ let test_empty_shard_ranges () =
 let test_cross_shard_scan_merge () =
   let r = Shard.Router.create ~boundaries:[ "h"; "o"; "u" ] (base_config ()) in
   let keys = List.init 26 (fun i -> String.make 2 (Char.chr (Char.code 'a' + i))) in
-  List.iter (fun key -> Shard.Router.put r ~key ("old:" ^ key)) keys;
+  List.iter (fun key -> put r ~key ("old:" ^ key)) keys;
   (* overwrite through the router: the merge must dedupe to newest *)
-  List.iter (fun key -> Shard.Router.put ~update:true r ~key ("new:" ^ key)) keys;
+  List.iter (fun key -> put ~update:true r ~key ("new:" ^ key)) keys;
   Shard.Router.flush r;
   let got = Shard.Router.scan_range r ~start:"cc" ~stop:"ww" in
   let want =
@@ -97,7 +109,7 @@ let test_recover_all_shards () =
   let boundaries = [ "h"; "o"; "u" ] in
   let r = crashable_router cfg ~boundaries in
   let keys = List.init 40 (fun i -> Printf.sprintf "%c%02d" (Char.chr (Char.code 'a' + (i mod 26))) i) in
-  List.iter (fun key -> Shard.Router.put r ~key ("v:" ^ key)) keys;
+  List.iter (fun key -> put r ~key ("v:" ^ key)) keys;
   let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
   Pmem.crash pm;
   Ssd.crash ssd;
@@ -108,7 +120,7 @@ let test_recover_all_shards () =
         Alcotest.(option string)
         (Printf.sprintf "recovered %S" key)
         (Some ("v:" ^ key))
-        (Shard.Router.get r2 key))
+        (get r2 key))
     keys;
   check Alcotest.int "no phantom rows" (List.length keys)
     (List.length (Shard.Router.scan_range r2 ~start:"" ~stop:"\xff"))
@@ -120,8 +132,8 @@ let test_batch_crash_atomicity () =
   let boundaries = [ "n" ] in
   let r = crashable_router cfg ~boundaries in
   for i = 0 to 9 do
-    Shard.Router.put r ~key:(Printf.sprintf "a%02d" i) "synced";
-    Shard.Router.put r ~key:(Printf.sprintf "z%02d" i) "synced"
+    put r ~key:(Printf.sprintf "a%02d" i) "synced";
+    put r ~key:(Printf.sprintf "z%02d" i) "synced"
   done;
   (* Stage a batch per shard behind the router's back: [wal_external_sync]
      engines defer the durability point to the group committer, which we
@@ -142,15 +154,15 @@ let test_batch_crash_atomicity () =
   let r2 = Shard.Router.recover ~boundaries cfg ~pm ~ssd in
   for i = 0 to 9 do
     check Alcotest.(option string) "synced write survives" (Some "synced")
-      (Shard.Router.get r2 (Printf.sprintf "a%02d" i));
+      (get r2 (Printf.sprintf "a%02d" i));
     check Alcotest.(option string) "synced write survives" (Some "synced")
-      (Shard.Router.get r2 (Printf.sprintf "z%02d" i))
+      (get r2 (Printf.sprintf "z%02d" i))
   done;
   for i = 10 to 14 do
     check Alcotest.(option string) "staged batch lost whole" None
-      (Shard.Router.get r2 (Printf.sprintf "a%02d" i));
+      (get r2 (Printf.sprintf "a%02d" i));
     check Alcotest.(option string) "staged batch lost whole" None
-      (Shard.Router.get r2 (Printf.sprintf "z%02d" i))
+      (get r2 (Printf.sprintf "z%02d" i))
   done
 
 (* --- group commit under the scheduler ----------------------------------- *)
@@ -170,7 +182,7 @@ let run_batched_clients r ~clients ~per_client =
     Coroutine.Scheduler.spawn ~name:(Printf.sprintf "client-%d" c) sched 0 (fun () ->
         for i = 0 to per_client - 1 do
           let side = if c mod 2 = 0 then "a" else "z" in
-          Shard.Router.put r ~key:(Printf.sprintf "%s%02d-%02d" side c i) "v";
+          put r ~key:(Printf.sprintf "%s%02d-%02d" side c i) "v";
           Coroutine.Co.yield ()
         done)
   done;
@@ -224,6 +236,50 @@ let test_group_commit_one_fence_per_batch () =
   check Alcotest.int "one WAL sync" 1 s.Core.Wal.syncs;
   check Alcotest.int "one WAL fence" 1 s.Core.Wal.fences
 
+(* The default config serves everything: breakers are opt-in and there is
+   no deadline budget, so 8 concurrent clients on 4 shards, with group
+   commit and the flush/compaction churn of a 4 KB memtable, see no
+   refusal of any kind and the ledger books only [Ok]. *)
+let test_default_config_serves_everything () =
+  let cfg = base_config ~shards:4 ~durable:true () in
+  let r = Shard.Router.create ~boundaries:[ "g"; "n"; "t" ] cfg in
+  let clients = 8 and per_client = 250 in
+  let refused = ref 0 in
+  let sched = make_sched r in
+  Shard.Router.enable_group_commit r sched;
+  for c = 0 to clients - 1 do
+    Coroutine.Scheduler.spawn ~name:(Printf.sprintf "client-%d" c) sched 0 (fun () ->
+        let rng = Util.Xoshiro.create (100 + c) in
+        for i = 0 to per_client - 1 do
+          let key = Printf.sprintf "%c%03d" (Char.chr (Char.code 'a' + Util.Xoshiro.int rng 26)) i in
+          let ok =
+            match Util.Xoshiro.int rng 10 with
+            | 0 -> Shard.Router.delete_checked r key = Shard.Router.Acked
+            | n when n < 6 ->
+                Shard.Router.put_checked ~update:true r ~key (String.make 64 'v')
+                = Shard.Router.Acked
+            | _ -> (
+                match Shard.Router.get_checked r key with
+                | Shard.Router.Served _ -> true
+                | _ -> false)
+          in
+          if not ok then incr refused;
+          Coroutine.Co.yield ()
+        done)
+  done;
+  ignore (Coroutine.Scheduler.run_to_completion sched);
+  Shard.Router.disable_group_commit r;
+  let total = clients * per_client in
+  check Alcotest.int "no shed, unavailable or degraded result" 0 !refused;
+  check Alcotest.int "no breaker trips" 0 (Shard.Router.breaker_trips r);
+  check Alcotest.bool "group commit batched" true (Shard.Router.gc_mean_batch r > 1.0);
+  let l = Shard.Router.ledger_totals r in
+  check Alcotest.int "ledger: every op ok" total (Health.Ledger.ok l);
+  check Alcotest.int "ledger: nothing else"
+    0
+    (Health.Ledger.degraded l + Health.Ledger.shed l + Health.Ledger.unavailable l
+    + Health.Ledger.failed l + Health.Ledger.deadline_miss l)
+
 (* --- admission control -------------------------------------------------- *)
 
 let test_admission_stall_and_resume () =
@@ -240,7 +296,7 @@ let test_admission_stall_and_resume () =
   in
   let r = Shard.Router.create cfg in
   for i = 0 to 399 do
-    Shard.Router.put r ~key:(Printf.sprintf "k%04d" i) (String.make 64 'x')
+    put r ~key:(Printf.sprintf "k%04d" i) (String.make 64 'x')
   done;
   check Alcotest.bool "writer hard-stalled" true (Shard.Router.stall_count r > 0);
   check Alcotest.bool "stall time accounted" true (Shard.Router.stall_ns r > 0.0);
@@ -249,9 +305,40 @@ let test_admission_stall_and_resume () =
   let debt = Core.Engine.compaction_debt_tables (Shard.Router.engines r).(0) in
   check Alcotest.bool "debt drained below hard limit" true
     (debt < cfg.Core.Config.admission_hard_tables + 2);
-  Shard.Router.put r ~key:"post-stall" "ok";
+  put r ~key:"post-stall" "ok";
   check Alcotest.(option string) "writes resume" (Some "ok")
-    (Shard.Router.get r "post-stall")
+    (get r "post-stall")
+
+(* Admission owns the hard limit, clamped to at least the soft limit: a
+   write with a deadline budget must not be shed as "deadline" at a debt
+   that admission itself would pass without delay. *)
+let test_deadline_uses_clamped_hard_limit () =
+  let cfg =
+    {
+      (base_config ~shards:1 ()) with
+      Core.Config.l0_strategy =
+        Core.Config.Conventional { max_tables = None; max_bytes = None };
+      admission_soft_tables = 12;
+      admission_hard_tables = 4;
+      deadline_write_ns = 1e9;
+    }
+  in
+  let r = Shard.Router.create cfg in
+  let engine = (Shard.Router.engines r).(0) in
+  let i = ref 0 in
+  while Core.Engine.compaction_debt_tables engine < 4 do
+    put r ~key:(Printf.sprintf "k%04d" !i) (String.make 64 'x');
+    incr i
+  done;
+  let debt = Core.Engine.compaction_debt_tables engine in
+  check Alcotest.bool "debt past the unclamped limit, under the soft one" true
+    (debt >= 4 && debt < 12);
+  (match Shard.Router.put_checked r ~key:"late" "v" with
+  | Shard.Router.Acked -> ()
+  | Shard.Router.Write_shed why -> Alcotest.failf "write shed (%s) below the hard limit" why
+  | Shard.Router.Write_failed why -> Alcotest.failf "write failed (%s)" why);
+  check Alcotest.int "admission never stalled" 0 (Shard.Router.stall_count r);
+  check Alcotest.int "nor delayed" 0 (Shard.Router.soft_delays r)
 
 (* --- schedsan: the planted race in the committer ------------------------ *)
 
@@ -268,7 +355,7 @@ let races_with ~plant =
       for c = 0 to 3 do
         Coroutine.Scheduler.spawn ~name:(Printf.sprintf "w%d" c) sched 0 (fun () ->
             for i = 0 to 3 do
-              Shard.Router.put r ~key:(Printf.sprintf "k%d-%d" c i) "v";
+              put r ~key:(Printf.sprintf "k%d-%d" c i) "v";
               Coroutine.Co.yield ()
             done)
       done;
@@ -331,10 +418,14 @@ let () =
             test_group_commit_durable_after_ack;
           Alcotest.test_case "one fence per batch" `Quick
             test_group_commit_one_fence_per_batch;
+          Alcotest.test_case "default config serves everything" `Quick
+            test_default_config_serves_everything;
         ] );
       ( "admission",
         [
           Alcotest.test_case "stall and resume" `Quick test_admission_stall_and_resume;
+          Alcotest.test_case "deadline uses the clamped hard limit" `Quick
+            test_deadline_uses_clamped_hard_limit;
         ] );
       ( "schedsan",
         [
