@@ -134,7 +134,7 @@ let trace_io_arg =
 let metrics_arg =
   Arg.(value & opt (some string) None
       & info [ "metrics" ] ~docv:"FILE"
-          ~doc:"Write a JSON metrics snapshot (engine/pmem/ssd/sched \
+          ~doc:"Write a JSON metrics snapshot (engine/pmem/ssd \
                 registries plus sampled time series) to $(docv).")
 
 let sample_interval_arg =
@@ -158,19 +158,9 @@ let open_out_or_die path =
     Fmt.epr "pm_blade_cli: cannot open %s (%s)@." path msg;
     exit 1
 
-(* The engine timeline models coroutine compaction as an overlap rebate
-   rather than a live scheduler, so attach a monitoring flush-coroutine
-   scheduler to the engine's SSD: the sched.* namespace (admission
-   headroom, issued I/O) is exported alongside engine/pmem/ssd. *)
 let make_registry engine =
   let reg = Obs.Registry.create () in
   Core.Engine.register_metrics reg engine;
-  let des = Sim.Des.create (Core.Engine.clock engine) in
-  let sched =
-    Coroutine.Scheduler.create ~cores:1
-      ~policy:(Coroutine.Scheduler.default_flush_coroutine ()) des (Core.Engine.ssd engine)
-  in
-  Coroutine.Scheduler.register_metrics reg sched;
   reg
 
 let default_columns engine =
@@ -495,6 +485,19 @@ let stats_cmd =
 
 (* --- crashtest ------------------------------------------------------------ *)
 
+(* A sweep's fault-plan counters as a metrics snapshot (crashtest, scrub). *)
+let write_fault_metrics metrics stats =
+  match metrics with
+  | Some path ->
+      let reg = Obs.Registry.create () in
+      Fault.Plan.register_metrics reg stats;
+      let oc = open_out_or_die path in
+      output_string oc (Obs.Json.to_string (Obs.Registry.snapshot_json reg));
+      output_char oc '\n';
+      close_out oc;
+      Fmt.pr "fault metrics written to %s@." path
+  | None -> ()
+
 let crashtest_cmd =
   let sites_arg =
     let parse = function
@@ -536,69 +539,31 @@ let crashtest_cmd =
         shard_count = max 1 shards;
       }
     in
+    let cfg =
+      if shards > 1 then Shard.Sweep.config ~seed ~ops engine_config
+      else Fault.Crash_sweep.(config ~seed ~ops (engine engine_config))
+    in
+    let total = Fault.Crash_sweep.count_sites cfg in
+    Fmt.pr "workload reaches %d injection sites%s; sweeping %a crash points...@." total
+      (if shards > 1 then Printf.sprintf " across %d shards" shards else "")
+      (fun ppf -> function
+        | Fault.Crash_sweep.All -> Fmt.string ppf "all"
+        | Fault.Crash_sweep.Sample n -> Fmt.pf ppf "%d sampled" (min n total))
+      sites;
+    let tested = ref 0 in
+    let progress (p : Fault.Crash_sweep.point) =
+      incr tested;
+      if p.Fault.Crash_sweep.violations <> [] then
+        Fmt.pr "  crash at site %d (%s): %d violation(s)@." p.Fault.Crash_sweep.crash_at
+          (Option.value ~default:"end-of-run" p.Fault.Crash_sweep.crash_site)
+          (List.length p.Fault.Crash_sweep.violations)
+      else if !tested mod 100 = 0 then Fmt.pr "  %d points tested...@." !tested
+    in
     let stats = Fault.Plan.make_stats () in
-    let write_metrics () =
-      match metrics with
-      | Some path ->
-          let reg = Obs.Registry.create () in
-          Fault.Plan.register_metrics reg stats;
-          let oc = open_out_or_die path in
-          output_string oc (Obs.Json.to_string (Obs.Registry.snapshot_json reg));
-          output_char oc '\n';
-          close_out oc;
-          Fmt.pr "fault metrics written to %s@." path
-      | None -> ()
-    in
-    let pp_selection total ppf = function
-      | Fault.Crash_sweep.All -> Fmt.string ppf "all"
-      | Fault.Crash_sweep.Sample n -> Fmt.pf ppf "%d sampled" (min n total)
-    in
-    if shards > 1 then begin
-      let cfg = Shard.Sweep.config ~seed ~ops engine_config in
-      let total = Shard.Sweep.count_sites cfg in
-      Fmt.pr
-        "workload reaches %d injection sites across %d shards; sweeping %a \
-         crash points...@."
-        total shards (pp_selection total) sites;
-      let selection =
-        match sites with
-        | Fault.Crash_sweep.All -> Shard.Sweep.All
-        | Fault.Crash_sweep.Sample n -> Shard.Sweep.Sample n
-      in
-      let tested = ref 0 in
-      let progress (p : Shard.Sweep.point) =
-        incr tested;
-        if p.Shard.Sweep.violations <> [] then
-          Fmt.pr "  crash at site %d (%s): %d violation(s)@." p.Shard.Sweep.crash_at
-            (Option.value ~default:"end-of-run" p.Shard.Sweep.crash_site)
-            (List.length p.Shard.Sweep.violations)
-        else if !tested mod 100 = 0 then Fmt.pr "  %d points tested...@." !tested
-      in
-      let report = Shard.Sweep.sweep ~selection ~stats ~progress cfg in
-      Fmt.pr "%a@." Shard.Sweep.pp_report report;
-      write_metrics ();
-      if not (Shard.Sweep.clean report) then exit 1
-    end
-    else begin
-      let cfg = Fault.Crash_sweep.config ~seed ~ops engine_config in
-      let total = Fault.Crash_sweep.count_sites cfg in
-      Fmt.pr "workload reaches %d injection sites; sweeping %a crash points...@."
-        total (pp_selection total) sites;
-      let tested = ref 0 in
-      let progress (p : Fault.Crash_sweep.point) =
-        incr tested;
-        if p.Fault.Crash_sweep.violations <> [] then
-          Fmt.pr "  crash at site %d (%s): %d violation(s)@."
-            p.Fault.Crash_sweep.crash_at
-            (Option.value ~default:"end-of-run" p.Fault.Crash_sweep.crash_site)
-            (List.length p.Fault.Crash_sweep.violations)
-        else if !tested mod 100 = 0 then Fmt.pr "  %d points tested...@." !tested
-      in
-      let report = Fault.Crash_sweep.sweep ~selection:sites ~stats ~progress cfg in
-      Fmt.pr "%a@." Fault.Crash_sweep.pp_report report;
-      write_metrics ();
-      if not (Fault.Crash_sweep.clean report) then exit 1
-    end
+    let report = Fault.Crash_sweep.sweep ~selection:sites ~stats ~progress cfg in
+    Fmt.pr "%a@." Fault.Crash_sweep.pp_report report;
+    write_fault_metrics metrics stats;
+    if not (Fault.Crash_sweep.clean report) then exit 1
   in
   Cmd.v
     (Cmd.info "crashtest"
@@ -669,16 +634,7 @@ let scrub_cmd =
       in
       let report = Fault.Corruption_sweep.sweep ~stats ~progress cfg in
       Fmt.pr "%a@." Fault.Corruption_sweep.pp_report report;
-      (match metrics with
-      | Some path ->
-          let reg = Obs.Registry.create () in
-          Fault.Plan.register_metrics reg stats;
-          let oc = open_out_or_die path in
-          output_string oc (Obs.Json.to_string (Obs.Registry.snapshot_json reg));
-          output_char oc '\n';
-          close_out oc;
-          Fmt.pr "fault metrics written to %s@." path
-      | None -> ());
+      write_fault_metrics metrics stats;
       if not (Fault.Corruption_sweep.clean report) then exit 1
     end
   in
@@ -774,7 +730,7 @@ let sanitize_cmd =
     (* Leg 3: a sanitized crash-sweep sample — every leg's pmsan findings
        count as violations (Fault.Crash_sweep wires them in). *)
     Fmt.pr "@.== sanitized crash sweep (%d sampled sites) ==@." sites;
-    let cfg = Fault.Crash_sweep.config ~seed ~ops engine_config in
+    let cfg = Fault.Crash_sweep.(config ~seed ~ops (engine engine_config)) in
     let report =
       Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample sites) cfg
     in

@@ -1462,17 +1462,19 @@ let fence_candidate mins key =
     !lo
   end
 
-(* Search one partition's structures in recency order; the first version
-   found is the newest. Returns the entry and where it came from. *)
-let find_in_partition t p key =
+let probe_memtable t key =
+  Obs.Attr.with_phase Obs.Attr.Memtable_probe (fun () -> Memtable.find t.memtable key)
+
+(* The PM half of a partition probe: the unsorted level-0 stack, then the
+   sorted run. *)
+let find_in_pm t p f key =
   let is_matrix =
     match t.config.Config.l0_strategy with Config.Matrix _ -> true | _ -> false
   in
-  let f = fences_of t p in
-  let from_unsorted () =
-    (* Mutually-overlapping stack: recency order is the correctness rule,
-       so the walk stays linear (each table's min/max and bloom still
-       screen it before any PM group read). *)
+  (* Mutually-overlapping stack: recency order is the correctness rule, so
+     the walk stays linear (each table's min/max and bloom still screen it
+     before any PM group read). *)
+  let from_unsorted =
     List.find_map
       (fun tbl ->
         (* Under the matrix container, a row's keys below its watermark
@@ -1482,14 +1484,19 @@ let find_in_partition t p key =
         else None)
       p.unsorted
   in
-  let from_sorted () =
-    let i = fence_candidate f.f_sorted_min key in
-    if i < 0 then None
-    else
-      let tbl = f.f_sorted.(i) in
-      if String.compare (Pmtable.Table.max_key tbl) key >= 0 then Pmtable.Table.get tbl key
-      else None
-  in
+  match from_unsorted with
+  | Some _ as hit -> hit
+  | None ->
+      let i = fence_candidate f.f_sorted_min key in
+      if i < 0 then None
+      else
+        let tbl = f.f_sorted.(i) in
+        if String.compare (Pmtable.Table.max_key tbl) key >= 0 then Pmtable.Table.get tbl key
+        else None
+
+(* The SSD half: the overlapping SSD level-0 tables newest first, then one
+   fence-picked candidate per level. *)
+let find_in_ssd f key =
   let from_ssd_l0 () =
     let n = Array.length f.f_l0 in
     let rec loop i =
@@ -1520,15 +1527,17 @@ let find_in_partition t p key =
     in
     loop 0
   in
-  match from_unsorted () with
+  match from_ssd_l0 () with
+  | Some e -> Some (e, Metrics.From_ssd_l0)
+  | None -> from_levels ()
+
+(* Search one partition's structures in recency order; the first version
+   found is the newest. Returns the entry and where it came from. *)
+let find_in_partition t p key =
+  let f = fences_of t p in
+  match find_in_pm t p f key with
   | Some e -> Some (e, Metrics.From_pm_l0)
-  | None -> (
-      match from_sorted () with
-      | Some e -> Some (e, Metrics.From_pm_l0)
-      | None -> (
-          match from_ssd_l0 () with
-          | Some e -> Some (e, Metrics.From_ssd_l0)
-          | None -> from_levels ()))
+  | None -> find_in_ssd f key
 
 (* Point lookup with integrity degradation: a checksum failure quarantines
    the structure and the probe retries against the survivors, so the
@@ -1541,10 +1550,7 @@ let get_checked t key =
   p.reads <- p.reads + 1;
   let found, hit =
     guard_integrity t (fun () ->
-        match
-          Obs.Attr.with_phase Obs.Attr.Memtable_probe (fun () ->
-              Memtable.find t.memtable key)
-        with
+        match probe_memtable t key with
         | Some e -> Some (e, Metrics.From_memtable)
         | None -> with_ssd_retry t (fun () -> find_in_partition t p key))
   in
@@ -1576,38 +1582,11 @@ let get t key =
    [`Miss]: the quarantined structure may have hidden a newer version. *)
 let get_pm_only t key =
   let p = partition_of t key in
-  let is_matrix =
-    match t.config.Config.l0_strategy with Config.Matrix _ -> true | _ -> false
-  in
   let found, hit =
     guard_integrity t (fun () ->
-        match
-          Obs.Attr.with_phase Obs.Attr.Memtable_probe (fun () ->
-              Memtable.find t.memtable key)
-        with
-        | Some e -> Some e
-        | None -> (
-            let f = fences_of t p in
-            let from_unsorted =
-              List.find_map
-                (fun tbl ->
-                  if is_matrix && String.compare key (matrix_wm_of p tbl) < 0 then
-                    None
-                  else if Pmtable.Table.overlaps tbl ~min:key ~max:key then
-                    Pmtable.Table.get tbl key
-                  else None)
-                p.unsorted
-            in
-            match from_unsorted with
-            | Some e -> Some e
-            | None ->
-                let i = fence_candidate f.f_sorted_min key in
-                if i < 0 then None
-                else
-                  let tbl = f.f_sorted.(i) in
-                  if String.compare (Pmtable.Table.max_key tbl) key >= 0 then
-                    Pmtable.Table.get tbl key
-                  else None))
+        match probe_memtable t key with
+        | Some _ as hit -> hit
+        | None -> find_in_pm t p (fences_of t p) key)
   in
   match (found, hit) with
   | Some e, [] -> `Hit (visible (Some e))
@@ -1986,6 +1965,57 @@ let scrub ?(salvage = true) ?rate_limit_mb_s t =
    the WAL replays the writes the memtable lost. Requires a configuration
    built with [durable = true] and the compressed PM table. *)
 
+(* Orphan GC: a crash resurrects PM regions and SSD files that were
+   freed/deleted after the durable manifest was written (the medium still
+   held their bytes), and may leave behind half-built tables from an
+   interrupted flush or compaction. Nothing the manifests do not name is
+   reachable, so reclaim it. Every superblock slot — unnamed and named —
+   stays referenced (each previous manifest is its namespace's dual-slot
+   fallback), and quarantined structures are preserved for
+   salvage/forensics rather than reclaimed. *)
+let gc_orphans ~pm ~ssd ~states ~rings =
+  let region_referenced = Hashtbl.create 64 and file_referenced = Hashtbl.create 64 in
+  let keep_region id = Hashtbl.replace region_referenced id () in
+  let keep_file id = Hashtbl.replace file_referenced id () in
+  List.iter
+    (fun (state : Manifest.state) ->
+      List.iter
+        (fun (ps : Manifest.partition_state) ->
+          List.iter (fun (r : Manifest.row) -> keep_region r.region_id) ps.unsorted;
+          List.iter keep_region ps.sorted_run;
+          List.iter keep_file ps.ssd_l0;
+          List.iter (List.iter keep_file) ps.levels)
+        state.Manifest.partitions;
+      Option.iter keep_region state.Manifest.wal_region_id;
+      List.iter
+        (fun (q : Manifest.quarantine) ->
+          match q.Manifest.source with
+          | Manifest.Q_region id -> keep_region id
+          | Manifest.Q_file id -> keep_file id)
+        state.Manifest.quarantined)
+    states;
+  List.iter (fun w -> keep_region (Wal.region_id w)) rings;
+  let keep_slots (cur, prev) = List.iter (Option.iter keep_file) [ cur; prev ] in
+  keep_slots (Ssd.root_slots ssd);
+  List.iter (fun name -> keep_slots (Ssd.root_slots ~name ssd)) (Ssd.root_names ssd);
+  let orphan_regions =
+    List.filter (fun r -> not (Hashtbl.mem region_referenced (Pmem.region_id r)))
+      (Pmem.live_regions pm)
+  in
+  let orphan_files =
+    List.filter (fun id -> not (Hashtbl.mem file_referenced id)) (Ssd.live_file_ids ssd)
+  in
+  List.iter (Pmem.free pm) orphan_regions;
+  List.iter
+    (fun id -> match Ssd.find_file ssd id with Some f -> Ssd.delete_file ssd f | None -> ())
+    orphan_files;
+  if Obs.Trace.is_enabled () && (orphan_regions <> [] || orphan_files <> []) then
+    Obs.Trace.instant "recover.orphan_gc" ~attrs:(fun () ->
+        [
+          ("pm_regions", Obs.Trace.Int (List.length orphan_regions));
+          ("ssd_files", Obs.Trace.Int (List.length orphan_files));
+        ])
+
 let recover ?(orphan_gc = true) ?cache config ~pm ~ssd =
   if not config.Config.sanitize then Pmem.set_sanitizer pm None;
   let clock = Pmem.clock pm in
@@ -2139,62 +2169,14 @@ let recover ?(orphan_gc = true) ?cache config ~pm ~ssd =
                 [ ("region_id", Obs.Trace.Int region_id) ]);
           t.wal <- Some (fresh_ring ()))
   | None -> if config.Config.durable then t.wal <- Some (fresh_ring ()));
-  (* Orphan GC: a crash resurrects PM regions and SSD files that were
-     freed/deleted after the durable manifest was written (the medium still
-     held their bytes), and may leave behind half-built tables from an
-     interrupted flush or compaction. Nothing the manifest does not name is
-     reachable, so reclaim it. *)
-  let region_referenced = Hashtbl.create 64 and file_referenced = Hashtbl.create 64 in
-  List.iter
-    (fun (ps : Manifest.partition_state) ->
-      List.iter (fun (r : Manifest.row) -> Hashtbl.replace region_referenced r.region_id ())
-        ps.unsorted;
-      List.iter (fun id -> Hashtbl.replace region_referenced id ()) ps.sorted_run;
-      List.iter (fun id -> Hashtbl.replace file_referenced id ()) ps.ssd_l0;
-      List.iter (List.iter (fun id -> Hashtbl.replace file_referenced id ())) ps.levels)
-    state.Manifest.partitions;
-  (match state.Manifest.wal_region_id with
-  | Some id -> Hashtbl.replace region_referenced id ()
-  | None -> ());
-  (match t.wal with Some w -> Hashtbl.replace region_referenced (Wal.region_id w) () | None -> ());
-  (* Every superblock slot — unnamed and named — stays referenced (each
-     previous manifest is its namespace's dual-slot fallback), and
-     quarantined structures are preserved for salvage/forensics rather
-     than reclaimed. On a shared multi-shard device a single engine's view
-     is still too narrow to reclaim safely, so shards recover with
-     [~orphan_gc:false] and the router GCs the union. *)
-  (let keep_slots (cur, prev) =
-     List.iter
-       (function Some id -> Hashtbl.replace file_referenced id () | None -> ())
-       [ cur; prev ]
-   in
-   keep_slots (Ssd.root_slots ssd);
-   List.iter (fun name -> keep_slots (Ssd.root_slots ~name ssd)) (Ssd.root_names ssd));
-  List.iter
-    (fun (q : Manifest.quarantine) ->
-      match q.Manifest.source with
-      | Manifest.Q_region id -> Hashtbl.replace region_referenced id ()
-      | Manifest.Q_file id -> Hashtbl.replace file_referenced id ())
-    t.quarantined;
-  if orphan_gc then begin
-    let orphan_regions =
-      List.filter (fun r -> not (Hashtbl.mem region_referenced (Pmem.region_id r)))
-        (Pmem.live_regions pm)
-    in
-    let orphan_files =
-      List.filter (fun id -> not (Hashtbl.mem file_referenced id)) (Ssd.live_file_ids ssd)
-    in
-    List.iter (Pmem.free pm) orphan_regions;
-    List.iter
-      (fun id -> match Ssd.find_file ssd id with Some f -> Ssd.delete_file ssd f | None -> ())
-      orphan_files;
-    if Obs.Trace.is_enabled () && (orphan_regions <> [] || orphan_files <> []) then
-      Obs.Trace.instant "recover.orphan_gc" ~attrs:(fun () ->
-          [
-            ("pm_regions", Obs.Trace.Int (List.length orphan_regions));
-            ("ssd_files", Obs.Trace.Int (List.length orphan_files));
-          ])
-  end;
+  (* The manifest as loaded names the superseded ring too, so it survives
+     until it is freed below. On a shared multi-shard device one engine's
+     view is too narrow to reclaim safely: shards recover with
+     [~orphan_gc:false] and the router collects the union. *)
+  if orphan_gc then
+    gc_orphans ~pm ~ssd
+      ~states:[ { state with Manifest.quarantined = t.quarantined } ]
+      ~rings:(Option.to_list t.wal);
   (* Make any newly-discovered damage durable (the corrupt structures are
      out of the manifest's partition lists, their damage records in), and
      name a ring the manifest does not know yet before anything is logged

@@ -66,11 +66,19 @@ val recover :
     compaction — are garbage-collected (every superblock slot, named and
     unnamed, and quarantined structures stay referenced). On a shared
     multi-shard device one engine's view is too narrow to reclaim safely:
-    pass [~orphan_gc:false] (the router GCs the union instead). A named
+    pass [~orphan_gc:false] (the router runs {!gc_orphans} over the union
+    instead). A named
     table that is present but fails its checksums is quarantined with the
     partition's key range as the lost bound; WAL records that fail their
     CRC are skipped and counted, never applied. Raises [Failure] when the
     device holds no manifest or a named region/file is missing. *)
+
+val gc_orphans :
+  pm:Pmem.t -> ssd:Ssd.t -> states:Manifest.state list -> rings:Wal.t list -> unit
+(** The orphan GC behind every recovery: free each PM region and SSD file
+    that no manifest in [states] names (as a table, a WAL ring or a
+    quarantined structure), that is none of the live [rings], and that is
+    no superblock slot, named or unnamed. *)
 
 val config : t -> Config.t
 val clock : t -> Sim.Clock.t

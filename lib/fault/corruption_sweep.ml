@@ -67,32 +67,6 @@ let mode_name = function
   | Plan.Bit_flip -> "bit-flip"
   | Plan.Zero_range n -> Printf.sprintf "zero-%dB" n
 
-(* The same seeded workload as the crash sweep, mirrored into the golden
-   model; no tail flush here — each point stages the store for its own
-   target afterwards. *)
-let run_workload cfg golden engine =
-  let rng = Util.Xoshiro.create (cfg.seed lxor 0x9E3779B9) in
-  for i = 0 to cfg.ops - 1 do
-    let key = Printf.sprintf "user%06d" (Util.Xoshiro.int rng cfg.keyspace) in
-    if Util.Xoshiro.int rng 10 < 8 then begin
-      let value = Printf.sprintf "%d:%s" i (Util.Xoshiro.string rng cfg.value_len) in
-      Golden.begin_put golden ~key value;
-      Core.Engine.put ~update:true engine ~key value;
-      Golden.ack golden
-    end
-    else begin
-      Golden.begin_delete golden key;
-      Core.Engine.delete engine key;
-      Golden.ack golden
-    end
-  done
-
-let fresh_engine cfg =
-  let engine = Core.Engine.create cfg.engine_config in
-  Pmem.enable_crash_mode (Core.Engine.pm engine);
-  Ssd.enable_crash_mode (Core.Engine.ssd engine);
-  engine
-
 (* Stage the store so the target structure holds the workload's data. *)
 let stage engine = function
   | Plan.Pm_table_bytes ->
@@ -120,10 +94,13 @@ let run_point ?stats (cfg : config) index =
     [| Plan.Pm_table_bytes; Sstable_bytes; Wal_bytes; Manifest_bytes |].(index mod 4)
   in
   let mode = if index / 4 mod 2 = 0 then Plan.Bit_flip else Plan.Zero_range 16 in
-  let engine = fresh_engine cfg in
+  let engine = Crash_sweep.fresh_engine cfg.engine_config in
   let pm = Core.Engine.pm engine and ssd = Core.Engine.ssd engine in
   let golden = Golden.create () in
-  run_workload cfg golden engine;
+  (* the crash sweep's workload, without its tail flush: each point stages
+     the store for its own target instead *)
+  Crash_sweep.run_ops ~seed:cfg.seed ~ops:cfg.ops ~keyspace:cfg.keyspace
+    ~value_len:cfg.value_len golden (Crash_sweep.of_engine engine);
   stage engine target;
   let plan = Plan.create ?stats (cfg.seed + (7919 * index)) in
   match
@@ -162,8 +139,7 @@ let run_point ?stats (cfg : config) index =
                only exact, degraded, or recorded-lost answers *)
             (true, Checker.check_corruption golden engine)
         | Plan.Wal_bytes | Plan.Manifest_bytes -> (
-            Pmem.crash pm;
-            Ssd.crash ~keep:(fun ~file_id:_ ~durable:_ ~size:_ -> 0) ssd;
+            Crash_sweep.crash ~pm ~ssd ();
             match Core.Engine.recover cfg.engine_config ~pm ~ssd with
             | fresh ->
                 (match stats with

@@ -184,9 +184,9 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) cfg =
 
 (* Rebuild every shard from the shared devices. Each shard recovers its
    own manifest chain with [~orphan_gc:false] — one shard's view is too
-   narrow to reclaim on a shared device — and the router then GCs the
-   union: anything no shard's manifest, WAL ring, quarantine list, or
-   superblock slot references. *)
+   narrow to reclaim on a shared device — and the router then runs the
+   orphan GC once over the union: every shard's manifest, read back from
+   the device as recovery left it, and every shard's live ring. *)
 let recover ?(boundaries = []) cfg ~pm ~ssd =
   let rs = ranges cfg boundaries in
   let clock = Pmem.clock pm in
@@ -194,55 +194,14 @@ let recover ?(boundaries = []) cfg ~pm ~ssd =
   let shards =
     make_shards cfg (fun scfg -> Core.Engine.recover ~orphan_gc:false ?cache scfg ~pm ~ssd) rs
   in
-  let region_referenced = Hashtbl.create 64 and file_referenced = Hashtbl.create 64 in
-  let keep_region id = Hashtbl.replace region_referenced id () in
-  let keep_file id = Hashtbl.replace file_referenced id () in
-  let keep_state (state : Core.Manifest.state) =
-    List.iter
-      (fun (ps : Core.Manifest.partition_state) ->
-        List.iter (fun (r : Core.Manifest.row) -> keep_region r.region_id) ps.unsorted;
-        List.iter keep_region ps.sorted_run;
-        List.iter keep_file ps.ssd_l0;
-        List.iter (List.iter keep_file) ps.levels)
-      state.Core.Manifest.partitions;
-    (match state.Core.Manifest.wal_region_id with Some id -> keep_region id | None -> ());
-    List.iter
-      (fun (q : Core.Manifest.quarantine) ->
-        match q.Core.Manifest.source with
-        | Core.Manifest.Q_region id -> keep_region id
-        | Core.Manifest.Q_file id -> keep_file id)
-      state.Core.Manifest.quarantined
-  in
-  Array.iter
-    (fun s ->
-      (match
-         Core.Manifest.load
-           ~root:(Core.Engine.config s.engine).Core.Config.manifest_root ssd
-       with
-      | Some state -> keep_state state
-      | None -> ());
-      match Core.Engine.wal s.engine with
-      | Some w -> keep_region (Core.Wal.region_id w)
-      | None -> ())
-    shards;
-  let keep_slots (cur, prev) =
-    List.iter (function Some id -> keep_file id | None -> ()) [ cur; prev ]
-  in
-  keep_slots (Ssd.root_slots ssd);
-  List.iter (fun name -> keep_slots (Ssd.root_slots ~name ssd)) (Ssd.root_names ssd);
-  let orphan_regions =
-    List.filter
-      (fun r -> not (Hashtbl.mem region_referenced (Pmem.region_id r)))
-      (Pmem.live_regions pm)
-  in
-  let orphan_files =
-    List.filter (fun id -> not (Hashtbl.mem file_referenced id)) (Ssd.live_file_ids ssd)
-  in
-  List.iter (Pmem.free pm) orphan_regions;
-  List.iter
-    (fun id ->
-      match Ssd.find_file ssd id with Some f -> Ssd.delete_file ssd f | None -> ())
-    orphan_files;
+  let engines = Array.to_list (Array.map (fun s -> s.engine) shards) in
+  Core.Engine.gc_orphans ~pm ~ssd
+    ~states:
+      (List.filter_map
+         (fun e ->
+           Core.Manifest.load ~root:(Core.Engine.config e).Core.Config.manifest_root ssd)
+         engines)
+    ~rings:(List.filter_map Core.Engine.wal engines);
   make cfg clock pm ssd cache shards
 
 let config t = t.config

@@ -56,12 +56,11 @@ let config ?(seed = 42) ?(rounds = 16) ?(ops_per_round = 600) ?(keyspace = 400)
     ?(value_len = 48) ?(slow_factor = 25.0) ?boundaries router_config =
   if not router_config.Core.Config.durable then
     invalid_arg "Shard.Soak.config: router config must be durable";
-  let shards = max 1 router_config.Core.Config.shard_count in
   let boundaries =
-    match boundaries with
-    | Some b -> b
-    | None ->
-        if shards > 1 then Sweep.workload_boundaries ~keyspace ~shards else []
+    Option.value boundaries
+      ~default:
+        (Sweep.workload_boundaries ~keyspace
+           ~shards:(max 1 router_config.Core.Config.shard_count))
   in
   {
     seed;
@@ -454,53 +453,24 @@ let arm_gray st ~round ~sick kind =
 let disarm st =
   Fault.Plan.disarm ~pm:(Router.pm st.router) ~ssd:(Router.ssd st.router) ()
 
-let torn_keep rng ~file_id:_ ~durable:_ ~size:_ = Util.Xoshiro.int rng 4096
-
 let crash_and_recover st ~double ~round =
   (* the dying router's breaker counters fold into the soak totals *)
   st.trips <- st.trips + Router.breaker_trips st.router;
   st.rejections <- st.rejections + Router.breaker_rejections st.router;
   st.crashes <- st.crashes + 1;
   st.stats.Fault.Plan.crashes <- st.stats.Fault.Plan.crashes + 1;
+  if double then st.double_crashes <- st.double_crashes + 1;
   let pm = Router.pm st.router and ssd = Router.ssd st.router in
   let clock = Router.clock st.router in
-  Pmem.crash pm;
-  Ssd.crash
-    ~keep:(torn_keep (Util.Xoshiro.create (st.cfg.seed + (7919 * round))))
-    ssd;
+  Fault.Crash_sweep.crash ~torn_seed:(st.cfg.seed + (7919 * round)) ~pm ~ssd ();
   let t0 = Sim.Clock.now clock in
-  let recover () =
-    Router.recover ~boundaries:st.cfg.boundaries st.cfg.router_config ~pm ~ssd
-  in
+  (* with [double], the recovery itself is cut at a seeded early site, the
+     half-recovered image crashes again, and a clean second recovery is
+     demanded *)
   let recovered =
-    if not double then recover ()
-    else begin
-      (* cut the recovery itself at a seeded early site, crash the
-         half-recovered image again, and demand a clean second recovery *)
-      st.double_crashes <- st.double_crashes + 1;
-      let rng = Util.Xoshiro.create (st.cfg.seed lxor (0x50AC + (31 * round))) in
-      let plan2 =
-        Fault.Plan.create ~stats:st.stats
-          ~crash_at:(1 + Util.Xoshiro.int rng 12)
-          (st.cfg.seed + round)
-      in
-      Fault.Plan.arm plan2 ~pm ~ssd ();
-      match recover () with
-      | t ->
-          Fault.Plan.disarm ~pm ~ssd ();
-          t
-      | exception Fault.Plan.Crashed _ ->
-          Fault.Plan.disarm ~pm ~ssd ();
-          Pmem.crash pm;
-          Ssd.crash
-            ~keep:
-              (torn_keep (Util.Xoshiro.create (st.cfg.seed + (104729 * round))))
-            ssd;
-          recover ()
-      | exception e ->
-          Fault.Plan.disarm ~pm ~ssd ();
-          raise e
-    end
+    Fault.Crash_sweep.recover ~stats:st.stats ~double ~salt:0x50AC ~seed:st.cfg.seed
+      round ~pm ~ssd (fun () ->
+        Router.recover ~boundaries:st.cfg.boundaries st.cfg.router_config ~pm ~ssd)
   in
   st.stats.Fault.Plan.recoveries <- st.stats.Fault.Plan.recoveries + 1;
   st.recovery_ns <- (Sim.Clock.now clock -. t0) :: st.recovery_ns;

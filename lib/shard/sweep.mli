@@ -1,26 +1,14 @@
-(** Sharded crash sweep: [Fault.Crash_sweep]'s systematic
-    crash-consistency exploration, run through the {!Router}.
+(** The router target of {!Fault.Crash_sweep}: the same sweep, run
+    through the {!Router}.
 
-    One counting run measures the seeded workload's injection sites
-    across all shards (the devices — hence the fault plan — are shared),
-    then one run per chosen site crashes both devices, recovers the full
-    router (per-shard named manifest roots plus the union orphan GC), and
-    checks the router's merged read paths against the golden model. The
-    committers run in [Sync] mode, so an acked put is durable and the
-    golden mirror's single-pending-op story holds unchanged. *)
-
-type config = {
-  seed : int;
-  ops : int;
-  keyspace : int;
-  value_len : int;
-  rules : (string * Fault.Plan.trigger * Fault.Plan.action) list;
-      (** injected on every sweep leg (not the counting run) *)
-  double_crash : bool;
-      (** crash again during recovery when a second seeded schedule trips *)
-  router_config : Core.Config.t;
-  boundaries : string list;
-}
+    The devices — hence the fault plan — are shared, and every shard's WAL
+    arms the [wal.sync] site, so one counting run measures the seeded
+    workload's sites across all shards. Each leg crashes both devices,
+    recovers the full router (per-shard named manifest roots plus the
+    union orphan GC), and checks the router's merged read paths and every
+    shard's manifest against the golden model. The committers run in
+    [Sync] mode, so an acked put is durable and the golden mirror's
+    single-pending-op story holds unchanged. *)
 
 val config :
   ?seed:int ->
@@ -31,43 +19,11 @@ val config :
   ?double_crash:bool ->
   ?boundaries:string list ->
   Core.Config.t ->
-  config
-(** Raises [Invalid_argument] unless the config is durable. When
-    [boundaries] is omitted a multi-shard config gets an even split of
-    the workload's [user%06d] key population. [double_crash] (default on)
-    arms a second seeded crash schedule over each leg's recovery — shards'
-    manifest loads, WAL replays, and the union orphan GC — and recovers
-    again from the doubly-crashed image (recovery idempotence). *)
+  Fault.Crash_sweep.config
+(** A sweep config over routers built from the given config, with
+    {!Fault.Crash_sweep.config}'s defaults. Raises [Invalid_argument]
+    unless the config is durable. When [boundaries] is omitted a
+    multi-shard config gets an even split of the workload's [user%06d]
+    key population. *)
 
 val workload_boundaries : keyspace:int -> shards:int -> string list
-
-type point = {
-  crash_at : int;
-  crash_site : string option;
-      (** [None]: the workload completed before reaching the point *)
-  recovered : bool;
-  violations : Fault.Checker.violation list;
-}
-
-type report = {
-  total_sites : int;
-  points : point list;
-  stats : Fault.Plan.stats;
-}
-
-val violation_count : report -> int
-val clean : report -> bool
-
-val count_sites : config -> int
-val run_crash_at : ?stats:Fault.Plan.stats -> config -> int -> point
-
-type selection = All | Sample of int
-
-val sweep :
-  ?selection:selection ->
-  ?stats:Fault.Plan.stats ->
-  ?progress:(point -> unit) ->
-  config ->
-  report
-
-val pp_report : report Fmt.t

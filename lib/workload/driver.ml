@@ -20,7 +20,6 @@ let measure ?sampler engine ~ops step =
   let clock = Core.Engine.clock engine in
   let metrics = Core.Engine.metrics engine in
   let t0 = Sim.Clock.now clock in
-  let r0 = Util.Histogram.count metrics.Core.Metrics.read_latency in
   (match sampler with
   | None ->
       for i = 0 to ops - 1 do
@@ -33,7 +32,6 @@ let measure ?sampler engine ~ops step =
       done;
       Obs.Sampler.force sampler);
   let elapsed = Sim.Clock.now clock -. t0 in
-  ignore r0;
   {
     ops;
     sim_seconds = Sim.Clock.to_s elapsed;

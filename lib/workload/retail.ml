@@ -159,10 +159,7 @@ let load_sink t sink ~orders =
 
 (* Engine entry points: the classic single-engine API, as sink wrappers. *)
 let new_order t engine = new_order_sink t (Sink.of_engine engine)
-let update_order t engine = update_order_sink t (Sink.of_engine engine)
 let index_query t engine = index_query_sink t (Sink.of_engine engine)
-let point_read t engine = point_read_sink t (Sink.of_engine engine)
-let history_scan t engine = history_scan_sink t (Sink.of_engine engine)
 let step t engine = step_sink t (Sink.of_engine engine)
 let run t engine ~transactions = run_sink t (Sink.of_engine engine) ~transactions
 let load t engine ~orders = load_sink t (Sink.of_engine engine) ~orders

@@ -19,10 +19,7 @@ val create :
 val order_count : t -> int
 
 val new_order : t -> Core.Engine.t -> unit
-val update_order : t -> Core.Engine.t -> unit
 val index_query : t -> Core.Engine.t -> unit
-val point_read : t -> Core.Engine.t -> unit
-val history_scan : t -> Core.Engine.t -> unit
 
 val step : t -> Core.Engine.t -> unit
 (** One transaction of the §VI-D mix. *)

@@ -19,7 +19,7 @@ let durable_config () =
    table builds (pm.flush/pm.drain sites) land inside the sweep range, not
    only at the explicit tail flush. *)
 let small_sweep_config ?rules () =
-  Fault.Crash_sweep.config ?rules ~seed:7 (durable_config ())
+  Fault.Crash_sweep.(config ?rules ~seed:7 (engine (durable_config ())))
 
 (* --- plan mechanics --- *)
 
@@ -33,7 +33,7 @@ let test_site_counting_deterministic () =
 let test_nondurable_config_rejected () =
   check Alcotest.bool "raises" true
     (try
-       ignore (Fault.Crash_sweep.config Core.Config.pmblade);
+       ignore (Fault.Crash_sweep.engine Core.Config.pmblade);
        false
      with Invalid_argument _ -> true)
 

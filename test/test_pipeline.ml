@@ -301,8 +301,8 @@ let test_sweep_sites_invariant_under_pipeline () =
       pipeline_compaction = on;
     }
   in
-  let cfg_on = Fault.Crash_sweep.config ~seed:7 ~ops:120 (durable true) in
-  let cfg_off = Fault.Crash_sweep.config ~seed:7 ~ops:120 (durable false) in
+  let sweep_config on = Fault.Crash_sweep.(config ~seed:7 ~ops:120 (engine (durable on))) in
+  let cfg_on = sweep_config true and cfg_off = sweep_config false in
   let sites_on = Fault.Crash_sweep.count_sites cfg_on in
   let sites_off = Fault.Crash_sweep.count_sites cfg_off in
   check Alcotest.int "same crash sites either way" sites_off sites_on;

@@ -416,10 +416,8 @@ let prop_recover_model =
    recovered engine must keep serving reads and writes. *)
 let test_recover_manifest_fallback () =
   let cfg = durable_config () in
-  let eng = Core.Engine.create cfg in
+  let eng = Fault.Crash_sweep.fresh_engine cfg in
   let pm = Core.Engine.pm eng and ssd = Core.Engine.ssd eng in
-  Pmem.enable_crash_mode pm;
-  Ssd.enable_crash_mode ssd;
   let rng = Util.Xoshiro.create 31 in
   for i = 0 to 199 do
     let key = Util.Keys.record_key ~table_id:(i mod 3) ~row_id:(Util.Xoshiro.int rng 300) in
@@ -431,8 +429,7 @@ let test_recover_manifest_fallback () =
   let newest = Option.get (Ssd.find_file ssd (Option.get cur)) in
   Ssd.corrupt_file ssd newest ~off:(Ssd.file_size newest / 2);
   let fb = Core.Manifest.fallback_count () in
-  Pmem.crash pm;
-  Ssd.crash ~keep:(fun ~file_id:_ ~durable:_ ~size:_ -> 0) ssd;
+  Fault.Crash_sweep.crash ~pm ~ssd ();
   let recovered = Core.Engine.recover cfg ~pm ~ssd in
   check Alcotest.bool "fallback taken" true (Core.Manifest.fallback_count () > fb);
   (* no panic on the read paths, and the engine still accepts writes *)
@@ -448,10 +445,8 @@ let test_recover_manifest_fallback () =
    it in the metrics, and every other acked write survives. *)
 let test_recover_skips_corrupt_wal_record () =
   let cfg = durable_config () in
-  let eng = Core.Engine.create cfg in
+  let eng = Fault.Crash_sweep.fresh_engine cfg in
   let pm = Core.Engine.pm eng and ssd = Core.Engine.ssd eng in
-  Pmem.enable_crash_mode pm;
-  Ssd.enable_crash_mode ssd;
   (* few ops: everything lives in memtable + WAL at crash time *)
   for i = 0 to 19 do
     Core.Engine.put ~update:true eng ~key:(Printf.sprintf "key%02d" i)
@@ -460,8 +455,7 @@ let test_recover_skips_corrupt_wal_record () =
   let wal = Option.get (Core.Engine.wal eng) in
   let ring = Option.get (Pmem.find_region pm (Core.Wal.region_id wal)) in
   Pmem.corrupt_region pm ring ~off:(Core.Wal.tail wal / 2);
-  Pmem.crash pm;
-  Ssd.crash ~keep:(fun ~file_id:_ ~durable:_ ~size:_ -> 0) ssd;
+  Fault.Crash_sweep.crash ~pm ~ssd ();
   let recovered = Core.Engine.recover cfg ~pm ~ssd in
   check Alcotest.bool "corrupt record counted" true
     ((Core.Engine.metrics recovered).Core.Metrics.wal_corrupt_records > 0);
@@ -479,8 +473,7 @@ let test_recover_skips_corrupt_wal_record () =
   check Alcotest.bool "fresh ring" true
     (Core.Wal.region_id (Option.get (Core.Engine.wal recovered)) <> Core.Wal.region_id wal);
   Core.Engine.put recovered ~key:"after" "recovery";
-  Pmem.crash pm;
-  Ssd.crash ssd;
+  Fault.Crash_sweep.crash ~pm ~ssd ();
   let again = Core.Engine.recover cfg ~pm ~ssd in
   check (Alcotest.option Alcotest.string) "post-recovery write survives" (Some "recovery")
     (Core.Engine.get again "after");
@@ -493,10 +486,8 @@ let test_recover_skips_corrupt_wal_record () =
    ring's headroom before the memtable fills. *)
 let test_ring_full_flushes_and_rotates () =
   let cfg = durable_config () in
-  let eng = Core.Engine.create cfg in
+  let eng = Fault.Crash_sweep.fresh_engine cfg in
   let pm = Core.Engine.pm eng and ssd = Core.Engine.ssd eng in
-  Pmem.enable_crash_mode pm;
-  Ssd.enable_crash_mode ssd;
   let first_ring = Core.Wal.region_id (Option.get (Core.Engine.wal eng)) in
   for i = 0 to 999 do
     Core.Engine.put eng ~key:(Printf.sprintf "%03d" i) "v"
@@ -509,8 +500,7 @@ let test_ring_full_flushes_and_rotates () =
   check Alcotest.bool "and rotated the ring" true (Core.Wal.region_id wal <> first_ring);
   check Alcotest.bool "the ring never overflowed" true
     ((Core.Wal.stats wal).Core.Wal.high_water <= Core.Wal.capacity wal);
-  Pmem.crash pm;
-  Ssd.crash ssd;
+  Fault.Crash_sweep.crash ~pm ~ssd ();
   let recovered = Core.Engine.recover cfg ~pm ~ssd in
   for i = 0 to 999 do
     check (Alcotest.option Alcotest.string) "acked write survives" (Some "v")

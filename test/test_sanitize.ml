@@ -232,14 +232,15 @@ let test_sweep_reports_sanitizer_violations () =
      PM table before the crash *)
   let cfg =
     Fault.Crash_sweep.config ~ops:120
-      {
-        Core.Config.pmblade with
-        Core.Config.memtable_bytes = 2 * 1024;
-        l0_run_table_bytes = 4 * 1024;
-        level_base_bytes = 32 * 1024;
-        sstable_target_bytes = 8 * 1024;
-        durable = true;
-      }
+      (Fault.Crash_sweep.engine
+         {
+           Core.Config.pmblade with
+           Core.Config.memtable_bytes = 2 * 1024;
+           l0_run_table_bytes = 4 * 1024;
+           level_base_bytes = 32 * 1024;
+           sstable_target_bytes = 8 * 1024;
+           durable = true;
+         })
   in
   let total = Fault.Crash_sweep.count_sites cfg in
   (* crash beyond the last site: the full workload (including the tail

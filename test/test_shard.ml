@@ -111,8 +111,7 @@ let test_recover_all_shards () =
   let keys = List.init 40 (fun i -> Printf.sprintf "%c%02d" (Char.chr (Char.code 'a' + (i mod 26))) i) in
   List.iter (fun key -> put r ~key ("v:" ^ key)) keys;
   let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
-  Pmem.crash pm;
-  Ssd.crash ssd;
+  Fault.Crash_sweep.crash ~pm ~ssd ();
   let r2 = Shard.Router.recover ~boundaries cfg ~pm ~ssd in
   List.iter
     (fun key ->
@@ -149,8 +148,7 @@ let test_batch_crash_atomicity () =
     Core.Engine.put engines.(1) ~key:(Printf.sprintf "z%02d" i) "staged"
   done;
   let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
-  Pmem.crash pm;
-  Ssd.crash ssd;
+  Fault.Crash_sweep.crash ~pm ~ssd ();
   let r2 = Shard.Router.recover ~boundaries cfg ~pm ~ssd in
   for i = 0 to 9 do
     check Alcotest.(option string) "synced write survives" (Some "synced")
@@ -212,8 +210,7 @@ let test_group_commit_durable_after_ack () =
   let r = crashable_router cfg ~boundaries in
   ignore (run_batched_clients r ~clients:6 ~per_client:4);
   let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
-  Pmem.crash pm;
-  Ssd.crash ssd;
+  Fault.Crash_sweep.crash ~pm ~ssd ();
   let r2 = Shard.Router.recover ~boundaries cfg ~pm ~ssd in
   check Alcotest.int "every acked write recovered" 24
     (List.length (Shard.Router.scan_range r2 ~start:"" ~stop:"\xff"))
@@ -369,6 +366,87 @@ let test_schedsan_catches_planted_race () =
 let test_schedsan_clean_when_locked () =
   check Alcotest.int "locked committer is race-free" 0 (races_with ~plant:false)
 
+(* --- orphan GC --------------------------------------------------------- *)
+
+(* One collector serves both recoveries. Plant a PM region and an SSD file
+   nothing references, crash, recover: both plants are freed, while every
+   table region and file, WAL ring, quarantined structure and superblock
+   slot the store held before the crash survives. *)
+let check_orphan_gc ~pm ~ssd ~engines ~put ~flush ~recover =
+  let fill lo hi =
+    for i = lo to hi - 1 do
+      put ~key:(Printf.sprintf "%c%04d" (Char.chr (Char.code 'a' + (i mod 26))) i)
+        (String.make 48 'v')
+    done
+  in
+  (* SSD levels below, PM level-0 tables on top *)
+  fill 0 400;
+  flush ();
+  List.iter Core.Engine.force_major_compaction (engines ());
+  fill 400 600;
+  flush ();
+  (* rot one PM table; a scrub without salvage quarantines it in place *)
+  (match
+     Fault.Plan.inject_corruption (Fault.Plan.create 9) ~pm ~ssd
+       ~wals:(List.filter_map Core.Engine.wal (engines ()))
+       ~target:Fault.Plan.Pm_table_bytes ~mode:Fault.Plan.Bit_flip ()
+   with
+  | Some _ -> ()
+  | None -> Alcotest.fail "no PM table to rot");
+  List.iter (fun e -> ignore (Core.Engine.scrub ~salvage:false e)) (engines ());
+  let q_regions, q_files =
+    List.concat_map Core.Engine.quarantined (engines ())
+    |> List.partition_map (fun (q : Core.Manifest.quarantine) ->
+           match q.Core.Manifest.source with
+           | Core.Manifest.Q_region id -> Either.Left id
+           | Core.Manifest.Q_file id -> Either.Right id)
+  in
+  check Alcotest.bool "a PM table is quarantined" true (q_regions <> []);
+  let tables = List.concat_map Core.Engine.owned_file_ids (engines ()) in
+  check Alcotest.bool "SSD tables exist" true (tables <> []);
+  let slots (cur, prev) = List.filter_map Fun.id [ cur; prev ] in
+  let regions = List.concat_map Core.Engine.owned_region_ids (engines ()) @ q_regions in
+  let files =
+    tables @ q_files @ slots (Ssd.root_slots ssd)
+    @ List.concat_map (fun name -> slots (Ssd.root_slots ~name ssd)) (Ssd.root_names ssd)
+  in
+  let planted_region = Pmem.region_id (Pmem.alloc pm 4096) in
+  let planted_file =
+    let f = Ssd.create_file ssd in
+    Ssd.append ssd f "unreferenced";
+    Ssd.seal ssd f;
+    Ssd.file_id f
+  in
+  Fault.Crash_sweep.crash ~pm ~ssd ();
+  recover ();
+  check Alcotest.bool "planted region freed" true (Pmem.find_region pm planted_region = None);
+  check Alcotest.bool "planted file deleted" true (Ssd.find_file ssd planted_file = None);
+  check Alcotest.(list int) "no referenced region freed" []
+    (List.filter (fun id -> Pmem.find_region pm id = None) regions);
+  check Alcotest.(list int) "no referenced file deleted" []
+    (List.filter (fun id -> Ssd.find_file ssd id = None) files)
+
+let test_orphan_gc_engine () =
+  let cfg = base_config ~shards:1 ~durable:true () in
+  let e = Fault.Crash_sweep.fresh_engine cfg in
+  let pm = Core.Engine.pm e and ssd = Core.Engine.ssd e in
+  check_orphan_gc ~pm ~ssd
+    ~engines:(fun () -> [ e ])
+    ~put:(fun ~key value -> Core.Engine.put e ~key value)
+    ~flush:(fun () -> Core.Engine.flush e)
+    ~recover:(fun () -> ignore (Core.Engine.recover cfg ~pm ~ssd))
+
+let test_orphan_gc_router () =
+  let cfg = base_config ~shards:2 ~durable:true () in
+  let boundaries = [ "m" ] in
+  let r = crashable_router cfg ~boundaries in
+  let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
+  check_orphan_gc ~pm ~ssd
+    ~engines:(fun () -> Array.to_list (Shard.Router.engines r))
+    ~put:(fun ~key value -> put r ~key value)
+    ~flush:(fun () -> Shard.Router.flush r)
+    ~recover:(fun () -> ignore (Shard.Router.recover ~boundaries cfg ~pm ~ssd))
+
 (* --- the sharded crash sweep -------------------------------------------- *)
 
 let sweep_config ?rules () =
@@ -377,15 +455,15 @@ let sweep_config ?rules () =
 
 let test_sweep_sites_deterministic () =
   let cfg = sweep_config () in
-  let a = Shard.Sweep.count_sites cfg in
-  check Alcotest.int "same seed, same sites" a (Shard.Sweep.count_sites cfg);
+  let a = Fault.Crash_sweep.count_sites cfg in
+  check Alcotest.int "same seed, same sites" a (Fault.Crash_sweep.count_sites cfg);
   check Alcotest.bool "multi-shard workload reaches sites" true (a > 50)
 
 let test_sweep_sample_clean () =
   let cfg = sweep_config () in
-  let report = Shard.Sweep.sweep ~selection:(Shard.Sweep.Sample 25) cfg in
-  if not (Shard.Sweep.clean report) then
-    Alcotest.failf "sharded sweep found violations:@.%a" Shard.Sweep.pp_report report
+  let report = Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample 25) cfg in
+  if not (Fault.Crash_sweep.clean report) then
+    Alcotest.failf "sharded sweep found violations:@.%a" Fault.Crash_sweep.pp_report report
 
 let test_sweep_catches_planted_bug () =
   (* Drop a WAL sync on one shard: some crash legs must then lose acked
@@ -393,9 +471,9 @@ let test_sweep_catches_planted_bug () =
   let cfg =
     sweep_config ~rules:[ ("wal.sync", Fault.Plan.Every, Fault.Plan.Wal_sync_loss) ] ()
   in
-  let report = Shard.Sweep.sweep ~selection:(Shard.Sweep.Sample 40) cfg in
+  let report = Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample 40) cfg in
   check Alcotest.bool "planted durability bug caught" true
-    (Shard.Sweep.violation_count report > 0)
+    (Fault.Crash_sweep.violation_count report > 0)
 
 let () =
   Alcotest.run "shard"
@@ -410,6 +488,8 @@ let () =
         [
           Alcotest.test_case "recover all shards" `Quick test_recover_all_shards;
           Alcotest.test_case "batch crash atomicity" `Quick test_batch_crash_atomicity;
+          Alcotest.test_case "orphan gc engine" `Quick test_orphan_gc_engine;
+          Alcotest.test_case "orphan gc 2-shard router" `Quick test_orphan_gc_router;
         ] );
       ( "group commit",
         [
