@@ -52,9 +52,13 @@ check: build test lint
 bench:
 	dune exec bench/main.exe
 
-# Read-path benchmark (block cache, PM blooms, fence pruning) with the
-# liveness smoke check: fails if the cache hit ratio or the bloom filter
-# rate comes out zero. Writes BENCH_readpath.json.
+# Read-path benchmark (block cache, PM blooms, fence pruning, bounded
+# scans) with the liveness smoke check: fails if the cache hit ratio or
+# the bloom filter rate comes out zero. The fresh run goes to a temp file
+# and the perf gate compares it against the committed BENCH_readpath.json,
+# which this target never rewrites. Refresh the baseline after an
+# intentional change:
+#   dune exec bench/main.exe -- readpath --json BENCH_readpath.json
 readpath-bench:
 	sh scripts/check_readpath.sh BENCH_readpath.json
 

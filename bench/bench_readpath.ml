@@ -11,9 +11,15 @@
                just after an existing key, so min/max screens cannot answer
                them); measures how many complete without a single PM group
                read or SSD block read, and the PM-table bloom filter rate.
-   - scan:     short Zipfian-start range scans, cache off vs on.
+   - scan:     short Zipfian-start bounded scans, cache off vs on.
 
-     dune exec bench/main.exe -- readpath --json BENCH_readpath.json *)
+     dune exec bench/main.exe -- readpath --json BENCH_readpath.json
+
+   The scalar metrics ([readpath.*]) are what scripts/check_readpath.sh
+   gates against the committed BENCH_readpath.json. PMB_PLANT=cache_off
+   runs the cache-on leg with the block cache disabled while stamping the
+   nominal config fingerprint — a planted regression the gate must
+   catch through its metrics. *)
 
 let value_bytes = 512
 let keyspace = 20_000 (* ~10 MB of values, > the 6 MB PM budget *)
@@ -31,7 +37,8 @@ let config ~cache_mb =
   let cfg = Core.Config.pmblade in
   {
     cfg with
-    Core.Config.l0_capacity = pm_budget;
+    Core.Config.name = Printf.sprintf "readpath-cache%d" cache_mb;
+    l0_capacity = pm_budget;
     pm_params = { Pmem.default_params with capacity = pm_budget + (4 * 1024 * 1024) };
     l0_strategy =
       (match cfg.Core.Config.l0_strategy with
@@ -41,6 +48,9 @@ let config ~cache_mb =
     block_cache_mb = cache_mb;
   }
 
+let planted () =
+  match Sys.getenv_opt "PMB_PLANT" with Some "cache_off" -> true | _ -> false
+
 (* Deterministic load shared by the off/on engines: every rank written once,
    then the level-0 stack merged into the sorted runs. The dataset exceeds
    the PM budget, so the load's own major compactions leave the cold
@@ -48,6 +58,7 @@ let config ~cache_mb =
    block cache and the PM-table blooms have something to do. *)
 let load cfg =
   Report.note_config cfg;
+  let cfg = if planted () then { cfg with Core.Config.block_cache_mb = 0 } else cfg in
   let eng = Core.Engine.create cfg in
   let rng = Util.Xoshiro.create 71 in
   for rank = 0 to keyspace - 1 do
@@ -158,6 +169,15 @@ let run () =
       [ "scan"; "on"; Report.us son_p50; Report.us son_p99 ];
     ];
 
+  List.iter
+    (fun (name, v) -> Report.record_metric ("readpath." ^ name) v)
+    [ ("zipf.cache_off.p50_ns", off_p50); ("zipf.cache_off.p99_ns", off_p99);
+      ("zipf.cache_on.p50_ns", on_p50); ("zipf.cache_on.p99_ns", on_p99);
+      ("zipf.cache_on.ssd_reads_per_get", per_get on_ssd); ("ssd_read_reduction", reduction);
+      ("cache_hit_ratio", hit_ratio); ("bloom_filter_rate", filter_rate);
+      ("device_free_negatives", device_free);
+      ("scan.cache_off.p50_ns", soff_p50); ("scan.cache_off.p99_ns", soff_p99);
+      ("scan.cache_on.p50_ns", son_p50); ("scan.cache_on.p99_ns", son_p99) ];
   (* Machine-greppable summary for scripts/check_readpath.sh. *)
   Report.note
     "READPATH ssd_read_reduction=%.3f cache_hit_ratio=%.3f bloom_filter_rate=%.3f \

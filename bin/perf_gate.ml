@@ -66,6 +66,12 @@ let rules =
     Obs.Perf.rule "soak.sick_within_ratio" ~tol:0.01
       ~direction:Obs.Perf.Higher_is_better;
     Obs.Perf.rule "soak.mean_ttr_ms" ~tol:0.15;
+    (* Read path (BENCH_readpath.json): the cache, bloom and device-free
+       ratios must not fall; latencies keep the lower-is-better default. *)
+    Obs.Perf.rule "readpath.ssd_read_reduction" ~direction:Obs.Perf.Higher_is_better;
+    Obs.Perf.rule "readpath.cache_hit_ratio" ~direction:Obs.Perf.Higher_is_better;
+    Obs.Perf.rule "readpath.bloom_filter_rate" ~direction:Obs.Perf.Higher_is_better;
+    Obs.Perf.rule "readpath.device_free_negatives" ~direction:Obs.Perf.Higher_is_better;
   ]
 
 let read_doc path =

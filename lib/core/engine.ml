@@ -1542,8 +1542,8 @@ let find_in_partition t p key =
 (* Point lookup with integrity degradation: a checksum failure quarantines
    the structure and the probe retries against the survivors, so the
    result is the newest *verified* version — possibly older than a version
-   that rotted, hence the typed error when a quarantine was crossed. *)
-let get_checked t key =
+   that rotted, hence the typed exception when a quarantine was crossed. *)
+let get t key =
   Obs.Attr.with_op Obs.Attr.Read @@ fun () ->
   let t0 = Sim.Clock.now t.clock in
   let p = partition_of t key in
@@ -1565,13 +1565,10 @@ let get_checked t key =
         t.metrics.Metrics.user_bytes_read + String.length key + String.length v
   | None -> ());
   match hit with
-  | [] -> Ok value
+  | [] -> value
   | hit ->
       t.metrics.Metrics.degraded_reads <- t.metrics.Metrics.degraded_reads + 1;
-      Error { key; fallback = value; quarantined = hit }
-
-let get t key =
-  match get_checked t key with Ok v -> v | Error e -> raise (Degraded_read e)
+      raise (Degraded_read { key; fallback = value; quarantined = hit })
 
 (* PM-only probe for degraded serving behind an open circuit breaker:
    consult only the DRAM memtable and the partition's PM level-0 stack,
@@ -1622,160 +1619,123 @@ let owned_region_ids t =
 
 (* --- Scans ---------------------------------------------------------------- *)
 
-(* Collect all entries with key in [start, stop) from every structure of
-   the partitions covering the range, newest version first per key. *)
-let collect_range t ~start ~stop =
-  let runs = ref [ Memtable.range t.memtable ~start ~stop ] in
+(* Every table of the partitions covering [start, stop) whose key range
+   meets it, as (smallest key, reader over [start, stop)), in partition
+   then recency order — the memtable aside. *)
+let sources t ~start ~stop =
+  let acc = ref [] in
+  let add ~min_key ~max_key read =
+    if not (String.compare max_key start < 0 || String.compare min_key stop > 0) then
+      acc := (min_key, read) :: !acc
+  in
   Array.iter
     (fun p ->
       if not (String.compare p.hi start <= 0 || String.compare p.lo stop >= 0) then begin
-        let add_table tbl =
-          if Pmtable.Table.overlaps tbl ~min:start ~max:stop then begin
-            let acc = ref [] in
-            Pmtable.Table.range tbl ~start ~stop (fun e -> acc := e :: !acc);
-            runs := List.rev !acc :: !runs
-          end
-        in
-        let add_sst sst =
-          if Sstable.overlaps sst ~min:start ~max:stop then begin
-            let acc = ref [] in
-            Sstable.range sst ~start ~stop (fun e -> acc := e :: !acc);
-            runs := List.rev !acc :: !runs
-          end
-        in
-        List.iter add_table p.unsorted;
-        List.iter add_table p.sorted_run;
-        List.iter add_sst p.ssd_l0;
-        Array.iter (fun level -> List.iter add_sst level) p.levels
+        List.iter
+          (fun tbl ->
+            add ~min_key:(Pmtable.Table.min_key tbl) ~max_key:(Pmtable.Table.max_key tbl)
+              (Pmtable.Table.range tbl ~start ~stop))
+          (p.unsorted @ p.sorted_run);
+        List.iter
+          (fun sst ->
+            add ~min_key:(Sstable.min_key sst) ~max_key:(Sstable.max_key sst)
+              (Sstable.range sst ~start ~stop))
+          (p.ssd_l0 @ List.concat (Array.to_list p.levels))
       end)
     t.partitions;
-  let merged, _stats = Compaction.Merge.merge ~drop_tombstones:true ~clock:t.clock !runs in
-  merged
+  List.rev !acc
 
-let degraded_scan (t : t) pairs hit =
-  t.metrics.Metrics.degraded_reads <- t.metrics.Metrics.degraded_reads + 1;
-  { partial = pairs; scan_quarantined = hit }
-
-(* Bounded forward collection for windowed iteration: up to [per_source]
-   entries with key >= start from every structure, merged with newest-wins
-   and tombstones dropped. Returns the live pairs and the *safe bound* —
-   the smallest last-collected key among truncated sources. Keys up to and
-   including the bound are complete (each source's newest version of a key
-   precedes its older ones, so a source cut at the bound already yielded
-   its newest); keys beyond it must be re-fetched by the next window. *)
-let collect_window t ~start ~limit =
-  Obs.Attr.with_op Obs.Attr.Scan @@ fun () ->
-  let collect () =
-  let per_source = limit + 4 in
-  let runs = ref [] in
-  let safe_bound = ref None in
-  let note_truncated last =
-    match !safe_bound with
-    | Some b when String.compare b last <= 0 -> ()
-    | _ -> safe_bound := Some last
+(* Collect all entries with key in [start, stop), merged newest-wins with
+   tombstones dropped. *)
+let collect_range t ~start ~stop =
+  let read_all runs (_, read) =
+    let acc = ref [] in
+    read (fun e -> acc := e :: !acc);
+    List.rev !acc :: runs
   in
-  let add_run collect =
+  let runs =
+    List.fold_left read_all [ Memtable.range t.memtable ~start ~stop ] (sources t ~start ~stop)
+  in
+  fst (Compaction.Merge.merge ~drop_tombstones:true ~clock:t.clock runs)
+
+(* Bounded forward window: up to [per_source] entries with key >= start
+   per structure, merged newest-wins, tombstones dropped. Returns the live
+   pairs up to the *safe bound*, up to which every key is complete: a
+   source cut at [per_source] entries bounds the window at its last key
+   (it already yielded its newest versions up to there). Sources are read
+   in order of their smallest key and only up to the bound so far; keys
+   below the next source's smallest key are complete, so once
+   [per_source] of them are held the window ends there. [None]: no source
+   was cut, the keyspace from [start] is exhausted. *)
+let collect_window t ~start ~per_source =
+  let runs = ref [] and safe_bound = ref None in
+  let reaches key =
+    match !safe_bound with Some b -> String.compare key b <= 0 | None -> true
+  in
+  let add_run read =
     let acc = ref [] and n = ref 0 in
     (try
-       collect (fun e ->
+       read (fun (e : Util.Kv.entry) ->
+           if not (reaches e.key) then raise Exit;
            acc := e :: !acc;
            incr n;
            if !n >= per_source then raise Exit)
      with Exit -> ());
     (match !acc with
-    | last :: _ when !n >= per_source -> note_truncated last.Util.Kv.key
+    | last :: _ when !n >= per_source -> safe_bound := Some last.Util.Kv.key
     | _ -> ());
     if !acc <> [] then runs := List.rev !acc :: !runs
   in
+  let close_below m =
+    let held = List.concat_map (List.filter (fun (e : Util.Kv.entry) -> e.key < m)) !runs in
+    if List.length held >= per_source then
+      safe_bound := Some (List.fold_left (fun b (e : Util.Kv.entry) -> max b e.key) "" held)
+  in
   add_run (fun f -> List.iter f (Memtable.from t.memtable ~start ~limit:per_source));
-  Array.iter
-    (fun p ->
-      if String.compare p.hi start > 0 then begin
-        let add_table tbl =
-          if String.compare (Pmtable.Table.max_key tbl) start >= 0 then
-            add_run (fun f -> Pmtable.Table.range tbl ~start ~stop:max_key_sentinel f)
-        in
-        let add_sst sst =
-          if String.compare (Sstable.max_key sst) start >= 0 then
-            add_run (fun f -> Sstable.range sst ~start ~stop:max_key_sentinel f)
-        in
-        List.iter add_table p.unsorted;
-        List.iter add_table p.sorted_run;
-        List.iter add_sst p.ssd_l0;
-        Array.iter (fun level -> List.iter add_sst level) p.levels
-      end)
-    t.partitions;
+  List.stable_sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (sources t ~start ~stop:max_key_sentinel)
+  |> List.iter (fun (m, read) ->
+         if reaches m then close_below m;
+         if reaches m then add_run read);
   let merged, _stats = Compaction.Merge.merge ~drop_tombstones:true ~clock:t.clock !runs in
-  let live =
-    match !safe_bound with
-    | None -> merged
-    | Some bound ->
-        List.filter (fun (e : Util.Kv.entry) -> String.compare e.key bound <= 0) merged
-  in
+  let live = List.filter (fun (e : Util.Kv.entry) -> reaches e.key) merged in
   (List.map (fun (e : Util.Kv.entry) -> (e.key, e.value)) live, !safe_bound)
-  in
-  (* Iterators degrade like scans: a corrupt source is quarantined, the
-     window re-collected from the survivors, and the caller told. *)
-  match guard_integrity t collect with
-  | result, [] -> result
-  | (pairs, _), hit -> raise (Degraded_scan (degraded_scan t pairs hit))
 
-let note_scan_bytes t pairs =
+(* Every scan runs here: the collection is guarded (a corrupt source is
+   quarantined and the collection retried) and retried on SSD errors;
+   latency and user bytes are booked, and a collection that crossed a
+   quarantine is delivered through the typed exception. *)
+let scan_op t collect =
+  Obs.Attr.with_op Obs.Attr.Scan @@ fun () ->
+  let t0 = Sim.Clock.now t.clock in
+  let pairs, hit = guard_integrity t (fun () -> with_ssd_retry t collect) in
+  Metrics.note_scan t.metrics (Sim.Clock.now t.clock -. t0);
   t.metrics.Metrics.user_bytes_read <-
     t.metrics.Metrics.user_bytes_read
-    + List.fold_left (fun acc (k, v) -> acc + String.length k + String.length v) 0 pairs
-
-let scan_range_checked t ~start ~stop =
-  Obs.Attr.with_op Obs.Attr.Scan @@ fun () ->
-  let t0 = Sim.Clock.now t.clock in
-  let entries, hit =
-    guard_integrity t (fun () -> with_ssd_retry t (fun () -> collect_range t ~start ~stop))
-  in
-  Metrics.note_scan t.metrics (Sim.Clock.now t.clock -. t0);
-  let pairs = List.map (fun (e : Util.Kv.entry) -> (e.key, e.value)) entries in
-  note_scan_bytes t pairs;
-  match hit with [] -> Ok pairs | hit -> Error (degraded_scan t pairs hit)
+    + List.fold_left (fun acc (k, v) -> acc + String.length k + String.length v) 0 pairs;
+  match hit with
+  | [] -> pairs
+  | hit ->
+      t.metrics.Metrics.degraded_reads <- t.metrics.Metrics.degraded_reads + 1;
+      raise (Degraded_scan { partial = pairs; scan_quarantined = hit })
 
 let scan_range t ~start ~stop =
-  match scan_range_checked t ~start ~stop with
-  | Ok pairs -> pairs
-  | Error e -> raise (Degraded_scan e)
+  scan_op t (fun () ->
+      List.map (fun (e : Util.Kv.entry) -> (e.key, e.value)) (collect_range t ~start ~stop))
 
-(* Scan [limit] keys from [start]: widen the range geometrically until
-   enough distinct keys turn up (how iterator-based stores pay for long
-   scans across structures). *)
+(* The first [limit] live pairs from [start]: windows of [limit + 4]
+   entries per source, each resuming just past the previous window's safe
+   bound, until [limit] pairs are in hand or the keyspace is exhausted. *)
 let scan t ~start ~limit =
-  Obs.Attr.with_op Obs.Attr.Scan @@ fun () ->
-  let t0 = Sim.Clock.now t.clock in
-  let hit = ref [] in
-  let rec widen span =
-    let stop =
-      if String.length start >= 4 && String.sub start 0 4 = "user" then
-        (* YCSB keyspace: numeric widening over the rank suffix, clamped to
-           the 12-digit key width. *)
-        let rank = int_of_string (String.sub start 4 (String.length start - 4)) in
-        if rank + span >= 1_000_000_000_000 then max_key_sentinel
-        else Util.Keys.ycsb_key (rank + span)
-      else max_key_sentinel
-    in
-    let entries, round_hit =
-      guard_integrity t (fun () -> with_ssd_retry t (fun () -> collect_range t ~start ~stop))
-    in
-    hit := !hit @ round_hit;
-    if List.length entries >= limit || stop = max_key_sentinel then
-      (entries, stop)
-    else widen (span * 4)
+  let rec windows start acc =
+    let pairs, bound = collect_window t ~start ~per_source:(limit + 4) in
+    let acc = List.rev_append pairs acc in
+    match bound with
+    | Some b when List.length acc < limit -> windows (b ^ "\x00") acc
+    | _ -> List.filteri (fun i _ -> i < limit) (List.rev acc)
   in
-  let entries, _stop = widen (limit * 4) in
-  let result =
-    List.filteri (fun i _ -> i < limit) entries
-    |> List.map (fun (e : Util.Kv.entry) -> (e.key, e.value))
-  in
-  Metrics.note_scan t.metrics (Sim.Clock.now t.clock -. t0);
-  note_scan_bytes t result;
-  match !hit with
-  | [] -> result
-  | h -> raise (Degraded_scan (degraded_scan t result h))
+  scan_op t (fun () -> windows start [])
 
 (* --- Maintenance entry points (benchmarks drive these manually) -------- *)
 

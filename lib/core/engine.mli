@@ -80,6 +80,10 @@ val gc_orphans :
     quarantined structure), that is none of the live [rings], and that is
     no superblock slot, named or unnamed. *)
 
+val manifest_state : t -> Manifest.state
+(** The structure the next manifest would persist: live tables, WAL ring
+    and quarantine records (the router's orphan GC reads it). *)
+
 val config : t -> Config.t
 val clock : t -> Sim.Clock.t
 val pm : t -> Pmem.t
@@ -121,13 +125,15 @@ val memtable_bytes : t -> int
 (** Current encoded byte size of the live memtable (the router's pre-put
     flush check reads this without touching devices). *)
 
+(** {2 Reads} — the point lookup, the breaker's PM-only probe, the range
+    merge and the bounded scan behind {!Iterator} and the router. Integrity
+    degradation is reported one way, by {!Degraded_read} / {!Degraded_scan},
+    beside the [Ssd.Io_error] a sick device raises. *)
+
 val get : t -> string -> string option
 (** Newest visible value; [None] for absent or deleted keys. Raises
-    {!Degraded_read} when the lookup crossed a quarantine. *)
-
-val get_checked : t -> string -> (string option, read_error) result
-(** Like {!get} but integrity degradation comes back as [Error] instead of
-    an exception. *)
+    {!Degraded_read} when the lookup crossed a quarantine; its [fallback]
+    is the best surviving answer. *)
 
 val get_pm_only : t -> string -> [ `Hit of string option | `Miss ]
 (** Degraded probe that consults only the DRAM memtable and the PM
@@ -141,18 +147,11 @@ val scan_range : t -> start:string -> stop:string -> (string * string) list
 (** All live key/value pairs with key in [\[start, stop)]. Raises
     {!Degraded_scan} when the collection crossed a quarantine. *)
 
-val scan_range_checked :
-  t -> start:string -> stop:string -> ((string * string) list, scan_error) result
-
 val scan : t -> start:string -> limit:int -> (string * string) list
-(** Up to [limit] live pairs from [start] (YCSB-style scans). Raises
-    {!Degraded_scan} when the collection crossed a quarantine. *)
-
-val collect_window : t -> start:string -> limit:int -> (string * string) list * string option
-(** Bounded forward collection for {!Iterator}: live pairs with key >=
-    [start], complete up to the returned safe bound (inclusive) when one is
-    present; [None] means the keyspace from [start] was exhausted. Raises
-    {!Degraded_scan} like {!scan}. *)
+(** The first [limit] live pairs with key >= [start], any key format,
+    collected in windows of [limit + 4] entries per source: a shorter
+    answer means the keyspace is exhausted. Raises {!Degraded_scan} when a
+    window crossed a quarantine. *)
 
 (** {1 Maintenance (benchmarks drive these manually)} *)
 

@@ -1,10 +1,10 @@
 (* Forward iterator over the live keyspace of an engine.
 
    A cursor fetches windows of merged, tombstone-resolved pairs through
-   Engine.collect_window and serves them one at a time; when a window
-   drains it refetches from the successor of the last delivered key. Each
-   window read is charged like any other engine read, so iterating is as
-   expensive as the scans it replaces.
+   Engine.scan and serves them one at a time; when a window drains it
+   refetches from the successor of the last delivered key. A window
+   shorter than asked means the keyspace is exhausted. Each window is an
+   ordinary engine scan, charged and accounted like any other.
 
    No snapshot is taken: a window reflects the engine at the moment it was
    fetched, so writes racing the iteration may or may not appear — the
@@ -17,27 +17,15 @@ type t = {
   mutable resume : string option;  (* next window's start; None = exhausted *)
 }
 
-let key_successor k = k ^ "\x00"
-
-let rec refill t =
+let refill t =
   match t.resume with
   | None -> ()
   | Some start ->
-      let pairs, bound = Engine.collect_window t.engine ~start ~limit:t.window in
+      let pairs = Engine.scan t.engine ~start ~limit:t.window in
       t.buffer <- pairs;
-      (match (pairs, bound) with
-      | _, None ->
-          (* every source exhausted: this buffer is the final one *)
-          t.resume <- None
-      | [], Some bound ->
-          (* a window full of shadowed versions or tombstones: advance past
-             the safe bound and try again (guaranteed progress: the bound
-             is at least the window's start key) *)
-          t.resume <- Some (key_successor bound);
-          refill t
-      | pairs, Some _ ->
-          let last = fst (List.nth pairs (List.length pairs - 1)) in
-          t.resume <- Some (key_successor last))
+      t.resume <-
+        (if List.length pairs < t.window then None
+         else Some (fst (List.nth pairs (t.window - 1)) ^ "\x00"))
 
 let seek ?(window = 64) engine start =
   if window <= 0 then invalid_arg "Iterator.seek: window must be positive";
@@ -47,15 +35,13 @@ let seek ?(window = 64) engine start =
 
 let valid t = t.buffer <> []
 
-let key t =
+let head t fn =
   match t.buffer with
-  | (k, _) :: _ -> k
-  | [] -> invalid_arg "Iterator.key: iterator exhausted"
+  | pair :: _ -> pair
+  | [] -> invalid_arg ("Iterator." ^ fn ^ ": iterator exhausted")
 
-let value t =
-  match t.buffer with
-  | (_, v) :: _ -> v
-  | [] -> invalid_arg "Iterator.value: iterator exhausted"
+let key t = fst (head t "key")
+let value t = snd (head t "value")
 
 let next t =
   match t.buffer with

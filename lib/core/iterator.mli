@@ -1,7 +1,8 @@
 (** Forward iterator over the live keyspace of an engine: merged across the
     memtable, level-0, and the SSD levels, tombstone-resolved, served in
-    windows whose reads are charged like any other engine access. No
-    snapshot is taken (the usual unpinned-LSM-cursor contract). *)
+    windows of {!Engine.scan}, each charged, accounted and degraded like
+    any bounded scan. No snapshot is taken (the usual unpinned-LSM-cursor
+    contract). *)
 
 type t
 

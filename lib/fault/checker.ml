@@ -15,6 +15,7 @@ type view = {
   v_scan_all : unit -> (string * string) list;
   v_get : string -> string option;
   v_iter_all : unit -> (string * string) list;
+  v_damaged : string -> bool;
 }
 
 let view_of_engine engine =
@@ -26,6 +27,7 @@ let view_of_engine engine =
       (fun () ->
         Core.Iterator.fold engine ~start:"" ~init:[] (fun acc k v -> (k, v) :: acc)
         |> List.rev);
+    v_damaged = Core.Engine.damaged_key engine;
   }
 
 let check_view golden view =
@@ -159,14 +161,15 @@ let check_manifest engine =
 let check golden engine =
   check_view golden (view_of_engine engine) @ check_manifest engine
 
-(* The corruption invariant: after injected bit rot, an engine may degrade
+(* The corruption invariant: after injected bit rot, a store may degrade
    — typed errors, damage records, skipped WAL records — but it must never
    crash on a read and never return a silently wrong answer. A mismatch is
-   excused only when the engine *told* someone: the key lies in a recorded
-   lost range, or the caller passes [excuse_lost] because a coarser
-   detection signal (WAL corruption count, manifest fallback) already
-   covers the whole history. *)
-let check_corruption ?(excuse_lost = false) golden engine =
+   excused only when the store *told* someone: the read raised a typed
+   degradation, the key lies in a recorded lost range, or the caller
+   passes [excuse_lost] because a coarser detection signal (WAL
+   corruption count, manifest fallback) already covers the whole history.
+   Keys for which [skip] holds are not judged (either outcome is legal). *)
+let check_corruption ?(excuse_lost = false) ?(skip = fun _ -> false) golden view =
   let violations = ref [] in
   let fail invariant detail = violations := { invariant; detail } :: !violations in
   let pending_key =
@@ -174,21 +177,14 @@ let check_corruption ?(excuse_lost = false) golden engine =
   in
   List.iter
     (fun (key, expect) ->
-      if pending_key <> Some key then
-        match Core.Engine.get_checked engine key with
+      if pending_key <> Some key && not (skip key) then
+        match view.v_get key with
+        | exception Core.Engine.Degraded_read _ -> ()
         | exception e ->
             fail "no-crash"
               (Fmt.str "get %S raised %s under corruption" key (Printexc.to_string e))
-        | Error _ -> () (* degradation reported through the typed error *)
-        | Ok got ->
-            let matches =
-              match (expect, got) with
-              | Some v, Some v' -> String.equal v v'
-              | None, None -> true
-              | _ -> false
-            in
-            if (not matches) && not (excuse_lost || Core.Engine.damaged_key engine key)
-            then
+        | got ->
+            if got <> expect && not (excuse_lost || view.v_damaged key) then
               fail "silent-wrong-answer"
                 (Fmt.str
                    "key %S: expected %a, got %a with no damage record covering it" key
@@ -199,8 +195,8 @@ let check_corruption ?(excuse_lost = false) golden engine =
     (Golden.entries golden);
   (* Scans must degrade the same way: typed error or clean result, no
      crash. *)
-  (match Core.Engine.scan_range_checked engine ~start:"" ~stop:max_key_sentinel with
-  | Ok _ | Error _ -> ()
+  (match view.v_scan_all () with
+  | _ | (exception Core.Engine.Degraded_scan _) -> ()
   | exception e ->
       fail "no-crash"
         (Fmt.str "full-range scan raised %s under corruption" (Printexc.to_string e)));

@@ -23,6 +23,7 @@ type view = {
   v_scan_all : unit -> (string * string) list;  (** full-range scan *)
   v_get : string -> string option;  (** point lookup *)
   v_iter_all : unit -> (string * string) list;  (** full iterator walk *)
+  v_damaged : string -> bool;  (** key inside a recorded lost range *)
 }
 
 val view_of_engine : Core.Engine.t -> view
@@ -36,11 +37,14 @@ val check_manifest : Core.Engine.t -> violation list
 (** The structural check alone: everything the engine's manifest (under
     its [manifest_root] slot) names exists on the devices. *)
 
-val check_corruption : ?excuse_lost:bool -> Golden.t -> Core.Engine.t -> violation list
+val check_corruption :
+  ?excuse_lost:bool -> ?skip:(string -> bool) -> Golden.t -> view -> violation list
 (** The corruption invariant: no read crashes, and no silently wrong
     answer — a mismatch against the golden history is excused only when
-    the key lies in a recorded lost range ({!Core.Engine.damaged_key}), a
-    typed degradation error was returned, or [excuse_lost] says a coarser
+    the read raised {!Core.Engine.Degraded_read}, the key lies in a
+    recorded lost range ([v_damaged]), or [excuse_lost] says a coarser
     detection signal (WAL corruption count, manifest fallback) already
-    covers the history. May quarantine structures as a side effect of the
+    covers the history. Keys for which [skip] holds (default: none) are
+    not judged. The full-range scan may raise {!Core.Engine.Degraded_scan}
+    but nothing else. May quarantine structures as a side effect of the
     probing reads. *)

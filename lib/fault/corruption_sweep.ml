@@ -137,7 +137,7 @@ let run_point ?stats (cfg : config) index =
         | Plan.Pm_table_bytes | Plan.Sstable_bytes ->
             (* the scrub already salvaged; the live engine must now serve
                only exact, degraded, or recorded-lost answers *)
-            (true, Checker.check_corruption golden engine)
+            (true, Checker.check_corruption golden (Checker.view_of_engine engine))
         | Plan.Wal_bytes | Plan.Manifest_bytes -> (
             Crash_sweep.crash ~pm ~ssd ();
             match Core.Engine.recover cfg.engine_config ~pm ~ssd with
@@ -147,7 +147,9 @@ let run_point ?stats (cfg : config) index =
                 | None -> ());
                 (* stale answers are excused: the WAL corruption count /
                    manifest fallback already reported the loss *)
-                (true, Checker.check_corruption ~excuse_lost:true golden fresh)
+                ( true,
+                  Checker.check_corruption ~excuse_lost:true golden
+                    (Checker.view_of_engine fresh) )
             | exception Failure msg ->
                 ( false,
                   [

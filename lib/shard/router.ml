@@ -185,8 +185,8 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) cfg =
 (* Rebuild every shard from the shared devices. Each shard recovers its
    own manifest chain with [~orphan_gc:false] — one shard's view is too
    narrow to reclaim on a shared device — and the router then runs the
-   orphan GC once over the union: every shard's manifest, read back from
-   the device as recovery left it, and every shard's live ring. *)
+   orphan GC once over the union of the shards' in-memory manifest states
+   as recovery left them (each names its shard's live ring). *)
 let recover ?(boundaries = []) cfg ~pm ~ssd =
   let rs = ranges cfg boundaries in
   let clock = Pmem.clock pm in
@@ -195,13 +195,8 @@ let recover ?(boundaries = []) cfg ~pm ~ssd =
     make_shards cfg (fun scfg -> Core.Engine.recover ~orphan_gc:false ?cache scfg ~pm ~ssd) rs
   in
   let engines = Array.to_list (Array.map (fun s -> s.engine) shards) in
-  Core.Engine.gc_orphans ~pm ~ssd
-    ~states:
-      (List.filter_map
-         (fun e ->
-           Core.Manifest.load ~root:(Core.Engine.config e).Core.Config.manifest_root ssd)
-         engines)
-    ~rings:(List.filter_map Core.Engine.wal engines);
+  Core.Engine.gc_orphans ~pm ~ssd ~states:(List.map Core.Engine.manifest_state engines)
+    ~rings:[];
   make cfg clock pm ssd cache shards
 
 let config t = t.config
@@ -436,11 +431,11 @@ let get_checked ?deadline_ns t key =
   match breaker_decision t s with
   | Health.Breaker.Reject -> pm_only "breaker_open_pm" "breaker_open"
   | Health.Breaker.Allow | Health.Breaker.Probe -> (
-      match Core.Engine.get_checked s.engine key with
-      | Ok v ->
+      match Core.Engine.get s.engine key with
+      | v ->
           note_latency t s s.read_tracker (Sim.Clock.now t.clock -. t0);
           finish (Served v)
-      | Error e ->
+      | exception Core.Engine.Degraded_read e ->
           (* Integrity degradation (quarantine crossing) is the medium's
              rot, not the device's sickness: the device answered fine. *)
           note_latency t s s.read_tracker (Sim.Clock.now t.clock -. t0);
@@ -476,8 +471,9 @@ let scan_range t ~start ~stop =
   Util.Histogram.record t.scan_lat (Float.max 0.0 (Sim.Clock.now t.clock -. t0));
   r
 
-(* Bounded scan via per-shard iterators: consume the shard holding [start],
-   then continue through successive shards until [limit] pairs. *)
+(* Bounded scan: the shard holding [start] first, then successive shards
+   until [limit] pairs (each shard's answer is short only when its range
+   is exhausted). *)
 let scan t ~start ~limit =
   t.scans <- t.scans + 1;
   Obs.Attr.with_op Obs.Attr.Scan @@ fun () ->
@@ -487,20 +483,12 @@ let scan t ~start ~limit =
     if remaining <= 0 || i >= n then List.concat (List.rev acc)
     else
       let s = t.shards.(i) in
-      let it = Core.Iterator.seek s.engine (max_str from s.s_lo) in
-      let got = Core.Iterator.take it remaining in
+      let got = Core.Engine.scan s.engine ~start:(max_str from s.s_lo) ~limit:remaining in
       go (i + 1) s.s_hi (remaining - List.length got) (got :: acc)
   in
   let r = go (shard_of t start) start limit [] in
   Util.Histogram.record t.scan_lat (Float.max 0.0 (Sim.Clock.now t.clock -. t0));
   r
-
-(* Full iterator walk in shard order (the checker's third read path). *)
-let iter_all t =
-  Array.to_list t.shards
-  |> List.concat_map (fun s ->
-         Core.Iterator.fold s.engine ~start:s.s_lo ~init:[] (fun acc k v -> (k, v) :: acc)
-         |> List.rev)
 
 let flush t = Array.iter (fun s -> flush_engine s) t.shards
 
@@ -622,12 +610,18 @@ let sink t =
     scan_range = (fun ~start ~stop -> scan_range t ~start ~stop);
   }
 
-(* Checker reads bypass the breakers: they ask the owning engine. *)
+(* Checker reads bypass the breakers: they ask the owning engine, and the
+   iterator walks the shards in order. *)
 let view t =
+  let owner key = t.shards.(shard_of t key).engine in
   {
     Fault.Checker.v_scan_all = (fun () -> scan_range t ~start:"" ~stop:max_key_sentinel);
-    v_get = (fun key -> Core.Engine.get t.shards.(shard_of t key).engine key);
-    v_iter_all = (fun () -> iter_all t);
+    v_get = (fun key -> Core.Engine.get (owner key) key);
+    v_iter_all =
+      (fun () ->
+        Array.to_list t.shards
+        |> List.concat_map (fun s -> (Fault.Checker.view_of_engine s.engine).v_iter_all ()));
+    v_damaged = (fun key -> Core.Engine.damaged_key (owner key) key);
   }
 
 (* --- Observability ------------------------------------------------------ *)

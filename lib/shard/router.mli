@@ -104,10 +104,10 @@ val get_checked : ?deadline_ns:float -> t -> string -> read_result
 (** {1 Scans} *)
 
 val scan_range : t -> start:string -> stop:string -> (string * string) list
-val scan : t -> start:string -> limit:int -> (string * string) list
 
-val iter_all : t -> (string * string) list
-(** Full iterator walk across all shards (the checker's third path). *)
+val scan : t -> start:string -> limit:int -> (string * string) list
+(** The first [limit] live pairs from [start]: {!Core.Engine.scan} on the
+    shard holding [start], then on each following shard until [limit]. *)
 
 val flush : t -> unit
 val close : t -> unit

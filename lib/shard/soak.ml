@@ -358,44 +358,21 @@ let settle st =
 
 (* --- Full checkpoints ---------------------------------------------------- *)
 
-(* Mirrors [Checker.check_corruption] over the router: typed degradation
-   and damage-recorded loss are excused, crashes and silent wrong answers
-   are not. Ambiguous keys are skipped (either outcome is legal). *)
-let tolerant_check st =
-  List.iter
-    (fun (key, expect) ->
-      if not (Hashtbl.mem st.ambiguous key) then
-        let e = owner st key in
-        match Core.Engine.get_checked e key with
-        | exception ex ->
-            fail st "no-crash"
-              (Fmt.str "get %S raised %s under damage" key
-                 (Printexc.to_string ex))
-        | Error _ -> ()
-        | Ok got ->
-            if got <> expect && not (Core.Engine.damaged_key e key) then
-              fail st "silent-wrong-answer"
-                (Fmt.str "checkpoint: key %S expected %a, got %a" key pp_v
-                   expect pp_v got))
-    (Fault.Golden.entries st.golden);
-  Array.iter
-    (fun e ->
-      match Core.Engine.scan_range_checked e ~start:"" ~stop:scan_stop with
-      | Ok _ | Error _ -> ()
-      | exception ex ->
-          fail st "no-crash"
-            (Fmt.str "scan raised %s under damage" (Printexc.to_string ex)))
-    (Router.engines st.router)
-
+(* After injected rot, or with writes still ambiguous, the full-view
+   check gives way to the corruption checker: typed degradation and
+   damage-recorded loss are excused, crashes and silent wrong answers are
+   not, and ambiguous keys are skipped (either outcome is legal). *)
 let check_full st =
-  if st.tolerant || Hashtbl.length st.ambiguous > 0 then tolerant_check st
-  else
-    st.violations <-
-      List.rev_append
-        (Fault.Checker.check_view st.golden (Router.view st.router)
-        @ (Array.to_list (Router.engines st.router)
-          |> List.concat_map Fault.Checker.check_manifest))
-        st.violations;
+  let view = Router.view st.router in
+  st.violations <-
+    List.rev_append
+      (if st.tolerant || Hashtbl.length st.ambiguous > 0 then
+         Fault.Checker.check_corruption ~skip:(Hashtbl.mem st.ambiguous) st.golden view
+       else
+         Fault.Checker.check_view st.golden view
+         @ (Array.to_list (Router.engines st.router)
+           |> List.concat_map Fault.Checker.check_manifest))
+      st.violations;
   st.violations <-
     List.rev_append
       (Fault.Crash_sweep.sanitizer_violations (Router.pm st.router))

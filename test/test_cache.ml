@@ -238,9 +238,10 @@ let test_salvage_drops_stale_blocks () =
     (Cache.Block_cache.file_resident_bytes c ~file_id:victim);
   (* every surviving key reads back verified bytes, never a stale block *)
   for i = 0 to 3999 do
-    match Core.Engine.get_checked engine (key i) with
-    | Ok _ -> ()
-    | Error _ -> Alcotest.failf "degraded read after salvage for %s" (key i)
+    match Core.Engine.get engine (key i) with
+    | _ -> ()
+    | exception Core.Engine.Degraded_read _ ->
+        Alcotest.failf "degraded read after salvage for %s" (key i)
   done
 
 let test_quarantine_drops_cached_blocks () =

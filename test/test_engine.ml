@@ -94,6 +94,23 @@ let test_limited_scan (name, cfg) () =
   let keys = List.map fst got in
   check Alcotest.bool (name ^ ": ascending") true (keys = List.sort compare keys)
 
+(* Bounded scans take any start key — YCSB, retail, or neither — and
+   answer exactly the first [limit] pairs of the unbounded range scan. *)
+let test_bounded_scan_any_key (name, cfg) () =
+  let eng, _model = run_model_workload cfg ~ops:2000 ~with_deletes:true in
+  List.iter
+    (fun start ->
+      let all = Core.Engine.scan_range eng ~start ~stop:"\xff\xff\xff\xff" in
+      List.iter
+        (fun limit ->
+          check Alcotest.bool
+            (Printf.sprintf "%s: scan ~start:%S ~limit:%d" name start limit)
+            true
+            (Core.Engine.scan eng ~start ~limit = List.filteri (fun i _ -> i < limit) all))
+        [ 1; 7; 64; 5000 ])
+    [ ""; "user"; "username"; Util.Keys.record_key ~table_id:1 ~row_id:150;
+      Util.Keys.ycsb_key 200; "t0002"; "zzz" ]
+
 (* --- PM-Blade-specific behaviour ---------------------------------------- *)
 
 let test_internal_compaction_sorts_l0 () =
@@ -473,7 +490,8 @@ let () =
     [
       ("model equivalence", per_variant "model" test_model_equivalence);
       ("scans", per_variant "scan range" test_scan_equivalence
-               @ per_variant "limited scan" test_limited_scan);
+               @ per_variant "limited scan" test_limited_scan
+               @ per_variant "bounded scan any key" test_bounded_scan_any_key);
       ( "pm-blade behaviour",
         [
           Alcotest.test_case "internal compaction sorts L0" `Quick test_internal_compaction_sorts_l0;

@@ -310,6 +310,29 @@ let test_degraded_reads_exact () =
   check Alcotest.bool "some reads still served" true (!served > 0);
   Shard.Router.close r
 
+(* A read that crosses a rotted PM table is answered through the typed
+   quarantine branch and booked as degraded; the quarantined table has
+   then left the read path, so every later read is served plainly. *)
+let test_quarantine_read_degraded () =
+  let cfg =
+    { (shed_config ()) with Core.Config.shard_count = 2; durable = false; deadline_read_ns = 0.0 }
+  in
+  let r = Shard.Router.create ~boundaries:[ "n" ] cfg in
+  let keys = List.init 200 (Printf.sprintf "k%03d") in
+  List.iter (fun key -> put r ~key ("v:" ^ key)) keys;
+  Shard.Router.flush r;
+  let e = (Shard.Router.engines r).(0) and pm = Shard.Router.pm r in
+  Core.Engine.force_internal_compaction e;
+  let table = List.hd (Core.Engine.owned_region_ids e) in
+  Pmem.corrupt_region ~len:64 ~mode:`Zero pm (Option.get (Pmem.find_region pm table)) ~off:0;
+  let reads = List.map (fun key -> (key, Shard.Router.get_checked r key)) keys in
+  match List.filter (function _, Shard.Router.Served _ -> false | _ -> true) reads with
+  | [ (key, Shard.Router.Served_degraded { reason = "quarantine"; _ }) ] ->
+      check Alcotest.int "ledger books the degraded read" 1
+        (Health.Ledger.degraded (Shard.Router.shard_ledger r 0));
+      ignore (get r key)
+  | _ -> Alcotest.fail "expected exactly one read degraded through the quarantine"
+
 (* --- chaos soak smoke ---------------------------------------------------- *)
 
 let test_soak_clean () =
@@ -385,7 +408,10 @@ let () =
             test_shed_absent_after_recovery;
         ] );
       ( "degraded",
-        [ Alcotest.test_case "never silently wrong" `Quick test_degraded_reads_exact ] );
+        [
+          Alcotest.test_case "never silently wrong" `Quick test_degraded_reads_exact;
+          Alcotest.test_case "quarantine read is typed" `Quick test_quarantine_read_degraded;
+        ] );
       ( "soak",
         [
           Alcotest.test_case "short soak clean" `Quick test_soak_clean;

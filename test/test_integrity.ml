@@ -95,20 +95,20 @@ let test_engine_quarantines_rotten_table () =
   Pmem.corrupt_region ~len:64 ~mode:`Zero pm region ~off:0;
   let degraded = ref 0 in
   for i = 0 to 63 do
-    match Core.Engine.get_checked engine (key i) with
-    | Ok _ -> ()
-    | Error _ -> incr degraded
+    match Core.Engine.get engine (key i) with
+    | _ -> ()
+    | exception Core.Engine.Degraded_read _ -> incr degraded
   done;
-  check Alcotest.bool "some reads degraded (typed, not raised)" true (!degraded > 0);
+  check Alcotest.bool "some reads degraded (typed exception)" true (!degraded > 0);
   check Alcotest.bool "table quarantined" true (Core.Engine.quarantined engine <> []);
   let m = Core.Engine.metrics engine in
   check Alcotest.bool "quarantine metric" true (m.Core.Metrics.quarantined > 0);
   check Alcotest.bool "degraded-read metric" true (m.Core.Metrics.degraded_reads > 0);
   (* the quarantined table left the read path: a second pass is clean *)
   for i = 0 to 63 do
-    match Core.Engine.get_checked engine (key i) with
-    | Ok _ -> ()
-    | Error _ -> Alcotest.fail "degraded read after quarantine"
+    match Core.Engine.get engine (key i) with
+    | _ -> ()
+    | exception Core.Engine.Degraded_read _ -> Alcotest.fail "degraded read after quarantine"
   done;
   (* and the damage is queryable *)
   check Alcotest.bool "damaged_key covers some key" true
@@ -121,15 +121,15 @@ let test_engine_degraded_scan_is_typed () =
   let pm = Core.Engine.pm engine in
   let region = table_region engine in
   Pmem.corrupt_region ~len:64 ~mode:`Zero pm region ~off:0;
-  (match Core.Engine.scan_range_checked engine ~start:"" ~stop:"zzzz" with
-  | Ok _ -> () (* the rot may sit in a partition the scan widened past *)
-  | Error e ->
+  (match Core.Engine.scan_range engine ~start:"" ~stop:"zzzz" with
+  | _ -> () (* the rot may sit in a partition the scan widened past *)
+  | exception Core.Engine.Degraded_scan e ->
       check Alcotest.bool "partial result carried" true
         (e.Core.Engine.scan_quarantined <> []));
   (* either way: quarantined now, and the next scan is whole *)
-  match Core.Engine.scan_range_checked engine ~start:"" ~stop:"zzzz" with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "scan still degraded after quarantine"
+  match Core.Engine.scan_range engine ~start:"" ~stop:"zzzz" with
+  | _ -> ()
+  | exception Core.Engine.Degraded_scan _ -> Alcotest.fail "scan still degraded after quarantine"
 
 (* --- Engine scrub: salvage + lost ranges ----------------------------------- *)
 
