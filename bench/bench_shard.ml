@@ -13,13 +13,22 @@
 
      dune exec bench/main.exe -- shard --json BENCH_shard.json
 
+   A last leg checks the paper's premise at the front door: one shard
+   running the cost-based PMBlade strategy loads a YCSB store that fits
+   the PM level-0 budget, then serves YCSB-C. Admission must leave that
+   store on PM, so the share of reads PM serves is gated too.
+
    One machine-greppable summary line for CI (scripts/check_shard.sh):
 
-     SHARD speedup4=S mean_batch4=M stalled=K completed=N
+     SHARD speedup4=S mean_batch4=M stalled=K completed=N pm_share=P
 
    PMB_PLANT=no_batch forces every commit to sync alone (window and max
    batch collapse to nothing) while stamping the nominal fingerprint: the
-   planted regression must trip the gate and the mean-batch check. *)
+   planted regression must trip the gate and the mean-batch check.
+   PMB_PLANT=table_debt sets [Core.Engine.chaos_table_debt], so admission
+   counts every sorted-run table as debt again: the resident load then
+   hits the hard limit, relief pushes level-0 to the SSD, and the PM-share
+   floor and gate must fail. *)
 
 let records = 12_000
 let ops = 10_000
@@ -28,6 +37,9 @@ let value_bytes = 400
 
 let planted () =
   match Sys.getenv_opt "PMB_PLANT" with Some "no_batch" -> true | _ -> false
+
+let resident_records = 10_000
+let resident_ops = 10_000
 
 (* Small memtables and a compaction strategy that never self-triggers:
    all background work flows through the router's per-shard worker
@@ -109,12 +121,7 @@ let run_one workload shards =
   let put_throughput =
     if seconds > 0.0 then float_of_int synced /. seconds else 0.0
   in
-  let stalled_at_end =
-    Array.exists
-      (fun e ->
-        Core.Engine.compaction_debt_tables e >= cfg.Core.Config.admission_hard_tables)
-      (Shard.Router.engines router)
-  in
+  let stalled_at_end = Shard.Router.at_hard_limit router in
   let r =
     {
       shards;
@@ -166,7 +173,47 @@ let run_workload wname workload counts =
     runs;
   runs
 
+(* The share of level-0-or-deeper gets that PM served (memtable hits
+   excluded), over the YCSB-C phase only. *)
+let run_resident () =
+  let cfg =
+    {
+      Core.Config.pmblade with
+      Core.Config.name = "shard-resident";
+      durable = true;
+      shard_count = 1;
+    }
+  in
+  Report.note_config cfg;
+  let router = Shard.Router.create cfg in
+  let y = Workload.Ycsb.create ~value_bytes:1024 () in
+  let sink = Shard.Router.sink router in
+  Workload.Ycsb.load_sink y sink ~records:resident_records;
+  let m = Core.Engine.metrics (Shard.Router.engines router).(0) in
+  Core.Metrics.reset_read_sources m;
+  for _ = 1 to resident_ops do
+    Workload.Ycsb.step_sink y sink Workload.Ycsb.C
+  done;
+  let served = m.Core.Metrics.reads_from_pm + m.Core.Metrics.reads_from_ssd in
+  let share =
+    if served > 0 then float_of_int m.Core.Metrics.reads_from_pm /. float_of_int served
+    else 0.0
+  in
+  Report.heading "Shard: 1-shard resident YCSB-C (cost-based PM level-0)";
+  Report.table ~header:[ "records"; "gets"; "PM read share"; "stalls" ]
+    [
+      [
+        string_of_int resident_records;
+        string_of_int resident_ops;
+        Printf.sprintf "%.4f" share;
+        string_of_int (Shard.Router.stall_count router);
+      ];
+    ];
+  Shard.Router.close router;
+  share
+
 let run () =
+  if Sys.getenv_opt "PMB_PLANT" = Some "table_debt" then Core.Engine.chaos_table_debt := true;
   let a_runs = run_workload "A" Workload.Ycsb.A [ 1; 2; 4; 8 ] in
   let b_runs = run_workload "B" Workload.Ycsb.B [ 1; 4 ] in
   let find rs n = List.find (fun r -> r.shards = n) rs in
@@ -182,8 +229,13 @@ let run () =
     List.exists (fun r -> r.stalled_at_end) (a_runs @ b_runs)
   in
   let completed = List.length a_runs + List.length b_runs in
-  Printf.printf "  SHARD speedup4=%.3f mean_batch4=%.3f stalled=%d completed=%d\n"
+  let pm_share = run_resident () in
+  metric "shard.resident.pm_read_share" pm_share;
+  Printf.printf
+    "  SHARD speedup4=%.3f mean_batch4=%.3f stalled=%d completed=%d pm_share=%.4f\n"
     speedup a4.mean_batch
     (if stalled then 1 else 0)
-    completed;
-  if planted () then Report.note "PLANTED regression active: group commit disabled"
+    completed pm_share;
+  if planted () then Report.note "PLANTED regression active: group commit disabled";
+  if !Core.Engine.chaos_table_debt then
+    Report.note "PLANTED regression active: debt counts sorted-run tables"

@@ -29,6 +29,10 @@ let rules =
       ~direction:Obs.Perf.Higher_is_better;
     Obs.Perf.rule "shard.gc.mean_batch_4" ~tol:0.10
       ~direction:Obs.Perf.Higher_is_better;
+    (* The resident one-shard leg: the PM level-0 must keep serving the
+       reads of a store that fits it. *)
+    Obs.Perf.rule "shard.resident.pm_read_share" ~tol:0.01
+      ~direction:Obs.Perf.Higher_is_better;
     Obs.Perf.rule "shard.ycsb_a.s1.throughput_ops" ~tol:0.05
       ~direction:Obs.Perf.Higher_is_better;
     Obs.Perf.rule "shard.ycsb_a.s4.throughput_ops" ~tol:0.05

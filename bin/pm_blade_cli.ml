@@ -838,9 +838,9 @@ let doctor_router cfg ~records ~ops ~value_bytes =
   Fmt.pr "  %-8s %10s %8s %8s@." "shard" "l0" "debt" "stalls";
   Array.iteri
     (fun i e ->
-      Fmt.pr "  shard%-3d %7.2f MB %6d t %8d@." i
+      Fmt.pr "  shard%-3d %7.2f MB %6d r %8d@." i
         (mb (Core.Engine.l0_bytes e))
-        (Core.Engine.compaction_debt_tables e)
+        (Core.Engine.compaction_debt_runs e)
         (Core.Engine.metrics e).Core.Metrics.write_stalls)
     (Shard.Router.engines router);
   Array.iteri
@@ -903,7 +903,7 @@ let doctor_cmd =
     let waf = Core.Engine.write_amplification engine in
     let raf = Core.Engine.read_amplification engine in
     let debt_bytes = Core.Engine.compaction_debt_bytes engine in
-    let debt_tables = Core.Engine.compaction_debt_tables engine in
+    let debt_runs = Core.Engine.compaction_debt_runs engine in
     let space = Core.Engine.space_bytes engine in
     let logical = Core.Engine.logical_bytes engine in
 
@@ -935,8 +935,8 @@ let doctor_cmd =
     Fmt.pr "  space amp %6.2fx  (physical %.1f MB / logical %.1f MB)@."
       (if logical > 0 then float_of_int space /. float_of_int logical else 0.0)
       (mb space) (mb logical);
-    Fmt.pr "compaction debt: %.1f MB of level-0 backlog in %d table(s)@."
-      (mb debt_bytes) debt_tables;
+    Fmt.pr "compaction debt: %.1f MB of level-0 backlog in %d run(s)@."
+      (mb debt_bytes) debt_runs;
     Fmt.pr "write stalls: %d stall(s), %s total@." m.Core.Metrics.write_stalls
       (dur m.Core.Metrics.write_stall_time);
     if Core.Engine.wal engine <> None then Fmt.pr "%a@." Core.Engine.pp_wal engine;

@@ -73,11 +73,16 @@ type t = {
   group_commit_max : int;
       (* close and sync the batch once this many writers have joined *)
   admission_soft_tables : int;
-      (* per-shard compaction-debt table count where admission starts
-         delaying writers proportionally *)
+      (* per-shard compaction debt, in level-0 runs
+         ([Engine.compaction_debt_runs]), where admission starts delaying
+         writers proportionally. The name predates counting runs and
+         stays because the front-door benchmark's workloads set it. The
+         limits survive because admission is the only compaction driver
+         of a strategy with no triggers (the conventional one of the
+         4-shard workloads); no policy derives them yet *)
   admission_hard_tables : int;
-      (* per-shard debt table count where admission stalls writers until
-         compaction drains below the limit *)
+      (* per-shard debt in level-0 runs where admission stalls writers
+         until compaction drains below the limit *)
   breaker_enabled : bool;
       (* per-shard circuit breakers in the router (lib/health): open on
          error bursts or fail-slow drift, answer degraded/unavailable fast

@@ -294,10 +294,23 @@ let compaction_debt_bytes t =
         acc + List.fold_left (fun a sst -> a + Sstable.byte_size sst) 0 p.ssd_l0)
       0 t.partitions
 
-let compaction_debt_tables t =
+(* Planted-bug kill switch for the PM-share gate: count every sorted-run
+   table as debt, which pushes a resident store to the SSD. Leave it
+   [false]. *)
+let chaos_table_debt = ref false
+
+(* Compaction debt in runs: the level-0 structures a point read may probe
+   — each unsorted PM table, the key-disjoint sorted run as one run (a
+   probe binary-searches it to one table), each SSD level-0 table. *)
+let compaction_debt_runs t =
   Array.fold_left
     (fun acc p ->
-      acc + List.length p.unsorted + List.length p.sorted_run + List.length p.ssd_l0)
+      let run =
+        if !chaos_table_debt then List.length p.sorted_run
+        else if p.sorted_run = [] then 0
+        else 1
+      in
+      acc + List.length p.unsorted + run + List.length p.ssd_l0)
     0 t.partitions
 
 (* --- Level helpers ---------------------------------------------------- *)
@@ -767,7 +780,28 @@ let reads_per_sec t p =
   let window = Sim.Clock.now t.clock -. p.window_start in
   if window <= 0.0 then 0.0 else float_of_int p.reads /. (window /. 1e9)
 
+(* Step 0: an unsorted table whose key range overlaps no other level-0
+   table of its partition joins the sorted run unchanged — a trivial move,
+   no PM rewrite. No other level-0 table holds any of its keys, so recency
+   order stays exact and the run stays key-disjoint. The flush's manifest
+   install records the move. *)
+let trivial_move p =
+  let l0 = p.unsorted @ p.sorted_run in
+  let alone tbl =
+    let min = Pmtable.Table.min_key tbl and max = Pmtable.Table.max_key tbl in
+    List.for_all (fun o -> o == tbl || not (Pmtable.Table.overlaps o ~min ~max)) l0
+  in
+  match List.partition alone p.unsorted with
+  | [], _ -> ()
+  | moved, kept ->
+      p.unsorted <- kept;
+      p.sorted_run <-
+        List.sort
+          (fun a b -> String.compare (Pmtable.Table.min_key a) (Pmtable.Table.min_key b))
+          (moved @ p.sorted_run)
+
 let run_cost_based t p params =
+  trivial_move p;
   (* Eq. 1: internal compaction for read amplification. *)
   let rps = reads_per_sec t p in
   let eq1 =
@@ -2194,9 +2228,9 @@ let pp_stats ppf t =
   if m.Metrics.user_bytes_read > 0 then
     Fmt.pf ppf "  bytes returned/PM-read/SSD-read: %d / %d / %d (RA %.2fx)@,"
       m.user_bytes_read (pm_bytes_read t) (ssd_bytes_read t) (read_amplification t);
-  Fmt.pf ppf "  compaction debt: %.1f MB in %d level-0 tables@,"
+  Fmt.pf ppf "  compaction debt: %.1f MB in %d level-0 runs@,"
     (float_of_int (compaction_debt_bytes t) /. 1048576.)
-    (compaction_debt_tables t);
+    (compaction_debt_runs t);
   if m.Metrics.write_stalls > 0 then
     Fmt.pf ppf "  write stalls: %d totalling %a@," m.Metrics.write_stalls
       Sim.Clock.pp_duration m.Metrics.write_stall_time;
@@ -2338,9 +2372,9 @@ let register_metrics reg t =
   register_int reg "engine.compaction_debt_bytes" ~kind:Gauge
     ~help:"level-0 backlog bytes (both media) awaiting compaction" (fun () ->
       compaction_debt_bytes t);
-  register_int reg "engine.compaction_debt_tables" ~kind:Gauge
-    ~help:"level-0 backlog tables (both media) awaiting compaction" (fun () ->
-      compaction_debt_tables t);
+  register_int reg "engine.compaction_debt_runs" ~kind:Gauge
+    ~help:"level-0 runs a point read may probe (unsorted PM tables, the sorted run, SSD L0 tables)"
+    (fun () -> compaction_debt_runs t);
   register_histogram reg "engine.read_latency_ns" ~help:"point-lookup latency in ns"
     (fun () -> m.Metrics.read_latency);
   register_histogram reg "engine.write_latency_ns" ~help:"write latency in ns"

@@ -224,7 +224,15 @@ val read_amplification : t -> float
 val compaction_debt_bytes : t -> int
 (** Level-0 backlog bytes (both media) still awaiting compaction. *)
 
-val compaction_debt_tables : t -> int
+val compaction_debt_runs : t -> int
+(** Level-0 runs a point read may probe: each unsorted PM table, the
+    key-disjoint sorted run as one, each SSD level-0 table. The one debt
+    measure — admission, doctor, gauges and the CLI all read it. *)
+
+val chaos_table_debt : bool ref
+(** Planted-bug kill switch: when set, {!compaction_debt_runs} counts
+    every sorted-run table again. Exists so the PM-share gate can prove it
+    catches the old table-count debt. Leave it [false]. *)
 
 val space_bytes : t -> int
 (** Physical live bytes across PM and SSD structures. *)

@@ -11,7 +11,10 @@
      information is stored once and the bytes that remain in the groups
      discriminate early.
 
-   - prefix layer: one fixed-width record per group of [group_size] keys:
+   - prefix layer: one fixed-width record per group. A group closes at
+     [group_size] entries, or before its entries would pass
+     [max_group_bytes] (one SSD block), and never between two versions of
+     one key — so a group past either bound is a single key's version run:
 
        slot (prefix_len bytes of the group's first stripped key, \000-pad)
        u32 entry-layer offset | u16 entry count
@@ -20,16 +23,16 @@
      Slots are monotone truncations of sorted stripped keys, so the layer
      is binary-searchable with one PM access per probe; when two slots tie,
      the probe reads the group's first entry (a second access) to compare
-     exactly.
+     exactly. Since every version of a key shares one group, a probe may
+     land on the group that opens with its key.
 
    - entry layer: per group, entries back-to-back with the group's shared
      prefix removed: varint suffix_len, suffix, varint seq, kind byte,
      varint value_len, value.
 
    Lookup: locate the run in the (handle-cached) meta layer by extended-tag
-   prefix, binary-search the run's groups, scan the landing group
-   sequentially, and spill into following groups only while their first key
-   still equals the probe's (version runs can cross group boundaries).
+   prefix, binary-search the run's groups, and scan the landing group — the
+   only group read a point lookup makes.
 
    Integrity: every layer is checksummed. Each fixed-width prefix record
    carries an inline CRC32 (verified on every [read_record]); each group's
@@ -76,6 +79,11 @@ let verify_checksums = ref true
 let encode_cpu_ns = 30.0
 let decode_cpu_ns = 25.0
 let max_extended_tag = 40
+
+(* A point read decodes one group; capping its entries at one SSD block
+   keeps a PM get from reading more than an SSD get does. *)
+let max_group_bytes = Sstable.default_block_bytes
+
 let charge_cpu dev ns = Sim.Clock.advance (Pmem.clock dev) ns
 
 (* Region footer: u32 entry_len | u32 meta_off | u32 group_count |
@@ -159,9 +167,41 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
     in
     let meta_idx = List.length !metas in
     let g_lo = !group_count in
+    (* End of the version run starting at [k]: all entries with its key. *)
+    let versions_end k =
+      let k' = ref (k + 1) in
+      while !k' < run_end && entries.(!k').Util.Kv.key = entries.(k).Util.Kv.key do
+        incr k'
+      done;
+      !k'
+    in
+    let bytes lo hi =
+      let b = ref 0 in
+      for k = lo to hi - 1 do
+        b := !b + Util.Kv.encoded_size entries.(k)
+      done;
+      !b
+    in
     let j = ref run_start in
     while !j < run_end do
-      let lo = !j and hi = min run_end (!j + group_size) in
+      (* Take whole version runs while the group stays within both
+         bounds; the first one is taken whatever its size. *)
+      let lo = !j in
+      let hi = ref (versions_end lo) in
+      let size = ref (bytes lo !hi) in
+      let full = ref false in
+      while (not !full) && !hi < run_end do
+        let next = versions_end !hi in
+        let b = bytes !hi next in
+        if next - lo <= group_size && !size + b <= max_group_bytes then begin
+          hi := next;
+          size := !size + b
+        end
+        else full := true
+      done;
+      let hi = !hi in
+      (* the prefix record's entry count is a u16 *)
+      if hi - lo > 0xffff then invalid_arg "Pm_table.build: group over 65535 entries";
       let stripped_first = strip extended entries.(lo).Util.Kv.key in
       let stripped_last = strip extended entries.(hi - 1).Util.Kv.key in
       let shared =
@@ -378,18 +418,19 @@ let read_first_key t record =
   in
   group_prefix t record ^ suffix
 
-let group_extent t g record =
-  let stop =
-    if g + 1 < t.group_count then (read_record t (g + 1)).offset else t.entry_len
-  in
-  (record.offset, stop)
+(* Module-wide telemetry, like [bloom_probes]: group extents decoded. *)
+let group_reads = ref 0
 
-(* Decode a group's entries, reconstructing full keys. The raw extent is
-   verified against the handle-cached group CRC first — one string pass, no
-   extra PM access — so a rotten group raises instead of decoding junk. *)
-let read_group t g record =
-  let start, stop = group_extent t g record in
-  let raw = Pmem.read t.dev t.region ~off:start ~len:(stop - start) in
+(* Decode group [g]'s entries, reconstructing full keys. The next group's
+   record ends the extent; it is read here and returned, so a sequential
+   walk reads each record once. The raw extent is verified against the
+   handle-cached group CRC first — one string pass, no extra PM access — so
+   a rotten group raises instead of decoding junk. *)
+let read_group_next t g record =
+  let next = if g + 1 < t.group_count then Some (read_record t (g + 1)) else None in
+  let stop = match next with Some r -> r.offset | None -> t.entry_len in
+  incr group_reads;
+  let raw = Pmem.read t.dev t.region ~off:record.offset ~len:(stop - record.offset) in
   if !verify_checksums && Util.Crc32.string raw <> t.gcrcs.(g) then
     raise
       (Integrity.Corrupted
@@ -397,13 +438,24 @@ let read_group t g record =
   charge_cpu t.dev (float_of_int record.count_ *. decode_cpu_ns);
   let prefix = group_prefix t record in
   let pos = ref 0 in
-  Array.init record.count_ (fun _ ->
-      let suffix, p = Util.Varint.read_string raw !pos in
-      let seq, p = Util.Varint.read raw p in
-      let kind = if raw.[p] = '\000' then Util.Kv.Delete else Util.Kv.Put in
-      let value, p = Util.Varint.read_string raw (p + 1) in
-      pos := p;
-      { Util.Kv.key = prefix ^ suffix; seq; kind; value })
+  let entries =
+    Array.init record.count_ (fun _ ->
+        let suffix, p = Util.Varint.read_string raw !pos in
+        let seq, p = Util.Varint.read raw p in
+        let kind = if raw.[p] = '\000' then Util.Kv.Delete else Util.Kv.Put in
+        let value, p = Util.Varint.read_string raw (p + 1) in
+        pos := p;
+        { Util.Kv.key = prefix ^ suffix; seq; kind; value })
+  in
+  (entries, next)
+
+let read_group t g record = fst (read_group_next t g record)
+
+(* Decode groups [g], [g+1], ... in order, handing each to [f] until it
+   returns [false]. *)
+let rec walk t g record f =
+  let entries, next = read_group_next t g record in
+  if f entries then match next with Some r -> walk t (g + 1) r f | None -> ()
 
 (* Reopen a table from its persisted region (after a restart or crash):
    the footer locates the layers, the meta layer restores the tag index and
@@ -517,60 +569,49 @@ let metas_for t key =
     end
   end
 
-(* Compare group [g]'s first entry against probe (key, +inf): slots first
-   (one access already paid by the caller's [record]), exact first-key read
-   only on ties. Returns < 0 when the group starts before the probe. *)
+(* Compare group [g]'s first key against [key]: slots first (one access
+   already paid by the caller's [record]), exact first-key read only on
+   ties. Returns < 0 when the group starts before [key] and 0 when it
+   opens with it — it then holds every version of [key]. *)
 let compare_group_start t record ~probe_slot ~key =
   let c = String.compare record.slot probe_slot in
-  if c <> 0 then c
-  else begin
-    let first_key = read_first_key t record in
-    let c = String.compare first_key key in
-    if c <> 0 then c else 1 (* same key: first entry sorts after (key, +inf) *)
-  end
+  if c <> 0 then c else String.compare (read_first_key t record) key
 
-(* Last group in [g_lo, g_hi) starting at or before the probe, or None when
-   the probe precedes the run's first group. *)
+(* Last group in [g_lo, g_hi) starting at or before [key], with its
+   record, or None when [key] precedes the run's first group. *)
 let locate t ~g_lo ~g_hi ~probe_slot ~key =
   if g_hi <= g_lo then None
-  else if compare_group_start t (read_record t g_lo) ~probe_slot ~key > 0 then None
-  else begin
-    let lo = ref g_lo and hi = ref (g_hi - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if compare_group_start t (read_record t mid) ~probe_slot ~key <= 0 then lo := mid
-      else hi := mid - 1
-    done;
-    Some !lo
-  end
+  else
+    let first = read_record t g_lo in
+    if compare_group_start t first ~probe_slot ~key > 0 then None
+    else begin
+      let lo = ref g_lo and lo_record = ref first and hi = ref (g_hi - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi + 1) / 2 in
+        let record = read_record t mid in
+        if compare_group_start t record ~probe_slot ~key <= 0 then begin
+          lo := mid;
+          lo_record := record
+        end
+        else hi := mid - 1
+      done;
+      Some (!lo, !lo_record)
+    end
 
-let find_in_group t g record key =
-  Array.find_opt (fun (e : Util.Kv.entry) -> e.key = key) (read_group t g record)
-
+(* A key's versions never cross a group boundary, so the located group is
+   the only one that can hold it. *)
 let get_in_run t ~g_lo ~g_hi key tag =
-  (* Version runs can spill across group boundaries: after the landing
-     group, follow groups while they still open with the probe key. *)
-  let rec spill g =
-    if g >= g_hi then None
-    else
-      let record = read_record t g in
-      if read_first_key t record = key then
-        match find_in_group t g record key with
-        | Some e -> Some e
-        | None -> spill (g + 1)
-      else None
-  in
   let probe_slot = pad_slot t.prefix_len (strip tag key) in
   match locate t ~g_lo ~g_hi ~probe_slot ~key with
-  | None ->
-      (* The probe (key, +inf) sorts before every entry of its own key, so
-         a key that opens the run lands here: check the first group. *)
-      spill g_lo
-  | Some g -> (
-      let record = read_record t g in
-      match find_in_group t g record key with
-      | Some e -> Some e
-      | None -> spill (g + 1))
+  | None -> None
+  | Some (g, record) ->
+      Array.find_opt (fun (e : Util.Kv.entry) -> e.key = key) (read_group t g record)
+
+let groups t =
+  let records = Array.init t.group_count (read_record t) in
+  List.init t.group_count (fun g ->
+      let stop = if g + 1 < t.group_count then records.(g + 1).offset else t.entry_len in
+      (records.(g).count_, stop - records.(g).offset))
 
 let has_bloom t = t.bloom <> None
 
@@ -594,34 +635,34 @@ let get ?(use_bloom = true) t key =
         (metas_for t key)
 
 let iter t f =
-  for g = 0 to t.group_count - 1 do
-    let record = read_record t g in
-    Array.iter f (read_group t g record)
-  done
+  walk t 0 (read_record t 0) (fun entries ->
+      Array.iter f entries;
+      true)
 
 let to_list t =
   let acc = ref [] in
   iter t (fun e -> acc := e :: !acc);
   List.rev !acc
 
-(* First group that could contain a key >= [start]: per run, locate and
-   step back never needed (locate gives last group starting <= start, whose
-   tail may reach start); runs whose tag region sorts entirely before
-   [start] are skipped. *)
+(* First group that could contain a key >= [start]: locate gives the last
+   group starting at or before [start], whose tail may reach it; runs
+   whose tag region sorts entirely before [start] are skipped. The walk
+   from there reads one prefix record per group. *)
 let range t ~start ~stop f =
   if stop > t.min_key && start <= t.max_key then begin
+    let at g = Some (g, read_record t g) in
     let start_group =
       (* Find the first run whose key region may reach [start]. *)
       let rec scan i =
-        if i >= Array.length t.metas then t.group_count
+        if i >= Array.length t.metas then None
         else begin
           let m = t.metas.(i) in
           if Util.Keys.is_prefix ~prefix:m.tag start then
             let probe_slot = pad_slot t.prefix_len (strip m.tag start) in
             match locate t ~g_lo:m.g_lo ~g_hi:m.g_hi ~probe_slot ~key:start with
-            | Some g -> g
-            | None -> m.g_lo
-          else if String.compare m.tag start >= 0 then m.g_lo
+            | Some _ as found -> found
+            | None -> at m.g_lo
+          else if String.compare m.tag start >= 0 then at m.g_lo
           else
             (* Every key of this run shares [m.tag], which sorts before
                [start] without being its prefix, so every key of the run
@@ -631,18 +672,17 @@ let range t ~start ~stop f =
       in
       scan 0
     in
-    let continue = ref true in
-    let g = ref start_group in
-    while !continue && !g < t.group_count do
-      let record = read_record t !g in
-      let entries = read_group t !g record in
-      Array.iter
-        (fun (e : Util.Kv.entry) ->
-          if String.compare e.key stop >= 0 then continue := false
-          else if String.compare e.key start >= 0 then f e)
-        entries;
-      incr g
-    done
+    match start_group with
+    | None -> ()
+    | Some (g, record) ->
+        walk t g record (fun entries ->
+            let continue = ref true in
+            Array.iter
+              (fun (e : Util.Kv.entry) ->
+                if String.compare e.key stop >= 0 then continue := false
+                else if String.compare e.key start >= 0 then f e)
+              entries;
+            !continue)
   end
 
 (* Full checksum walk from the medium (scrub). The footer and meta layer

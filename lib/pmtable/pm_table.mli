@@ -1,9 +1,9 @@
 (** The paper's three-layer compressed PM table (§IV-A, Fig. 2b):
     meta layer ({tableID} tags stored once), fixed-width binary-searchable
-    prefix layer (one record per group of 8/16 keys), and entry layer
-    (prefix-stripped entries). A lookup costs one PM access per binary-search
-    probe plus one sequential group read — versus two accesses per probe in
-    the array table. *)
+    prefix layer (one record per group of up to 8/16 keys and at most one
+    SSD block), and entry layer (prefix-stripped entries). A lookup costs
+    one PM access per binary-search probe plus one sequential group read —
+    versus two accesses per probe in the array table. *)
 
 type t
 
@@ -16,14 +16,16 @@ val build :
   Pmem.t ->
   Util.Kv.entry array ->
   t
-(** Build from entries sorted by {!Util.Kv.compare_entry}. [group_size]
-    defaults to the paper's 8; [prefix_len] is the fixed slot width
+(** Build from entries sorted by {!Util.Kv.compare_entry}. A group closes
+    at [group_size] entries (default the paper's 8) or before its entries
+    would pass {!max_group_bytes}, and never splits one key's versions: a
+    group past either bound holds a single key's version run. [prefix_len] is the fixed slot width
     (default {!default_prefix_len}; larger slots strip more shared bytes
     from the entry layer at ~zero probe cost, since the PM access cost is
     dominated by its fixed term). [bloom_bits_per_key] (default 10) sizes
     the format-v2 Bloom filter persisted in the meta layer; [0] writes the
     byte-identical v1 layout with no bloom. Raises [Invalid_argument] on
-    unsorted or empty input, [Pmem.Out_of_space] when the device is
+    unsorted or empty input or a key with over 65535 versions, [Pmem.Out_of_space] when the device is
     full. *)
 
 val open_existing : Pmem.t -> Pmem.region -> t
@@ -40,7 +42,17 @@ val payload_bytes : t -> int
 (** Uncompressed logical size; [byte_size t < payload_bytes t] measures the
     compression win. *)
 
+val max_group_bytes : int
+(** The encoded-entry budget of one group: the SSD block,
+    {!Sstable.default_block_bytes}, so a PM point read decodes no more
+    than an SSD one. *)
+
 val group_count : t -> int
+
+val groups : t -> (int * int) list
+(** Entry count and entry-layer bytes of every group, in order (reads each
+    prefix record once). *)
+
 val min_key : t -> string
 val max_key : t -> string
 val seq_range : t -> int * int
@@ -57,6 +69,10 @@ val bloom_probes : int ref
 val bloom_negatives : int ref
 (** Module-wide telemetry: gets that consulted a PM bloom, and those
     answered "absent" without touching PM. *)
+
+val group_reads : int ref
+(** Module-wide telemetry: group extents read and decoded. A point
+    {!get} reads at most one per tag run that can hold the key. *)
 
 val default_bloom_bits_per_key : int
 

@@ -1,6 +1,8 @@
 (* Write-stall admission control, per shard.
 
-   The signal is the shard's compaction debt in level-0 tables. Below
+   The signal is the shard's compaction debt in level-0 runs
+   ([Core.Engine.compaction_debt_runs]): what a point read may probe, so a
+   resident sorted run on PM is one run however many tables it holds. Below
    [admission_soft_tables] writes pass untouched. In the soft zone the
    writer is delayed proportionally to the overshoot (RocksDB's
    delayed-write style), giving background compaction a chance to keep up
@@ -34,14 +36,14 @@ let create ~clock ~soft_tables ~hard_tables =
     stall_ns = 0.0;
   }
 
-let at_hard_limit t engine = Core.Engine.compaction_debt_tables engine >= t.hard_tables
+let at_hard_limit t engine = Core.Engine.compaction_debt_runs engine >= t.hard_tables
 
 (* Admit one write to [engine]. [wait_background] blocks the caller until
    the shard's in-flight background job (if any) completes; [relieve]
    forces one round of compaction on the shard when waiting alone cannot
    drain the debt. *)
 let admit t engine ~wait_background ~relieve =
-  let debt () = Core.Engine.compaction_debt_tables engine in
+  let debt () = Core.Engine.compaction_debt_runs engine in
   let d = debt () in
   if d >= t.hard_tables then begin
     t.stalls <- t.stalls + 1;

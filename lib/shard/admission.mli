@@ -1,6 +1,7 @@
 (** Write-stall admission control, per shard.
 
-    Signal: the shard's compaction debt in level-0 tables. Below the soft
+    Signal: the shard's compaction debt in level-0 runs
+    ({!Core.Engine.compaction_debt_runs}). Below the soft
     limit writes pass untouched; in the soft zone each write is delayed
     proportionally to the overshoot; at the hard limit the writer stalls
     — riding the shard's background worker and forcing compaction relief

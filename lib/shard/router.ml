@@ -509,6 +509,7 @@ let sum f t = Array.fold_left (fun acc s -> acc + f s) 0 t.shards
 let sumf f t = Array.fold_left (fun acc s -> acc +. f s) 0.0 t.shards
 
 let stall_count t = sum (fun s -> Admission.stalls s.adm) t
+let at_hard_limit t = Array.exists (fun s -> Admission.at_hard_limit s.adm s.engine) t.shards
 let stall_ns t = sumf (fun s -> Admission.stall_ns s.adm) t
 let soft_delays t = sum (fun s -> Admission.soft_delays s.adm) t
 let gc_batches t = sum (fun s -> Group_commit.batches s.gc) t
@@ -651,11 +652,11 @@ let pp_stats ppf t =
   lat "scan" t.scan_lat;
   Array.iter
     (fun s ->
-      Fmt.pf ppf "  shard %d [%S, %s): stalls %d, batches %d, debt %d tables@," s.s_idx
+      Fmt.pf ppf "  shard %d [%S, %s): stalls %d, batches %d, debt %d runs@," s.s_idx
         s.s_lo
         (if s.s_hi = max_key_sentinel then "<max>" else Printf.sprintf "%S" s.s_hi)
         (Admission.stalls s.adm) (Group_commit.batches s.gc)
-        (Core.Engine.compaction_debt_tables s.engine))
+        (Core.Engine.compaction_debt_runs s.engine))
     t.shards;
   Array.iter (fun s -> Fmt.pf ppf "@,%a" Core.Engine.pp_stats s.engine) t.shards;
   Fmt.pf ppf "@]"
@@ -719,9 +720,9 @@ let register_metrics reg t =
   Array.iter
     (fun s ->
       let p fmt = Printf.sprintf fmt s.s_idx in
-      register_int reg (p "shard%d.debt_tables") ~kind:Gauge
-        ~help:"level-0 backlog tables of this shard" (fun () ->
-          Core.Engine.compaction_debt_tables s.engine);
+      register_int reg (p "shard%d.debt_runs") ~kind:Gauge
+        ~help:"level-0 runs of this shard (the admission signal)" (fun () ->
+          Core.Engine.compaction_debt_runs s.engine);
       register_int reg (p "shard%d.l0_bytes") ~kind:Gauge
         ~help:"PM level-0 resident bytes of this shard" (fun () ->
           Core.Engine.l0_bytes s.engine);

@@ -123,6 +123,11 @@ val disable_group_commit : t -> unit
 (** {1 Aggregates} *)
 
 val stall_count : t -> int
+
+val at_hard_limit : t -> bool
+(** Is some shard's debt at or past its admission hard limit — would its
+    next write stall? *)
+
 val stall_ns : t -> float
 val soft_delays : t -> int
 val gc_batches : t -> int

@@ -5,10 +5,11 @@
 # fails on group commit never coalescing (mean batch size <= 1 means every
 # writer paid its own log sync), a shard left stalled over the admission
 # hard limit when the run ends, a scaling ratio below the 1.5x acceptance
-# floor, or an incomplete run. The benchmark prints one
-# machine-greppable line:
+# floor, an incomplete run, or a resident one-shard store whose reads PM
+# serves less than 90% of (admission pushed the paper's PM level-0 to the
+# SSD). The benchmark prints one machine-greppable line:
 #
-#   SHARD speedup4=S mean_batch4=M stalled=K completed=N
+#   SHARD speedup4=S mean_batch4=M stalled=K completed=N pm_share=P
 #
 # The committed baseline is never rewritten here. To refresh it after an
 # intentional change:
@@ -44,9 +45,10 @@ speedup="$(field speedup4)"
 mean_batch="$(field mean_batch4)"
 stalled="$(field stalled)"
 completed="$(field completed)"
+pm_share="$(field pm_share)"
 
 echo "check_shard: speedup4=$speedup mean_batch4=$mean_batch" \
-     "stalled=$stalled completed=$completed"
+     "stalled=$stalled completed=$completed pm_share=$pm_share"
 
 fail=0
 if [ "$(echo "$speedup" | awk '{print ($1 >= 1.5) ? 1 : 0}')" != 1 ]; then
@@ -63,6 +65,10 @@ if [ "$stalled" != 0 ]; then
 fi
 if [ "$completed" != 6 ]; then
     echo "check_shard: FAIL - expected 6 completed runs, got $completed" >&2
+    fail=1
+fi
+if [ "$(echo "$pm_share" | awk '{print ($1 >= 0.9) ? 1 : 0}')" != 1 ]; then
+    echo "check_shard: FAIL - resident store served from PM for only $pm_share of reads" >&2
     fail=1
 fi
 

@@ -212,6 +212,55 @@ let test_warm_set_stays_in_pm () =
   check Alcotest.bool "hot keys served from PM/memtable" true
     (Core.Metrics.pm_hit_ratio m > 0.8)
 
+(* Step 0 of Algorithm 1: a flush that overlaps no other level-0 table
+   joins the sorted run without a PM rewrite; an overlapping one stays
+   unsorted and shadows the run. A crash after the moves recovers the same
+   structure and contents. *)
+let test_trivial_move () =
+  let cfg =
+    { (small Core.Config.pmblade) with Core.Config.durable = true; partition_count = 1 }
+  in
+  let eng = Fault.Crash_sweep.fresh_engine cfg in
+  let key i = Printf.sprintf "key%05d" i in
+  let tables () =
+    List.filter
+      (fun id -> Some id <> Option.map Core.Wal.region_id (Core.Engine.wal eng))
+      (Core.Engine.owned_region_ids eng)
+  in
+  for batch = 0 to 4 do
+    let before = tables () in
+    for i = batch * 20 to (batch * 20) + 19 do
+      Core.Engine.put eng ~key:(key i) (Printf.sprintf "v0-%d" i)
+    done;
+    Core.Engine.flush eng;
+    check Alcotest.bool "every earlier table survives the flush" true
+      (List.for_all (fun id -> List.mem id (tables ())) before)
+  done;
+  check Alcotest.int "disjoint flushes all moved" 0 (Core.Engine.unsorted_table_count eng);
+  check Alcotest.int "one run table per flush" 5 (Core.Engine.sorted_table_count eng);
+  check Alcotest.int "nothing rewritten" 0
+    (Core.Engine.metrics eng).Core.Metrics.internal_compactions;
+  check Alcotest.int "debt is one run" 1 (Core.Engine.compaction_debt_runs eng);
+  Core.Engine.put ~update:true eng ~key:(key 10) "v1-10";
+  Core.Engine.put ~update:true eng ~key:(key 70) "v1-70";
+  Core.Engine.flush eng;
+  check Alcotest.int "an overlapping flush stays unsorted" 1
+    (Core.Engine.unsorted_table_count eng);
+  check Alcotest.int "debt counts it" 2 (Core.Engine.compaction_debt_runs eng);
+  check Alcotest.(option string) "newest version wins" (Some "v1-10")
+    (Core.Engine.get eng (key 10));
+  check Alcotest.(option string) "older run still served" (Some "v0-11")
+    (Core.Engine.get eng (key 11));
+  let all e = Core.Engine.scan_range e ~start:"" ~stop:"\xff" in
+  let contents = all eng in
+  let pm = Core.Engine.pm eng and ssd = Core.Engine.ssd eng in
+  Fault.Crash_sweep.crash ~pm ~ssd ();
+  let recovered = Core.Engine.recover cfg ~pm ~ssd in
+  check Alcotest.(list (pair string string)) "contents survive the crash" contents
+    (all recovered);
+  check Alcotest.int "sorted run recovered" 5 (Core.Engine.sorted_table_count recovered);
+  check Alcotest.int "unsorted stack recovered" 1 (Core.Engine.unsorted_table_count recovered)
+
 let test_out_of_space_recovers () =
   (* A tiny PM device must not wedge the engine: it falls back to major
      compaction and keeps accepting writes. *)
@@ -453,8 +502,8 @@ let test_ledger_stalls_and_debt () =
     (m.Core.Metrics.write_stall_time > 0.0);
   Alcotest.(check bool) "debt gauge sees the L0 backlog" true
     (Core.Engine.compaction_debt_bytes eng > 0);
-  Alcotest.(check bool) "debt counts tables" true
-    (Core.Engine.compaction_debt_tables eng > 0);
+  Alcotest.(check bool) "debt counts runs" true
+    (Core.Engine.compaction_debt_runs eng > 0);
   (* Draining level-0 pays the debt down. *)
   Core.Engine.flush eng;
   Core.Engine.force_internal_compaction eng;
@@ -499,6 +548,7 @@ let () =
           Alcotest.test_case "major compaction moves to SSD" `Quick test_major_compaction_moves_to_ssd;
           Alcotest.test_case "tombstones dropped at bottom" `Quick test_tombstones_dropped_at_bottom;
           Alcotest.test_case "warm set stays in PM" `Quick test_warm_set_stays_in_pm;
+          Alcotest.test_case "trivial move into the sorted run" `Quick test_trivial_move;
           Alcotest.test_case "out of space recovers" `Quick test_out_of_space_recovers;
           Alcotest.test_case "write amplification ordering" `Quick test_write_amplification_ordering;
           Alcotest.test_case "latency ordering PM vs SSD" `Quick test_latency_ordering_pm_vs_ssd;

@@ -282,6 +282,70 @@ let test_bloom_screens_pm_reads () =
   check Alcotest.bool "probes counted" true (!Pmtable.Pm_table.bloom_probes > 0);
   check Alcotest.bool "negatives counted" true (!Pmtable.Pm_table.bloom_negatives > 0)
 
+(* --- group invariants: one key's versions share a group, a group fits
+   one SSD block, a point read decodes one group --- *)
+
+let versions key ~from n ~value_bytes =
+  List.init n (fun i ->
+      Util.Kv.entry ~key ~seq:(from + n - i) (String.make value_bytes (Char.chr (97 + (i mod 26)))))
+
+let test_version_run_one_group () =
+  let _, dev = make_dev () in
+  let single prefix i = Util.Kv.entry ~key:(Printf.sprintf "%s%02d" prefix i) ~seq:1 "v" in
+  let entries =
+    Array.of_list
+      (List.init 10 (single "a") @ versions "k" ~from:100 20 ~value_bytes:8
+      @ List.init 10 (single "z"))
+  in
+  let t = Pmtable.Pm_table.build ~group_size:8 dev entries in
+  check Alcotest.bool "the 20 versions share one group" true
+    (List.exists (fun (n, _) -> n = 20) (Pmtable.Pm_table.groups t));
+  (match Pmtable.Pm_table.get t "k" with
+  | Some e -> check Alcotest.int "get: newest version" 120 e.Util.Kv.seq
+  | None -> Alcotest.fail "get lost the key");
+  let from_range = ref [] in
+  Pmtable.Pm_table.range t ~start:"k" ~stop:"k\000" (fun e -> from_range := e :: !from_range);
+  (match List.rev !from_range with
+  | e :: _ -> check Alcotest.int "range: newest version first" 120 e.Util.Kv.seq
+  | [] -> Alcotest.fail "range lost the key");
+  check Alcotest.int "range: every version" 20 (List.length !from_range)
+
+let test_group_fits_one_block () =
+  let _, dev = make_dev () in
+  (* 1 KiB values: eight would fill two blocks; one key's 6 versions
+     (6 KiB) cannot be split and may pass the block alone *)
+  let entries =
+    Array.of_list
+      (List.concat
+         (List.init 40 (fun i ->
+              let key = Util.Keys.ycsb_key i in
+              if i = 17 then versions key ~from:1000 6 ~value_bytes:1024
+              else versions key ~from:(10 * i) (1 + (i mod 2)) ~value_bytes:1024)))
+  in
+  let t = Pmtable.Pm_table.build ~group_size:8 dev entries in
+  let groups = Pmtable.Pm_table.groups t in
+  let over = List.filter (fun (_, bytes) -> bytes > Pmtable.Pm_table.max_group_bytes) groups in
+  check Alcotest.(list int) "only the 6-version run passes the block" [ 6 ] (List.map fst over);
+  check Alcotest.bool "groups closed by bytes, not count" true
+    (List.for_all (fun (n, _) -> n < 8) groups);
+  check Alcotest.int "the block is the SSD's" Sstable.default_block_bytes
+    Pmtable.Pm_table.max_group_bytes
+
+let test_get_reads_one_group () =
+  let _, dev = make_dev () in
+  let t = Pmtable.Pm_table.build ~group_size:8 dev (sorted_ycsb 100) in
+  for i = 0 to 99 do
+    let reads0 = !Pmtable.Pm_table.group_reads in
+    (match Pmtable.Pm_table.get t (Util.Keys.ycsb_key i) with
+    | Some e -> check Alcotest.int "seq" (i + 1) e.Util.Kv.seq
+    | None -> Alcotest.failf "lost rank %d" i);
+    check Alcotest.int
+      (Printf.sprintf "rank %d (%s a group): one group read" i
+         (if i mod 8 = 0 then "opens" else "inside"))
+      1
+      (!Pmtable.Pm_table.group_reads - reads0)
+  done
+
 let per_kind name f =
   List.map (fun (kname, kind) -> Alcotest.test_case (name ^ " [" ^ kname ^ "]") `Quick (f (kname, kind))) all_kinds
 
@@ -311,5 +375,12 @@ let () =
           Alcotest.test_case "v2 roundtrip (bloom persisted)" `Quick
             test_v2_roundtrip_with_bloom;
           Alcotest.test_case "bloom screens PM reads" `Quick test_bloom_screens_pm_reads;
+        ] );
+      ( "groups",
+        [
+          Alcotest.test_case "version run stays in one group" `Quick
+            test_version_run_one_group;
+          Alcotest.test_case "group fits one SSD block" `Quick test_group_fits_one_block;
+          Alcotest.test_case "get reads one group" `Quick test_get_reads_one_group;
         ] );
     ]

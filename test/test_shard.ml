@@ -299,12 +299,34 @@ let test_admission_stall_and_resume () =
   check Alcotest.bool "stall time accounted" true (Shard.Router.stall_ns r > 0.0);
   check Alcotest.bool "soft delays seen" true (Shard.Router.soft_delays r > 0);
   (* relief worked: the shard is below the hard limit and still writable *)
-  let debt = Core.Engine.compaction_debt_tables (Shard.Router.engines r).(0) in
+  let debt = Core.Engine.compaction_debt_runs (Shard.Router.engines r).(0) in
   check Alcotest.bool "debt drained below hard limit" true
     (debt < cfg.Core.Config.admission_hard_tables + 2);
   put r ~key:"post-stall" "ok";
   check Alcotest.(option string) "writes resume" (Some "ok")
     (get r "post-stall")
+
+(* Debt counts runs, and a sequential load moves every flush into the
+   sorted run: loading a store that fits the PM budget through the front
+   door never stalls, and every read is then served from PM. *)
+let test_resident_load_stays_on_pm () =
+  let cfg = { Core.Config.pmblade with Core.Config.durable = true; shard_count = 1 } in
+  let r = Shard.Router.create cfg in
+  let records = 3000 in
+  for i = 0 to records - 1 do
+    put r ~key:(Util.Keys.ycsb_key i) (String.make 1024 (Char.chr (97 + (i mod 26))))
+  done;
+  Shard.Router.flush r;
+  check Alcotest.int "no admission stall" 0 (Shard.Router.stall_count r);
+  check Alcotest.bool "under the hard limit" false (Shard.Router.at_hard_limit r);
+  let m = Core.Engine.metrics (Shard.Router.engines r).(0) in
+  Core.Metrics.reset_read_sources m;
+  for i = 0 to records - 1 do
+    check Alcotest.(option int) "value read back" (Some 1024)
+      (Option.map String.length (get r (Util.Keys.ycsb_key i)))
+  done;
+  check Alcotest.int "no get reached the SSD" 0 m.Core.Metrics.reads_from_ssd;
+  check Alcotest.int "every get served from PM" records m.Core.Metrics.reads_from_pm
 
 (* Admission owns the hard limit, clamped to at least the soft limit: a
    write with a deadline budget must not be shed as "deadline" at a debt
@@ -323,11 +345,11 @@ let test_deadline_uses_clamped_hard_limit () =
   let r = Shard.Router.create cfg in
   let engine = (Shard.Router.engines r).(0) in
   let i = ref 0 in
-  while Core.Engine.compaction_debt_tables engine < 4 do
+  while Core.Engine.compaction_debt_runs engine < 4 do
     put r ~key:(Printf.sprintf "k%04d" !i) (String.make 64 'x');
     incr i
   done;
-  let debt = Core.Engine.compaction_debt_tables engine in
+  let debt = Core.Engine.compaction_debt_runs engine in
   check Alcotest.bool "debt past the unclamped limit, under the soft one" true
     (debt >= 4 && debt < 12);
   (match Shard.Router.put_checked r ~key:"late" "v" with
@@ -504,6 +526,8 @@ let () =
       ( "admission",
         [
           Alcotest.test_case "stall and resume" `Quick test_admission_stall_and_resume;
+          Alcotest.test_case "resident load stays on PM" `Quick
+            test_resident_load_stays_on_pm;
           Alcotest.test_case "deadline uses the clamped hard limit" `Quick
             test_deadline_uses_clamped_hard_limit;
         ] );
