@@ -101,5 +101,14 @@ let run () =
   metric "engine.write_stall_ns" m.Core.Metrics.write_stall_time;
   metric "engine.debt_bytes" (float_of_int (Core.Engine.compaction_debt_bytes eng));
   metric "cache.hit_ratio" hit_ratio;
+  (* Request size over the whole run (load and compactions included): a
+     table build is one write and a compaction input one read, so these
+     fall back to about a block if either goes per-block again. *)
+  let ssd = Ssd.stats (Core.Engine.ssd eng) in
+  let per_request bytes requests =
+    if requests > 0 then float_of_int bytes /. float_of_int requests else 0.0
+  in
+  metric "ssd.write_bytes_per_request" (per_request ssd.Ssd.bytes_written ssd.Ssd.writes);
+  metric "ssd.read_bytes_per_request" (per_request ssd.Ssd.bytes_read ssd.Ssd.reads);
   Obs.Attr.disable ();
   if planted () then Report.note "PLANTED regression active: block cache disabled"

@@ -17,6 +17,13 @@ let rules =
     Obs.Perf.rule "attr.ycsb_a.throughput_ops" ~tol:0.05
       ~direction:Obs.Perf.Higher_is_better;
     Obs.Perf.rule "cache.hit_ratio" ~tol:0.05 ~direction:Obs.Perf.Higher_is_better;
+    (* SSD request size: an SSTable build is one write request and a
+       compaction input one read request; per-block I/O shrinks both to
+       about a block. *)
+    Obs.Perf.rule "ssd.write_bytes_per_request" ~tol:0.05
+      ~direction:Obs.Perf.Higher_is_better;
+    Obs.Perf.rule "ssd.read_bytes_per_request" ~tol:0.05
+      ~direction:Obs.Perf.Higher_is_better;
     (* Tail latency wobbles more than averages under intentional drift. *)
     Obs.Perf.rule "attr.ycsb_a.read_p999_ns" ~tol:0.10;
     (* Stall time and compaction debt are bulk counters; give them room. *)

@@ -14,6 +14,9 @@
      (Table III's I/O latency column, Fig. 9c) measure.
 
    Cost model: fixed per-request latency plus a per-byte transfer term.
+   A request covers one contiguous range, so callers size their requests:
+   an SSTable build is one vectored write and a compaction input one
+   vectored read, while a point lookup reads one block.
    Calibrated against the paper's Table I (single random SSTable lookup
    22.3 us) and Table V (SSD compaction ~2x slower than PM-internal). *)
 
@@ -193,6 +196,12 @@ let account t op bytes dt =
       t.stats.bytes_written <- t.stats.bytes_written + bytes;
       t.stats.write_time <- t.stats.write_time +. dt
 
+let trace_request t op bytes dt =
+  if Obs.Trace.io_enabled () then
+    Obs.Trace.io_event
+      (match op with Read -> "ssd.read" | Write -> "ssd.write")
+      ~ts:(Sim.Clock.now t.clock) ~dur:dt ~bytes
+
 (* --- Fault hooks and crash mode -------------------------------------- *)
 
 (* An [Io_slow] outcome stretches the request to [mult] times its normal
@@ -271,25 +280,37 @@ let crash ?(keep = fun ~file_id:_ ~durable:_ ~size:_ -> 0) t =
 
 (* --- Synchronous interface (engine experiments) --------------------- *)
 
-let append t file data =
-  if file.closed then invalid_arg "Ssd.append: file closed";
-  let dt = service_time t Write (String.length data) in
-  if Obs.Trace.io_enabled () then
-    Obs.Trace.io_event "ssd.write" ~ts:(Sim.Clock.now t.clock) ~dur:dt
-      ~bytes:(String.length data);
+(* One device request of [len] bytes on [file]: the single place that
+   charges service time, emits the trace event, books the stats and the
+   read attribution, and consults the fault hook. Requests are atomic: the
+   hook runs after the cost is charged, and an [Io_fail] raises before the
+   caller transfers anything, so retrying is safe. *)
+let request t op file len =
+  let dt = service_time t op len in
+  trace_request t op len dt;
   Sim.Clock.advance t.clock dt;
-  account t Write (String.length data) dt;
-  t.stats.request_latency |> fun h -> Util.Histogram.record h dt;
-  (* A failed request charges its service time but transfers nothing; the
-     write is atomic-at-request granularity, so retrying is safe. *)
-  (match t.write_hook with
+  if op = Read then Obs.Attr.charge Obs.Attr.Ssd_read dt;
+  account t op len dt;
+  Util.Histogram.record t.stats.request_latency dt;
+  let hook = match op with Read -> t.read_hook | Write -> t.write_hook in
+  match hook with
   | None -> ()
   | Some hook -> (
-      match hook ~file_id:file.id ~len:(String.length data) with
+      match hook ~file_id:file.id ~len with
       | Io_ok -> ()
-      | Io_fail -> raise (Io_error { op = Write; file_id = file.id })
-      | Io_slow mult -> ignore (slow_extra t Write dt mult)));
-  Buffer.add_string file.data data
+      | Io_fail -> raise (Io_error { op; file_id = file.id })
+      | Io_slow mult ->
+          let extra = slow_extra t op dt mult in
+          if op = Read then Obs.Attr.charge Obs.Attr.Ssd_read extra)
+
+(* Vectored sequential write: the chunks go out as one request for their
+   total length (a table build's data blocks plus its meta block). *)
+let appendv t file chunks =
+  if file.closed then invalid_arg "Ssd.appendv: file closed";
+  request t Write file (List.fold_left (fun acc c -> acc + String.length c) 0 chunks);
+  List.iter (Buffer.add_string file.data) chunks
+
+let append t file data = appendv t file [ data ]
 
 (* Flush/FUA barrier: everything appended so far is durable afterwards.
    The fsync hook can swallow the barrier (sync loss), stall it (stuck-slow
@@ -335,28 +356,31 @@ let corrupt_file ?(len = 1) ?(mode = `Flip) t file ~off =
   Buffer.clear file.data;
   Buffer.add_bytes file.data raw
 
-let pread t file ~off ~len =
+(* Vectored read of contiguous [(off, len)] extents: one request for the
+   whole span (readahead over a range), one string per extent. *)
+let preadv t file extents =
   let size = Buffer.length file.data in
-  if off < 0 || len < 0 || off + len > size then invalid_arg "Ssd.pread: out of bounds";
-  (* A random read touches ceil(len/page) pages; charge one request plus the
-     transfer, modelling readahead within a contiguous range. *)
-  let dt = service_time t Read len in
-  if Obs.Trace.io_enabled () then
-    Obs.Trace.io_event "ssd.read" ~ts:(Sim.Clock.now t.clock) ~dur:dt ~bytes:len;
-  Sim.Clock.advance t.clock dt;
-  Obs.Attr.charge Obs.Attr.Ssd_read dt;
-  account t Read len dt;
-  Util.Histogram.record t.stats.request_latency dt;
-  (match t.read_hook with
-  | None -> ()
-  | Some hook -> (
-      match hook ~file_id:file.id ~len with
-      | Io_ok -> ()
-      | Io_fail -> raise (Io_error { op = Read; file_id = file.id })
-      | Io_slow mult ->
-          let extra = slow_extra t Read dt mult in
-          Obs.Attr.charge Obs.Attr.Ssd_read extra));
-  Buffer.sub file.data off len
+  let span =
+    match extents with
+    | [] -> 0
+    | (off0, _) :: _ ->
+        let stop =
+          List.fold_left
+            (fun pos (off, len) ->
+              if off <> pos || len < 0 then invalid_arg "Ssd.preadv: extents not contiguous";
+              pos + len)
+            off0 extents
+        in
+        if off0 < 0 || stop > size then invalid_arg "Ssd.preadv: out of bounds";
+        stop - off0
+  in
+  request t Read file span;
+  List.map (fun (off, len) -> Buffer.sub file.data off len) extents
+
+let pread t file ~off ~len =
+  match preadv t file [ (off, len) ] with
+  | [ data ] -> data
+  | _ -> assert false
 
 (* --- Asynchronous interface (scheduling experiments) ---------------- *)
 
@@ -375,10 +399,7 @@ let rec start_next t =
     t.in_service <- t.in_service + 1;
     Sim.Resource.mark_busy t.busy;
     let dt = service_time t req.op req.bytes in
-    if Obs.Trace.io_enabled () then
-      Obs.Trace.io_event
-        (match req.op with Read -> "ssd.read" | Write -> "ssd.write")
-        ~ts:(Sim.Clock.now t.clock) ~dur:dt ~bytes:req.bytes;
+    trace_request t req.op req.bytes dt;
     account t req.op req.bytes dt;
     Sim.Des.schedule_after (des_exn t)
       dt

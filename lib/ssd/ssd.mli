@@ -83,11 +83,24 @@ val find_file : t -> int -> file option
 val live_file_ids : t -> int list
 (** Ids of the live (non-deleted) files, ascending. *)
 
-(** {1 Synchronous access} *)
+(** {1 Synchronous access}
+
+    Each call is one device request and charges the virtual clock
+    directly: [latency + bytes * byte_ns] for the request's total length,
+    however many chunks or extents it carries. The trace event, the
+    [Ssd_read] attribution, the stats and the fault hook see the request
+    once, with that total length. Requests are atomic: an [Io_fail] from
+    the hook raises {!Io_error} before anything is transferred. An
+    SSTable build is one {!appendv}; a compaction input is one {!preadv}
+    over its data blocks. *)
+
+val appendv : t -> file -> string list -> unit
+(** Vectored sequential write: append the chunks in order as one request
+    for their total length. Raises {!Io_error} when the write hook fails
+    the request (nothing is written). *)
 
 val append : t -> file -> string -> unit
-(** Sequential write; charges fixed + per-byte cost. Raises {!Io_error}
-    when the write hook fails the request (nothing is written). *)
+(** [appendv] of one chunk. *)
 
 val fsync : t -> file -> unit
 (** Flush/FUA barrier: everything appended so far is durable afterwards
@@ -97,9 +110,14 @@ val seal : t -> file -> unit
 (** Mark the file immutable (SSTables are sealed after build); implies
     {!fsync} — sealing is the build's durability point. *)
 
+val preadv : t -> file -> (int * int) list -> string list
+(** Vectored read of contiguous [(off, len)] extents (each starts where the
+    previous one ends): one request for the whole span, one string per
+    extent. Raises [Invalid_argument] on a gap or an out-of-bounds span,
+    {!Io_error} when the read hook fails the request. *)
+
 val pread : t -> file -> off:int -> len:int -> string
-(** Random read; charges one request plus transfer. Raises {!Io_error}
-    when the read hook fails the request. *)
+(** [preadv] of one extent: a random read of one request plus transfer. *)
 
 val corrupt_file :
   ?len:int -> ?mode:[ `Flip | `Zero ] -> t -> file -> off:int -> unit
@@ -135,10 +153,11 @@ type io_outcome =
           its normal service time (gray fault, no data loss) *)
 
 val set_write_hook : t -> (file_id:int -> len:int -> io_outcome) option -> unit
-(** Consulted on every {!append} after cost accounting; [Io_fail] raises
-    {!Io_error} with nothing written. *)
+(** Consulted once per write request, with its total length, after cost
+    accounting; [Io_fail] raises {!Io_error} with nothing written. *)
 
 val set_read_hook : t -> (file_id:int -> len:int -> io_outcome) option -> unit
+(** Consulted once per read request, with the length of its whole span. *)
 
 val set_fsync_hook : t -> (file_id:int -> io_outcome) option -> unit
 (** [Io_fail] swallows the barrier: the call returns but the durable

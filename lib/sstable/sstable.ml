@@ -9,7 +9,12 @@
    cache" row of Table I is produced.
 
    Point lookup: bloom check (DRAM, ~free), binary search the index (DRAM),
-   read one data block (SSD or cache), scan the block. *)
+   read one data block (SSD or cache), scan the block.
+
+   Compaction-sized I/O: a build buffers its blocks and writes the table
+   as one device request; a compaction input ([to_list]) is read back as
+   one readahead request over the data region and bypasses the block
+   cache. *)
 
 let default_block_bytes = 4096
 let bits_per_key = 10
@@ -56,6 +61,7 @@ type builder = {
   mutable b_current : Buffer.t;
   mutable b_current_entries : int;
   mutable b_blocks : block_meta list;
+  mutable b_data : string list;  (* finished data blocks, newest first *)
   mutable b_last_key : string;
   mutable b_first_key : string option;
   mutable b_count : int;
@@ -74,6 +80,7 @@ let create_builder ?(block_bytes = default_block_bytes) ssd =
     b_current = Buffer.create block_bytes;
     b_current_entries = 0;
     b_blocks = [];
+    b_data = [];
     b_last_key = "";
     b_first_key = None;
     b_count = 0;
@@ -84,10 +91,12 @@ let create_builder ?(block_bytes = default_block_bytes) ssd =
     b_off = 0;
   }
 
+(* Finished blocks stay in DRAM until [finish] writes the whole table as
+   one request; [sstable_target_bytes] bounds the buffer. *)
 let flush_block b =
   if Buffer.length b.b_current > 0 then begin
     let data = Buffer.contents b.b_current in
-    Ssd.append b.b_ssd b.b_file data;
+    b.b_data <- data :: b.b_data;
     b.b_blocks <-
       { last_key = b.b_last_key; off = b.b_off; len = String.length data;
         entries = b.b_current_entries; crc = Util.Crc32.string data }
@@ -155,7 +164,7 @@ let finish b =
   if b.b_count = 0 then invalid_arg "Sstable.finish: empty table";
   flush_block b;
   let bloom = Bloom.of_keys ~bits_per_key b.b_keys in
-  Ssd.append b.b_ssd b.b_file (encode_meta b bloom);
+  Ssd.appendv b.b_ssd b.b_file (List.rev (encode_meta b bloom :: b.b_data));
   Ssd.seal b.b_ssd b.b_file;
   let blocks = Array.of_list (List.rev b.b_blocks) in
   {
@@ -269,16 +278,19 @@ let delete t =
   invalidate_cache t;
   Ssd.delete_file t.ssd t.file
 
+(* The checksum persisted at build time detects bit rot and torn writes
+   on the way in from the device. *)
+let check_block t i data =
+  if !verify_checksums && Util.Crc32.string data <> t.blocks.(i).crc then
+    raise (Corrupted_block { file_id = Ssd.file_id t.file; block = i })
+
 (* Read block [i]: DRAM cost when the block is pinned or resident in the
-   shared cache, SSD cost on miss (then admitted to the shared cache). The
-   checksum persisted at build time detects bit rot and torn writes on the
-   way in. *)
+   shared cache, SSD cost on miss (then admitted to the shared cache). *)
 let read_block t i =
   let meta = t.blocks.(i) in
   let fetch () =
     let data = Ssd.pread t.ssd t.file ~off:meta.off ~len:meta.len in
-    if !verify_checksums && Util.Crc32.string data <> meta.crc then
-      raise (Corrupted_block { file_id = Ssd.file_id t.file; block = i });
+    check_block t i data;
     data
   in
   let pinned_hit =
@@ -304,16 +316,19 @@ let read_block t i =
               Cache.Block_cache.insert cache ~file_id:fid ~block:i data;
               data))
 
+(* Every data block from one request over the data region, each verified
+   against its CRC. *)
+let read_data_region t =
+  let extents = Array.fold_right (fun m acc -> (m.off, m.len) :: acc) t.blocks [] in
+  let data = Array.of_list (Ssd.preadv t.ssd t.file extents) in
+  Array.iteri (check_block t) data;
+  data
+
 (* Explicitly pin the whole table in DRAM (one sequential device read) —
    the knapsack's "SSTable in cache" placement. Pinned bytes sit outside
    the shared cache's budget on purpose: the pin is a planner decision,
    the cache is a reactive safety net. *)
-let warm_cache t =
-  t.pinned <-
-    Some
-      (Array.map
-         (fun m -> Some (Ssd.pread t.ssd t.file ~off:m.off ~len:m.len))
-         t.blocks)
+let warm_cache t = t.pinned <- Some (Array.map Option.some (read_data_region t))
 
 let drop_cache t = t.pinned <- None
 
@@ -349,34 +364,33 @@ let get ?(use_bloom = true) t key =
     match locate_block t key with
     | None -> None
     | Some i -> (
-        let data = read_block t i in
-        (* Newest version of the key can spill into the next block when the
-           block boundary splits a key's versions; check it if needed. *)
-        let find_in_block idx =
-          let data = if idx = i then data else read_block t idx in
-          try
-            scan_block t data ~entries:t.blocks.(idx).entries (fun e ->
-                if e.Util.Kv.key = key then raise (Found e)
-                else if String.compare e.key key > 0 then raise Exit);
-            None
-          with
-          | Found e -> Some e
-          | Exit -> None
-        in
-        match find_in_block i with
-        | Some e -> Some e
-        | None -> None)
+        (* Versions sort newest first and every block before [i] ends below
+           [key], so block [i] holds the key's newest version even when a
+           block boundary splits its versions. *)
+        try
+          scan_block t (read_block t i) ~entries:t.blocks.(i).entries (fun e ->
+              if e.Util.Kv.key = key then raise (Found e)
+              else if String.compare e.key key > 0 then raise Exit);
+          None
+        with
+        | Found e -> Some e
+        | Exit -> None)
 
-let iter t f =
-  Array.iteri
-    (fun i meta ->
-      let data = read_block t i in
-      scan_block t data ~entries:meta.entries f)
-    t.blocks
-
+(* Compaction input: one readahead request over the data region, decoded
+   in place. It bypasses the block cache (RocksDB's [fill_cache=false]):
+   the inputs are deleted once the compaction installs, so caching their
+   blocks would only evict blocks that gets use. A pinned table is served
+   from its pin. *)
 let to_list t =
+  let data =
+    match t.pinned with
+    | Some _ -> Array.init (Array.length t.blocks) (read_block t)
+    | None -> read_data_region t
+  in
   let acc = ref [] in
-  iter t (fun e -> acc := e :: !acc);
+  Array.iteri
+    (fun i d -> scan_block t d ~entries:t.blocks.(i).entries (fun e -> acc := e :: !acc))
+    data;
   List.rev !acc
 
 let range t ~start ~stop f =

@@ -49,9 +49,9 @@ val attach_shared_cache : t -> Cache.Block_cache.t -> unit
     cache: misses are admitted, hits are charged DRAM latency. *)
 
 val warm_cache : t -> unit
-(** Explicitly pin the whole table in DRAM (one sequential device read) —
-    the knapsack's "SSTable in cache" placement. Pinned bytes sit outside
-    the shared cache's budget. *)
+(** Explicitly pin the whole table in DRAM (one sequential device read,
+    every block CRC-verified) — the knapsack's "SSTable in cache"
+    placement. Pinned bytes sit outside the shared cache's budget. *)
 
 val drop_cache : t -> unit
 (** Drop the {!warm_cache} pin (the shared cache is unaffected). *)
@@ -65,8 +65,12 @@ val get : ?use_bloom:bool -> t -> string -> Util.Kv.entry option
 (** Newest version of the key. The Bloom filter screens absent keys unless
     [~use_bloom:false]. *)
 
-val iter : t -> (Util.Kv.entry -> unit) -> unit
 val to_list : t -> Util.Kv.entry list
+(** Every entry in order — the compaction input path. One read request
+    over the data region, every block CRC-verified (raises
+    {!Corrupted_block} with the failing block's index); the block cache is
+    neither consulted nor filled. A pinned table is served from its pin. *)
+
 val range : t -> start:string -> stop:string -> (Util.Kv.entry -> unit) -> unit
 val overlaps : t -> min:string -> max:string -> bool
 

@@ -169,6 +169,79 @@ let test_checksum_detects_corruption () =
   check Alcotest.bool "other blocks still readable" true
     (Sstable.get sst (Util.Keys.ycsb_key 398) <> None)
 
+let test_versions_straddle_blocks () =
+  (* Tiny blocks split one key's ten versions over several blocks; the
+     block [get] locates must still hold the newest one. *)
+  let _, ssd = make () in
+  let es =
+    Util.Kv.entry ~key:"a" ~seq:1 "first"
+    :: Util.Kv.entry ~key:"z" ~seq:2 "last"
+    :: List.init 10 (fun i ->
+        Util.Kv.entry ~key:"k" ~seq:(i + 10) (Printf.sprintf "version-%02d-%s" i (String.make 20 'v')))
+    |> List.sort Util.Kv.compare_entry
+  in
+  let sst = Sstable.of_sorted_list ~block_bytes:64 ssd es in
+  check Alcotest.bool "versions span blocks" true (Sstable.block_count sst >= 3);
+  match Sstable.get sst "k" with
+  | Some e -> check Alcotest.int "newest version" 19 e.Util.Kv.seq
+  | None -> Alcotest.fail "lost k"
+
+let test_build_is_one_write () =
+  let _, ssd = make () in
+  let sst = Sstable.of_sorted_list ssd (entries 2000) in
+  let s = Ssd.stats ssd in
+  check Alcotest.bool "multi-block" true (Sstable.block_count sst > 4);
+  check Alcotest.int "one write request" 1 s.Ssd.writes;
+  check Alcotest.int "the whole table" (Sstable.byte_size sst) s.Ssd.bytes_written
+
+let test_to_list_one_read_bypasses_cache () =
+  let _, ssd = make () in
+  let es = entries 2000 in
+  let sst = Sstable.of_sorted_list ssd es in
+  let cache = Cache.Block_cache.create ~capacity_bytes:(1 lsl 20) () in
+  Sstable.attach_shared_cache sst cache;
+  (* warm one block so the cache holds something to (not) hit *)
+  ignore (Sstable.get sst (Util.Keys.ycsb_key 0));
+  let hits = Cache.Block_cache.hits cache
+  and misses = Cache.Block_cache.misses cache
+  and resident = Cache.Block_cache.resident_bytes cache in
+  Ssd.reset_stats ssd;
+  let got = Sstable.to_list sst in
+  check Alcotest.bool "entries intact" true (got = es);
+  check Alcotest.int "one read request" 1 (Ssd.stats ssd).Ssd.reads;
+  check Alcotest.int "cache hits unchanged" hits (Cache.Block_cache.hits cache);
+  check Alcotest.int "cache misses unchanged" misses (Cache.Block_cache.misses cache);
+  check Alcotest.int "cache residency unchanged" resident
+    (Cache.Block_cache.resident_bytes cache)
+
+let test_pinned_to_list_reads_nothing () =
+  let _, ssd = make () in
+  let es = entries 2000 in
+  let sst = Sstable.of_sorted_list ssd es in
+  Sstable.warm_cache sst;
+  check Alcotest.int "the pin is one read" 1 (Ssd.stats ssd).Ssd.reads;
+  Ssd.reset_stats ssd;
+  check Alcotest.bool "entries intact" true (Sstable.to_list sst = es);
+  check Alcotest.int "no SSD reads" 0 (Ssd.stats ssd).Ssd.reads
+
+let test_to_list_names_corrupted_block () =
+  let _, ssd = make () in
+  let sst = Sstable.of_sorted_list ssd (entries 2000) in
+  (* mid-file lands in a data block past the first; the scrub walk names it *)
+  let file = Option.get (Ssd.find_file ssd (Sstable.file_id sst)) in
+  Ssd.corrupt_file ssd file ~off:(Sstable.byte_size sst / 2);
+  let k =
+    match Sstable.verify sst with
+    | [ k ] when k > 0 -> k
+    | bad ->
+        Alcotest.failf "scrub should name one data block past the first, got [%s]"
+          (String.concat "; " (List.map string_of_int bad))
+  in
+  match Sstable.to_list sst with
+  | _ -> Alcotest.fail "corruption went undetected"
+  | exception Sstable.Corrupted_block { block; _ } ->
+      check Alcotest.int "failing block named" k block
+
 let () =
   Alcotest.run "sstable"
     [
@@ -184,6 +257,14 @@ let () =
           Alcotest.test_case "empty rejected" `Quick test_empty_rejected;
           Alcotest.test_case "writes charged" `Quick test_write_charged;
           Alcotest.test_case "checksum detects corruption" `Quick test_checksum_detects_corruption;
+          Alcotest.test_case "versions straddle blocks" `Quick test_versions_straddle_blocks;
+          Alcotest.test_case "build is one write" `Quick test_build_is_one_write;
+          Alcotest.test_case "to_list one read, cache untouched" `Quick
+            test_to_list_one_read_bypasses_cache;
+          Alcotest.test_case "pinned to_list reads nothing" `Quick
+            test_pinned_to_list_reads_nothing;
+          Alcotest.test_case "to_list names corrupted block" `Quick
+            test_to_list_names_corrupted_block;
           qtest prop_model;
         ] );
     ]
