@@ -820,10 +820,11 @@ let doctor_router cfg ~records ~ops ~value_bytes =
   Fmt.pr "  dispatch: %d op(s) routed over %d shard(s)@."
     (Shard.Router.dispatched router)
     shards;
-  Fmt.pr "  admission: %d hard stall(s) (%s stalled), %d soft delay(s)@."
+  Fmt.pr "  admission: %d hard stall(s) (%s stalled), %d soft-zone write(s), %d relief step(s)@."
     (Shard.Router.stall_count router)
     (dur (Shard.Router.stall_ns router))
-    (Shard.Router.soft_delays router);
+    (Shard.Router.soft_delays router)
+    (Shard.Router.relief_steps router);
   Fmt.pr "  group commit: %d batch(es), %d entries synced, mean batch %.2f@."
     (Shard.Router.gc_batches router)
     (Shard.Router.gc_synced_entries router)

@@ -74,15 +74,19 @@ type t = {
       (* close and sync the batch once this many writers have joined *)
   admission_soft_tables : int;
       (* per-shard compaction debt, in level-0 runs
-         ([Engine.compaction_debt_runs]), where admission starts delaying
-         writers proportionally. The name predates counting runs and
-         stays because the front-door benchmark's workloads set it. The
-         limits survive because admission is the only compaction driver
-         of a strategy with no triggers (the conventional one of the
-         4-shard workloads); no policy derives them yet *)
+         ([Engine.compaction_debt_runs]), where admission starts relief
+         steps: a soft-zone write hands an idle background worker one
+         partition's major compaction ([Engine.relieve_step]) and is never
+         delayed. The name predates counting runs and stays because the
+         front-door benchmark's workloads set it. The limit survives
+         because it marks where that bounded background relief begins,
+         and admission is the only compaction driver of a strategy with
+         no triggers (the conventional one of the 4-shard workloads); no
+         policy derives it yet *)
   admission_hard_tables : int;
       (* per-shard debt in level-0 runs where admission stalls writers
-         until compaction drains below the limit *)
+         until compaction drains below the limit; a shard that stalls
+         despite relief steps makes its steps near this limit deeper *)
   breaker_enabled : bool;
       (* per-shard circuit breakers in the router (lib/health): open on
          error bursts or fail-slow drift, answer degraded/unavailable fast

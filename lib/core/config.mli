@@ -50,9 +50,10 @@ type t = {
       (** how long a group-commit leader holds a batch open for followers *)
   group_commit_max : int;  (** close and sync a batch at this many writers *)
   admission_soft_tables : int;
-      (** per-shard compaction-debt tables where admission starts delaying *)
+      (** per-shard compaction debt (level-0 runs) where admission starts
+          relief steps on the idle background worker *)
   admission_hard_tables : int;
-      (** per-shard debt tables where admission stalls until drained *)
+      (** per-shard debt (level-0 runs) where admission stalls until drained *)
   breaker_enabled : bool;
       (** per-shard circuit breakers in the router, built from
           [Health.Breaker.default_config]: open on error bursts or

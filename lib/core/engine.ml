@@ -302,16 +302,16 @@ let chaos_table_debt = ref false
 (* Compaction debt in runs: the level-0 structures a point read may probe
    — each unsorted PM table, the key-disjoint sorted run as one run (a
    probe binary-searches it to one table), each SSD level-0 table. *)
+let partition_runs p =
+  let run =
+    if !chaos_table_debt then List.length p.sorted_run
+    else if p.sorted_run = [] then 0
+    else 1
+  in
+  List.length p.unsorted + run + List.length p.ssd_l0
+
 let compaction_debt_runs t =
-  Array.fold_left
-    (fun acc p ->
-      let run =
-        if !chaos_table_debt then List.length p.sorted_run
-        else if p.sorted_run = [] then 0
-        else 1
-      in
-      acc + List.length p.unsorted + run + List.length p.ssd_l0)
-    0 t.partitions
+  Array.fold_left (fun acc p -> acc + partition_runs p) 0 t.partitions
 
 (* --- Level helpers ---------------------------------------------------- *)
 
@@ -1239,6 +1239,12 @@ let create ?boundaries ?clock ?pm ?ssd ?cache config =
 
 (* --- Minor compaction (memtable flush) --------------------------------- *)
 
+(* Push one partition's level-0 to the SSD and record the new structure.
+   A rotten input is quarantined and the compaction retried without it. *)
+let relieve_partition t p =
+  ignore (guard_integrity t (fun () -> major_compact_partition t p));
+  persist_manifest t
+
 (* Out-of-space fallback: force major compaction of the coldest partitions
    until the allocation fits. *)
 let relieve_pm_pressure t =
@@ -1247,9 +1253,27 @@ let relieve_pm_pressure t =
     |> List.filter (fun p -> partition_l0_bytes p > 0)
     |> List.sort (fun a b -> compare a.reads b.reads)
   in
-  match by_coldness with
-  | [] -> ()
-  | coldest :: _ -> ignore (guard_integrity t (fun () -> major_compact_partition t coldest))
+  match by_coldness with [] -> () | coldest :: _ -> relieve_partition t coldest
+
+(* One bounded relief step: the partition with the most level-0 runs (the
+   first on a tie), so each major compaction retires the most probe
+   targets it can; then the next such partition, until the debt is below
+   [below]. Each round empties a partition, so a step takes at most one
+   round per partition. *)
+let relieve_step ?below t =
+  let below = Option.value below ~default:(compaction_debt_runs t) in
+  let rec round n =
+    let most =
+      Array.fold_left
+        (fun best p -> if partition_runs p > partition_runs best then p else best)
+        t.partitions.(0) t.partitions
+    in
+    if partition_runs most > 0 then begin
+      relieve_partition t most;
+      if n > 1 && compaction_debt_runs t >= below then round (n - 1)
+    end
+  in
+  round (Array.length t.partitions)
 
 (* A fresh ring needs PM room like any level-0 table. *)
 let rec rotate_wal ?(attempts = 0) t w =
@@ -1784,14 +1808,19 @@ let logical_bytes t =
 
 let flush t = flush_memtable t
 
+(* Forced compactions meet rot like any other: quarantine and retry. *)
 let force_internal_compaction t =
-  Array.iter (fun p -> if p.unsorted <> [] then internal_compaction t p) t.partitions;
+  Array.iter
+    (fun p ->
+      if p.unsorted <> [] then ignore (guard_integrity t (fun () -> internal_compaction t p)))
+    t.partitions;
   persist_manifest t
 
 let force_major_compaction t =
   Array.iter
     (fun p ->
-      if partition_l0_bytes p > 0 || p.ssd_l0 <> [] then major_compact_partition t p)
+      if partition_l0_bytes p > 0 || p.ssd_l0 <> [] then
+        ignore (guard_integrity t (fun () -> major_compact_partition t p)))
     t.partitions;
   persist_manifest t
 

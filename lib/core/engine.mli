@@ -160,6 +160,18 @@ val flush : t -> unit
 
 val force_internal_compaction : t -> unit
 val force_major_compaction : t -> unit
+(** Compact every partition's unsorted stack into its sorted run / every
+    partition's level-0 into L1, then persist the manifest. A corrupt
+    input is quarantined and that partition's compaction retried. *)
+
+val relieve_step : ?below:int -> t -> unit
+(** One bounded unit of compaction relief: major-compact the partition
+    with the most level-0 runs ({!partition_runs}; the first such
+    partition on a tie) and persist the manifest, quarantining any
+    corrupt input on the way; then the next such partition, until
+    {!compaction_debt_runs} is below [below]. By default [below] is the
+    debt at the call, so the step relieves exactly one partition. A
+    no-op when level-0 is empty. *)
 
 (** {1 Scrub, salvage & quarantine} *)
 
@@ -203,6 +215,10 @@ val owned_region_ids : t -> int list
 val partitions : t -> partition array
 val partition_of : t -> string -> partition
 val partition_l0_bytes : partition -> int
+
+val partition_runs : partition -> int
+(** The partition's share of {!compaction_debt_runs}. *)
+
 val l0_bytes : t -> int
 val unsorted_table_count : t -> int
 val sorted_table_count : t -> int

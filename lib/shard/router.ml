@@ -15,12 +15,13 @@
 
    - a {!Group_commit} batcher owning the WAL-sync durability point
      (shard engines run [wal_external_sync]);
-   - an {!Admission} gate applying soft-delay / hard-stall backpressure
-     from the shard's compaction debt;
-   - one background worker, modelled as a [busy_until] horizon: a flush or
-     forced compaction runs on the foreground clock, is rewound (the
-     repo's overlap-rebate idiom, cf. [Engine.with_major_timing]), and
-     booked to the horizon — the *next* writer needing background work on
+   - an {!Admission} gate turning the shard's compaction debt into relief
+     steps on the idle worker (soft zone; deeper near the hard limit once
+     the shard has stalled despite them) or a hard stall;
+   - one background worker, modelled as a [busy_until] horizon: a flush,
+     relief step or forced compaction runs on the foreground clock, is
+     rewound (the repo's overlap-rebate idiom, cf.
+     [Engine.with_major_timing]), and booked to the horizon — the *next* writer needing background work on
      that shard waits for the horizon first. One shard serialises all
      background work behind one horizon; N shards run N workers, which is
      exactly the concurrency a sharded store buys. *)
@@ -367,13 +368,25 @@ let apply_write ?deadline_ns t ~key ~bytes f =
       | Some d when would_blow_deadline t s ~bytes d -> finish (Write_shed "deadline")
       | _ -> (
           match
+            let hands_off = will_flush s ~bytes in
+            (* A soft-zone step goes only to an idle worker, and never from
+               a write that hands off a memtable: no write waits on a step
+               it started itself. *)
+            let step =
+              if hands_off || s.busy_until > Sim.Clock.now t.clock then None
+              else
+                Some
+                  (fun ~below ->
+                    background_run t s (fun () -> Core.Engine.relieve_step ~below s.engine))
+            in
             Admission.admit s.adm s.engine
               ~wait_background:(fun () -> wait_background t s)
               ~relieve:(fun () ->
                 background_run t s (fun () ->
                     Core.Engine.force_internal_compaction s.engine;
-                    Core.Engine.force_major_compaction s.engine));
-            if will_flush s ~bytes then background_run t s (fun () -> flush_engine s);
+                    Core.Engine.force_major_compaction s.engine))
+              ~step;
+            if hands_off then background_run t s (fun () -> flush_engine s);
             (* Device time only: measured after admission and background
                hand-off, so stalls on a *healthy* shard do not read as
                fail-slow. *)
@@ -511,7 +524,8 @@ let sumf f t = Array.fold_left (fun acc s -> acc +. f s) 0.0 t.shards
 let stall_count t = sum (fun s -> Admission.stalls s.adm) t
 let at_hard_limit t = Array.exists (fun s -> Admission.at_hard_limit s.adm s.engine) t.shards
 let stall_ns t = sumf (fun s -> Admission.stall_ns s.adm) t
-let soft_delays t = sum (fun s -> Admission.soft_delays s.adm) t
+let soft_delays t = sum (fun s -> Admission.soft_admits s.adm) t
+let relief_steps t = sum (fun s -> Admission.relief_steps s.adm) t
 let gc_batches t = sum (fun s -> Group_commit.batches s.gc) t
 let gc_synced_entries t = sum (fun s -> Group_commit.synced_entries s.gc) t
 
@@ -632,8 +646,8 @@ let pp_stats ppf t =
     (Array.length t.shards);
   Fmt.pf ppf "  dispatched: %d puts, %d gets, %d deletes, %d scans@," t.puts t.gets
     t.deletes t.scans;
-  Fmt.pf ppf "  admission: %d stalls (%a), %d soft delays@," (stall_count t)
-    Sim.Clock.pp_duration (stall_ns t) (soft_delays t);
+  Fmt.pf ppf "  admission: %d stalls (%a), %d soft-zone writes, %d relief steps@,"
+    (stall_count t) Sim.Clock.pp_duration (stall_ns t) (soft_delays t) (relief_steps t);
   (let b = gc_batches t in
    if b > 0 then
      Fmt.pf ppf "  group commit: %d batches, %d entries, mean batch %.2f@," b
@@ -652,10 +666,12 @@ let pp_stats ppf t =
   lat "scan" t.scan_lat;
   Array.iter
     (fun s ->
-      Fmt.pf ppf "  shard %d [%S, %s): stalls %d, batches %d, debt %d runs@," s.s_idx
-        s.s_lo
+      Fmt.pf ppf "  shard %d [%S, %s): stalls %d, steps %d%s, batches %d, debt %d runs@,"
+        s.s_idx s.s_lo
         (if s.s_hi = max_key_sentinel then "<max>" else Printf.sprintf "%S" s.s_hi)
-        (Admission.stalls s.adm) (Group_commit.batches s.gc)
+        (Admission.stalls s.adm) (Admission.relief_steps s.adm)
+        (if Admission.escalated s.adm then " (escalated)" else "")
+        (Group_commit.batches s.gc)
         (Core.Engine.compaction_debt_runs s.engine))
     t.shards;
   Array.iter (fun s -> Fmt.pf ppf "@,%a" Core.Engine.pp_stats s.engine) t.shards;
@@ -675,8 +691,11 @@ let register_metrics reg t =
     (fun () -> stall_count t);
   register_float reg "shard.stall_ns" ~kind:Counter
     ~help:"simulated ns writers spent hard-stalled at admission" (fun () -> stall_ns t);
-  register_int reg "shard.soft_delays" ~help:"writes delayed in the admission soft zone"
+  register_int reg "shard.soft_delays" ~help:"writes admitted in the admission soft zone"
     (fun () -> soft_delays t);
+  register_int reg "shard.relief_steps"
+    ~help:"soft-zone relief steps (one partition's major compaction; more near the hard limit once escalated) run on idle workers"
+    (fun () -> relief_steps t);
   register_int reg "shard.gc.batches" ~help:"group-commit batches synced" (fun () ->
       gc_batches t);
   register_int reg "shard.gc.synced_entries"

@@ -130,6 +130,12 @@ val at_hard_limit : t -> bool
 
 val stall_ns : t -> float
 val soft_delays : t -> int
+(** Writes admitted in the admission soft zone, summed over shards. *)
+
+val relief_steps : t -> int
+(** Soft-zone relief steps started on idle shard workers, summed over
+    shards. *)
+
 val gc_batches : t -> int
 val gc_synced_entries : t -> int
 val gc_mean_batch : t -> float

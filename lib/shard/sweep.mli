@@ -27,3 +27,8 @@ val config :
     key population. *)
 
 val workload_boundaries : keyspace:int -> shards:int -> string list
+
+val of_router : Router.t -> Fault.Crash_sweep.store
+(** The sweep's view of a live router: writes through {!Router.sink},
+    [settle] flushes every shard and runs its internal compaction, and
+    [check] reads the merged paths plus every shard's manifest. *)

@@ -1,7 +1,8 @@
 (* Tests for the range-sharded front door: routing boundaries, cross-shard
    scan merging, group-commit coalescing and its crash semantics (a batch
-   is lost whole, never as a torn suffix), admission stall/resume, the
-   planted schedsan race in the committer, and the sharded crash sweep. *)
+   is lost whole, never as a torn suffix), admission stall/resume and
+   soft-zone relief, the planted schedsan race in the committer, and the
+   sharded crash sweeps. *)
 
 let check = Alcotest.check
 
@@ -279,25 +280,27 @@ let test_default_config_serves_everything () =
 
 (* --- admission control -------------------------------------------------- *)
 
+(* A strategy that never compacts on its own: admission is the shard's
+   only compaction driver. *)
+let triggerless_config ?(shards = 1) ?durable ~soft ~hard () =
+  {
+    (base_config ~shards ?durable ()) with
+    Core.Config.l0_strategy = Core.Config.Conventional { max_tables = None; max_bytes = None };
+    admission_soft_tables = soft;
+    admission_hard_tables = hard;
+  }
+
 let test_admission_stall_and_resume () =
-  (* A strategy that never compacts on its own: level-0 debt climbs until
-     admission hard-stalls the writer and forces relief. *)
-  let cfg =
-    {
-      (base_config ~shards:1 ()) with
-      Core.Config.l0_strategy =
-        Core.Config.Conventional { max_tables = None; max_bytes = None };
-      admission_soft_tables = 2;
-      admission_hard_tables = 3;
-    }
-  in
+  (* soft = hard: no soft zone, so level-0 debt climbs until admission
+     hard-stalls the writer and forces relief *)
+  let cfg = triggerless_config ~soft:3 ~hard:3 () in
   let r = Shard.Router.create cfg in
   for i = 0 to 399 do
     put r ~key:(Printf.sprintf "k%04d" i) (String.make 64 'x')
   done;
   check Alcotest.bool "writer hard-stalled" true (Shard.Router.stall_count r > 0);
   check Alcotest.bool "stall time accounted" true (Shard.Router.stall_ns r > 0.0);
-  check Alcotest.bool "soft delays seen" true (Shard.Router.soft_delays r > 0);
+  check Alcotest.int "no soft zone, no relief step" 0 (Shard.Router.relief_steps r);
   (* relief worked: the shard is below the hard limit and still writable *)
   let debt = Core.Engine.compaction_debt_runs (Shard.Router.engines r).(0) in
   check Alcotest.bool "debt drained below hard limit" true
@@ -305,6 +308,246 @@ let test_admission_stall_and_resume () =
   put r ~key:"post-stall" "ok";
   check Alcotest.(option string) "writes resume" (Some "ok")
     (get r "post-stall")
+
+(* The soft zone relieves instead of sleeping: a write there pays nothing
+   extra, and an idle worker gets one partition's major compaction. The
+   twin router's limits are out of reach, so it never relieves; both see
+   the same writes. *)
+let test_soft_zone_relieves () =
+  let cfg = triggerless_config ~soft:2 ~hard:8 () in
+  let soft = cfg.Core.Config.admission_soft_tables and hard = cfg.Core.Config.admission_hard_tables in
+  let r = Shard.Router.create cfg in
+  let twin = Shard.Router.create (triggerless_config ~soft:1_000_000 ~hard:1_000_000 ()) in
+  let engine = (Shard.Router.engines r).(0) in
+  let debt () = Core.Engine.compaction_debt_runs engine in
+  let runs () = Array.map Core.Engine.partition_runs (Core.Engine.partitions engine) in
+  let in_soft_zone () = debt () >= soft in
+  let flushes () = (Core.Engine.metrics engine).Core.Metrics.minor_compactions in
+  (* (d) through the router: a step of a shard that never hard-stalled
+     empties exactly the partition with the most runs (the first on a
+     tie) and leaves the others' level-0 alone. *)
+  let check_step ~key runs0 =
+    let runs1 = runs () in
+    if Array.length runs1 <> Array.length runs0 then
+      Alcotest.failf "step at %S changed the partition count" key;
+    let most = ref 0 in
+    Array.iteri (fun i n -> if n > runs0.(!most) then most := i) runs0;
+    Array.iteri
+      (fun i n ->
+        let want = if i = !most then 0 else runs0.(i) in
+        if n <> want then
+          Alcotest.failf "step at %S: partition %d has %d runs, want %d" key i n want)
+      runs1
+  in
+  let cost r ~key value =
+    let clock = Shard.Router.clock r in
+    let t0 = Sim.Clock.now clock in
+    put r ~key value;
+    Sim.Clock.now clock -. t0
+  in
+  (* One write to both routers: (a) a soft-zone write costs exactly what
+     it costs with no admission at all, and (c) a write that hands off a
+     memtable never starts a step. Returns whether it handed off. *)
+  let soft_writes = ref 0 in
+  let write ~key value =
+    let soft = in_soft_zone () in
+    let runs0 = runs () in
+    let flushes0 = flushes () and steps0 = Shard.Router.relief_steps r in
+    let c = cost r ~key value and c_twin = cost twin ~key value in
+    let handed_off = flushes () > flushes0 in
+    let stepped = Shard.Router.relief_steps r > steps0 in
+    if handed_off && stepped then
+      Alcotest.failf "write %S handed off a memtable and started a step" key;
+    if stepped then check_step ~key runs0;
+    if soft && not handed_off then begin
+      incr soft_writes;
+      if c <> c_twin then
+        Alcotest.failf "soft-zone write %S cost %.1f ns, %.1f ns with no admission" key c c_twin
+    end;
+    handed_off
+  in
+  let max_debt = ref 0 in
+  for i = 0 to 1999 do
+    ignore (write ~key:(Printf.sprintf "k%04d" i) (String.make 64 'x'));
+    max_debt := max !max_debt (debt ())
+  done;
+  (* (b) steps keep the debt off the hard limit *)
+  check Alcotest.bool "soft-zone writes seen" true (!soft_writes > 0);
+  check Alcotest.bool "soft-zone writes counted" true
+    (Shard.Router.soft_delays r >= !soft_writes);
+  check Alcotest.bool "relief steps started" true (Shard.Router.relief_steps r > 0);
+  check Alcotest.int "no hard stall" 0 (Shard.Router.stall_count r);
+  check Alcotest.bool "debt stayed below the hard limit" true (!max_debt < hard);
+  (* (c) pointedly: in the soft zone, with the worker idle, a write that
+     fills the memtable hands it off and starts no step; the next small
+     write on the idle worker does start one. *)
+  let i = ref 2000 in
+  while not (write ~key:(Printf.sprintf "k%04d" !i) (String.make 64 'x') && in_soft_zone ()) do
+    incr i
+  done;
+  let idle () =
+    List.iter (fun r -> Sim.Clock.advance (Shard.Router.clock r) 1e9) [ r; twin ]
+  in
+  idle ();
+  let steps0 = Shard.Router.relief_steps r in
+  check Alcotest.bool "a full-memtable write hands off" true
+    (write ~key:"m-big" (String.make cfg.Core.Config.memtable_bytes 'x'));
+  check Alcotest.int "and starts no step" steps0 (Shard.Router.relief_steps r);
+  idle ();
+  check Alcotest.bool "still in the soft zone" true (in_soft_zone ());
+  ignore (write ~key:"m-small" "v");
+  check Alcotest.int "a small write on the idle worker starts one" (steps0 + 1)
+    (Shard.Router.relief_steps r)
+
+(* (d) One step empties exactly the partition with the most level-0 runs
+   — the first on a tie — and leaves every other partition's level-0
+   alone. *)
+let test_relieve_step_one_partition () =
+  let e =
+    Core.Engine.create ~boundaries:[ "h"; "p" ] (triggerless_config ~soft:2 ~hard:8 ())
+  in
+  let flush_keys keys =
+    List.iter (fun key -> Core.Engine.put e ~key "v") keys;
+    Core.Engine.flush e
+  in
+  let parts () = Core.Engine.partitions e in
+  let runs () = Array.map Core.Engine.partition_runs (parts ()) in
+  let l0 () = Array.map Core.Engine.partition_l0_bytes (parts ()) in
+  let ints = Alcotest.(array int) in
+  flush_keys [ "a1"; "i1"; "q1" ];
+  flush_keys [ "i2"; "q2" ];
+  flush_keys [ "i3" ];
+  check ints "runs per partition" [| 1; 3; 2 |] (runs ());
+  let before = l0 () in
+  Core.Engine.relieve_step e;
+  check ints "the partition with the most runs emptied" [| 1; 0; 2 |] (runs ());
+  let after = l0 () in
+  check Alcotest.(pair int int) "other partitions' level-0 untouched"
+    (before.(0), before.(2)) (after.(0), after.(2));
+  check Alcotest.int "its level-0 gone" 0 after.(1);
+  flush_keys [ "a2"; "i4" ];
+  check ints "a tie" [| 2; 1; 2 |] (runs ());
+  Core.Engine.relieve_step e;
+  check ints "the first of the tied partitions emptied" [| 0; 1; 2 |] (runs ());
+  flush_keys [ "i5"; "q3" ];
+  flush_keys [ "i6" ];
+  check ints "runs before a deep step" [| 0; 3; 3 |] (runs ());
+  Core.Engine.relieve_step ~below:2 e;
+  check ints "a deep step relieves, most runs first, until the debt is below its target"
+    [| 0; 0; 0 |] (runs ());
+  flush_keys [ "a3"; "i7"; "q4" ];
+  flush_keys [ "a4"; "i8" ];
+  flush_keys [ "a5" ];
+  check ints "runs before a shallower deep step" [| 3; 2; 1 |] (runs ());
+  Core.Engine.relieve_step ~below:4 e;
+  check ints "it stops once the debt is below the target" [| 0; 2; 1 |] (runs ());
+  List.iter
+    (fun key -> check Alcotest.(option string) key (Some "v") (Core.Engine.get e key))
+    [ "a1"; "a2"; "a3"; "a4"; "a5"; "i1"; "i2"; "i3"; "i4"; "i5"; "i6"; "i7"; "i8"; "q1"; "q2"; "q3"; "q4" ]
+
+(* Escalation: a hard stall after relief steps started means one partition
+   per step fell behind the flushes. From then on a step that starts
+   within one hand-off of the hard limit (one run per partition) relieves
+   until the debt is two hand-offs below it; further from the limit a
+   step stays one partition. A stall before any step does not escalate. *)
+let test_admission_escalation () =
+  let cfg = triggerless_config ~soft:3 ~hard:8 () in
+  let e = Core.Engine.create ~boundaries:[ "h"; "p" ] cfg in
+  let create () =
+    Shard.Admission.create ~clock:(Core.Engine.clock e) ~soft_tables:3 ~hard_tables:8
+  in
+  let flush_keys keys =
+    List.iter (fun key -> Core.Engine.put e ~key "v") keys;
+    Core.Engine.flush e
+  in
+  let runs () = Array.map Core.Engine.partition_runs (Core.Engine.partitions e) in
+  let debt () = Core.Engine.compaction_debt_runs e in
+  let ints = Alcotest.(array int) in
+  let target = ref None in
+  let admit adm =
+    target := None;
+    Shard.Admission.admit adm e
+      ~wait_background:(fun () -> false)
+      ~relieve:(fun () -> Core.Engine.force_major_compaction e)
+      ~step:
+        (Some
+           (fun ~below ->
+             target := Some below;
+             Core.Engine.relieve_step ~below e))
+  in
+  let every = [ "a"; "i"; "q" ] in
+  let flush_all n = for j = 1 to n do flush_keys (List.map (fun k -> Printf.sprintf "%s%d" k j) every) done in
+  (* a stall before any step: no escalation *)
+  let fresh = create () in
+  flush_all 3;
+  admit fresh;
+  check Alcotest.int "stalled" 1 (Shard.Admission.stalls fresh);
+  check Alcotest.bool "a stall before any step does not escalate" false
+    (Shard.Admission.escalated fresh);
+  let adm = create () in
+  (* 3 partitions, hard limit 8: deep steps start at debt 5, relieve below 2 *)
+  flush_all 2;
+  check ints "runs before the first step" [| 2; 2; 2 |] (runs ());
+  admit adm;
+  check Alcotest.(option int) "not escalated: one partition" (Some 6) !target;
+  check ints "one partition relieved" [| 0; 2; 2 |] (runs ());
+  flush_all 2;
+  check Alcotest.bool "at the hard limit" true (debt () >= 8);
+  admit adm;
+  check Alcotest.int "hard-stalled" 1 (Shard.Admission.stalls adm);
+  check Alcotest.bool "a stall after a step escalates" true (Shard.Admission.escalated adm);
+  flush_keys [ "a5"; "i5" ];
+  flush_keys [ "a6"; "i6" ];
+  check ints "runs below one hand-off of the limit" [| 2; 2; 0 |] (runs ());
+  admit adm;
+  check Alcotest.(option int) "far from the limit: still one partition" (Some 4) !target;
+  check ints "one partition relieved again" [| 0; 2; 0 |] (runs ());
+  flush_all 1;
+  check ints "runs within one hand-off of the limit" [| 1; 3; 1 |] (runs ());
+  admit adm;
+  check Alcotest.(option int) "deep: two hand-offs below the limit" (Some 2) !target;
+  check Alcotest.bool "debt below the target" true (debt () < 2);
+  check ints "most runs first, until below the target" [| 0; 0; 1 |] (runs ());
+  check Alcotest.int "steps counted" 3 (Shard.Admission.relief_steps adm)
+
+(* Forced relief meets rot like any other compaction: a zeroed level-0
+   table met by the hard limit's relief is quarantined, the writes go on
+   being acked, and the lost range is queryable. *)
+let test_hard_relief_quarantines_rot () =
+  let cfg = triggerless_config ~soft:4 ~hard:4 () in
+  let r = Shard.Router.create cfg in
+  let engine = (Shard.Router.engines r).(0) in
+  let key i = Printf.sprintf "k%04d" i in
+  let n = ref 0 in
+  let put_next () =
+    put r ~key:(key !n) (String.make 64 'x');
+    incr n
+  in
+  while Core.Engine.compaction_debt_runs engine < 1 do
+    put_next ()
+  done;
+  (* the hand-off write flushed every key before its own *)
+  let rotted = List.init (!n - 1) key in
+  let region =
+    match Pmem.live_regions (Shard.Router.pm r) with
+    | [ region ] -> region
+    | _ -> Alcotest.fail "expected exactly one PM table"
+  in
+  Pmem.corrupt_region ~len:64 ~mode:`Zero (Shard.Router.pm r) region ~off:0;
+  for _ = 1 to 400 do
+    put_next ()
+  done;
+  check Alcotest.bool "the hard limit was reached" true (Shard.Router.stall_count r > 0);
+  check Alcotest.bool "the rotten table is quarantined" true
+    (List.exists
+       (fun (q : Core.Manifest.quarantine) ->
+         q.Core.Manifest.source = Core.Manifest.Q_region (Pmem.region_id region))
+       (Core.Engine.quarantined engine));
+  List.iter
+    (fun k ->
+      check Alcotest.bool (Printf.sprintf "damaged_key %S" k) true
+        (Core.Engine.damaged_key engine k))
+    rotted
 
 (* Debt counts runs, and a sequential load moves every flush into the
    sorted run: loading a store that fits the PM budget through the front
@@ -332,16 +575,7 @@ let test_resident_load_stays_on_pm () =
    write with a deadline budget must not be shed as "deadline" at a debt
    that admission itself would pass without delay. *)
 let test_deadline_uses_clamped_hard_limit () =
-  let cfg =
-    {
-      (base_config ~shards:1 ()) with
-      Core.Config.l0_strategy =
-        Core.Config.Conventional { max_tables = None; max_bytes = None };
-      admission_soft_tables = 12;
-      admission_hard_tables = 4;
-      deadline_write_ns = 1e9;
-    }
-  in
+  let cfg = { (triggerless_config ~soft:12 ~hard:4 ()) with Core.Config.deadline_write_ns = 1e9 } in
   let r = Shard.Router.create cfg in
   let engine = (Shard.Router.engines r).(0) in
   let i = ref 0 in
@@ -357,7 +591,7 @@ let test_deadline_uses_clamped_hard_limit () =
   | Shard.Router.Write_shed why -> Alcotest.failf "write shed (%s) below the hard limit" why
   | Shard.Router.Write_failed why -> Alcotest.failf "write failed (%s)" why);
   check Alcotest.int "admission never stalled" 0 (Shard.Router.stall_count r);
-  check Alcotest.int "nor delayed" 0 (Shard.Router.soft_delays r)
+  check Alcotest.int "nor entered the soft zone" 0 (Shard.Router.soft_delays r)
 
 (* --- schedsan: the planted race in the committer ------------------------ *)
 
@@ -487,6 +721,29 @@ let test_sweep_sample_clean () =
   if not (Fault.Crash_sweep.clean report) then
     Alcotest.failf "sharded sweep found violations:@.%a" Fault.Crash_sweep.pp_report report
 
+(* The soft zone under the crash sweep: a relief step's major compaction
+   and manifest install join the crash points. The sweep's workload starts
+   steps (checked on the counting run's workload), and a sample is clean. *)
+let test_sweep_relief_steps () =
+  let router_cfg =
+    {
+      (triggerless_config ~shards:2 ~durable:true ~soft:1 ~hard:16 ()) with
+      Core.Config.name = "reliefsweep";
+    }
+  in
+  let cfg = Shard.Sweep.config ~seed:11 router_cfg in
+  let r =
+    crashable_router router_cfg
+      ~boundaries:(Shard.Sweep.workload_boundaries ~keyspace:cfg.Fault.Crash_sweep.keyspace ~shards:2)
+  in
+  Fault.Crash_sweep.run_ops ~seed:cfg.Fault.Crash_sweep.seed ~ops:cfg.Fault.Crash_sweep.ops
+    ~keyspace:cfg.Fault.Crash_sweep.keyspace ~value_len:cfg.Fault.Crash_sweep.value_len
+    (Fault.Golden.create ()) (Shard.Sweep.of_router r);
+  check Alcotest.bool "the workload starts relief steps" true (Shard.Router.relief_steps r > 0);
+  let report = Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample 25) cfg in
+  if not (Fault.Crash_sweep.clean report) then
+    Alcotest.failf "relief sweep found violations:@.%a" Fault.Crash_sweep.pp_report report
+
 let test_sweep_catches_planted_bug () =
   (* Drop a WAL sync on one shard: some crash legs must then lose acked
      writes, and the sweep's durability checker has to say so. *)
@@ -526,6 +783,14 @@ let () =
       ( "admission",
         [
           Alcotest.test_case "stall and resume" `Quick test_admission_stall_and_resume;
+          Alcotest.test_case "soft zone relieves instead of sleeping" `Quick
+            test_soft_zone_relieves;
+          Alcotest.test_case "relief step empties one partition" `Quick
+            test_relieve_step_one_partition;
+          Alcotest.test_case "escalation deepens steps near the hard limit" `Quick
+            test_admission_escalation;
+          Alcotest.test_case "hard relief quarantines rot" `Quick
+            test_hard_relief_quarantines_rot;
           Alcotest.test_case "resident load stays on PM" `Quick
             test_resident_load_stays_on_pm;
           Alcotest.test_case "deadline uses the clamped hard limit" `Quick
@@ -541,6 +806,7 @@ let () =
         [
           Alcotest.test_case "sites deterministic" `Quick test_sweep_sites_deterministic;
           Alcotest.test_case "sample clean" `Quick test_sweep_sample_clean;
+          Alcotest.test_case "relief steps sample clean" `Quick test_sweep_relief_steps;
           Alcotest.test_case "catches planted bug" `Quick
             test_sweep_catches_planted_bug;
         ] );
