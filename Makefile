@@ -65,8 +65,10 @@ readpath-bench:
 # Sharded front-door benchmark (range-sharded router, group commit,
 # admission control) with the liveness smoke check: fails on zero
 # batching, a shard left stalled over the hard limit at run end, a
-# 4-shard scaling ratio below 1.5x, or a resident one-shard store whose
-# reads PM serves under 90% of. The fresh run goes to a temp file
+# 4-shard scaling ratio below 1.5x, a resident one-shard store whose
+# reads PM serves under 90% of, or an update-heavy cost-based shard whose
+# relief steps are under half internal compactions. The fresh run goes
+# to a temp file
 # and the perf gate compares it against the committed BENCH_shard.json,
 # which this target never rewrites. Refresh the baseline after an
 # intentional change:

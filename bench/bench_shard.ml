@@ -18,9 +18,15 @@
    the PM level-0 budget, then serves YCSB-C. Admission must leave that
    store on PM, so the share of reads PM serves is gated too.
 
+   A priced leg checks that relief steps speak Eq. 2: one cost-based shard
+   shaped like the front door's spill workload (2 MiB level-0 in a 4 MiB
+   PM device, tau_m 5/3 MiB) runs update-heavy YCSB-A on data twice its
+   level-0. Most of its relief steps must be internal compactions on PM,
+   and its throughput is gated with them.
+
    One machine-greppable summary line for CI (scripts/check_shard.sh):
 
-     SHARD speedup4=S mean_batch4=M stalled=K completed=N pm_share=P
+     SHARD speedup4=S mean_batch4=M stalled=K completed=N pm_share=P internal_share=I
 
    PMB_PLANT=no_batch forces every commit to sync alone (window and max
    batch collapse to nothing) while stamping the nominal fingerprint: the
@@ -212,6 +218,59 @@ let run_resident () =
   Shard.Router.close router;
   share
 
+let priced_records = 4_000
+let priced_ops = 12_000
+
+(* Simulated ops/s over the YCSB-A phase, and the share of its relief
+   steps that Eq. 2 priced as internal compactions. *)
+let run_priced () =
+  let mib = Core.Config.mib in
+  let cfg =
+    {
+      Core.Config.pmblade with
+      Core.Config.name = "shard-priced";
+      durable = true;
+      shard_count = 1;
+      l0_capacity = mib 2;
+      l0_strategy =
+        Core.Config.Cost_based
+          { Core.Config.scaled_cost_model with tau_m = mib 5 / 3; tau_t = mib 1 };
+      pm_params = { Pmem.default_params with capacity = mib 4 };
+      block_cache_mb = 3;
+    }
+  in
+  Report.note_config cfg;
+  let router = Shard.Router.create cfg in
+  let y = Workload.Ycsb.create ~value_bytes:1024 () in
+  let sink = Shard.Router.sink router in
+  Workload.Ycsb.load_sink y sink ~records:priced_records;
+  let clock = Shard.Router.clock router in
+  let steps0 = Shard.Router.relief_steps router
+  and internal0 = Shard.Router.relief_steps_internal router in
+  let t0 = Sim.Clock.now clock in
+  for _ = 1 to priced_ops do
+    Workload.Ycsb.step_sink y sink Workload.Ycsb.A
+  done;
+  let seconds = Sim.Clock.to_s (Sim.Clock.now clock -. t0) in
+  let throughput = if seconds > 0.0 then float_of_int priced_ops /. seconds else 0.0 in
+  let steps = Shard.Router.relief_steps router - steps0
+  and internal = Shard.Router.relief_steps_internal router - internal0 in
+  let share = if steps > 0 then float_of_int internal /. float_of_int steps else 0.0 in
+  Report.heading "Shard: 1-shard update-heavy YCSB-A (relief steps priced by Eq. 2)";
+  Report.table ~header:[ "records"; "ops"; "ops/s"; "relief steps"; "internal"; "stalls" ]
+    [
+      [
+        string_of_int priced_records;
+        string_of_int priced_ops;
+        Printf.sprintf "%.0f" throughput;
+        string_of_int steps;
+        string_of_int internal;
+        string_of_int (Shard.Router.stall_count router);
+      ];
+    ];
+  Shard.Router.close router;
+  (throughput, share)
+
 let run () =
   if Sys.getenv_opt "PMB_PLANT" = Some "table_debt" then Core.Engine.chaos_table_debt := true;
   let a_runs = run_workload "A" Workload.Ycsb.A [ 1; 2; 4; 8 ] in
@@ -231,11 +290,15 @@ let run () =
   let completed = List.length a_runs + List.length b_runs in
   let pm_share = run_resident () in
   metric "shard.resident.pm_read_share" pm_share;
+  let priced_throughput, internal_share = run_priced () in
+  metric "shard.priced.throughput_ops" priced_throughput;
+  metric "shard.priced.internal_step_share" internal_share;
   Printf.printf
-    "  SHARD speedup4=%.3f mean_batch4=%.3f stalled=%d completed=%d pm_share=%.4f\n"
+    "  SHARD speedup4=%.3f mean_batch4=%.3f stalled=%d completed=%d pm_share=%.4f \
+     internal_share=%.4f\n"
     speedup a4.mean_batch
     (if stalled then 1 else 0)
-    completed pm_share;
+    completed pm_share internal_share;
   if planted () then Report.note "PLANTED regression active: group commit disabled";
   if !Core.Engine.chaos_table_debt then
     Report.note "PLANTED regression active: debt counts sorted-run tables"

@@ -40,6 +40,11 @@ let rules =
        reads of a store that fits it. *)
     Obs.Perf.rule "shard.resident.pm_read_share" ~tol:0.01
       ~direction:Obs.Perf.Higher_is_better;
+    (* The priced leg: an update-heavy shard's relief steps stay mostly
+       internal compactions on PM (its throughput is a *throughput_ops
+       point below). *)
+    Obs.Perf.rule "shard.priced.internal_step_share" ~tol:0.05
+      ~direction:Obs.Perf.Higher_is_better;
     Obs.Perf.rule "shard.ycsb_a.s1.throughput_ops" ~tol:0.05
       ~direction:Obs.Perf.Higher_is_better;
     Obs.Perf.rule "shard.ycsb_a.s4.throughput_ops" ~tol:0.05

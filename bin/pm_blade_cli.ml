@@ -820,11 +820,14 @@ let doctor_router cfg ~records ~ops ~value_bytes =
   Fmt.pr "  dispatch: %d op(s) routed over %d shard(s)@."
     (Shard.Router.dispatched router)
     shards;
-  Fmt.pr "  admission: %d hard stall(s) (%s stalled), %d soft-zone write(s), %d relief step(s)@."
+  Fmt.pr
+    "  admission: %d hard stall(s) (%s stalled), %d soft-zone write(s), %d relief step(s) (%d \
+     internal)@."
     (Shard.Router.stall_count router)
     (dur (Shard.Router.stall_ns router))
     (Shard.Router.soft_delays router)
-    (Shard.Router.relief_steps router);
+    (Shard.Router.relief_steps router)
+    (Shard.Router.relief_steps_internal router);
   Fmt.pr "  group commit: %d batch(es), %d entries synced, mean batch %.2f@."
     (Shard.Router.gc_batches router)
     (Shard.Router.gc_synced_entries router)

@@ -76,8 +76,9 @@ type t = {
       (* per-shard compaction debt, in level-0 runs
          ([Engine.compaction_debt_runs]), where admission starts relief
          steps: a soft-zone write hands an idle background worker one
-         partition's major compaction ([Engine.relieve_step]) and is never
-         delayed. The name predates counting runs and stays because the
+         partition's compaction ([Engine.relieve_step]: internal on PM
+         when Eq. 2 prices it cheaper under the cost-based strategy, major
+         otherwise) and is never delayed. The name predates counting runs and stays because the
          front-door benchmark's workloads set it. The limit survives
          because it marks where that bounded background relief begins,
          and admission is the only compaction driver of a strategy with
@@ -85,8 +86,7 @@ type t = {
          policy derives it yet *)
   admission_hard_tables : int;
       (* per-shard debt in level-0 runs where admission stalls writers
-         until compaction drains below the limit; a shard that stalls
-         despite relief steps makes its steps near this limit deeper *)
+         until compaction drains below the limit *)
   breaker_enabled : bool;
       (* per-shard circuit breakers in the router (lib/health): open on
          error bursts or fail-slow drift, answer degraded/unavailable fast

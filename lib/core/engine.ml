@@ -800,6 +800,14 @@ let trivial_move p =
           (fun a b -> String.compare (Pmtable.Table.min_key a) (Pmtable.Table.min_key b))
           (moved @ p.sorted_run)
 
+(* Eq. 2 for partition [p]: n_bef (every PM level-0 record, sorted run
+   included) and the saving of an internal compaction over leaving the
+   partition's duplicate versions to a major compaction. *)
+let eq2_saving params p =
+  let count tbls = List.fold_left (fun acc tbl -> acc + Pmtable.Table.count tbl) 0 tbls in
+  let l0_records = count p.unsorted + count p.sorted_run in
+  (l0_records, Compaction.Cost_model.delta_cost_wf params ~l0_records ~updates:p.updates)
+
 let run_cost_based t p params =
   trivial_move p;
   (* Eq. 1: internal compaction for read amplification. *)
@@ -817,16 +825,11 @@ let run_cost_based t p params =
           ("compact", Obs.Trace.Bool eq1);
         ]);
   if eq1 then internal_compaction t p;
-  (* Eq. 2: internal compaction to curb SSD write amplification. *)
+  (* Eq. 2: internal compaction to curb SSD write amplification, gated on
+     the partition being big enough to matter (tau_w). *)
   (if p.unsorted <> [] then begin
-     let l0_records =
-       List.fold_left (fun acc tbl -> acc + Pmtable.Table.count tbl) 0 p.unsorted
-       + List.fold_left (fun acc tbl -> acc + Pmtable.Table.count tbl) 0 p.sorted_run
-     in
-     let eq2 =
-       Compaction.Cost_model.should_internal_compact_wf params
-         ~size:(partition_l0_bytes p) ~l0_records ~updates:p.updates
-     in
+     let l0_records, saving = eq2_saving params p in
+     let eq2 = partition_l0_bytes p >= params.Compaction.Cost_model.tau_w && saving > 0.0 in
      if Obs.Trace.is_enabled () then
        Obs.Trace.instant "cost_model.eq2" ~attrs:(fun () ->
            [
@@ -1255,25 +1258,68 @@ let relieve_pm_pressure t =
   in
   match by_coldness with [] -> () | coldest :: _ -> relieve_partition t coldest
 
-(* One bounded relief step: the partition with the most level-0 runs (the
-   first on a tie), so each major compaction retires the most probe
-   targets it can; then the next such partition, until the debt is below
-   [below]. Each round empties a partition, so a step takes at most one
-   round per partition. *)
-let relieve_step ?below t =
-  let below = Option.value below ~default:(compaction_debt_runs t) in
-  let rec round n =
-    let most =
-      Array.fold_left
-        (fun best p -> if partition_runs p > partition_runs best then p else best)
-        t.partitions.(0) t.partitions
-    in
-    if partition_runs most > 0 then begin
-      relieve_partition t most;
-      if n > 1 && compaction_debt_runs t >= below then round (n - 1)
-    end
+type relief = Internal | Major
+
+(* One bounded relief step on the partition with the most level-0 runs
+   (the first on a tie), so it retires the most probe targets it can.
+   Under the cost-based strategy the step is priced by Eq. 2: when the
+   partition's PM level-0 holds enough duplicate versions that merging
+   them inside PM is cheaper than rewriting them on the SSD, and Eq. 3 is
+   quiet, the runs are internal-compacted into one sorted run; otherwise,
+   or when internal compaction runs out of PM, the partition is
+   major-compacted. Unlike Eq. 2 in Algorithm 1 there is no tau_w gate:
+   the step must retire the runs either way, so Eq. 2 only chooses the
+   cheaper rewrite. *)
+let relieve_step t =
+  let p =
+    Array.fold_left
+      (fun best p -> if partition_runs p > partition_runs best then p else best)
+      t.partitions.(0) t.partitions
   in
-  round (Array.length t.partitions)
+  if partition_runs p = 0 then None
+  else begin
+    let priced =
+      match (t.config.Config.l0_strategy, t.config.Config.l0_medium) with
+      | Config.Cost_based params, Config.L0_pm when p.ssd_l0 = [] && p.unsorted <> [] ->
+          Some (params, eq2_saving params p)
+      | _ -> None
+    in
+    let updates = p.updates in
+    let internal =
+      match priced with
+      | Some (params, (_, saving)) ->
+          saving > 0.0
+          && not (Compaction.Cost_model.should_major_compact params ~l0_bytes:(l0_bytes t))
+      | None -> false
+    in
+    let compacted_in_pm () =
+      match guard_integrity t (fun () -> internal_compaction t p) with
+      | _ ->
+          persist_manifest t;
+          true
+      | exception Pmem.Out_of_space _ -> false
+    in
+    let kind =
+      if internal && compacted_in_pm () then Internal
+      else begin
+        relieve_partition t p;
+        Major
+      end
+    in
+    if Obs.Trace.is_enabled () then
+      Obs.Trace.instant "relief_step" ~attrs:(fun () ->
+          [
+            ("partition", Obs.Trace.Int p.idx);
+            ("kind", Obs.Trace.Str (match kind with Internal -> "internal" | Major -> "major"));
+            ("updates", Obs.Trace.Int updates);
+          ]
+          @
+          match priced with
+          | Some (_, (l0_records, saving)) ->
+              [ ("l0_records", Obs.Trace.Int l0_records); ("saving", Obs.Trace.Float saving) ]
+          | None -> []);
+    Some kind
+  end
 
 (* A fresh ring needs PM room like any level-0 table. *)
 let rec rotate_wal ?(attempts = 0) t w =

@@ -164,14 +164,19 @@ val force_major_compaction : t -> unit
     partition's level-0 into L1, then persist the manifest. A corrupt
     input is quarantined and that partition's compaction retried. *)
 
-val relieve_step : ?below:int -> t -> unit
-(** One bounded unit of compaction relief: major-compact the partition
-    with the most level-0 runs ({!partition_runs}; the first such
-    partition on a tie) and persist the manifest, quarantining any
-    corrupt input on the way; then the next such partition, until
-    {!compaction_debt_runs} is below [below]. By default [below] is the
-    debt at the call, so the step relieves exactly one partition. A
-    no-op when level-0 is empty. *)
+type relief = Internal | Major  (** which compaction a relief step ran *)
+
+val relieve_step : t -> relief option
+(** One bounded unit of compaction relief on the partition with the most
+    level-0 runs ({!partition_runs}; the first such partition on a tie),
+    then a manifest install, quarantining any corrupt input on the way.
+    Under the cost-based strategy with a PM level-0, a partition with
+    unsorted tables and no SSD level-0 tables is internal-compacted into
+    one sorted run when Eq. 2's saving is positive
+    ({!Compaction.Cost_model.delta_cost_wf}, without the [tau_w] gate)
+    and Eq. 3 is quiet ([l0_bytes < tau_m]); otherwise, or if PM runs out
+    during the merge, the partition is major-compacted. [None] when
+    level-0 is empty. *)
 
 (** {1 Scrub, salvage & quarantine} *)
 

@@ -3,14 +3,13 @@
     Signal: the shard's compaction debt in level-0 runs
     ({!Core.Engine.compaction_debt_runs}). Below the soft limit writes
     pass untouched; in the soft zone a write is never delayed, but may
-    start one relief step on the shard's idle background worker (one
-    partition's major compaction, or, once the shard is {!escalated} and
-    within one hand-off of the hard limit, as many as bring the debt two
-    hand-offs below it); at the
-    hard limit the writer stalls — riding the shard's background worker
-    and forcing compaction relief — until the debt drops below the limit
-    again. Stalls are counted for the [shard.stall_*] metrics and charged
-    to the [Admission_stall] attr phase. *)
+    start one relief step on the shard's idle background worker
+    ({!Core.Engine.relieve_step}: one partition's compaction, internal on
+    PM or major to the SSD as Eq. 2 prices it); at the hard limit the
+    writer stalls — riding the shard's background worker and forcing
+    compaction relief — until the debt drops below the limit again. Stalls
+    are counted for the [shard.stall_*] metrics and charged to the
+    [Admission_stall] attr phase. *)
 
 type t
 
@@ -26,18 +25,15 @@ val admit :
   Core.Engine.t ->
   wait_background:(unit -> bool) ->
   relieve:(unit -> unit) ->
-  step:(below:int -> unit) option ->
+  step:(unit -> Core.Engine.relief option) option ->
   unit
 (** Gate one write. [wait_background ()] blocks until the shard's
     in-flight background job finishes, returning [false] when there was
     none to wait for; [relieve ()] then forces one round of compaction.
-    In the soft zone a [Some step] is run once and counted; the caller
-    offers it only when the worker is idle and the write will not hand
-    off a memtable, and books it to the worker, so the write never waits
-    on it. [step ~below] relieves until the debt is below [below]: the
-    current debt (one partition) normally; two hand-offs below the hard
-    limit when the shard is {!escalated} and the debt is within one
-    hand-off of it, a hand-off being one run per engine partition. *)
+    In the soft zone a [Some step] is run once and counted, by the
+    compaction it reports; the caller offers it only when the worker is
+    idle and the write will not hand off a memtable, and books it to the
+    worker, so the write never waits on it. *)
 
 val soft_admits : t -> int
 (** Writes admitted in the soft zone. *)
@@ -45,10 +41,9 @@ val soft_admits : t -> int
 val relief_steps : t -> int
 (** Relief steps started from the soft zone. *)
 
-val escalated : t -> bool
-(** Has the shard hard-stalled after its first relief step? One partition
-    per step then fell behind its flushes, and steps near the hard limit
-    relieve deeper from then on. *)
+val internal_steps : t -> int
+(** Relief steps that ran an internal compaction on PM rather than a
+    major compaction. *)
 
 val stalls : t -> int
 

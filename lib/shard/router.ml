@@ -16,8 +16,8 @@
    - a {!Group_commit} batcher owning the WAL-sync durability point
      (shard engines run [wal_external_sync]);
    - an {!Admission} gate turning the shard's compaction debt into relief
-     steps on the idle worker (soft zone; deeper near the hard limit once
-     the shard has stalled despite them) or a hard stall;
+     steps on the idle worker (soft zone; one partition each, priced by
+     Eq. 2) or a hard stall;
    - one background worker, modelled as a [busy_until] horizon: a flush,
      relief step or forced compaction runs on the foreground clock, is
      rewound (the repo's overlap-rebate idiom, cf.
@@ -242,10 +242,11 @@ let background_run t s f =
   Obs.Attr.with_phase Obs.Attr.Stall_wait @@ fun () ->
   ignore (wait_background t s);
   let t0 = Sim.Clock.now t.clock in
-  f ();
+  let result = f () in
   let dt = Float.max 0.0 (Sim.Clock.now t.clock -. t0) in
   Sim.Clock.rewind t.clock dt;
-  s.busy_until <- t0 +. dt
+  s.busy_until <- t0 +. dt;
+  result
 
 let flush_engine s =
   let attempts = ref 0 in
@@ -374,10 +375,7 @@ let apply_write ?deadline_ns t ~key ~bytes f =
                it started itself. *)
             let step =
               if hands_off || s.busy_until > Sim.Clock.now t.clock then None
-              else
-                Some
-                  (fun ~below ->
-                    background_run t s (fun () -> Core.Engine.relieve_step ~below s.engine))
+              else Some (fun () -> background_run t s (fun () -> Core.Engine.relieve_step s.engine))
             in
             Admission.admit s.adm s.engine
               ~wait_background:(fun () -> wait_background t s)
@@ -526,6 +524,7 @@ let at_hard_limit t = Array.exists (fun s -> Admission.at_hard_limit s.adm s.eng
 let stall_ns t = sumf (fun s -> Admission.stall_ns s.adm) t
 let soft_delays t = sum (fun s -> Admission.soft_admits s.adm) t
 let relief_steps t = sum (fun s -> Admission.relief_steps s.adm) t
+let relief_steps_internal t = sum (fun s -> Admission.internal_steps s.adm) t
 let gc_batches t = sum (fun s -> Group_commit.batches s.gc) t
 let gc_synced_entries t = sum (fun s -> Group_commit.synced_entries s.gc) t
 
@@ -646,8 +645,9 @@ let pp_stats ppf t =
     (Array.length t.shards);
   Fmt.pf ppf "  dispatched: %d puts, %d gets, %d deletes, %d scans@," t.puts t.gets
     t.deletes t.scans;
-  Fmt.pf ppf "  admission: %d stalls (%a), %d soft-zone writes, %d relief steps@,"
-    (stall_count t) Sim.Clock.pp_duration (stall_ns t) (soft_delays t) (relief_steps t);
+  Fmt.pf ppf "  admission: %d stalls (%a), %d soft-zone writes, %d relief steps (%d internal)@,"
+    (stall_count t) Sim.Clock.pp_duration (stall_ns t) (soft_delays t) (relief_steps t)
+    (relief_steps_internal t);
   (let b = gc_batches t in
    if b > 0 then
      Fmt.pf ppf "  group commit: %d batches, %d entries, mean batch %.2f@," b
@@ -666,11 +666,11 @@ let pp_stats ppf t =
   lat "scan" t.scan_lat;
   Array.iter
     (fun s ->
-      Fmt.pf ppf "  shard %d [%S, %s): stalls %d, steps %d%s, batches %d, debt %d runs@,"
+      Fmt.pf ppf
+        "  shard %d [%S, %s): stalls %d, steps %d (%d internal), batches %d, debt %d runs@,"
         s.s_idx s.s_lo
         (if s.s_hi = max_key_sentinel then "<max>" else Printf.sprintf "%S" s.s_hi)
-        (Admission.stalls s.adm) (Admission.relief_steps s.adm)
-        (if Admission.escalated s.adm then " (escalated)" else "")
+        (Admission.stalls s.adm) (Admission.relief_steps s.adm) (Admission.internal_steps s.adm)
         (Group_commit.batches s.gc)
         (Core.Engine.compaction_debt_runs s.engine))
     t.shards;
@@ -694,8 +694,11 @@ let register_metrics reg t =
   register_int reg "shard.soft_delays" ~help:"writes admitted in the admission soft zone"
     (fun () -> soft_delays t);
   register_int reg "shard.relief_steps"
-    ~help:"soft-zone relief steps (one partition's major compaction; more near the hard limit once escalated) run on idle workers"
+    ~help:"soft-zone relief steps (one partition's compaction each) run on idle workers"
     (fun () -> relief_steps t);
+  register_int reg "shard.relief_steps_internal"
+    ~help:"relief steps that Eq. 2 priced as an internal compaction on PM"
+    (fun () -> relief_steps_internal t);
   register_int reg "shard.gc.batches" ~help:"group-commit batches synced" (fun () ->
       gc_batches t);
   register_int reg "shard.gc.synced_entries"

@@ -136,6 +136,10 @@ val relief_steps : t -> int
 (** Soft-zone relief steps started on idle shard workers, summed over
     shards. *)
 
+val relief_steps_internal : t -> int
+(** Relief steps that ran an internal compaction on PM, summed over
+    shards. *)
+
 val gc_batches : t -> int
 val gc_synced_entries : t -> int
 val gc_mean_batch : t -> float

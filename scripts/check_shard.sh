@@ -5,11 +5,13 @@
 # fails on group commit never coalescing (mean batch size <= 1 means every
 # writer paid its own log sync), a shard left stalled over the admission
 # hard limit when the run ends, a scaling ratio below the 1.5x acceptance
-# floor, an incomplete run, or a resident one-shard store whose reads PM
+# floor, an incomplete run, a resident one-shard store whose reads PM
 # serves less than 90% of (admission pushed the paper's PM level-0 to the
-# SSD). The benchmark prints one machine-greppable line:
+# SSD), or an update-heavy cost-based shard whose relief steps are less
+# than half internal compactions (relief stopped pricing steps by Eq. 2).
+# The benchmark prints one machine-greppable line:
 #
-#   SHARD speedup4=S mean_batch4=M stalled=K completed=N pm_share=P
+#   SHARD speedup4=S mean_batch4=M stalled=K completed=N pm_share=P internal_share=I
 #
 # The committed baseline is never rewritten here. To refresh it after an
 # intentional change:
@@ -46,9 +48,11 @@ mean_batch="$(field mean_batch4)"
 stalled="$(field stalled)"
 completed="$(field completed)"
 pm_share="$(field pm_share)"
+internal_share="$(field internal_share)"
 
 echo "check_shard: speedup4=$speedup mean_batch4=$mean_batch" \
-     "stalled=$stalled completed=$completed pm_share=$pm_share"
+     "stalled=$stalled completed=$completed pm_share=$pm_share" \
+     "internal_share=$internal_share"
 
 fail=0
 if [ "$(echo "$speedup" | awk '{print ($1 >= 1.5) ? 1 : 0}')" != 1 ]; then
@@ -69,6 +73,10 @@ if [ "$completed" != 6 ]; then
 fi
 if [ "$(echo "$pm_share" | awk '{print ($1 >= 0.9) ? 1 : 0}')" != 1 ]; then
     echo "check_shard: FAIL - resident store served from PM for only $pm_share of reads" >&2
+    fail=1
+fi
+if [ "$(echo "$internal_share" | awk '{print ($1 >= 0.5) ? 1 : 0}')" != 1 ]; then
+    echo "check_shard: FAIL - only $internal_share of the update-heavy shard's relief steps were internal" >&2
     fail=1
 fi
 

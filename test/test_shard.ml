@@ -419,7 +419,7 @@ let test_relieve_step_one_partition () =
   flush_keys [ "i3" ];
   check ints "runs per partition" [| 1; 3; 2 |] (runs ());
   let before = l0 () in
-  Core.Engine.relieve_step e;
+  ignore (Core.Engine.relieve_step e);
   check ints "the partition with the most runs emptied" [| 1; 0; 2 |] (runs ());
   let after = l0 () in
   check Alcotest.(pair int int) "other partitions' level-0 untouched"
@@ -427,88 +427,101 @@ let test_relieve_step_one_partition () =
   check Alcotest.int "its level-0 gone" 0 after.(1);
   flush_keys [ "a2"; "i4" ];
   check ints "a tie" [| 2; 1; 2 |] (runs ());
-  Core.Engine.relieve_step e;
+  ignore (Core.Engine.relieve_step e);
   check ints "the first of the tied partitions emptied" [| 0; 1; 2 |] (runs ());
-  flush_keys [ "i5"; "q3" ];
-  flush_keys [ "i6" ];
-  check ints "runs before a deep step" [| 0; 3; 3 |] (runs ());
-  Core.Engine.relieve_step ~below:2 e;
-  check ints "a deep step relieves, most runs first, until the debt is below its target"
-    [| 0; 0; 0 |] (runs ());
-  flush_keys [ "a3"; "i7"; "q4" ];
-  flush_keys [ "a4"; "i8" ];
-  flush_keys [ "a5" ];
-  check ints "runs before a shallower deep step" [| 3; 2; 1 |] (runs ());
-  Core.Engine.relieve_step ~below:4 e;
-  check ints "it stops once the debt is below the target" [| 0; 2; 1 |] (runs ());
   List.iter
     (fun key -> check Alcotest.(option string) key (Some "v") (Core.Engine.get e key))
-    [ "a1"; "a2"; "a3"; "a4"; "a5"; "i1"; "i2"; "i3"; "i4"; "i5"; "i6"; "i7"; "i8"; "q1"; "q2"; "q3"; "q4" ]
+    [ "a1"; "a2"; "i1"; "i2"; "i3"; "i4"; "q1"; "q2" ]
 
-(* Escalation: a hard stall after relief steps started means one partition
-   per step fell behind the flushes. From then on a step that starts
-   within one hand-off of the hard limit (one run per partition) relieves
-   until the debt is two hand-offs below it; further from the limit a
-   step stays one partition. A stall before any step does not escalate. *)
-let test_admission_escalation () =
-  let cfg = triggerless_config ~soft:3 ~hard:8 () in
-  let e = Core.Engine.create ~boundaries:[ "h"; "p" ] cfg in
-  let create () =
-    Shard.Admission.create ~clock:(Core.Engine.clock e) ~soft_tables:3 ~hard_tables:8
+(* The step is priced by Eq. 2 under the cost-based strategy: a partition
+   whose level-0 is mostly updates is internal-compacted into one sorted
+   run on PM, one of inserts is major-compacted, and once level-0 reaches
+   tau_m (Eq. 3) or under a conventional strategy every step is major. *)
+let test_relieve_step_priced () =
+  let cost_based ?(tau_m = Compaction.Cost_model.default.tau_m) () =
+    {
+      (base_config ~shards:1 ()) with
+      Core.Config.l0_strategy =
+        Core.Config.Cost_based { Compaction.Cost_model.default with tau_m };
+    }
   in
-  let flush_keys keys =
-    List.iter (fun key -> Core.Engine.put e ~key "v") keys;
-    Core.Engine.flush e
-  in
-  let runs () = Array.map Core.Engine.partition_runs (Core.Engine.partitions e) in
-  let debt () = Core.Engine.compaction_debt_runs e in
+  let engine cfg = Core.Engine.create ~boundaries:[ "h"; "p" ] cfg in
+  let runs e = Array.map Core.Engine.partition_runs (Core.Engine.partitions e) in
   let ints = Alcotest.(array int) in
-  let target = ref None in
-  let admit adm =
-    target := None;
-    Shard.Admission.admit adm e
-      ~wait_background:(fun () -> false)
-      ~relieve:(fun () -> Core.Engine.force_major_compaction e)
-      ~step:
-        (Some
-           (fun ~below ->
-             target := Some below;
-             Core.Engine.relieve_step ~below e))
+  let kind =
+    Alcotest.testable
+      (fun ppf k ->
+        Fmt.string ppf (match k with Core.Engine.Internal -> "internal" | Major -> "major"))
+      ( = )
   in
-  let every = [ "a"; "i"; "q" ] in
-  let flush_all n = for j = 1 to n do flush_keys (List.map (fun k -> Printf.sprintf "%s%d" k j) every) done in
-  (* a stall before any step: no escalation *)
-  let fresh = create () in
-  flush_all 3;
-  admit fresh;
-  check Alcotest.int "stalled" 1 (Shard.Admission.stalls fresh);
-  check Alcotest.bool "a stall before any step does not escalate" false
-    (Shard.Admission.escalated fresh);
-  let adm = create () in
-  (* 3 partitions, hard limit 8: deep steps start at debt 5, relieve below 2 *)
-  flush_all 2;
-  check ints "runs before the first step" [| 2; 2; 2 |] (runs ());
-  admit adm;
-  check Alcotest.(option int) "not escalated: one partition" (Some 6) !target;
-  check ints "one partition relieved" [| 0; 2; 2 |] (runs ());
-  flush_all 2;
-  check Alcotest.bool "at the hard limit" true (debt () >= 8);
-  admit adm;
-  check Alcotest.int "hard-stalled" 1 (Shard.Admission.stalls adm);
-  check Alcotest.bool "a stall after a step escalates" true (Shard.Admission.escalated adm);
-  flush_keys [ "a5"; "i5" ];
-  flush_keys [ "a6"; "i6" ];
-  check ints "runs below one hand-off of the limit" [| 2; 2; 0 |] (runs ());
-  admit adm;
-  check Alcotest.(option int) "far from the limit: still one partition" (Some 4) !target;
-  check ints "one partition relieved again" [| 0; 2; 0 |] (runs ());
-  flush_all 1;
-  check ints "runs within one hand-off of the limit" [| 1; 3; 1 |] (runs ());
-  admit adm;
-  check Alcotest.(option int) "deep: two hand-offs below the limit" (Some 2) !target;
-  check Alcotest.bool "debt below the target" true (debt () < 2);
-  check ints "most runs first, until below the target" [| 0; 0; 1 |] (runs ());
-  check Alcotest.int "steps counted" 3 (Shard.Admission.relief_steps adm)
+  (* Three overlapping flushes of the same ten keys in partition 1: the
+     first joins the sorted run, the next two stay unsorted (three runs),
+     and two thirds of the records are updates. *)
+  let update_heavy e =
+    for round = 0 to 2 do
+      for i = 0 to 9 do
+        Core.Engine.put ~update:(round > 0) e
+          ~key:(Printf.sprintf "i%02d" i)
+          (Printf.sprintf "v%d" round)
+      done;
+      Core.Engine.flush e
+    done
+  in
+  (* Interleaved fresh keys in partition 0: overlapping ranges, no updates. *)
+  let insert_only e =
+    for round = 0 to 3 do
+      for i = 0 to 9 do
+        Core.Engine.put e ~key:(Printf.sprintf "a%03d" ((i * 4) + round)) "w"
+      done;
+      Core.Engine.flush e
+    done
+  in
+  let reads_back e =
+    for i = 0 to 9 do
+      let key = Printf.sprintf "i%02d" i in
+      check Alcotest.(option string) key (Some "v2") (Core.Engine.get e key)
+    done;
+    for k = 0 to 39 do
+      let key = Printf.sprintf "a%03d" k in
+      check Alcotest.(option string) key (Some "w") (Core.Engine.get e key)
+    done
+  in
+  (* (a) update-heavy: internal compaction, one sorted run, no SSD write *)
+  let e = engine (cost_based ()) in
+  update_heavy e;
+  check ints "three runs, all in partition 1" [| 0; 3; 0 |] (runs e);
+  let ssd0 = Core.Engine.ssd_bytes_written e in
+  check Alcotest.(option kind) "update-heavy: internal" (Some Core.Engine.Internal)
+    (Core.Engine.relieve_step e);
+  check ints "one sorted run left" [| 0; 1; 0 |] (runs e);
+  check Alcotest.int "no unsorted table left" 0 (Core.Engine.unsorted_table_count e);
+  check Alcotest.bool "the run is on PM" true
+    (Core.Engine.partition_l0_bytes (Core.Engine.partitions e).(1) > 0);
+  check Alcotest.int "no SSD bytes written" ssd0 (Core.Engine.ssd_bytes_written e);
+  (* (b) insert-only: major compaction empties its level-0 *)
+  insert_only e;
+  check ints "four runs in partition 0" [| 4; 1; 0 |] (runs e);
+  check Alcotest.(option kind) "insert-only: major" (Some Core.Engine.Major)
+    (Core.Engine.relieve_step e);
+  check ints "its level-0 is empty" [| 0; 1; 0 |] (runs e);
+  check Alcotest.int "and holds no bytes" 0
+    (Core.Engine.partition_l0_bytes (Core.Engine.partitions e).(0));
+  reads_back e;
+  (* (c) level-0 at tau_m: Eq. 3 wins over Eq. 2 *)
+  let e = engine (cost_based ~tau_m:1 ()) in
+  update_heavy e;
+  check ints "the same update-heavy runs" [| 0; 3; 0 |] (runs e);
+  check Alcotest.(option kind) "at tau_m: major" (Some Core.Engine.Major)
+    (Core.Engine.relieve_step e);
+  check ints "its level-0 is empty" [| 0; 0; 0 |] (runs e);
+  (* (d) a conventional strategy always majors *)
+  let e = engine (triggerless_config ~soft:2 ~hard:8 ()) in
+  update_heavy e;
+  check Alcotest.(option kind) "conventional: major" (Some Core.Engine.Major)
+    (Core.Engine.relieve_step e);
+  check ints "level-0 is empty" [| 0; 0; 0 |] (runs e);
+  check Alcotest.(option kind) "an empty level-0: no step" None
+    (Core.Engine.relieve_step e)
 
 (* Forced relief meets rot like any other compaction: a zeroed level-0
    table met by the hard limit's relief is quarantined, the writes go on
@@ -721,16 +734,13 @@ let test_sweep_sample_clean () =
   if not (Fault.Crash_sweep.clean report) then
     Alcotest.failf "sharded sweep found violations:@.%a" Fault.Crash_sweep.pp_report report
 
-(* The soft zone under the crash sweep: a relief step's major compaction
-   and manifest install join the crash points. The sweep's workload starts
-   steps (checked on the counting run's workload), and a sample is clean. *)
-let test_sweep_relief_steps () =
-  let router_cfg =
-    {
-      (triggerless_config ~shards:2 ~durable:true ~soft:1 ~hard:16 ()) with
-      Core.Config.name = "reliefsweep";
-    }
-  in
+(* The soft zone under the crash sweep: a relief step's compaction and
+   manifest install join the crash points. The sweep's workload starts
+   steps (checked on the counting run's workload), and a sample is clean.
+   The conventional leg's steps are major compactions; the cost-based
+   leg's workload updates a small keyspace, so Eq. 2 prices some of its
+   steps as internal compactions on PM. *)
+let sweep_relief_steps router_cfg ~internal () =
   let cfg = Shard.Sweep.config ~seed:11 router_cfg in
   let r =
     crashable_router router_cfg
@@ -740,9 +750,28 @@ let test_sweep_relief_steps () =
     ~keyspace:cfg.Fault.Crash_sweep.keyspace ~value_len:cfg.Fault.Crash_sweep.value_len
     (Fault.Golden.create ()) (Shard.Sweep.of_router r);
   check Alcotest.bool "the workload starts relief steps" true (Shard.Router.relief_steps r > 0);
+  check Alcotest.bool "internal steps as priced" internal
+    (Shard.Router.relief_steps_internal r > 0);
   let report = Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample 25) cfg in
   if not (Fault.Crash_sweep.clean report) then
     Alcotest.failf "relief sweep found violations:@.%a" Fault.Crash_sweep.pp_report report
+
+let test_sweep_relief_steps =
+  sweep_relief_steps ~internal:false
+    {
+      (triggerless_config ~shards:2 ~durable:true ~soft:1 ~hard:16 ()) with
+      Core.Config.name = "reliefsweep";
+    }
+
+let test_sweep_priced_relief_steps =
+  sweep_relief_steps ~internal:true
+    {
+      (base_config ~shards:2 ~durable:true ()) with
+      Core.Config.name = "pricedsweep";
+      memtable_bytes = 1024;
+      admission_soft_tables = 2;
+      admission_hard_tables = 16;
+    }
 
 let test_sweep_catches_planted_bug () =
   (* Drop a WAL sync on one shard: some crash legs must then lose acked
@@ -787,8 +816,7 @@ let () =
             test_soft_zone_relieves;
           Alcotest.test_case "relief step empties one partition" `Quick
             test_relieve_step_one_partition;
-          Alcotest.test_case "escalation deepens steps near the hard limit" `Quick
-            test_admission_escalation;
+          Alcotest.test_case "relief step priced by Eq. 2" `Quick test_relieve_step_priced;
           Alcotest.test_case "hard relief quarantines rot" `Quick
             test_hard_relief_quarantines_rot;
           Alcotest.test_case "resident load stays on PM" `Quick
@@ -807,6 +835,8 @@ let () =
           Alcotest.test_case "sites deterministic" `Quick test_sweep_sites_deterministic;
           Alcotest.test_case "sample clean" `Quick test_sweep_sample_clean;
           Alcotest.test_case "relief steps sample clean" `Quick test_sweep_relief_steps;
+          Alcotest.test_case "priced relief steps sample clean" `Quick
+            test_sweep_priced_relief_steps;
           Alcotest.test_case "catches planted bug" `Quick
             test_sweep_catches_planted_bug;
         ] );
