@@ -31,7 +31,7 @@
    PMB_PLANT=no_batch forces every commit to sync alone (window and max
    batch collapse to nothing) while stamping the nominal fingerprint: the
    planted regression must trip the gate and the mean-batch check.
-   PMB_PLANT=table_debt sets [Core.Engine.chaos_table_debt], so admission
+   PMB_PLANT=table_debt sets [Core.Policy.chaos_table_debt], so admission
    counts every sorted-run table as debt again: the resident load then
    hits the hard limit, relief pushes level-0 to the SSD, and the PM-share
    floor and gate must fail. *)
@@ -272,7 +272,7 @@ let run_priced () =
   (throughput, share)
 
 let run () =
-  if Sys.getenv_opt "PMB_PLANT" = Some "table_debt" then Core.Engine.chaos_table_debt := true;
+  if Sys.getenv_opt "PMB_PLANT" = Some "table_debt" then Core.Policy.chaos_table_debt := true;
   let a_runs = run_workload "A" Workload.Ycsb.A [ 1; 2; 4; 8 ] in
   let b_runs = run_workload "B" Workload.Ycsb.B [ 1; 4 ] in
   let find rs n = List.find (fun r -> r.shards = n) rs in
@@ -300,5 +300,5 @@ let run () =
     (if stalled then 1 else 0)
     completed pm_share internal_share;
   if planted () then Report.note "PLANTED regression active: group commit disabled";
-  if !Core.Engine.chaos_table_debt then
+  if !Core.Policy.chaos_table_debt then
     Report.note "PLANTED regression active: debt counts sorted-run tables"

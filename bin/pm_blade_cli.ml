@@ -844,7 +844,7 @@ let doctor_router cfg ~records ~ops ~value_bytes =
     (fun i e ->
       Fmt.pr "  shard%-3d %7.2f MB %6d r %8d@." i
         (mb (Core.Engine.l0_bytes e))
-        (Core.Engine.compaction_debt_runs e)
+        (Core.Policy.pressure e)
         (Core.Engine.metrics e).Core.Metrics.write_stalls)
     (Shard.Router.engines router);
   Array.iteri
@@ -907,7 +907,7 @@ let doctor_cmd =
     let waf = Core.Engine.write_amplification engine in
     let raf = Core.Engine.read_amplification engine in
     let debt_bytes = Core.Engine.compaction_debt_bytes engine in
-    let debt_runs = Core.Engine.compaction_debt_runs engine in
+    let debt_runs = Core.Policy.pressure engine in
     let space = Core.Engine.space_bytes engine in
     let logical = Core.Engine.logical_bytes engine in
 

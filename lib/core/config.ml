@@ -74,9 +74,9 @@ type t = {
       (* close and sync the batch once this many writers have joined *)
   admission_soft_tables : int;
       (* per-shard compaction debt, in level-0 runs
-         ([Engine.compaction_debt_runs]), where admission starts relief
+         ([Policy.pressure]), where admission starts relief
          steps: a soft-zone write hands an idle background worker one
-         partition's compaction ([Engine.relieve_step]: internal on PM
+         partition's compaction ([Policy.relieve]: internal on PM
          when Eq. 2 prices it cheaper under the cost-based strategy, major
          otherwise) and is never delayed. The name predates counting runs and stays because the
          front-door benchmark's workloads set it. The limit survives

@@ -3,14 +3,16 @@
     ladder, RocksDB-like and MatrixKV-like — runs the same code paths.
 
     Writes land in the DRAM memtable and flush by key range across
-    partitions to level-0 (PM tables or SSD SSTables per config); internal
-    compaction merges a partition's unsorted stack into its sorted run under
-    the §IV-C cost models; major compaction pushes the non-warm partitions
-    to the levelled SSD tiers. Every device touch charges the virtual
-    clock, so an operation's latency is the clock delta across the call. *)
+    partitions to level-0 (PM tables or SSD SSTables per config). After
+    each flush {!Policy.step} runs Algorithm 1: internal compaction merges
+    a partition's unsorted stack into its sorted run under the §IV-C cost
+    models, and major compaction pushes the non-warm partitions to the
+    levelled SSD tiers. The state and those mechanisms are {!Lsm}. Every
+    device touch charges the virtual clock, so an operation's latency is
+    the clock delta across the call. *)
 
-type t
-type partition
+type t = Lsm.t
+type partition = Lsm.partition
 
 (** {1 Integrity errors}
 
@@ -156,27 +158,20 @@ val scan : t -> start:string -> limit:int -> (string * string) list
 (** {1 Maintenance (benchmarks drive these manually)} *)
 
 val flush : t -> unit
-(** Flush the memtable to level-0 (minor compaction) if non-empty. *)
+(** Flush the memtable to level-0 (minor compaction) if non-empty, then
+    run {!Policy.step} on each partition it reached. When PM runs out,
+    {!Policy.make_room} relieves it and the flush is retried; a slice not
+    yet installed goes back into the memtable first, so no acknowledged
+    write is lost. Every memtable flush — foreground, the router's
+    hand-off, a benchmark's — takes this path. *)
 
 val force_internal_compaction : t -> unit
 val force_major_compaction : t -> unit
 (** Compact every partition's unsorted stack into its sorted run / every
     partition's level-0 into L1, then persist the manifest. A corrupt
-    input is quarantined and that partition's compaction retried. *)
-
-type relief = Internal | Major  (** which compaction a relief step ran *)
-
-val relieve_step : t -> relief option
-(** One bounded unit of compaction relief on the partition with the most
-    level-0 runs ({!partition_runs}; the first such partition on a tie),
-    then a manifest install, quarantining any corrupt input on the way.
-    Under the cost-based strategy with a PM level-0, a partition with
-    unsorted tables and no SSD level-0 tables is internal-compacted into
-    one sorted run when Eq. 2's saving is positive
-    ({!Compaction.Cost_model.delta_cost_wf}, without the [tau_w] gate)
-    and Eq. 3 is quiet ([l0_bytes < tau_m]); otherwise, or if PM runs out
-    during the merge, the partition is major-compacted. [None] when
-    level-0 is empty. *)
+    input is quarantined and that partition's compaction retried; an
+    internal compaction that runs out of PM lets {!Policy.make_room}
+    relieve it first. *)
 
 (** {1 Scrub, salvage & quarantine} *)
 
@@ -221,9 +216,6 @@ val partitions : t -> partition array
 val partition_of : t -> string -> partition
 val partition_l0_bytes : partition -> int
 
-val partition_runs : partition -> int
-(** The partition's share of {!compaction_debt_runs}. *)
-
 val l0_bytes : t -> int
 val unsorted_table_count : t -> int
 val sorted_table_count : t -> int
@@ -244,16 +236,6 @@ val read_amplification : t -> float
 
 val compaction_debt_bytes : t -> int
 (** Level-0 backlog bytes (both media) still awaiting compaction. *)
-
-val compaction_debt_runs : t -> int
-(** Level-0 runs a point read may probe: each unsorted PM table, the
-    key-disjoint sorted run as one, each SSD level-0 table. The one debt
-    measure — admission, doctor, gauges and the CLI all read it. *)
-
-val chaos_table_debt : bool ref
-(** Planted-bug kill switch: when set, {!compaction_debt_runs} counts
-    every sorted-run table again. Exists so the PM-share gate can prove it
-    catches the old table-count debt. Leave it [false]. *)
 
 val space_bytes : t -> int
 (** Physical live bytes across PM and SSD structures. *)

@@ -1,10 +1,10 @@
-(** Write-stall admission control, per shard.
+(** Write-stall admission control, per shard. Admission decides only who
+    waits; what to compact is {!Core.Policy}'s choice.
 
-    Signal: the shard's compaction debt in level-0 runs
-    ({!Core.Engine.compaction_debt_runs}). Below the soft limit writes
-    pass untouched; in the soft zone a write is never delayed, but may
+    Signal: the policy's pressure, the shard's debt in level-0 runs
+    ({!Core.Policy.pressure}). Below the soft limit writes pass untouched; in the soft zone a write is never delayed, but may
     start one relief step on the shard's idle background worker
-    ({!Core.Engine.relieve_step}: one partition's compaction, internal on
+    ({!Core.Policy.relieve}: one partition's compaction, internal on
     PM or major to the SSD as Eq. 2 prices it); at the hard limit the
     writer stalls — riding the shard's background worker and forcing
     compaction relief — until the debt drops below the limit again. Stalls
@@ -25,7 +25,7 @@ val admit :
   Core.Engine.t ->
   wait_background:(unit -> bool) ->
   relieve:(unit -> unit) ->
-  step:(unit -> Core.Engine.relief option) option ->
+  step:(unit -> Core.Policy.relief option) option ->
   unit
 (** Gate one write. [wait_background ()] blocks until the shard's
     in-flight background job finishes, returning [false] when there was

@@ -19,6 +19,10 @@
 #      partial accessors, and the protocol rules greps cannot express
 #      (flush-before-commit, suspend-in-critical-section).
 #      Only reasoned inline allow markers silence a finding.
+#   6. Every level-0 choice is lib/core/policy.ml's: outside it and
+#      lib/core/config.ml (which defines the variant), no lib/ .ml names
+#      Config.l0_strategy or matches on its constructors. The type cannot
+#      enforce this, because benchmark/ constructs the variant itself.
 #
 # Exits non-zero with a file:line listing on any violation.
 
@@ -78,6 +82,11 @@ pmlint_out="$(dune exec bin/pmlint.exe -- lib 2>&1)" || {
   printf '%s\n' "$pmlint_out" \
     | complain "pmlint findings (see 'dune exec bin/pmlint.exe -- lib')"
 }
+
+# 6. strategy matches belong to the policy module
+grep -rn 'l0_strategy\|Config\.\(Cost_based\|Conventional\|Matrix\)\b' lib --include='*.ml' \
+  | grep -v '^lib/core/config\.ml:\|^lib/core/policy\.ml:' \
+  | complain "only lib/core/policy.ml may match on Config.l0_strategy"
 
 if [ -s "$failmark" ]; then
   echo "lint: FAILED" >&2

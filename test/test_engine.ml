@@ -240,13 +240,13 @@ let test_trivial_move () =
   check Alcotest.int "one run table per flush" 5 (Core.Engine.sorted_table_count eng);
   check Alcotest.int "nothing rewritten" 0
     (Core.Engine.metrics eng).Core.Metrics.internal_compactions;
-  check Alcotest.int "debt is one run" 1 (Core.Engine.compaction_debt_runs eng);
+  check Alcotest.int "debt is one run" 1 (Core.Policy.pressure eng);
   Core.Engine.put ~update:true eng ~key:(key 10) "v1-10";
   Core.Engine.put ~update:true eng ~key:(key 70) "v1-70";
   Core.Engine.flush eng;
   check Alcotest.int "an overlapping flush stays unsorted" 1
     (Core.Engine.unsorted_table_count eng);
-  check Alcotest.int "debt counts it" 2 (Core.Engine.compaction_debt_runs eng);
+  check Alcotest.int "debt counts it" 2 (Core.Policy.pressure eng);
   check Alcotest.(option string) "newest version wins" (Some "v1-10")
     (Core.Engine.get eng (key 10));
   check Alcotest.(option string) "older run still served" (Some "v0-11")
@@ -261,28 +261,58 @@ let test_trivial_move () =
   check Alcotest.int "sorted run recovered" 5 (Core.Engine.sorted_table_count recovered);
   check Alcotest.int "unsorted stack recovered" 1 (Core.Engine.unsorted_table_count recovered)
 
+(* Every key of [model] reads back its last value: the number that do not. *)
+let lost_keys eng model =
+  Hashtbl.fold (fun key v n -> if Core.Engine.get eng key = Some v then n else n + 1) model 0
+
+let with_pm_kib kib cfg =
+  { cfg with Core.Config.pm_params = { cfg.Core.Config.pm_params with Pmem.capacity = kib * 1024 } }
+
 let test_out_of_space_recovers () =
   (* A tiny PM device must not wedge the engine: it falls back to major
-     compaction and keeps accepting writes. *)
-  let cfg = small Core.Config.pmblade in
+     compaction and keeps accepting writes — and keeps every one of them.
+     A flush that runs out of PM part-way puts the slices it has not
+     installed back into the memtable instead of dropping them. *)
+  let cfg = with_pm_kib 48 (small Core.Config.pmblade) in
   let cfg =
     {
       cfg with
-      Core.Config.pm_params = { cfg.Core.Config.pm_params with Pmem.capacity = 48 * 1024 };
-      l0_strategy =
+      Core.Config.l0_strategy =
         Core.Config.Cost_based
           { Core.Config.scaled_cost_model with tau_m = max_int; tau_t = 16 * 1024 };
     }
   in
   let eng = Core.Engine.create cfg in
   let rng = Util.Xoshiro.create 33 in
+  let model = Hashtbl.create 4096 in
   for i = 0 to 2999 do
-    Core.Engine.put eng ~key:(Util.Keys.record_key ~table_id:1 ~row_id:i)
-      (Util.Xoshiro.string rng 64)
+    let key = Util.Keys.record_key ~table_id:1 ~row_id:i in
+    let v = Util.Xoshiro.string rng 64 in
+    Core.Engine.put eng ~key v;
+    Hashtbl.replace model key v
   done;
   check Alcotest.bool "spilled to SSD" true (Core.Engine.ssd_bytes_written eng > 0);
-  check Alcotest.bool "still readable" true
-    (Core.Engine.get eng (Util.Keys.record_key ~table_id:1 ~row_id:2999) <> None)
+  check Alcotest.int "every key readable" 0 (lost_keys eng model)
+
+(* A split builds every half before it frees a straddling table: one that
+   runs out of PM part-way leaves the partition as it was, not naming
+   freed regions. 4000 puts over 2000 YCSB keys into 48 KiB of PM: no put
+   raises and every key reads back its last value. *)
+let test_out_of_space_split () =
+  let eng =
+    Core.Engine.create
+      (with_pm_kib 48 { (small Core.Config.pmblade) with Core.Config.durable = true })
+  in
+  let rng = Util.Xoshiro.create 5 in
+  let model = Hashtbl.create 4096 in
+  for _ = 1 to 4000 do
+    let key = Util.Keys.ycsb_key (Util.Xoshiro.int rng 2000) in
+    let v = Util.Xoshiro.string rng 64 in
+    Core.Engine.put ~update:(Hashtbl.mem model key) eng ~key v;
+    Hashtbl.replace model key v
+  done;
+  check Alcotest.bool "partitions split" true (Array.length (Core.Engine.partitions eng) > 1);
+  check Alcotest.int "every key readable" 0 (lost_keys eng model)
 
 let test_write_amplification_ordering () =
   (* The core claim of Fig. 8a: on an update-heavy workload PMBlade writes
@@ -503,7 +533,7 @@ let test_ledger_stalls_and_debt () =
   Alcotest.(check bool) "debt gauge sees the L0 backlog" true
     (Core.Engine.compaction_debt_bytes eng > 0);
   Alcotest.(check bool) "debt counts runs" true
-    (Core.Engine.compaction_debt_runs eng > 0);
+    (Core.Policy.pressure eng > 0);
   (* Draining level-0 pays the debt down. *)
   Core.Engine.flush eng;
   Core.Engine.force_internal_compaction eng;
@@ -550,6 +580,7 @@ let () =
           Alcotest.test_case "warm set stays in PM" `Quick test_warm_set_stays_in_pm;
           Alcotest.test_case "trivial move into the sorted run" `Quick test_trivial_move;
           Alcotest.test_case "out of space recovers" `Quick test_out_of_space_recovers;
+          Alcotest.test_case "out of space split" `Quick test_out_of_space_split;
           Alcotest.test_case "write amplification ordering" `Quick test_write_amplification_ordering;
           Alcotest.test_case "latency ordering PM vs SSD" `Quick test_latency_ordering_pm_vs_ssd;
           Alcotest.test_case "matrix watermark correctness" `Quick test_matrix_watermark_read_correctness;

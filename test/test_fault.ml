@@ -62,6 +62,31 @@ let test_sweep_all_sites_clean () =
   check Alcotest.bool "crashes counted" true
     (stats.Fault.Plan.crashes >= report.Fault.Crash_sweep.total_sites)
 
+(* A tiny PM device: 8 KiB for level-0 and the WAL ring, 256-byte
+   memtables and no compaction trigger, so every major compaction is the
+   policy making room. The workload runs flushes and splits out of PM
+   part-way, which must leave level-0 as it was. *)
+let tiny_pm_config () =
+  {
+    (durable_config ()) with
+    Core.Config.memtable_bytes = 256;
+    l0_strategy = Core.Config.Conventional { max_tables = None; max_bytes = None };
+    pm_params = { Core.Config.pmblade.Core.Config.pm_params with Pmem.capacity = 8 * 1024 };
+  }
+
+let test_sweep_tiny_pm () =
+  let cfg = Fault.Crash_sweep.(config ~seed:7 (engine (tiny_pm_config ()))) in
+  let engine = Fault.Crash_sweep.fresh_engine (tiny_pm_config ()) in
+  Fault.Crash_sweep.run_ops ~seed:cfg.Fault.Crash_sweep.seed ~ops:cfg.Fault.Crash_sweep.ops
+    ~keyspace:cfg.Fault.Crash_sweep.keyspace ~value_len:cfg.Fault.Crash_sweep.value_len
+    (Fault.Golden.create ()) (Fault.Crash_sweep.of_engine engine);
+  check Alcotest.bool "the workload makes room" true
+    ((Core.Engine.metrics engine).Core.Metrics.major_compactions > 0);
+  check Alcotest.bool "and splits" true (Array.length (Core.Engine.partitions engine) > 1);
+  let report = Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample 25) cfg in
+  if not (Fault.Crash_sweep.clean report) then
+    Alcotest.failf "tiny-PM sweep found violations:@.%a" Fault.Crash_sweep.pp_report report
+
 (* --- planted bugs must be caught --- *)
 
 (* Sweep every site: the planted bug corrupts only a few sites' futures
@@ -243,6 +268,7 @@ let () =
       ( "sweep",
         [
           Alcotest.test_case "all sites clean" `Slow test_sweep_all_sites_clean;
+          Alcotest.test_case "tiny PM sample clean" `Quick test_sweep_tiny_pm;
           Alcotest.test_case "wal sync loss caught" `Quick
             test_wal_sync_loss_caught;
           Alcotest.test_case "pm drop flush caught" `Quick
