@@ -17,7 +17,7 @@ let advance_to t at = if at > t.now then t.now <- at
 
 (* Pull the clock back, for overlap rebates: a single-threaded simulation
    that charged CPU and I/O serially can model their concurrent execution
-   by rewinding the overlapped share (see Engine.with_major_timing). *)
+   by rewinding the overlapped share (see Lsm.with_major_timing). *)
 let rewind t dt =
   if dt < 0.0 then invalid_arg "Clock.rewind: negative delta";
   t.now <- Float.max 0.0 (t.now -. dt)
