@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check crashtest scrubtest sanitize lint pmlint bench readpath-bench shard-bench pipeline-bench soak soak-bench doctor perf-gate fmt clean
+.PHONY: all build test check crashtest oracles scrubtest sanitize lint pmlint bench readpath-bench shard-bench pipeline-bench soak soak-bench doctor perf-gate fmt clean
 
 all: build
 
@@ -15,6 +15,13 @@ test:
 SITES ?= all
 crashtest:
 	dune exec bin/pm_blade_cli.exe -- crashtest --sites $(SITES)
+
+# Determinism oracles: ycsb --workload a with and without --durable
+# against the recorded sim ops/s, the full crash sweeps at 1/2/4 shards
+# against their recorded site and crash counts (0 violations), and a
+# non-empty --metrics time series. PMB_PLANT=wal_skip_drain must fail it.
+oracles:
+	sh scripts/check_oracles.sh
 
 # Corruption sweep: inject seeded bit rot into PM tables, SSTables, the
 # WAL and the manifest, and fail (exit 1) on any silent wrong answer,
@@ -105,10 +112,12 @@ soak:
 soak-bench:
 	sh scripts/check_soak.sh BENCH_soak.json
 
-# Performance diagnosis: one YCSB-A run with per-op latency attribution —
-# where each operation's simulated time went (phase breakdown), the
-# amplification/stall ledger, read-path effectiveness and sanitizer
-# status. Exits 1 if the attributed phases fail to cover op time.
+# Performance diagnosis: one YCSB-A run through the router with per-op
+# latency attribution — where each operation's simulated time went
+# (phase breakdown), background phases, the amplification/stall ledger,
+# read-path effectiveness, the compaction pipeline, the front door and
+# sanitizer status. Exits 1 if the attributed phases fail to cover op
+# time.
 doctor:
 	dune exec bin/pm_blade_cli.exe -- doctor
 

@@ -50,12 +50,13 @@ let run () =
   in
   let eng = Core.Engine.create cfg in
   let y = Workload.Ycsb.create () in
-  Workload.Ycsb.load y eng ~records;
+  let sink = Workload.Sink.of_engine eng in
+  Workload.Ycsb.load_sink y sink ~records;
   Core.Engine.flush eng;
   Core.Engine.force_internal_compaction eng;
   Obs.Attr.enable ~clock:(Core.Engine.clock eng);
   let summary =
-    Workload.Driver.measure eng ~ops (fun _ -> Workload.Ycsb.step y eng Workload.Ycsb.A)
+    Workload.Driver.measure eng ~ops (fun _ -> Workload.Ycsb.step_sink y sink Workload.Ycsb.A)
   in
   let snap = Obs.Attr.snapshot () in
   let op_ns = Obs.Attr.op_ns () in

@@ -43,13 +43,15 @@ let run_one (cfg : Core.Config.t) =
   Report.note_config cfg;
   let eng = Core.Engine.create cfg in
   let retail = Workload.Retail.create () in
-  Workload.Retail.load retail eng ~orders;
+  let sink = Workload.Sink.of_engine eng in
+  Workload.Retail.load_sink retail sink ~orders;
   let m = Core.Engine.metrics eng in
   Util.Histogram.reset m.Core.Metrics.read_latency;
   Util.Histogram.reset m.Core.Metrics.write_latency;
   Util.Histogram.reset m.Core.Metrics.scan_latency;
   let summary =
-    Workload.Driver.measure eng ~ops:transactions (fun _ -> Workload.Retail.step retail eng)
+    Workload.Driver.measure eng ~ops:transactions (fun _ ->
+        Workload.Retail.step_sink retail sink)
   in
   (eng, summary)
 

@@ -21,16 +21,17 @@ let run_system (cfg : Core.Config.t) =
   Report.note_config cfg;
   let eng = Core.Engine.create cfg in
   let y = Workload.Ycsb.create () in
+  let sink = Workload.Sink.of_engine eng in
   List.map
     (fun phase ->
       let summary =
         match phase with
         | Workload.Ycsb.Load ->
             Workload.Driver.measure eng ~ops:records (fun _ ->
-                Workload.Ycsb.step y eng Workload.Ycsb.Load)
+                Workload.Ycsb.step_sink y sink Workload.Ycsb.Load)
         | w ->
             Workload.Driver.measure eng ~ops:ops_per_phase (fun _ ->
-                Workload.Ycsb.step y eng w)
+                Workload.Ycsb.step_sink y sink w)
       in
       (phase, summary.Workload.Driver.throughput))
     phases

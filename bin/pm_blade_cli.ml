@@ -1,6 +1,7 @@
-(* Command-line front end: run a workload against any engine variant and
-   print the measurement summary, optionally exporting a clock-stamped
-   event trace and a machine-readable metrics snapshot.
+(* Command-line front end: run a workload against any engine variant
+   behind the range-sharded router (one shard by default) and print the
+   measurement summary, optionally exporting a clock-stamped event trace
+   and a machine-readable metrics snapshot.
 
      dune exec bin/pm_blade_cli.exe -- ycsb --workload a --system pmblade
      dune exec bin/pm_blade_cli.exe -- ycsb --workload a --trace /tmp/t.jsonl --metrics /tmp/m.json
@@ -66,11 +67,10 @@ let apply_read_path cfg block_cache_mb pm_bloom_bits =
 let shards_arg =
   Arg.(value & opt int 1
       & info [ "shards" ] ~docv:"N"
-          ~doc:"Range shards behind the router front door. With 1 (the \
-                default) the workload drives a single engine directly; \
-                with more, N engines split the key range and share the \
-                devices, the block cache and the clock, each with its own \
-                WAL, memtable and manifest root.")
+          ~doc:"Range shards behind the router front door, which every \
+                workload command drives. N engines split the key range and \
+                share the devices, the block cache and the clock, each with \
+                its own WAL, memtable and manifest root.")
 
 let gc_window_arg =
   Arg.(value & opt (some float) None
@@ -158,42 +158,42 @@ let open_out_or_die path =
     Fmt.epr "pm_blade_cli: cannot open %s (%s)@." path msg;
     exit 1
 
-let make_registry engine =
-  let reg = Obs.Registry.create () in
-  Core.Engine.register_metrics reg engine;
-  reg
-
-let default_columns engine =
-  let m = Core.Engine.metrics engine in
+(* Time-series columns: the front door's dispatch and admission figures
+   beside the store-wide engine figures. *)
+let columns router =
+  let mb b = float_of_int b /. 1048576.0 in
+  let m () = Shard.Router.metrics router in
   [
-    ("ops", fun () ->
-        float_of_int (m.Core.Metrics.reads + m.Core.Metrics.writes + m.Core.Metrics.scans));
-    ("l0_mb", fun () -> float_of_int (Core.Engine.l0_bytes engine) /. 1048576.0);
-    ("pm_hit_ratio", fun () -> Core.Metrics.pm_hit_ratio m);
-    ("pm_mb_written", fun () -> float_of_int (Core.Engine.pm_bytes_written engine) /. 1048576.0);
-    ("ssd_mb_written", fun () -> float_of_int (Core.Engine.ssd_bytes_written engine) /. 1048576.0);
-    ("major_compactions", fun () -> float_of_int m.Core.Metrics.major_compactions);
+    ("ops", fun () -> float_of_int (Shard.Router.dispatched router));
+    ("stalls", fun () -> float_of_int (Shard.Router.stall_count router));
+    ("gc_batches", fun () -> float_of_int (Shard.Router.gc_batches router));
+    ("gc_mean_batch", fun () -> Shard.Router.gc_mean_batch router);
+    ("l0_mb", fun () -> mb (Shard.Router.l0_bytes router));
+    ("pm_hit_ratio", fun () -> Core.Metrics.pm_hit_ratio (m ()));
+    ("pm_mb_written", fun () -> mb (Pmem.stats (Shard.Router.pm router)).Pmem.bytes_written);
+    ("ssd_mb_written", fun () -> mb (Ssd.stats (Shard.Router.ssd router)).Ssd.bytes_written);
+    ("major_compactions", fun () -> float_of_int (m ()).Core.Metrics.major_compactions);
   ]
 
 (* Set up tracing + sampling per the flags, run [f sampler], then tear the
-   tracer down and write the metrics file. Parametric over the store
-   front (single engine or sharded router) via [clock], [registry] and
-   [columns]. *)
-let with_observability_gen ~clock ~name ~registry ~columns ~trace ~trace_no_io
-    ~metrics ~interval f =
+   tracer down and write the metrics file. *)
+let with_observability ~trace ~trace_no_io ~metrics ~interval router f =
+  let clock = Shard.Router.clock router in
   (* Per-op latency attribution is cheap (a few float adds per op) and
      feeds the attr.* metrics and op.* trace spans: always on under the
-     CLI. [enable] also clears books left by a previous engine. *)
+     CLI. [enable] also clears books left by a previous store. *)
   Obs.Attr.enable ~clock;
   (match trace with
   | Some path ->
       let oc = open_out_or_die path in
       Obs.Trace.enable ~io:(not trace_no_io) ~clock (Obs.Trace.jsonl_sink oc)
   | None -> ());
+  let registry = Obs.Registry.create () in
+  Shard.Router.register_metrics registry router;
   let sampler =
-    match metrics with
-    | Some _ -> Some (Obs.Sampler.create ~interval_s:interval ~clock columns)
-    | None -> None
+    Option.map
+      (fun _ -> Obs.Sampler.create ~interval_s:interval ~clock (columns router))
+      metrics
   in
   let finish () =
     Obs.Trace.disable ();
@@ -205,7 +205,7 @@ let with_observability_gen ~clock ~name ~registry ~columns ~trace ~trace_no_io
         let doc =
           Obs.Json.Obj
             [
-              ("system", Obs.Json.String name);
+              ("system", Obs.Json.String (Shard.Router.config router).Core.Config.name);
               ("metrics", Obs.Registry.snapshot_json registry);
               ("series", series);
             ]
@@ -226,42 +226,14 @@ let with_observability_gen ~clock ~name ~registry ~columns ~trace ~trace_no_io
         raise e);
   match trace with Some path -> Fmt.pr "trace written to %s@." path | None -> ()
 
-let with_observability ~trace ~trace_no_io ~metrics ~interval engine f =
-  with_observability_gen ~clock:(Core.Engine.clock engine)
-    ~name:(Core.Engine.config engine).Core.Config.name ~registry:(make_registry engine)
-    ~columns:(default_columns engine) ~trace ~trace_no_io ~metrics ~interval f
-
-(* --- the sharded front door under the CLI ------------------------------- *)
-
-let router_columns router =
-  [
-    ("ops", fun () -> float_of_int (Shard.Router.dispatched router));
-    ("stalls", fun () -> float_of_int (Shard.Router.stall_count router));
-    ("gc_batches", fun () -> float_of_int (Shard.Router.gc_batches router));
-    ( "gc_mean_batch", fun () -> Shard.Router.gc_mean_batch router );
-    ( "l0_mb",
-      fun () ->
-        float_of_int
-          (Array.fold_left
-             (fun acc e -> acc + Core.Engine.l0_bytes e)
-             0 (Shard.Router.engines router))
-        /. 1048576.0 );
-  ]
-
-let with_observability_router ~trace ~trace_no_io ~metrics ~interval router f =
-  let reg = Obs.Registry.create () in
-  Shard.Router.register_metrics reg router;
-  with_observability_gen ~clock:(Shard.Router.clock router)
-    ~name:(Shard.Router.config router).Core.Config.name ~registry:reg
-    ~columns:(router_columns router) ~trace ~trace_no_io ~metrics ~interval f
-
 let router_clients = 8
 
 (* Drive [ops] operations through the router from [router_clients]
    concurrent coroutine clients; durable routers batch their WAL syncs
-   through the group committer for the duration. Returns elapsed
-   simulated ns. *)
-let run_router_ops router ~ops step =
+   through the group committer for the duration. Every op ticks
+   [sampler], which then takes a final row. Returns elapsed simulated
+   ns. *)
+let run_router_ops ?sampler router ~ops step =
   let clock = Shard.Router.clock router in
   let des = Sim.Des.create clock in
   let sched =
@@ -277,16 +249,14 @@ let run_router_ops router ~ops step =
     Coroutine.Scheduler.spawn ~name:(Printf.sprintf "client-%d" c) sched 0 (fun () ->
         for _ = 1 to per_client do
           step ();
+          Option.iter Obs.Sampler.tick sampler;
           Coroutine.Co.yield ()
         done)
   done;
   ignore (Coroutine.Scheduler.run_to_completion sched);
   Shard.Router.disable_group_commit router;
+  Option.iter Obs.Sampler.force sampler;
   Sim.Clock.now clock -. t0
-
-let print_summary engine summary =
-  Fmt.pr "%a@." Workload.Driver.pp_summary summary;
-  Fmt.pr "%a@." Core.Engine.pp_stats engine
 
 (* --- ycsb ----------------------------------------------------------------- *)
 
@@ -309,44 +279,23 @@ let ycsb_cmd =
     let cfg = apply_shard cfg shards gc_window gc_max durable in
     let w = Workload.Ycsb.of_string workload in
     let y = Workload.Ycsb.create ~value_bytes () in
-    if cfg.Core.Config.shard_count > 1 then begin
-      let shards = cfg.Core.Config.shard_count in
-      let router =
-        Shard.Router.create
-          ~boundaries:(Shard.Router.ycsb_boundaries ~records ~shards)
-          cfg
-      in
-      let sink = Shard.Router.sink router in
-      with_observability_router ~trace ~trace_no_io ~metrics ~interval router
-        (fun sampler ->
-          Workload.Ycsb.load_sink y sink ~records;
-          Fmt.pr
-            "loaded %d records into %s across %d shards; running YCSB %s with \
-             %d clients...@."
-            records cfg.Core.Config.name shards (Workload.Ycsb.name w)
-            router_clients;
-          let elapsed_ns =
-            run_router_ops router ~ops (fun () ->
-                Workload.Ycsb.step_sink y sink w;
-                Option.iter Obs.Sampler.tick sampler)
-          in
-          let sim_s = elapsed_ns /. 1e9 in
-          Fmt.pr "ran %d ops in %.3f simulated s (%.0f ops/s)@." ops sim_s
-            (if sim_s > 0.0 then float_of_int ops /. sim_s else 0.0);
-          Fmt.pr "%a@." Shard.Router.pp_stats router)
-    end
-    else begin
-      let engine = Core.Engine.create cfg in
-      with_observability ~trace ~trace_no_io ~metrics ~interval engine (fun sampler ->
-          Workload.Ycsb.load y engine ~records;
-          Fmt.pr "loaded %d records into %s; running YCSB %s...@." records
-            cfg.Core.Config.name (Workload.Ycsb.name w);
-          let summary =
-            Workload.Driver.measure ?sampler engine ~ops (fun _ ->
-                Workload.Ycsb.step y engine w)
-          in
-          print_summary engine summary)
-    end
+    let shards = cfg.Core.Config.shard_count in
+    let router =
+      Shard.Router.create ~boundaries:(Shard.Router.ycsb_boundaries ~records ~shards) cfg
+    in
+    let sink = Shard.Router.sink router in
+    with_observability ~trace ~trace_no_io ~metrics ~interval router (fun sampler ->
+        Workload.Ycsb.load_sink y sink ~records;
+        Fmt.pr "loaded %d records into %s across %d shard(s); running YCSB %s with %d \
+                clients...@."
+          records cfg.Core.Config.name shards (Workload.Ycsb.name w) router_clients;
+        let elapsed_ns =
+          run_router_ops ?sampler router ~ops (fun () -> Workload.Ycsb.step_sink y sink w)
+        in
+        let sim_s = elapsed_ns /. 1e9 in
+        Fmt.pr "ran %d ops in %.3f simulated s (%.0f ops/s)@." ops sim_s
+          (if sim_s > 0.0 then float_of_int ops /. sim_s else 0.0);
+        Fmt.pr "%a@." Shard.Router.pp_stats router)
   in
   Cmd.v (Cmd.info "ycsb" ~doc:"Run a YCSB core workload.")
     Term.(const run $ system_arg $ block_cache_arg $ pm_bloom_arg $ no_sanitize_arg
@@ -370,44 +319,24 @@ let retail_cmd =
     let cfg = apply_sanitize cfg no_sanitize in
     let cfg = apply_shard cfg shards gc_window gc_max durable in
     let retail = Workload.Retail.create () in
-    if cfg.Core.Config.shard_count > 1 then begin
-      let shards = cfg.Core.Config.shard_count in
-      let router =
-        Shard.Router.create
-          ~boundaries:(Shard.Router.retail_boundaries ~tables:10 ~shards)
-          cfg
-      in
-      let sink = Shard.Router.sink router in
-      with_observability_router ~trace ~trace_no_io ~metrics ~interval router
-        (fun sampler ->
-          Workload.Retail.load_sink retail sink ~orders;
-          Fmt.pr
-            "loaded %d orders into %s across %d shards; running %d retail \
-             transactions with %d clients...@."
-            orders cfg.Core.Config.name shards transactions router_clients;
-          let elapsed_ns =
-            run_router_ops router ~ops:transactions (fun () ->
-                Workload.Retail.step_sink retail sink;
-                Option.iter Obs.Sampler.tick sampler)
-          in
-          let sim_s = elapsed_ns /. 1e9 in
-          Fmt.pr "ran %d transactions in %.3f simulated s (%.0f tx/s)@."
-            transactions sim_s
-            (if sim_s > 0.0 then float_of_int transactions /. sim_s else 0.0);
-          Fmt.pr "%a@." Shard.Router.pp_stats router)
-    end
-    else begin
-      let engine = Core.Engine.create cfg in
-      with_observability ~trace ~trace_no_io ~metrics ~interval engine (fun sampler ->
-          Workload.Retail.load retail engine ~orders;
-          Fmt.pr "loaded %d orders into %s; running %d retail transactions...@." orders
-            cfg.Core.Config.name transactions;
-          let summary =
-            Workload.Driver.measure ?sampler engine ~ops:transactions (fun _ ->
-                Workload.Retail.step retail engine)
-          in
-          print_summary engine summary)
-    end
+    let shards = cfg.Core.Config.shard_count in
+    let router =
+      Shard.Router.create ~boundaries:(Shard.Router.retail_boundaries ~tables:10 ~shards) cfg
+    in
+    let sink = Shard.Router.sink router in
+    with_observability ~trace ~trace_no_io ~metrics ~interval router (fun sampler ->
+        Workload.Retail.load_sink retail sink ~orders;
+        Fmt.pr "loaded %d orders into %s across %d shard(s); running %d retail \
+                transactions with %d clients...@."
+          orders cfg.Core.Config.name shards transactions router_clients;
+        let elapsed_ns =
+          run_router_ops ?sampler router ~ops:transactions (fun () ->
+              Workload.Retail.step_sink retail sink)
+        in
+        let sim_s = elapsed_ns /. 1e9 in
+        Fmt.pr "ran %d transactions in %.3f simulated s (%.0f tx/s)@." transactions sim_s
+          (if sim_s > 0.0 then float_of_int transactions /. sim_s else 0.0);
+        Fmt.pr "%a@." Shard.Router.pp_stats router)
   in
   Cmd.v (Cmd.info "retail" ~doc:"Run the online-retail (Meituan-style) workload.")
     Term.(const run $ system_arg $ block_cache_arg $ pm_bloom_arg $ no_sanitize_arg
@@ -443,35 +372,19 @@ let stats_cmd =
     let cfg = apply_shard cfg shards gc_window gc_max durable in
     let records = max 1 (ops / 2) in
     let y = Workload.Ycsb.create ~value_bytes:256 () in
-    let registry =
-      if cfg.Core.Config.shard_count > 1 then begin
-        let router =
-          Shard.Router.create
-            ~boundaries:
-              (Shard.Router.ycsb_boundaries ~records
-                 ~shards:cfg.Core.Config.shard_count)
-            cfg
-        in
-        Obs.Attr.enable ~clock:(Shard.Router.clock router);
-        let registry = Obs.Registry.create () in
-        Shard.Router.register_metrics registry router;
-        let sink = Shard.Router.sink router in
-        Workload.Ycsb.load_sink y sink ~records;
-        ignore
-          (run_router_ops router ~ops (fun () ->
-               Workload.Ycsb.step_sink y sink Workload.Ycsb.A));
-        registry
-      end
-      else begin
-        let engine = Core.Engine.create cfg in
-        let registry = make_registry engine in
-        Workload.Ycsb.load y engine ~records;
-        for _ = 1 to ops do
-          Workload.Ycsb.step y engine Workload.Ycsb.A
-        done;
-        registry
-      end
+    let router =
+      Shard.Router.create
+        ~boundaries:
+          (Shard.Router.ycsb_boundaries ~records ~shards:cfg.Core.Config.shard_count)
+        cfg
     in
+    Obs.Attr.enable ~clock:(Shard.Router.clock router);
+    let registry = Obs.Registry.create () in
+    Shard.Router.register_metrics registry router;
+    let sink = Shard.Router.sink router in
+    Workload.Ycsb.load_sink y sink ~records;
+    ignore
+      (run_router_ops router ~ops (fun () -> Workload.Ycsb.step_sink y sink Workload.Ycsb.A));
     match format with
     | `Prometheus -> print_string (Obs.Registry.to_prometheus registry)
     | `Json ->
@@ -539,13 +452,11 @@ let crashtest_cmd =
         shard_count = max 1 shards;
       }
     in
-    let cfg =
-      if shards > 1 then Shard.Sweep.config ~seed ~ops engine_config
-      else Fault.Crash_sweep.(config ~seed ~ops (engine engine_config))
-    in
+    let cfg = Shard.Sweep.config ~seed ~ops engine_config in
     let total = Fault.Crash_sweep.count_sites cfg in
-    Fmt.pr "workload reaches %d injection sites%s; sweeping %a crash points...@." total
-      (if shards > 1 then Printf.sprintf " across %d shards" shards else "")
+    Fmt.pr "workload reaches %d injection sites across %d shard(s); sweeping %a crash \
+            points...@."
+      total engine_config.Core.Config.shard_count
       (fun ppf -> function
         | Fault.Crash_sweep.All -> Fmt.string ppf "all"
         | Fault.Crash_sweep.Sample n -> Fmt.pf ppf "%d sampled" (min n total))
@@ -570,10 +481,10 @@ let crashtest_cmd =
        ~doc:"Sweep crash points over a demo workload: crash at each injection \
              site, recover, and check the crash-consistency invariants \
              (acked durability, single-op atomicity, no resurrection, \
-             manifest/device agreement). With $(b,--shards) > 1 the sweep \
-             runs through the range-sharded router (shared devices, \
-             per-shard manifest roots, union orphan GC on recovery). Exits \
-             1 on any violation.")
+             manifest/device agreement). The sweep runs through the \
+             range-sharded router (shared devices, per-shard manifest \
+             roots, union orphan GC on recovery). Exits 1 on any \
+             violation.")
     Term.(const run $ sites_arg $ seed $ ops $ shards_arg $ metrics_arg)
 
 (* --- scrub ---------------------------------------------------------------- *)
@@ -760,66 +671,72 @@ let dur ns =
   else if ns < 1e9 then Printf.sprintf "%.2f ms" (ns /. 1e6)
   else Printf.sprintf "%.3f s" (ns /. 1e9)
 
-let print_top_phases (snap : Obs.Attr.snapshot) op_ns =
-  Fmt.pr "top phases by op time:@.";
-  Fmt.pr "  %-16s %12s %7s %9s %12s@." "phase" "op time" "share" "events"
-    "avg/event";
+(* One phase table: the non-zero phases of [phases] by time, each with
+   its share of [total_ns] and its charge/frame event count. *)
+let print_phases ~title ~column (snap : Obs.Attr.snapshot) phases total_ns =
+  Fmt.pr "%s:@." title;
+  Fmt.pr "  %-16s %12s %7s %9s %12s@." "phase" column "share" "events" "avg/event";
   List.iter
     (fun (p, ns) ->
       let events =
         Option.value ~default:0 (List.assoc_opt p snap.Obs.Attr.phase_counts)
       in
       Fmt.pr "  %-16s %12s %6.1f%% %9d %12s@." (Obs.Attr.phase_name p) (dur ns)
-        (100.0 *. ns /. op_ns)
+        (100.0 *. ns /. total_ns)
         events
         (if events > 0 then dur (ns /. float_of_int events) else "-"))
-    (snap.Obs.Attr.op_phases
+    (phases
     |> List.filter (fun (_, ns) -> ns > 0.0)
     |> List.sort (fun (_, a) (_, b) -> Float.compare b a))
 
-(* The sharded diagnosis pass: the same YCSB-A attribution story run
-   through the router, plus the front-door block — dispatch, admission
-   stalls, group-commit batching (with the batch-size distribution) and a
-   per-shard backlog table. *)
-let doctor_router cfg ~records ~ops ~value_bytes =
-  let shards = cfg.Core.Config.shard_count in
-  let router =
-    Shard.Router.create
-      ~boundaries:(Shard.Router.ycsb_boundaries ~records ~shards)
-      cfg
-  in
-  Obs.Attr.enable ~clock:(Shard.Router.clock router);
-  let y = Workload.Ycsb.create ~value_bytes () in
-  let sink = Shard.Router.sink router in
-  Workload.Ycsb.load_sink y sink ~records;
-  (* Diagnose the steady-state mix, not the load phase. *)
-  Obs.Attr.reset ();
-  let elapsed_ns =
-    run_router_ops router ~ops (fun () ->
-        Workload.Ycsb.step_sink y sink Workload.Ycsb.A)
-  in
-  let snap = Obs.Attr.snapshot () in
-  let op_ns = Obs.Attr.op_ns () in
-  let accounted = Obs.Attr.accounted_ns () in
-  let coverage = if op_ns > 0.0 then accounted /. op_ns else 0.0 in
-  let coverage_ok = Float.abs (1.0 -. coverage) <= 0.05 in
+let print_pipeline (pt : Compaction.Pipeline.totals) ~enabled =
+  Fmt.pr "compaction pipeline:@.";
+  if pt.Compaction.Pipeline.runs = 0 then
+    Fmt.pr "  no staged replays (pipeline %s)@.@."
+      (if enabled then "enabled, no overlap work yet" else "disabled")
+  else begin
+    let serial = pt.Compaction.Pipeline.serial_total_ns in
+    let piped = pt.Compaction.Pipeline.pipelined_total_ns in
+    Fmt.pr "  %d staged replay(s), %d blocks: serial %s -> pipelined %s (%.2fx)@."
+      pt.Compaction.Pipeline.runs pt.Compaction.Pipeline.blocks_total
+      (dur serial) (dur piped)
+      (if piped > 0.0 then serial /. piped else 1.0);
+    Fmt.pr "  clock rebate %s, queue wait %s@."
+      (dur pt.Compaction.Pipeline.rebate_total_ns)
+      (dur pt.Compaction.Pipeline.queue_wait_total);
+    Fmt.pr "  stage busy:";
+    List.iteri
+      (fun i s ->
+        Fmt.pr " %s %s"
+          (Compaction.Pipeline.stage_name s)
+          (dur pt.Compaction.Pipeline.stage_busy_total.(i)))
+      Compaction.Pipeline.all_stages;
+    Fmt.pr "@.";
+    (match pt.Compaction.Pipeline.last with
+    | Some last ->
+        Fmt.pr "  last replay queue depths:";
+        List.iter
+          (fun (q, d) -> Fmt.pr " %s %d" q d)
+          last.Compaction.Pipeline.queue_max_depths;
+        Fmt.pr "@."
+    | None -> ());
+    if
+      pt.Compaction.Pipeline.races_total > 0
+      || pt.Compaction.Pipeline.lost_wakeups_total > 0
+    then
+      Fmt.pr "  replay sanitizer: %d race(s), %d lost wakeup(s) — investigate@."
+        pt.Compaction.Pipeline.races_total
+        pt.Compaction.Pipeline.lost_wakeups_total
+    else Fmt.pr "  replay sanitizer: clean@.";
+    Fmt.pr "@."
+  end
+
+let print_front_door router =
   let mb b = float_of_int b /. 1048576.0 in
-  Fmt.pr "== doctor: %s, %d shards (config %s) ==@." cfg.Core.Config.name shards
-    (Core.Config.fingerprint cfg);
-  Fmt.pr "workload: YCSB-A, %d records + %d ops over %d clients, %.3f simulated s@.@."
-    records ops router_clients (elapsed_ns /. 1e9);
-  print_top_phases snap op_ns;
-  Fmt.pr "attribution coverage: %.1f%% of %s measured op time (%s)@.@."
-    (100.0 *. coverage) (dur op_ns)
-    (if coverage_ok then "PASS, within 5%" else "FAIL, off by more than 5%");
-  let bg p = Option.value ~default:0.0 (List.assoc_opt p snap.Obs.Attr.bg_phases) in
-  Fmt.pr "background time (off the op path): flush %s, compaction %s@.@."
-    (dur (bg Obs.Attr.Flush))
-    (dur (bg Obs.Attr.Compaction));
   Fmt.pr "shard front door:@.";
   Fmt.pr "  dispatch: %d op(s) routed over %d shard(s)@."
     (Shard.Router.dispatched router)
-    shards;
+    (Shard.Router.shard_count router);
   Fmt.pr
     "  admission: %d hard stall(s) (%s stalled), %d soft-zone write(s), %d relief step(s) (%d \
      internal)@."
@@ -847,11 +764,105 @@ let doctor_router cfg ~records ~ops ~value_bytes =
         (Core.Policy.pressure e)
         (Core.Engine.metrics e).Core.Metrics.write_stalls)
     (Shard.Router.engines router);
+  Fmt.pr "@."
+
+(* The diagnosis pass: YCSB-A through the router, then where each op's
+   simulated time went, the background work, the amplification/stall
+   ledger, read-path effectiveness, the compaction pipeline, the front
+   door (dispatch, admission, group commit, per-shard backlog), shard
+   health and the sanitizer. *)
+let doctor cfg ~records ~ops ~value_bytes =
+  let shards = cfg.Core.Config.shard_count in
+  let router =
+    Shard.Router.create ~boundaries:(Shard.Router.ycsb_boundaries ~records ~shards) cfg
+  in
+  Obs.Attr.enable ~clock:(Shard.Router.clock router);
+  let y = Workload.Ycsb.create ~value_bytes () in
+  let sink = Shard.Router.sink router in
+  Workload.Ycsb.load_sink y sink ~records;
+  (* Diagnose the steady-state mix, not the load phase. *)
+  Obs.Attr.reset ();
+  let bloom_probes0 = !Pmtable.Pm_table.bloom_probes in
+  let bloom_negs0 = !Pmtable.Pm_table.bloom_negatives in
+  let elapsed_ns =
+    run_router_ops router ~ops (fun () -> Workload.Ycsb.step_sink y sink Workload.Ycsb.A)
+  in
+  let snap = Obs.Attr.snapshot () in
+  let op_ns = Obs.Attr.op_ns () in
+  let accounted = Obs.Attr.accounted_ns () in
+  let coverage = if op_ns > 0.0 then accounted /. op_ns else 0.0 in
+  let coverage_ok = Float.abs (1.0 -. coverage) <= 0.05 in
+  (* Ledger and device figures before the space-amp scan: [logical_bytes]
+     walks the whole store and would perturb the device read counters. *)
+  let m = Shard.Router.metrics router in
+  let waf = Shard.Router.write_amplification router in
+  let raf = Shard.Router.read_amplification router in
+  let pm = Pmem.stats (Shard.Router.pm router) in
+  let ssd = Ssd.stats (Shard.Router.ssd router) in
+  let pm_written = pm.Pmem.bytes_written and ssd_written = ssd.Ssd.bytes_written in
+  let device_read = pm.Pmem.bytes_read + ssd.Ssd.bytes_read in
+  let debt_bytes = Shard.Router.compaction_debt_bytes router in
+  let debt_runs = Shard.Router.debt_runs router in
+  let space = Shard.Router.space_bytes router in
+  let logical = Shard.Router.logical_bytes router in
+  let mb b = float_of_int b /. 1048576.0 in
+
+  Fmt.pr "== doctor: %s, %d shard(s) (config %s) ==@." cfg.Core.Config.name shards
+    (Core.Config.fingerprint cfg);
+  Fmt.pr "workload: YCSB-A, %d records + %d ops over %d clients, %.3f simulated s@.@."
+    records ops router_clients (elapsed_ns /. 1e9);
+  print_phases ~title:"top phases by op time" ~column:"op time" snap snap.Obs.Attr.op_phases
+    op_ns;
+  Fmt.pr "attribution coverage: %.1f%% of %s measured op time (%s)@.@."
+    (100.0 *. coverage) (dur op_ns)
+    (if coverage_ok then "PASS, within 5%" else "FAIL, off by more than 5%");
+  let bg_ns = List.fold_left (fun acc (_, ns) -> acc +. ns) 0.0 snap.Obs.Attr.bg_phases in
+  if bg_ns > 0.0 then
+    print_phases ~title:"background phases (off the op path)" ~column:"bg time" snap
+      snap.Obs.Attr.bg_phases bg_ns
+  else Fmt.pr "background phases (off the op path): none@.";
+  Fmt.pr "@.";
+
+  Fmt.pr "amplification:@.";
+  Fmt.pr "  write amp %6.2fx  (user %.1f MB -> pm %.1f MB + ssd %.1f MB)@." waf
+    (mb m.Core.Metrics.user_bytes_written)
+    (mb pm_written) (mb ssd_written);
+  Fmt.pr "  read amp  %6.2fx  (user %.1f MB returned, devices read %.1f MB)@." raf
+    (mb m.Core.Metrics.user_bytes_read)
+    (mb device_read);
+  Fmt.pr "  space amp %6.2fx  (physical %.1f MB / logical %.1f MB)@."
+    (if logical > 0 then float_of_int space /. float_of_int logical else 0.0)
+    (mb space) (mb logical);
+  Fmt.pr "compaction debt: %.1f MB of level-0 backlog in %d run(s)@." (mb debt_bytes)
+    debt_runs;
+  Fmt.pr "write stalls: %d stall(s), %s total@." m.Core.Metrics.write_stalls
+    (dur m.Core.Metrics.write_stall_time);
   Array.iteri
     (fun i e ->
-      if Core.Engine.wal e <> None then Fmt.pr "  shard%d %a@." i Core.Engine.pp_wal e)
+      if Core.Engine.wal e <> None then Fmt.pr "shard%d %a@." i Core.Engine.pp_wal e)
     (Shard.Router.engines router);
   Fmt.pr "@.";
+
+  let probes = !Pmtable.Pm_table.bloom_probes - bloom_probes0 in
+  let negs = !Pmtable.Pm_table.bloom_negatives - bloom_negs0 in
+  Fmt.pr "read-path effectiveness:@.";
+  (match Shard.Router.block_cache router with
+  | Some c ->
+      Fmt.pr "  block cache hit ratio %.3f (%d hits / %d misses)@."
+        (Cache.Block_cache.hit_ratio c)
+        (Cache.Block_cache.hits c) (Cache.Block_cache.misses c)
+  | None -> Fmt.pr "  block cache: disabled@.");
+  if probes > 0 then
+    Fmt.pr "  pm bloom filter rate %.3f (%d of %d probes screened)@."
+      (float_of_int negs /. float_of_int probes)
+      negs probes
+  else Fmt.pr "  pm blooms: never probed@.";
+  Fmt.pr "  pm hit ratio %.3f (reads answered without the SSD)@.@."
+    (Core.Metrics.pm_hit_ratio m);
+
+  print_pipeline (Shard.Router.pipeline_stats router)
+    ~enabled:cfg.Core.Config.pipeline_compaction;
+  print_front_door router;
   Fmt.pr "shard health (EWMA latency vs baseline, breaker states):@.";
   Fmt.pr "%a@." Shard.Router.pp_health router;
   (match Pmem.sanitizer (Shard.Router.pm router) with
@@ -881,142 +892,7 @@ let doctor_cmd =
     let cfg = apply_read_path cfg block_cache_mb pm_bloom_bits in
     let cfg = apply_sanitize cfg no_sanitize in
     let cfg = apply_shard cfg shards gc_window gc_max durable in
-    if cfg.Core.Config.shard_count > 1 then
-      doctor_router cfg ~records ~ops ~value_bytes
-    else
-    let engine = Core.Engine.create cfg in
-    Obs.Attr.enable ~clock:(Core.Engine.clock engine);
-    let y = Workload.Ycsb.create ~value_bytes () in
-    Workload.Ycsb.load y engine ~records;
-    (* Diagnose the steady-state mix, not the load phase. *)
-    Obs.Attr.reset ();
-    let bloom_probes0 = !Pmtable.Pm_table.bloom_probes in
-    let bloom_negs0 = !Pmtable.Pm_table.bloom_negatives in
-    let summary =
-      Workload.Driver.measure engine ~ops (fun _ ->
-          Workload.Ycsb.step y engine Workload.Ycsb.A)
-    in
-    let m = Core.Engine.metrics engine in
-    let snap = Obs.Attr.snapshot () in
-    let op_ns = Obs.Attr.op_ns () in
-    let accounted = Obs.Attr.accounted_ns () in
-    let coverage = if op_ns > 0.0 then accounted /. op_ns else 0.0 in
-    let coverage_ok = Float.abs (1.0 -. coverage) <= 0.05 in
-    (* Ledger figures before the space-amp scan: [logical_bytes] walks the
-       whole store and would perturb the device read counters. *)
-    let waf = Core.Engine.write_amplification engine in
-    let raf = Core.Engine.read_amplification engine in
-    let debt_bytes = Core.Engine.compaction_debt_bytes engine in
-    let debt_runs = Core.Policy.pressure engine in
-    let space = Core.Engine.space_bytes engine in
-    let logical = Core.Engine.logical_bytes engine in
-
-    let mb b = float_of_int b /. 1048576.0 in
-    Fmt.pr "== doctor: %s (config %s) ==@." cfg.Core.Config.name
-      (Core.Config.fingerprint cfg);
-    Fmt.pr "workload: YCSB-A, %d records + %d ops, %.3f simulated s@.@." records
-      ops summary.Workload.Driver.sim_seconds;
-
-    print_top_phases snap op_ns;
-    Fmt.pr "attribution coverage: %.1f%% of %s measured op time (%s)@.@."
-      (100.0 *. coverage) (dur op_ns)
-      (if coverage_ok then "PASS, within 5%" else "FAIL, off by more than 5%");
-
-    let bg p = Option.value ~default:0.0 (List.assoc_opt p snap.Obs.Attr.bg_phases) in
-    Fmt.pr "background time (off the op path): flush %s, compaction %s@.@."
-      (dur (bg Obs.Attr.Flush))
-      (dur (bg Obs.Attr.Compaction));
-
-    Fmt.pr "amplification:@.";
-    Fmt.pr "  write amp %6.2fx  (user %.1f MB -> pm %.1f MB + ssd %.1f MB)@." waf
-      (mb m.Core.Metrics.user_bytes_written)
-      (mb (Core.Engine.pm_bytes_written engine))
-      (mb (Core.Engine.ssd_bytes_written engine));
-    Fmt.pr "  read amp  %6.2fx  (user %.1f MB returned, devices read %.1f MB)@."
-      raf
-      (mb m.Core.Metrics.user_bytes_read)
-      (mb (Core.Engine.pm_bytes_read engine + Core.Engine.ssd_bytes_read engine));
-    Fmt.pr "  space amp %6.2fx  (physical %.1f MB / logical %.1f MB)@."
-      (if logical > 0 then float_of_int space /. float_of_int logical else 0.0)
-      (mb space) (mb logical);
-    Fmt.pr "compaction debt: %.1f MB of level-0 backlog in %d run(s)@."
-      (mb debt_bytes) debt_runs;
-    Fmt.pr "write stalls: %d stall(s), %s total@." m.Core.Metrics.write_stalls
-      (dur m.Core.Metrics.write_stall_time);
-    if Core.Engine.wal engine <> None then Fmt.pr "%a@." Core.Engine.pp_wal engine;
-    Fmt.pr "@.";
-
-    let probes = !Pmtable.Pm_table.bloom_probes - bloom_probes0 in
-    let negs = !Pmtable.Pm_table.bloom_negatives - bloom_negs0 in
-    Fmt.pr "read-path effectiveness:@.";
-    (match Core.Engine.block_cache engine with
-    | Some c ->
-        Fmt.pr "  block cache hit ratio %.3f (%d hits / %d misses)@."
-          (Cache.Block_cache.hit_ratio c)
-          (Cache.Block_cache.hits c) (Cache.Block_cache.misses c)
-    | None -> Fmt.pr "  block cache: disabled@.");
-    if probes > 0 then
-      Fmt.pr "  pm bloom filter rate %.3f (%d of %d probes screened)@."
-        (float_of_int negs /. float_of_int probes)
-        negs probes
-    else Fmt.pr "  pm blooms: never probed@.";
-    Fmt.pr "  pm hit ratio %.3f (reads answered without the SSD)@.@."
-      (Core.Metrics.pm_hit_ratio m);
-
-    let pt = Core.Engine.pipeline_stats engine in
-    Fmt.pr "compaction pipeline:@.";
-    if pt.Compaction.Pipeline.runs = 0 then
-      Fmt.pr "  no staged replays (pipeline %s)@.@."
-        (if cfg.Core.Config.pipeline_compaction then "enabled, no overlap work yet"
-         else "disabled")
-    else begin
-      let serial = pt.Compaction.Pipeline.serial_total_ns in
-      let piped = pt.Compaction.Pipeline.pipelined_total_ns in
-      Fmt.pr "  %d staged replay(s), %d blocks: serial %s -> pipelined %s (%.2fx)@."
-        pt.Compaction.Pipeline.runs pt.Compaction.Pipeline.blocks_total
-        (dur serial) (dur piped)
-        (if piped > 0.0 then serial /. piped else 1.0);
-      Fmt.pr "  clock rebate %s, queue wait %s@."
-        (dur pt.Compaction.Pipeline.rebate_total_ns)
-        (dur pt.Compaction.Pipeline.queue_wait_total);
-      Fmt.pr "  stage busy:";
-      List.iteri
-        (fun i s ->
-          Fmt.pr " %s %s"
-            (Compaction.Pipeline.stage_name s)
-            (dur pt.Compaction.Pipeline.stage_busy_total.(i)))
-        Compaction.Pipeline.all_stages;
-      Fmt.pr "@.";
-      (match pt.Compaction.Pipeline.last with
-      | Some last ->
-          Fmt.pr "  last replay queue depths:";
-          List.iter
-            (fun (q, d) -> Fmt.pr " %s %d" q d)
-            last.Compaction.Pipeline.queue_max_depths;
-          Fmt.pr "@."
-      | None -> ());
-      if
-        pt.Compaction.Pipeline.races_total > 0
-        || pt.Compaction.Pipeline.lost_wakeups_total > 0
-      then
-        Fmt.pr "  replay sanitizer: %d race(s), %d lost wakeup(s) — investigate@."
-          pt.Compaction.Pipeline.races_total
-          pt.Compaction.Pipeline.lost_wakeups_total
-      else Fmt.pr "  replay sanitizer: clean@.";
-      Fmt.pr "@."
-    end;
-
-    (match Pmem.sanitizer (Core.Engine.pm engine) with
-    | None -> Fmt.pr "sanitizer: not attached@."
-    | Some san ->
-        let errs = Sanitize.Pmsan.error_count san in
-        if errs = 0 then Fmt.pr "sanitizer: clean@."
-        else Fmt.pr "sanitizer: %d finding(s) — run 'sanitize' for detail@." errs);
-    if coverage_ok then Fmt.pr "@.doctor: OK@."
-    else begin
-      Fmt.pr "@.doctor: FAIL (attribution does not cover measured op time)@.";
-      exit 1
-    end
+    doctor cfg ~records ~ops ~value_bytes
   in
   Cmd.v
     (Cmd.info "doctor"
@@ -1024,12 +900,12 @@ let doctor_cmd =
              (where each operation's simulated time went), the \
              amplification/stall ledger (write/read/space amplification, \
              compaction debt, write stalls), read-path effectiveness \
-             (block cache, PM blooms) and sanitizer status. With \
-             $(b,--shards) > 1 the diagnosis runs through the range-sharded \
-             router and adds the front-door block: dispatch and admission \
-             stall counts, group-commit batching with the batch-size \
-             distribution, and a per-shard backlog table. Exits 1 if the \
-             attributed phases fail to cover measured op time within 5%.")
+             (block cache, PM blooms), the compaction pipeline, the \
+             router's front door (dispatch and admission stall counts, \
+             group-commit batching with the batch-size distribution, a \
+             per-shard backlog table), shard health and sanitizer status. \
+             Exits 1 if the attributed phases fail to cover measured op \
+             time within 5%.")
     Term.(const run $ system_arg $ block_cache_arg $ pm_bloom_arg $ no_sanitize_arg
           $ shards_arg $ gc_window_arg $ gc_max_arg $ durable_arg
           $ records $ ops $ value_bytes)

@@ -6,13 +6,14 @@
 let run_system name (cfg : Core.Config.t) =
   let engine = Core.Engine.create cfg in
   let y = Workload.Ycsb.create ~value_bytes:256 () in
+  let sink = Workload.Sink.of_engine engine in
   Printf.printf "%s:\n" name;
   let load = Workload.Driver.measure engine ~ops:4_000 (fun _ ->
-      Workload.Ycsb.step y engine Workload.Ycsb.Load) in
+      Workload.Ycsb.step_sink y sink Workload.Ycsb.Load) in
   Printf.printf "  %-5s %8.0f ops/s\n" "Load" load.Workload.Driver.throughput;
   List.iter
     (fun w ->
-      let s = Workload.Driver.measure engine ~ops:1_000 (fun _ -> Workload.Ycsb.step y engine w) in
+      let s = Workload.Driver.measure engine ~ops:1_000 (fun _ -> Workload.Ycsb.step_sink y sink w) in
       Printf.printf "  %-5s %8.0f ops/s  (read avg %.1f us)\n" (Workload.Ycsb.name w)
         s.Workload.Driver.throughput
         (s.read_avg_ns /. 1e3))

@@ -496,32 +496,52 @@ let note_result tot res ~rebate_ns =
     res.stages;
   tot.last <- Some res
 
+(* Several totals as one; [last] is the last non-empty one's. *)
+let sum_totals tots =
+  let r = create_totals () in
+  List.iter
+    (fun t ->
+      r.runs <- r.runs + t.runs;
+      r.serial_total_ns <- r.serial_total_ns +. t.serial_total_ns;
+      r.pipelined_total_ns <- r.pipelined_total_ns +. t.pipelined_total_ns;
+      r.rebate_total_ns <- r.rebate_total_ns +. t.rebate_total_ns;
+      r.blocks_total <- r.blocks_total + t.blocks_total;
+      r.queue_wait_total <- r.queue_wait_total +. t.queue_wait_total;
+      r.races_total <- r.races_total + t.races_total;
+      r.lost_wakeups_total <- r.lost_wakeups_total + t.lost_wakeups_total;
+      Array.iteri
+        (fun i ns -> r.stage_busy_total.(i) <- r.stage_busy_total.(i) +. ns)
+        t.stage_busy_total;
+      if t.last <> None then r.last <- t.last)
+    tots;
+  r
+
 let queue_names = [ "read_merge"; "merge_build"; "build_write" ]
 
 let register_metrics reg ?(prefix = "pipeline") tot =
   let p name = prefix ^ "." ^ name in
   let open Obs.Registry in
-  register_int reg ~help:"staged compaction replays" (p "runs") (fun () -> tot.runs);
+  register_int reg ~help:"staged compaction replays" (p "runs") (fun () -> (tot ()).runs);
   register_float reg ~kind:Counter ~help:"serial cost of staged sections"
-    (p "serial_ns") (fun () -> tot.serial_total_ns);
+    (p "serial_ns") (fun () -> (tot ()).serial_total_ns);
   register_float reg ~kind:Counter ~help:"replayed pipeline makespans"
-    (p "makespan_ns") (fun () -> tot.pipelined_total_ns);
+    (p "makespan_ns") (fun () -> (tot ()).pipelined_total_ns);
   register_float reg ~kind:Counter ~help:"clock rebate from stage overlap"
-    (p "rebate_ns") (fun () -> tot.rebate_total_ns);
+    (p "rebate_ns") (fun () -> (tot ()).rebate_total_ns);
   register_int reg ~help:"blocks streamed through the read stage" (p "blocks")
-    (fun () -> tot.blocks_total);
+    (fun () -> (tot ()).blocks_total);
   register_float reg ~kind:Counter ~help:"backpressure + admission waits"
-    (p "queue_wait_ns") (fun () -> tot.queue_wait_total);
+    (p "queue_wait_ns") (fun () -> (tot ()).queue_wait_total);
   register_int reg ~help:"schedsan races inside replays" (p "races") (fun () ->
-      tot.races_total);
+      (tot ()).races_total);
   register_int reg ~help:"schedsan lost wakeups inside replays" (p "lost_wakeups")
-    (fun () -> tot.lost_wakeups_total);
+    (fun () -> (tot ()).lost_wakeups_total);
   List.iter
     (fun s ->
       register_float reg ~kind:Counter
         ~help:(Printf.sprintf "busy time of the %s stage" (stage_name s))
         (p (Printf.sprintf "stage_busy_ns.%s" (stage_name s)))
-        (fun () -> tot.stage_busy_total.(stage_index s)))
+        (fun () -> (tot ()).stage_busy_total.(stage_index s)))
     all_stages;
   List.iter
     (fun qn ->
@@ -529,7 +549,7 @@ let register_metrics reg ?(prefix = "pipeline") tot =
         ~help:(Printf.sprintf "high-water depth of the %s queue (last replay)" qn)
         (p (Printf.sprintf "queue_depth.%s" qn))
         (fun () ->
-          match tot.last with
+          match (tot ()).last with
           | None -> 0
           | Some res -> ( try List.assoc qn res.queue_max_depths with Not_found -> 0)))
     queue_names

@@ -170,8 +170,12 @@ type totals = {
 val create_totals : unit -> totals
 val note_result : totals -> result -> rebate_ns:float -> unit
 
-val register_metrics : Obs.Registry.t -> ?prefix:string -> totals -> unit
+val sum_totals : totals list -> totals
+(** Fresh totals adding up every count and busy time; [last] is the last
+    list element's that has one. *)
+
+val register_metrics : Obs.Registry.t -> ?prefix:string -> (unit -> totals) -> unit
 (** Register [pipeline.*] readouts: run/rebate counters, per-stage busy
     counters, per-stage-queue depth gauges (last replay's high-water
     marks) and the replay sanitizer counters, under [prefix] (default
-    ["pipeline"]). *)
+    ["pipeline"]). Each readout pulls fresh totals from the thunk. *)

@@ -219,6 +219,7 @@ let apply t entry =
   Metrics.note_write t.metrics (Sim.Clock.now t.clock -. t0)
 
 let memtable_bytes t = Memtable.byte_size t.memtable
+let memtable_entries t = Memtable.count t.memtable
 
 let put ?(update = false) t ~key value =
   let seq = t.next_seq in
@@ -1081,136 +1082,6 @@ let pp_stats ppf t =
        Sim.Clock.pp_duration c.Config.group_commit_window_ns c.Config.group_commit_max
        c.Config.admission_soft_tables c.Config.admission_hard_tables);
   Fmt.pf ppf "  PM hit ratio: %.2f@]" (Metrics.pm_hit_ratio m)
-
-(* One registry covering every namespace the evaluation reads: engine.*
-   plus the devices' pmem.* / ssd.* counters. All readouts pull at
-   exposition time; registration costs the hot paths nothing. *)
-let register_metrics reg t =
-  let m = t.metrics in
-  let open Obs.Registry in
-  register_int reg "engine.reads" ~help:"point lookups" (fun () -> m.Metrics.reads);
-  register_int reg "engine.writes" ~help:"puts and deletes" (fun () -> m.Metrics.writes);
-  register_int reg "engine.scans" ~help:"range scans and iterator windows" (fun () ->
-      m.Metrics.scans);
-  register_int reg "engine.reads_from_memtable" ~help:"reads served by the memtable"
-    (fun () -> m.Metrics.reads_from_memtable);
-  register_int reg "engine.reads_from_pm" ~help:"reads served by PM level-0" (fun () ->
-      m.Metrics.reads_from_pm);
-  register_int reg "engine.reads_from_ssd" ~help:"reads served by the SSD levels"
-    (fun () -> m.Metrics.reads_from_ssd);
-  register_int reg "engine.reads_not_found" ~help:"point lookups that found no value"
-    (fun () -> m.Metrics.reads_not_found);
-  register_float reg "engine.pm_hit_ratio" ~help:"reads served without touching the SSD"
-    (fun () -> Metrics.pm_hit_ratio m);
-  register_int reg "engine.user_bytes_written"
-    ~help:"encoded key+value bytes accepted from the user" (fun () ->
-      m.Metrics.user_bytes_written);
-  register_int reg "engine.user_bytes_read"
-    ~help:"key+value bytes returned to the user by gets and scans" (fun () ->
-      m.Metrics.user_bytes_read);
-  register_int reg "engine.minor_compactions" ~help:"memtable flushes into level-0"
-    (fun () -> m.Metrics.minor_compactions);
-  register_int reg "engine.internal_compactions"
-    ~help:"level-0 unsorted-to-sorted merges inside PM" (fun () ->
-      m.Metrics.internal_compactions);
-  register_int reg "engine.major_compactions" ~help:"level-0 pushes into the SSD levels"
-    (fun () -> m.Metrics.major_compactions);
-  register_float reg "engine.internal_compaction_time_ns" ~kind:Counter
-    ~help:"simulated ns spent in internal compaction" (fun () ->
-      m.Metrics.internal_compaction_time);
-  register_float reg "engine.major_compaction_time_ns" ~kind:Counter
-    ~help:"simulated ns spent in major compaction" (fun () ->
-      m.Metrics.major_compaction_time);
-  register_float reg "engine.write_stall_ns" ~kind:Counter
-    ~help:"simulated ns foreground writes spent stalled on backpressure relief"
-    (fun () -> m.Metrics.write_stall_time);
-  register_int reg "engine.write_stalls"
-    ~help:"foreground writes that blocked on backpressure relief" (fun () ->
-      m.Metrics.write_stalls);
-  register_int reg "engine.ssd_retries" ~help:"transient SSD errors retried with backoff"
-    (fun () -> m.Metrics.ssd_retries);
-  register_int reg "engine.quarantined"
-    ~help:"structures pulled from the read path on corruption" (fun () ->
-      m.Metrics.quarantined);
-  register_int reg "engine.degraded_reads"
-    ~help:"reads/scans that crossed a quarantine" (fun () -> m.Metrics.degraded_reads);
-  register_int reg "engine.salvaged" ~help:"corrupt tables rebuilt by the scrubber"
-    (fun () -> m.Metrics.salvaged);
-  register_int reg "engine.wal_corrupt_records"
-    ~help:"rotten WAL records skipped at replay" (fun () -> m.Metrics.wal_corrupt_records);
-  register_int reg "engine.fence_rebuilds"
-    ~help:"fence-pointer sets rebuilt after structural changes" (fun () ->
-      m.Metrics.fence_rebuilds);
-  let wal_stat f = match t.wal with Some w -> f (Wal.stats w) | None -> 0 in
-  register_int reg "wal.syncs" ~help:"WAL group syncs (one ring write + one fence each)"
-    (fun () -> wal_stat (fun s -> s.Wal.syncs));
-  register_int reg "wal.bytes" ~help:"framed WAL bytes made durable on the PM ring"
-    (fun () -> wal_stat (fun s -> s.Wal.bytes));
-  register_int reg "wal.lines_flushed" ~help:"cache lines the WAL wrote back (clwb)"
-    (fun () -> wal_stat (fun s -> s.Wal.lines));
-  register_int reg "wal.fences" ~help:"persistence fences issued by WAL syncs" (fun () ->
-      wal_stat (fun s -> s.Wal.fences));
-  register_int reg "wal.ring_capacity_bytes" ~kind:Gauge
-    ~help:"size of the WAL's PM ring region" (fun () ->
-      match t.wal with Some w -> Wal.capacity w | None -> 0);
-  register_int reg "wal.ring_high_water_bytes" ~kind:Gauge
-    ~help:"deepest WAL ring fill reached, across rotations" (fun () ->
-      wal_stat (fun s -> s.Wal.high_water));
-  register_int reg "wal.ring_full_flushes"
-    ~help:"memtable flushes forced because a WAL sync would overflow the ring" (fun () ->
-      m.Metrics.wal_ring_full_flushes);
-  register_int reg "pmtable.bloom_probes" ~help:"gets that consulted a PM-table bloom"
-    (fun () -> !Pmtable.Pm_table.bloom_probes);
-  register_int reg "pmtable.bloom_negatives"
-    ~help:"gets answered absent by a PM-table bloom without touching PM" (fun () ->
-      !Pmtable.Pm_table.bloom_negatives);
-  register_float reg "pmtable.bloom_filter_rate"
-    ~help:"fraction of bloom probes answered absent without touching PM" (fun () ->
-      let probes = !Pmtable.Pm_table.bloom_probes in
-      if probes = 0 then 0.0
-      else float_of_int !Pmtable.Pm_table.bloom_negatives /. float_of_int probes);
-  register_int reg "manifest.fallback" ~help:"dual-slot manifest fallbacks at load"
-    (fun () -> Manifest.fallback_count ());
-  register_int reg "engine.partitions" ~kind:Gauge ~help:"live range partitions"
-    (fun () -> Array.length t.partitions);
-  register_int reg "engine.l0_bytes" ~kind:Gauge ~help:"PM level-0 resident bytes"
-    (fun () -> l0_bytes t);
-  register_int reg "engine.memtable_bytes" ~kind:Gauge
-    ~help:"bytes buffered in the active memtable" (fun () ->
-      Memtable.byte_size t.memtable);
-  register_int reg "engine.memtable_entries" ~kind:Gauge
-    ~help:"entries buffered in the active memtable" (fun () ->
-      Memtable.count t.memtable);
-  register_float reg "engine.write_amplification"
-    ~help:"device bytes written per user byte written (WAF)" (fun () ->
-      write_amplification t);
-  register_float reg "engine.read_amplification"
-    ~help:"device bytes read per user byte returned (RAF)" (fun () ->
-      read_amplification t);
-  register_int reg "engine.space_bytes" ~kind:Gauge
-    ~help:"physical live bytes across PM and SSD structures" (fun () -> space_bytes t);
-  register_int reg "engine.compaction_debt_bytes" ~kind:Gauge
-    ~help:"level-0 backlog bytes (both media) awaiting compaction" (fun () ->
-      compaction_debt_bytes t);
-  register_int reg "engine.compaction_debt_runs" ~kind:Gauge
-    ~help:"level-0 runs a point read may probe (unsorted PM tables, the sorted run, SSD L0 tables)"
-    (fun () -> Policy.pressure t);
-  register_histogram reg "engine.read_latency_ns" ~help:"point-lookup latency in ns"
-    (fun () -> m.Metrics.read_latency);
-  register_histogram reg "engine.write_latency_ns" ~help:"write latency in ns"
-    (fun () -> m.Metrics.write_latency);
-  register_histogram reg "engine.scan_latency_ns" ~help:"scan latency in ns" (fun () ->
-      m.Metrics.scan_latency);
-  Obs.Attr.register_metrics reg;
-  Compaction.Pipeline.register_metrics reg t.pipe_totals;
-  (match t.block_cache with
-  | Some c -> Cache.Block_cache.register_metrics reg c
-  | None -> ());
-  (match Pmem.sanitizer t.pm with
-  | Some san -> Sanitize.Pmsan.register_metrics san reg
-  | None -> ());
-  Pmem.register_metrics reg t.pm;
-  Ssd.register_metrics reg t.ssd
 
 let unsorted_table_count t =
   Array.fold_left (fun acc p -> acc + List.length p.unsorted) 0 t.partitions

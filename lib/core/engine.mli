@@ -127,6 +127,9 @@ val memtable_bytes : t -> int
 (** Current encoded byte size of the live memtable (the router's pre-put
     flush check reads this without touching devices). *)
 
+val memtable_entries : t -> int
+(** Entries buffered in the live memtable. *)
+
 (** {2 Reads} — the point lookup, the breaker's PM-only probe, the range
     merge and the bounded scan behind {!Iterator} and the router. Integrity
     degradation is reported one way, by {!Degraded_read} / {!Degraded_scan},
@@ -259,7 +262,3 @@ val pp_stats : t Fmt.t
 (** One-look storage report: per-tier occupancy, latency percentiles,
     compaction counters, write amplification, PM hit ratio. *)
 
-val register_metrics : Obs.Registry.t -> t -> unit
-(** Register this engine's readouts under stable dotted names
-    ([engine.reads], [engine.l0_bytes], latency histograms, ...) together
-    with its devices' [pmem.*] / [ssd.*] namespaces. *)

@@ -92,3 +92,37 @@ let reset_read_sources t =
   t.reads_from_pm <- 0;
   t.reads_from_ssd <- 0;
   t.reads_not_found <- 0
+
+(* Several engines' books as one: counters added, histograms merged. *)
+let sum ms =
+  let r = create () in
+  List.iter
+    (fun m ->
+      Util.Histogram.merge r.read_latency m.read_latency;
+      Util.Histogram.merge r.write_latency m.write_latency;
+      Util.Histogram.merge r.scan_latency m.scan_latency;
+      r.reads <- r.reads + m.reads;
+      r.writes <- r.writes + m.writes;
+      r.scans <- r.scans + m.scans;
+      r.reads_from_memtable <- r.reads_from_memtable + m.reads_from_memtable;
+      r.reads_from_pm <- r.reads_from_pm + m.reads_from_pm;
+      r.reads_from_ssd <- r.reads_from_ssd + m.reads_from_ssd;
+      r.reads_not_found <- r.reads_not_found + m.reads_not_found;
+      r.user_bytes_written <- r.user_bytes_written + m.user_bytes_written;
+      r.user_bytes_read <- r.user_bytes_read + m.user_bytes_read;
+      r.minor_compactions <- r.minor_compactions + m.minor_compactions;
+      r.internal_compactions <- r.internal_compactions + m.internal_compactions;
+      r.major_compactions <- r.major_compactions + m.major_compactions;
+      r.internal_compaction_time <- r.internal_compaction_time +. m.internal_compaction_time;
+      r.major_compaction_time <- r.major_compaction_time +. m.major_compaction_time;
+      r.write_stall_time <- r.write_stall_time +. m.write_stall_time;
+      r.write_stalls <- r.write_stalls + m.write_stalls;
+      r.ssd_retries <- r.ssd_retries + m.ssd_retries;
+      r.quarantined <- r.quarantined + m.quarantined;
+      r.degraded_reads <- r.degraded_reads + m.degraded_reads;
+      r.salvaged <- r.salvaged + m.salvaged;
+      r.wal_corrupt_records <- r.wal_corrupt_records + m.wal_corrupt_records;
+      r.wal_ring_full_flushes <- r.wal_ring_full_flushes + m.wal_ring_full_flushes;
+      r.fence_rebuilds <- r.fence_rebuilds + m.fence_rebuilds)
+    ms;
+  r

@@ -56,3 +56,7 @@ val pm_hit_ratio : t -> float
 (** Fraction of successful reads answered without touching the SSD. *)
 
 val reset_read_sources : t -> unit
+
+val sum : t list -> t
+(** [sum ms] is fresh books adding up every counter and merging every
+    histogram of [ms] (the shards of one router). *)

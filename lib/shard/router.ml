@@ -502,6 +502,31 @@ let gc_size_hist t =
   Array.iter (fun s -> Util.Histogram.merge h (Group_commit.size_hist s.gc)) t.shards;
   h
 
+(* Store-wide engine figures: engine counters summed over the shards,
+   device counters read once from the shared devices. With one shard
+   each equals the engine's own figure. *)
+let metrics t =
+  Core.Metrics.sum (Array.to_list (Array.map (fun s -> Core.Engine.metrics s.engine) t.shards))
+
+let pipeline_stats t =
+  Compaction.Pipeline.sum_totals
+    (Array.to_list (Array.map (fun s -> Core.Engine.pipeline_stats s.engine) t.shards))
+
+let l0_bytes t = sum (fun s -> Core.Engine.l0_bytes s.engine) t
+let space_bytes t = sum (fun s -> Core.Engine.space_bytes s.engine) t
+let logical_bytes t = sum (fun s -> Core.Engine.logical_bytes s.engine) t
+let compaction_debt_bytes t = sum (fun s -> Core.Engine.compaction_debt_bytes s.engine) t
+let debt_runs t = sum (fun s -> Core.Policy.pressure s.engine) t
+let sum_metric f t = sum (fun s -> f (Core.Engine.metrics s.engine)) t
+
+let write_amplification t =
+  float_of_int ((Pmem.stats t.pm).Pmem.bytes_written + (Ssd.stats t.ssd).Ssd.bytes_written)
+  /. float_of_int (max 1 (sum_metric (fun m -> m.Core.Metrics.user_bytes_written) t))
+
+let read_amplification t =
+  float_of_int ((Pmem.stats t.pm).Pmem.bytes_read + (Ssd.stats t.ssd).Ssd.bytes_read)
+  /. float_of_int (max 1 (sum_metric (fun m -> m.Core.Metrics.user_bytes_read) t))
+
 let read_latency t = t.read_lat
 let write_latency t = t.write_lat
 let scan_latency t = t.scan_lat
@@ -642,6 +667,121 @@ let pp_stats ppf t =
   Array.iter (fun s -> Fmt.pf ppf "@,%a" Core.Engine.pp_stats s.engine) t.shards;
   Fmt.pf ppf "@]"
 
+(* The engine families, each once for the whole store: counters summed
+   over the shards, histograms merged, device ratios from the shared
+   devices. Every readout pulls at exposition time. *)
+let register_engine_metrics reg t =
+  let open Obs.Registry in
+  let m f () = f (metrics t) in
+  let int name ~help f = register_int reg name ~help (m f) in
+  int "engine.reads" ~help:"point lookups" (fun m -> m.Core.Metrics.reads);
+  int "engine.writes" ~help:"puts and deletes" (fun m -> m.Core.Metrics.writes);
+  int "engine.scans" ~help:"range scans and iterator windows" (fun m -> m.Core.Metrics.scans);
+  int "engine.reads_from_memtable" ~help:"reads served by the memtable" (fun m ->
+      m.Core.Metrics.reads_from_memtable);
+  int "engine.reads_from_pm" ~help:"reads served by PM level-0" (fun m ->
+      m.Core.Metrics.reads_from_pm);
+  int "engine.reads_from_ssd" ~help:"reads served by the SSD levels" (fun m ->
+      m.Core.Metrics.reads_from_ssd);
+  int "engine.reads_not_found" ~help:"point lookups that found no value" (fun m ->
+      m.Core.Metrics.reads_not_found);
+  register_float reg "engine.pm_hit_ratio" ~help:"reads served without touching the SSD"
+    (m Core.Metrics.pm_hit_ratio);
+  int "engine.user_bytes_written" ~help:"encoded key+value bytes accepted from the user"
+    (fun m -> m.Core.Metrics.user_bytes_written);
+  int "engine.user_bytes_read" ~help:"key+value bytes returned to the user by gets and scans"
+    (fun m -> m.Core.Metrics.user_bytes_read);
+  int "engine.minor_compactions" ~help:"memtable flushes into level-0" (fun m ->
+      m.Core.Metrics.minor_compactions);
+  int "engine.internal_compactions" ~help:"level-0 unsorted-to-sorted merges inside PM"
+    (fun m -> m.Core.Metrics.internal_compactions);
+  int "engine.major_compactions" ~help:"level-0 pushes into the SSD levels" (fun m ->
+      m.Core.Metrics.major_compactions);
+  register_float reg "engine.internal_compaction_time_ns" ~kind:Counter
+    ~help:"simulated ns spent in internal compaction"
+    (m (fun m -> m.Core.Metrics.internal_compaction_time));
+  register_float reg "engine.major_compaction_time_ns" ~kind:Counter
+    ~help:"simulated ns spent in major compaction"
+    (m (fun m -> m.Core.Metrics.major_compaction_time));
+  register_float reg "engine.write_stall_ns" ~kind:Counter
+    ~help:"simulated ns foreground writes spent stalled on backpressure relief"
+    (m (fun m -> m.Core.Metrics.write_stall_time));
+  int "engine.write_stalls" ~help:"foreground writes that blocked on backpressure relief"
+    (fun m -> m.Core.Metrics.write_stalls);
+  int "engine.ssd_retries" ~help:"transient SSD errors retried with backoff" (fun m ->
+      m.Core.Metrics.ssd_retries);
+  int "engine.quarantined" ~help:"structures pulled from the read path on corruption"
+    (fun m -> m.Core.Metrics.quarantined);
+  int "engine.degraded_reads" ~help:"reads/scans that crossed a quarantine" (fun m ->
+      m.Core.Metrics.degraded_reads);
+  int "engine.salvaged" ~help:"corrupt tables rebuilt by the scrubber" (fun m ->
+      m.Core.Metrics.salvaged);
+  int "engine.wal_corrupt_records" ~help:"rotten WAL records skipped at replay" (fun m ->
+      m.Core.Metrics.wal_corrupt_records);
+  int "engine.fence_rebuilds" ~help:"fence-pointer sets rebuilt after structural changes"
+    (fun m -> m.Core.Metrics.fence_rebuilds);
+  let wal_stat f =
+    sum (fun s -> match Core.Engine.wal s.engine with Some w -> f w | None -> 0) t
+  in
+  let wal name ?(kind = Counter) ~help f =
+    register_int reg name ~kind ~help (fun () -> wal_stat f)
+  in
+  wal "wal.syncs" ~help:"WAL group syncs (one ring write + one fence each)" (fun w ->
+      (Core.Wal.stats w).Core.Wal.syncs);
+  wal "wal.bytes" ~help:"framed WAL bytes made durable on the PM ring" (fun w ->
+      (Core.Wal.stats w).Core.Wal.bytes);
+  wal "wal.lines_flushed" ~help:"cache lines the WAL wrote back (clwb)" (fun w ->
+      (Core.Wal.stats w).Core.Wal.lines);
+  wal "wal.fences" ~help:"persistence fences issued by WAL syncs" (fun w ->
+      (Core.Wal.stats w).Core.Wal.fences);
+  wal "wal.ring_capacity_bytes" ~kind:Gauge ~help:"size of the WAL's PM ring region"
+    Core.Wal.capacity;
+  wal "wal.ring_high_water_bytes" ~kind:Gauge
+    ~help:"deepest WAL ring fill reached, across rotations" (fun w ->
+      (Core.Wal.stats w).Core.Wal.high_water);
+  int "wal.ring_full_flushes"
+    ~help:"memtable flushes forced because a WAL sync would overflow the ring" (fun m ->
+      m.Core.Metrics.wal_ring_full_flushes);
+  register_int reg "pmtable.bloom_probes" ~help:"gets that consulted a PM-table bloom"
+    (fun () -> !Pmtable.Pm_table.bloom_probes);
+  register_int reg "pmtable.bloom_negatives"
+    ~help:"gets answered absent by a PM-table bloom without touching PM" (fun () ->
+      !Pmtable.Pm_table.bloom_negatives);
+  register_float reg "pmtable.bloom_filter_rate"
+    ~help:"fraction of bloom probes answered absent without touching PM" (fun () ->
+      let probes = !Pmtable.Pm_table.bloom_probes in
+      if probes = 0 then 0.0
+      else float_of_int !Pmtable.Pm_table.bloom_negatives /. float_of_int probes);
+  register_int reg "manifest.fallback" ~help:"dual-slot manifest fallbacks at load"
+    (fun () -> Core.Manifest.fallback_count ());
+  let gauge name ~help f = register_int reg name ~kind:Gauge ~help (fun () -> f t) in
+  gauge "engine.partitions" ~help:"live range partitions"
+    (sum (fun s -> Array.length (Core.Engine.partitions s.engine)));
+  gauge "engine.l0_bytes" ~help:"PM level-0 resident bytes" l0_bytes;
+  gauge "engine.memtable_bytes" ~help:"bytes buffered in the active memtable"
+    (sum (fun s -> Core.Engine.memtable_bytes s.engine));
+  gauge "engine.memtable_entries" ~help:"entries buffered in the active memtable"
+    (sum (fun s -> Core.Engine.memtable_entries s.engine));
+  register_float reg "engine.write_amplification"
+    ~help:"device bytes written per user byte written (WAF)" (fun () ->
+      write_amplification t);
+  register_float reg "engine.read_amplification"
+    ~help:"device bytes read per user byte returned (RAF)" (fun () ->
+      read_amplification t);
+  gauge "engine.space_bytes" ~help:"physical live bytes across PM and SSD structures"
+    space_bytes;
+  gauge "engine.compaction_debt_bytes"
+    ~help:"level-0 backlog bytes (both media) awaiting compaction" compaction_debt_bytes;
+  gauge "engine.compaction_debt_runs"
+    ~help:"level-0 runs a point read may probe (unsorted PM tables, the sorted run, SSD L0 tables)"
+    debt_runs;
+  register_histogram reg "engine.read_latency_ns" ~help:"point-lookup latency in ns"
+    (m (fun m -> m.Core.Metrics.read_latency));
+  register_histogram reg "engine.write_latency_ns" ~help:"write latency in ns"
+    (m (fun m -> m.Core.Metrics.write_latency));
+  register_histogram reg "engine.scan_latency_ns" ~help:"scan latency in ns"
+    (m (fun m -> m.Core.Metrics.scan_latency))
+
 let register_metrics reg t =
   let open Obs.Registry in
   register_int reg "shard.count" ~kind:Gauge ~help:"live range shards behind the router"
@@ -726,7 +866,9 @@ let register_metrics reg t =
           | Health.Breaker.Half_open -> 1
           | Health.Breaker.Open -> 2))
     t.shards;
+  register_engine_metrics reg t;
   Obs.Attr.register_metrics reg;
+  Compaction.Pipeline.register_metrics reg (fun () -> pipeline_stats t);
   (match t.cache with Some c -> Cache.Block_cache.register_metrics reg c | None -> ());
   (match Pmem.sanitizer t.pm with
   | Some san -> Sanitize.Pmsan.register_metrics san reg

@@ -147,6 +147,36 @@ val gc_mean_batch : t -> float
 val gc_size_hist : t -> Util.Histogram.t
 (** Batch-size distribution merged across shards (fresh copy). *)
 
+(** {2 Store-wide engine figures}
+
+    Engine counters summed over the shards; device counters read once
+    from the shared devices. With one shard each equals the engine's own
+    figure. *)
+
+val metrics : t -> Core.Metrics.t
+(** Every shard's engine books summed, histograms merged (fresh copy). *)
+
+val pipeline_stats : t -> Compaction.Pipeline.totals
+(** Staged-compaction replay totals summed over the shards (fresh copy). *)
+
+val l0_bytes : t -> int
+val space_bytes : t -> int
+
+val logical_bytes : t -> int
+(** Reads every structure of every shard (perturbing device read stats):
+    one-shot diagnostics only. *)
+
+val compaction_debt_bytes : t -> int
+
+val debt_runs : t -> int
+(** {!Core.Policy.pressure} summed over the shards. *)
+
+val write_amplification : t -> float
+(** Device bytes written (PM + SSD) per user byte written. *)
+
+val read_amplification : t -> float
+(** Device bytes read (PM + SSD) per key+value byte returned. *)
+
 val read_latency : t -> Util.Histogram.t
 val write_latency : t -> Util.Histogram.t
 val scan_latency : t -> Util.Histogram.t
@@ -203,7 +233,8 @@ val pp_stats : t Fmt.t
     stats. *)
 
 val register_metrics : Obs.Registry.t -> t -> unit
-(** Register [shard.*] aggregates, per-shard gauges, and — exactly once
-    for the shared resources — attr phases, block cache, pmsan, and
-    device counters. Use instead of [Engine.register_metrics] (which
-    would collide on the shared names). *)
+(** The store's one registration: [shard.*] aggregates and per-shard
+    gauges; the engine families ([engine.*], [wal.*], [pipeline.*],
+    [pmtable.bloom_*], [manifest.fallback]) once, summed over the shards
+    with histograms merged; and once each for the shared resources: attr
+    phases, block cache, pmsan and the [pmem.*] / [ssd.*] devices. *)

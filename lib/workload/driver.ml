@@ -16,21 +16,13 @@ type summary = {
   ssd_bytes_written : int;
 }
 
-let measure ?sampler engine ~ops step =
+let measure engine ~ops step =
   let clock = Core.Engine.clock engine in
   let metrics = Core.Engine.metrics engine in
   let t0 = Sim.Clock.now clock in
-  (match sampler with
-  | None ->
-      for i = 0 to ops - 1 do
-        step i
-      done
-  | Some sampler ->
-      for i = 0 to ops - 1 do
-        step i;
-        Obs.Sampler.tick sampler
-      done;
-      Obs.Sampler.force sampler);
+  for i = 0 to ops - 1 do
+    step i
+  done;
   let elapsed = Sim.Clock.now clock -. t0 in
   {
     ops;
@@ -45,11 +37,3 @@ let measure ?sampler engine ~ops step =
     pm_bytes_written = Core.Engine.pm_bytes_written engine;
     ssd_bytes_written = Core.Engine.ssd_bytes_written engine;
   }
-
-let pp_summary ppf s =
-  Fmt.pf ppf
-    "@[<v>ops: %d in %.3f sim-s (%.0f ops/s)@,read avg %a p99.9 %a@,write avg %a@,scan avg %a@,PM hit ratio %.2f@,bytes user/PM/SSD: %d / %d / %d@]"
-    s.ops s.sim_seconds s.throughput Sim.Clock.pp_duration s.read_avg_ns
-    Sim.Clock.pp_duration s.read_p999_ns Sim.Clock.pp_duration s.write_avg_ns
-    Sim.Clock.pp_duration s.scan_avg_ns s.pm_hit_ratio s.user_bytes s.pm_bytes_written
-    s.ssd_bytes_written

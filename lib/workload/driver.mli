@@ -16,10 +16,6 @@ type summary = {
   ssd_bytes_written : int;
 }
 
-val measure : ?sampler:Obs.Sampler.t -> Core.Engine.t -> ops:int -> (int -> unit) -> summary
+val measure : Core.Engine.t -> ops:int -> (int -> unit) -> summary
 (** [measure engine ~ops step] calls [step i] for each operation index and
-    summarises the run. With [sampler], every operation also ticks the
-    sampler (and a final row is forced), yielding over-time series
-    alongside the aggregate summary. *)
-
-val pp_summary : summary Fmt.t
+    summarises the run. *)

@@ -156,10 +156,3 @@ let load_sink t sink ~orders =
     new_order_sink t sink;
     if Util.Xoshiro.float t.rng 1.0 < 0.5 then update_order_sink t sink
   done
-
-(* Engine entry points: the classic single-engine API, as sink wrappers. *)
-let new_order t engine = new_order_sink t (Sink.of_engine engine)
-let index_query t engine = index_query_sink t (Sink.of_engine engine)
-let step t engine = step_sink t (Sink.of_engine engine)
-let run t engine ~transactions = run_sink t (Sink.of_engine engine) ~transactions
-let load t engine ~orders = load_sink t (Sink.of_engine engine) ~orders

@@ -18,20 +18,19 @@ val create :
 
 val order_count : t -> int
 
-val new_order : t -> Core.Engine.t -> unit
-val index_query : t -> Core.Engine.t -> unit
+(** {2 Driving a store} — against any {!Sink.t}: the router's
+    [Shard.Router.sink], or a bare engine's {!Sink.of_engine}. *)
 
-val step : t -> Core.Engine.t -> unit
-(** One transaction of the §VI-D mix. *)
+val new_order_sink : t -> Sink.t -> unit
+(** Insert one order: a row per table touched plus its index entries. *)
 
-val run : t -> Core.Engine.t -> transactions:int -> unit
-
-val load : t -> Core.Engine.t -> orders:int -> unit
-(** Create [orders] finished orders (insert plus some updates). *)
-
-(** {2 Sink variants} — the same generators against any {!Sink.t} (e.g.
-    the sharded router front door). *)
+val index_query_sink : t -> Sink.t -> unit
+(** Scan an index prefix for row ids, then point-read each row. *)
 
 val step_sink : t -> Sink.t -> unit
+(** One transaction of the §VI-D mix. *)
+
 val run_sink : t -> Sink.t -> transactions:int -> unit
+
 val load_sink : t -> Sink.t -> orders:int -> unit
+(** Create [orders] finished orders (insert plus some updates). *)

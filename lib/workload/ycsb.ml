@@ -122,7 +122,4 @@ let run_sink t sink workload ~ops =
     step_sink t sink workload
   done
 
-let load t engine ~records = load_sink t (Sink.of_engine engine) ~records
-let step t engine workload = step_sink t (Sink.of_engine engine) workload
-let run t engine workload ~ops = run_sink t (Sink.of_engine engine) workload ~ops
 let record_count t = t.record_count

@@ -11,18 +11,15 @@ type t
 val create :
   ?seed:int -> ?value_bytes:int -> ?zipf_theta:float -> ?max_scan_len:int -> unit -> t
 
-val load : t -> Core.Engine.t -> records:int -> unit
-(** The YCSB load phase: insert [records] sequential-rank keys. *)
-
-val step : t -> Core.Engine.t -> workload -> unit
-(** Execute one operation of the given workload. *)
-
-val run : t -> Core.Engine.t -> workload -> ops:int -> unit
 val record_count : t -> int
 
-(** {2 Sink variants} — the same generators against any {!Sink.t} (e.g.
-    the sharded router front door). *)
+(** {2 Driving a store} — against any {!Sink.t}: the router's
+    [Shard.Router.sink], or a bare engine's {!Sink.of_engine}. *)
 
 val load_sink : t -> Sink.t -> records:int -> unit
+(** The YCSB load phase: insert [records] sequential-rank keys. *)
+
 val step_sink : t -> Sink.t -> workload -> unit
+(** Execute one operation of the given workload. *)
+
 val run_sink : t -> Sink.t -> workload -> ops:int -> unit

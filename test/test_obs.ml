@@ -160,8 +160,9 @@ let test_trace_engine_workload_spans () =
      the structural spans are what this test is about. *)
   with_tracer ~io:false clock (fun events ->
       let y = Workload.Ycsb.create ~value_bytes:512 () in
-      Workload.Ycsb.load y engine ~records:3_000;
-      Workload.Ycsb.run y engine Workload.Ycsb.A ~ops:3_000;
+      let sink = Workload.Sink.of_engine engine in
+      Workload.Ycsb.load_sink y sink ~records:3_000;
+      Workload.Ycsb.run_sink y sink Workload.Ycsb.A ~ops:3_000;
       let names =
         List.filter_map
           (function
@@ -283,15 +284,15 @@ let test_registry_prometheus () =
   check Alcotest.bool "histogram count" true (has "engine_read_latency_ns_count 3")
 
 let test_registry_engine_namespaces () =
-  (* The full wiring: engine + devices + a monitoring scheduler must cover
-     the four namespaces the exporters promise. *)
-  let engine = Core.Engine.create Core.Config.pmblade in
+  (* The full wiring: a router (engine + devices) + a monitoring
+     scheduler must cover the four namespaces the exporters promise. *)
+  let router = Shard.Router.create Core.Config.pmblade in
   let reg = Obs.Registry.create () in
-  Core.Engine.register_metrics reg engine;
-  let des = Sim.Des.create (Core.Engine.clock engine) in
+  Shard.Router.register_metrics reg router;
+  let des = Sim.Des.create (Shard.Router.clock router) in
   let sched =
     Coroutine.Scheduler.create ~cores:1
-      ~policy:(Coroutine.Scheduler.default_flush_coroutine ()) des (Core.Engine.ssd engine)
+      ~policy:(Coroutine.Scheduler.default_flush_coroutine ()) des (Shard.Router.ssd router)
   in
   Coroutine.Scheduler.register_metrics reg sched;
   let names = Obs.Registry.names reg in
@@ -303,7 +304,7 @@ let test_registry_engine_namespaces () =
     [ "engine."; "pmem."; "ssd."; "sched." ];
   (* Counters must reflect work done after registration (pull-based). *)
   let y = Workload.Ycsb.create ~value_bytes:256 () in
-  Workload.Ycsb.load y engine ~records:500;
+  Workload.Ycsb.load_sink y (Shard.Router.sink router) ~records:500;
   let j = Obs.Registry.snapshot_json reg in
   match Obs.Json.member "engine.writes" j with
   | Some (Obs.Json.Int w) -> check Alcotest.int "writes sampled at exposition" 500 w

@@ -803,6 +803,56 @@ let test_sweep_catches_planted_bug () =
   check Alcotest.bool "planted durability bug caught" true
     (Fault.Crash_sweep.violation_count report > 0)
 
+(* --- the one metrics registration ---------------------------------------- *)
+
+(* Every name the bare engine's registry exported, one per line. *)
+let engine_metric_names () =
+  let path =
+    if Sys.file_exists "fixtures" then "fixtures/engine_metric_names.txt"
+    else "test/fixtures/engine_metric_names.txt"
+  in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+
+(* The router registers the engine families once, whatever the shard
+   count: no name the engine exported goes missing. *)
+let test_registry_keeps_engine_names () =
+  let expected = engine_metric_names () in
+  check Alcotest.bool "fixture read" true (List.length expected > 100);
+  List.iter
+    (fun shards ->
+      let router =
+        Shard.Router.create { Core.Config.pmblade with Core.Config.shard_count = shards }
+      in
+      let reg = Obs.Registry.create () in
+      Shard.Router.register_metrics reg router;
+      let names = Obs.Registry.names reg in
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "%d shard(s): no engine name missing" shards)
+        []
+        (List.filter (fun n -> not (List.mem n names)) expected))
+    [ 1; 2 ]
+
+(* Engine counters are summed over the shards, not taken from one. *)
+let test_registry_sums_shards () =
+  let router = Shard.Router.create ~boundaries:[ "k0100" ] (base_config ~shards:2 ()) in
+  let reg = Obs.Registry.create () in
+  Shard.Router.register_metrics reg router;
+  for i = 0 to 199 do
+    put router ~key:(Printf.sprintf "k%04d" i) "v"
+  done;
+  let per_shard =
+    Array.map
+      (fun e -> (Core.Engine.metrics e).Core.Metrics.writes)
+      (Shard.Router.engines router)
+  in
+  check Alcotest.bool "both shards written" true (Array.for_all (fun w -> w > 0) per_shard);
+  match Obs.Json.member "engine.writes" (Obs.Registry.snapshot_json reg) with
+  | Some (Obs.Json.Int w) -> check Alcotest.int "engine.writes summed" 200 w
+  | _ -> Alcotest.fail "engine.writes missing"
+
 let () =
   Alcotest.run "shard"
     [
@@ -860,5 +910,11 @@ let () =
             test_sweep_priced_relief_steps;
           Alcotest.test_case "catches planted bug" `Quick
             test_sweep_catches_planted_bug;
+        ] );
+      ( "metrics",
+        [
+          Alcotest.test_case "registry keeps engine names" `Quick
+            test_registry_keeps_engine_names;
+          Alcotest.test_case "registry sums shards" `Quick test_registry_sums_shards;
         ] );
     ]

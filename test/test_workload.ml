@@ -13,8 +13,9 @@ let small_engine () =
 
 let test_load_inserts_records () =
   let eng = small_engine () in
+  let sink = Workload.Sink.of_engine eng in
   let y = Workload.Ycsb.create ~value_bytes:64 () in
-  Workload.Ycsb.load y eng ~records:200;
+  Workload.Ycsb.load_sink y sink ~records:200;
   check Alcotest.int "record count" 200 (Workload.Ycsb.record_count y);
   (* all loaded keys readable *)
   let missing = ref 0 in
@@ -25,20 +26,22 @@ let test_load_inserts_records () =
 
 let test_workload_c_read_only () =
   let eng = small_engine () in
+  let sink = Workload.Sink.of_engine eng in
   let y = Workload.Ycsb.create ~value_bytes:64 () in
-  Workload.Ycsb.load y eng ~records:300;
+  Workload.Ycsb.load_sink y sink ~records:300;
   let writes_before = (Core.Engine.metrics eng).Core.Metrics.writes in
-  Workload.Ycsb.run y eng Workload.Ycsb.C ~ops:200;
+  Workload.Ycsb.run_sink y sink Workload.Ycsb.C ~ops:200;
   check Alcotest.int "C adds no writes" writes_before (Core.Engine.metrics eng).Core.Metrics.writes;
   check Alcotest.bool "C adds reads" true ((Core.Engine.metrics eng).Core.Metrics.reads >= 200)
 
 let test_workload_a_mix () =
   let eng = small_engine () in
+  let sink = Workload.Sink.of_engine eng in
   let y = Workload.Ycsb.create ~value_bytes:64 () in
-  Workload.Ycsb.load y eng ~records:300;
+  Workload.Ycsb.load_sink y sink ~records:300;
   let m = Core.Engine.metrics eng in
   let w0 = m.Core.Metrics.writes and r0 = m.Core.Metrics.reads in
-  Workload.Ycsb.run y eng Workload.Ycsb.A ~ops:1000;
+  Workload.Ycsb.run_sink y sink Workload.Ycsb.A ~ops:1000;
   let dw = m.Core.Metrics.writes - w0 and dr = m.Core.Metrics.reads - r0 in
   check Alcotest.int "ops conserved" 1000 (dw + dr);
   (* 50/50 within generous tolerance *)
@@ -47,18 +50,20 @@ let test_workload_a_mix () =
 
 let test_workload_e_scans () =
   let eng = small_engine () in
+  let sink = Workload.Sink.of_engine eng in
   let y = Workload.Ycsb.create ~value_bytes:64 () in
-  Workload.Ycsb.load y eng ~records:300;
+  Workload.Ycsb.load_sink y sink ~records:300;
   let s0 = (Core.Engine.metrics eng).Core.Metrics.scans in
-  Workload.Ycsb.run y eng Workload.Ycsb.E ~ops:100;
+  Workload.Ycsb.run_sink y sink Workload.Ycsb.E ~ops:100;
   check Alcotest.bool "E mostly scans" true
     ((Core.Engine.metrics eng).Core.Metrics.scans - s0 > 80)
 
 let test_workload_d_inserts_grow_keyspace () =
   let eng = small_engine () in
+  let sink = Workload.Sink.of_engine eng in
   let y = Workload.Ycsb.create ~value_bytes:64 () in
-  Workload.Ycsb.load y eng ~records:100;
-  Workload.Ycsb.run y eng Workload.Ycsb.D ~ops:500;
+  Workload.Ycsb.load_sink y sink ~records:100;
+  Workload.Ycsb.run_sink y sink Workload.Ycsb.D ~ops:500;
   check Alcotest.bool "D inserted some records" true (Workload.Ycsb.record_count y > 100)
 
 let test_of_string () =
@@ -71,8 +76,9 @@ let test_of_string () =
 
 let test_retail_order_lifecycle () =
   let eng = small_engine () in
+  let sink = Workload.Sink.of_engine eng in
   let r = Workload.Retail.create ~row_bytes:64 () in
-  Workload.Retail.new_order r eng;
+  Workload.Retail.new_order_sink r sink;
   check Alcotest.int "one order" 1 (Workload.Retail.order_count r);
   (* the order's main row and its index entries must be readable *)
   check Alcotest.bool "row present" true
@@ -82,26 +88,29 @@ let test_retail_order_lifecycle () =
 
 let test_retail_index_query_reads_rows () =
   let eng = small_engine () in
+  let sink = Workload.Sink.of_engine eng in
   let r = Workload.Retail.create ~row_bytes:64 () in
-  Workload.Retail.load r eng ~orders:50;
+  Workload.Retail.load_sink r sink ~orders:50;
   let m = Core.Engine.metrics eng in
   let r0 = m.Core.Metrics.reads in
-  Workload.Retail.index_query r eng;
+  Workload.Retail.index_query_sink r sink;
   check Alcotest.bool "index query performs point reads" true (m.Core.Metrics.reads > r0)
 
 let test_retail_updates_are_marked () =
   let eng = small_engine () in
+  let sink = Workload.Sink.of_engine eng in
   let r = Workload.Retail.create ~row_bytes:64 () in
-  Workload.Retail.load r eng ~orders:30;
-  Workload.Retail.run r eng ~transactions:200;
+  Workload.Retail.load_sink r sink ~orders:30;
+  Workload.Retail.run_sink r sink ~transactions:200;
   check Alcotest.bool "transactions executed" true (Workload.Retail.order_count r > 30)
 
 let test_retail_deterministic () =
   let run () =
     let eng = small_engine () in
+    let sink = Workload.Sink.of_engine eng in
     let r = Workload.Retail.create ~row_bytes:64 () in
-    Workload.Retail.load r eng ~orders:40;
-    Workload.Retail.run r eng ~transactions:100;
+    Workload.Retail.load_sink r sink ~orders:40;
+    Workload.Retail.run_sink r sink ~transactions:100;
     (Core.Engine.user_bytes eng, (Core.Engine.metrics eng).Core.Metrics.reads)
   in
   check (Alcotest.pair Alcotest.int Alcotest.int) "two runs identical" (run ()) (run ())
@@ -110,9 +119,10 @@ let test_retail_deterministic () =
 
 let test_driver_measures () =
   let eng = small_engine () in
+  let sink = Workload.Sink.of_engine eng in
   let y = Workload.Ycsb.create ~value_bytes:64 () in
-  Workload.Ycsb.load y eng ~records:200;
-  let s = Workload.Driver.measure eng ~ops:300 (fun _ -> Workload.Ycsb.step y eng Workload.Ycsb.A) in
+  Workload.Ycsb.load_sink y sink ~records:200;
+  let s = Workload.Driver.measure eng ~ops:300 (fun _ -> Workload.Ycsb.step_sink y sink Workload.Ycsb.A) in
   check Alcotest.int "ops recorded" 300 s.Workload.Driver.ops;
   check Alcotest.bool "throughput positive" true (s.throughput > 0.0);
   check Alcotest.bool "sim time advanced" true (s.sim_seconds > 0.0);
