@@ -398,6 +398,21 @@ let stats_cmd =
 
 (* --- crashtest ------------------------------------------------------------ *)
 
+(* The demo store of crashtest, scrub and sanitize: a deliberately small
+   durable engine (4 KiB memtable, 16 KiB SSTables), so the short workload
+   exercises flushes, compactions and WAL rotations — the windows where
+   crash consistency is earned — and leaves PM tables, SSTables and
+   manifest persists for the scrubber and the injector. *)
+let demo_config =
+  {
+    Core.Config.pmblade with
+    Core.Config.memtable_bytes = 4 * 1024;
+    l0_run_table_bytes = 8 * 1024;
+    level_base_bytes = 64 * 1024;
+    sstable_target_bytes = 16 * 1024;
+    durable = true;
+  }
+
 (* A sweep's fault-plan counters as a metrics snapshot (crashtest, scrub). *)
 let write_fault_metrics metrics stats =
   match metrics with
@@ -438,20 +453,7 @@ let crashtest_cmd =
     Arg.(value & opt int 300 & info [ "ops" ] ~doc:"Operations in the demo workload.")
   in
   let run sites seed ops shards metrics =
-    (* A deliberately small engine (4 KiB memtable, 16 KiB SSTables) so the
-       short workload exercises flushes, compactions and WAL rotations —
-       the windows where crash consistency is earned. *)
-    let engine_config =
-      {
-        Core.Config.pmblade with
-        Core.Config.memtable_bytes = 4 * 1024;
-        l0_run_table_bytes = 8 * 1024;
-        level_base_bytes = 64 * 1024;
-        sstable_target_bytes = 16 * 1024;
-        durable = true;
-        shard_count = max 1 shards;
-      }
-    in
+    let engine_config = { demo_config with Core.Config.shard_count = max 1 shards } in
     let cfg = Shard.Sweep.config ~seed ~ops engine_config in
     let total = Fault.Crash_sweep.count_sites cfg in
     Fmt.pr "workload reaches %d injection sites across %d shard(s); sweeping %a crash \
@@ -505,21 +507,8 @@ let scrub_cmd =
                   demo store and scrub it once — expecting a clean bill.")
   in
   let run seed ops corruptions metrics =
-    (* The same deliberately small engine as crashtest, so the short
-       workload produces PM tables, SSTables and manifest persists for the
-       scrubber (and the injector) to chew on. *)
-    let engine_config =
-      {
-        Core.Config.pmblade with
-        Core.Config.memtable_bytes = 4 * 1024;
-        l0_run_table_bytes = 8 * 1024;
-        level_base_bytes = 64 * 1024;
-        sstable_target_bytes = 16 * 1024;
-        durable = true;
-      }
-    in
     if corruptions = 0 then begin
-      let engine = Core.Engine.create engine_config in
+      let engine = Core.Engine.create demo_config in
       let rng = Util.Xoshiro.create seed in
       for i = 0 to ops - 1 do
         let key = Printf.sprintf "user%06d" (Util.Xoshiro.int rng 64) in
@@ -534,7 +523,7 @@ let scrub_cmd =
     end
     else begin
       let cfg =
-        Fault.Corruption_sweep.config ~seed ~ops ~points:corruptions engine_config
+        Fault.Corruption_sweep.config ~seed ~ops ~points:corruptions demo_config
       in
       let stats = Fault.Plan.make_stats () in
       let progress (p : Fault.Corruption_sweep.point) =
@@ -575,24 +564,11 @@ let sanitize_cmd =
   let run sites seed ops =
     Sanitize.Control.enable ();
     let errors = ref 0 in
-    (* The same deliberately small engine as crashtest, so the short
-       workload exercises flushes, compactions and WAL rotations. *)
-    let engine_config =
-      {
-        Core.Config.pmblade with
-        Core.Config.memtable_bytes = 4 * 1024;
-        l0_run_table_bytes = 8 * 1024;
-        level_base_bytes = 64 * 1024;
-        sstable_target_bytes = 16 * 1024;
-        durable = true;
-      }
-    in
-
     (* Leg 1: pmsan over a clean engine workload. Fails on any ordering
        finding and on any redundant flush (the hot paths are expected to
        stay dedup-clean; the per-site table names the offender). *)
     Fmt.pr "== pmsan: sanitized engine workload (%d ops) ==@." ops;
-    let engine = Core.Engine.create engine_config in
+    let engine = Core.Engine.create demo_config in
     let rng = Util.Xoshiro.create (seed lxor 0x9E3779B9) in
     (* wide keyspace + fat values: the memtable threshold trips repeatedly
        and the PM-table builds span several 4 KiB builder chunks, so any
@@ -638,10 +614,11 @@ let sanitize_cmd =
              { Exec_model.Harness.default with mode; cores = 2; tasks = 4; q_max = 8 }))
       [ Exec_model.Harness.Thread; Basic_coroutine; Pmblade ];
 
-    (* Leg 3: a sanitized crash-sweep sample — every leg's pmsan findings
-       count as violations (Fault.Crash_sweep wires them in). *)
+    (* Leg 3: a sanitized crash-sweep sample on the one-shard router, as
+       crashtest sweeps it — every leg's pmsan findings count as violations
+       (Fault.Crash_sweep wires them in). *)
     Fmt.pr "@.== sanitized crash sweep (%d sampled sites) ==@." sites;
-    let cfg = Fault.Crash_sweep.(config ~seed ~ops (engine engine_config)) in
+    let cfg = Shard.Sweep.config ~seed ~ops demo_config in
     let report =
       Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample sites) cfg
     in
@@ -659,8 +636,8 @@ let sanitize_cmd =
        ~doc:"Run the sanitizer gauntlet: pmsan (persistence ordering + \
              redundant flushes) over a clean engine workload, schedsan \
              (happens-before races, lost wakeups) over the scheduling \
-             harness, and a sanitized crash-sweep sample. Exits 1 on any \
-             finding.")
+             harness, and a sanitized crash-sweep sample on the one-shard \
+             router. Exits 1 on any finding.")
     Term.(const run $ sites $ seed $ ops)
 
 (* --- doctor --------------------------------------------------------------- *)

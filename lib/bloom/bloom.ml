@@ -76,5 +76,3 @@ let deserialize s =
   let byte_count = (nbits + 7) / 8 in
   if String.length s - pos < byte_count then failwith "Bloom.deserialize: truncated";
   { bits = Bytes.of_string (String.sub s pos byte_count); nbits; k }
-
-let serialized_size t = Util.Varint.size t.nbits + Util.Varint.size t.k + Bytes.length t.bits

@@ -16,5 +16,3 @@ val serialize : t -> string
 
 val deserialize : string -> t
 (** Raises [Failure] on truncated input. *)
-
-val serialized_size : t -> int

@@ -190,15 +190,6 @@ let invalidate_file t ~file_id =
         victims)
     t.shards
 
-let clear t =
-  Array.iter
-    (fun s ->
-      Hashtbl.reset s.tbl;
-      s.sentinel.prev <- s.sentinel;
-      s.sentinel.next <- s.sentinel;
-      s.used <- 0)
-    t.shards
-
 let register_metrics reg ?(prefix = "cache") t =
   let open Obs.Registry in
   let name n = prefix ^ "." ^ n in

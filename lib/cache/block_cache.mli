@@ -37,8 +37,6 @@ val invalidate_file : t -> file_id:int -> unit
 (** Drop every resident block of [file_id] — used when a table is deleted,
     quarantined or salvage-rewritten so stale bytes can never be served. *)
 
-val clear : t -> unit
-
 val capacity_bytes : t -> int
 val resident_bytes : t -> int
 val resident_blocks : t -> int

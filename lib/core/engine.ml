@@ -727,10 +727,7 @@ let scrub ?(salvage = true) ?rate_limit_mb_s t =
           match entries with
           | [] -> None
           | entries ->
-              Some
-                (Pmtable.Table.of_sorted_list ~group_size:t.config.Config.group_size
-                   ~bloom_bits_per_key:(pm_bloom_bits t) t.pm
-                   ~kind:(Pmtable.Table.kind tbl) entries)
+              Some (new_pmtable t ~kind:(Pmtable.Table.kind tbl) entries)
         in
         replace_pm_table p ~old:tbl fresh;
         Pmtable.Table.free tbl;
@@ -1029,18 +1026,8 @@ let pp_stats ppf t =
   for j = 0 to Array.length t.partitions.(0).levels - 1 do
     level_line j
   done;
-  let latency_line label h =
-    if Util.Histogram.count h > 0 then
-      Fmt.pf ppf "  %s latency p50/p99/p99.9: %a / %a / %a@," label Sim.Clock.pp_duration
-        (Util.Histogram.percentile h 50.0)
-        Sim.Clock.pp_duration
-        (Util.Histogram.percentile h 99.0)
-        Sim.Clock.pp_duration
-        (Util.Histogram.percentile h 99.9)
-  in
-  latency_line "read" m.Metrics.read_latency;
-  latency_line "write" m.Metrics.write_latency;
-  latency_line "scan" m.Metrics.scan_latency;
+  Metrics.pp_latencies ppf ~read:m.Metrics.read_latency ~write:m.Metrics.write_latency
+    ~scan:m.Metrics.scan_latency;
   Fmt.pf ppf "  compactions: %d minor, %d internal, %d major@," m.Metrics.minor_compactions
     m.internal_compactions m.major_compactions;
   Fmt.pf ppf "  bytes user/PM/SSD: %d / %d / %d (WA %.2fx)@,"

@@ -126,7 +126,9 @@ let new_sst t entries =
   | None -> ());
   sst
 
-let pm_bloom_bits t = t.config.Config.pm_bloom_bits_per_key
+let new_pmtable t ~kind slice =
+  Pmtable.Table.of_sorted_list ~group_size:t.config.Config.group_size
+    ~bloom_bits_per_key:t.config.Config.pm_bloom_bits_per_key t.pm ~kind slice
 
 let partition_of t key =
   let n = Array.length t.partitions in
@@ -263,10 +265,7 @@ let staged_new_sst t slice =
 (* PM-table counterpart (internal compaction's output): build and write
    are one section on PM — recorded as a PM write token. *)
 let staged_new_pmtable t slice =
-  let build () =
-    Pmtable.Table.of_sorted_list ~group_size:t.config.Config.group_size
-      ~bloom_bits_per_key:(pm_bloom_bits t) t.pm ~kind:t.config.Config.table_kind slice
-  in
+  let build () = new_pmtable t ~kind:t.config.Config.table_kind slice in
   match t.pipe_recording with
   | None -> build ()
   | Some r ->
@@ -671,10 +670,7 @@ let split_partition t p key =
     else if String.compare (Pmtable.Table.min_key tbl) key >= 0 then
       (ls, tbl :: rs, (tbl, wm) :: wms)
     else begin
-      let build =
-        Pmtable.Table.of_sorted_list ~group_size:t.config.Config.group_size
-          ~bloom_bits_per_key:(pm_bloom_bits t) t.pm ~kind:(Pmtable.Table.kind tbl)
-      in
+      let build = new_pmtable t ~kind:(Pmtable.Table.kind tbl) in
       let fresh_left, fresh_right =
         Pmtable.Table.to_list tbl
         |> List.filter (fun (e : Util.Kv.entry) -> String.compare e.key wm >= 0)
@@ -791,11 +787,7 @@ let flush_slice t p slice =
       if t.config.Config.matrix_flush_overhead_ns_per_byte > 0.0 then
         Sim.Clock.advance t.clock
           (float_of_int bytes *. t.config.Config.matrix_flush_overhead_ns_per_byte);
-      let table =
-        Pmtable.Table.of_sorted_list ~group_size:t.config.Config.group_size
-          ~bloom_bits_per_key:(pm_bloom_bits t) t.pm ~kind:t.config.Config.table_kind slice
-      in
-      p.unsorted <- table :: p.unsorted
+      p.unsorted <- new_pmtable t ~kind:t.config.Config.table_kind slice :: p.unsorted
   | Config.L0_ssd -> p.ssd_l0 <- new_sst t slice :: p.ssd_l0
 
 (* --- Durability: manifest + WAL ------------------------------------------ *)

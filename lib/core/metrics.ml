@@ -126,3 +126,15 @@ let sum ms =
       r.fence_rebuilds <- r.fence_rebuilds + m.fence_rebuilds)
     ms;
   r
+
+let pp_latencies ppf ~read ~write ~scan =
+  List.iter
+    (fun (label, h) ->
+      if Util.Histogram.count h > 0 then
+        Fmt.pf ppf "  %s latency p50/p99/p99.9: %a / %a / %a@," label Sim.Clock.pp_duration
+          (Util.Histogram.percentile h 50.0)
+          Sim.Clock.pp_duration
+          (Util.Histogram.percentile h 99.0)
+          Sim.Clock.pp_duration
+          (Util.Histogram.percentile h 99.9))
+    [ ("read", read); ("write", write); ("scan", scan) ]

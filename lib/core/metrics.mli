@@ -60,3 +60,11 @@ val reset_read_sources : t -> unit
 val sum : t list -> t
 (** [sum ms] is fresh books adding up every counter and merging every
     histogram of [ms] (the shards of one router). *)
+
+val pp_latencies :
+  Format.formatter ->
+  read:Util.Histogram.t ->
+  write:Util.Histogram.t ->
+  scan:Util.Histogram.t ->
+  unit
+(** One [p50/p99/p99.9] line per non-empty histogram, for [pp_stats]. *)

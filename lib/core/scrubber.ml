@@ -25,13 +25,15 @@ let clean r =
 let run ?salvage ?rate_limit_mb_s engine =
   let scrub = Engine.scrub ?salvage ?rate_limit_mb_s engine in
   let wal = Option.map Wal.verify (Engine.wal engine) in
-  let cur, prev = Ssd.root_slots (Engine.ssd engine) in
+  (* A shard engine persists under its own named superblock root. *)
+  let root = (Engine.config engine).Config.manifest_root in
+  let cur, prev = Ssd.root_slots ~name:root (Engine.ssd engine) in
   let manifest_slots = (if cur = None then 0 else 1) + if prev = None then 0 else 1 in
   (* Trial-load the manifest: a rotted newest slot surfaces here as a
      dual-slot fallback (counted process-wide), not at the next restart. *)
   let fb_before = Manifest.fallback_count () in
   let manifest_rotted =
-    match Manifest.load (Engine.ssd engine) with
+    match Manifest.load ~root (Engine.ssd engine) with
     | Some _ -> Manifest.fallback_count () > fb_before
     | None -> manifest_slots > 0
     | exception _ -> true

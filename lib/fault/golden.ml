@@ -44,6 +44,3 @@ let acked t key = Hashtbl.find_opt t.acked key
 let entries t =
   Hashtbl.fold (fun key value acc -> (key, value) :: acc) t.acked []
   |> List.sort compare
-
-let live_count t =
-  Hashtbl.fold (fun _ v n -> if v = None then n else n + 1) t.acked 0

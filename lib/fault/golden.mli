@@ -31,5 +31,3 @@ val acked : t -> string -> string option option
 
 val entries : t -> (string * string option) list
 (** The acknowledged history, sorted by key (deletes included). *)
-
-val live_count : t -> int

@@ -79,8 +79,6 @@ let sites t =
 let add_rule t ~site ~trigger ?scope action =
   t.rules <- t.rules @ [ { site; trigger; scope; action } ]
 
-let clear_rules t = t.rules <- []
-
 let note_injected t site =
   t.stats.injected <- t.stats.injected + 1;
   if Obs.Trace.is_enabled () then

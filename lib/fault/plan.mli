@@ -73,10 +73,6 @@ val add_rule :
     confined to one shard's structures. A scoped rule never matches
     ["pm.drain"] (no id). *)
 
-val clear_rules : t -> unit
-(** Drop every rule (the crash schedule is untouched); used by episodic
-    harnesses that re-arm the same plan between chaos episodes. *)
-
 val arm : t -> pm:Pmem.t -> ssd:Ssd.t -> ?wal:Core.Wal.t -> unit -> unit
 (** Install the plan's closures on the device hook points. The WAL handle
     (from [Engine.wal]) arms the ["wal.sync"] site; hooks survive WAL

@@ -144,7 +144,3 @@ let pp_state ppf = function
   | Closed -> Fmt.string ppf "closed"
   | Open -> Fmt.string ppf "open"
   | Half_open -> Fmt.string ppf "half-open"
-
-let pp ppf t =
-  Fmt.pf ppf "%a err_rate=%.2f consec=%d trips=%d rejections=%d" pp_state
-    t.state (error_rate t) t.consec_failures t.trips t.rejections

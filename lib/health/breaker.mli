@@ -51,4 +51,3 @@ val rejections : t -> int
 (** Operations turned away while Open. *)
 
 val pp_state : state Fmt.t
-val pp : t Fmt.t

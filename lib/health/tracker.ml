@@ -41,7 +41,3 @@ let slow_factor t =
   if t.baseline <= 0.0 then 1.0 else Float.max 1.0 (t.ewma /. t.baseline)
 
 let reset_ewma t = if t.baseline > 0.0 then t.ewma <- t.baseline
-
-let pp ppf t =
-  Fmt.pf ppf "samples=%d baseline=%.0fns ewma=%.0fns slow=%.2fx" t.samples
-    t.baseline t.ewma (slow_factor t)

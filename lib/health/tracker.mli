@@ -28,5 +28,3 @@ val slow_factor : t -> float
 val reset_ewma : t -> unit
 (** Snap the EWMA back to the baseline (after a fault episode clears, so a
     recovered device is not punished for its past). *)
-
-val pp : t Fmt.t

@@ -276,19 +276,6 @@ let with_op kind f =
             finish ();
             raise e)
 
-(* --- Deadline budgets --------------------------------------------------- *)
-
-(* The current operation's absolute deadline on the virtual clock.
-   Deliberately outside [state]: deadline-aware serving must work even
-   when attribution is disabled (health is not observability). The
-   router sets it at op entry and clears it at op exit; any layer in
-   between may consult it to decide whether finishing slowly is still
-   worth anything to the caller. *)
-let cur_deadline : float option ref = ref None
-
-let set_deadline d = cur_deadline := d
-let current_deadline () = !cur_deadline
-
 (* --- Coroutine context switching ---------------------------------------- *)
 
 (* The books above assume one op at a time; coroutine clients break that
@@ -302,33 +289,21 @@ type task_ctx = {
   t_op : op_ctx option;
   t_frames : frame list;
   t_absorb : int;
-  t_deadline : float option;
 }
 
-let empty_task_ctx = { t_op = None; t_frames = []; t_absorb = 0; t_deadline = None }
+let empty_task_ctx = { t_op = None; t_frames = []; t_absorb = 0 }
 
 let capture_task () =
-  (* The deadline travels with the task even when attribution is off. *)
-  let deadline = !cur_deadline in
-  cur_deadline := None;
   match !state with
-  | None -> { empty_task_ctx with t_deadline = deadline }
+  | None -> empty_task_ctx
   | Some st ->
-      let c =
-        {
-          t_op = st.op;
-          t_frames = st.frames;
-          t_absorb = st.absorb_depth;
-          t_deadline = deadline;
-        }
-      in
+      let c = { t_op = st.op; t_frames = st.frames; t_absorb = st.absorb_depth } in
       st.op <- None;
       st.frames <- [];
       st.absorb_depth <- 0;
       c
 
 let restore_task c =
-  cur_deadline := c.t_deadline;
   match !state with
   | None -> ()
   | Some st ->

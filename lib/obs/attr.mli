@@ -70,22 +70,6 @@ val with_op : op_kind -> (unit -> 'a) -> 'a
     unaccounted remainder as [Other], and (when tracing is on) emits a
     Chrome-trace complete span [op.<kind>] with nonzero phases as args. *)
 
-(** {2 Deadline budgets}
-
-    The current operation's absolute deadline on the virtual clock.
-    Deliberately independent of {!enable}: deadline-aware degraded serving
-    must work even when attribution is off. The router sets the deadline
-    at op entry and clears it at op exit; any layer in between may consult
-    it to decide whether finishing slowly is still worth anything to the
-    caller. Travels with the task across coroutine suspensions like the
-    rest of the context. *)
-
-val set_deadline : float option -> unit
-(** Install (or clear with [None]) the current op's absolute deadline in
-    simulated ns. *)
-
-val current_deadline : unit -> float option
-
 (** {2 Coroutine context switching} *)
 
 type task_ctx

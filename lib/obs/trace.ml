@@ -28,8 +28,6 @@ type event =
 
 type sink = { emit : event -> unit; flush : unit -> unit; close : unit -> unit }
 
-let make_sink ?(flush = fun () -> ()) ~emit ~close () = { emit; flush; close }
-
 (* --- Global state ------------------------------------------------------ *)
 
 type state = { clock : Sim.Clock.t; sink : sink }
@@ -57,8 +55,6 @@ let disable () =
    Crash-simulation legs and exception paths call this so a partial
    trace is still loadable in chrome://tracing. *)
 let flush () = match !state with Some st -> st.sink.flush () | None -> ()
-
-let no_attrs () = []
 
 (* --- Emission ----------------------------------------------------------- *)
 

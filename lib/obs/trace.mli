@@ -19,10 +19,6 @@ type event =
 
 type sink = { emit : event -> unit; flush : unit -> unit; close : unit -> unit }
 
-val make_sink :
-  ?flush:(unit -> unit) -> emit:(event -> unit) -> close:(unit -> unit) -> unit -> sink
-(** [flush] defaults to a no-op. *)
-
 val jsonl_sink : out_channel -> sink
 (** One Chrome trace-event JSON object per line; [flush] flushes and
     [close] closes the channel. *)
@@ -45,8 +41,6 @@ val flush : unit -> unit
 
 val is_enabled : unit -> bool
 val io_enabled : unit -> bool
-
-val no_attrs : unit -> attr list
 
 val span_begin : ?tid:int -> ?attrs:(unit -> attr list) -> string -> unit
 val span_end : ?tid:int -> string -> unit

@@ -393,9 +393,3 @@ let reset_stats t =
   s.flush_time <- 0.0;
   s.allocs <- 0;
   s.frees <- 0
-
-let pp_stats ppf s =
-  Fmt.pf ppf
-    "@[<v>reads: %d (%d B, %a)@,writes: %d (%d B, %a)@,flushes: %d, fences: %d@,allocs/frees: %d/%d@]"
-    s.reads s.bytes_read Sim.Clock.pp_duration s.read_time s.writes s.bytes_written
-    Sim.Clock.pp_duration s.write_time s.flushes s.drains s.allocs s.frees

@@ -147,4 +147,3 @@ val register_metrics : Obs.Registry.t -> ?prefix:string -> t -> unit
     ["pmem"]) dotted names, e.g. [pmem.bytes_written]. *)
 
 val reset_stats : t -> unit
-val pp_stats : stats Fmt.t

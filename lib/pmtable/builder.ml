@@ -38,8 +38,6 @@ let create ?(chunk = default_chunk) dev region =
     flushed_upto = 0;
   }
 
-let position t = t.written + Buffer.length t.staging
-
 (* Write back the completed lines in [flushed_upto, upto): each line gets
    exactly one clwb per build. *)
 let flush_upto t upto =
@@ -63,10 +61,6 @@ let add_string t s =
 
 let add_char t c =
   Buffer.add_char t.staging c;
-  if Buffer.length t.staging >= t.chunk then spill t
-
-let add_varint t v =
-  Util.Varint.write t.staging v;
   if Buffer.length t.staging >= t.chunk then spill t
 
 (* Fixed-width big-endian u32, for binary-searchable offset slots. *)

@@ -18,12 +18,8 @@ val chaos_skip_drain : bool ref
 
 val create : ?chunk:int -> Pmem.t -> Pmem.region -> t
 
-val position : t -> int
-(** Bytes appended so far (device + staging). *)
-
 val add_string : t -> string -> unit
 val add_char : t -> char -> unit
-val add_varint : t -> int -> unit
 val add_u32 : t -> int -> unit
 val add_u16 : t -> int -> unit
 

@@ -141,6 +141,3 @@ let commit t engine =
 let batches t = t.batches
 let synced_entries t = t.synced_entries
 let size_hist t = t.size_hist
-
-let mean_batch t =
-  if t.batches = 0 then 0.0 else float_of_int t.synced_entries /. float_of_int t.batches

@@ -33,5 +33,4 @@ val commit : t -> Core.Engine.t -> unit
 
 val batches : t -> int
 val synced_entries : t -> int
-val mean_batch : t -> float
 val size_hist : t -> Util.Histogram.t

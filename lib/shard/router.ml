@@ -15,9 +15,9 @@
 
    - a {!Group_commit} batcher owning the WAL-sync durability point
      (shard engines run [wal_external_sync]);
-   - an {!Admission} gate turning the shard's compaction debt into relief
-     steps on the idle worker (soft zone; one partition each, priced by
-     Eq. 2) or a hard stall;
+   - admission limits on the shard's compaction debt: [admit] turns the
+     soft zone into relief steps on the idle worker (one partition each,
+     priced by Eq. 2) and the hard limit into a stall;
    - one background worker, modelled as a [busy_until] horizon: a flush,
      relief step or forced compaction runs on the foreground clock, is
      rewound, and booked to the horizon — the *next* writer needing
@@ -35,8 +35,16 @@ type shard = {
   s_hi : string;  (* exclusive upper bound; sentinel on the last shard *)
   engine : Core.Engine.t;
   gc : Group_commit.t;
-  adm : Admission.t;
   mutable busy_until : float;  (* background worker horizon *)
+  (* admission: the clamped limits on the policy's pressure, and what
+     the zones did *)
+  soft_limit : int;
+  hard_limit : int;
+  mutable soft_admits : int;
+  mutable relief_steps : int;
+  mutable internal_steps : int;  (* relief steps priced internal by Eq. 2 *)
+  mutable stalls : int;
+  mutable stall_ns : float;  (* simulated ns writers spent hard-stalled *)
   (* gray-failure tolerance (lib/health): the breaker guards this shard's
      device neighbourhood, the trackers hold its healthy-latency
      baselines, and the ledger books every health-API op outcome *)
@@ -112,6 +120,7 @@ let make_shards cfg mk_engine rs =
        (fun i (lo, hi) ->
          let scfg = shard_config cfg n i in
          let engine = mk_engine scfg in
+         let soft = cfg.Core.Config.admission_soft_tables in
          {
            s_idx = i;
            s_lo = lo;
@@ -126,12 +135,14 @@ let make_shards cfg mk_engine rs =
                ~name:(Printf.sprintf "shard%d" i)
                ~window_ns:cfg.Core.Config.group_commit_window_ns
                ~max_batch:cfg.Core.Config.group_commit_max;
-           adm =
-             Admission.create
-               ~clock:(Core.Engine.clock engine)
-               ~soft_tables:cfg.Core.Config.admission_soft_tables
-               ~hard_tables:cfg.Core.Config.admission_hard_tables;
            busy_until = 0.0;
+           soft_limit = max 1 soft;
+           hard_limit = max 2 (max soft cfg.Core.Config.admission_hard_tables);
+           soft_admits = 0;
+           relief_steps = 0;
+           internal_steps = 0;
+           stalls = 0;
+           stall_ns = 0.0;
          })
        rs)
 
@@ -238,6 +249,48 @@ let will_flush s ~bytes =
   Core.Engine.memtable_bytes s.engine + bytes + entry_overhead
   >= (Core.Engine.config s.engine).Core.Config.memtable_bytes
 
+(* --- Admission ---------------------------------------------------------- *)
+
+(* Would [admit] stall a write to this shard now? *)
+let shard_at_hard_limit s = Core.Policy.pressure s.engine >= s.hard_limit
+
+(* Who waits. The signal is the policy's pressure, the shard's debt in
+   level-0 runs: what a point read may probe, so a resident sorted run on
+   PM is one run however many tables it holds. Below the soft limit a
+   write passes untouched. In the soft zone it never waits: when the
+   worker is idle and the write hands off no memtable (no write waits on
+   a step it started itself), the worker takes one relief step
+   ([Core.Policy.relieve]: one partition's compaction, priced by Eq. 2),
+   so the debt falls while writers keep running. At the hard limit the
+   writer stalls, riding the worker and forcing major compaction until
+   the debt drops below the limit. *)
+let admit t s ~hands_off =
+  let d = Core.Policy.pressure s.engine in
+  if d >= s.hard_limit then begin
+    s.stalls <- s.stalls + 1;
+    let t0 = Sim.Clock.now t.clock in
+    Obs.Attr.with_phase Obs.Attr.Admission_stall (fun () ->
+        (* Bounded: each round either rides a finishing background job or
+           forces relief, and relief strictly shrinks level-0 — 64 rounds
+           outlasts any realistic backlog, and the bound keeps a pathological
+           configuration from wedging the writer forever. *)
+        let rounds = ref 0 in
+        while shard_at_hard_limit s && !rounds < 64 do
+          incr rounds;
+          if not (wait_background t s) then
+            background_run t s (fun () -> Core.Engine.force_major_compaction s.engine)
+        done);
+    s.stall_ns <- s.stall_ns +. Float.max 0.0 (Sim.Clock.now t.clock -. t0)
+  end
+  else if d >= s.soft_limit then begin
+    s.soft_admits <- s.soft_admits + 1;
+    if not (hands_off || s.busy_until > Sim.Clock.now t.clock) then begin
+      s.relief_steps <- s.relief_steps + 1;
+      if background_run t s (fun () -> Core.Policy.relieve s.engine) = Some Core.Policy.Internal
+      then s.internal_steps <- s.internal_steps + 1
+    end
+  end
+
 (* --- Operations --------------------------------------------------------- *)
 
 (* The gray-failure front door: dispatch, admission, background hand-off
@@ -303,12 +356,12 @@ let deadline_of t kind deadline_ns =
    The worker horizon only matters when *this* write would hand a full
    memtable to the background worker (that path waits for the horizon);
    a non-flushing write sails past a busy worker untouched. A shard at
-   admission's hard limit would stall the write behind compaction relief. *)
+   the hard limit would stall the write behind compaction relief. *)
 let would_blow_deadline t s ~bytes deadline =
   let now = Sim.Clock.now t.clock in
   deadline -. now <= 0.0
   || (will_flush s ~bytes && s.busy_until -. now > deadline -. now)
-  || Admission.at_hard_limit s.adm s.engine
+  || shard_at_hard_limit s
 
 let missed_deadline t deadline =
   match deadline with Some d -> Sim.Clock.now t.clock > d | None -> false
@@ -318,9 +371,7 @@ let apply_write ?deadline_ns t ~key ~bytes f =
   let t0 = Sim.Clock.now t.clock in
   let s = dispatch t key in
   let deadline = deadline_of t `Write deadline_ns in
-  Obs.Attr.set_deadline deadline;
   let finish result =
-    Obs.Attr.set_deadline None;
     Util.Histogram.record t.write_lat (Float.max 0.0 (Sim.Clock.now t.clock -. t0));
     (match (result, missed_deadline t deadline) with
     | _, true -> Health.Ledger.record s.ledger Health.Ledger.Deadline_miss
@@ -337,18 +388,7 @@ let apply_write ?deadline_ns t ~key ~bytes f =
       | _ -> (
           match
             let hands_off = will_flush s ~bytes in
-            (* A soft-zone step goes only to an idle worker, and never from
-               a write that hands off a memtable: no write waits on a step
-               it started itself. *)
-            let step =
-              if hands_off || s.busy_until > Sim.Clock.now t.clock then None
-              else Some (fun () -> background_run t s (fun () -> Core.Policy.relieve s.engine))
-            in
-            Admission.admit s.adm s.engine
-              ~wait_background:(fun () -> wait_background t s)
-              ~relieve:(fun () ->
-                background_run t s (fun () -> Core.Engine.force_major_compaction s.engine))
-              ~step;
+            admit t s ~hands_off;
             if hands_off then background_run t s (fun () -> Core.Engine.flush s.engine);
             (* Device time only: measured after admission and background
                hand-off, so stalls on a *healthy* shard do not read as
@@ -385,9 +425,7 @@ let get_checked ?deadline_ns t key =
   let t0 = Sim.Clock.now t.clock in
   let s = dispatch t key in
   let deadline = deadline_of t `Read deadline_ns in
-  Obs.Attr.set_deadline deadline;
   let finish result =
-    Obs.Attr.set_deadline None;
     Util.Histogram.record t.read_lat (Float.max 0.0 (Sim.Clock.now t.clock -. t0));
     (match (result, missed_deadline t deadline) with
     | _, true -> Health.Ledger.record s.ledger Health.Ledger.Deadline_miss
@@ -484,12 +522,12 @@ let disable_group_commit t =
 let sum f t = Array.fold_left (fun acc s -> acc + f s) 0 t.shards
 let sumf f t = Array.fold_left (fun acc s -> acc +. f s) 0.0 t.shards
 
-let stall_count t = sum (fun s -> Admission.stalls s.adm) t
-let at_hard_limit t = Array.exists (fun s -> Admission.at_hard_limit s.adm s.engine) t.shards
-let stall_ns t = sumf (fun s -> Admission.stall_ns s.adm) t
-let soft_delays t = sum (fun s -> Admission.soft_admits s.adm) t
-let relief_steps t = sum (fun s -> Admission.relief_steps s.adm) t
-let relief_steps_internal t = sum (fun s -> Admission.internal_steps s.adm) t
+let stall_count t = sum (fun s -> s.stalls) t
+let at_hard_limit t = Array.exists shard_at_hard_limit t.shards
+let stall_ns t = sumf (fun s -> s.stall_ns) t
+let soft_delays t = sum (fun s -> s.soft_admits) t
+let relief_steps t = sum (fun s -> s.relief_steps) t
+let relief_steps_internal t = sum (fun s -> s.internal_steps) t
 let gc_batches t = sum (fun s -> Group_commit.batches s.gc) t
 let gc_synced_entries t = sum (fun s -> Group_commit.synced_entries s.gc) t
 
@@ -642,25 +680,14 @@ let pp_stats ppf t =
    if b > 0 then
      Fmt.pf ppf "  group commit: %d batches, %d entries, mean batch %.2f@," b
        (gc_synced_entries t) (gc_mean_batch t));
-  let lat label h =
-    if Util.Histogram.count h > 0 then
-      Fmt.pf ppf "  %s latency p50/p99/p99.9: %a / %a / %a@," label Sim.Clock.pp_duration
-        (Util.Histogram.percentile h 50.0)
-        Sim.Clock.pp_duration
-        (Util.Histogram.percentile h 99.0)
-        Sim.Clock.pp_duration
-        (Util.Histogram.percentile h 99.9)
-  in
-  lat "read" t.read_lat;
-  lat "write" t.write_lat;
-  lat "scan" t.scan_lat;
+  Core.Metrics.pp_latencies ppf ~read:t.read_lat ~write:t.write_lat ~scan:t.scan_lat;
   Array.iter
     (fun s ->
       Fmt.pf ppf
         "  shard %d [%S, %s): stalls %d, steps %d (%d internal), batches %d, debt %d runs@,"
         s.s_idx s.s_lo
         (if s.s_hi = max_key_sentinel then "<max>" else Printf.sprintf "%S" s.s_hi)
-        (Admission.stalls s.adm) (Admission.relief_steps s.adm) (Admission.internal_steps s.adm)
+        s.stalls s.relief_steps s.internal_steps
         (Group_commit.batches s.gc)
         (Core.Policy.pressure s.engine))
     t.shards;
@@ -854,7 +881,7 @@ let register_metrics reg t =
         ~help:"PM level-0 resident bytes of this shard" (fun () ->
           Core.Engine.l0_bytes s.engine);
       register_int reg (p "shard%d.stalls") ~help:"admission hard stalls at this shard"
-        (fun () -> Admission.stalls s.adm);
+        (fun () -> s.stalls);
       register_int reg (p "shard%d.gc.batches")
         ~help:"group-commit batches synced by this shard" (fun () ->
           Group_commit.batches s.gc);

@@ -11,10 +11,11 @@
     concatenate per-shard results in shard order — ranges are disjoint,
     so the result is globally ordered and duplicate-free by construction.
     Each shard carries a {!Group_commit} batcher (the WAL durability
-    point under [wal_external_sync]) and an {!Admission} gate, plus one
-    modelled background worker: flush/compaction time is rewound and
-    booked to a [busy_until] horizon, so one shard serialises background
-    work while N shards overlap it N ways. *)
+    point under [wal_external_sync]), its admission limits (soft-zone
+    relief steps, hard-limit stalls), and one modelled background worker:
+    flush/compaction time is rewound and booked to a [busy_until]
+    horizon, so one shard serialises background work while N shards
+    overlap it N ways. The router alone decides who waits. *)
 
 type t
 

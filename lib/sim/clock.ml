@@ -22,8 +22,6 @@ let rewind t dt =
   if dt < 0.0 then invalid_arg "Clock.rewind: negative delta";
   t.now <- Float.max 0.0 (t.now -. dt)
 
-let reset t = t.now <- 0.0
-
 (* Measure the simulated duration of [f]. *)
 let time t f =
   let t0 = t.now in
@@ -36,7 +34,6 @@ let ms x = x *. 1e6
 let s x = x *. 1e9
 
 let to_us x = x /. 1e3
-let to_ms x = x /. 1e6
 let to_s x = x /. 1e9
 
 let pp_duration ppf x =

@@ -14,7 +14,6 @@ val advance_to : t -> float -> unit
 (** Pull the clock back by a duration — the overlap rebate used to model
     CPU/I-O concurrency inside an otherwise serial simulation. *)
 val rewind : t -> float -> unit
-val reset : t -> unit
 
 val time : t -> (unit -> 'a) -> 'a * float
 (** [time t f] runs [f] and returns its result with the simulated duration. *)
@@ -26,7 +25,6 @@ val us : float -> float
 val ms : float -> float
 val s : float -> float
 val to_us : float -> float
-val to_ms : float -> float
 val to_s : float -> float
 
 val pp_duration : float Fmt.t

@@ -447,8 +447,3 @@ let reset_stats t =
   s.read_time <- 0.0;
   s.write_time <- 0.0;
   Util.Histogram.reset s.request_latency
-
-let pp_stats ppf s =
-  Fmt.pf ppf "@[<v>reads: %d (%d B, %a)@,writes: %d (%d B, %a)@]" s.reads s.bytes_read
-    Sim.Clock.pp_duration s.read_time s.writes s.bytes_written Sim.Clock.pp_duration
-    s.write_time

@@ -184,4 +184,3 @@ val register_metrics : Obs.Registry.t -> ?prefix:string -> t -> unit
     under [prefix] (default ["ssd"]) dotted names. *)
 
 val reset_stats : t -> unit
-val pp_stats : stats Fmt.t

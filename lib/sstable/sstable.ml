@@ -120,8 +120,6 @@ let add b (e : Util.Kv.entry) =
   b.b_keys <- e.key :: b.b_keys;
   if Buffer.length b.b_current >= b.b_block_bytes then flush_block b
 
-let estimated_size b = b.b_off + Buffer.length b.b_current
-
 let meta_magic = 0x53535442 (* "SSTB" *)
 
 (* Index + filter are persisted in a meta block so the table can be
@@ -259,7 +257,6 @@ let file_id t = Ssd.file_id t.file
 let payload_bytes t = t.payload_bytes
 let min_key t = t.min_key
 let max_key t = t.max_key
-let seq_range t = (t.min_seq, t.max_seq)
 let block_count t = Array.length t.blocks
 
 let attach_shared_cache t cache = t.shared <- Some cache

@@ -14,7 +14,6 @@ val create_builder : ?block_bytes:int -> Ssd.t -> builder
 val add : builder -> Util.Kv.entry -> unit
 (** Entries must arrive in {!Util.Kv.compare_entry} order. *)
 
-val estimated_size : builder -> int
 val finish : builder -> t
 (** Raises [Invalid_argument] when no entries were added. *)
 
@@ -37,7 +36,6 @@ val byte_size : t -> int
 val payload_bytes : t -> int
 val min_key : t -> string
 val max_key : t -> string
-val seq_range : t -> int * int
 val block_count : t -> int
 
 val delete : t -> unit

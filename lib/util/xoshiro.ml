@@ -47,8 +47,6 @@ let float t bound =
   (* 53 random bits mapped to [0, 1). *)
   x /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
-
 let string t len =
   String.init len (fun _ -> Char.chr (97 + int t 26))
 

@@ -23,6 +23,10 @@
 #      lib/core/config.ml (which defines the variant), no lib/ .ml names
 #      Config.l0_strategy or matches on its constructors. The type cannot
 #      enforce this, because benchmark/ constructs the variant itself.
+#   7. Every lib/ module has a caller: some .ml/.mli of lib/, bin/,
+#      bench/, benchmark/ or examples/ other than the module's own names
+#      it. A module that only test/ reaches is code the store never runs,
+#      and its tests check nothing the store does.
 #
 # Exits non-zero with a file:line listing on any violation.
 
@@ -87,6 +91,17 @@ pmlint_out="$(dune exec bin/pmlint.exe -- lib 2>&1)" || {
 grep -rn 'l0_strategy\|Config\.\(Cost_based\|Conventional\|Matrix\)\b' lib --include='*.ml' \
   | grep -v '^lib/core/config\.ml:\|^lib/core/policy\.ml:' \
   | complain "only lib/core/policy.ml may match on Config.l0_strategy"
+
+# 7. every lib/ module is named outside its own files and test/
+uncalled=""
+for ml in lib/*/*.ml; do
+  name=$(basename "$ml" .ml | awk '{ print toupper(substr($0, 1, 1)) substr($0, 2) }')
+  grep -rlw "$name" lib bin bench benchmark examples --include='*.ml' --include='*.mli' \
+    | grep -qvx "${ml}\|${ml}i" \
+    || uncalled="$uncalled$ml (nothing outside test/ names $name)
+"
+done
+printf '%s' "$uncalled" | complain "every lib/ module needs a caller outside test/"
 
 if [ -s "$failmark" ]; then
   echo "lint: FAILED" >&2

@@ -1,5 +1,5 @@
-(* Tests for the LZ (snappy-like) codec and the prefix-compression
-   planner. *)
+(* Tests for the LZ (snappy-like) codec. The store's prefix compression
+   is Pm_table's own planner, tested in test_pmtable. *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -45,67 +45,6 @@ let test_lz_rejects_garbage () =
   check Alcotest.bool "garbage raises" true
     (try ignore (Compress.Lz.decompress "\x05Qxxxx"); false with Failure _ -> true)
 
-(* --- Prefix ----------------------------------------------------------------- *)
-
-let sorted_keys n = Array.init n (fun i -> Printf.sprintf "t0001r%012d" (i * 3))
-
-let test_prefix_plan_groups () =
-  let keys = sorted_keys 20 in
-  let plan = Compress.Prefix.plan ~group_size:8 keys in
-  check Alcotest.int "group count" 3 (Array.length plan.Compress.Prefix.groups);
-  let g0 = plan.Compress.Prefix.groups.(0) in
-  check Alcotest.int "members" 8 (Array.length g0.Compress.Prefix.members);
-  check Alcotest.string "first key recorded" keys.(0) g0.Compress.Prefix.first_key
-
-let test_prefix_members_reconstruct () =
-  let keys = sorted_keys 20 in
-  let plan = Compress.Prefix.plan ~group_size:8 ~prefix_len:10 keys in
-  Array.iter
-    (fun g ->
-      Array.iter
-        (fun (suffix, idx) ->
-          check Alcotest.string "prefix ^ suffix = key" keys.(idx)
-            (g.Compress.Prefix.prefix ^ suffix))
-        g.Compress.Prefix.members)
-    plan.Compress.Prefix.groups
-
-let test_prefix_locate_group () =
-  let keys = sorted_keys 64 in
-  let plan = Compress.Prefix.plan ~group_size:8 keys in
-  (* every key must locate to the group that contains it *)
-  Array.iteri
-    (fun i key ->
-      match Compress.Prefix.locate_group plan key with
-      | None -> Alcotest.failf "key %s located no group" key
-      | Some g ->
-          check Alcotest.bool "group covers key" true (g = i / 8 || g = (i / 8) - 1))
-    keys;
-  check Alcotest.bool "below first key" true
-    (Compress.Prefix.locate_group plan "a" = None)
-
-let test_prefix_group_prefix_cap () =
-  let keys = [| "aaaa1"; "aaaa2"; "aaaa3" |] in
-  check Alcotest.string "capped" "aa" (Compress.Prefix.group_prefix ~max_len:2 keys 0 3);
-  check Alcotest.string "full shared" "aaaa" (Compress.Prefix.group_prefix ~max_len:10 keys 0 3)
-
-let prop_prefix_plan_reconstructs =
-  QCheck.Test.make ~name:"plan reconstructs every key" ~count:200
-    QCheck.(list_of_size Gen.(int_range 1 60) (string_of_size Gen.(int_range 1 20)))
-    (fun keys ->
-      let keys = Array.of_list (List.sort_uniq String.compare keys) in
-      let plan = Compress.Prefix.plan ~group_size:4 ~prefix_len:6 keys in
-      Array.for_all
-        (fun g ->
-          Array.for_all
-            (fun (suffix, idx) -> g.Compress.Prefix.prefix ^ suffix = keys.(idx))
-            g.Compress.Prefix.members)
-        plan.Compress.Prefix.groups)
-
-let test_prefix_savings_positive_on_shared_keys () =
-  let keys = sorted_keys 64 in
-  let plan = Compress.Prefix.plan ~group_size:8 ~prefix_len:8 keys in
-  check Alcotest.bool "saves bytes" true (Compress.Prefix.total_bytes_saved plan keys > 0)
-
 let () =
   Alcotest.run "compress"
     [
@@ -118,14 +57,5 @@ let () =
           Alcotest.test_case "empty and tiny" `Quick test_lz_empty_and_tiny;
           Alcotest.test_case "overlapping copy" `Quick test_lz_overlapping_copy;
           Alcotest.test_case "rejects garbage" `Quick test_lz_rejects_garbage;
-        ] );
-      ( "prefix",
-        [
-          Alcotest.test_case "plan groups" `Quick test_prefix_plan_groups;
-          Alcotest.test_case "members reconstruct" `Quick test_prefix_members_reconstruct;
-          Alcotest.test_case "locate group" `Quick test_prefix_locate_group;
-          Alcotest.test_case "group prefix cap" `Quick test_prefix_group_prefix_cap;
-          qtest prop_prefix_plan_reconstructs;
-          Alcotest.test_case "savings on shared keys" `Quick test_prefix_savings_positive_on_shared_keys;
         ] );
     ]

@@ -604,9 +604,9 @@ let test_resident_load_stays_on_pm () =
   check Alcotest.int "no get reached the SSD" 0 m.Core.Metrics.reads_from_ssd;
   check Alcotest.int "every get served from PM" records m.Core.Metrics.reads_from_pm
 
-(* Admission owns the hard limit, clamped to at least the soft limit: a
-   write with a deadline budget must not be shed as "deadline" at a debt
-   that admission itself would pass without delay. *)
+(* The shard's hard limit is clamped to at least the soft limit: a write
+   with a deadline budget must not be shed as "deadline" at a debt that
+   admission itself would pass without delay. *)
 let test_deadline_uses_clamped_hard_limit () =
   let cfg = { (triggerless_config ~soft:12 ~hard:4 ()) with Core.Config.deadline_write_ns = 1e9 } in
   let r = Shard.Router.create cfg in
@@ -735,6 +735,27 @@ let test_orphan_gc_router () =
     ~put:(fun ~key value -> put r ~key value)
     ~flush:(fun () -> Shard.Router.flush r)
     ~recover:(fun () -> ignore (Shard.Router.recover ~boundaries cfg ~pm ~ssd))
+
+(* A shard persists its manifest under its own named superblock root, so
+   the scrubber must check that root, not the unnamed one: rot shard 1's
+   newest slot and scrub that shard's engine. *)
+let test_scrub_checks_shard_manifest () =
+  let cfg = base_config ~shards:2 ~durable:true () in
+  let r = Shard.Router.create ~boundaries:[ "m" ] cfg in
+  for round = 0 to 1 do
+    for i = 0 to 19 do
+      put r ~key:(Printf.sprintf "z%d-%02d" round i) (String.make 48 'v')
+    done;
+    Shard.Router.flush r
+  done;
+  let engine = (Shard.Router.engines r).(1) in
+  let ssd = Shard.Router.ssd r in
+  let cur, _ = Ssd.root_slots ~name:(Core.Engine.config engine).Core.Config.manifest_root ssd in
+  let file = Option.get (Ssd.find_file ssd (Option.get cur)) in
+  Ssd.corrupt_file ssd file ~off:(Ssd.file_size file / 2);
+  let report = Core.Scrubber.run engine in
+  check Alcotest.int "both slots seen" 2 report.Core.Scrubber.manifest_slots;
+  check Alcotest.bool "newest slot flagged" true report.Core.Scrubber.manifest_rotted
 
 (* --- the sharded crash sweep -------------------------------------------- *)
 
@@ -868,6 +889,8 @@ let () =
           Alcotest.test_case "batch crash atomicity" `Quick test_batch_crash_atomicity;
           Alcotest.test_case "orphan gc engine" `Quick test_orphan_gc_engine;
           Alcotest.test_case "orphan gc 2-shard router" `Quick test_orphan_gc_router;
+          Alcotest.test_case "scrub checks the shard's manifest" `Quick
+            test_scrub_checks_shard_manifest;
         ] );
       ( "group commit",
         [
