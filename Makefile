@@ -23,23 +23,26 @@ crashtest:
 oracles:
 	sh scripts/check_oracles.sh
 
-# Corruption sweep: inject seeded bit rot into PM tables, SSTables, the
-# WAL and the manifest, and fail (exit 1) on any silent wrong answer,
-# undetected corruption, or crash. CORRUPTIONS picks the point count.
+# Corruption sweep on the one-shard router: inject seeded bit rot into PM
+# tables, SSTables, the WAL and the manifest, scrub every shard, and fail
+# (exit 1) on any silent wrong answer, undetected corruption, or crash.
+# CORRUPTIONS picks the point count.
 CORRUPTIONS ?= 16
 scrubtest:
 	dune exec bin/pm_blade_cli.exe -- scrub --corruptions $(CORRUPTIONS)
 
 # Sanitizer gauntlet: pmsan (persistence ordering + redundant-flush
-# audit) over a clean engine workload, schedsan (happens-before races,
-# lost wakeups) over the scheduling harness, and a sanitized crash-sweep
-# sample. Exits 1 on any finding. SAN_SITES picks the sweep sample size.
+# audit) over a clean workload on the one-shard router, schedsan
+# (happens-before races, lost wakeups) over the scheduling harness, and a
+# sanitized crash-sweep sample. Exits 1 on any finding. SAN_SITES picks
+# the sweep sample size.
 SAN_SITES ?= 50
 sanitize:
 	dune exec bin/pm_blade_cli.exe -- sanitize --sites $(SAN_SITES)
 
 # Source hygiene: no Obj.magic, no console output in lib/, no partial
-# accessors in the storage core, a .mli for every lib/ module — plus the
+# accessors in the storage core, a .mli for every lib/ module, a caller
+# for every lib/ module and a user for every exported val — plus the
 # pmlint static analyzer for the AST-level rules.
 lint:
 	sh scripts/lint.sh

@@ -399,7 +399,8 @@ let stats_cmd =
 (* --- crashtest ------------------------------------------------------------ *)
 
 (* The demo store of crashtest, scrub and sanitize: a deliberately small
-   durable engine (4 KiB memtable, 16 KiB SSTables), so the short workload
+   durable router (4 KiB memtables, 16 KiB SSTables; one shard unless
+   crashtest's --shards says otherwise), so the short workload
    exercises flushes, compactions and WAL rotations — the windows where
    crash consistency is earned — and leaves PM tables, SSTables and
    manifest persists for the scrubber and the injector. *)
@@ -429,18 +430,18 @@ let write_fault_metrics metrics stats =
 let crashtest_cmd =
   let sites_arg =
     let parse = function
-      | "all" -> Ok Fault.Crash_sweep.All
+      | "all" -> Ok Shard.Sweep.All
       | s -> (
           match int_of_string_opt s with
-          | Some n when n > 0 -> Ok (Fault.Crash_sweep.Sample n)
+          | Some n when n > 0 -> Ok (Shard.Sweep.Sample n)
           | _ -> Error (`Msg (Printf.sprintf "expected 'all' or a positive count, got %S" s)))
     in
     let print ppf = function
-      | Fault.Crash_sweep.All -> Fmt.string ppf "all"
-      | Fault.Crash_sweep.Sample n -> Fmt.int ppf n
+      | Shard.Sweep.All -> Fmt.string ppf "all"
+      | Shard.Sweep.Sample n -> Fmt.int ppf n
     in
     Arg.(value
-        & opt (conv (parse, print)) Fault.Crash_sweep.All
+        & opt (conv (parse, print)) Shard.Sweep.All
         & info [ "sites" ] ~docv:"SITES"
             ~doc:"Crash points to test: $(b,all) sweeps every injection site \
                   the workload reaches; an integer tests a seeded sample of \
@@ -455,28 +456,28 @@ let crashtest_cmd =
   let run sites seed ops shards metrics =
     let engine_config = { demo_config with Core.Config.shard_count = max 1 shards } in
     let cfg = Shard.Sweep.config ~seed ~ops engine_config in
-    let total = Fault.Crash_sweep.count_sites cfg in
+    let total = Shard.Sweep.count_sites cfg in
     Fmt.pr "workload reaches %d injection sites across %d shard(s); sweeping %a crash \
             points...@."
       total engine_config.Core.Config.shard_count
       (fun ppf -> function
-        | Fault.Crash_sweep.All -> Fmt.string ppf "all"
-        | Fault.Crash_sweep.Sample n -> Fmt.pf ppf "%d sampled" (min n total))
+        | Shard.Sweep.All -> Fmt.string ppf "all"
+        | Shard.Sweep.Sample n -> Fmt.pf ppf "%d sampled" (min n total))
       sites;
     let tested = ref 0 in
-    let progress (p : Fault.Crash_sweep.point) =
+    let progress (p : Shard.Sweep.point) =
       incr tested;
-      if p.Fault.Crash_sweep.violations <> [] then
-        Fmt.pr "  crash at site %d (%s): %d violation(s)@." p.Fault.Crash_sweep.crash_at
-          (Option.value ~default:"end-of-run" p.Fault.Crash_sweep.crash_site)
-          (List.length p.Fault.Crash_sweep.violations)
+      if p.violations <> [] then
+        Fmt.pr "  crash at site %d (%s): %d violation(s)@." p.crash_at
+          (Option.value ~default:"end-of-run" p.crash_site)
+          (List.length p.violations)
       else if !tested mod 100 = 0 then Fmt.pr "  %d points tested...@." !tested
     in
     let stats = Fault.Plan.make_stats () in
-    let report = Fault.Crash_sweep.sweep ~selection:sites ~stats ~progress cfg in
-    Fmt.pr "%a@." Fault.Crash_sweep.pp_report report;
+    let report = Shard.Sweep.sweep ~selection:sites ~stats ~progress cfg in
+    Fmt.pr "%a@." Shard.Sweep.pp_report report;
     write_fault_metrics metrics stats;
-    if not (Fault.Crash_sweep.clean report) then exit 1
+    if not (Shard.Sweep.clean report) then exit 1
   in
   Cmd.v
     (Cmd.info "crashtest"
@@ -508,43 +509,44 @@ let scrub_cmd =
   in
   let run seed ops corruptions metrics =
     if corruptions = 0 then begin
-      let engine = Core.Engine.create demo_config in
+      let router = Shard.Router.create demo_config in
+      let sink = Shard.Router.sink router in
       let rng = Util.Xoshiro.create seed in
       for i = 0 to ops - 1 do
         let key = Printf.sprintf "user%06d" (Util.Xoshiro.int rng 64) in
-        Core.Engine.put ~update:true engine ~key
+        sink.Workload.Sink.put ~update:true ~key
           (Printf.sprintf "%d:%s" i (Util.Xoshiro.string rng 24))
       done;
-      Core.Engine.flush engine;
-      Core.Engine.force_internal_compaction engine;
-      let report = Core.Scrubber.run engine in
-      Fmt.pr "%a@." Core.Scrubber.pp_report report;
-      if not (Core.Scrubber.clean report) then exit 1
+      Shard.Router.flush router;
+      let engines = Array.to_list (Shard.Router.engines router) in
+      List.iter Core.Engine.force_internal_compaction engines;
+      let reports = List.map (fun e -> Core.Scrubber.run e) engines in
+      List.iter (Fmt.pr "%a@." Core.Scrubber.pp_report) reports;
+      if not (List.for_all Core.Scrubber.clean reports) then exit 1
     end
     else begin
-      let cfg =
-        Fault.Corruption_sweep.config ~seed ~ops ~points:corruptions demo_config
-      in
+      let cfg = Shard.Sweep.config ~seed ~ops demo_config in
       let stats = Fault.Plan.make_stats () in
-      let progress (p : Fault.Corruption_sweep.point) =
-        Fmt.pr "  %a: %s@." Fault.Corruption_sweep.pp_point p
-          (if p.Fault.Corruption_sweep.victim = None then "skipped (no victim)"
-           else if p.Fault.Corruption_sweep.violations <> [] then "VIOLATIONS"
+      let progress (p : Shard.Sweep.corruption_point) =
+        Fmt.pr "  %a: %s@." Shard.Sweep.pp_corruption_point p
+          (if p.victim = None then "skipped (no victim)"
+           else if p.violations <> [] then "VIOLATIONS"
            else "detected, handled")
       in
-      let report = Fault.Corruption_sweep.sweep ~stats ~progress cfg in
-      Fmt.pr "%a@." Fault.Corruption_sweep.pp_report report;
+      let report = Shard.Sweep.corruption_sweep ~stats ~progress ~points:corruptions cfg in
+      Fmt.pr "%a@." Shard.Sweep.pp_corruption_report report;
       write_fault_metrics metrics stats;
-      if not (Fault.Corruption_sweep.clean report) then exit 1
+      if not (Shard.Sweep.corruption_clean report) then exit 1
     end
   in
   Cmd.v
     (Cmd.info "scrub"
-       ~doc:"Verify every checksum in a demo store (PM tables, SSTables, \
-             WAL records, manifest slots), or — with $(b,--corruptions) — \
-             sweep seeded bit rot over all four targets and check that \
-             every injection is detected, quarantined or repaired, and \
-             never silently served. Exits 1 on any violation.")
+       ~doc:"Verify every checksum in a demo store on the one-shard \
+             router (PM tables, SSTables, WAL records, manifest slots), or \
+             — with $(b,--corruptions) — sweep seeded bit rot over all \
+             four targets and check that every injection is detected, \
+             quarantined or repaired, and never silently served. Exits 1 \
+             on any violation.")
     Term.(const run $ seed $ ops $ corruptions $ metrics_arg)
 
 (* --- sanitize ------------------------------------------------------------- *)
@@ -564,11 +566,13 @@ let sanitize_cmd =
   let run sites seed ops =
     Sanitize.Control.enable ();
     let errors = ref 0 in
-    (* Leg 1: pmsan over a clean engine workload. Fails on any ordering
-       finding and on any redundant flush (the hot paths are expected to
-       stay dedup-clean; the per-site table names the offender). *)
-    Fmt.pr "== pmsan: sanitized engine workload (%d ops) ==@." ops;
-    let engine = Core.Engine.create demo_config in
+    (* Leg 1: pmsan over a clean workload on the one-shard router. Fails
+       on any ordering finding and on any redundant flush (the hot paths
+       are expected to stay dedup-clean; the per-site table names the
+       offender). *)
+    Fmt.pr "== pmsan: sanitized router workload (%d ops) ==@." ops;
+    let router = Shard.Router.create demo_config in
+    let sink = Shard.Router.sink router in
     let rng = Util.Xoshiro.create (seed lxor 0x9E3779B9) in
     (* wide keyspace + fat values: the memtable threshold trips repeatedly
        and the PM-table builds span several 4 KiB builder chunks, so any
@@ -577,15 +581,15 @@ let sanitize_cmd =
       let key = Printf.sprintf "user%06d" (Util.Xoshiro.int rng 512) in
       match Util.Xoshiro.int rng 10 with
       | r when r < 7 ->
-          Core.Engine.put ~update:true engine ~key
+          sink.Workload.Sink.put ~update:true ~key
             (Printf.sprintf "%d:%s" i (Util.Xoshiro.string rng 96))
-      | 7 | 8 -> ignore (Core.Engine.get engine key)
-      | _ -> Core.Engine.delete engine key
+      | 7 | 8 -> ignore (sink.Workload.Sink.get key)
+      | _ -> sink.Workload.Sink.delete key
     done;
-    Core.Engine.flush engine;
-    Core.Engine.force_internal_compaction engine;
-    ignore (Core.Engine.scan engine ~start:"user000000" ~limit:32);
-    (match Pmem.sanitizer (Core.Engine.pm engine) with
+    Shard.Router.flush router;
+    Array.iter Core.Engine.force_internal_compaction (Shard.Router.engines router);
+    ignore (Shard.Router.scan router ~start:"user000000" ~limit:32);
+    (match Pmem.sanitizer (Shard.Router.pm router) with
     | None ->
         Fmt.pr "pmsan: not attached (sanitizer disabled?)@.";
         incr errors
@@ -616,14 +620,14 @@ let sanitize_cmd =
 
     (* Leg 3: a sanitized crash-sweep sample on the one-shard router, as
        crashtest sweeps it — every leg's pmsan findings count as violations
-       (Fault.Crash_sweep wires them in). *)
+       (Shard.Sweep wires them in). *)
     Fmt.pr "@.== sanitized crash sweep (%d sampled sites) ==@." sites;
     let cfg = Shard.Sweep.config ~seed ~ops demo_config in
     let report =
-      Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample sites) cfg
+      Shard.Sweep.sweep ~selection:(Shard.Sweep.Sample sites) cfg
     in
-    Fmt.pr "%a@." Fault.Crash_sweep.pp_report report;
-    if not (Fault.Crash_sweep.clean report) then incr errors;
+    Fmt.pr "%a@." Shard.Sweep.pp_report report;
+    if not (Shard.Sweep.clean report) then incr errors;
 
     if !errors > 0 then begin
       Fmt.pr "@.sanitize: FAILED (%d leg(s) reported findings)@." !errors;
@@ -633,11 +637,11 @@ let sanitize_cmd =
   in
   Cmd.v
     (Cmd.info "sanitize"
-       ~doc:"Run the sanitizer gauntlet: pmsan (persistence ordering + \
-             redundant flushes) over a clean engine workload, schedsan \
-             (happens-before races, lost wakeups) over the scheduling \
-             harness, and a sanitized crash-sweep sample on the one-shard \
-             router. Exits 1 on any finding.")
+       ~doc:"Run the sanitizer gauntlet on the one-shard router: pmsan \
+             (persistence ordering + redundant flushes) over a clean \
+             workload, schedsan (happens-before races, lost wakeups) over \
+             the scheduling harness, and a sanitized crash-sweep sample. \
+             Exits 1 on any finding.")
     Term.(const run $ sites $ seed $ ops)
 
 (* --- doctor --------------------------------------------------------------- *)

@@ -37,7 +37,8 @@ let () =
   let plan = Fault.Plan.create 11 in
   (match
      Fault.Plan.inject_corruption plan ~pm ~ssd
-       ?wal:(Core.Engine.wal engine) ~target:Fault.Plan.Pm_table_bytes
+       ~wals:(Option.to_list (Core.Engine.wal engine))
+       ~target:Fault.Plan.Pm_table_bytes
        ~mode:(Fault.Plan.Zero_range 32) ()
    with
   | Some c -> Printf.printf "injected: 32 zeroed bytes at %s\n" c.Fault.Plan.victim
@@ -71,7 +72,7 @@ let () =
   (* Act 2: the planted bug. Switch checksum verification off — the exact
      "skip the verify" regression a reviewer might wave through — and run
      the corruption sweep. It must come back dirty. *)
-  let sweep_cfg = Fault.Corruption_sweep.config ~seed:11 ~points:8 config in
+  let sweep_cfg = Shard.Sweep.config ~seed:11 config in
   Fun.protect
     ~finally:(fun () ->
       Pmtable.Pm_table.verify_checksums := true;
@@ -79,15 +80,19 @@ let () =
     (fun () ->
       Pmtable.Pm_table.verify_checksums := false;
       Sstable.verify_checksums := false;
-      let broken = Fault.Corruption_sweep.sweep sweep_cfg in
+      let broken = Shard.Sweep.corruption_sweep ~points:8 sweep_cfg in
+      let bad =
+        List.filter
+          (fun (p : Shard.Sweep.corruption_point) -> p.violations <> [])
+          broken.points
+      in
       Printf.printf
-        "sweep with checksum verification disabled: %d violation(s) across %d point(s)\n"
-        (Fault.Corruption_sweep.violation_count broken)
-        (List.length broken.Fault.Corruption_sweep.points);
-      assert (not (Fault.Corruption_sweep.clean broken));
+        "sweep with checksum verification disabled: %d of %d point(s) with violations\n"
+        (List.length bad) (List.length broken.points);
+      assert (not (Shard.Sweep.corruption_clean broken));
       print_endline "  (planted integrity bug detected, as it should be)");
 
   (* And with verification back on, the same sweep is spotless. *)
-  let healthy = Fault.Corruption_sweep.sweep sweep_cfg in
-  assert (Fault.Corruption_sweep.clean healthy);
+  let healthy = Shard.Sweep.corruption_sweep ~points:8 sweep_cfg in
+  assert (Shard.Sweep.corruption_clean healthy);
   print_endline "sweep with checksums on: clean"

@@ -65,7 +65,10 @@ let crash_and_audit ~plan_rules ~crash_at ~label =
   Printf.printf "  recovered in %.2f simulated ms (manifest + reopen + WAL replay)\n"
     ((Sim.Clock.now (Pmem.clock pm) -. t0) /. 1e6);
 
-  let violations = Fault.Checker.check golden recovered in
+  let violations =
+    Fault.Checker.check_view golden (Fault.Checker.view_of_engine recovered)
+    @ Fault.Checker.check_manifest recovered
+  in
   (match violations with
   | [] ->
       Printf.printf "  invariants: all hold (%d acked keys audited)\n"

@@ -10,8 +10,6 @@
 val default_rules : Rule.t list
 (** R1 and R3–R5, report order. *)
 
-val rule_ids : Rule.t list -> string list
-
 val run : ?rules:Rule.t list -> string list -> Report.summary
 (** [run paths]: each path is a [.ml] file or a directory walked
     recursively for [*.ml]. *)

@@ -22,6 +22,3 @@ val scan : path:string -> known_rules:string list -> string -> t * Rule.finding 
 
 val covers : t -> Rule.finding -> string option
 (** [Some reason] when the finding is suppressed. *)
-
-val bad_suppress_rule : string
-(** The rule id used for malformed-suppression findings. *)

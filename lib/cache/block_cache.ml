@@ -82,7 +82,6 @@ let resident_blocks t = Array.fold_left (fun acc s -> acc + Hashtbl.length s.tbl
 
 let hits t = t.hits
 let misses t = t.misses
-let admissions t = t.admissions
 let evictions t = t.evictions
 let rejections t = t.rejections
 let invalidations t = t.invalidations

@@ -45,7 +45,6 @@ val file_resident_bytes : t -> file_id:int -> int
 
 val hits : t -> int
 val misses : t -> int
-val admissions : t -> int
 val evictions : t -> int
 val rejections : t -> int
 val invalidations : t -> int

@@ -36,8 +36,6 @@ type stage = Read | Merge | Build | Write
 val all_stages : stage list
 val stage_name : stage -> string
 
-val attr_phase : stage -> Obs.Attr.phase
-
 val with_stage : stage -> (unit -> 'a) -> 'a
 (** Run a data-plane stage section: publishes the stage in
     {!current_stage} (so fault hooks can tag crash sites with the stage

@@ -87,7 +87,6 @@ val rocksdb_like : t
 val pmb_p : t
 val pmb_pi : t
 val pmb_pic : t
-val matrixkv_like : l0_mib:int -> t
 val matrixkv_8 : t
 val matrixkv_80 : t
 val all_variants : t list

@@ -228,8 +228,6 @@ val level_file_count : t -> int -> int
 val user_bytes : t -> int
 val pm_bytes_written : t -> int
 val ssd_bytes_written : t -> int
-val pm_bytes_read : t -> int
-val ssd_bytes_read : t -> int
 
 val write_amplification : t -> float
 (** Device bytes written (PM + SSD) per user byte written. *)

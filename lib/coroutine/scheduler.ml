@@ -125,7 +125,6 @@ let set_client_io t n = t.client_io <- n
 let sanitizer t = t.san
 let workers t = Array.length t.workers
 let switches t = t.switches
-let io_issued t = t.io_issued
 
 let q_flush t =
   match t.policy with

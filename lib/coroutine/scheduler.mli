@@ -49,7 +49,6 @@ val register_metrics : Obs.Registry.t -> ?prefix:string -> t -> unit
     ["sched"]) dotted names. *)
 
 val switches : t -> int
-val io_issued : t -> int
 
 type report = {
   makespan : float;

@@ -158,9 +158,6 @@ let check_manifest engine =
       Option.iter check_region state.wal_region_id);
   List.rev !violations
 
-let check golden engine =
-  check_view golden (view_of_engine engine) @ check_manifest engine
-
 (* The corruption invariant: after injected bit rot, a store may degrade
    — typed errors, damage records, skipped WAL records — but it must never
    crash on a read and never return a silently wrong answer. A mismatch is

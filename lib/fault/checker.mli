@@ -1,20 +1,16 @@
 (** Post-recovery invariant checker.
 
-    Run against a freshly-recovered engine and the {!Golden} model of the
+    Run against a freshly-recovered store and the {!Golden} model of the
     acknowledged history. Checks, in order: every acknowledged write is
     visible with its exact value and no tombstone resurrects (durability);
     the single op in flight at the crash is all-or-nothing (atomicity); the
-    engine shows no key the model never wrote (phantoms); point gets agree
+    store shows no key the model never wrote (phantoms); point gets agree
     with the full-range scan; the iterator walks the same view; and
     everything the manifest names exists on the devices. *)
 
 type violation = { invariant : string; detail : string }
 
 val pp_violation : violation Fmt.t
-
-val check : Golden.t -> Core.Engine.t -> violation list
-(** Empty list = all invariants hold. The engine is read (scans, gets,
-    iterator) but not modified. *)
 
 (** A store under check, as closures — the single engine and the sharded
     router both satisfy it, so the golden-model invariants apply unchanged
@@ -29,9 +25,9 @@ type view = {
 val view_of_engine : Core.Engine.t -> view
 
 val check_view : Golden.t -> view -> violation list
-(** The golden-model invariants of {!check} (durability, atomicity,
-    phantoms, scan/get agreement, iterator agreement) without the
-    engine-specific manifest structural check. *)
+(** The golden-model invariants (durability, atomicity, phantoms,
+    scan/get agreement, iterator agreement); {!check_manifest} adds the
+    structural check, one engine at a time. *)
 
 val check_manifest : Core.Engine.t -> violation list
 (** The structural check alone: everything the engine's manifest (under

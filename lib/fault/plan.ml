@@ -233,8 +233,7 @@ let target_site = function
   | Wal_bytes -> "corrupt.wal"
   | Manifest_bytes -> "corrupt.manifest"
 
-let inject_corruption t ~pm ~ssd ?wal ?(wals = []) ~target ~mode () =
-  let wals = match wal with Some w -> w :: wals | None -> wals in
+let inject_corruption t ~pm ~ssd ~wals ~target ~mode () =
   let len = corruption_len mode in
   let dev_mode = match mode with Bit_flip -> `Flip | Zero_range _ -> `Zero in
   let pick_off size = if size <= len then 0 else Util.Xoshiro.int t.rng (size - len + 1) in

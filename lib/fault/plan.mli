@@ -7,7 +7,7 @@
     ([crash_at]) raises {!Crashed} at exactly the Nth global hit, and
     rules inject non-fatal faults at specific hits of a specific site.
     All randomness is seeded, so the same seed replays the same site
-    sequence — the foundation of {!Crash_sweep}. *)
+    sequence — the foundation of the crash sweep ([Shard.Sweep]). *)
 
 type action =
   | Crash  (** raise {!Crashed} at the site *)
@@ -59,7 +59,6 @@ val stats : t -> stats
 val global_hits : t -> int
 (** Total site hits so far, across all sites. *)
 
-val site_hit_count : t -> string -> int
 val sites : t -> (string * int) list
 (** Per-site hit counts, sorted by site name. *)
 
@@ -116,8 +115,7 @@ val inject_corruption :
   t ->
   pm:Pmem.t ->
   ssd:Ssd.t ->
-  ?wal:Core.Wal.t ->
-  ?wals:Core.Wal.t list ->
+  wals:Core.Wal.t list ->
   target:corruption_target ->
   mode:corruption_mode ->
   unit ->
@@ -125,8 +123,8 @@ val inject_corruption :
 (** Corrupt one seeded victim of [target]'s kind (the plan's RNG picks the
     victim and offset, so a seed reproduces the same damage). Counts in
     [stats.injected]. [None] when no eligible victim exists — e.g. no live
-    PM regions yet, or no WAL handle supplied. Pass every live log via
-    [wal]/[wals] (a sharded system has one per shard): [Pm_table_bytes]
+    PM regions yet, or no WAL handle supplied. Pass every live log in
+    [wals] (a sharded system has one per shard): [Pm_table_bytes]
     must not mistake a WAL ring for a table, [Sstable_bytes] must not
     mistake any superblock chain, named or unnamed, for a data file, and
     [Wal_bytes]/[Manifest_bytes] pick a seeded victim among all rings /

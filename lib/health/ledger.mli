@@ -26,9 +26,6 @@ val failed : t -> int
 val deadline_miss : t -> int
 val total : t -> int
 
-val within_deadline : t -> int
-(** Operations that produced a timely, well-typed answer. *)
-
 val deadline_ok_ratio : t -> float
 (** [within_deadline / total]; 1.0 on an empty ledger. *)
 

@@ -34,7 +34,6 @@ let observe t latency_ns =
 
 let samples t = t.samples
 let baseline t = t.baseline
-let ewma t = t.ewma
 let warmed_up t = t.baseline > 0.0
 
 let slow_factor t =

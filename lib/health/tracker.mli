@@ -17,8 +17,6 @@ val samples : t -> int
 val baseline : t -> float
 (** Frozen healthy-self baseline; 0.0 until warmed up. *)
 
-val ewma : t -> float
-
 val warmed_up : t -> bool
 (** True once the baseline is frozen. *)
 

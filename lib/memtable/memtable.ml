@@ -25,8 +25,6 @@ type t = {
   mutable level : int;
   mutable count : int;
   mutable bytes : int;
-  mutable min_seq : int;
-  mutable max_seq : int;
   dram_access_ns : float;
 }
 
@@ -40,15 +38,12 @@ let create ?(dram_access_ns = dram_access_ns_default) ?(seed = 42) clock =
     level = 1;
     count = 0;
     bytes = 0;
-    min_seq = max_int;
-    max_seq = min_int;
     dram_access_ns;
   }
 
 let count t = t.count
 let byte_size t = t.bytes
 let is_empty t = t.count = 0
-let seq_range t = if t.count = 0 then None else Some (t.min_seq, t.max_seq)
 
 let charge t n = Sim.Clock.advance t.clock (float_of_int n *. t.dram_access_ns)
 
@@ -105,8 +100,6 @@ let insert t entry =
   done;
   t.count <- t.count + 1;
   t.bytes <- t.bytes + Util.Kv.encoded_size entry;
-  if entry.seq < t.min_seq then t.min_seq <- entry.seq;
-  if entry.seq > t.max_seq then t.max_seq <- entry.seq;
   charge t (!touched + level)
 
 (* First node in order with node.entry >= probe (probe = (key, max_int) for

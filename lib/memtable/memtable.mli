@@ -13,7 +13,6 @@ val byte_size : t -> int
     the configured memtable limit (64 MB in the paper, scaled here). *)
 
 val is_empty : t -> bool
-val seq_range : t -> (int * int) option
 
 val insert : t -> Util.Kv.entry -> unit
 

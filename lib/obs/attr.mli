@@ -40,7 +40,6 @@ type phase =
 
 type op_kind = Read | Write | Scan
 
-val all_phases : phase list
 val phase_name : phase -> string
 val kind_name : op_kind -> string
 

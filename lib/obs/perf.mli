@@ -42,5 +42,4 @@ val compare_docs : ?default:rule -> rules:rule list -> Json.t -> Json.t -> repor
 val passed : report -> bool
 
 val status_name : status -> string
-val pp_result : result Fmt.t
 val pp_report : report Fmt.t

@@ -19,8 +19,6 @@ type t = {
   data_len : int;
   min_key : string;
   max_key : string;
-  min_seq : int;
-  max_seq : int;
   payload_bytes : int;  (* uncompressed logical size *)
 }
 
@@ -39,13 +37,10 @@ let build dev (entries : Util.Kv.entry array) =
   done;
   let payload = Buffer.create 4096 in
   let offsets = Array.make n 0 in
-  let min_seq = ref max_int and max_seq = ref min_int in
   Array.iteri
     (fun i e ->
       offsets.(i) <- Buffer.length payload;
-      Util.Kv.encode payload e;
-      if e.Util.Kv.seq < !min_seq then min_seq := e.seq;
-      if e.seq > !max_seq then max_seq := e.seq)
+      Util.Kv.encode payload e)
     entries;
   charge_cpu dev (float_of_int n *. encode_cpu_ns);
   let data_len = Buffer.length payload in
@@ -64,8 +59,6 @@ let build dev (entries : Util.Kv.entry array) =
     data_len;
     min_key = entries.(0).key;
     max_key = entries.(n - 1).key;
-    min_seq = !min_seq;
-    max_seq = !max_seq;
     payload_bytes = data_len;
   }
 
@@ -74,7 +67,6 @@ let byte_size t = Pmem.region_len t.region
 let payload_bytes t = t.payload_bytes
 let min_key t = t.min_key
 let max_key t = t.max_key
-let seq_range t = (t.min_seq, t.max_seq)
 let free t = Pmem.free t.dev t.region
 let region_id t = Pmem.region_id t.region
 

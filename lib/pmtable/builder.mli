@@ -6,8 +6,6 @@
 
 type t
 
-val default_chunk : int
-
 val chaos_skip_flush : bool ref
 (** Planted-bug kill switch for sanitizer tests: drop the clwb of spilled
     chunks, proving pmsan reports the seal. Default [false]; never set

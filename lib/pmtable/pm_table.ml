@@ -64,8 +64,6 @@ type t = {
   meta_crc : int;
   min_key : string;
   max_key : string;
-  min_seq : int;
-  max_seq : int;
   payload_bytes : int;  (* uncompressed logical size *)
 }
 
@@ -361,8 +359,6 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
     meta_crc;
     min_key = entries.(0).key;
     max_key = entries.(n - 1).key;
-    min_seq = !min_seq;
-    max_seq = !max_seq;
     payload_bytes = !payload;
   }
 
@@ -371,10 +367,8 @@ let byte_size t = Pmem.region_len t.region
 let payload_bytes t = t.payload_bytes
 let min_key t = t.min_key
 let max_key t = t.max_key
-let seq_range t = (t.min_seq, t.max_seq)
 let free t = Pmem.free t.dev t.region
 let region_id t = Pmem.region_id t.region
-let group_count t = t.group_count
 
 type record = { slot : string; offset : int; count_ : int; shared : int; meta_idx : int }
 
@@ -506,8 +500,9 @@ let open_existing dev region =
         { tag; g_lo; g_hi })
   in
   let count, p = Util.Varint.read meta_raw !pos in
-  let min_seq, p = Util.Varint.read meta_raw p in
-  let max_seq, p = Util.Varint.read meta_raw p in
+  (* the persisted min/max seq: part of the format, read by nothing *)
+  let _min_seq, p = Util.Varint.read meta_raw p in
+  let _max_seq, p = Util.Varint.read meta_raw p in
   let payload_bytes, p = Util.Varint.read meta_raw p in
   let bloom =
     if format_version < 2 then None
@@ -532,8 +527,6 @@ let open_existing dev region =
       meta_crc;
       min_key = "";
       max_key = "";
-      min_seq;
-      max_seq;
       payload_bytes;
     }
   in

@@ -7,8 +7,6 @@
 
 type t
 
-val default_prefix_len : int
-
 val build :
   ?group_size:int ->
   ?prefix_len:int ->
@@ -47,15 +45,12 @@ val max_group_bytes : int
     {!Sstable.default_block_bytes}, so a PM point read decodes no more
     than an SSD one. *)
 
-val group_count : t -> int
-
 val groups : t -> (int * int) list
 (** Entry count and entry-layer bytes of every group, in order (reads each
     prefix record once). *)
 
 val min_key : t -> string
 val max_key : t -> string
-val seq_range : t -> int * int
 val free : t -> unit
 
 val get : ?use_bloom:bool -> t -> string -> Util.Kv.entry option
@@ -74,14 +69,9 @@ val group_reads : int ref
 (** Module-wide telemetry: group extents read and decoded. A point
     {!get} reads at most one per tag run that can hold the key. *)
 
-val default_bloom_bits_per_key : int
-
 val iter : t -> (Util.Kv.entry -> unit) -> unit
 val to_list : t -> Util.Kv.entry list
 val range : t -> start:string -> stop:string -> (Util.Kv.entry -> unit) -> unit
-
-val extract_tag : string -> string
-(** The {tableID} tag stored in the meta layer (exposed for tests). *)
 
 val region_id : t -> int
 (** The PM region id, manifest-stable across restarts. *)

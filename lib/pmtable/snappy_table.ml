@@ -30,8 +30,6 @@ type t = {
   data_len : int;
   min_key : string;
   max_key : string;
-  min_seq : int;
-  max_seq : int;
   payload_bytes : int;
 }
 
@@ -62,7 +60,7 @@ let build ?(mode = Per_pair) dev (entries : Util.Kv.entry array) =
   let chunk_count = (n + members - 1) / members in
   let data = Buffer.create 4096 in
   let offsets = Array.make chunk_count 0 in
-  let min_seq = ref max_int and max_seq = ref min_int and payload = ref 0 in
+  let payload = ref 0 in
   for c = 0 to chunk_count - 1 do
     offsets.(c) <- Buffer.length data;
     let lo = c * members and hi = min n ((c + 1) * members) in
@@ -70,9 +68,7 @@ let build ?(mode = Per_pair) dev (entries : Util.Kv.entry array) =
     for i = lo to hi - 1 do
       let e = entries.(i) in
       Util.Kv.encode raw e;
-      payload := !payload + Util.Kv.encoded_size e;
-      if e.Util.Kv.seq < !min_seq then min_seq := e.seq;
-      if e.seq > !max_seq then max_seq := e.seq
+      payload := !payload + Util.Kv.encoded_size e
     done;
     let raw = Buffer.contents raw in
     charge_compress dev (String.length raw);
@@ -97,8 +93,6 @@ let build ?(mode = Per_pair) dev (entries : Util.Kv.entry array) =
     data_len;
     min_key = entries.(0).key;
     max_key = entries.(n - 1).key;
-    min_seq = !min_seq;
-    max_seq = !max_seq;
     payload_bytes = !payload;
   }
 
@@ -107,7 +101,6 @@ let byte_size t = Pmem.region_len t.region
 let payload_bytes t = t.payload_bytes
 let min_key t = t.min_key
 let max_key t = t.max_key
-let seq_range t = (t.min_seq, t.max_seq)
 let free t = Pmem.free t.dev t.region
 let region_id t = Pmem.region_id t.region
 

@@ -17,7 +17,6 @@ val byte_size : t -> int
 val payload_bytes : t -> int
 val min_key : t -> string
 val max_key : t -> string
-val seq_range : t -> int * int
 val free : t -> unit
 
 val get : t -> string -> Util.Kv.entry option

@@ -55,11 +55,6 @@ let max_key = function
   | Array t -> Array_table.max_key t
   | Snappy t -> Snappy_table.max_key t
 
-let seq_range = function
-  | Pm t -> Pm_table.seq_range t
-  | Array t -> Array_table.seq_range t
-  | Snappy t -> Snappy_table.seq_range t
-
 let free = function
   | Pm t -> Pm_table.free t
   | Array t -> Array_table.free t

@@ -34,9 +34,6 @@ val recover : ?boundaries:string list -> Core.Config.t -> pm:Pmem.t -> ssd:Ssd.t
     then reclaims the union's orphans: structures referenced by no
     shard's manifest, WAL ring, quarantine list, or superblock slot. *)
 
-val default_boundaries : int -> string list
-(** Byte-uniform fallback split used when [create] gets no boundaries. *)
-
 val ycsb_boundaries : records:int -> shards:int -> string list
 (** Equal-population split of the YCSB key space ([Util.Keys.ycsb_key]). *)
 

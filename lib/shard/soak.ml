@@ -375,7 +375,7 @@ let check_full st =
       st.violations;
   st.violations <-
     List.rev_append
-      (Fault.Crash_sweep.sanitizer_violations (Router.pm st.router))
+      (Sweep.sanitizer_violations (Router.pm st.router))
       st.violations
 
 (* --- Episodes ------------------------------------------------------------ *)
@@ -439,14 +439,14 @@ let crash_and_recover st ~double ~round =
   if double then st.double_crashes <- st.double_crashes + 1;
   let pm = Router.pm st.router and ssd = Router.ssd st.router in
   let clock = Router.clock st.router in
-  Fault.Crash_sweep.crash ~torn_seed:(st.cfg.seed + (7919 * round)) ~pm ~ssd ();
+  Sweep.crash ~torn_seed:(st.cfg.seed + (7919 * round)) ~pm ~ssd ();
   let t0 = Sim.Clock.now clock in
   (* with [double], the recovery itself is cut at a seeded early site, the
      half-recovered image crashes again, and a clean second recovery is
      demanded *)
   let recovered =
-    Fault.Crash_sweep.recover ~stats:st.stats ~double ~salt:0x50AC ~seed:st.cfg.seed
-      round ~pm ~ssd (fun () ->
+    Sweep.recover ~stats:st.stats ~double ~salt:0x50AC ~seed:st.cfg.seed round ~pm
+      ~ssd (fun () ->
         Router.recover ~boundaries:st.cfg.boundaries st.cfg.router_config ~pm ~ssd)
   in
   st.stats.Fault.Plan.recoveries <- st.stats.Fault.Plan.recoveries + 1;

@@ -20,4 +20,3 @@ val encode : Buffer.t -> entry -> unit
 val decode : string -> int -> entry * int
 
 val pp : entry Fmt.t
-val pp_kind : kind Fmt.t

@@ -11,9 +11,6 @@ val create : int -> t
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
-val next_int : t -> int
-(** Next non-negative (62-bit) integer. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. Raises [Invalid_argument] when
     [bound <= 0]. *)

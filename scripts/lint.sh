@@ -27,6 +27,12 @@
 #      bench/, benchmark/ or examples/ other than the module's own names
 #      it. A module that only test/ reaches is code the store never runs,
 #      and its tests check nothing the store does.
+#   8. Every val in a lib/ .mli is named by some .ml/.mli of lib/, bin/,
+#      bench/, benchmark/, examples/ or test/ other than its own module's
+#      two files. An export only its own module names is internal and
+#      belongs out of the interface. Like rule 7 it matches by name, so
+#      it is a floor, not a proof: a common name passes wherever it
+#      appears.
 #
 # Exits non-zero with a file:line listing on any violation.
 
@@ -102,6 +108,26 @@ for ml in lib/*/*.ml; do
 "
 done
 printf '%s' "$uncalled" | complain "every lib/ module needs a caller outside test/"
+
+# 8. every exported val is named outside its own module. One pass: the
+#    (file, word) pairs of the tree, then each .mli val checked against
+#    them.
+{
+  grep -oE "^[[:space:]]*val [a-z_][A-Za-z0-9_']*" lib/*/*.mli \
+    | sed -E 's/:[[:space:]]*val /:/; s/^/V:/'
+  grep -roE "[A-Za-z_][A-Za-z0-9_']*" lib bin bench benchmark examples test \
+      --include='*.ml' --include='*.mli' \
+    | sort -u | sed 's/^/W:/'
+} | awk -F: '
+  $1 == "W" { files[$3]++; has[$2 ":" $3] = 1; next }
+  { vals[$2 ":" $3] = 1 }
+  END {
+    for (k in vals) {
+      split(k, p, ":"); mli = p[1]; v = p[2]; ml = substr(mli, 1, length(mli) - 1)
+      if (files[v] - has[ml ":" v] - has[mli ":" v] <= 0)
+        print mli ": val " v " (named only by its own module)"
+    }
+  }' | sort | complain "every exported val needs a user outside its own module"
 
 if [ -s "$failmark" ]; then
   echo "lint: FAILED" >&2

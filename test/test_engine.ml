@@ -220,7 +220,9 @@ let test_trivial_move () =
   let cfg =
     { (small Core.Config.pmblade) with Core.Config.durable = true; partition_count = 1 }
   in
-  let eng = Fault.Crash_sweep.fresh_engine cfg in
+  let eng = Core.Engine.create cfg in
+  Pmem.enable_crash_mode (Core.Engine.pm eng);
+  Ssd.enable_crash_mode (Core.Engine.ssd eng);
   let key i = Printf.sprintf "key%05d" i in
   let tables () =
     List.filter
@@ -254,7 +256,7 @@ let test_trivial_move () =
   let all e = Core.Engine.scan_range e ~start:"" ~stop:"\xff" in
   let contents = all eng in
   let pm = Core.Engine.pm eng and ssd = Core.Engine.ssd eng in
-  Fault.Crash_sweep.crash ~pm ~ssd ();
+  Shard.Sweep.crash ~pm ~ssd ();
   let recovered = Core.Engine.recover cfg ~pm ~ssd in
   check Alcotest.(list (pair string string)) "contents survive the crash" contents
     (all recovered);

@@ -1,5 +1,5 @@
 (* Tests for the fault-injection & crash-consistency subsystem: plan
-   determinism, the crash sweep holding a healthy engine to zero
+   determinism, the crash sweep holding a healthy one-shard router to zero
    violations, and — the subsystem's own acceptance test — the sweep
    catching durability bugs deliberately planted through fault rules. *)
 
@@ -18,74 +18,75 @@ let durable_config () =
 (* 300 ops over 64 keys: enough to flush the 4 KiB memtable mid-run, so PM
    table builds (pm.flush/pm.drain sites) land inside the sweep range, not
    only at the explicit tail flush. *)
-let small_sweep_config ?rules () =
-  Fault.Crash_sweep.(config ?rules ~seed:7 (engine (durable_config ())))
+let small_sweep_config ?rules () = Shard.Sweep.config ?rules ~seed:7 (durable_config ())
 
 (* --- plan mechanics --- *)
 
 let test_site_counting_deterministic () =
   let cfg = small_sweep_config () in
-  let a = Fault.Crash_sweep.count_sites cfg in
-  let b = Fault.Crash_sweep.count_sites cfg in
+  let a = Shard.Sweep.count_sites cfg in
+  let b = Shard.Sweep.count_sites cfg in
   check Alcotest.int "same seed, same site count" a b;
   check Alcotest.bool "workload reaches many sites" true (a > 100)
 
 let test_nondurable_config_rejected () =
   check Alcotest.bool "raises" true
     (try
-       ignore (Fault.Crash_sweep.engine Core.Config.pmblade);
+       ignore (Shard.Sweep.config Core.Config.pmblade);
        false
      with Invalid_argument _ -> true)
 
 let test_crash_point_reproducible () =
   let cfg = small_sweep_config () in
-  let p1 = Fault.Crash_sweep.run_crash_at cfg 25 in
-  let p2 = Fault.Crash_sweep.run_crash_at cfg 25 in
+  let p1 = Shard.Sweep.run_crash_at cfg 25 in
+  let p2 = Shard.Sweep.run_crash_at cfg 25 in
   check
     (Alcotest.option Alcotest.string)
-    "same crash site" p1.Fault.Crash_sweep.crash_site
-    p2.Fault.Crash_sweep.crash_site;
-  check Alcotest.bool "both recovered" true
-    (p1.Fault.Crash_sweep.recovered && p2.Fault.Crash_sweep.recovered)
+    "same crash site" p1.Shard.Sweep.crash_site p2.Shard.Sweep.crash_site;
+  check Alcotest.bool "both recovered" true (p1.recovered && p2.recovered)
 
-(* --- the sweep on a healthy engine: zero violations everywhere --- *)
+(* --- the sweep on a healthy store: zero violations everywhere --- *)
 
 let test_sweep_all_sites_clean () =
   let cfg = small_sweep_config () in
   let stats = Fault.Plan.make_stats () in
-  let report = Fault.Crash_sweep.sweep ~stats cfg in
-  if not (Fault.Crash_sweep.clean report) then
-    Alcotest.failf "sweep found violations:@.%a" Fault.Crash_sweep.pp_report
+  let report = Shard.Sweep.sweep ~stats cfg in
+  if not (Shard.Sweep.clean report) then
+    Alcotest.failf "sweep found violations:@.%a" Shard.Sweep.pp_report
       report;
-  check Alcotest.int "every point recovered" report.Fault.Crash_sweep.total_sites
+  check Alcotest.int "every point recovered" report.Shard.Sweep.total_sites
     stats.Fault.Plan.recoveries;
   check Alcotest.bool "crashes counted" true
-    (stats.Fault.Plan.crashes >= report.Fault.Crash_sweep.total_sites)
+    (stats.Fault.Plan.crashes >= report.Shard.Sweep.total_sites)
 
 (* A tiny PM device: 8 KiB for level-0 and the WAL ring, 256-byte
-   memtables and no compaction trigger, so every major compaction is the
-   policy making room. The workload runs flushes and splits out of PM
-   part-way, which must leave level-0 as it was. *)
+   memtables, no compaction trigger and admission limits out of reach, so
+   every major compaction is the policy making room, never a relief step.
+   The workload runs flushes and splits out of PM part-way, which must
+   leave level-0 as it was. *)
 let tiny_pm_config () =
   {
     (durable_config ()) with
     Core.Config.memtable_bytes = 256;
     l0_strategy = Core.Config.Conventional { max_tables = None; max_bytes = None };
     pm_params = { Core.Config.pmblade.Core.Config.pm_params with Pmem.capacity = 8 * 1024 };
+    admission_soft_tables = max_int;
+    admission_hard_tables = max_int;
   }
 
 let test_sweep_tiny_pm () =
-  let cfg = Fault.Crash_sweep.(config ~seed:7 (engine (tiny_pm_config ()))) in
-  let engine = Fault.Crash_sweep.fresh_engine (tiny_pm_config ()) in
-  Fault.Crash_sweep.run_ops ~seed:cfg.Fault.Crash_sweep.seed ~ops:cfg.Fault.Crash_sweep.ops
-    ~keyspace:cfg.Fault.Crash_sweep.keyspace ~value_len:cfg.Fault.Crash_sweep.value_len
-    (Fault.Golden.create ()) (Fault.Crash_sweep.of_engine engine);
+  let cfg = Shard.Sweep.config ~seed:7 (tiny_pm_config ()) in
+  let router = Shard.Sweep.fresh cfg in
+  Shard.Sweep.run_ops cfg (Fault.Golden.create ()) router;
+  let engine = (Shard.Router.engines router).(0) in
+  check Alcotest.int "no relief step ran" 0 (Shard.Router.relief_steps router);
+  check Alcotest.int "no write stalled" 0 (Shard.Router.stall_count router);
   check Alcotest.bool "the workload makes room" true
     ((Core.Engine.metrics engine).Core.Metrics.major_compactions > 0);
   check Alcotest.bool "and splits" true (Array.length (Core.Engine.partitions engine) > 1);
-  let report = Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample 25) cfg in
-  if not (Fault.Crash_sweep.clean report) then
-    Alcotest.failf "tiny-PM sweep found violations:@.%a" Fault.Crash_sweep.pp_report report
+  let report = Shard.Sweep.sweep ~selection:(Shard.Sweep.Sample 25) cfg in
+  if not (Shard.Sweep.clean report) then
+    Alcotest.failf "tiny-PM sweep found violations:@.%a" Shard.Sweep.pp_report report
 
 (* --- planted bugs must be caught --- *)
 
@@ -94,10 +95,10 @@ let test_sweep_tiny_pm () =
    must not depend on a sample getting lucky. *)
 let sweep_with_bug rules =
   let cfg = small_sweep_config ~rules () in
-  Fault.Crash_sweep.sweep cfg
+  Shard.Sweep.sweep cfg
 
-let violations report =
-  List.concat_map (fun p -> p.Fault.Crash_sweep.violations) report.Fault.Crash_sweep.points
+let violations (report : Shard.Sweep.report) =
+  List.concat_map (fun (p : Shard.Sweep.point) -> p.violations) report.points
 
 let is_sanitizer v = v.Fault.Checker.invariant = "sanitizer"
 
@@ -109,7 +110,7 @@ let test_wal_sync_loss_caught () =
     sweep_with_bug [ ("wal.sync", Fault.Plan.Every, Fault.Plan.Wal_sync_loss) ]
   in
   check Alcotest.bool "durability bug detected" true
-    (Fault.Crash_sweep.violation_count report > 0);
+    (Shard.Sweep.violation_count report > 0);
   check Alcotest.bool "pmsan silent on the injected fault" true
     (not (List.exists is_sanitizer (violations report)))
 
@@ -134,7 +135,7 @@ let test_pm_drop_flush_caught () =
     sweep_with_bug [ ("pm.flush", Fault.Plan.Every, Fault.Plan.Pm_drop_flush) ]
   in
   check Alcotest.bool "missing-flush bug detected" true
-    (Fault.Crash_sweep.violation_count report > 0)
+    (Shard.Sweep.violation_count report > 0)
 
 (* --- transient I/O errors: retried, not fatal --- *)
 
@@ -189,7 +190,7 @@ let test_pm_table_target_skips_rings () =
   for seed = 1 to 200 do
     let plan = Fault.Plan.create seed in
     match
-      Fault.Plan.inject_corruption plan ~pm ~ssd ~wal ~target:Fault.Plan.Pm_table_bytes
+      Fault.Plan.inject_corruption plan ~pm ~ssd ~wals:[ wal ] ~target:Fault.Plan.Pm_table_bytes
         ~mode:Fault.Plan.Bit_flip ()
     with
     | Some c ->
@@ -207,7 +208,7 @@ let test_wal_target_hits_durable_ring_bytes () =
   for seed = 1 to 50 do
     let plan = Fault.Plan.create seed in
     match
-      Fault.Plan.inject_corruption plan ~pm ~ssd ~wal ~target:Fault.Plan.Wal_bytes
+      Fault.Plan.inject_corruption plan ~pm ~ssd ~wals:[ wal ] ~target:Fault.Plan.Wal_bytes
         ~mode:(Fault.Plan.Zero_range 16) ()
     with
     | Some c ->

@@ -194,22 +194,25 @@ let test_scrubber_sees_manifest_rot () =
 
 (* --- Corruption sweep ------------------------------------------------------- *)
 
-let sweep_config points =
-  Fault.Corruption_sweep.config ~seed:17 ~ops:250 ~points small_config
+(* Each sweep runs on a one-shard and a two-shard router: with several
+   shards every point scrubs each shard, under its own manifest root. *)
+let sweep_config ~shards =
+  Shard.Sweep.config ~seed:17 ~ops:250 { small_config with Core.Config.shard_count = shards }
 
-let test_corruption_sweep_clean () =
-  let report = Fault.Corruption_sweep.sweep (sweep_config 8) in
-  check Alcotest.int "no skipped points" 0 report.Fault.Corruption_sweep.skipped;
-  check Alcotest.bool "sweep clean" true (Fault.Corruption_sweep.clean report);
+let test_corruption_sweep_clean ~shards () =
+  let report = Shard.Sweep.corruption_sweep ~points:8 (sweep_config ~shards) in
+  check Alcotest.int "no skipped points" 0 report.skipped;
+  if not (Shard.Sweep.corruption_clean report) then
+    Alcotest.failf "corruption sweep not clean:@.%a" Shard.Sweep.pp_corruption_report report;
   List.iter
-    (fun (p : Fault.Corruption_sweep.point) ->
-      check Alcotest.bool "every injection detected" true p.Fault.Corruption_sweep.detected)
-    report.Fault.Corruption_sweep.points
+    (fun (p : Shard.Sweep.corruption_point) ->
+      check Alcotest.bool "every injection detected" true p.detected)
+    report.points
 
 (* The falsification half: disable checksum verification — the exact
    "skip the verify" regression this subsystem exists to catch — and the
    sweep must come back dirty. *)
-let test_corruption_sweep_catches_planted_bug () =
+let test_corruption_sweep_catches_planted_bug ~shards () =
   Fun.protect
     ~finally:(fun () ->
       Pmtable.Pm_table.verify_checksums := true;
@@ -217,11 +220,12 @@ let test_corruption_sweep_catches_planted_bug () =
     (fun () ->
       Pmtable.Pm_table.verify_checksums := false;
       Sstable.verify_checksums := false;
-      let report = Fault.Corruption_sweep.sweep (sweep_config 8) in
-      check Alcotest.bool "planted bug caught" true
-        (not (Fault.Corruption_sweep.clean report));
+      let report = Shard.Sweep.corruption_sweep ~points:8 (sweep_config ~shards) in
+      check Alcotest.bool "planted bug caught" true (not (Shard.Sweep.corruption_clean report));
       check Alcotest.bool "violations reported" true
-        (Fault.Corruption_sweep.violation_count report > 0))
+        (List.exists
+           (fun (p : Shard.Sweep.corruption_point) -> p.violations <> [])
+           report.points))
 
 let () =
   Alcotest.run "integrity"
@@ -251,8 +255,12 @@ let () =
       ( "sweep",
         [
           Alcotest.test_case "clean on a healthy stack" `Quick
-            test_corruption_sweep_clean;
+            (test_corruption_sweep_clean ~shards:1);
+          Alcotest.test_case "clean on a healthy 2-shard stack" `Quick
+            (test_corruption_sweep_clean ~shards:2);
           Alcotest.test_case "catches planted verify-skip bug" `Quick
-            test_corruption_sweep_catches_planted_bug;
+            (test_corruption_sweep_catches_planted_bug ~shards:1);
+          Alcotest.test_case "catches planted verify-skip bug on 2 shards" `Quick
+            (test_corruption_sweep_catches_planted_bug ~shards:2);
         ] );
     ]

@@ -72,17 +72,6 @@ let test_charges_clock () =
   ignore (Memtable.get mt "50");
   check Alcotest.bool "reads charge time" true (Sim.Clock.now clock > t1)
 
-let test_seq_range () =
-  let _, mt = make () in
-  check (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int)) "empty" None
-    (Memtable.seq_range mt);
-  Memtable.insert mt (Util.Kv.entry ~key:"a" ~seq:5 "v");
-  Memtable.insert mt (Util.Kv.entry ~key:"b" ~seq:2 "v");
-  Memtable.insert mt (Util.Kv.entry ~key:"c" ~seq:9 "v");
-  check
-    (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int))
-    "min/max" (Some (2, 9)) (Memtable.seq_range mt)
-
 (* Model-based property: a random op sequence agrees with a reference map
    keyed on newest-seq-wins. *)
 let prop_model_equivalence =
@@ -129,7 +118,6 @@ let () =
           Alcotest.test_case "range" `Quick test_range;
           Alcotest.test_case "byte size" `Quick test_byte_size_tracks;
           Alcotest.test_case "charges clock" `Quick test_charges_clock;
-          Alcotest.test_case "seq range" `Quick test_seq_range;
           qtest prop_model_equivalence;
           qtest prop_to_list_count;
         ] );

@@ -301,19 +301,19 @@ let test_sweep_sites_invariant_under_pipeline () =
       pipeline_compaction = on;
     }
   in
-  let sweep_config on = Fault.Crash_sweep.(config ~seed:7 ~ops:120 (engine (durable on))) in
+  let sweep_config on = Shard.Sweep.config ~seed:7 ~ops:120 (durable on) in
   let cfg_on = sweep_config true and cfg_off = sweep_config false in
-  let sites_on = Fault.Crash_sweep.count_sites cfg_on in
-  let sites_off = Fault.Crash_sweep.count_sites cfg_off in
+  let sites_on = Shard.Sweep.count_sites cfg_on in
+  let sites_off = Shard.Sweep.count_sites cfg_off in
   check Alcotest.int "same crash sites either way" sites_off sites_on;
   (* spot-check a few legs of the pipelined sweep end to end *)
   List.iter
     (fun n ->
-      let p = Fault.Crash_sweep.run_crash_at cfg_on (n mod max 1 sites_on) in
+      let p = Shard.Sweep.run_crash_at cfg_on (n mod max 1 sites_on) in
       check Alcotest.bool
         (Printf.sprintf "leg %d recovered clean" n)
         true
-        (p.Fault.Crash_sweep.recovered && p.Fault.Crash_sweep.violations = []))
+        (p.Shard.Sweep.recovered && p.violations = []))
     [ 3; sites_on / 2; sites_on - 2 ]
 
 let () =

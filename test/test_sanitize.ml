@@ -231,28 +231,27 @@ let test_sweep_reports_sanitizer_violations () =
      must surface as "sanitizer" invariant violations on legs that build a
      PM table before the crash *)
   let cfg =
-    Fault.Crash_sweep.config ~ops:120
-      (Fault.Crash_sweep.engine
-         {
-           Core.Config.pmblade with
-           Core.Config.memtable_bytes = 2 * 1024;
-           l0_run_table_bytes = 4 * 1024;
-           level_base_bytes = 32 * 1024;
-           sstable_target_bytes = 8 * 1024;
-           durable = true;
-         })
+    Shard.Sweep.config ~ops:120
+      {
+        Core.Config.pmblade with
+        Core.Config.memtable_bytes = 2 * 1024;
+        l0_run_table_bytes = 4 * 1024;
+        level_base_bytes = 32 * 1024;
+        sstable_target_bytes = 8 * 1024;
+        durable = true;
+      }
   in
-  let total = Fault.Crash_sweep.count_sites cfg in
+  let total = Shard.Sweep.count_sites cfg in
   (* crash beyond the last site: the full workload (including the tail
      flush that builds PM tables) runs, then the plug is pulled *)
   let p =
     with_chaos Pmtable.Builder.chaos_skip_flush (fun () ->
-        Fault.Crash_sweep.run_crash_at cfg (total + 1))
+        Shard.Sweep.run_crash_at cfg (total + 1))
   in
   check Alcotest.bool "sanitizer violations surfaced" true
     (List.exists
        (fun v -> v.Fault.Checker.invariant = "sanitizer")
-       p.Fault.Crash_sweep.violations)
+       p.Shard.Sweep.violations)
 
 (* ---------- the zero-findings bar: unmodified engine ---------- *)
 

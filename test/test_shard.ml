@@ -112,7 +112,7 @@ let test_recover_all_shards () =
   let keys = List.init 40 (fun i -> Printf.sprintf "%c%02d" (Char.chr (Char.code 'a' + (i mod 26))) i) in
   List.iter (fun key -> put r ~key ("v:" ^ key)) keys;
   let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
-  Fault.Crash_sweep.crash ~pm ~ssd ();
+  Shard.Sweep.crash ~pm ~ssd ();
   let r2 = Shard.Router.recover ~boundaries cfg ~pm ~ssd in
   List.iter
     (fun key ->
@@ -149,7 +149,7 @@ let test_batch_crash_atomicity () =
     Core.Engine.put engines.(1) ~key:(Printf.sprintf "z%02d" i) "staged"
   done;
   let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
-  Fault.Crash_sweep.crash ~pm ~ssd ();
+  Shard.Sweep.crash ~pm ~ssd ();
   let r2 = Shard.Router.recover ~boundaries cfg ~pm ~ssd in
   for i = 0 to 9 do
     check Alcotest.(option string) "synced write survives" (Some "synced")
@@ -211,7 +211,7 @@ let test_group_commit_durable_after_ack () =
   let r = crashable_router cfg ~boundaries in
   ignore (run_batched_clients r ~clients:6 ~per_client:4);
   let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
-  Fault.Crash_sweep.crash ~pm ~ssd ();
+  Shard.Sweep.crash ~pm ~ssd ();
   let r2 = Shard.Router.recover ~boundaries cfg ~pm ~ssd in
   check Alcotest.int "every acked write recovered" 24
     (List.length (Shard.Router.scan_range r2 ~start:"" ~stop:"\xff"))
@@ -706,7 +706,7 @@ let check_orphan_gc ~pm ~ssd ~engines ~put ~flush ~recover =
     Ssd.seal ssd f;
     Ssd.file_id f
   in
-  Fault.Crash_sweep.crash ~pm ~ssd ();
+  Shard.Sweep.crash ~pm ~ssd ();
   recover ();
   check Alcotest.bool "planted region freed" true (Pmem.find_region pm planted_region = None);
   check Alcotest.bool "planted file deleted" true (Ssd.find_file ssd planted_file = None);
@@ -717,8 +717,10 @@ let check_orphan_gc ~pm ~ssd ~engines ~put ~flush ~recover =
 
 let test_orphan_gc_engine () =
   let cfg = base_config ~shards:1 ~durable:true () in
-  let e = Fault.Crash_sweep.fresh_engine cfg in
+  let e = Core.Engine.create cfg in
   let pm = Core.Engine.pm e and ssd = Core.Engine.ssd e in
+  Pmem.enable_crash_mode pm;
+  Ssd.enable_crash_mode ssd;
   check_orphan_gc ~pm ~ssd
     ~engines:(fun () -> [ e ])
     ~put:(fun ~key value -> Core.Engine.put e ~key value)
@@ -765,15 +767,15 @@ let sweep_config ?rules () =
 
 let test_sweep_sites_deterministic () =
   let cfg = sweep_config () in
-  let a = Fault.Crash_sweep.count_sites cfg in
-  check Alcotest.int "same seed, same sites" a (Fault.Crash_sweep.count_sites cfg);
+  let a = Shard.Sweep.count_sites cfg in
+  check Alcotest.int "same seed, same sites" a (Shard.Sweep.count_sites cfg);
   check Alcotest.bool "multi-shard workload reaches sites" true (a > 50)
 
 let test_sweep_sample_clean () =
   let cfg = sweep_config () in
-  let report = Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample 25) cfg in
-  if not (Fault.Crash_sweep.clean report) then
-    Alcotest.failf "sharded sweep found violations:@.%a" Fault.Crash_sweep.pp_report report
+  let report = Shard.Sweep.sweep ~selection:(Shard.Sweep.Sample 25) cfg in
+  if not (Shard.Sweep.clean report) then
+    Alcotest.failf "sharded sweep found violations:@.%a" Shard.Sweep.pp_report report
 
 (* The soft zone under the crash sweep: a relief step's compaction and
    manifest install join the crash points. The sweep's workload starts
@@ -783,19 +785,14 @@ let test_sweep_sample_clean () =
    steps as internal compactions on PM. *)
 let sweep_relief_steps router_cfg ~internal () =
   let cfg = Shard.Sweep.config ~seed:11 router_cfg in
-  let r =
-    crashable_router router_cfg
-      ~boundaries:(Shard.Sweep.workload_boundaries ~keyspace:cfg.Fault.Crash_sweep.keyspace ~shards:2)
-  in
-  Fault.Crash_sweep.run_ops ~seed:cfg.Fault.Crash_sweep.seed ~ops:cfg.Fault.Crash_sweep.ops
-    ~keyspace:cfg.Fault.Crash_sweep.keyspace ~value_len:cfg.Fault.Crash_sweep.value_len
-    (Fault.Golden.create ()) (Shard.Sweep.of_router r);
+  let r = Shard.Sweep.fresh cfg in
+  Shard.Sweep.run_ops cfg (Fault.Golden.create ()) r;
   check Alcotest.bool "the workload starts relief steps" true (Shard.Router.relief_steps r > 0);
   check Alcotest.bool "internal steps as priced" internal
     (Shard.Router.relief_steps_internal r > 0);
-  let report = Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample 25) cfg in
-  if not (Fault.Crash_sweep.clean report) then
-    Alcotest.failf "relief sweep found violations:@.%a" Fault.Crash_sweep.pp_report report
+  let report = Shard.Sweep.sweep ~selection:(Shard.Sweep.Sample 25) cfg in
+  if not (Shard.Sweep.clean report) then
+    Alcotest.failf "relief sweep found violations:@.%a" Shard.Sweep.pp_report report
 
 let test_sweep_relief_steps =
   sweep_relief_steps ~internal:false
@@ -820,9 +817,9 @@ let test_sweep_catches_planted_bug () =
   let cfg =
     sweep_config ~rules:[ ("wal.sync", Fault.Plan.Every, Fault.Plan.Wal_sync_loss) ] ()
   in
-  let report = Fault.Crash_sweep.sweep ~selection:(Fault.Crash_sweep.Sample 40) cfg in
+  let report = Shard.Sweep.sweep ~selection:(Shard.Sweep.Sample 40) cfg in
   check Alcotest.bool "planted durability bug caught" true
-    (Fault.Crash_sweep.violation_count report > 0)
+    (Shard.Sweep.violation_count report > 0)
 
 (* --- the one metrics registration ---------------------------------------- *)
 
