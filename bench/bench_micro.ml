@@ -1,7 +1,9 @@
 (* Wall-clock micro-benchmarks (Bechamel) of the in-memory primitives, as a
    sanity layer under the simulated-time experiments: the three-layer PM
-   table lookup, the plain array-table lookup, the LZ codec, and the Bloom
-   filter. These measure real host nanoseconds, not simulated time. *)
+   table lookup, the plain array-table lookup, the LZ codec, the Bloom
+   filter, and the host kernels every run pays for (the CRC-32 over one
+   SSD-block-sized extent, the PRNG's value strings). These measure real
+   host nanoseconds, not simulated time. *)
 
 open Bechamel
 open Toolkit
@@ -28,6 +30,7 @@ let tests () =
   let key () = entries.(Util.Xoshiro.int rng 4096).Util.Kv.key in
   let sample = String.concat "" (List.init 64 (fun i -> Printf.sprintf "key%06d=value" i)) in
   let compressed = Compress.Lz.compress sample in
+  let extent = Util.Xoshiro.string rng Sstable.default_block_bytes in
   let bloom = Bloom.of_keys ~bits_per_key:10 (Array.to_list (Array.map (fun e -> e.Util.Kv.key) entries)) in
   [
     Test.make ~name:"pm_table.get" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.get pm_tbl (key ()))));
@@ -35,6 +38,8 @@ let tests () =
     Test.make ~name:"lz.compress-1KB" (Staged.stage (fun () -> ignore (Compress.Lz.compress sample)));
     Test.make ~name:"lz.decompress-1KB" (Staged.stage (fun () -> ignore (Compress.Lz.decompress compressed)));
     Test.make ~name:"bloom.mem" (Staged.stage (fun () -> ignore (Bloom.mem bloom (key ()))));
+    Test.make ~name:"crc32-4KB" (Staged.stage (fun () -> ignore (Util.Crc32.string extent)));
+    Test.make ~name:"xoshiro.string-1KB" (Staged.stage (fun () -> ignore (Util.Xoshiro.string rng 1024)));
   ]
 
 let run () =

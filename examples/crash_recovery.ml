@@ -46,14 +46,16 @@ let crash_and_audit ~plan_rules ~crash_at ~label =
   List.iter
     (fun (site, trigger, action) -> Fault.Plan.add_rule plan ~site ~trigger action)
     plan_rules;
-  Fault.Plan.arm plan ~pm ~ssd ?wal:(Core.Engine.wal engine) ();
+  Fault.Plan.arm plan ~pm ~ssd;
+  Option.iter (Fault.Plan.arm_wal plan) (Core.Engine.wal engine);
   let golden = Fault.Golden.create () in
   (match run_workload golden engine ~ops:400 with
   | Some (site, hit) ->
       Printf.printf "%s: crashed mid-run at site %d (%s), %d keys acknowledged\n"
         label hit site (List.length (Fault.Golden.entries golden))
   | None -> Printf.printf "%s: workload outran the crash schedule\n" label);
-  Fault.Plan.disarm ~pm ~ssd ?wal:(Core.Engine.wal engine) ();
+  Fault.Plan.disarm ~pm ~ssd;
+  Option.iter Fault.Plan.disarm_wal (Core.Engine.wal engine);
 
   (* The devices lose everything not fenced/fsynced; the SSD keeps a
      3-byte torn tail on every file to make replay earn its keep. *)

@@ -164,7 +164,7 @@ let disarm_wal w = Core.Wal.set_sync_hook w None
    answer onto that site's outcome type. Actions foreign to a site (e.g. a
    [Wal_sync_loss] rule on "ssd.read") count as injected but degrade to the
    ok outcome. *)
-let arm t ~pm ~ssd ?wal () =
+let arm t ~pm ~ssd =
   Pmem.set_flush_hook pm
     (Some
        (fun ~region_id ~off:_ ~len ->
@@ -195,16 +195,14 @@ let arm t ~pm ~ssd ?wal () =
          match hit ~id:file_id t "ssd.fsync" with
          | Some Ssd_io_error -> Ssd.Io_fail
          | Some (Slow mult) -> Ssd.Io_slow mult
-         | _ -> Ssd.Io_ok));
-  Option.iter (arm_wal t) wal
+         | _ -> Ssd.Io_ok))
 
-let disarm ~pm ~ssd ?wal () =
+let disarm ~pm ~ssd =
   Pmem.set_flush_hook pm None;
   Pmem.set_drain_hook pm None;
   Ssd.set_write_hook ssd None;
   Ssd.set_read_hook ssd None;
-  Ssd.set_fsync_hook ssd None;
-  Option.iter disarm_wal wal
+  Ssd.set_fsync_hook ssd None
 
 (* --- Seeded corruption injection -----------------------------------------
 

@@ -72,23 +72,25 @@ val add_rule :
     confined to one shard's structures. A scoped rule never matches
     ["pm.drain"] (no id). *)
 
-val arm : t -> pm:Pmem.t -> ssd:Ssd.t -> ?wal:Core.Wal.t -> unit -> unit
-(** Install the plan's closures on the device hook points. The WAL handle
-    (from [Engine.wal]) arms the ["wal.sync"] site; hooks survive WAL
+val arm : t -> pm:Pmem.t -> ssd:Ssd.t -> unit
+(** Install the plan's closures on the device hook points. WALs are armed
+    separately with [arm_wal]. *)
+
+val disarm : pm:Pmem.t -> ssd:Ssd.t -> unit
+(** Uninstall every device hook the plan armed (safe on a fresh system
+    too). *)
+
+val arm_wal : t -> Core.Wal.t -> unit
+(** Arm one WAL (from [Engine.wal]; one per shard) on the plan's
+    ["wal.sync"] site; every log reports to the shared site, so a crash
+    schedule covers all of them in global hit order. Hooks survive WAL
     rotation but not recovery (which builds a fresh handle). A
     [Wal_sync_loss] answer at ["wal.sync"] drops the ring's next
     ["pm.flush"] (a one-shot rule scoped to the ring's region): the log
     still issues its clwb, the medium loses it. *)
 
-val disarm : pm:Pmem.t -> ssd:Ssd.t -> ?wal:Core.Wal.t -> unit -> unit
-(** Uninstall every hook the plan armed (safe on a fresh system too). *)
-
-val arm_wal : t -> Core.Wal.t -> unit
-(** Arm one more WAL on the same plan (one per shard); every log reports
-    to the shared ["wal.sync"] site, so a crash schedule covers all of
-    them in global hit order. *)
-
 val disarm_wal : Core.Wal.t -> unit
+(** Uninstall one WAL's hook. *)
 
 (** {1 Seeded corruption injection}
 

@@ -32,12 +32,15 @@
 
    Lookup: locate the run in the (handle-cached) meta layer by extended-tag
    prefix, binary-search the run's groups, and scan the landing group — the
-   only group read a point lookup makes.
+   only group read a point lookup makes. The scan runs over the verified
+   extent in place, comparing each entry's suffix with the probe key, and
+   materialises only the hit; walks, ranges, verify and salvage decode
+   whole groups from the same verified read.
 
    Integrity: every layer is checksummed. Each fixed-width prefix record
    carries an inline CRC32 (verified on every [read_record]); each group's
    entry-layer extent has a CRC32 in a dedicated layer that the handle
-   caches in DRAM (verified on every [read_group], costing no extra PM
+   caches in DRAM (verified on every [read_extent], costing no extra PM
    access); the meta layer and the footer carry CRC32s verified at
    [open_existing] and re-checked from the medium by [verify] (scrub). A
    failed comparison raises [Integrity.Corrupted] so the engine can
@@ -415,12 +418,13 @@ let read_first_key t record =
 (* Module-wide telemetry, like [bloom_probes]: group extents decoded. *)
 let group_reads = ref 0
 
-(* Decode group [g]'s entries, reconstructing full keys. The next group's
-   record ends the extent; it is read here and returned, so a sequential
-   walk reads each record once. The raw extent is verified against the
-   handle-cached group CRC first — one string pass, no extra PM access — so
-   a rotten group raises instead of decoding junk. *)
-let read_group_next t g record =
+(* Read group [g]'s entry-layer extent, verified. The next group's record
+   ends the extent; it is read here and returned, so a sequential walk
+   reads each record once. The raw extent is checked against the
+   handle-cached group CRC — one string pass, no extra PM access — so a
+   rotten group raises instead of decoding junk. Every decoder of a group
+   starts here and pays the same per-entry decode charge. *)
+let read_extent t g record =
   let next = if g + 1 < t.group_count then Some (read_record t (g + 1)) else None in
   let stop = match next with Some r -> r.offset | None -> t.entry_len in
   incr group_reads;
@@ -430,6 +434,11 @@ let read_group_next t g record =
       (Integrity.Corrupted
          { region_id = Pmem.region_id t.region; layer = "entry"; index = g });
   charge_cpu t.dev (float_of_int record.count_ *. decode_cpu_ns);
+  (raw, next)
+
+(* Decode group [g]'s entries, reconstructing full keys. *)
+let read_group_next t g record =
+  let raw, next = read_extent t g record in
   let prefix = group_prefix t record in
   let pos = ref 0 in
   let entries =
@@ -591,14 +600,54 @@ let locate t ~g_lo ~g_hi ~probe_slot ~key =
       Some (!lo, !lo_record)
     end
 
+(* [s.[pos .. pos+len-1]] equals [key.[kpos .. kpos+len-1]], compared in
+   place. *)
+let rec equal_at s pos key kpos len =
+  len <= 0 || (s.[pos] = key.[kpos] && equal_at s (pos + 1) key (kpos + 1) (len - 1))
+
+(* The newest version of [key] in group [g]: scan the verified extent,
+   comparing each entry's suffix with [key] in place, and materialise only
+   the hit — the first match, as a full decode followed by a search would
+   find. Non-matches are skipped without allocating. *)
+let find_in_group t g record key =
+  let raw, _ = read_extent t g record in
+  let tag = t.metas.(record.meta_idx).tag in
+  let plen = String.length tag + record.shared in
+  let suffix_len = String.length key - plen in
+  if
+    suffix_len < 0
+    || not (equal_at tag 0 key 0 (String.length tag))
+    || not (equal_at record.slot 0 key (String.length tag) record.shared)
+  then None
+  else begin
+    let cur = ref 0 in
+    let rec scan i =
+      if i >= record.count_ then None
+      else begin
+        let len = Util.Varint.read_at raw cur in
+        let hit = len = suffix_len && equal_at raw !cur key plen len in
+        cur := !cur + len;
+        let seq = Util.Varint.read_at raw cur in
+        let kind = if raw.[!cur] = '\000' then Util.Kv.Delete else Util.Kv.Put in
+        incr cur;
+        let value_len = Util.Varint.read_at raw cur in
+        if hit then Some { Util.Kv.key; seq; kind; value = String.sub raw !cur value_len }
+        else begin
+          cur := !cur + value_len;
+          scan (i + 1)
+        end
+      end
+    in
+    scan 0
+  end
+
 (* A key's versions never cross a group boundary, so the located group is
    the only one that can hold it. *)
 let get_in_run t ~g_lo ~g_hi key tag =
   let probe_slot = pad_slot t.prefix_len (strip tag key) in
   match locate t ~g_lo ~g_hi ~probe_slot ~key with
   | None -> None
-  | Some (g, record) ->
-      Array.find_opt (fun (e : Util.Kv.entry) -> e.key = key) (read_group t g record)
+  | Some (g, record) -> find_in_group t g record key
 
 let groups t =
   let records = Array.init t.group_count (read_record t) in

@@ -425,10 +425,10 @@ let arm_gray st ~round ~sick kind =
         ~scope:file_scope
         (Fault.Plan.Slow (4.0 *. mult))
   | _ -> assert false);
-  Fault.Plan.arm plan ~pm:(Router.pm st.router) ~ssd:(Router.ssd st.router) ()
+  Fault.Plan.arm plan ~pm:(Router.pm st.router) ~ssd:(Router.ssd st.router)
 
 let disarm st =
-  Fault.Plan.disarm ~pm:(Router.pm st.router) ~ssd:(Router.ssd st.router) ()
+  Fault.Plan.disarm ~pm:(Router.pm st.router) ~ssd:(Router.ssd st.router)
 
 let crash_and_recover st ~double ~round =
   (* the dying router's breaker counters fold into the soak totals *)

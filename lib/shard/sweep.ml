@@ -113,17 +113,17 @@ let recover ?stats ~double ~salt ~seed n ~pm ~ssd f =
   else begin
     let rng = Util.Xoshiro.create (seed lxor (salt + (31 * n))) in
     let plan = Fault.Plan.create ?stats ~crash_at:(1 + Util.Xoshiro.int rng 12) (seed + n) in
-    Fault.Plan.arm plan ~pm ~ssd ();
+    Fault.Plan.arm plan ~pm ~ssd;
     match f () with
     | t ->
-        Fault.Plan.disarm ~pm ~ssd ();
+        Fault.Plan.disarm ~pm ~ssd;
         t
     | exception Fault.Plan.Crashed _ ->
-        Fault.Plan.disarm ~pm ~ssd ();
+        Fault.Plan.disarm ~pm ~ssd;
         crash ~torn_seed:(seed + (104729 * n)) ~pm ~ssd ();
         f ()
     | exception e ->
-        Fault.Plan.disarm ~pm ~ssd ();
+        Fault.Plan.disarm ~pm ~ssd;
         raise e
   end
 
@@ -173,11 +173,11 @@ let clean r = violation_count r = 0 && List.for_all (fun p -> p.recovered) r.poi
 (* Device sites are armed once (the shards share their devices); WAL sync
    sites once per log. The logs are asked again at disarm time. *)
 let arm plan router =
-  Fault.Plan.arm plan ~pm:(Router.pm router) ~ssd:(Router.ssd router) ();
+  Fault.Plan.arm plan ~pm:(Router.pm router) ~ssd:(Router.ssd router);
   List.iter (Fault.Plan.arm_wal plan) (wals router)
 
 let disarm router =
-  Fault.Plan.disarm ~pm:(Router.pm router) ~ssd:(Router.ssd router) ();
+  Fault.Plan.disarm ~pm:(Router.pm router) ~ssd:(Router.ssd router);
   List.iter Fault.Plan.disarm_wal (wals router)
 
 (* The workload plus the tail settle — every shard flushed and

@@ -38,8 +38,6 @@ type t = {
   count : int;
   min_key : string;
   max_key : string;
-  min_seq : int;
-  max_seq : int;
   payload_bytes : int;
   mutable pinned : string option array option;  (* explicit whole-table pin *)
   mutable shared : Cache.Block_cache.t option;  (* engine-wide bounded cache *)
@@ -58,7 +56,7 @@ type builder = {
   b_ssd : Ssd.t;
   b_file : Ssd.file;
   b_block_bytes : int;
-  mutable b_current : Buffer.t;
+  b_current : Buffer.t;
   mutable b_current_entries : int;
   mutable b_blocks : block_meta list;
   mutable b_data : string list;  (* finished data blocks, newest first *)
@@ -173,8 +171,6 @@ let finish b =
     count = b.b_count;
     min_key = (match b.b_first_key with Some k -> k | None -> "");
     max_key = b.b_last_key;
-    min_seq = b.b_min_seq;
-    max_seq = b.b_max_seq;
     payload_bytes = b.b_payload;
     pinned = None;
     shared = None;
@@ -232,8 +228,9 @@ let open_existing ssd file =
   let count, p = Util.Varint.read meta p in
   let min_key, p = Util.Varint.read_string meta p in
   let max_key, p = Util.Varint.read_string meta p in
-  let min_seq, p = Util.Varint.read meta p in
-  let max_seq, p = Util.Varint.read meta p in
+  (* the persisted min/max seq: part of the format, read by nothing *)
+  let _min_seq, p = Util.Varint.read meta p in
+  let _max_seq, p = Util.Varint.read meta p in
   let payload_bytes, _ = Util.Varint.read meta p in
   {
     ssd;
@@ -243,8 +240,6 @@ let open_existing ssd file =
     count;
     min_key;
     max_key;
-    min_seq;
-    max_seq;
     payload_bytes;
     pinned = None;
     shared = None;

@@ -11,21 +11,28 @@ let write buf v =
   done;
   Buffer.add_char buf (Char.chr !v)
 
-let read s pos =
+(* Decode the varint at [!cur] and move [cur] past it. [read] is this with
+   a local cursor; scans that must not allocate per field call it
+   directly. *)
+let[@inline] read_at s cur =
   let result = ref 0 in
   let shift = ref 0 in
-  let pos = ref pos in
   let continue = ref true in
   while !continue do
-    if !pos >= String.length s then failwith "Varint.read: truncated input";
-    let byte = Char.code s.[!pos] in
-    incr pos;
+    if !cur >= String.length s then failwith "Varint.read: truncated input";
+    let byte = Char.code s.[!cur] in
+    incr cur;
     result := !result lor ((byte land 0x7f) lsl !shift);
     shift := !shift + 7;
     if byte < 0x80 then continue := false
     else if !shift > 62 then failwith "Varint.read: overflow"
   done;
-  (!result, !pos)
+  !result
+
+let read s pos =
+  let cur = ref pos in
+  let v = read_at s cur in
+  (v, !cur)
 
 let size v =
   if v < 0 then invalid_arg "Varint.size: negative";

@@ -8,6 +8,11 @@ val read : string -> int -> int * int
 (** [read s pos] decodes at [pos], returning [(value, next_pos)].
     Raises [Failure] on truncated or overlong input. *)
 
+val read_at : string -> int ref -> int
+(** [read_at s cur] decodes at [!cur] and advances [cur] past the varint:
+    [read] without the result pair, for scans that must not allocate.
+    Raises as [read] does. *)
+
 val size : int -> int
 (** Encoded byte length of a non-negative integer. *)
 

@@ -151,15 +151,11 @@ let test_ssd_io_error_retried () =
   let plan = Fault.Plan.create 3 in
   Fault.Plan.add_rule plan ~site:"ssd.read" ~trigger:(Fault.Plan.Nth 1)
     Fault.Plan.Ssd_io_error;
-  Fault.Plan.arm plan
-    ~pm:(Core.Engine.pm engine)
-    ~ssd:(Core.Engine.ssd engine)
-    ?wal:(Core.Engine.wal engine) ();
+  Fault.Plan.arm plan ~pm:(Core.Engine.pm engine) ~ssd:(Core.Engine.ssd engine);
+  Option.iter (Fault.Plan.arm_wal plan) (Core.Engine.wal engine);
   let got = Core.Engine.get engine "k" in
-  Fault.Plan.disarm
-    ~pm:(Core.Engine.pm engine)
-    ~ssd:(Core.Engine.ssd engine)
-    ?wal:(Core.Engine.wal engine) ();
+  Fault.Plan.disarm ~pm:(Core.Engine.pm engine) ~ssd:(Core.Engine.ssd engine);
+  Option.iter Fault.Plan.disarm_wal (Core.Engine.wal engine);
   check (Alcotest.option Alcotest.string) "read served" (Some "v") got;
   check Alcotest.bool "retry was needed" true
     ((Core.Engine.metrics engine).Core.Metrics.ssd_retries >= 1);
@@ -241,7 +237,7 @@ let test_fault_injection_traced () =
   Fault.Plan.add_rule plan ~site:"ssd.write" ~trigger:Fault.Plan.Every
     Fault.Plan.Ssd_io_error;
   let ssd = Ssd.create clock in
-  Fault.Plan.arm plan ~pm:(Pmem.create clock) ~ssd ();
+  Fault.Plan.arm plan ~pm:(Pmem.create clock) ~ssd;
   let f = Ssd.create_file ssd in
   (try Ssd.append ssd f "x" with Ssd.Io_error _ -> ());
   Obs.Trace.disable ();

@@ -85,7 +85,7 @@ let test_duty_trigger () =
     ~trigger:(Fault.Plan.Duty { period = 4; on = 2 })
     ~scope:(fun id -> id = Ssd.file_id victim)
     Fault.Plan.Ssd_io_error;
-  Fault.Plan.arm plan ~pm:(Pmem.create clock) ~ssd ();
+  Fault.Plan.arm plan ~pm:(Pmem.create clock) ~ssd;
   let read f =
     match Ssd.pread ssd f ~off:0 ~len:16 with
     | _ -> true
@@ -139,13 +139,13 @@ let jitter_elapsed ~jitter ~seed =
   Fault.Plan.add_rule plan ~site:"ssd.read"
     ~trigger:(Fault.Plan.Duty { period = 4; on = 1 })
     Fault.Plan.Ssd_io_error;
-  Fault.Plan.arm plan ~pm:(Core.Engine.pm engine) ~ssd:(Core.Engine.ssd engine) ();
+  Fault.Plan.arm plan ~pm:(Core.Engine.pm engine) ~ssd:(Core.Engine.ssd engine);
   let t0 = Sim.Clock.now (Core.Engine.clock engine) in
   for i = 0 to 399 do
     ignore (Core.Engine.get engine (Printf.sprintf "k%04d" i))
   done;
   let elapsed = Sim.Clock.now (Core.Engine.clock engine) -. t0 in
-  Fault.Plan.disarm ~pm:(Core.Engine.pm engine) ~ssd:(Core.Engine.ssd engine) ();
+  Fault.Plan.disarm ~pm:(Core.Engine.pm engine) ~ssd:(Core.Engine.ssd engine);
   let retries = (Core.Engine.metrics engine).Core.Metrics.ssd_retries in
   (elapsed, retries)
 
@@ -288,7 +288,7 @@ let test_degraded_reads_exact () =
     ~trigger:(Fault.Plan.Duty { period = 6; on = 4 })
     ~scope:(fun id -> List.mem id sick_files)
     Fault.Plan.Ssd_io_error;
-  Fault.Plan.arm plan ~pm:(Shard.Router.pm r) ~ssd:(Shard.Router.ssd r) ();
+  Fault.Plan.arm plan ~pm:(Shard.Router.pm r) ~ssd:(Shard.Router.ssd r);
   let served = ref 0 and degraded = ref 0 and refused = ref 0 in
   Hashtbl.iter
     (fun key want ->
@@ -304,7 +304,7 @@ let test_degraded_reads_exact () =
           check Alcotest.(option string) ("degraded " ^ key) (Some want) value
       | Shard.Router.Read_unavailable _ -> incr refused)
     golden;
-  Fault.Plan.disarm ~pm:(Shard.Router.pm r) ~ssd:(Shard.Router.ssd r) ();
+  Fault.Plan.disarm ~pm:(Shard.Router.pm r) ~ssd:(Shard.Router.ssd r);
   check Alcotest.bool "storm forced some non-normal outcomes" true
     (!degraded + !refused > 0);
   check Alcotest.bool "some reads still served" true (!served > 0);

@@ -44,6 +44,12 @@ let test_pm_table_verify_salvage () =
   (* zero a span of the entry layer: at least one group must fail *)
   Pmem.corrupt_region ~len:32 ~mode:`Zero pm region ~off:0;
   check Alcotest.bool "corruption detected" true (Pmtable.Pm_table.verify t <> []);
+  (* a point read into the rotten group fails its extent check rather than
+     scanning junk *)
+  check Alcotest.bool "get into the rotten group raises" true
+    (match Pmtable.Pm_table.get t entries.(0).Util.Kv.key with
+    | _ -> false
+    | exception Pmtable.Integrity.Corrupted { layer = "entry"; index = 0; _ } -> true);
   let survivors, lost = Pmtable.Pm_table.salvage_entries t in
   check Alcotest.bool "lost range recorded" true (lost <> None);
   check Alcotest.bool "fewer survivors than entries" true

@@ -199,9 +199,25 @@ let test_snappy_group_builds_faster_than_per_pair () =
   let grouped = Sim.Clock.now clock -. t1 in
   check Alcotest.bool "group compression builds faster" true (grouped < per_pair)
 
+(* Two inputs: arbitrary byte keys, and database-style keys "t0001r<n>"
+   drawn from a small id space, so keys carry several versions and ids
+   like r12 and r123 share a group prefix, differing only in suffix
+   length. Besides every stored key, the probes include each key with a
+   byte appended and with its last byte dropped; absent probes must come
+   back absent. *)
 let prop_pm_table_model =
+  let with_value key = QCheck.Gen.(pair key (string_size (int_range 0 30))) in
+  let keysets =
+    QCheck.Gen.(
+      oneof
+        [
+          list_size (int_range 1 150) (with_value (string_size (int_range 1 24)));
+          list_size (int_range 1 150)
+            (with_value (map (fun r -> "t0001r" ^ string_of_int r) (int_bound 200)));
+        ])
+  in
   QCheck.Test.make ~name:"pm table get = model over random keysets" ~count:60
-    QCheck.(list_of_size Gen.(int_range 1 150) (pair (string_of_size Gen.(int_range 1 24)) (string_of_size Gen.(int_range 0 30))))
+    (QCheck.make ~print:QCheck.Print.(list (pair string string)) keysets)
     (fun pairs ->
       let _, dev = make_dev () in
       let entries =
@@ -210,13 +226,17 @@ let prop_pm_table_model =
       in
       let tbl = Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Pm_compressed entries in
       let model = newest_by_key entries in
+      let agrees probe =
+        match (Pmtable.Table.get tbl probe, Hashtbl.find_opt model probe) with
+        | Some got, Some (expected : Util.Kv.entry) ->
+            got.Util.Kv.key = probe && got.seq = expected.seq && got.value = expected.value
+        | None, None -> true
+        | _ -> false
+      in
       Hashtbl.fold
-        (fun key (expected : Util.Kv.entry) acc ->
-          acc
-          &&
-          match Pmtable.Table.get tbl key with
-          | Some got -> got.Util.Kv.seq = expected.seq
-          | None -> false)
+        (fun key _ acc ->
+          acc && agrees key && agrees (key ^ "3")
+          && agrees (String.sub key 0 (String.length key - 1)))
         model true)
 
 (* --- Format v2: persisted Bloom filters ----------------------------------- *)

@@ -53,6 +53,30 @@ let test_shuffle_permutes () =
   Array.sort compare sorted;
   check (Alcotest.array Alcotest.int) "is a permutation" (Array.init 50 Fun.id) sorted
 
+(* The first draws of two seeds, recorded from the boxed-record
+   implementation: any change to the state layout must reproduce the
+   sequence exactly, or every seeded experiment moves. *)
+let test_xoshiro_golden () =
+  let golden seed ~int64s ~f ~i ~s =
+    let rng = Util.Xoshiro.create seed in
+    List.iter
+      (fun v -> check Alcotest.int64 "next_int64" v (Util.Xoshiro.next_int64 rng))
+      int64s;
+    check (Alcotest.float 0.0) "float" f (Util.Xoshiro.float rng 1.0);
+    check Alcotest.int "int" i (Util.Xoshiro.int rng 1000003);
+    check Alcotest.string "string" s (Util.Xoshiro.string rng 32)
+  in
+  golden 11
+    ~int64s:
+      [ 4118682332196087775L; 1609190652402573441L; 4524261822856303789L;
+        8186203469158895160L ]
+    ~f:0x1.5d312ce905ff8p-4 ~i:80651 ~s:"msgjchydyvvcmorgesdmfmfiaqzjfuen";
+  golden 23
+    ~int64s:
+      [ 7889123170269411831L; 7363167145166557910L; 4292875625481518021L;
+        3958597402998653822L ]
+    ~f:0x1.3b86967132838p-4 ~i:556714 ~s:"ysxxqdlwrvlkoxnkplepmogjvyctrlik"
+
 (* --- Zipf ------------------------------------------------------------- *)
 
 let test_zipf_zeta () =
@@ -146,7 +170,74 @@ let test_varint_multibyte_concat () =
       check Alcotest.int "sequence value" expected v)
     [ 0; 1; 127; 128; 16384; 1 lsl 40 ]
 
+let test_varint_read_at () =
+  let buf = Buffer.create 16 in
+  List.iter (Util.Varint.write buf) [ 5; 300; 1 lsl 40 ];
+  let s = Buffer.contents buf in
+  let cur = ref 0 in
+  List.iter
+    (fun expected ->
+      let v, next = Util.Varint.read s !cur in
+      check Alcotest.int "read_at value" v (Util.Varint.read_at s cur);
+      check Alcotest.int "value" expected v;
+      check Alcotest.int "cursor advanced" next !cur)
+    [ 5; 300; 1 lsl 40 ];
+  check Alcotest.bool "truncated raises" true
+    (try
+       ignore (Util.Varint.read_at s cur);
+       false
+     with Failure _ -> true)
+
 (* --- Crc32 ------------------------------------------------------------ *)
+
+(* The classic byte-at-a-time CRC-32, the reference the sliced kernel must
+   match bit for bit. *)
+let crc32_reference =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+        done;
+        !c)
+  in
+  fun crc s pos len ->
+    let c = ref (crc lxor 0xFFFFFFFF) in
+    for i = pos to pos + len - 1 do
+      c := table.((!c lxor Char.code s.[i]) land 0xff) lxor (!c lsr 8)
+    done;
+    !c lxor 0xFFFFFFFF
+
+(* Every start 0-9 (aligned or not) and, from each, every tail length 0-7
+   short of the string's end, with an arbitrary incoming crc. *)
+let prop_crc32_matches_reference =
+  QCheck.Test.make ~name:"update = byte-at-a-time reference" ~count:300
+    QCheck.(pair (string_of_size Gen.(int_range 0 300)) int)
+    (fun (s, crc) ->
+      let n = String.length s in
+      let ok = ref true in
+      for pos = 0 to min 9 n do
+        for cut = 0 to min 7 (n - pos) do
+          let len = n - pos - cut in
+          if Util.Crc32.update crc s pos len <> crc32_reference crc s pos len then ok := false;
+          if Util.Crc32.update 0 s pos len <> crc32_reference 0 s pos len then ok := false
+        done
+      done;
+      !ok)
+
+let test_crc32_rejects_bad_range () =
+  let raises pos len =
+    try
+      ignore (Util.Crc32.update 0 "0123456789" pos len);
+      false
+    with Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (pos, len) ->
+      check Alcotest.bool (Printf.sprintf "pos %d len %d raises" pos len) true (raises pos len))
+    [ (-1, 2); (0, 11); (3, 8); (10, 1); (11, 0); (0, -1) ];
+  check Alcotest.int "empty tail is fine" 0 (Util.Crc32.update 0 "0123456789" 10 0)
+
 
 let test_crc32_known_value () =
   (* Standard test vector: crc32("123456789") = 0xCBF43926. *)
@@ -382,6 +473,7 @@ let () =
           Alcotest.test_case "bounds" `Quick test_xoshiro_bounds;
           Alcotest.test_case "uniformity" `Quick test_xoshiro_uniformity;
           Alcotest.test_case "shuffle permutes" `Quick test_shuffle_permutes;
+          Alcotest.test_case "golden draws" `Quick test_xoshiro_golden;
         ] );
       ( "zipf",
         [
@@ -397,6 +489,7 @@ let () =
           Alcotest.test_case "negative rejected" `Quick test_varint_negative_rejected;
           Alcotest.test_case "truncated input" `Quick test_varint_truncated;
           Alcotest.test_case "multibyte concat" `Quick test_varint_multibyte_concat;
+          Alcotest.test_case "read_at cursor" `Quick test_varint_read_at;
         ] );
       ( "crc32",
         [
@@ -405,6 +498,8 @@ let () =
           Alcotest.test_case "detects bit flip" `Quick test_crc32_detects_flip;
           qtest prop_crc32_incremental;
           qtest prop_crc32_single_bit_flip;
+          qtest prop_crc32_matches_reference;
+          Alcotest.test_case "bad range rejected" `Quick test_crc32_rejects_bad_range;
         ] );
       ( "histogram",
         [
