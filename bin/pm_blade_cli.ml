@@ -111,10 +111,6 @@ let no_sanitize_arg =
                 default; its shadow tracking costs real time on large \
                 workloads but no simulated time).")
 
-let apply_sanitize cfg no_sanitize =
-  if no_sanitize then Sanitize.Control.disable ();
-  { cfg with Core.Config.sanitize = not no_sanitize }
-
 (* --- Observability plumbing ---------------------------------------------- *)
 
 let trace_arg =
@@ -275,7 +271,7 @@ let ycsb_cmd =
   let run cfg block_cache_mb pm_bloom_bits no_sanitize shards gc_window gc_max
       durable workload records ops value_bytes trace trace_no_io metrics interval =
     let cfg = apply_read_path cfg block_cache_mb pm_bloom_bits in
-    let cfg = apply_sanitize cfg no_sanitize in
+    if no_sanitize then Sanitize.Control.disable ();
     let cfg = apply_shard cfg shards gc_window gc_max durable in
     let w = Workload.Ycsb.of_string workload in
     let y = Workload.Ycsb.create ~value_bytes () in
@@ -316,7 +312,7 @@ let retail_cmd =
   let run cfg block_cache_mb pm_bloom_bits no_sanitize shards gc_window gc_max
       durable orders transactions trace trace_no_io metrics interval =
     let cfg = apply_read_path cfg block_cache_mb pm_bloom_bits in
-    let cfg = apply_sanitize cfg no_sanitize in
+    if no_sanitize then Sanitize.Control.disable ();
     let cfg = apply_shard cfg shards gc_window gc_max durable in
     let retail = Workload.Retail.create () in
     let shards = cfg.Core.Config.shard_count in
@@ -871,7 +867,7 @@ let doctor_cmd =
   let run cfg block_cache_mb pm_bloom_bits no_sanitize shards gc_window gc_max
       durable records ops value_bytes =
     let cfg = apply_read_path cfg block_cache_mb pm_bloom_bits in
-    let cfg = apply_sanitize cfg no_sanitize in
+    if no_sanitize then Sanitize.Control.disable ();
     let cfg = apply_shard cfg shards gc_window gc_max durable in
     doctor cfg ~records ~ops ~value_bytes
   in

@@ -34,8 +34,6 @@ type t = {
   shards : shard array;
   capacity : int;
   clock : Sim.Clock.t option;
-  dram_access_ns : float;
-  dram_byte_ns : float;
   mutable hits : int;
   mutable misses : int;
   mutable admissions : int;
@@ -48,8 +46,9 @@ type t = {
 let node_overhead = 64
 
 let default_shards = 8
-let dram_access_ns_default = 100.0
-let dram_byte_ns_default = 0.05
+(* DRAM read cost of a hit: a fixed access plus a per-byte copy. *)
+let dram_access_ns = 100.0
+let dram_byte_ns = 0.05
 
 let make_shard s_capacity =
   let rec sentinel =
@@ -57,8 +56,7 @@ let make_shard s_capacity =
   in
   { tbl = Hashtbl.create 64; sentinel; used = 0; s_capacity }
 
-let create ?(shards = default_shards) ?(dram_access_ns = dram_access_ns_default)
-    ?(dram_byte_ns = dram_byte_ns_default) ?clock ~capacity_bytes () =
+let create ?(shards = default_shards) ?clock ~capacity_bytes () =
   if capacity_bytes <= 0 then invalid_arg "Block_cache.create: capacity must be positive";
   let shards = max 1 shards in
   let per_shard = max 1 (capacity_bytes / shards) in
@@ -66,8 +64,6 @@ let create ?(shards = default_shards) ?(dram_access_ns = dram_access_ns_default)
     shards = Array.init shards (fun _ -> make_shard per_shard);
     capacity = per_shard * shards;
     clock;
-    dram_access_ns;
-    dram_byte_ns;
     hits = 0;
     misses = 0;
     admissions = 0;
@@ -125,7 +121,7 @@ let find t ~file_id ~block =
       (match t.clock with
       | Some clock ->
           let dt =
-            t.dram_access_ns +. (float_of_int (String.length n.n_data) *. t.dram_byte_ns)
+            dram_access_ns +. (float_of_int (String.length n.n_data) *. dram_byte_ns)
           in
           Sim.Clock.advance clock dt;
           Obs.Attr.charge Obs.Attr.Cache_hit dt

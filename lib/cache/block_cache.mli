@@ -10,8 +10,6 @@ type t
 
 val create :
   ?shards:int ->
-  ?dram_access_ns:float ->
-  ?dram_byte_ns:float ->
   ?clock:Sim.Clock.t ->
   capacity_bytes:int ->
   unit ->
@@ -21,7 +19,7 @@ val create :
     [capacity_bytes <= 0]. *)
 
 val find : t -> file_id:int -> block:int -> string option
-(** LRU-promotes on hit and charges [dram_access_ns + len * dram_byte_ns]
+(** LRU-promotes on hit and charges [100 ns + len * 0.05 ns] of DRAM read
     to the clock (if any); counts a miss otherwise. *)
 
 val insert : t -> file_id:int -> block:int -> string -> unit

@@ -27,7 +27,6 @@ type t = {
   l0_capacity : int;              (* PM budget for level-0 *)
   l0_strategy : l0_strategy;
   table_kind : Pmtable.Table.kind;
-  group_size : int;               (* PM-table prefix group size *)
   l0_run_table_bytes : int;       (* target size of sorted-run tables *)
   partition_count : int;
   level_base_bytes : int;         (* L1 target size *)
@@ -39,31 +38,18 @@ type t = {
          staged replay on a coroutine scheduler measures the overlapped
          makespan, and the difference is applied as the timing rebate;
          off, compaction runs serially with no rebate *)
-  background_share : float;
-      (* compactions run on background cores; the foreground operation that
-         triggered one observes only this share of its duration
-         (interference and backpressure), like RocksDB's background jobs *)
   durable : bool;
       (* maintain a write-ahead log and persist the manifest on structural
          changes so Engine.recover can rebuild after a crash; requires the
          compressed PM table (the only self-describing level-0 format) *)
   matrix_flush_overhead_ns_per_byte : float;
       (* extra level-0 construction cost at flush (MatrixKV cross-hint) *)
-  ssd_retry_jitter : float;
-      (* seeded jitter fraction on each backoff: the sleep is scaled by a
-         factor drawn uniformly from [1 - j/2, 1 + j/2], decorrelating
-         retry storms across shards; 0 restores pure exponential *)
   block_cache_mb : int;
       (* DRAM budget of the engine-wide shared SSTable block cache, in MiB;
          0 disables it (every uncached block read hits the SSD) *)
   pm_bloom_bits_per_key : int;
       (* Bloom filter density of PM level-0 tables (format v2); 0 writes
          bloom-less v1 tables — negative lookups then always probe PM *)
-  sanitize : bool;
-      (* attach the persistence-ordering sanitizer (lib/sanitize) to the PM
-         device and check the engine's commit points; on by default so the
-         test suite runs sanitized, and subject to the process-wide
-         [Sanitize.Control] switch *)
   shard_count : int;
       (* range shards behind the router front door (lib/shard); 1 = a
          single engine, the classic configuration *)
@@ -97,14 +83,6 @@ type t = {
   deadline_write_ns : float;
       (* per-write latency budget; past-deadline writes are shed at
          admission rather than queued; 0 = none *)
-  manifest_root : string;
-      (* named superblock root slot this engine's manifest chain persists
-         under; "" is the classic unnamed pair. Shards set "shard<i>" so
-         N manifest chains coexist on the shared SSD. *)
-  wal_external_sync : bool;
-      (* stage WAL records but leave the durability-point sync to an
-         external group-commit batcher; a put's ack is then deferred until
-         the batch leader calls [Engine.sync_wal] *)
   pm_params : Pmem.params;
   ssd_params : Ssd.params;
   seed : int;
@@ -129,7 +107,6 @@ let base =
     l0_capacity = mib 80;
     l0_strategy = Cost_based scaled_cost_model;
     table_kind = Pmtable.Table.Pm_compressed;
-    group_size = 8;
     l0_run_table_bytes = kib 256;
     partition_count = 8;
     (* per-partition L1 target; with 8 partitions and the engine's level
@@ -138,13 +115,10 @@ let base =
     level_base_bytes = kib 512;
     sstable_target_bytes = kib 256;
     pipeline_compaction = true;
-    background_share = 0.3;
     durable = false;
     matrix_flush_overhead_ns_per_byte = 0.0;
-    ssd_retry_jitter = 0.5;
     block_cache_mb = 0;
     pm_bloom_bits_per_key = 10;
-    sanitize = true;
     shard_count = 1;
     group_commit_window_ns = 20_000.0;  (* 20 us *)
     group_commit_max = 8;
@@ -153,8 +127,6 @@ let base =
     breaker_enabled = false;
     deadline_read_ns = 0.0;
     deadline_write_ns = 0.0;
-    manifest_root = "";
-    wal_external_sync = false;
     pm_params = { Pmem.default_params with capacity = mib 128 };
     ssd_params = Ssd.default_params;
     seed = 42;
@@ -258,7 +230,7 @@ let fingerprint t =
         Buffer.add_char b '|')
       fmt
   in
-  add "v5";
+  add "v6";
   add "%s" t.name;
   add "%d" t.memtable_bytes;
   add "%s" (match t.l0_medium with L0_pm -> "pm" | L0_ssd -> "ssd");
@@ -278,19 +250,15 @@ let fingerprint t =
     | Pmtable.Table.Array_snappy -> "snappy"
     | Pmtable.Table.Array_snappy_group -> "snappy-group"
     | Pmtable.Table.Pm_compressed -> "compressed");
-  add "%d" t.group_size;
   add "%d" t.l0_run_table_bytes;
   add "%d" t.partition_count;
   add "%d" t.level_base_bytes;
   add "%d" t.sstable_target_bytes;
   add "%b" t.pipeline_compaction;
-  add "%g" t.background_share;
   add "%b" t.durable;
   add "%g" t.matrix_flush_overhead_ns_per_byte;
-  add "%g" t.ssd_retry_jitter;
   add "%d" t.block_cache_mb;
   add "%d" t.pm_bloom_bits_per_key;
-  add "%b" t.sanitize;
   add "%d" t.shard_count;
   add "%g" t.group_commit_window_ns;
   add "%d" t.group_commit_max;
@@ -299,8 +267,6 @@ let fingerprint t =
   add "%b" t.breaker_enabled;
   add "%g" t.deadline_read_ns;
   add "%g" t.deadline_write_ns;
-  add "%s" t.manifest_root;
-  add "%b" t.wal_external_sync;
   let pm = t.pm_params in
   add "pm:%d:%g:%g:%g:%g:%g:%g" pm.Pmem.capacity pm.read_access_ns pm.write_access_ns
     pm.read_byte_ns pm.write_byte_ns pm.flush_ns pm.drain_ns;

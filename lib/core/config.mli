@@ -2,7 +2,11 @@
 
     All byte sizes follow the repository-wide ~1000x scale-down (GB -> MB)
     so every capacity ratio the behaviour depends on is preserved; see
-    EXPERIMENTS.md. *)
+    EXPERIMENTS.md. A field is a choice some variant, workload or CLI flag
+    makes; a setting with one value in use is a constant beside the code
+    that reads it (the PM-table group of 8, the 30% background share, the
+    retry jitter), and per-shard wiring (manifest root, external WAL sync)
+    is an {!Engine.create} argument the router passes. *)
 
 type l0_medium = L0_pm | L0_ssd
 
@@ -13,36 +17,30 @@ type l0_strategy =
 
 type t = {
   name : string;
-  memtable_bytes : int;
+  memtable_bytes : int;  (** rotation threshold of the DRAM memtable *)
   l0_medium : l0_medium;
-  l0_capacity : int;
+  l0_capacity : int;  (** PM budget for level-0 *)
   l0_strategy : l0_strategy;
   table_kind : Pmtable.Table.kind;
-  group_size : int;
-  l0_run_table_bytes : int;
-  partition_count : int;
-  level_base_bytes : int;
+  l0_run_table_bytes : int;  (** target size of sorted-run tables *)
+  partition_count : int;  (** range partitions the engine splits up to *)
+  level_base_bytes : int;  (** per-partition L1 target size *)
   sstable_target_bytes : int;
   pipeline_compaction : bool;
       (** stage major/internal compaction as a read/merge/build/write
           pipeline over bounded SPSC queues (Compaction.Pipeline) and
           rebate the measured stage overlap; off = serial, no rebate *)
-  background_share : float;
   durable : bool;
+      (** keep a WAL and persist the manifest on structural changes, so
+          {!Engine.recover} can rebuild after a crash *)
   matrix_flush_overhead_ns_per_byte : float;
-  ssd_retry_jitter : float;
-      (** seeded jitter fraction on retry backoff: each sleep is scaled by
-          a factor uniform in [1 - j/2, 1 + j/2]; 0 = pure exponential *)
+      (** extra level-0 construction cost at flush (MatrixKV cross-hint) *)
   block_cache_mb : int;
       (** DRAM budget of the engine-wide shared SSTable block cache (MiB);
           0 disables it *)
   pm_bloom_bits_per_key : int;
       (** Bloom density of PM level-0 tables (format v2); 0 writes
           bloom-less v1 tables *)
-  sanitize : bool;
-      (** attach the persistence-ordering sanitizer to the PM device and
-          check commit points (default true; also gated by the
-          process-wide [Sanitize.Control] switch) *)
   shard_count : int;
       (** range shards behind the router front door (lib/shard); 1 = a
           single engine *)
@@ -64,12 +62,6 @@ type t = {
   deadline_write_ns : float;
       (** per-write budget; past-deadline writes are shed at admission;
           0 = none *)
-  manifest_root : string;
-      (** named superblock root slot for the manifest chain; "" = the
-          classic unnamed pair (shards use "shard<i>") *)
-  wal_external_sync : bool;
-      (** stage WAL records but leave the sync durability point to an
-          external group-commit batcher calling [Engine.sync_wal] *)
   pm_params : Pmem.params;
   ssd_params : Ssd.params;
   seed : int;

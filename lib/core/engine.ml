@@ -40,6 +40,10 @@ exception Degraded_scan of scan_error
 let ssd_retry_limit = 3
 let ssd_retry_backoff_ns = 100_000.0 (* 100 us, doubling per attempt *)
 
+(* Seeded jitter decorrelates retry storms across engines that share a
+   sick device: each sleep is scaled uniformly within [1 - j/2, 1 + j/2]. *)
+let ssd_retry_jitter = 0.5
+
 let rec with_ssd_retry ?(attempt = 0) t f =
   try f ()
   with Ssd.Io_error _ as e ->
@@ -47,12 +51,9 @@ let rec with_ssd_retry ?(attempt = 0) t f =
     else begin
       t.metrics.Metrics.ssd_retries <- t.metrics.Metrics.ssd_retries + 1;
       let backoff = ssd_retry_backoff_ns *. (2.0 ** float_of_int attempt) in
-      (* Seeded jitter decorrelates retry storms across engines that share
-         a sick device: scale each sleep uniformly within [1-j/2, 1+j/2]. *)
       let backoff =
-        let j = t.config.Config.ssd_retry_jitter in
-        if j <= 0.0 then backoff
-        else backoff *. (1.0 -. (j /. 2.0) +. Util.Xoshiro.float t.retry_rng j)
+        let j = ssd_retry_jitter in
+        backoff *. (1.0 -. (j /. 2.0) +. Util.Xoshiro.float t.retry_rng j)
       in
       if Obs.Trace.is_enabled () then
         Obs.Trace.instant "engine.ssd_retry" ~attrs:(fun () ->
@@ -213,7 +214,7 @@ let apply t entry =
   (* Strict durability: the log entry is synced before the write is
      acknowledged. Under group commit the sync is deferred to the batcher
      ([sync_wal]) and the record stays staged in the group buffer. *)
-  if not t.config.Config.wal_external_sync then sync_wal t;
+  if not t.wal_external_sync then sync_wal t;
   if Memtable.byte_size t.memtable >= t.config.Config.memtable_bytes then
     flush_in_foreground t;
   Metrics.note_write t.metrics (Sim.Clock.now t.clock -. t0)
@@ -253,21 +254,17 @@ let visible = function
    linear — but the L0 fence arrays still prune by min/max without
    touching the tables. *)
 
-(* Debug check (on by default; tests may widen or drop it): a disjoint
-   structure's tables must be strictly ordered — overlap here means a
-   compaction or split bug that the fence search would silently turn into
-   wrong answers, so fail loudly at rebuild time instead. *)
-let check_fence_invariants = ref true
-
+(* A disjoint structure's tables must be strictly ordered — overlap here
+   means a compaction or split bug that the fence search would silently
+   turn into wrong answers, so fail loudly at rebuild time instead. *)
 let assert_disjoint what p_idx n ~min_of ~max_of =
-  if !check_fence_invariants then
-    for i = 0 to n - 2 do
-      if String.compare (max_of i) (min_of (i + 1)) >= 0 then
-        failwith
-          (Printf.sprintf
-             "Engine: %s of partition %d violates disjointness: table %d [%s..%s] overlaps table %d [%s..%s]"
-             what p_idx i (min_of i) (max_of i) (i + 1) (min_of (i + 1)) (max_of (i + 1)))
-    done
+  for i = 0 to n - 2 do
+    if String.compare (max_of i) (min_of (i + 1)) >= 0 then
+      failwith
+        (Printf.sprintf
+           "Engine: %s of partition %d violates disjointness: table %d [%s..%s] overlaps table %d [%s..%s]"
+           what p_idx i (min_of i) (max_of i) (i + 1) (min_of (i + 1)) (max_of (i + 1)))
+  done
 
 let build_fences t p =
   t.metrics.Metrics.fence_rebuilds <- t.metrics.Metrics.fence_rebuilds + 1;
@@ -837,13 +834,13 @@ let gc_orphans ~pm ~ssd ~states ~rings =
           ("ssd_files", Obs.Trace.Int (List.length orphan_files));
         ])
 
-let recover ?(orphan_gc = true) ?cache config ~pm ~ssd =
-  if not config.Config.sanitize then Pmem.set_sanitizer pm None;
+let recover ?(orphan_gc = true) ?cache ?(manifest_root = "") ?(wal_external_sync = false)
+    config ~pm ~ssd =
   let clock = Pmem.clock pm in
   let block_cache = match cache with Some _ -> cache | None -> new_block_cache clock config in
   let fallbacks_before = Manifest.fallback_count () in
   let state =
-    match Manifest.load ~root:config.Config.manifest_root ssd with
+    match Manifest.load ~root:manifest_root ssd with
     | Some s -> s
     | None -> failwith "Engine.recover: no manifest on the device"
   in
@@ -924,6 +921,8 @@ let recover ?(orphan_gc = true) ?cache config ~pm ~ssd =
   let t =
     {
       config;
+      manifest_root;
+      wal_external_sync;
       clock;
       pm;
       ssd;
@@ -1059,13 +1058,12 @@ let pp_stats ppf t =
   (* Sharding knobs, when this engine runs behind the router front door:
      the perf gate and doctor must be able to tell a sharded run apart. *)
   (let c = t.config in
-   if c.Config.shard_count > 1 || c.Config.manifest_root <> "" || c.Config.wal_external_sync
-   then
+   if c.Config.shard_count > 1 || t.manifest_root <> "" || t.wal_external_sync then
      Fmt.pf ppf
        "  shard: %d shards, root '%s', group commit %s (window %a, max %d), admission \
         soft/hard %d/%d tables@,"
-       c.Config.shard_count c.Config.manifest_root
-       (if c.Config.wal_external_sync then "external" else "inline")
+       c.Config.shard_count t.manifest_root
+       (if t.wal_external_sync then "external" else "inline")
        Sim.Clock.pp_duration c.Config.group_commit_window_ns c.Config.group_commit_max
        c.Config.admission_soft_tables c.Config.admission_hard_tables);
   Fmt.pf ppf "  PM hit ratio: %.2f@]" (Metrics.pm_hit_ratio m)

@@ -44,6 +44,8 @@ val create :
   ?pm:Pmem.t ->
   ?ssd:Ssd.t ->
   ?cache:Cache.Block_cache.t ->
+  ?manifest_root:string ->
+  ?wal_external_sync:bool ->
   Config.t ->
   t
 (** The engine starts with one partition and splits at the data median as
@@ -54,13 +56,24 @@ val create :
     pre-existing (shared) devices instead of creating fresh ones — range
     shards pass the same devices and block cache to every engine; when [pm]
     is given its clock becomes the engine clock. The manifest chain
-    persists under the named superblock slot [config.manifest_root]. *)
+    persists under the named superblock slot [manifest_root] (default
+    [""], the unnamed pair; router shards pass ["shard<i>"]). With
+    [wal_external_sync] (default [false]; the router's durable shards set
+    it) a put stages its WAL record and leaves the sync to the group
+    committer's {!sync_wal}. *)
 
 val recover :
-  ?orphan_gc:bool -> ?cache:Cache.Block_cache.t -> Config.t -> pm:Pmem.t -> ssd:Ssd.t -> t
+  ?orphan_gc:bool ->
+  ?cache:Cache.Block_cache.t ->
+  ?manifest_root:string ->
+  ?wal_external_sync:bool ->
+  Config.t ->
+  pm:Pmem.t ->
+  ssd:Ssd.t ->
+  t
 (** Rebuild an engine from the devices after a crash: the superblock points
-    at the manifest (the [config.manifest_root] named slot), tables are
-    reopened in place, and the WAL ring replays the (durable) writes the
+    at the manifest (the [manifest_root] named slot, as in {!create}),
+    tables are reopened in place, and the WAL ring replays the (durable) writes the
     memtable lost. A ring whose replay hit a torn tail or a rotten record
     is never appended to: its surviving records are re-logged into a fresh
     ring, which the manifest names before the old ring is freed. PM regions and SSD files the manifest does not name —
@@ -87,6 +100,10 @@ val manifest_state : t -> Manifest.state
     and quarantine records (the router's orphan GC reads it). *)
 
 val config : t -> Config.t
+
+val manifest_root : t -> string
+(** The named superblock slot this engine's manifest chain persists under. *)
+
 val clock : t -> Sim.Clock.t
 val pm : t -> Pmem.t
 val ssd : t -> Ssd.t
@@ -100,12 +117,6 @@ val block_cache : t -> Cache.Block_cache.t option
 (** The engine-wide shared SSTable block cache, when
     [config.block_cache_mb > 0]. All SSTables the engine creates or reopens
     route {!Sstable.read_block} misses through it. *)
-
-val check_fence_invariants : bool ref
-(** When set (the default), every fence-pointer rebuild asserts that the
-    sorted run and each SSD level hold strictly disjoint, ordered key
-    ranges, raising [Failure] on violation. Tests may clear it to probe
-    behaviour without the guard. *)
 
 (** {1 Operations} *)
 
@@ -121,7 +132,7 @@ val sync_wal : t -> unit
     records), plus the [wal.sync] PM commit point. A group that would
     overflow the ring flushes the memtable first (counted in
     [wal_ring_full_flushes]). Used by the shard batcher together with
-    [config.wal_external_sync]; a no-op without a WAL. *)
+    [wal_external_sync]; a no-op without a WAL. *)
 
 val memtable_bytes : t -> int
 (** Current encoded byte size of the live memtable (the router's pre-put

@@ -55,6 +55,14 @@ type partition = {
 
 type t = {
   config : Config.t;
+  (* named superblock root slot this engine's manifest chain persists
+     under; "" is the classic unnamed pair. Router shards use "shard<i>" so
+     N manifest chains coexist on the shared SSD. *)
+  manifest_root : string;
+  (* stage WAL records but leave the durability-point sync to the router's
+     group-commit batcher; a put's ack is then deferred until the batch
+     leader calls [Engine.sync_wal] *)
+  wal_external_sync : bool;
   clock : Sim.Clock.t;
   pm : Pmem.t;
   ssd : Ssd.t;
@@ -70,8 +78,8 @@ type t = {
      and independent of the workload/memtable streams *)
   retry_rng : Util.Xoshiro.t;
   (* true while executing a foreground operation (put/delete): compactions
-     triggered inside it charge only config.background_share of their
-     duration to the operation's timeline *)
+     triggered inside it charge only [background_share] of their duration
+     to the operation's timeline *)
   mutable in_foreground : bool;
   (* durability (config.durable): WAL ahead of the memtable, manifest
      persisted on structural changes *)
@@ -109,6 +117,7 @@ let new_block_cache clock config =
   else None
 
 let config t = t.config
+let manifest_root t = t.manifest_root
 let clock t = t.clock
 let pm t = t.pm
 let ssd t = t.ssd
@@ -127,8 +136,8 @@ let new_sst t entries =
   sst
 
 let new_pmtable t ~kind slice =
-  Pmtable.Table.of_sorted_list ~group_size:t.config.Config.group_size
-    ~bloom_bits_per_key:t.config.Config.pm_bloom_bits_per_key t.pm ~kind slice
+  Pmtable.Table.of_sorted_list ~bloom_bits_per_key:t.config.Config.pm_bloom_bits_per_key t.pm
+    ~kind slice
 
 let partition_of t key =
   let n = Array.length t.partitions in
@@ -332,6 +341,11 @@ let rec cascade t p j =
 
 (* --- Internal compaction (§IV-B) -------------------------------------- *)
 
+(* Compactions run on background cores: the foreground operation that
+   triggered one observes only this share of its duration (interference
+   and backpressure), like RocksDB's background jobs. *)
+let background_share = 0.3
+
 let internal_compaction t p =
   if p.unsorted <> [] then
     Obs.Attr.with_phase Obs.Attr.Compaction @@ fun () ->
@@ -386,7 +400,7 @@ let internal_compaction t p =
       t.metrics.Metrics.internal_compaction_time +. duration;
     (* Foreground-triggered compaction runs on a background core. *)
     if t.in_foreground then
-      Sim.Clock.rewind t.clock ((1.0 -. t.config.Config.background_share) *. duration))
+      Sim.Clock.rewind t.clock ((1.0 -. background_share) *. duration))
 
 (* --- Major compaction -------------------------------------------------- *)
 
@@ -406,7 +420,7 @@ let with_major_timing t f =
     t.metrics.Metrics.major_compaction_time +. duration;
   (* Foreground-triggered compaction runs on a background core. *)
   if t.in_foreground then
-    Sim.Clock.rewind t.clock ((1.0 -. t.config.Config.background_share) *. duration);
+    Sim.Clock.rewind t.clock ((1.0 -. background_share) *. duration);
   result
 
 let matrix_wm_of p row = match List.assq_opt row p.matrix_wms with Some wm -> wm | None -> ""
@@ -817,7 +831,7 @@ let manifest_state t =
 
 let persist_manifest t =
   if t.config.Config.durable then begin
-    Manifest.persist ~root:t.config.Config.manifest_root t.ssd (manifest_state t);
+    Manifest.persist ~root:t.manifest_root t.ssd (manifest_state t);
     (* the manifest now references the current PM tables: all of them must
        be fenced or a crash here recovers into unpersisted bytes *)
     Pmem.commit_point t.pm "manifest.install"
@@ -828,7 +842,8 @@ let persist_manifest t =
    maybe_split), up to [config.partition_count]. Explicit [boundaries]
    pre-create the partitioning instead. A durable engine records its
    (empty) structure at once, so recovery works before the first flush. *)
-let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) ?pm ?ssd ?cache config =
+let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) ?pm ?ssd ?cache
+    ?(manifest_root = "") ?(wal_external_sync = false) config =
   (* Shards pass shared [pm]/[ssd]/[cache] devices; the clock is then the
      devices' clock so every shard charges time to the same timeline. *)
   let clock = match pm with Some p -> Pmem.clock p | None -> clock in
@@ -857,12 +872,7 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) ?pm ?ssd ?cache con
          (List.combine lows highs))
   in
   let pm =
-    match pm with
-    | Some p -> p
-    | None ->
-        let p = Pmem.create ~params:config.Config.pm_params clock in
-        if not config.Config.sanitize then Pmem.set_sanitizer p None;
-        p
+    match pm with Some p -> p | None -> Pmem.create ~params:config.Config.pm_params clock
   in
   let ssd =
     match ssd with Some s -> s | None -> Ssd.create ~params:config.Config.ssd_params clock
@@ -870,6 +880,8 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) ?pm ?ssd ?cache con
   let t =
     {
       config;
+      manifest_root;
+      wal_external_sync;
       clock;
       pm;
       ssd;

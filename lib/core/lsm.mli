@@ -43,6 +43,12 @@ type partition = {
 
 type t = {
   config : Config.t;
+  manifest_root : string;
+      (** named superblock root slot of the manifest chain; [""] is the
+          classic unnamed pair (router shards use ["shard<i>"]) *)
+  wal_external_sync : bool;
+      (** stage WAL records but leave the sync durability point to the
+          router's group-commit batcher calling [Engine.sync_wal] *)
   clock : Sim.Clock.t;
   pm : Pmem.t;
   ssd : Ssd.t;
@@ -54,8 +60,8 @@ type t = {
   mutable memtable_seed : int;
   retry_rng : Util.Xoshiro.t;  (** seeded jitter for SSD retry backoff *)
   mutable in_foreground : bool;
-      (** inside a put/delete: compactions charge only
-          [config.background_share] of their time *)
+      (** inside a put/delete: compactions charge only 30% of their
+          time *)
   mutable wal : Wal.t option;
   mutable quarantined : Manifest.quarantine list;
   mutable pipe_recording : Compaction.Pipeline.recording option;
@@ -75,11 +81,15 @@ val create :
   ?pm:Pmem.t ->
   ?ssd:Ssd.t ->
   ?cache:Cache.Block_cache.t ->
+  ?manifest_root:string ->
+  ?wal_external_sync:bool ->
   Config.t ->
   t
-(** A fresh engine state; a durable one has persisted its manifest. *)
+(** A fresh engine state; a durable one has persisted its manifest.
+    [manifest_root] defaults to [""], [wal_external_sync] to [false]. *)
 
 val config : t -> Config.t
+val manifest_root : t -> string
 val clock : t -> Sim.Clock.t
 val pm : t -> Pmem.t
 val ssd : t -> Ssd.t
@@ -91,7 +101,7 @@ val new_sst : t -> Util.Kv.entry list -> Sstable.t
 (** An SSTable that reads through the engine's shared block cache. *)
 
 val new_pmtable : t -> kind:Pmtable.Table.kind -> Util.Kv.entry list -> Pmtable.Table.t
-(** A PM table in the engine's group size and Bloom sizing. *)
+(** A PM table in the engine's Bloom sizing. *)
 
 val partition_of : t -> string -> partition
 val partitions : t -> partition array

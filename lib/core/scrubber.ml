@@ -26,7 +26,7 @@ let run ?salvage ?rate_limit_mb_s engine =
   let scrub = Engine.scrub ?salvage ?rate_limit_mb_s engine in
   let wal = Option.map Wal.verify (Engine.wal engine) in
   (* A shard engine persists under its own named superblock root. *)
-  let root = (Engine.config engine).Config.manifest_root in
+  let root = Engine.manifest_root engine in
   let cur, prev = Ssd.root_slots ~name:root (Engine.ssd engine) in
   let manifest_slots = (if cur = None then 0 else 1) + if prev = None then 0 else 1 in
   (* Trial-load the manifest: a rotted newest slot surfaces here as a

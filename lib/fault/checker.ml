@@ -129,7 +129,7 @@ let check_view golden view =
 let check_manifest engine =
   let violations = ref [] in
   let fail invariant detail = violations := { invariant; detail } :: !violations in
-  let root = (Core.Engine.config engine).Core.Config.manifest_root in
+  let root = Core.Engine.manifest_root engine in
   (match Core.Manifest.load ~root (Core.Engine.ssd engine) with
   | None -> fail "manifest" "no manifest on the device after recovery"
   | Some state ->

@@ -46,8 +46,8 @@ type t = {
   mutable rules : rule list;
   site_hits : (string, int ref) Hashtbl.t;
   mutable global_hits : int;
-  mutable crash_at : int option;
-  mutable counting : bool;
+  crash_at : int option;
+  counting : bool;
   stats : stats;
 }
 

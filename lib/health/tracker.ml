@@ -8,29 +8,31 @@
    one". All time comes from the caller (virtual-clock deltas), so the
    tracker itself is clock-free. *)
 
+(* EWMA weight of the newest sample, and the samples averaged into the
+   frozen baseline. *)
+let alpha = 0.2
+let warmup = 64
+
 type t = {
-  alpha : float;
-  warmup : int;
   mutable warmup_sum : float;
   mutable baseline : float; (* 0.0 until frozen *)
   mutable ewma : float;
   mutable samples : int;
 }
 
-let create ?(alpha = 0.2) ?(warmup = 64) () =
-  { alpha; warmup; warmup_sum = 0.0; baseline = 0.0; ewma = 0.0; samples = 0 }
+let create () = { warmup_sum = 0.0; baseline = 0.0; ewma = 0.0; samples = 0 }
 
 let observe t latency_ns =
   let latency_ns = Float.max 0.0 latency_ns in
   t.samples <- t.samples + 1;
-  if t.samples <= t.warmup then begin
+  if t.samples <= warmup then begin
     t.warmup_sum <- t.warmup_sum +. latency_ns;
-    if t.samples = t.warmup then begin
-      t.baseline <- Float.max 1.0 (t.warmup_sum /. float_of_int t.warmup);
+    if t.samples = warmup then begin
+      t.baseline <- Float.max 1.0 (t.warmup_sum /. float_of_int warmup);
       t.ewma <- t.baseline
     end
   end
-  else t.ewma <- (t.alpha *. latency_ns) +. ((1.0 -. t.alpha) *. t.ewma)
+  else t.ewma <- (alpha *. latency_ns) +. ((1.0 -. alpha) *. t.ewma)
 
 let samples t = t.samples
 let baseline t = t.baseline

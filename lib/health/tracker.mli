@@ -5,10 +5,9 @@
 
 type t
 
-val create : ?alpha:float -> ?warmup:int -> unit -> t
-(** [alpha] is the EWMA smoothing weight of the newest sample (default
-    0.2); [warmup] the number of samples averaged into the frozen baseline
-    (default 64). *)
+val create : unit -> t
+(** The EWMA weights the newest sample 0.2; the first 64 samples average
+    into the frozen baseline. *)
 
 val observe : t -> float -> unit
 (** Feed one operation latency in simulated nanoseconds. *)

@@ -25,12 +25,12 @@ type t = {
   mutable level : int;
   mutable count : int;
   mutable bytes : int;
-  dram_access_ns : float;
 }
 
-let dram_access_ns_default = 100.0
+(* DRAM cost of touching one skiplist node. *)
+let dram_access_ns = 100.0
 
-let create ?(dram_access_ns = dram_access_ns_default) ?(seed = 42) clock =
+let create ?(seed = 42) clock =
   {
     clock;
     rng = Util.Xoshiro.create seed;
@@ -38,14 +38,13 @@ let create ?(dram_access_ns = dram_access_ns_default) ?(seed = 42) clock =
     level = 1;
     count = 0;
     bytes = 0;
-    dram_access_ns;
   }
 
 let count t = t.count
 let byte_size t = t.bytes
 let is_empty t = t.count = 0
 
-let charge t n = Sim.Clock.advance t.clock (float_of_int n *. t.dram_access_ns)
+let charge t n = Sim.Clock.advance t.clock (float_of_int n *. dram_access_ns)
 
 let random_level t =
   let rec loop lvl =

@@ -1,12 +1,12 @@
 (** DRAM memtable: skiplist ordered by (key asc, seq desc).
 
     Newest version of a key first, which is the order every merge and point
-    lookup relies on. DRAM access costs are charged to the virtual clock per
+    lookup relies on. DRAM access costs (100 ns) are charged to the virtual clock per
     touched node so memtable reads participate in simulated latency. *)
 
 type t
 
-val create : ?dram_access_ns:float -> ?seed:int -> Sim.Clock.t -> t
+val create : ?seed:int -> Sim.Clock.t -> t
 val count : t -> int
 val byte_size : t -> int
 (** Sum of encoded entry sizes; the rotation trigger compares this against

@@ -121,13 +121,11 @@ let op_kinds = [ Read; Write; Scan ]
 (* --- Global state ------------------------------------------------------ *)
 
 type frame = {
-  frame_phase : phase;
   start : float;
   mutable child_ns : float;  (* time nested charges/frames already claimed *)
-  to_op : bool;  (* self time belongs to the current op, not background *)
 }
 
-type op_ctx = { kind : op_kind; op_start : float; acc : float array }
+type op_ctx = { op_start : float; acc : float array }
 
 type state = {
   clock : Sim.Clock.t;
@@ -196,10 +194,9 @@ let with_phase phase f =
     match !state with
     | None -> f ()
     | Some st ->
+        (* self time belongs to the current op, not background *)
         let to_op = st.op <> None && st.absorb_depth = 0 in
-        let frame =
-          { frame_phase = phase; start = Sim.Clock.now st.clock; child_ns = 0.0; to_op }
-        in
+        let frame = { start = Sim.Clock.now st.clock; child_ns = 0.0 } in
         st.frames <- frame :: st.frames;
         if absorbing phase then st.absorb_depth <- st.absorb_depth + 1;
         let finish () =
@@ -240,7 +237,7 @@ let with_op kind f =
     | Some st when st.op <> None -> f () (* no nested ops: inner calls inherit *)
     | Some st ->
         let op =
-          { kind; op_start = Sim.Clock.now st.clock; acc = Array.make phase_count 0.0 }
+          { op_start = Sim.Clock.now st.clock; acc = Array.make phase_count 0.0 }
         in
         st.op <- Some op;
         let finish () =

@@ -110,7 +110,7 @@ type t = {
   mutable drain_hook : (unit -> unit) option;
   (* persistence-ordering sanitizer (lib/sanitize); attached at creation
      when the global switch is on, detachable per device *)
-  mutable san : Sanitize.Pmsan.t option;
+  san : Sanitize.Pmsan.t option;
 }
 
 exception Out_of_space of { requested : int; available : int }
@@ -145,7 +145,6 @@ let set_flush_hook t hook = t.flush_hook <- hook
 let set_drain_hook t hook = t.drain_hook <- hook
 
 let sanitizer t = t.san
-let set_sanitizer t san = t.san <- san
 
 let commit_point t name =
   match t.san with

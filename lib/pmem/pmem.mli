@@ -128,9 +128,8 @@ val commit_point : t -> string -> unit
     yet fenced here. No-op without an attached sanitizer. *)
 
 val sanitizer : t -> Sanitize.Pmsan.t option
-val set_sanitizer : t -> Sanitize.Pmsan.t option -> unit
-(** Attach or detach ([None]) the checker; [Config.sanitize = false]
-    detaches it at engine creation. *)
+(** The checker attached at creation; [None] while [Sanitize.Control] was
+    disabled then. *)
 
 val unsafe_peek : region -> off:int -> len:int -> string
 (** Test-only read that charges no simulated time. *)

@@ -1,7 +1,7 @@
 (* Buffered sequential writer onto a PM region.
 
    Table builders append through a DRAM staging buffer that is written to
-   the device in [chunk] -sized pieces, amortising the per-access write cost
+   the device in [chunk]-byte pieces, amortising the per-access write cost
    the way real PM code batches ntstore/clwb. Spills flush (clwb) only the
    cache lines they complete; a line straddling two chunks is flushed once,
    by the spill that fills it (or by [finish] for the final partial line) —
@@ -12,13 +12,12 @@
 type t = {
   dev : Pmem.t;
   region : Pmem.region;
-  chunk : int;
   staging : Buffer.t;
   mutable written : int;      (* bytes already on the device *)
   mutable flushed_upto : int; (* line-aligned clwb high-water mark *)
 }
 
-let default_chunk = 4096
+let chunk = 4096
 let line_bytes = 64
 
 (* Planted-bug kill switches (cf. [Pm_table.verify_checksums]): drop the
@@ -28,15 +27,8 @@ let line_bytes = 64
 let chaos_skip_flush = ref false
 let chaos_skip_drain = ref false
 
-let create ?(chunk = default_chunk) dev region =
-  {
-    dev;
-    region;
-    chunk;
-    staging = Buffer.create chunk;
-    written = 0;
-    flushed_upto = 0;
-  }
+let create dev region =
+  { dev; region; staging = Buffer.create chunk; written = 0; flushed_upto = 0 }
 
 (* Write back the completed lines in [flushed_upto, upto): each line gets
    exactly one clwb per build. *)
@@ -57,11 +49,11 @@ let spill t =
 
 let add_string t s =
   Buffer.add_string t.staging s;
-  if Buffer.length t.staging >= t.chunk then spill t
+  if Buffer.length t.staging >= chunk then spill t
 
 let add_char t c =
   Buffer.add_char t.staging c;
-  if Buffer.length t.staging >= t.chunk then spill t
+  if Buffer.length t.staging >= chunk then spill t
 
 (* Fixed-width big-endian u32, for binary-searchable offset slots. *)
 let add_u32 t v =

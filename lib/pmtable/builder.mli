@@ -1,6 +1,6 @@
 (** Buffered sequential writer onto a PM region.
 
-    Appends through a DRAM staging buffer spilled in chunks, amortising the
+    Appends through a DRAM staging buffer spilled in 4 KiB chunks, amortising the
     per-access PM write cost and flushing (clwb) each chunk so the table is
     durable once {!finish} drains. *)
 
@@ -14,7 +14,7 @@ val chaos_skip_flush : bool ref
 val chaos_skip_drain : bool ref
 (** Companion switch: drop the closing fence of {!finish}. *)
 
-val create : ?chunk:int -> Pmem.t -> Pmem.region -> t
+val create : Pmem.t -> Pmem.region -> t
 
 val add_string : t -> string -> unit
 val add_char : t -> char -> unit

@@ -56,7 +56,6 @@ type t = {
   dev : Pmem.t;
   region : Pmem.region;
   count : int;
-  group_size : int;
   prefix_len : int;
   group_count : int;
   entry_len : int;   (* entry layer byte length *)
@@ -140,10 +139,12 @@ let check_sorted name entries =
       invalid_arg (name ^ ": input not sorted by Kv.compare_entry")
   done
 
-let default_prefix_len = 24
+(* The fixed slot width: larger slots strip more shared bytes from the
+   entry layer at ~zero probe cost, since the PM access cost is dominated
+   by its fixed term. *)
+let prefix_len = 24
 
-let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
-    ?(bloom_bits_per_key = default_bloom_bits_per_key) dev
+let build ?(group_size = 8) ?(bloom_bits_per_key = default_bloom_bits_per_key) dev
     (entries : Util.Kv.entry array) =
   let n = Array.length entries in
   if n = 0 then invalid_arg "Pm_table.build: empty input";
@@ -351,7 +352,6 @@ let build ?(group_size = 8) ?(prefix_len = default_prefix_len)
     dev;
     region;
     count = n;
-    group_size;
     prefix_len;
     group_count = Array.length groups;
     entry_len;
@@ -485,7 +485,7 @@ let open_existing dev region =
   let meta_off = Builder.read_u32 raw 4 in
   let group_count = Builder.read_u32 raw 8 in
   let prefix_len = Char.code raw.[12] in
-  let group_size = Char.code raw.[13] in
+  (* raw.[13] is the group size: part of the format, read by nothing *)
   let meta_crc = Builder.read_u32 raw 14 in
   let meta_raw = Pmem.read dev region ~off:meta_off ~len:(len - footer_bytes - meta_off) in
   if !verify_checksums && Util.Crc32.string meta_raw <> meta_crc then
@@ -525,7 +525,6 @@ let open_existing dev region =
       dev;
       region;
       count;
-      group_size;
       prefix_len;
       group_count;
       entry_len;

@@ -9,7 +9,6 @@ type t
 
 val build :
   ?group_size:int ->
-  ?prefix_len:int ->
   ?bloom_bits_per_key:int ->
   Pmem.t ->
   Util.Kv.entry array ->
@@ -17,10 +16,8 @@ val build :
 (** Build from entries sorted by {!Util.Kv.compare_entry}. A group closes
     at [group_size] entries (default the paper's 8) or before its entries
     would pass {!max_group_bytes}, and never splits one key's versions: a
-    group past either bound holds a single key's version run. [prefix_len] is the fixed slot width
-    (default {!default_prefix_len}; larger slots strip more shared bytes
-    from the entry layer at ~zero probe cost, since the PM access cost is
-    dominated by its fixed term). [bloom_bits_per_key] (default 10) sizes
+    group past either bound holds a single key's version run. Prefix-layer
+    slots are 24 bytes wide. [bloom_bits_per_key] (default 10) sizes
     the format-v2 Bloom filter persisted in the meta layer; [0] writes the
     byte-identical v1 layout with no bloom. Raises [Invalid_argument] on
     unsorted or empty input or a key with over 65535 versions, [Pmem.Out_of_space] when the device is

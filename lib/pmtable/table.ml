@@ -19,16 +19,16 @@ let kind = function
   | Array _ -> Array_plain
   | Snappy _ -> Array_snappy (* group mode indistinguishable at this level *)
 
-let build ?(group_size = 8) ?bloom_bits_per_key dev ~kind entries =
+let build ?bloom_bits_per_key dev ~kind entries =
   match kind with
-  | Pm_compressed -> Pm (Pm_table.build ~group_size ?bloom_bits_per_key dev entries)
+  | Pm_compressed -> Pm (Pm_table.build ?bloom_bits_per_key dev entries)
   | Array_plain -> Array (Array_table.build dev entries)
   | Array_snappy -> Snappy (Snappy_table.build ~mode:Snappy_table.Per_pair dev entries)
   | Array_snappy_group ->
-      Snappy (Snappy_table.build ~mode:(Snappy_table.Grouped group_size) dev entries)
+      Snappy (Snappy_table.build ~mode:(Snappy_table.Grouped 8) dev entries)
 
-let of_sorted_list ?group_size ?bloom_bits_per_key dev ~kind entries =
-  build ?group_size ?bloom_bits_per_key dev ~kind (Array.of_list entries)
+let of_sorted_list ?bloom_bits_per_key dev ~kind entries =
+  build ?bloom_bits_per_key dev ~kind (Array.of_list entries)
 
 let count = function
   | Pm t -> Pm_table.count t

@@ -13,18 +13,16 @@ type t
 val kind : t -> kind
 
 val build :
-  ?group_size:int ->
   ?bloom_bits_per_key:int ->
   Pmem.t ->
   kind:kind ->
   Util.Kv.entry array ->
   t
-(** Build from entries sorted by {!Util.Kv.compare_entry}.
-    [bloom_bits_per_key] applies to {!Pm_compressed} only (see
+(** Build from entries sorted by {!Util.Kv.compare_entry}, in groups of
+    the paper's 8 keys. [bloom_bits_per_key] applies to {!Pm_compressed} only (see
     {!Pm_table.build}); the array ablation variants ignore it. *)
 
 val of_sorted_list :
-  ?group_size:int ->
   ?bloom_bits_per_key:int ->
   Pmem.t ->
   kind:kind ->

@@ -1,10 +1,9 @@
 (** Process-wide sanitizer switch (on by default, so tests run sanitized).
 
     Devices consult it at creation time: disabling only affects devices
-    created afterwards. [Config.sanitize] and the CLI [--no-sanitize]
-    flag both funnel into this. *)
+    created afterwards. The CLI's [--no-sanitize] flag disables it before
+    any device exists. *)
 
-val enabled : bool ref
 val enable : unit -> unit
 val disable : unit -> unit
 val is_enabled : unit -> bool

@@ -52,7 +52,6 @@ let b_epoch = 0x04
 let b_stale = 0x08
 
 type shadow = {
-  sid : int;
   nlines : int;
   state : Bytes.t;
   mutable s_unfenced : int;  (* lines with state <> clean *)
@@ -120,7 +119,7 @@ let nlines_of len = (len + line_bytes - 1) / line_bytes
 
 let on_alloc t ~id ~len =
   Hashtbl.replace t.regions id
-    { sid = id; nlines = nlines_of len; state = Bytes.make (max 1 (nlines_of len)) '\000';
+    { nlines = nlines_of len; state = Bytes.make (max 1 (nlines_of len)) '\000';
       s_unfenced = 0; dead = false }
 
 let on_free t ~id =

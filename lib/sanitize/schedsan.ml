@@ -24,7 +24,7 @@ let vc_join (dst : vc) (src : vc) =
 
 type task = { tid : int; tname : string; vc : vc }
 
-type access = { a_tid : int; a_vc : vc; a_site : string; a_name : string }
+type access = { a_tid : int; a_vc : vc; a_site : string }
 
 type varstate = {
   mutable last_write : access option;
@@ -117,15 +117,14 @@ let var_state t name =
       Hashtbl.add t.vars name vs;
       vs
 
-let access_of task name =
-  { a_tid = task.tid; a_vc = Hashtbl.copy task.vc; a_site = Site.capture ();
-    a_name = name }
+let access_of task =
+  { a_tid = task.tid; a_vc = Hashtbl.copy task.vc; a_site = Site.capture () }
 
 let write t name =
   let task = current t in
   tick task;
   let vs = var_state t name in
-  let now = access_of task name in
+  let now = access_of task in
   (match vs.last_write with
   | Some prev when prev.a_tid <> task.tid && not (vc_leq prev.a_vc task.vc) ->
       race t ~kind:"write-write-race" ~var:name ~prev ~now
@@ -142,7 +141,7 @@ let read t name =
   let task = current t in
   tick task;
   let vs = var_state t name in
-  let now = access_of task name in
+  let now = access_of task in
   (match vs.last_write with
   | Some prev when prev.a_tid <> task.tid && not (vc_leq prev.a_vc task.vc) ->
       race t ~kind:"write-read-race" ~var:name ~prev ~now

@@ -74,15 +74,12 @@ type t = {
 
 let max_key_sentinel = "\xff\xff\xff\xff\xff\xff\xff\xff"
 
-(* Per-shard engine configuration: own namespace (manifest root, name,
-   seed), the policy's slice of the shared level-0 budget, and the WAL
-   durability point handed to the group committer. *)
+(* Per-shard engine configuration: own name and seed, and the policy's
+   slice of the shared level-0 budget. *)
 let shard_config cfg n i =
   {
     (Core.Policy.shard_budget cfg ~shards:n) with
     Core.Config.name = Printf.sprintf "%s/shard%d" cfg.Core.Config.name i;
-    manifest_root = (if n = 1 then "" else Printf.sprintf "shard%d" i);
-    wal_external_sync = cfg.Core.Config.durable;
     shard_count = n;
     seed = cfg.Core.Config.seed + (131 * i);
   }
@@ -118,8 +115,14 @@ let make_shards cfg mk_engine rs =
   Array.of_list
     (List.mapi
        (fun i (lo, hi) ->
-         let scfg = shard_config cfg n i in
-         let engine = mk_engine scfg in
+         (* its own manifest root on the shared SSD (the unnamed pair when
+            alone), and the WAL durability point handed to the group
+            committer *)
+         let engine =
+           mk_engine
+             ~manifest_root:(if n = 1 then "" else Printf.sprintf "shard%d" i)
+             ~wal_external_sync:cfg.Core.Config.durable (shard_config cfg n i)
+         in
          let soft = cfg.Core.Config.admission_soft_tables in
          {
            s_idx = i;
@@ -166,10 +169,14 @@ let make config clock pm ssd cache shards =
 let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) cfg =
   let rs = ranges cfg boundaries in
   let pm = Pmem.create ~params:cfg.Core.Config.pm_params clock in
-  if not cfg.Core.Config.sanitize then Pmem.set_sanitizer pm None;
   let ssd = Ssd.create ~params:cfg.Core.Config.ssd_params clock in
   let cache = Core.Lsm.new_block_cache clock cfg in
-  let shards = make_shards cfg (fun scfg -> Core.Engine.create ~pm ~ssd ?cache scfg) rs in
+  let shards =
+    make_shards cfg
+      (fun ~manifest_root ~wal_external_sync scfg ->
+        Core.Engine.create ~pm ~ssd ?cache ~manifest_root ~wal_external_sync scfg)
+      rs
+  in
   make cfg clock pm ssd cache shards
 
 (* Rebuild every shard from the shared devices. Each shard recovers its
@@ -182,7 +189,11 @@ let recover ?(boundaries = []) cfg ~pm ~ssd =
   let clock = Pmem.clock pm in
   let cache = Core.Lsm.new_block_cache clock cfg in
   let shards =
-    make_shards cfg (fun scfg -> Core.Engine.recover ~orphan_gc:false ?cache scfg ~pm ~ssd) rs
+    make_shards cfg
+      (fun ~manifest_root ~wal_external_sync scfg ->
+        Core.Engine.recover ~orphan_gc:false ?cache ~manifest_root ~wal_external_sync scfg ~pm
+          ~ssd)
+      rs
   in
   let engines = Array.to_list (Array.map (fun s -> s.engine) shards) in
   Core.Engine.gc_orphans ~pm ~ssd ~states:(List.map Core.Engine.manifest_state engines)

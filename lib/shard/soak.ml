@@ -46,14 +46,12 @@ type config = {
   rounds : int;
   ops_per_round : int;
   keyspace : int;
-  value_len : int;
-  slow_factor : float;
   router_config : Core.Config.t;
   boundaries : string list;
 }
 
-let config ?(seed = 42) ?(rounds = 16) ?(ops_per_round = 600) ?(keyspace = 400)
-    ?(value_len = 48) ?(slow_factor = 25.0) ?boundaries router_config =
+let config ?(seed = 42) ?(rounds = 16) ?(ops_per_round = 600) ?(keyspace = 400) ?boundaries
+    router_config =
   if not router_config.Core.Config.durable then
     invalid_arg "Shard.Soak.config: router config must be durable";
   let boundaries =
@@ -62,16 +60,7 @@ let config ?(seed = 42) ?(rounds = 16) ?(ops_per_round = 600) ?(keyspace = 400)
         (Sweep.workload_boundaries ~keyspace
            ~shards:(max 1 router_config.Core.Config.shard_count))
   in
-  {
-    seed;
-    rounds;
-    ops_per_round;
-    keyspace;
-    value_len;
-    slow_factor;
-    router_config;
-    boundaries;
-  }
+  { seed; rounds; ops_per_round; keyspace; router_config; boundaries }
 
 type report = {
   soak_rounds : int;
@@ -215,9 +204,7 @@ let one_op st ~sick i =
   let t0 = Sim.Clock.now clock in
   let r = Util.Xoshiro.int st.rng 10 in
   if r < 6 then begin
-    let v =
-      Printf.sprintf "%d:%s" i (Util.Xoshiro.string st.rng st.cfg.value_len)
-    in
+    let v = Printf.sprintf "%d:%s" i (Util.Xoshiro.string st.rng 48) in
     Fault.Golden.begin_put st.golden ~key v;
     let outcome =
       match Router.put_checked ~update:true st.router ~key v with
@@ -385,6 +372,9 @@ let check_full st =
    only an open breaker keeps the shard's writers from waiting on it. *)
 let stuck_line_ns = 2_500_000.0
 
+(* Latency multiple a fail-slow episode injects. *)
+let slow_factor = 25.0
+
 (* Scope closures re-query ownership per hit, so structures the sick shard
    creates mid-episode (its own flushes and compactions) stay in scope. *)
 let arm_gray st ~round ~sick kind =
@@ -392,14 +382,13 @@ let arm_gray st ~round ~sick kind =
   let engine = (Router.engines st.router).(sick) in
   let file_scope id = List.mem id (Core.Engine.owned_file_ids engine) in
   let region_scope id = List.mem id (Core.Engine.owned_region_ids engine) in
-  let mult = st.cfg.slow_factor in
   (match kind with
   | Slow_pm ->
       Fault.Plan.add_rule plan ~site:"pm.flush" ~trigger:Fault.Plan.Every
-        ~scope:region_scope (Fault.Plan.Slow mult)
+        ~scope:region_scope (Fault.Plan.Slow slow_factor)
   | Slow_read ->
       Fault.Plan.add_rule plan ~site:"ssd.read" ~trigger:Fault.Plan.Every
-        ~scope:file_scope (Fault.Plan.Slow mult)
+        ~scope:file_scope (Fault.Plan.Slow slow_factor)
   | Error_storm ->
       Fault.Plan.add_rule plan ~site:"ssd.read"
         ~trigger:(Fault.Plan.Duty { period = 6; on = 4 })
@@ -423,7 +412,7 @@ let arm_gray st ~round ~sick kind =
         (Fault.Plan.Slow (stuck_line_ns /. Pmem.default_params.Pmem.flush_ns));
       Fault.Plan.add_rule plan ~site:"ssd.fsync" ~trigger:Fault.Plan.Every
         ~scope:file_scope
-        (Fault.Plan.Slow (4.0 *. mult))
+        (Fault.Plan.Slow (4.0 *. slow_factor))
   | _ -> assert false);
   Fault.Plan.arm plan ~pm:(Router.pm st.router) ~ssd:(Router.ssd st.router)
 

@@ -34,8 +34,6 @@ type config = {
   rounds : int;
   ops_per_round : int;
   keyspace : int;
-  value_len : int;
-  slow_factor : float;  (** latency multiple injected by fail-slow episodes *)
   router_config : Core.Config.t;
   boundaries : string list;
 }
@@ -45,8 +43,6 @@ val config :
   ?rounds:int ->
   ?ops_per_round:int ->
   ?keyspace:int ->
-  ?value_len:int ->
-  ?slow_factor:float ->
   ?boundaries:string list ->
   Core.Config.t ->
   config

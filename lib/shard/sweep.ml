@@ -26,14 +26,9 @@ type config = {
   seed : int;
   ops : int;
   keyspace : int;
-  value_len : int;
   rules : (string * Fault.Plan.trigger * Fault.Plan.action) list;
       (* injected on every crash-sweep run (not the counting run) — this is
          how a test plants a durability bug and proves the sweep catches it *)
-  double_crash : bool;
-      (* arm a second seeded crash schedule over the recovery path itself:
-         legs whose recovery trips it crash again mid-recovery and recover
-         from the doubly-crashed image, proving recovery is idempotent *)
   boundaries : string list;
   router_config : Core.Config.t;
 }
@@ -44,8 +39,7 @@ let workload_boundaries ~keyspace ~shards =
   List.init (shards - 1) (fun i ->
       Printf.sprintf "user%06d" (keyspace * (i + 1) / shards))
 
-let config ?(seed = 42) ?(ops = 300) ?(keyspace = 64) ?(value_len = 24) ?(rules = [])
-    ?(double_crash = true) ?boundaries router_config =
+let config ?(seed = 42) ?(ops = 300) ?(keyspace = 64) ?(rules = []) ?boundaries router_config =
   if not router_config.Core.Config.durable then
     invalid_arg "Shard.Sweep.config: router config must be durable";
   let boundaries =
@@ -53,7 +47,7 @@ let config ?(seed = 42) ?(ops = 300) ?(keyspace = 64) ?(value_len = 24) ?(rules 
       ~default:
         (workload_boundaries ~keyspace ~shards:(max 1 router_config.Core.Config.shard_count))
   in
-  { seed; ops; keyspace; value_len; rules; double_crash; boundaries; router_config }
+  { seed; ops; keyspace; rules; boundaries; router_config }
 
 (* --- Shared pieces: store, workload, crash, recovery, sanitizer ----------- *)
 
@@ -78,7 +72,7 @@ let run_ops cfg golden router =
   for i = 0 to cfg.ops - 1 do
     let key = Printf.sprintf "user%06d" (Util.Xoshiro.int rng cfg.keyspace) in
     if Util.Xoshiro.int rng 10 < 8 then begin
-      let value = Printf.sprintf "%d:%s" i (Util.Xoshiro.string rng cfg.value_len) in
+      let value = Printf.sprintf "%d:%s" i (Util.Xoshiro.string rng 24) in
       Fault.Golden.begin_put golden ~key value;
       sink.Workload.Sink.put ~update:true ~key value;
       Fault.Golden.ack golden
@@ -229,7 +223,7 @@ let run_crash_at ?stats cfg n =
   in
   crash ~torn_seed:(cfg.seed + (7919 * n)) ~pm ~ssd ();
   match
-    recover ~stats ~double:cfg.double_crash ~salt:0x2CC ~seed:cfg.seed n ~pm ~ssd
+    recover ~stats ~double:true ~salt:0x2CC ~seed:cfg.seed n ~pm ~ssd
       (fun () -> recover_router cfg ~pm ~ssd)
   with
   | recovered ->

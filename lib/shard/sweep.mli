@@ -29,9 +29,7 @@ type config = {
   seed : int;
   ops : int;
   keyspace : int;
-  value_len : int;
   rules : (string * Fault.Plan.trigger * Fault.Plan.action) list;
-  double_crash : bool;
   boundaries : string list;
   router_config : Core.Config.t;
 }
@@ -40,21 +38,18 @@ val config :
   ?seed:int ->
   ?ops:int ->
   ?keyspace:int ->
-  ?value_len:int ->
   ?rules:(string * Fault.Plan.trigger * Fault.Plan.action) list ->
-  ?double_crash:bool ->
   ?boundaries:string list ->
   Core.Config.t ->
   config
-(** Defaults: seed 42, 300 ops over 64 keys, 24-byte values, no rules,
-    [double_crash] on. [rules] are armed on every crash-sweep run (not the
-    counting run): planting a durability bug — say
-    [("wal.sync", Every, Wal_sync_loss)] — and asserting the sweep reports
-    violations is the subsystem's self-test. [double_crash] arms a second
-    seeded crash schedule over each leg's recovery path (see {!recover}).
-    When [boundaries] is omitted a multi-shard config gets an even split
-    of the workload's [user%06d] key population. Raises [Invalid_argument]
-    unless the config is durable. *)
+(** Defaults: seed 42, 300 ops over 64 keys, no rules. [rules] are armed
+    on every crash-sweep run (not the counting run): planting a durability
+    bug — say [("wal.sync", Every, Wal_sync_loss)] — and asserting the
+    sweep reports violations is the subsystem's self-test. Every crash
+    point also arms a second seeded crash schedule over its leg's recovery
+    path (see {!recover}). When [boundaries] is omitted a multi-shard
+    config gets an even split of the workload's [user%06d] key population.
+    Raises [Invalid_argument] unless the config is durable. *)
 
 val workload_boundaries : keyspace:int -> shards:int -> string list
 
@@ -66,7 +61,7 @@ val fresh : config -> Router.t
 
 val run_ops : config -> Fault.Golden.t -> Router.t -> unit
 (** The seeded workload: [ops] ops over [user%06d] keys, 80% puts of
-    [value_len]-byte values and 20% deletes, each mirrored into the golden
+    24-byte values and 20% deletes, each mirrored into the golden
     model. Writes go through {!Router.sink}, which raises on any outcome
     but an ack, so a refused write is never mirrored as acked. *)
 

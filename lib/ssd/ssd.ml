@@ -66,7 +66,7 @@ let fresh_stats () =
 
 type file = {
   id : int;
-  mutable data : Buffer.t;
+  data : Buffer.t;
   mutable closed : bool;
   (* bytes guaranteed to survive a crash; advanced by fsync/seal, enforced
      by [crash] when crash mode is on *)

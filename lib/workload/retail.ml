@@ -13,40 +13,33 @@
    updates choose orders zipfian-by-recency, which produces the hot/warm/
    cold lifecycle of the introduction. *)
 
+(* The §VI-D shape: of the schema's 10 tables, a new order touches
+   [rows_per_order]; each table has [indexes_per_table] secondary indexes
+   on ~[index_column_bytes]-byte columns, and reads pick orders zipfian by
+   recency with [recency_theta]. *)
+let indexes_per_table = 3
+let index_column_bytes = 120
+let rows_per_order = 6
+let recency_theta = 0.9
+
 type t = {
   rng : Util.Xoshiro.t;
-  tables : int;
-  indexes_per_table : int;
   row_bytes : int;        (* order row payload per table *)
-  index_column_bytes : int;
-  rows_per_order : int;   (* tables touched by one new order *)
   mutable next_order : int;
-  recency_theta : float;
   mutable zipf_cache : (int * Util.Zipf.t) option;
 }
 
-let create ?(seed = 23) ?(tables = 10) ?(indexes_per_table = 3) ?(row_bytes = 256)
-    ?(index_column_bytes = 120) ?(rows_per_order = 6) ?(recency_theta = 0.9) () =
-  {
-    rng = Util.Xoshiro.create seed;
-    tables;
-    indexes_per_table;
-    row_bytes;
-    index_column_bytes;
-    rows_per_order;
-    next_order = 0;
-    recency_theta;
-    zipf_cache = None;
-  }
+let create ?(seed = 23) ?(row_bytes = 256) () =
+  { rng = Util.Xoshiro.create seed; row_bytes; next_order = 0; zipf_cache = None }
 
 let order_count t = t.next_order
 
 (* Deterministic per-order index column value: shared digits make keys
    prefix-compressible the way real index columns (user id, merchant id,
    city) are. *)
-let index_column t ~order ~index_id =
+let index_column ~order ~index_id =
   let base = Printf.sprintf "c%02d-%s" index_id (Util.Keys.fixed_int ~width:8 (order * 37 mod 99999989)) in
-  base ^ String.make (max 0 (t.index_column_bytes - String.length base)) 'x'
+  base ^ String.make (max 0 (index_column_bytes - String.length base)) 'x'
 
 let row_value t = Util.Xoshiro.string t.rng t.row_bytes
 
@@ -55,11 +48,11 @@ let row_value t = Util.Xoshiro.string t.rng t.row_bytes
 let new_order_sink t (sink : Sink.t) =
   let order = t.next_order in
   t.next_order <- order + 1;
-  for table_id = 0 to t.rows_per_order - 1 do
+  for table_id = 0 to rows_per_order - 1 do
     let key = Util.Keys.record_key ~table_id ~row_id:order in
     sink.put ~update:false ~key (row_value t);
-    for index_id = 0 to t.indexes_per_table - 1 do
-      let column = index_column t ~order ~index_id in
+    for index_id = 0 to indexes_per_table - 1 do
+      let column = index_column ~order ~index_id in
       let ikey = Util.Keys.index_key ~table_id ~index_id ~column ~row_id:order in
       sink.put ~update:false ~key:ikey (Util.Keys.fixed_int ~width:12 order)
     done
@@ -71,7 +64,7 @@ let recent_order t =
     match t.zipf_cache with
     | Some (cached_n, z) when n <= cached_n * 11 / 10 -> z
     | _ ->
-        let z = Util.Zipf.create ~theta:t.recency_theta ~n t.rng in
+        let z = Util.Zipf.create ~theta:recency_theta ~n t.rng in
         t.zipf_cache <- Some (n, z);
         z
   in
@@ -86,11 +79,11 @@ let update_order_sink t (sink : Sink.t) =
     let order = recent_order t in
     let tables_touched = 1 + Util.Xoshiro.int t.rng 2 in
     for i = 0 to tables_touched - 1 do
-      let table_id = i mod t.rows_per_order in
+      let table_id = i mod rows_per_order in
       let key = Util.Keys.record_key ~table_id ~row_id:order in
       sink.put ~update:true ~key (row_value t);
-      let index_id = Util.Xoshiro.int t.rng t.indexes_per_table in
-      let column = index_column t ~order ~index_id in
+      let index_id = Util.Xoshiro.int t.rng indexes_per_table in
+      let column = index_column ~order ~index_id in
       let ikey = Util.Keys.index_key ~table_id ~index_id ~column ~row_id:order in
       sink.put ~update:true ~key:ikey (Util.Keys.fixed_int ~width:12 order)
     done
@@ -101,9 +94,9 @@ let update_order_sink t (sink : Sink.t) =
 let index_query_sink t (sink : Sink.t) =
   if t.next_order > 0 then begin
     let order = recent_order t in
-    let table_id = Util.Xoshiro.int t.rng t.rows_per_order in
-    let index_id = Util.Xoshiro.int t.rng t.indexes_per_table in
-    let column = index_column t ~order ~index_id in
+    let table_id = Util.Xoshiro.int t.rng rows_per_order in
+    let index_id = Util.Xoshiro.int t.rng indexes_per_table in
+    let column = index_column ~order ~index_id in
     let prefix = Util.Keys.index_scan_prefix ~table_id ~index_id ~column in
     let hits =
       sink.scan_range ~start:prefix ~stop:(Util.Keys.prefix_successor prefix)
@@ -121,7 +114,7 @@ let index_query_sink t (sink : Sink.t) =
 let point_read_sink t (sink : Sink.t) =
   if t.next_order > 0 then begin
     let order = recent_order t in
-    let table_id = Util.Xoshiro.int t.rng t.rows_per_order in
+    let table_id = Util.Xoshiro.int t.rng rows_per_order in
     ignore (sink.get (Util.Keys.record_key ~table_id ~row_id:order))
   end
 
@@ -129,7 +122,7 @@ let point_read_sink t (sink : Sink.t) =
 let history_scan_sink t (sink : Sink.t) =
   if t.next_order > 0 then begin
     let order = recent_order t in
-    let table_id = Util.Xoshiro.int t.rng t.rows_per_order in
+    let table_id = Util.Xoshiro.int t.rng rows_per_order in
     let start = Util.Keys.record_key ~table_id ~row_id:order in
     let stop = Util.Keys.record_key ~table_id ~row_id:(order + 20) in
     ignore (sink.scan_range ~start ~stop)

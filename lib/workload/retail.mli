@@ -5,16 +5,7 @@
 
 type t
 
-val create :
-  ?seed:int ->
-  ?tables:int ->
-  ?indexes_per_table:int ->
-  ?row_bytes:int ->
-  ?index_column_bytes:int ->
-  ?rows_per_order:int ->
-  ?recency_theta:float ->
-  unit ->
-  t
+val create : ?seed:int -> ?row_bytes:int -> unit -> t
 
 val order_count : t -> int
 

@@ -34,26 +34,21 @@ let of_string = function
   | "f" | "F" -> F
   | s -> invalid_arg ("Ycsb.of_string: unknown workload " ^ s)
 
+(* YCSB's standard request skew and workload-E scan length bound. *)
+let zipf_theta = 0.99
+let max_scan_len = 100
+
 type t = {
   rng : Util.Xoshiro.t;
   mutable record_count : int;  (* keys inserted so far *)
   value_bytes : int;
-  zipf_theta : float;
-  max_scan_len : int;
   (* The zeta precomputation in Zipf.create is O(n); cache the chooser and
      rebuild only once the keyspace has grown by >10%. *)
   mutable zipf_cache : (int * Util.Zipf.t) option;
 }
 
-let create ?(seed = 11) ?(value_bytes = 1024) ?(zipf_theta = 0.99) ?(max_scan_len = 100) () =
-  {
-    rng = Util.Xoshiro.create seed;
-    record_count = 0;
-    value_bytes;
-    zipf_theta;
-    max_scan_len;
-    zipf_cache = None;
-  }
+let create ?(seed = 11) ?(value_bytes = 1024) () =
+  { rng = Util.Xoshiro.create seed; record_count = 0; value_bytes; zipf_cache = None }
 
 let key_of_rank rank = Util.Keys.ycsb_key rank
 
@@ -64,7 +59,7 @@ let zipf t =
   match t.zipf_cache with
   | Some (cached_n, z) when n <= cached_n * 11 / 10 -> z
   | _ ->
-      let z = Util.Zipf.create ~theta:t.zipf_theta ~n t.rng in
+      let z = Util.Zipf.create ~theta:zipf_theta ~n t.rng in
       t.zipf_cache <- Some (n, z);
       z
 
@@ -106,7 +101,7 @@ let step_sink t (sink : Sink.t) workload =
       else insert_next_sink t sink
   | E ->
       if p < 0.95 then
-        let len = 1 + Util.Xoshiro.int t.rng t.max_scan_len in
+        let len = 1 + Util.Xoshiro.int t.rng max_scan_len in
         ignore (sink.scan ~start:(zipf_key t) ~limit:len)
       else insert_next_sink t sink
   | F ->

@@ -8,8 +8,8 @@ val of_string : string -> workload
 
 type t
 
-val create :
-  ?seed:int -> ?value_bytes:int -> ?zipf_theta:float -> ?max_scan_len:int -> unit -> t
+val create : ?seed:int -> ?value_bytes:int -> unit -> t
+(** Zipfian skew 0.99; workload E scans 1-100 keys. *)
 
 val record_count : t -> int
 

@@ -181,7 +181,6 @@ let test_engine_cache_bounded () =
   check Alcotest.bool "evictions under pressure" true (Cache.Block_cache.evictions c > 0)
 
 let test_engine_fences_agree_with_model () =
-  check Alcotest.bool "fence invariants on by default" true !Core.Engine.check_fence_invariants;
   let cfg = { small_config with Core.Config.partition_count = 4 } in
   let engine = Core.Engine.create cfg in
   let rng = Util.Xoshiro.create 29 in

@@ -408,23 +408,6 @@ let test_explicit_boundaries_respected () =
   check (Alcotest.option Alcotest.string) "low side" (Some "1") (Core.Engine.get eng "apple");
   check (Alcotest.option Alcotest.string) "high side" (Some "2") (Core.Engine.get eng "zebra")
 
-let test_background_share_softens_stalls () =
-  (* With compaction fully on the foreground timeline (share = 1.0) write
-     latency must be at least as high as with background execution. *)
-  let run share =
-    let cfg = { (small Core.Config.pmblade) with Core.Config.background_share = share } in
-    let eng = Core.Engine.create cfg in
-    let rng = Util.Xoshiro.create 13 in
-    for _ = 1 to 4000 do
-      Core.Engine.put ~update:true eng
-        ~key:(Util.Keys.record_key ~table_id:1 ~row_id:(Util.Xoshiro.int rng 300))
-        (Util.Xoshiro.string rng 64);
-      ignore (Core.Engine.get eng (Util.Keys.record_key ~table_id:1 ~row_id:(Util.Xoshiro.int rng 300)))
-    done;
-    Util.Histogram.mean (Core.Engine.metrics eng).Core.Metrics.write_latency
-  in
-  check Alcotest.bool "foreground >= background" true (run 1.0 >= run 0.3)
-
 let prop_engine_model =
   QCheck.Test.make ~name:"pmblade engine = model under random ops" ~count:15
     QCheck.(int_range 0 10000)
@@ -588,7 +571,6 @@ let () =
           Alcotest.test_case "matrix watermark correctness" `Quick test_matrix_watermark_read_correctness;
           Alcotest.test_case "dynamic split grows partitions" `Quick test_dynamic_split_grows_partitions;
           Alcotest.test_case "explicit boundaries" `Quick test_explicit_boundaries_respected;
-          Alcotest.test_case "background share softens stalls" `Quick test_background_share_softens_stalls;
           qtest prop_engine_model;
         ] );
       ( "ledger",

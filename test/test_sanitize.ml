@@ -288,11 +288,11 @@ let test_engine_workload_zero_findings () =
     (Sanitize.Pmsan.commit_points san > 0)
 
 let test_config_opt_out_detaches () =
-  let engine =
-    Core.Engine.create { small_config with Core.Config.sanitize = false }
-  in
-  check Alcotest.bool "config opt-out detaches the checker" true
-    (Pmem.sanitizer (Core.Engine.pm engine) = None)
+  Sanitize.Control.disable ();
+  Fun.protect ~finally:Sanitize.Control.enable (fun () ->
+      let engine = Core.Engine.create small_config in
+      check Alcotest.bool "opt-out detaches the engine's checker" true
+        (Pmem.sanitizer (Core.Engine.pm engine) = None))
 
 (* ---------- schedsan through the real scheduler ---------- *)
 

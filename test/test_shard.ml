@@ -142,7 +142,7 @@ let test_batch_crash_atomicity () =
   Array.iter
     (fun e ->
       check Alcotest.bool "shards defer the WAL sync" true
-        (Core.Engine.config e).Core.Config.wal_external_sync)
+        e.Core.Lsm.wal_external_sync)
     engines;
   for i = 10 to 14 do
     Core.Engine.put engines.(0) ~key:(Printf.sprintf "a%02d" i) "staged";
@@ -752,7 +752,7 @@ let test_scrub_checks_shard_manifest () =
   done;
   let engine = (Shard.Router.engines r).(1) in
   let ssd = Shard.Router.ssd r in
-  let cur, _ = Ssd.root_slots ~name:(Core.Engine.config engine).Core.Config.manifest_root ssd in
+  let cur, _ = Ssd.root_slots ~name:(Core.Engine.manifest_root engine) ssd in
   let file = Option.get (Ssd.find_file ssd (Option.get cur)) in
   Ssd.corrupt_file ssd file ~off:(Ssd.file_size file / 2);
   let report = Core.Scrubber.run engine in
