@@ -40,16 +40,16 @@ SAN_SITES ?= 50
 sanitize:
 	dune exec bin/pm_blade_cli.exe -- sanitize --sites $(SAN_SITES)
 
-# Source hygiene: no Obj.magic, no console output in lib/, no partial
-# accessors in the storage core, a .mli for every lib/ module, a caller
-# for every lib/ module and a user for every exported val — plus the
-# pmlint static analyzer for the AST-level rules.
+# Source hygiene: no Obj.magic, no console output in lib/, a .mli for
+# every lib/ module, a caller for every lib/ module and a user for every
+# exported val — plus the pmlint static analyzer for the AST-level rules
+# (partial accessors among them).
 lint:
 	sh scripts/lint.sh
 
 # Static analyzer on its own: pmlint parses every lib/ module with
 # compiler-libs and enforces the protocol rules (flush-before-commit,
-# suspend-in-critical-section, metric-hygiene, partial-accessor); only
+# suspend-in-critical-section, partial-accessor); only
 # reasoned inline allow markers silence a finding. Writes the
 # machine-readable report to PMLINT.json. The
 # planted leg (PMB_PLANT=pmlint_fixture scripts/check_pmlint.sh) adds
@@ -62,40 +62,22 @@ check: build test lint
 bench:
 	dune exec bench/main.exe
 
-# Read-path benchmark (block cache, PM blooms, fence pruning, bounded
-# scans) with the liveness smoke check: fails if the cache hit ratio or
-# the bloom filter rate comes out zero. The fresh run goes to a temp file
-# and the perf gate compares it against the committed BENCH_readpath.json,
-# which this target never rewrites. Refresh the baseline after an
-# intentional change:
-#   dune exec bench/main.exe -- readpath --json BENCH_readpath.json
+# Bench gates: each runs one experiment into a temp file, fails on any
+# floor the experiment asserts itself (Report.require in bench/), and
+# compares the run against its committed BENCH_<id>.json with perf_gate
+# (scripts/check_bench.sh). No target rewrites a baseline; refresh one
+# after an intentional change with
+#   dune exec bench/main.exe -- ID --json BENCH_ID.json
 readpath-bench:
-	sh scripts/check_readpath.sh BENCH_readpath.json
-
-# Sharded front-door benchmark (range-sharded router, group commit,
-# admission control) with the liveness smoke check: fails on zero
-# batching, a shard left stalled over the hard limit at run end, a
-# 4-shard scaling ratio below 1.5x, a resident one-shard store whose
-# reads PM serves under 90% of, or an update-heavy cost-based shard whose
-# relief steps are under half internal compactions. The fresh run goes
-# to a temp file
-# and the perf gate compares it against the committed BENCH_shard.json,
-# which this target never rewrites. Refresh the baseline after an
-# intentional change:
-#   dune exec bench/main.exe -- shard --json BENCH_shard.json
+	sh scripts/check_bench.sh readpath
 shard-bench:
-	sh scripts/check_shard.sh BENCH_shard.json
-
-# Pipelined-compaction benchmark (staged read/merge/build/write overlap
-# vs the Table III serial baseline) with the liveness smoke check: fails
-# on a 4-core speedup under 1.8x, a stage with zero overlap work,
-# idleness not below the serial run, or replay sanitizer findings. The
-# fresh run goes to a temp file and the perf gate compares it against the
-# committed BENCH_pipeline.json, which this target never rewrites.
-# Refresh the baseline after an intentional change:
-#   dune exec bench/main.exe -- pipeline --json BENCH_pipeline.json
+	sh scripts/check_bench.sh shard
 pipeline-bench:
-	sh scripts/check_pipeline.sh BENCH_pipeline.json
+	sh scripts/check_bench.sh pipeline
+soak-bench:
+	sh scripts/check_bench.sh soak
+perf-gate:
+	sh scripts/check_bench.sh attr
 
 # Chaos soak via the CLI: seeded rounds of gray faults, crash-restart
 # cycles (including a crash during recovery) and bit rot, driven through
@@ -105,16 +87,6 @@ SOAK_ROUNDS ?= 16
 soak:
 	dune exec bin/pm_blade_cli.exe -- soak --rounds $(SOAK_ROUNDS)
 
-# Chaos-soak benchmark with the availability gate: fails on any
-# correctness violation, a healthy-shard within-budget ratio under 0.99,
-# or a deadline-ok ratio under 0.992 (the bar a breaker-less build
-# misses). The fresh run goes to a temp file and the perf gate compares
-# it against the committed BENCH_soak.json, which this target never
-# rewrites. Refresh the baseline after an intentional change:
-#   dune exec bench/main.exe -- soak --json BENCH_soak.json
-soak-bench:
-	sh scripts/check_soak.sh BENCH_soak.json
-
 # Performance diagnosis: one YCSB-A run through the router with per-op
 # latency attribution — where each operation's simulated time went
 # (phase breakdown), background phases, the amplification/stall ledger,
@@ -123,13 +95,6 @@ soak-bench:
 # time.
 doctor:
 	dune exec bin/pm_blade_cli.exe -- doctor
-
-# Perf-regression gate: rerun the attribution benchmark and compare its
-# metrics against the committed BENCH_attr.json baseline with per-metric
-# tolerances. Refresh the baseline after an intentional perf change:
-#   dune exec bench/main.exe -- attr --json BENCH_attr.json
-perf-gate:
-	sh scripts/check_perf.sh BENCH_attr.json
 
 fmt:
 	dune build @fmt --auto-promote

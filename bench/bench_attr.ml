@@ -1,7 +1,7 @@
 (* Attribution baseline (BENCH_attr): one deterministic YCSB-A run with the
    per-op profiler enabled, printed as a per-phase breakdown and recorded
    as the scalar metrics the perf gate compares against the committed
-   BENCH_attr.json baseline (scripts/check_perf.sh).
+   BENCH_attr.json baseline (scripts/check_bench.sh attr).
 
    The dataset exceeds the PM level-0 budget so reads exercise every layer
    the profiler attributes: memtable, PM blooms, the block cache, PM and

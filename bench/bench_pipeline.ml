@@ -9,9 +9,11 @@
    cores, and reports speedup, bottleneck-core CPU idleness, device
    idleness and queue behaviour.
 
-   PMB_PLANT=serial_pipeline switches the replay to the Serial_stages
-   plant (stages gate on their predecessor draining), which
-   scripts/check_pipeline.sh must catch as speedup <= 1. *)
+   The run fails its own floors on a 4-core speedup under 1.8x, a stage
+   with no busy time, idleness not below the serial run, or sanitizer
+   findings in the replay. PMB_PLANT=serial_pipeline switches the replay
+   to the Serial_stages plant (stages gate on their predecessor
+   draining), which the speedup floor must catch as speedup <= 1. *)
 
 module Pipeline = Compaction.Pipeline
 
@@ -180,17 +182,28 @@ let run () =
   Report.record_metric "pipeline.races4" (float_of_int res4.Pipeline.races);
   Report.record_metric "pipeline.lost_wakeups4"
     (float_of_int res4.Pipeline.lost_wakeups);
-  (* machine-greppable line for scripts/check_pipeline.sh *)
-  Printf.printf
-    "PIPELINE speedup4=%.3f makespan4_ns=%.0f serial_ns=%.0f cpu_idle4=%.4f \
-     io_idle4=%.4f serial_cpu_idle=%.4f serial_io_idle=%.4f read_busy=%.0f \
-     merge_busy=%.0f build_busy=%.0f write_busy=%.0f races=%d lost_wakeups=%d\n"
-    (speedup_at 4) res4.Pipeline.makespan serial.Coroutine.Scheduler.makespan
-    (bottleneck_idle res4) res4.Pipeline.sched.Coroutine.Scheduler.io_idleness
-    serial.Coroutine.Scheduler.cpu_idleness
-    serial.Coroutine.Scheduler.io_idleness
-    (stage_busy res4 Pipeline.Read)
-    (stage_busy res4 Pipeline.Merge)
-    (stage_busy res4 Pipeline.Build)
-    (stage_busy res4 Pipeline.Write)
-    res4.Pipeline.races res4.Pipeline.lost_wakeups
+  let speedup4 = speedup_at 4 in
+  Report.require
+    (Printf.sprintf "4-core pipeline speedup %.3f >= 1.8" speedup4)
+    (speedup4 >= 1.8);
+  List.iter
+    (fun stage ->
+      let busy = stage_busy res4 stage in
+      Report.require
+        (Printf.sprintf "%s stage busy %.0f ns > 0" (Pipeline.stage_name stage) busy)
+        (busy > 0.0))
+    [ Pipeline.Read; Pipeline.Merge; Pipeline.Build; Pipeline.Write ];
+  let cpu_idle = bottleneck_idle res4
+  and serial_cpu_idle = serial.Coroutine.Scheduler.cpu_idleness in
+  Report.require
+    (Printf.sprintf "4-core CPU idleness %.4f < serial %.4f" cpu_idle serial_cpu_idle)
+    (cpu_idle < serial_cpu_idle);
+  let io_idle = res4.Pipeline.sched.Coroutine.Scheduler.io_idleness
+  and serial_io_idle = serial.Coroutine.Scheduler.io_idleness in
+  Report.require
+    (Printf.sprintf "4-core I/O idleness %.4f < serial %.4f" io_idle serial_io_idle)
+    (io_idle < serial_io_idle);
+  Report.require
+    (Printf.sprintf "replay races %d = 0 and lost wakeups %d = 0"
+       res4.Pipeline.races res4.Pipeline.lost_wakeups)
+    (res4.Pipeline.races = 0 && res4.Pipeline.lost_wakeups = 0)

@@ -15,11 +15,12 @@
 
      dune exec bench/main.exe -- readpath --json BENCH_readpath.json
 
-   The scalar metrics ([readpath.*]) are what scripts/check_readpath.sh
-   gates against the committed BENCH_readpath.json. PMB_PLANT=cache_off
-   runs the cache-on leg with the block cache disabled while stamping the
-   nominal config fingerprint — a planted regression the gate must
-   catch through its metrics. *)
+   The scalar metrics ([readpath.*]) are what scripts/check_bench.sh
+   gates against the committed BENCH_readpath.json, and the run fails
+   its own floors when the cache hit ratio or the bloom filter rate reads
+   zero. PMB_PLANT=cache_off runs the cache-on leg with the block cache
+   disabled while stamping the nominal config fingerprint — a planted
+   regression the hit-ratio floor and the gate must catch. *)
 
 let value_bytes = 512
 let keyspace = 20_000 (* ~10 MB of values, > the 6 MB PM budget *)
@@ -178,8 +179,10 @@ let run () =
       ("device_free_negatives", device_free);
       ("scan.cache_off.p50_ns", soff_p50); ("scan.cache_off.p99_ns", soff_p99);
       ("scan.cache_on.p50_ns", son_p50); ("scan.cache_on.p99_ns", son_p99) ];
-  (* Machine-greppable summary for scripts/check_readpath.sh. *)
-  Report.note
-    "READPATH ssd_read_reduction=%.3f cache_hit_ratio=%.3f bloom_filter_rate=%.3f \
-     device_free_negatives=%.3f"
-    reduction hit_ratio filter_rate device_free
+  (* Liveness: a dead block cache or dead blooms read under 0.0005 (0.000). *)
+  Report.require
+    (Printf.sprintf "Zipfian-get cache hit ratio %.3f >= 0.0005" hit_ratio)
+    (hit_ratio >= 0.0005);
+  Report.require
+    (Printf.sprintf "negative-lookup bloom filter rate %.3f >= 0.0005" filter_rate)
+    (filter_rate >= 0.0005)

@@ -24,9 +24,9 @@
    level-0. Most of its relief steps must be internal compactions on PM,
    and its throughput is gated with them.
 
-   One machine-greppable summary line for CI (scripts/check_shard.sh):
-
-     SHARD speedup4=S mean_batch4=M stalled=K completed=N pm_share=P internal_share=I
+   The run fails its own floors (4-shard speedup, mean batch, no run
+   ending stalled, PM read share, internal-step share) before
+   scripts/check_bench.sh compares it with the baseline.
 
    PMB_PLANT=no_batch forces every commit to sync alone (window and max
    batch collapse to nothing) while stamping the nominal fingerprint: the
@@ -284,21 +284,25 @@ let run () =
   metric "shard.gc.mean_batch_4" a4.mean_batch;
   Report.note "put-throughput speedup at 4 shards: %s over 1 shard"
     (Report.ratio speedup);
-  let stalled =
-    List.exists (fun r -> r.stalled_at_end) (a_runs @ b_runs)
-  in
-  let completed = List.length a_runs + List.length b_runs in
   let pm_share = run_resident () in
   metric "shard.resident.pm_read_share" pm_share;
   let priced_throughput, internal_share = run_priced () in
   metric "shard.priced.throughput_ops" priced_throughput;
   metric "shard.priced.internal_step_share" internal_share;
-  Printf.printf
-    "  SHARD speedup4=%.3f mean_batch4=%.3f stalled=%d completed=%d pm_share=%.4f \
-     internal_share=%.4f\n"
-    speedup a4.mean_batch
-    (if stalled then 1 else 0)
-    completed pm_share internal_share;
+  Report.require
+    (Printf.sprintf "4-shard put speedup %.3f >= 1.5" speedup)
+    (speedup >= 1.5);
+  Report.require
+    (Printf.sprintf "4-shard group-commit mean batch %.3f > 1.0" a4.mean_batch)
+    (a4.mean_batch > 1.0);
+  Report.require "no run ends stalled over the hard limit"
+    (not (List.exists (fun r -> r.stalled_at_end) (a_runs @ b_runs)));
+  Report.require
+    (Printf.sprintf "resident PM read share %.4f >= 0.9" pm_share)
+    (pm_share >= 0.9);
+  Report.require
+    (Printf.sprintf "priced internal-step share %.4f >= 0.5" internal_share)
+    (internal_share >= 0.5);
   if planted () then Report.note "PLANTED regression active: group commit disabled";
   if !Core.Policy.chaos_table_debt then
     Report.note "PLANTED regression active: debt counts sorted-run tables"

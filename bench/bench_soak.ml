@@ -13,9 +13,10 @@
 
      dune exec bench/main.exe -- soak --json BENCH_soak.json
 
-   One machine-greppable summary line for CI (scripts/check_soak.sh):
-
-     SOAK ops=N deadline_ok=D healthy=H sick_within=S violations=V ...
+   The run fails its own floors on any violation, a healthy-shard ratio
+   under 0.99, a deadline-ok ratio under 0.992 (with breakers off this
+   seed lands near 0.988) or a run without a crash-restart cycle, before
+   scripts/check_bench.sh compares it with the baseline.
 
    A second short leg reruns the same gray-fault soak with breakers
    disabled to document the collapse the health layer prevents (metric
@@ -96,11 +97,12 @@ let run () =
   let healthy = Shard.Soak.healthy_ratio r in
   let sick_within = Shard.Soak.sick_within_ratio r in
   let mean_ttr_ms = Shard.Soak.mean_recovery_ns r /. 1e6 in
+  let violations = List.length r.Shard.Soak.violations in
   metric "soak.ops" (float_of_int r.Shard.Soak.soak_ops);
   metric "soak.deadline_ok_ratio" deadline_ok;
   metric "soak.healthy_ratio" healthy;
   metric "soak.sick_within_ratio" sick_within;
-  metric "soak.violations" (float_of_int (List.length r.Shard.Soak.violations));
+  metric "soak.violations" (float_of_int violations);
   metric "soak.breaker_trips" (float_of_int r.Shard.Soak.trips);
   metric "soak.breaker_rejections" (float_of_int r.Shard.Soak.rejections);
   metric "soak.shed" (float_of_int (Health.Ledger.shed l));
@@ -125,13 +127,13 @@ let run () =
       (Shard.Soak.deadline_ok_ratio r0)
   end
   else Report.note "PLANTED outage active: breakers disabled on the main leg";
-  Printf.printf
-    "  SOAK ops=%d deadline_ok=%.4f healthy=%.4f sick_within=%.4f \
-     violations=%d trips=%d shed=%d degraded=%d unavailable=%d miss=%d \
-     crashes=%d double=%d mean_ttr_ms=%.3f\n"
-    r.Shard.Soak.soak_ops deadline_ok healthy sick_within
-    (List.length r.Shard.Soak.violations)
-    r.Shard.Soak.trips (Health.Ledger.shed l) (Health.Ledger.degraded l)
-    (Health.Ledger.unavailable l)
-    (Health.Ledger.deadline_miss l)
-    r.Shard.Soak.crashes r.Shard.Soak.double_crashes mean_ttr_ms
+  Report.require (Printf.sprintf "violations %d = 0" violations) (violations = 0);
+  Report.require
+    (Printf.sprintf "healthy-shard within-budget ratio %.4f >= 0.99" healthy)
+    (healthy >= 0.99);
+  Report.require
+    (Printf.sprintf "deadline-ok ratio %.4f >= 0.992" deadline_ok)
+    (deadline_ok >= 0.992);
+  Report.require
+    (Printf.sprintf "crash-restart cycles %d >= 1" r.Shard.Soak.crashes)
+    (r.Shard.Soak.crashes >= 1)

@@ -5,7 +5,10 @@
      dune exec bench/main.exe                       # run everything
      dune exec bench/main.exe -- fig9               # one experiment
      dune exec bench/main.exe -- --list             # list experiment ids
-     dune exec bench/main.exe -- fig8 --json r.json # also dump tables as JSON *)
+     dune exec bench/main.exe -- fig8 --json r.json # also dump tables as JSON
+
+   Exits 1, after writing the JSON, when a floor an experiment asserts
+   with [Report.require] fails; scripts/check_bench.sh adds the perf gate. *)
 
 let experiments =
   [
@@ -73,4 +76,8 @@ let () =
   | [ "--list" ] -> list_ids ()
   | ids ->
       run_ids ids;
-      Report.write_json ()
+      Report.write_json ();
+      if !Report.failed_floors <> [] then begin
+        List.iter (Printf.eprintf "floor failed: %s\n") (List.rev !Report.failed_floors);
+        exit 1
+      end

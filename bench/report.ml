@@ -45,6 +45,15 @@ let note_config (cfg : Core.Config.t) =
 let record_metric name v =
   metrics := (name, v) :: List.remove_assoc name !metrics
 
+(* A floor the experiment asserts on a quantity it computed: printed either
+   way, and a failed one makes bench/main.exe exit 1 once the JSON is
+   written. *)
+let failed_floors : string list ref = ref []
+
+let require what ok =
+  if not ok then failed_floors := what :: !failed_floors;
+  Printf.printf "  floor %s: %s\n" (if ok then "ok" else "FAILED") what
+
 let write_json () =
   match !json_path with
   | None -> ()

@@ -1,5 +1,5 @@
 (* The perf gate CLI: compare a committed bench JSON baseline against a
-   fresh run of the same experiment (see scripts/check_perf.sh).
+   fresh run of the same experiment (see scripts/check_bench.sh).
 
      dune exec bin/perf_gate.exe -- BASELINE.json CURRENT.json
 

@@ -1,9 +1,9 @@
 (* pmlint: static analyzer for PM-Blade's own sources.
 
-   Parses lib/ with the compiler's parser and enforces four disciplines
-   the compiler cannot see — persistence ordering, scheduler safety,
-   metric hygiene and partial accessors (DESIGN.md "static-analysis
-   model"). Exit 1 on any unsuppressed finding.
+   Parses lib/ with the compiler's parser and enforces three disciplines
+   the compiler cannot see — persistence ordering, scheduler safety and
+   partial accessors (DESIGN.md "static-analysis model"). Exit 1 on any
+   unsuppressed finding.
 
      pmlint [--json FILE] [--list-rules] [--quiet] [PATH ...]
 

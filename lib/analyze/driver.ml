@@ -2,7 +2,6 @@ let default_rules =
   [
     Rules_pm.rule;
     Rules_sched.rule;
-    Rules_metrics.rule;
     Rules_partial.rule;
   ]
 
@@ -23,7 +22,6 @@ let run ?(rules = default_rules) paths =
             parse_failures :=
               {
                 Rule.rule = parse_error_rule;
-                sev = Rule.Error;
                 file = path;
                 line = 1;
                 col = 0;
@@ -50,9 +48,7 @@ let run ?(rules = default_rules) paths =
   in
   let raw =
     List.concat_map
-      (fun (r : Rule.t) ->
-        List.concat_map (fun ctx -> r.Rule.file_pass ctx) ctxs
-        @ r.Rule.global_pass ctxs)
+      (fun (r : Rule.t) -> List.concat_map r.Rule.file_pass ctxs)
       rules
   in
   let bad_suppress =
@@ -79,5 +75,4 @@ let run ?(rules = default_rules) paths =
         !suppressed;
   }
 
-let has_errors (t : Report.summary) =
-  List.exists (fun (f : Rule.finding) -> f.Rule.sev = Rule.Error) t.Report.findings
+let has_errors (t : Report.summary) = t.Report.findings <> []

@@ -8,11 +8,11 @@
     [bad-suppress] findings and suppress nothing. *)
 
 val default_rules : Rule.t list
-(** R1 and R3–R5, report order. *)
+(** R1, R3 and R5, report order. *)
 
 val run : ?rules:Rule.t list -> string list -> Report.summary
 (** [run paths]: each path is a [.ml] file or a directory walked
     recursively for [*.ml]. *)
 
 val has_errors : Report.summary -> bool
-(** Any unsuppressed finding of severity [Error] (the CI gate). *)
+(** Any unsuppressed finding (the CI gate). *)

@@ -22,7 +22,6 @@ let json_of_finding ?reason (f : Rule.finding) =
       ("line", Obs.Json.Int f.Rule.line);
       ("col", Obs.Json.Int f.Rule.col);
       ("rule", Obs.Json.String f.Rule.rule);
-      ("severity", Obs.Json.String (Rule.severity_name f.Rule.sev));
       ("message", Obs.Json.String f.Rule.msg);
     ]
   in
@@ -34,7 +33,7 @@ let json_of_finding ?reason (f : Rule.finding) =
 let to_json t =
   Obs.Json.Obj
     [
-      ("schema", Obs.Json.Int 1);
+      ("schema", Obs.Json.Int 2);
       ("tool", Obs.Json.String "pmlint");
       ("files", Obs.Json.Int t.files);
       ("unsuppressed", Obs.Json.Int (List.length t.findings));

@@ -1,6 +1,6 @@
 (** pmlint reporters: a human [file:line:col] listing and a JSON
-    artifact mirroring it (schema 1), built on the obs layer's
-    hand-rolled codec. *)
+    artifact mirroring it (schema 2; schema 1 also carried a per-finding
+    severity), built on the obs layer's hand-rolled codec. *)
 
 type summary = {
   files : int;

@@ -1,8 +1,5 @@
-type severity = Error | Warning
-
 type finding = {
   rule : string;
-  sev : severity;
   file : string;
   line : int;
   col : int;
@@ -14,26 +11,18 @@ type file_ctx = { path : string; ast : Parsetree.structure }
 type t = {
   id : string;
   doc : string;
-  sev : severity;
   file_pass : file_ctx -> finding list;
-  global_pass : file_ctx list -> finding list;
 }
 
-let make ~id ~doc ?(sev = Error) ?(global_pass = fun _ -> []) file_pass =
-  { id; doc; sev; file_pass; global_pass }
-
-let finding ~rule ?(sev = Error) ~file loc msg =
+let finding ~rule ~file loc msg =
   let p = loc.Location.loc_start in
   {
     rule;
-    sev;
     file;
     line = p.Lexing.pos_lnum;
     col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
     msg;
   }
-
-let severity_name = function Error -> "error" | Warning -> "warning"
 
 let compare_finding a b =
   match compare a.file b.file with

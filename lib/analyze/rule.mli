@@ -1,17 +1,15 @@
 (** pmlint rule framework.
 
-    A rule inspects parsed OCaml sources and emits {!finding}s — one per
-    violation, anchored to a file/line/column. Rules are purely syntactic
-    and intraprocedural (plus per-file local-function summaries): they are
-    the *static screen* in front of the dynamic sanitizers — pmsan proves
-    an execution obeyed the persistence protocol, pmlint proves the source
-    cannot express the common ways of breaking it. *)
-
-type severity = Error | Warning
+    A rule inspects one parsed OCaml source and emits {!finding}s — one
+    per violation, anchored to a file/line/column. Every finding is an
+    error. Rules are purely syntactic and intraprocedural (plus per-file
+    local-function summaries): they are the *static screen* in front of
+    the dynamic sanitizers — pmsan proves an execution obeyed the
+    persistence protocol, pmlint proves the source cannot express the
+    common ways of breaking it. *)
 
 type finding = {
   rule : string;  (** the rule id, e.g. ["flush-before-commit"] *)
-  sev : severity;
   file : string;
   line : int;  (** 1-based *)
   col : int;  (** 0-based *)
@@ -25,26 +23,11 @@ type file_ctx = { path : string; ast : Parsetree.structure }
 type t = {
   id : string;
   doc : string;  (** one-line description for [--list-rules] *)
-  sev : severity;
   file_pass : file_ctx -> finding list;
-  global_pass : file_ctx list -> finding list;
-      (** Cross-file pass over every parsed unit (e.g. duplicate metric
-          names); runs once after all file passes. *)
 }
 
-val make :
-  id:string ->
-  doc:string ->
-  ?sev:severity ->
-  ?global_pass:(file_ctx list -> finding list) ->
-  (file_ctx -> finding list) ->
-  t
-(** [sev] defaults to [Error]; [global_pass] defaults to none. *)
-
-val finding :
-  rule:string -> ?sev:severity -> file:string -> Location.t -> string -> finding
+val finding : rule:string -> file:string -> Location.t -> string -> finding
 (** Build a finding anchored at the start of [Location.t]. *)
 
-val severity_name : severity -> string
 val compare_finding : finding -> finding -> int
 (** Order by file, line, column, rule — the report order. *)

@@ -29,8 +29,10 @@ let file_pass (ctx : Rule.file_ctx) =
   List.sort Rule.compare_finding !out
 
 let rule =
-  Rule.make ~id
-    ~doc:
+  {
+    Rule.id;
+    doc =
       "no List.hd / List.tl / Option.get / unsafe_get / unsafe_set anywhere \
-       in lib/ (AST-precise, project-wide)"
-    file_pass
+       in lib/ (AST-precise, project-wide)";
+    file_pass;
+  }

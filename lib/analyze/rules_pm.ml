@@ -242,8 +242,10 @@ let file_pass (ctx : Rule.file_ctx) =
   end
 
 let rule =
-  Rule.make ~id
-    ~doc:
+  {
+    Rule.id;
+    doc =
       "a PM write can reach a durability point (Pmem.commit_point / seal / \
-       sync) without an intervening flush+drain on some path"
-    file_pass
+       sync) without an intervening flush+drain on some path";
+    file_pass;
+  }

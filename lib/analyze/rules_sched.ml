@@ -156,8 +156,10 @@ let file_pass (ctx : Rule.file_ctx) =
   end
 
 let rule =
-  Rule.make ~id
-    ~doc:
+  {
+    Rule.id;
+    doc =
       "no Co.yield / latch await / blocking I/O between schedsan-annotated \
-       lock acquire and release (static lost-wakeup/race screen)"
-    file_pass
+       lock acquire and release (static lost-wakeup/race screen)";
+    file_pass;
+  }

@@ -32,7 +32,6 @@ let find_sub line sub =
 let mk_finding ~path ~line msg =
   {
     Rule.rule = bad_suppress_rule;
-    sev = Rule.Error;
     file = path;
     line;
     col = 0;

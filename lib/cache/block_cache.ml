@@ -185,9 +185,9 @@ let invalidate_file t ~file_id =
         victims)
     t.shards
 
-let register_metrics reg ?(prefix = "cache") t =
+let register_metrics reg t =
   let open Obs.Registry in
-  let name n = prefix ^ "." ^ n in
+  let name n = "cache." ^ n in
   register_int reg (name "hits") ~help:"block reads served from DRAM" (fun () -> t.hits);
   register_int reg (name "misses") ~help:"block reads that went to the device" (fun () ->
       t.misses);

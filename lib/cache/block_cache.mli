@@ -48,9 +48,8 @@ val rejections : t -> int
 val invalidations : t -> int
 val hit_ratio : t -> float
 
-val register_metrics : Obs.Registry.t -> ?prefix:string -> t -> unit
-(** Registers [prefix.hits], [prefix.misses], [prefix.admissions],
-    [prefix.evictions], [prefix.rejections], [prefix.invalidations],
-    [prefix.resident_bytes], [prefix.resident_blocks],
-    [prefix.capacity_bytes] and [prefix.hit_ratio]. [prefix] defaults to
-    ["cache"]. *)
+val register_metrics : Obs.Registry.t -> t -> unit
+(** Registers [cache.hits], [cache.misses], [cache.admissions],
+    [cache.evictions], [cache.rejections], [cache.invalidations],
+    [cache.resident_bytes], [cache.resident_blocks],
+    [cache.capacity_bytes] and [cache.hit_ratio]. *)

@@ -518,8 +518,8 @@ let sum_totals tots =
 
 let queue_names = [ "read_merge"; "merge_build"; "build_write" ]
 
-let register_metrics reg ?(prefix = "pipeline") tot =
-  let p name = prefix ^ "." ^ name in
+let register_metrics reg tot =
+  let p name = "pipeline." ^ name in
   let open Obs.Registry in
   register_int reg ~help:"staged compaction replays" (p "runs") (fun () -> (tot ()).runs);
   register_float reg ~kind:Counter ~help:"serial cost of staged sections"

@@ -172,8 +172,8 @@ val sum_totals : totals list -> totals
 (** Fresh totals adding up every count and busy time; [last] is the last
     list element's that has one. *)
 
-val register_metrics : Obs.Registry.t -> ?prefix:string -> (unit -> totals) -> unit
+val register_metrics : Obs.Registry.t -> (unit -> totals) -> unit
 (** Register [pipeline.*] readouts: run/rebate counters, per-stage busy
     counters, per-stage-queue depth gauges (last replay's high-water
-    marks) and the replay sanitizer counters, under [prefix] (default
-    ["pipeline"]). Each readout pulls fresh totals from the thunk. *)
+    marks) and the replay sanitizer counters. Each readout pulls fresh
+    totals from the thunk. *)

@@ -346,8 +346,8 @@ let run_to_completion t =
 
 (* Stable dotted metric names; q_flush reads the live admission headroom,
    so a sampler can reproduce the paper's flush-admission curves. *)
-let register_metrics reg ?(prefix = "sched") t =
-  let name suffix = prefix ^ "." ^ suffix in
+let register_metrics reg t =
+  let name suffix = "sched." ^ suffix in
   let open Obs.Registry in
   register_int reg (name "cores") ~kind:Gauge ~help:"simulated cores (workers)"
     (fun () -> Array.length t.workers);

@@ -43,10 +43,10 @@ val q_flush : t -> int
 
 val workers : t -> int
 
-val register_metrics : Obs.Registry.t -> ?prefix:string -> t -> unit
+val register_metrics : Obs.Registry.t -> t -> unit
 (** Register scheduler counters and gauges (switches, io_issued, live
-    q_flush headroom, pending flush bytes, ...) under [prefix] (default
-    ["sched"]) dotted names. *)
+    q_flush headroom, pending flush bytes, ...) under [sched.] dotted
+    names. *)
 
 val switches : t -> int
 

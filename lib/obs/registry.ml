@@ -23,20 +23,22 @@ type t = { mutable metrics : (string * metric) list (* newest first *) }
 
 let create () = { metrics = [] }
 
-let check_fresh t name =
+let check_fresh t ~help name =
+  if help = "" then
+    invalid_arg (Printf.sprintf "Obs.Registry: metric %S has no help" name);
   if List.mem_assoc name t.metrics then
     invalid_arg (Printf.sprintf "Obs.Registry: duplicate metric %S" name)
 
-let register_int t ?(kind = Counter) ?(help = "") name get =
-  check_fresh t name;
+let register_int t ?(kind = Counter) ~help name get =
+  check_fresh t ~help name;
   t.metrics <- (name, Int_metric { kind; help; get }) :: t.metrics
 
-let register_float t ?(kind = Gauge) ?(help = "") name get =
-  check_fresh t name;
+let register_float t ?(kind = Gauge) ~help name get =
+  check_fresh t ~help name;
   t.metrics <- (name, Float_metric { kind; help; get }) :: t.metrics
 
-let register_histogram t ?(help = "") name get =
-  check_fresh t name;
+let register_histogram t ~help name get =
+  check_fresh t ~help name;
   t.metrics <- (name, Histogram_metric { help; get }) :: t.metrics
 
 let names t = List.rev_map fst t.metrics
@@ -101,8 +103,7 @@ let escape_label_value s =
 let to_prometheus t =
   let buf = Buffer.create 1024 in
   let header name help kind =
-    if help <> "" then
-      Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name (escape_help help));
+    Buffer.add_string buf (Printf.sprintf "# HELP %s %s\n" name (escape_help help));
     Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n" name kind)
   in
   let kind_str = function Counter -> "counter" | Gauge -> "gauge" in

@@ -8,14 +8,14 @@ type kind = Counter | Gauge
 
 val create : unit -> t
 
-val register_int : t -> ?kind:kind -> ?help:string -> string -> (unit -> int) -> unit
-(** Default kind is [Counter]. Raises [Invalid_argument] on a duplicate
-    name. *)
+val register_int : t -> ?kind:kind -> help:string -> string -> (unit -> int) -> unit
+(** Default kind is [Counter]. Every registration raises
+    [Invalid_argument] on an empty [help] or a duplicate name. *)
 
-val register_float : t -> ?kind:kind -> ?help:string -> string -> (unit -> float) -> unit
+val register_float : t -> ?kind:kind -> help:string -> string -> (unit -> float) -> unit
 (** Default kind is [Gauge]. *)
 
-val register_histogram : t -> ?help:string -> string -> (unit -> Util.Histogram.t) -> unit
+val register_histogram : t -> help:string -> string -> (unit -> Util.Histogram.t) -> unit
 
 val names : t -> string list
 (** Registration order. *)

@@ -350,8 +350,8 @@ let corrupt_region ?(len = 1) ?(mode = `Flip) _t region ~off =
 
 (* Stable dotted metric names for the registry exporters; every readout
    pulls from [t.stats] at exposition time. *)
-let register_metrics reg ?(prefix = "pmem") t =
-  let name suffix = prefix ^ "." ^ suffix in
+let register_metrics reg t =
+  let name suffix = "pmem." ^ suffix in
   let open Obs.Registry in
   register_int reg (name "reads") ~help:"PM read accesses" (fun () -> t.stats.reads);
   register_int reg (name "writes") ~help:"PM write accesses" (fun () -> t.stats.writes);

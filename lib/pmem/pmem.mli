@@ -141,8 +141,8 @@ val corrupt_region :
     (the fault is the medium's, not the workload's) and applied to the
     durable shadow as well, so the damage survives {!crash}. *)
 
-val register_metrics : Obs.Registry.t -> ?prefix:string -> t -> unit
-(** Register this device's counters and gauges under [prefix] (default
-    ["pmem"]) dotted names, e.g. [pmem.bytes_written]. *)
+val register_metrics : Obs.Registry.t -> t -> unit
+(** Register this device's counters and gauges under [pmem.] dotted
+    names, e.g. [pmem.bytes_written]. *)
 
 val reset_stats : t -> unit

@@ -349,15 +349,12 @@ let note_error t s =
   if t.config.Core.Config.breaker_enabled then
     Health.Breaker.record_failure s.breaker
 
-(* Absolute deadline for this op; explicit argument wins over config. *)
-let deadline_of t kind deadline_ns =
+(* Absolute deadline for this op from the config's budget for its kind. *)
+let deadline_of t kind =
   let budget =
-    match deadline_ns with
-    | Some d -> d
-    | None -> (
-        match kind with
-        | `Read -> t.config.Core.Config.deadline_read_ns
-        | `Write -> t.config.Core.Config.deadline_write_ns)
+    match kind with
+    | `Read -> t.config.Core.Config.deadline_read_ns
+    | `Write -> t.config.Core.Config.deadline_write_ns
   in
   if budget > 0.0 then Some (Sim.Clock.now t.clock +. budget) else None
 
@@ -377,11 +374,11 @@ let would_blow_deadline t s ~bytes deadline =
 let missed_deadline t deadline =
   match deadline with Some d -> Sim.Clock.now t.clock > d | None -> false
 
-let apply_write ?deadline_ns t ~key ~bytes f =
+let apply_write t ~key ~bytes f =
   Obs.Attr.with_op Obs.Attr.Write @@ fun () ->
   let t0 = Sim.Clock.now t.clock in
   let s = dispatch t key in
-  let deadline = deadline_of t `Write deadline_ns in
+  let deadline = deadline_of t `Write in
   let finish result =
     Util.Histogram.record t.write_lat (Float.max 0.0 (Sim.Clock.now t.clock -. t0));
     (match (result, missed_deadline t deadline) with
@@ -419,23 +416,23 @@ let apply_write ?deadline_ns t ~key ~bytes f =
                  ambiguous, exactly like a crash mid-op. *)
               finish (Write_failed "io_error")))
 
-let put_checked ?(update = false) ?deadline_ns t ~key value =
+let put_checked ?(update = false) t ~key value =
   t.puts <- t.puts + 1;
-  apply_write ?deadline_ns t ~key
+  apply_write t ~key
     ~bytes:(String.length key + String.length value)
     (fun engine -> Core.Engine.put ~update engine ~key value)
 
-let delete_checked ?deadline_ns t key =
+let delete_checked t key =
   t.deletes <- t.deletes + 1;
-  apply_write ?deadline_ns t ~key ~bytes:(String.length key) (fun engine ->
+  apply_write t ~key ~bytes:(String.length key) (fun engine ->
       Core.Engine.delete engine key)
 
-let get_checked ?deadline_ns t key =
+let get_checked t key =
   t.gets <- t.gets + 1;
   Obs.Attr.with_op Obs.Attr.Read @@ fun () ->
   let t0 = Sim.Clock.now t.clock in
   let s = dispatch t key in
-  let deadline = deadline_of t `Read deadline_ns in
+  let deadline = deadline_of t `Read in
   let finish result =
     Util.Histogram.record t.read_lat (Float.max 0.0 (Sim.Clock.now t.clock -. t0));
     (match (result, missed_deadline t deadline) with

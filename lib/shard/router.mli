@@ -89,15 +89,13 @@ type read_result =
       (** refused: breaker open (or device erroring) and the PM-only
           path cannot prove an answer *)
 
-val put_checked :
-  ?update:bool -> ?deadline_ns:float -> t -> key:string -> string -> write_result
+val put_checked : ?update:bool -> t -> key:string -> string -> write_result
 
-val delete_checked : ?deadline_ns:float -> t -> string -> write_result
+val delete_checked : t -> string -> write_result
 
-val get_checked : ?deadline_ns:float -> t -> string -> read_result
-(** [deadline_ns] overrides [config.deadline_read_ns] /
-    [config.deadline_write_ns] for this op; 0 or an absent config budget
-    means no deadline. *)
+val get_checked : t -> string -> read_result
+(** Each op's budget is [config.deadline_read_ns] /
+    [config.deadline_write_ns]; 0 means no deadline. *)
 
 (** {1 Scans} *)
 

@@ -418,8 +418,8 @@ let submit t op ~bytes completion =
   start_next t
 
 (* Stable dotted metric names for the registry exporters. *)
-let register_metrics reg ?(prefix = "ssd") t =
-  let name suffix = prefix ^ "." ^ suffix in
+let register_metrics reg t =
+  let name suffix = "ssd." ^ suffix in
   let open Obs.Registry in
   register_int reg (name "reads") ~help:"SSD read requests" (fun () -> t.stats.reads);
   register_int reg (name "writes") ~help:"SSD write requests" (fun () -> t.stats.writes);

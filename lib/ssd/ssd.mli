@@ -179,8 +179,8 @@ val in_flight : t -> int
 val service_time : t -> op -> int -> float
 (** Raw service time of a request absent queueing (exposed for tests). *)
 
-val register_metrics : Obs.Registry.t -> ?prefix:string -> t -> unit
+val register_metrics : Obs.Registry.t -> t -> unit
 (** Register this device's counters, gauges and request-latency histogram
-    under [prefix] (default ["ssd"]) dotted names. *)
+    under [ssd.] dotted names. *)
 
 val reset_stats : t -> unit

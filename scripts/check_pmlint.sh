@@ -7,7 +7,7 @@
 #     and the machine-readable report lands in OUT for the CI artifact.
 #   - planted leg (PMB_PLANT=pmlint_fixture): the dirty fixture tree
 #     under test/fixtures/pmlint/dirty joins the scan and pmlint must
-#     exit NON-zero (17 planted violations across all four rules),
+#     exit NON-zero (11 planted violations across the three rules),
 #     proving the analyzer still has teeth.
 #
 # Usage: scripts/check_pmlint.sh [OUT_JSON]  (default PMLINT.json)

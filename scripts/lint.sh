@@ -7,16 +7,13 @@
 #      print_string / prerr_*) in lib/ .ml files: libraries report
 #      through Fmt formatters or the obs layer, never straight to stdout.
 #      (bin/ and test/ may print; Printf.sprintf/Fmt are fine anywhere.)
-#   3. No partial accessors (List.hd / List.tl / Option.get) and no
-#      unsafe_get/unsafe_set in the storage core (lib/core, lib/pmem,
-#      lib/ssd): a crash-consistency engine must not have exception
-#      landmines on its hot paths. (Fast grep pre-pass; pmlint's
-#      partial-accessor rule is the AST-precise, lib-wide check.)
+#   3. Retired: partial and unsafe accessors are pmlint's
+#      partial-accessor rule (rule 5), lib-wide and AST-precise.
 #   4. Every module in lib/ ships a .mli — the interface is the contract
 #      the sanitizers and tests are written against.
-#   5. pmlint (bin/pmlint.exe): the AST-level analyzer — metric ~help
-#      hygiene (which subsumed the old 6-line-window scan), lib-wide
-#      partial accessors, and the protocol rules greps cannot express
+#   5. pmlint (bin/pmlint.exe): the AST-level analyzer — lib-wide
+#      partial accessors (List.hd / List.tl / Option.get / unsafe_get /
+#      unsafe_set) and the protocol rules greps cannot express
 #      (flush-before-commit, suspend-in-critical-section).
 #      Only reasoned inline allow markers silence a finding.
 #   6. Every level-0 choice is lib/core/policy.ml's: outside it and
@@ -68,14 +65,6 @@ grep -rn 'Printf\.printf\|print_endline\|print_string\|prerr_endline\|prerr_stri
   | grep -v 'Printf\.sprintf' \
   | complain "direct console output is forbidden in lib/ (use Fmt/obs)"
 
-# 3. partial / unsafe accessors in the storage core (pre-pass: cheap,
-#    no build needed; lines carrying a reasoned pmlint allow marker are
-#    pmlint's call)
-grep -rn 'List\.hd\|List\.tl\|Option\.get\b\|unsafe_get\|unsafe_set' \
-    lib/core lib/pmem lib/ssd --include='*.ml' \
-  | grep -v 'pmlint:allow' \
-  | complain "partial/unsafe accessors are forbidden in lib/{core,pmem,ssd}"
-
 # 4. every lib/ module has an interface
 missing=""
 for ml in lib/*/*.ml; do
@@ -85,8 +74,7 @@ for ml in lib/*/*.ml; do
 done
 printf '%s' "$missing" | complain "every lib/ module needs a .mli"
 
-# 5. pmlint: metric hygiene (formerly a 6-line-window python scan, now
-#    AST-precise), lib-wide partial accessors, and the protocol rules —
+# 5. pmlint: lib-wide partial accessors and the protocol rules —
 #    flush-before-commit and suspend-in-critical-section.
 pmlint_out="$(dune exec bin/pmlint.exe -- lib 2>&1)" || {
   printf '%s\n' "$pmlint_out" \

@@ -37,7 +37,7 @@ let test_clean_fixtures () =
   check_findings "clean tree is silent" [] s;
   check Alcotest.int "no suppressions needed" 0
     (List.length s.Analyze.Report.suppressed);
-  check Alcotest.int "all four fixtures parsed" 4 s.Analyze.Report.files
+  check Alcotest.int "all three fixtures parsed" 3 s.Analyze.Report.files
 
 (* --- One dirty fixture per rule ----------------------------------------- *)
 
@@ -64,21 +64,6 @@ let test_dirty_suspend_in_critical_section () =
     ]
     s
 
-let test_dirty_metric_hygiene () =
-  (* line 7 carries two findings: module-init registration and missing
-     ~help on the same call *)
-  let s = run [ fixture "dirty/r4.ml" ] in
-  check_findings "init-time, help-less and duplicate registrations flagged"
-    [
-      (7, "metric-hygiene");
-      (7, "metric-hygiene");
-      (10, "metric-hygiene");
-      (11, "metric-hygiene");
-      (14, "metric-hygiene");
-      (19, "metric-hygiene");
-    ]
-    s
-
 let test_dirty_partial_accessor () =
   let s = run [ fixture "dirty/r5.ml" ] in
   check_findings "every partial/unsafe accessor flagged"
@@ -92,7 +77,7 @@ let test_dirty_partial_accessor () =
 
 let test_dirty_tree_fails () =
   let s = run [ fixture "dirty" ] in
-  check Alcotest.int "all planted violations surface" 17
+  check Alcotest.int "all planted violations surface" 11
     (List.length s.Analyze.Report.findings);
   check Alcotest.bool "dirty tree is an error exit" true
     (Analyze.Driver.has_errors s)
@@ -131,7 +116,6 @@ let test_json_golden () =
   let f line msg =
     {
       Analyze.Rule.rule = "partial-accessor";
-      sev = Analyze.Rule.Error;
       file = "lib/x.ml";
       line;
       col = 15;
@@ -146,11 +130,11 @@ let test_json_golden () =
     }
   in
   check Alcotest.string "golden JSON form"
-    ({|{"schema":1,"tool":"pmlint","files":2,"unsuppressed":1,"suppressed":1,|}
+    ({|{"schema":2,"tool":"pmlint","files":2,"unsuppressed":1,"suppressed":1,|}
     ^ {|"findings":[{"file":"lib/x.ml","line":4,"col":15,"rule":"partial-accessor",|}
-    ^ {|"severity":"error","message":"List.hd raises on []"}],|}
+    ^ {|"message":"List.hd raises on []"}],|}
     ^ {|"suppressions":[{"file":"lib/x.ml","line":9,"col":15,"rule":"partial-accessor",|}
-    ^ {|"severity":"error","message":"List.tl raises on []","reason":"bench-only fast path"}]}|})
+    ^ {|"message":"List.tl raises on []","reason":"bench-only fast path"}]}|})
     (Obs.Json.to_string (Analyze.Report.to_json s))
 
 let test_json_roundtrip () =
@@ -159,7 +143,7 @@ let test_json_roundtrip () =
   let int_member key =
     match Obs.Json.member key j with Some (Obs.Json.Int i) -> i | _ -> -1
   in
-  check Alcotest.int "schema" 1 (int_member "schema");
+  check Alcotest.int "schema" 2 (int_member "schema");
   check Alcotest.int "files" 1 (int_member "files");
   check Alcotest.int "unsuppressed" 4 (int_member "unsuppressed");
   match Obs.Json.member "findings" j with
@@ -188,7 +172,6 @@ let () =
             test_dirty_flush_before_commit;
           Alcotest.test_case "suspend-in-critical-section" `Quick
             test_dirty_suspend_in_critical_section;
-          Alcotest.test_case "metric-hygiene" `Quick test_dirty_metric_hygiene;
           Alcotest.test_case "partial-accessor" `Quick
             test_dirty_partial_accessor;
           Alcotest.test_case "dirty tree fails" `Quick test_dirty_tree_fails;

@@ -251,13 +251,19 @@ let test_trace_jsonl_sink_file () =
 let test_registry_basics () =
   let reg = Obs.Registry.create () in
   let n = ref 5 in
-  Obs.Registry.register_int reg "engine.reads" (fun () -> !n);
-  Obs.Registry.register_float reg ~kind:Obs.Registry.Gauge "engine.ratio" (fun () -> 0.5);
+  Obs.Registry.register_int reg ~help:"reads" "engine.reads" (fun () -> !n);
+  Obs.Registry.register_float reg ~kind:Obs.Registry.Gauge ~help:"a ratio" "engine.ratio"
+    (fun () -> 0.5);
   check (Alcotest.list Alcotest.string) "registration order"
     [ "engine.reads"; "engine.ratio" ] (Obs.Registry.names reg);
-  (match Obs.Registry.register_int reg "engine.reads" (fun () -> 0) with
+  (match Obs.Registry.register_int reg ~help:"reads" "engine.reads" (fun () -> 0) with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "duplicate name accepted");
+  (match Obs.Registry.register_int reg ~help:"" "engine.writes" (fun () -> 0) with
+  | exception Invalid_argument _ -> ()
+  | () -> Alcotest.fail "empty help accepted");
+  check (Alcotest.list Alcotest.string) "refused registrations leave no trace"
+    [ "engine.reads"; "engine.ratio" ] (Obs.Registry.names reg);
   n := 9;
   let snap = Obs.Json.to_string (Obs.Registry.snapshot_json reg) in
   check Alcotest.bool "snapshot reads at exposition time" true
@@ -269,7 +275,8 @@ let test_registry_prometheus () =
   Obs.Registry.register_int reg ~help:"total reads" "engine.reads" (fun () -> 3);
   let h = Util.Histogram.create () in
   List.iter (Util.Histogram.record h) [ 10.0; 100.0; 1000.0 ];
-  Obs.Registry.register_histogram reg "engine.read_latency_ns" (fun () -> h);
+  Obs.Registry.register_histogram reg ~help:"get latency" "engine.read_latency_ns"
+    (fun () -> h);
   let text = Obs.Registry.to_prometheus reg in
   let has s =
     let n = String.length s and m = String.length text in
@@ -285,30 +292,43 @@ let test_registry_prometheus () =
 
 let test_registry_engine_namespaces () =
   (* The full wiring: a router (engine + devices) + a monitoring
-     scheduler must cover the four namespaces the exporters promise. *)
-  let router = Shard.Router.create Core.Config.pmblade in
-  let reg = Obs.Registry.create () in
-  Shard.Router.register_metrics reg router;
-  let des = Sim.Des.create (Shard.Router.clock router) in
-  let sched =
-    Coroutine.Scheduler.create ~cores:1
-      ~policy:(Coroutine.Scheduler.default_flush_coroutine ()) des (Shard.Router.ssd router)
-  in
-  Coroutine.Scheduler.register_metrics reg sched;
-  let names = Obs.Registry.names reg in
+     scheduler must cover the four namespaces the exporters promise. The
+     second input puts every module's names in one registry: a block
+     cache and pmsan add cache. and sanitize., a fault plan adds fault.,
+     and registering raises on a clash or an empty help. *)
   List.iter
-    (fun prefix ->
-      check Alcotest.bool (prefix ^ " namespace present") true
-        (List.exists (fun n -> String.length n > String.length prefix
-                               && String.sub n 0 (String.length prefix) = prefix) names))
-    [ "engine."; "pmem."; "ssd."; "sched." ];
-  (* Counters must reflect work done after registration (pull-based). *)
-  let y = Workload.Ycsb.create ~value_bytes:256 () in
-  Workload.Ycsb.load_sink y (Shard.Router.sink router) ~records:500;
-  let j = Obs.Registry.snapshot_json reg in
-  match Obs.Json.member "engine.writes" j with
-  | Some (Obs.Json.Int w) -> check Alcotest.int "writes sampled at exposition" 500 w
-  | _ -> Alcotest.fail "engine.writes missing from snapshot"
+    (fun (cfg, register_more, prefixes) ->
+      let router = Shard.Router.create cfg in
+      let reg = Obs.Registry.create () in
+      Shard.Router.register_metrics reg router;
+      let des = Sim.Des.create (Shard.Router.clock router) in
+      let sched =
+        Coroutine.Scheduler.create ~cores:1
+          ~policy:(Coroutine.Scheduler.default_flush_coroutine ()) des
+          (Shard.Router.ssd router)
+      in
+      Coroutine.Scheduler.register_metrics reg sched;
+      register_more reg;
+      let names = Obs.Registry.names reg in
+      List.iter
+        (fun prefix ->
+          check Alcotest.bool (prefix ^ " namespace present") true
+            (List.exists (fun n -> String.length n > String.length prefix
+                                   && String.sub n 0 (String.length prefix) = prefix) names))
+        prefixes;
+      (* Counters must reflect work done after registration (pull-based). *)
+      let y = Workload.Ycsb.create ~value_bytes:256 () in
+      Workload.Ycsb.load_sink y (Shard.Router.sink router) ~records:500;
+      let j = Obs.Registry.snapshot_json reg in
+      match Obs.Json.member "engine.writes" j with
+      | Some (Obs.Json.Int w) -> check Alcotest.int "writes sampled at exposition" 500 w
+      | _ -> Alcotest.fail "engine.writes missing from snapshot")
+    [
+      (Core.Config.pmblade, ignore, [ "engine."; "pmem."; "ssd."; "sched." ]);
+      ( { Core.Config.pmblade with Core.Config.block_cache_mb = 8 },
+        (fun reg -> Fault.Plan.register_metrics reg (Fault.Plan.make_stats ())),
+        [ "engine."; "pmem."; "ssd."; "sched."; "cache."; "sanitize."; "fault." ] );
+    ]
 
 (* --- Sampler ------------------------------------------------------------ *)
 
