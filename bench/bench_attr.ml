@@ -48,6 +48,10 @@ let run () =
   let cfg =
     if planted () then { nominal with Core.Config.block_cache_mb = 0 } else nominal
   in
+  (* an empty minor heap, so how much survives to be promoted does not
+     depend on what ran before (argument parsing, say) *)
+  Gc.minor ();
+  let gc0 = Gc.quick_stat () in
   let eng = Core.Engine.create cfg in
   let y = Workload.Ycsb.create () in
   let sink = Workload.Sink.of_engine eng in
@@ -58,6 +62,7 @@ let run () =
   let summary =
     Workload.Driver.measure eng ~ops (fun _ -> Workload.Ycsb.step_sink y sink Workload.Ycsb.A)
   in
+  let gc1 = Gc.quick_stat () in
   let snap = Obs.Attr.snapshot () in
   let op_ns = Obs.Attr.op_ns () in
   let accounted = Obs.Attr.accounted_ns () in
@@ -111,5 +116,13 @@ let run () =
   in
   metric "ssd.write_bytes_per_request" (per_request ssd.Ssd.bytes_written ssd.Ssd.writes);
   metric "ssd.read_bytes_per_request" (per_request ssd.Ssd.bytes_read ssd.Ssd.reads);
+  (* Host allocation of the whole run (load and its major compactions
+     included) per measured op: the program is deterministic, so these
+     repeat exactly on one compiler, and a compaction that goes back to
+     materialising whole runs shows up in the promoted words. *)
+  let per_op words = words /. float_of_int ops in
+  metric "host.gc.minor_words_per_op" (per_op (gc1.Gc.minor_words -. gc0.Gc.minor_words));
+  metric "host.gc.promoted_words_per_op"
+    (per_op (gc1.Gc.promoted_words -. gc0.Gc.promoted_words));
   Obs.Attr.disable ();
   if planted () then Report.note "PLANTED regression active: block cache disabled"

@@ -144,10 +144,6 @@ let run_one workload shards =
   Shard.Router.close router;
   r
 
-let metric name v =
-  Report.record_metric name v;
-  Printf.printf "  SHARDM %s %.6g\n" name v
-
 let run_workload wname workload counts =
   Report.heading
     (Printf.sprintf "Shard: %d-client YCSB-%s over range shards" clients wname);
@@ -171,11 +167,11 @@ let run_workload wname workload counts =
   List.iter
     (fun r ->
       let m name = Printf.sprintf "%s.s%d.%s" tag r.shards name in
-      metric (m "throughput_ops") r.throughput;
-      metric (m "put_throughput_ops") r.put_throughput;
-      metric (m "p99_ns") r.p99_ns;
-      metric (m "p999_ns") r.p999_ns;
-      metric (m "mean_batch") r.mean_batch)
+      Report.record_metric (m "throughput_ops") r.throughput;
+      Report.record_metric (m "put_throughput_ops") r.put_throughput;
+      Report.record_metric (m "p99_ns") r.p99_ns;
+      Report.record_metric (m "p999_ns") r.p999_ns;
+      Report.record_metric (m "mean_batch") r.mean_batch)
     runs;
   runs
 
@@ -280,15 +276,15 @@ let run () =
   let speedup =
     if a1.put_throughput > 0.0 then a4.put_throughput /. a1.put_throughput else 0.0
   in
-  metric "shard.ycsb_a.speedup_4v1" speedup;
-  metric "shard.gc.mean_batch_4" a4.mean_batch;
+  Report.record_metric "shard.ycsb_a.speedup_4v1" speedup;
+  Report.record_metric "shard.gc.mean_batch_4" a4.mean_batch;
   Report.note "put-throughput speedup at 4 shards: %s over 1 shard"
     (Report.ratio speedup);
   let pm_share = run_resident () in
-  metric "shard.resident.pm_read_share" pm_share;
+  Report.record_metric "shard.resident.pm_read_share" pm_share;
   let priced_throughput, internal_share = run_priced () in
-  metric "shard.priced.throughput_ops" priced_throughput;
-  metric "shard.priced.internal_step_share" internal_share;
+  Report.record_metric "shard.priced.throughput_ops" priced_throughput;
+  Report.record_metric "shard.priced.internal_step_share" internal_share;
   Report.require
     (Printf.sprintf "4-shard put speedup %.3f >= 1.5" speedup)
     (speedup >= 1.5);

@@ -63,10 +63,6 @@ let config ~breakers name =
     breaker_enabled = breakers;
   }
 
-let metric name v =
-  Report.record_metric name v;
-  Printf.printf "  SOAKM %s %.6g\n" name v
-
 let run_leg ~breakers name =
   let cfg = config ~breakers name in
   let scfg = Shard.Soak.config ~seed:42 ~rounds ~ops_per_round ~keyspace:6000 cfg in
@@ -98,21 +94,21 @@ let run () =
   let sick_within = Shard.Soak.sick_within_ratio r in
   let mean_ttr_ms = Shard.Soak.mean_recovery_ns r /. 1e6 in
   let violations = List.length r.Shard.Soak.violations in
-  metric "soak.ops" (float_of_int r.Shard.Soak.soak_ops);
-  metric "soak.deadline_ok_ratio" deadline_ok;
-  metric "soak.healthy_ratio" healthy;
-  metric "soak.sick_within_ratio" sick_within;
-  metric "soak.violations" (float_of_int violations);
-  metric "soak.breaker_trips" (float_of_int r.Shard.Soak.trips);
-  metric "soak.breaker_rejections" (float_of_int r.Shard.Soak.rejections);
-  metric "soak.shed" (float_of_int (Health.Ledger.shed l));
-  metric "soak.degraded" (float_of_int (Health.Ledger.degraded l));
-  metric "soak.unavailable" (float_of_int (Health.Ledger.unavailable l));
-  metric "soak.deadline_miss" (float_of_int (Health.Ledger.deadline_miss l));
-  metric "soak.injected" (float_of_int r.Shard.Soak.injected);
-  metric "soak.crashes" (float_of_int r.Shard.Soak.crashes);
-  metric "soak.double_crashes" (float_of_int r.Shard.Soak.double_crashes);
-  metric "soak.mean_ttr_ms" mean_ttr_ms;
+  Report.record_metric "soak.ops" (float_of_int r.Shard.Soak.soak_ops);
+  Report.record_metric "soak.deadline_ok_ratio" deadline_ok;
+  Report.record_metric "soak.healthy_ratio" healthy;
+  Report.record_metric "soak.sick_within_ratio" sick_within;
+  Report.record_metric "soak.violations" (float_of_int violations);
+  Report.record_metric "soak.breaker_trips" (float_of_int r.Shard.Soak.trips);
+  Report.record_metric "soak.breaker_rejections" (float_of_int r.Shard.Soak.rejections);
+  Report.record_metric "soak.shed" (float_of_int (Health.Ledger.shed l));
+  Report.record_metric "soak.degraded" (float_of_int (Health.Ledger.degraded l));
+  Report.record_metric "soak.unavailable" (float_of_int (Health.Ledger.unavailable l));
+  Report.record_metric "soak.deadline_miss" (float_of_int (Health.Ledger.deadline_miss l));
+  Report.record_metric "soak.injected" (float_of_int r.Shard.Soak.injected);
+  Report.record_metric "soak.crashes" (float_of_int r.Shard.Soak.crashes);
+  Report.record_metric "soak.double_crashes" (float_of_int r.Shard.Soak.double_crashes);
+  Report.record_metric "soak.mean_ttr_ms" mean_ttr_ms;
   List.iter
     (fun v -> Report.note "violation: %s" (Fmt.str "%a" Fault.Checker.pp_violation v))
     r.Shard.Soak.violations;
@@ -121,8 +117,8 @@ let run () =
      leg's numbers (which PMB_PLANT=no_breaker turns into this). *)
   if not (planted ()) then begin
     let r0 = run_leg ~breakers:false "soak-no-breaker" in
-    metric "soak.no_breaker.deadline_ok_ratio" (Shard.Soak.deadline_ok_ratio r0);
-    metric "soak.no_breaker.healthy_ratio" (Shard.Soak.healthy_ratio r0);
+    Report.record_metric "soak.no_breaker.deadline_ok_ratio" (Shard.Soak.deadline_ok_ratio r0);
+    Report.record_metric "soak.no_breaker.healthy_ratio" (Shard.Soak.healthy_ratio r0);
     Report.note "without breakers the deadline-ok ratio falls to %.4f"
       (Shard.Soak.deadline_ok_ratio r0)
   end

@@ -1,7 +1,8 @@
 (* K-way merge of sorted entry runs with version shadowing.
 
-   Inputs are lists sorted by Kv.compare_entry (key asc, seq desc); runs are
-   merged newest-version-first, older versions of a key are dropped, and
+   Inputs are sources (cursors, or lists through [of_list]) sorted by
+   Kv.compare_entry (key asc, seq desc); runs are merged
+   newest-version-first, older versions of a key are dropped, and
    tombstones are dropped only when [drop_tombstones] says the output lands
    at the bottom of the tree. Merge CPU is charged to the virtual clock per
    entry and per byte, matching the S2 model of the scheduling
@@ -17,106 +18,112 @@ type stats = {
 let cpu_per_entry_ns = 150.0
 let cpu_per_byte_ns = 1.0
 
+type source = unit -> Util.Kv.entry option
+
+let of_list entries =
+  let rest = ref entries in
+  fun () ->
+    match !rest with
+    | [] -> None
+    | e :: tl ->
+        rest := tl;
+        Some e
+
+(* Binary min-heap of run ids keyed by each run's head entry. The run id
+   breaks ties so the merge is stable; inputs must already place newer
+   versions first within a run. *)
 module Heap = struct
-  (* Binary min-heap of (entry, run id, rest-of-run). Run id breaks ties so
-     the merge is stable; inputs must already place newer versions first
-     within a run. *)
-  type item = Util.Kv.entry * int * Util.Kv.entry list
+  type t = { heads : Util.Kv.entry array; ids : int array; mutable size : int }
 
-  let compare_item (e1, r1, _) (e2, r2, _) =
-    let c = Util.Kv.compare_entry e1 e2 in
-    if c <> 0 then c else compare r1 r2
+  let create heads = { heads; ids = Array.make (Array.length heads) 0; size = 0 }
 
-  type t = { mutable data : item array; mutable size : int }
+  let less h a b =
+    let c = Util.Kv.compare_entry h.heads.(a) h.heads.(b) in
+    c < 0 || (c = 0 && a < b)
 
-  let create () = { data = [||]; size = 0 }
+  let swap h i j =
+    let tmp = h.ids.(i) in
+    h.ids.(i) <- h.ids.(j);
+    h.ids.(j) <- tmp
 
-  let push h item =
-    if h.size = Array.length h.data then begin
-      let bigger = Array.make (max 8 (2 * h.size)) item in
-      Array.blit h.data 0 bigger 0 h.size;
-      h.data <- bigger
-    end;
-    h.data.(h.size) <- item;
-    h.size <- h.size + 1;
-    let i = ref (h.size - 1) in
-    while
-      !i > 0
-      &&
-      let parent = (!i - 1) / 2 in
-      compare_item h.data.(!i) h.data.(parent) < 0
-    do
-      let parent = (!i - 1) / 2 in
-      let tmp = h.data.(!i) in
-      h.data.(!i) <- h.data.(parent);
-      h.data.(parent) <- tmp;
-      i := parent
-    done
-
-  let pop h =
-    if h.size = 0 then None
-    else begin
-      let top = h.data.(0) in
-      h.size <- h.size - 1;
-      h.data.(0) <- h.data.(h.size);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < h.size && compare_item h.data.(l) h.data.(!smallest) < 0 then smallest := l;
-        if r < h.size && compare_item h.data.(r) h.data.(!smallest) < 0 then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = h.data.(!i) in
-          h.data.(!i) <- h.data.(!smallest);
-          h.data.(!smallest) <- tmp;
-          i := !smallest
-        end
-        else continue := false
-      done;
-      Some top
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if less h h.ids.(i) h.ids.(parent) then begin
+        swap h i parent;
+        sift_up h parent
+      end
     end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = if l < h.size && less h h.ids.(l) h.ids.(i) then l else i in
+    let smallest = if r < h.size && less h h.ids.(r) h.ids.(smallest) then r else smallest in
+    if smallest <> i then begin
+      swap h i smallest;
+      sift_down h smallest
+    end
+
+  let push h run =
+    h.ids.(h.size) <- run;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+
+  (* The top run's head changed (or, with [exhausted], the run ran dry). *)
+  let reseat_top h ~exhausted =
+    if exhausted then begin
+      h.size <- h.size - 1;
+      h.ids.(0) <- h.ids.(h.size)
+    end;
+    sift_down h 0
 end
 
-let merge ?(drop_tombstones = false) ~clock runs =
+let merge_stream ?(drop_tombstones = false) ~clock sources emit =
   let t0 = Sim.Clock.now clock in
-  let heap = Heap.create () in
-  List.iteri
-    (fun run_id entries ->
-      match entries with e :: rest -> Heap.push heap (e, run_id, rest) | [] -> ())
-    runs;
-  let out = ref [] in
+  let sources = Array.of_list sources in
+  let dummy = Util.Kv.tombstone ~key:"" ~seq:0 in
+  let heap = Heap.create (Array.make (Array.length sources) dummy) in
+  Array.iteri
+    (fun run src ->
+      match src () with
+      | Some e ->
+          heap.Heap.heads.(run) <- e;
+          Heap.push heap run
+      | None -> ())
+    sources;
   let input_entries = ref 0 in
+  let output_entries = ref 0 in
   let dropped_versions = ref 0 in
   let dropped_tombstones = ref 0 in
   let bytes = ref 0 in
   let last_key = ref None in
-  let rec drain () =
-    match Heap.pop heap with
-    | None -> ()
-    | Some (e, run_id, rest) ->
-        incr input_entries;
-        bytes := !bytes + Util.Kv.encoded_size e;
-        (match rest with
-        | next :: rest' -> Heap.push heap (next, run_id, rest')
-        | [] -> ());
-        (match !last_key with
-        | Some k when k = e.Util.Kv.key -> incr dropped_versions
-        | _ ->
-            last_key := Some e.key;
-            if drop_tombstones && e.kind = Util.Kv.Delete then incr dropped_tombstones
-            else out := e :: !out);
-        drain ()
-  in
-  drain ();
+  while heap.Heap.size > 0 do
+    let run = heap.Heap.ids.(0) in
+    let e = heap.Heap.heads.(run) in
+    incr input_entries;
+    bytes := !bytes + Util.Kv.encoded_size e;
+    (match sources.(run) () with
+    | Some next ->
+        heap.Heap.heads.(run) <- next;
+        Heap.reseat_top heap ~exhausted:false
+    | None -> Heap.reseat_top heap ~exhausted:true);
+    match !last_key with
+    | Some k when k = e.Util.Kv.key -> incr dropped_versions
+    | _ ->
+        last_key := Some e.key;
+        if drop_tombstones && e.kind = Util.Kv.Delete then incr dropped_tombstones
+        else begin
+          incr output_entries;
+          emit e
+        end
+  done;
   Sim.Clock.advance clock
     ((float_of_int !input_entries *. cpu_per_entry_ns)
     +. (float_of_int !bytes *. cpu_per_byte_ns));
-  let output = List.rev !out in
   let stats =
     {
       input_entries = !input_entries;
-      output_entries = List.length output;
+      output_entries = !output_entries;
       dropped_versions = !dropped_versions;
       dropped_tombstones = !dropped_tombstones;
     }
@@ -125,28 +132,51 @@ let merge ?(drop_tombstones = false) ~clock runs =
     Obs.Trace.complete "compaction.merge" ~ts:t0 ~dur:(Sim.Clock.now clock -. t0)
       ~attrs:(fun () ->
         [
-          ("runs", Obs.Trace.Int (List.length runs));
+          ("runs", Obs.Trace.Int (Array.length sources));
           ("input_entries", Obs.Trace.Int stats.input_entries);
           ("output_entries", Obs.Trace.Int stats.output_entries);
           ("dropped_versions", Obs.Trace.Int stats.dropped_versions);
           ("dropped_tombstones", Obs.Trace.Int stats.dropped_tombstones);
         ]);
-  (output, stats)
+  stats
 
-(* Cut a sorted run into consecutive slices of at most [target_bytes],
-   never splitting the versions of one key across slices. *)
-let split_run ~target_bytes entries =
-  let rec loop acc current current_bytes = function
-    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
-    | e :: rest ->
-        let size = Util.Kv.encoded_size e in
-        let same_key =
-          match current with
-          | prev :: _ -> prev.Util.Kv.key = e.Util.Kv.key
-          | [] -> false
-        in
-        if current <> [] && current_bytes + size > target_bytes && not same_key then
-          loop (List.rev current :: acc) [ e ] size rest
-        else loop acc (e :: current) (current_bytes + size) rest
+let merge ?drop_tombstones ~clock runs =
+  let out = ref [] in
+  let stats =
+    merge_stream ?drop_tombstones ~clock (List.map of_list runs) (fun e -> out := e :: !out)
   in
-  loop [] [] 0 entries
+  (List.rev !out, stats)
+
+(* Slice boundaries of a sorted run: a slice holds at most [target_bytes]
+   (or one entry), and never splits the versions of one key. *)
+type cutter = {
+  target_bytes : int;
+  mutable slice_bytes : int;
+  mutable last_key : string option;
+}
+
+let cutter ~target_bytes = { target_bytes; slice_bytes = 0; last_key = None }
+
+let starts_slice c (e : Util.Kv.entry) =
+  let size = Util.Kv.encoded_size e in
+  let fresh =
+    match c.last_key with
+    | None -> true
+    | Some k -> c.slice_bytes + size > c.target_bytes && k <> e.key
+  in
+  c.slice_bytes <- (if fresh then size else c.slice_bytes + size);
+  c.last_key <- Some e.key;
+  fresh
+
+let split_run ~target_bytes entries =
+  let c = cutter ~target_bytes in
+  let slices = ref [] and current = ref [] in
+  List.iter
+    (fun e ->
+      if starts_slice c e && !current <> [] then begin
+        slices := List.rev !current :: !slices;
+        current := []
+      end;
+      current := e :: !current)
+    entries;
+  List.rev (if !current = [] then !slices else List.rev !current :: !slices)

@@ -128,12 +128,13 @@ let block_cache t = t.block_cache
 (* Every SSTable the engine creates reads through the shared cache (when
    one is configured); tables built elsewhere (tests, tools) stay
    cache-less unless attached explicitly. *)
-let new_sst t entries =
-  let sst = Sstable.of_sorted_list t.ssd entries in
+let attach_cache t sst =
   (match t.block_cache with
   | Some c -> Sstable.attach_shared_cache sst c
   | None -> ());
   sst
+
+let new_sst t entries = attach_cache t (Sstable.of_sorted_list t.ssd entries)
 
 let new_pmtable t ~kind slice =
   Pmtable.Table.of_sorted_list ~bloom_bits_per_key:t.config.Config.pm_bloom_bits_per_key t.pm
@@ -223,46 +224,59 @@ let with_pipeline_overlap t f =
     result
   end
 
-(* Read-stage section: [f] materialises one input run; its clock delta
-   becomes a read token on [medium]. *)
-let staged_read t ~medium f =
+(* Read-stage section: [f] opens one input run of [bytes] payload; its
+   clock delta becomes a read token on [medium]. *)
+let staged_read t ~medium ~bytes f =
   match t.pipe_recording with
   | None -> f ()
   | Some r ->
       Compaction.Pipeline.with_stage Compaction.Pipeline.Read @@ fun () ->
       let t0 = Sim.Clock.now t.clock in
-      let entries = f () in
-      let bytes =
-        List.fold_left (fun acc e -> acc + Util.Kv.encoded_size e) 0 entries
-      in
-      Compaction.Pipeline.record_read r medium ~bytes
+      let run = f () in
+      Compaction.Pipeline.record_read r medium ~bytes:(bytes run)
         ~cost_ns:(Sim.Clock.now t.clock -. t0);
-      entries
+      run
 
-(* Merge-stage section around a [Compaction.Merge.merge] call. *)
+(* A PM input run, materialised by [f]. *)
+let read_pm t f =
+  staged_read t ~medium:Compaction.Pipeline.Pm
+    ~bytes:(List.fold_left (fun acc e -> acc + Util.Kv.encoded_size e) 0)
+    f
+
+(* An SSTable input, streamed through its cursor. *)
+let read_sst t sst =
+  staged_read t ~medium:Compaction.Pipeline.Ssd
+    ~bytes:(fun _ -> Sstable.payload_bytes sst)
+    (fun () ->
+      let c = Sstable.cursor sst in
+      fun () -> Sstable.next c)
+
+(* Merge-stage section around a [Compaction.Merge] call. *)
 let staged_merge t f =
   match t.pipe_recording with
   | None -> f ()
   | Some r ->
       Compaction.Pipeline.with_stage Compaction.Pipeline.Merge @@ fun () ->
       let t0 = Sim.Clock.now t.clock in
-      let merged, stats = f () in
-      Compaction.Pipeline.record_merge r ~entries:(List.length merged)
+      let out, stats = f () in
+      Compaction.Pipeline.record_merge r ~entries:stats.Compaction.Merge.output_entries
         ~cost_ns:(Sim.Clock.now t.clock -. t0);
-      (merged, stats)
+      (out, stats)
 
-(* Build+write section for one output SSTable: the SSD write time of the
-   section is the write token, the remainder (serialisation CPU) the
+let write_sst t img = attach_cache t (Sstable.write_image img)
+
+(* Write section for one output SSTable image: the SSD write time of the
+   section is the write token, the remainder (the sealing barrier) a
    build token. Runs under the Write frame so the ssd.write crash sites
    it reaches are tagged with the stage that issues them. *)
-let staged_new_sst t slice =
+let staged_write_sst t img =
   match t.pipe_recording with
-  | None -> new_sst t slice
+  | None -> write_sst t img
   | Some r ->
       let wr0 = (Ssd.stats t.ssd).Ssd.write_time in
       let t0 = Sim.Clock.now t.clock in
       let sst =
-        Compaction.Pipeline.with_stage Compaction.Pipeline.Write (fun () -> new_sst t slice)
+        Compaction.Pipeline.with_stage Compaction.Pipeline.Write (fun () -> write_sst t img)
       in
       let total = Sim.Clock.now t.clock -. t0 in
       let io = (Ssd.stats t.ssd).Ssd.write_time -. wr0 in
@@ -287,30 +301,32 @@ let staged_new_pmtable t slice =
 
 (* --- Compaction: shared write-out ------------------------------------ *)
 
-(* Write a merged run into level [j] of partition [p] as target-sized
-   SSTables, removing the inputs it replaces. *)
-let write_run_to_level t p ~into_level ~replaced entries =
-  let split () =
-    Compaction.Merge.split_run ~target_bytes:t.config.Config.sstable_target_bytes entries
+(* Merge [sources] straight into target-sized SSTable images in DRAM:
+   [split_run]'s cut rule, applied as entries arrive. The images touch no
+   device and charge no time, so the merge stage's cost is the merge's
+   alone and the build stage gets only the sealing barriers. *)
+let merge_to_images t ~drop_tombstones sources =
+  let cut = Compaction.Merge.cutter ~target_bytes:t.config.Config.sstable_target_bytes in
+  let images = ref [] and current = ref None in
+  let close () = Option.iter (fun b -> images := Sstable.finish_image b :: !images) !current in
+  let emit e =
+    if Compaction.Merge.starts_slice cut e then begin
+      close ();
+      current := Some (Sstable.create_builder t.ssd)
+    end;
+    Option.iter (fun b -> Sstable.add b e) !current
   in
-  let slices =
-    match t.pipe_recording with
-    | None -> split ()
-    | Some r ->
-        Compaction.Pipeline.with_stage Compaction.Pipeline.Build @@ fun () ->
-        let t0 = Sim.Clock.now t.clock in
-        let slices = split () in
-        Compaction.Pipeline.record_build r ~cost_ns:(Sim.Clock.now t.clock -. t0);
-        slices
+  let (), _stats =
+    staged_merge t (fun () ->
+        ((), Compaction.Merge.merge_stream ~drop_tombstones ~clock:t.clock sources emit))
   in
-  let fresh =
-    List.filter_map
-      (fun slice ->
-        match slice with
-        | [] -> None
-        | _ -> Some (staged_new_sst t slice))
-      slices
-  in
+  close ();
+  List.rev !images
+
+(* Write merged images into level [j] of partition [p], in order, removing
+   the inputs they replace. *)
+let write_images t p ~into_level ~replaced images =
+  let fresh = List.map (staged_write_sst t) images in
   install_level p into_level ~removed:replaced ~fresh
 
 (* Cascade: while level j exceeds its target, push its oldest tables down.
@@ -327,15 +343,10 @@ let rec cascade t p j =
           List.filter (fun sst -> Sstable.overlaps sst ~min:lo ~max:hi) p.levels.(j + 1)
         in
         let drop_tombstones = is_bottom_for p ~into_level:(j + 1) ~lo ~hi in
-        let read_sst sst =
-          staged_read t ~medium:Compaction.Pipeline.Ssd (fun () -> Sstable.to_list sst)
-        in
-        let runs = read_sst seed :: List.map read_sst overlapping in
-        let merged, _stats =
-          staged_merge t (fun () -> Compaction.Merge.merge ~drop_tombstones ~clock:t.clock runs)
-        in
+        let sources = read_sst t seed :: List.map (read_sst t) overlapping in
+        let images = merge_to_images t ~drop_tombstones sources in
         install_level p j ~removed:[ seed ] ~fresh:[];
-        write_run_to_level t p ~into_level:(j + 1) ~replaced:overlapping merged;
+        write_images t p ~into_level:(j + 1) ~replaced:overlapping images;
         cascade t p (j + 1)
   end
 
@@ -360,9 +371,7 @@ let internal_compaction t p =
       (fun () ->
     let t0 = Sim.Clock.now t.clock in
     with_pipeline_overlap t (fun () ->
-        let read_pm tbl =
-          staged_read t ~medium:Compaction.Pipeline.Pm (fun () -> Pmtable.Table.to_list tbl)
-        in
+        let read_pm tbl = read_pm t (fun () -> Pmtable.Table.to_list tbl) in
         let runs = List.map read_pm p.unsorted @ List.map read_pm p.sorted_run in
         let merged, _stats =
           staged_merge t (fun () ->
@@ -445,35 +454,18 @@ let major_compact_partition t p =
         if wm = "" then entries
         else List.filter (fun (e : Util.Kv.entry) -> String.compare e.key wm >= 0) entries
       in
+      let read_row f = Compaction.Merge.of_list (read_pm t f) in
       let l0_runs =
-        List.map
-          (fun tbl -> staged_read t ~medium:Compaction.Pipeline.Pm (fun () -> live_row tbl))
-          p.unsorted
-        @ List.map
-            (fun tbl ->
-              staged_read t ~medium:Compaction.Pipeline.Pm (fun () ->
-                  Pmtable.Table.to_list tbl))
-            p.sorted_run
-        @ List.map
-            (fun sst ->
-              staged_read t ~medium:Compaction.Pipeline.Ssd (fun () -> Sstable.to_list sst))
-            p.ssd_l0
+        List.map (fun tbl -> read_row (fun () -> live_row tbl)) p.unsorted
+        @ List.map (fun tbl -> read_row (fun () -> Pmtable.Table.to_list tbl)) p.sorted_run
+        @ List.map (read_sst t) p.ssd_l0
       in
       if l0_runs <> [] then begin
         let lo = p.lo and hi = p.hi in
         let overlapping = p.levels.(0) in
         let drop_tombstones = is_bottom_for p ~into_level:0 ~lo ~hi in
-        let runs =
-          l0_runs
-          @ List.map
-              (fun sst ->
-                staged_read t ~medium:Compaction.Pipeline.Ssd (fun () -> Sstable.to_list sst))
-              overlapping
-        in
-        let merged, _stats =
-          staged_merge t (fun () ->
-              Compaction.Merge.merge ~drop_tombstones ~clock:t.clock runs)
-        in
+        let sources = l0_runs @ List.map (read_sst t) overlapping in
+        let images = merge_to_images t ~drop_tombstones sources in
         List.iter Pmtable.Table.free p.unsorted;
         List.iter Pmtable.Table.free p.sorted_run;
         List.iter Sstable.delete p.ssd_l0;
@@ -481,7 +473,7 @@ let major_compact_partition t p =
         p.sorted_run <- [];
         p.ssd_l0 <- [];
         p.matrix_wms <- [];
-        write_run_to_level t p ~into_level:0 ~replaced:overlapping merged;
+        write_images t p ~into_level:0 ~replaced:overlapping images;
         cascade t p 0;
         p.reads <- 0;
         p.writes <- 0;
@@ -525,7 +517,7 @@ let column_compaction t p ~columns =
         let candidate_runs =
           List.map
             (fun row ->
-              staged_read t ~medium:Compaction.Pipeline.Pm @@ fun () ->
+              read_pm t @@ fun () ->
               let wm = matrix_wm_of p row in
               let acc = ref [] and n = ref 0 in
               (try
@@ -573,19 +565,12 @@ let column_compaction t p ~columns =
                List.filter (fun sst -> Sstable.overlaps sst ~min:lo ~max:new_wm) p.levels.(0)
              in
              let drop_tombstones = is_bottom_for p ~into_level:0 ~lo ~hi:new_wm in
-             let overlapping_runs =
-               List.map
-                 (fun sst ->
-                   staged_read t ~medium:Compaction.Pipeline.Ssd (fun () ->
-                       Sstable.to_list sst))
-                 overlapping
+             let overlapping_runs = List.map (read_sst t) overlapping in
+             let images =
+               merge_to_images t ~drop_tombstones
+                 (Compaction.Merge.of_list column :: overlapping_runs)
              in
-             let merged_out, _ =
-               staged_merge t (fun () ->
-                   Compaction.Merge.merge ~drop_tombstones ~clock:t.clock
-                     (column :: overlapping_runs))
-             in
-             write_run_to_level t p ~into_level:0 ~replaced:overlapping merged_out;
+             write_images t p ~into_level:0 ~replaced:overlapping images;
              cascade t p 0
            end);
           (* Advance every row's watermark — never backwards: lowering one

@@ -15,8 +15,8 @@
 
    Cost model: fixed per-request latency plus a per-byte transfer term.
    A request covers one contiguous range, so callers size their requests:
-   an SSTable build is one vectored write and a compaction input one
-   vectored read, while a point lookup reads one block.
+   an SSTable build is one write of its whole image and a compaction input
+   one read of its data region, while a point lookup reads one block.
    Calibrated against the paper's Table I (single random SSTable lookup
    22.3 us) and Table V (SSD compaction ~2x slower than PM-internal). *)
 
@@ -64,9 +64,13 @@ let fresh_stats () =
     request_latency = Util.Histogram.create ();
   }
 
+(* A file's bytes are [data.[0 .. size-1]]; the tail past [size] is spare
+   capacity. The first write request sizes [data] exactly, later appends
+   grow it by doubling, and a crash only moves [size]. *)
 type file = {
   id : int;
-  data : Buffer.t;
+  mutable data : Bytes.t;
+  mutable size : int;
   mutable closed : bool;
   (* bytes guaranteed to survive a crash; advanced by fsync/seal, enforced
      by [crash] when crash mode is on *)
@@ -225,14 +229,14 @@ let set_fsync_hook t hook = t.fsync_hook <- hook
 
 let create_file t =
   let file =
-    { id = t.next_file; data = Buffer.create 4096; closed = false; durable_len = 0 }
+    { id = t.next_file; data = Bytes.empty; size = 0; closed = false; durable_len = 0 }
   in
   t.next_file <- t.next_file + 1;
   Hashtbl.replace t.files file.id file;
   file
 
 let file_id file = file.id
-let file_size file = Buffer.length file.data
+let file_size file = file.size
 let durable_size file = file.durable_len
 
 let delete_file t file =
@@ -248,7 +252,7 @@ let live_file_ids t =
    durable; from here on only fsync/seal advance the durable watermark. *)
 let enable_crash_mode t =
   t.crash_mode <- true;
-  Hashtbl.iter (fun _ file -> file.durable_len <- Buffer.length file.data) t.files
+  Hashtbl.iter (fun _ file -> file.durable_len <- file.size) t.files
 
 (* Crash simulation: resurrect deleted files (their pages are still on the
    medium), then cut every file back to its durable watermark — plus an
@@ -263,15 +267,13 @@ let crash ?(keep = fun ~file_id:_ ~durable:_ ~size:_ -> 0) t =
     List.iter
       (fun id ->
         let file = Hashtbl.find t.files id in
-        let size = Buffer.length file.data in
+        let size = file.size in
         if size > file.durable_len then begin
           let kept =
             max 0 (min (size - file.durable_len) (keep ~file_id:id ~durable:file.durable_len ~size))
           in
           let cut = file.durable_len + kept in
-          let surviving = Buffer.sub file.data 0 cut in
-          Buffer.clear file.data;
-          Buffer.add_string file.data surviving;
+          file.size <- cut;
           (* whatever survived the power cut is on the medium now *)
           file.durable_len <- cut
         end)
@@ -303,14 +305,44 @@ let request t op file len =
           let extra = slow_extra t op dt mult in
           if op = Read then Obs.Attr.charge Obs.Attr.Ssd_read extra)
 
+(* Room for [len] more bytes: an empty file gets exactly [len], a growing
+   one doubles. *)
+let reserve file len =
+  let need = file.size + len in
+  if need > Bytes.length file.data then begin
+    let cap = if file.size = 0 then need else max need (2 * Bytes.length file.data) in
+    let data = Bytes.create cap in
+    Bytes.blit file.data 0 data 0 file.size;
+    file.data <- data
+  end
+
 (* Vectored sequential write: the chunks go out as one request for their
-   total length (a table build's data blocks plus its meta block). *)
+   total length. *)
 let appendv t file chunks =
   if file.closed then invalid_arg "Ssd.appendv: file closed";
-  request t Write file (List.fold_left (fun acc c -> acc + String.length c) 0 chunks);
-  List.iter (Buffer.add_string file.data) chunks
+  let len = List.fold_left (fun acc c -> acc + String.length c) 0 chunks in
+  request t Write file len;
+  reserve file len;
+  List.iter
+    (fun c ->
+      Bytes.blit_string c 0 file.data file.size (String.length c);
+      file.size <- file.size + String.length c)
+    chunks
 
 let append t file data = appendv t file [ data ]
+
+(* One write request of [data]'s length; an empty file adopts [data] as its
+   storage instead of copying it (a table build writes its whole image). *)
+let append_owned t file data =
+  if file.closed then invalid_arg "Ssd.append_owned: file closed";
+  let len = Bytes.length data in
+  request t Write file len;
+  if file.size = 0 then file.data <- data
+  else begin
+    reserve file len;
+    Bytes.blit data 0 file.data file.size len
+  end;
+  file.size <- file.size + len
 
 (* Flush/FUA barrier: everything appended so far is durable afterwards.
    The fsync hook can swallow the barrier (sync loss), stall it (stuck-slow
@@ -330,7 +362,7 @@ let fsync t file =
               (Float.max 0.0 ((mult -. 1.0) *. t.params.fsync_latency_ns));
             true)
   in
-  if effective then file.durable_len <- max file.durable_len (Buffer.length file.data)
+  if effective then file.durable_len <- max file.durable_len file.size
 
 let seal t file =
   (* Sealing a table is its durability point (build ends with a barrier). *)
@@ -343,23 +375,20 @@ let seal t file =
    unmapped page image. *)
 let corrupt_file ?(len = 1) ?(mode = `Flip) t file ~off =
   ignore t;
-  let size = Buffer.length file.data in
   if len < 1 then invalid_arg "Ssd.corrupt_file: len < 1";
-  if off < 0 || off + len > size then invalid_arg "Ssd.corrupt_file: out of bounds";
-  let raw = Bytes.of_string (Buffer.contents file.data) in
-  (match mode with
+  if off < 0 || off + len > file.size then invalid_arg "Ssd.corrupt_file: out of bounds";
+  match mode with
   | `Flip ->
       for i = off to off + len - 1 do
-        Bytes.set raw i (Char.chr (Char.code (Bytes.get raw i) lxor 0xff))
+        Bytes.set file.data i (Char.chr (Char.code (Bytes.get file.data i) lxor 0xff))
       done
-  | `Zero -> Bytes.fill raw off len '\000');
-  Buffer.clear file.data;
-  Buffer.add_bytes file.data raw
+  | `Zero -> Bytes.fill file.data off len '\000'
 
 (* Vectored read of contiguous [(off, len)] extents: one request for the
-   whole span (readahead over a range), one string per extent. *)
+   whole span (readahead over a range), one fresh string per extent — the
+   block cache keeps them, so they must not alias the file. *)
 let preadv t file extents =
-  let size = Buffer.length file.data in
+  let size = file.size in
   let span =
     match extents with
     | [] -> 0
@@ -375,12 +404,21 @@ let preadv t file extents =
         stop - off0
   in
   request t Read file span;
-  List.map (fun (off, len) -> Buffer.sub file.data off len) extents
+  List.map (fun (off, len) -> Bytes.sub_string file.data off len) extents
 
 let pread t file ~off ~len =
   match preadv t file [ (off, len) ] with
   | [ data ] -> data
   | _ -> assert false
+
+(* One read request over [off, off+len), answered with the file's own
+   storage instead of a copy: the caller decodes in place and drops the
+   view before the file changes. *)
+let read_in_place t file ~off ~len =
+  if off < 0 || len < 0 || off + len > file.size then
+    invalid_arg "Ssd.read_in_place: out of bounds";
+  request t Read file len;
+  Bytes.unsafe_to_string file.data
 
 (* --- Asynchronous interface (scheduling experiments) ---------------- *)
 

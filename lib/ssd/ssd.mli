@@ -91,8 +91,11 @@ val live_file_ids : t -> int list
     [Ssd_read] attribution, the stats and the fault hook see the request
     once, with that total length. Requests are atomic: an [Io_fail] from
     the hook raises {!Io_error} before anything is transferred. An
-    SSTable build is one {!appendv}; a compaction input is one {!preadv}
-    over its data blocks. *)
+    SSTable build is one {!append_owned} of its whole image; a compaction
+    input is one {!read_in_place} over its data blocks.
+
+    A file holds exactly the bytes written to it: the first write request
+    sizes its storage to that request's length, later appends grow it. *)
 
 val appendv : t -> file -> string list -> unit
 (** Vectored sequential write: append the chunks in order as one request
@@ -101,6 +104,11 @@ val appendv : t -> file -> string list -> unit
 
 val append : t -> file -> string -> unit
 (** [appendv] of one chunk. *)
+
+val append_owned : t -> file -> Bytes.t -> unit
+(** One write request of the whole of [data], which the device takes over:
+    an empty file adopts it as its storage without a copy, so the caller
+    must not touch [data] afterwards. Raises {!Io_error} like {!appendv}. *)
 
 val fsync : t -> file -> unit
 (** Flush/FUA barrier: everything appended so far is durable afterwards
@@ -117,13 +125,26 @@ val preadv : t -> file -> (int * int) list -> string list
     {!Io_error} when the read hook fails the request. *)
 
 val pread : t -> file -> off:int -> len:int -> string
-(** [preadv] of one extent: a random read of one request plus transfer. *)
+(** [preadv] of one extent: a random read of one request plus transfer.
+    Like {!preadv} it returns a copy, which later damage to the file (or a
+    crash) leaves unchanged. *)
+
+val read_in_place : t -> file -> off:int -> len:int -> string
+(** One read request over [off, off+len), charged like {!pread}, answered
+    with a view of the file's own storage instead of a copy: the requested
+    bytes sit at their file offsets in the returned string, and bytes past
+    {!file_size} are unspecified. The view is valid until the file is next
+    appended to, damaged, crashed or deleted; the caller must drop it
+    before then. Raises [Invalid_argument] on an out-of-bounds span,
+    {!Io_error} when the read hook fails the request. *)
 
 val corrupt_file :
   ?len:int -> ?mode:[ `Flip | `Zero ] -> t -> file -> off:int -> unit
-(** Fault injection: damage [len] bytes (default 1) at [off] — [`Flip]
-    inverts every byte, [`Zero] models a torn/zeroed page image. Charges no
-    simulated time: the fault is the medium's, not the workload's. *)
+(** Fault injection: damage [len] bytes (default 1) at [off] in place —
+    [`Flip] inverts every byte, [`Zero] models a torn/zeroed page image.
+    Charges no simulated time: the fault is the medium's, not the
+    workload's. Strings already returned by {!pread}/{!preadv} keep their
+    old bytes. *)
 
 (** {1 Crash simulation and fault hooks}
 

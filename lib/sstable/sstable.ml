@@ -11,10 +11,11 @@
    Point lookup: bloom check (DRAM, ~free), binary search the index (DRAM),
    read one data block (SSD or cache), scan the block.
 
-   Compaction-sized I/O: a build buffers its blocks and writes the table
-   as one device request; a compaction input ([to_list]) is read back as
-   one readahead request over the data region and bypasses the block
-   cache. *)
+   Compaction-sized I/O: a build lays the whole table out in DRAM as an
+   exact-size image and writes it as one device request; a compaction
+   input ([cursor]) is read back as one readahead request over the data
+   region, decoded in place from the device's bytes, and bypasses the
+   block cache. *)
 
 let default_block_bytes = 4096
 let bits_per_key = 10
@@ -54,7 +55,6 @@ let charge_cpu t ns = Sim.Clock.advance (Ssd.clock t.ssd) ns
 
 type builder = {
   b_ssd : Ssd.t;
-  b_file : Ssd.file;
   b_block_bytes : int;
   b_current : Buffer.t;
   mutable b_current_entries : int;
@@ -73,7 +73,6 @@ type builder = {
 let create_builder ?(block_bytes = default_block_bytes) ssd =
   {
     b_ssd = ssd;
-    b_file = Ssd.create_file ssd;
     b_block_bytes = block_bytes;
     b_current = Buffer.create block_bytes;
     b_current_entries = 0;
@@ -89,8 +88,8 @@ let create_builder ?(block_bytes = default_block_bytes) ssd =
     b_off = 0;
   }
 
-(* Finished blocks stay in DRAM until [finish] writes the whole table as
-   one request; [sstable_target_bytes] bounds the buffer. *)
+(* Finished blocks stay in DRAM until [finish_image] lays the whole table
+   out; [sstable_target_bytes] bounds them. *)
 let flush_block b =
   if Buffer.length b.b_current > 0 then begin
     let data = Buffer.contents b.b_current in
@@ -156,26 +155,65 @@ let encode_meta b bloom =
   add_u32 meta_magic;
   Buffer.contents buf
 
-let finish b =
-  if b.b_count = 0 then invalid_arg "Sstable.finish: empty table";
+(* A finished table laid out in DRAM: [i_bytes] is the whole file, data
+   blocks then meta block, at its exact size. *)
+type image = {
+  i_ssd : Ssd.t;
+  i_bytes : Bytes.t;
+  i_blocks : block_meta array;
+  i_bloom : Bloom.t;
+  i_count : int;
+  i_min_key : string;
+  i_max_key : string;
+  i_payload : int;
+}
+
+let finish_image b =
+  if b.b_count = 0 then invalid_arg "Sstable.finish_image: empty table";
   flush_block b;
   let bloom = Bloom.of_keys ~bits_per_key b.b_keys in
-  Ssd.appendv b.b_ssd b.b_file (List.rev (encode_meta b bloom :: b.b_data));
-  Ssd.seal b.b_ssd b.b_file;
-  let blocks = Array.of_list (List.rev b.b_blocks) in
+  let meta = encode_meta b bloom in
+  let bytes = Bytes.create (b.b_off + String.length meta) in
+  let off =
+    List.fold_left
+      (fun off data ->
+        Bytes.blit_string data 0 bytes off (String.length data);
+        off + String.length data)
+      0 (List.rev b.b_data)
+  in
+  Bytes.blit_string meta 0 bytes off (String.length meta);
   {
-    ssd = b.b_ssd;
-    file = b.b_file;
-    blocks;
-    bloom;
-    count = b.b_count;
-    min_key = (match b.b_first_key with Some k -> k | None -> "");
-    max_key = b.b_last_key;
-    payload_bytes = b.b_payload;
+    i_ssd = b.b_ssd;
+    i_bytes = bytes;
+    i_blocks = Array.of_list (List.rev b.b_blocks);
+    i_bloom = bloom;
+    i_count = b.b_count;
+    i_min_key = (match b.b_first_key with Some k -> k | None -> "");
+    i_max_key = b.b_last_key;
+    i_payload = b.b_payload;
+  }
+
+(* The build's device work: a fresh file, one write request of the whole
+   image (the file adopts its bytes), and the sealing barrier. *)
+let write_image img =
+  let file = Ssd.create_file img.i_ssd in
+  Ssd.append_owned img.i_ssd file img.i_bytes;
+  Ssd.seal img.i_ssd file;
+  {
+    ssd = img.i_ssd;
+    file;
+    blocks = img.i_blocks;
+    bloom = img.i_bloom;
+    count = img.i_count;
+    min_key = img.i_min_key;
+    max_key = img.i_max_key;
+    payload_bytes = img.i_payload;
     pinned = None;
     shared = None;
     dram_access_ns = dram_access_ns_default;
   }
+
+let finish b = write_image (finish_image b)
 
 let build ?block_bytes ssd entries =
   let b = create_builder ?block_bytes ssd in
@@ -272,8 +310,8 @@ let delete t =
 
 (* The checksum persisted at build time detects bit rot and torn writes
    on the way in from the device. *)
-let check_block t i data =
-  if !verify_checksums && Util.Crc32.string data <> t.blocks.(i).crc then
+let check_block t i data ~off =
+  if !verify_checksums && Util.Crc32.update 0 data off t.blocks.(i).len <> t.blocks.(i).crc then
     raise (Corrupted_block { file_id = Ssd.file_id t.file; block = i })
 
 (* Read block [i]: DRAM cost when the block is pinned or resident in the
@@ -282,7 +320,7 @@ let read_block t i =
   let meta = t.blocks.(i) in
   let fetch () =
     let data = Ssd.pread t.ssd t.file ~off:meta.off ~len:meta.len in
-    check_block t i data;
+    check_block t i data ~off:0;
     data
   in
   let pinned_hit =
@@ -313,7 +351,7 @@ let read_block t i =
 let read_data_region t =
   let extents = Array.fold_right (fun m acc -> (m.off, m.len) :: acc) t.blocks [] in
   let data = Array.of_list (Ssd.preadv t.ssd t.file extents) in
-  Array.iteri (check_block t) data;
+  Array.iteri (fun i d -> check_block t i d ~off:0) data;
   data
 
 (* Explicitly pin the whole table in DRAM (one sequential device read) —
@@ -368,22 +406,61 @@ let get ?(use_bloom = true) t key =
         | Found e -> Some e
         | Exit -> None)
 
-(* Compaction input: one readahead request over the data region, decoded
-   in place. It bypasses the block cache (RocksDB's [fill_cache=false]):
-   the inputs are deleted once the compaction installs, so caching their
-   blocks would only evict blocks that gets use. A pinned table is served
-   from its pin. *)
-let to_list t =
-  let data =
+(* Compaction input: one readahead request over the data region, every
+   block CRC-verified and the decode CPU of every entry charged up front,
+   then decoded one entry at a time in place. It bypasses the block cache
+   (RocksDB's [fill_cache=false]): the inputs are deleted once the
+   compaction installs, so caching their blocks would only evict blocks
+   that gets use. A pinned table is served from its pin. *)
+type cursor = {
+  c_table : t;
+  c_block : int -> string * int;  (* the bytes holding block i, and its offset *)
+  mutable c_next_block : int;
+  mutable c_src : string;
+  mutable c_pos : int;
+  mutable c_left : int;  (* entries still to decode in the current block *)
+}
+
+let cursor t =
+  let c_block =
     match t.pinned with
-    | Some _ -> Array.init (Array.length t.blocks) (read_block t)
-    | None -> read_data_region t
+    | Some _ ->
+        let data = Array.init (Array.length t.blocks) (read_block t) in
+        fun i -> (data.(i), 0)
+    | None ->
+        let last = t.blocks.(Array.length t.blocks - 1) in
+        let view = Ssd.read_in_place t.ssd t.file ~off:0 ~len:(last.off + last.len) in
+        Array.iteri (fun i m -> check_block t i view ~off:m.off) t.blocks;
+        fun i -> (view, t.blocks.(i).off)
   in
-  let acc = ref [] in
-  Array.iteri
-    (fun i d -> scan_block t d ~entries:t.blocks.(i).entries (fun e -> acc := e :: !acc))
-    data;
-  List.rev !acc
+  (* one charge per entry, as a block scan makes them *)
+  for _ = 1 to t.count do
+    charge_cpu t decode_cpu_ns
+  done;
+  { c_table = t; c_block; c_next_block = 0; c_src = ""; c_pos = 0; c_left = 0 }
+
+let rec next c =
+  if c.c_left > 0 then begin
+    let e, pos = Util.Kv.decode c.c_src c.c_pos in
+    c.c_pos <- pos;
+    c.c_left <- c.c_left - 1;
+    Some e
+  end
+  else if c.c_next_block < Array.length c.c_table.blocks then begin
+    let i = c.c_next_block in
+    let src, off = c.c_block i in
+    c.c_src <- src;
+    c.c_pos <- off;
+    c.c_left <- c.c_table.blocks.(i).entries;
+    c.c_next_block <- i + 1;
+    next c
+  end
+  else None
+
+let to_list t =
+  let c = cursor t in
+  let rec drain acc = match next c with Some e -> drain (e :: acc) | None -> List.rev acc in
+  drain []
 
 let range t ~start ~stop f =
   if stop > t.min_key && start <= t.max_key then begin

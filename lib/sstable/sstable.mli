@@ -15,7 +15,21 @@ val add : builder -> Util.Kv.entry -> unit
 (** Entries must arrive in {!Util.Kv.compare_entry} order. *)
 
 val finish : builder -> t
-(** Raises [Invalid_argument] when no entries were added. *)
+(** [write_image (finish_image b)]. Raises [Invalid_argument] when no
+    entries were added. *)
+
+type image
+(** A finished table laid out in DRAM at its exact file size, not yet on
+    the device. *)
+
+val finish_image : builder -> image
+(** Encode the table (data blocks, index, Bloom filter, meta block) into
+    one image. Touches no device and charges no time. Raises
+    [Invalid_argument] when no entries were added. *)
+
+val write_image : image -> t
+(** Create the table's file, write the image as one request (the file
+    adopts its bytes; the image must not be used again) and seal it. *)
 
 val build : ?block_bytes:int -> Ssd.t -> Util.Kv.entry array -> t
 val of_sorted_list : ?block_bytes:int -> Ssd.t -> Util.Kv.entry list -> t
@@ -63,11 +77,24 @@ val get : ?use_bloom:bool -> t -> string -> Util.Kv.entry option
 (** Newest version of the key. The Bloom filter screens absent keys unless
     [~use_bloom:false]. *)
 
+type cursor
+(** A compaction input: every entry in order, decoded one at a time. *)
+
+val cursor : t -> cursor
+(** Open the table as a compaction input, paying all of its cost now: one
+    read request over the data region, a CRC check of every block (raises
+    {!Corrupted_block} with the failing block's index), then the decode
+    CPU of every entry, one charge each. Entries are then decoded in place
+    from the device's bytes at no further charge, so the cursor must be
+    drained before the table's file is deleted or damaged. The block cache
+    is neither consulted nor filled; a pinned table is served from its
+    pin. *)
+
+val next : cursor -> Util.Kv.entry option
+(** The next entry, [None] once drained. *)
+
 val to_list : t -> Util.Kv.entry list
-(** Every entry in order — the compaction input path. One read request
-    over the data region, every block CRC-verified (raises
-    {!Corrupted_block} with the failing block's index); the block cache is
-    neither consulted nor filled. A pinned table is served from its pin. *)
+(** A drained {!cursor}. *)
 
 val range : t -> start:string -> stop:string -> (Util.Kv.entry -> unit) -> unit
 val overlaps : t -> min:string -> max:string -> bool

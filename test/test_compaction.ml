@@ -95,6 +95,56 @@ let prop_merge_model =
            merged
       && merged = List.sort Util.Kv.compare_entry merged)
 
+(* The streamed data plane against the list one: SSTables read through
+   cursors and merged into a callback give the list merge's output, stats
+   and clock, bit for bit. Each side runs on its own fresh device so both
+   start from the same absolute time. *)
+let prop_merge_stream_matches_merge =
+  let run_gen =
+    QCheck.Gen.(
+      list_size (int_range 1 40)
+        (pair (string_size ~gen:(char_range 'a' 'h') (int_range 1 2)) (string_size (int_range 0 30))))
+  in
+  QCheck.Test.make ~name:"merge_stream on cursors = list merge" ~count:100
+    (QCheck.make QCheck.Gen.(pair bool (list_size (int_range 0 5) run_gen)))
+    (fun (drop_tombstones, raw_runs) ->
+      let seq = ref 0 in
+      let runs =
+        List.map
+          (fun pairs ->
+            List.map
+              (fun (key, value) ->
+                incr seq;
+                if !seq mod 7 = 0 then d key !seq else e key !seq value)
+              pairs
+            |> List.sort Util.Kv.compare_entry)
+          raw_runs
+      in
+      let setup () =
+        let clock = Sim.Clock.create () in
+        let ssd = Ssd.create clock in
+        (clock, List.map (Sstable.of_sorted_list ~block_bytes:64 ssd) runs)
+      in
+      let clock_a, tables_a = setup () in
+      let merged, stats_a =
+        Compaction.Merge.merge ~drop_tombstones ~clock:clock_a (List.map Sstable.to_list tables_a)
+      in
+      let clock_b, tables_b = setup () in
+      let sources =
+        List.map
+          (fun sst ->
+            let c = Sstable.cursor sst in
+            fun () -> Sstable.next c)
+          tables_b
+      in
+      let out = ref [] in
+      let stats_b =
+        Compaction.Merge.merge_stream ~drop_tombstones ~clock:clock_b sources (fun x ->
+            out := x :: !out)
+      in
+      merged = List.rev !out && stats_a = stats_b
+      && Sim.Clock.now clock_a = Sim.Clock.now clock_b)
+
 (* --- split_run -------------------------------------------------------- *)
 
 let test_split_run_sizes () =
@@ -128,6 +178,47 @@ let prop_split_concat_identity =
         |> List.sort Util.Kv.compare_entry
       in
       List.concat (Compaction.Merge.split_run ~target_bytes:target entries) = entries)
+
+(* The cut rule as the list code stated it before the cutter existed. *)
+let reference_split ~target_bytes entries =
+  let rec loop acc current current_bytes = function
+    | [] -> List.rev (if current = [] then acc else List.rev current :: acc)
+    | x :: rest ->
+        let size = Util.Kv.encoded_size x in
+        let same_key =
+          match current with
+          | (prev : Util.Kv.entry) :: _ -> prev.key = x.Util.Kv.key
+          | [] -> false
+        in
+        if current <> [] && current_bytes + size > target_bytes && not same_key then
+          loop (List.rev current :: acc) [ x ] size rest
+        else loop acc (x :: current) (current_bytes + size) rest
+  in
+  loop [] [] 0 entries
+
+let prop_cutter_matches_split_rule =
+  QCheck.Test.make ~name:"cutter slices = split_run rule" ~count:200
+    QCheck.(
+      pair (int_range 1 300)
+        (list_of_size Gen.(int_range 0 80)
+           (pair (string_gen_of_size Gen.(int_range 1 2) Gen.(char_range 'a' 'f'))
+              (string_of_size Gen.(int_range 0 50)))))
+    (fun (target_bytes, pairs) ->
+      let entries =
+        List.mapi (fun i (k, v) -> e k i v) pairs |> List.sort Util.Kv.compare_entry
+      in
+      let cut = Compaction.Merge.cutter ~target_bytes in
+      let slices =
+        List.fold_left
+          (fun acc x ->
+            match (Compaction.Merge.starts_slice cut x, acc) with
+            | false, current :: done_ -> (x :: current) :: done_
+            | _ -> [ x ] :: acc)
+          [] entries
+        |> List.rev_map List.rev
+      in
+      let expected = reference_split ~target_bytes entries in
+      slices = expected && Compaction.Merge.split_run ~target_bytes entries = expected)
 
 (* --- Cost models -------------------------------------------------------- *)
 
@@ -207,12 +298,14 @@ let () =
           Alcotest.test_case "charges cpu" `Quick test_merge_charges_cpu;
           Alcotest.test_case "empty inputs" `Quick test_merge_empty_inputs;
           qtest prop_merge_model;
+          qtest prop_merge_stream_matches_merge;
         ] );
       ( "split_run",
         [
           Alcotest.test_case "sizes" `Quick test_split_run_sizes;
           Alcotest.test_case "keeps key versions together" `Quick test_split_run_never_splits_key_versions;
           qtest prop_split_concat_identity;
+          qtest prop_cutter_matches_split_rule;
         ] );
       ( "cost models",
         [

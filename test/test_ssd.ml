@@ -125,6 +125,56 @@ let test_failed_appendv_writes_nothing () =
   check Alcotest.int "size unchanged" 4 (Ssd.file_size f);
   check Alcotest.string "content unchanged" "head" (Ssd.pread ssd f ~off:0 ~len:4)
 
+(* --- Exact-size files -------------------------------------------------------- *)
+
+(* The block cache keeps what [pread] returns, so it must be a copy: damage
+   done to the file in place afterwards must not reach it. *)
+let test_pread_copy_survives_corruption () =
+  let _, ssd = make () in
+  let f = Ssd.create_file ssd in
+  Ssd.append ssd f "abcdef";
+  let before = Ssd.pread ssd f ~off:0 ~len:6 in
+  Ssd.corrupt_file ~len:6 ~mode:`Zero ssd f ~off:0;
+  check Alcotest.string "earlier read unchanged" "abcdef" before;
+  check Alcotest.string "the file is damaged" (String.make 6 '\000')
+    (Ssd.pread ssd f ~off:0 ~len:6)
+
+(* A crash only moves the size back; the next append must overwrite the
+   stale tail that is still in the file's storage. *)
+let test_crash_then_reappend () =
+  let _, ssd = make () in
+  Ssd.enable_crash_mode ssd;
+  let f = Ssd.create_file ssd in
+  Ssd.append ssd f "durable";
+  Ssd.fsync ssd f;
+  Ssd.append ssd f "-lost-tail";
+  Ssd.crash ssd;
+  check Alcotest.int "cut to the watermark" 7 (Ssd.file_size f);
+  Ssd.append ssd f "+again";
+  check Alcotest.int "size after re-append" 13 (Ssd.file_size f);
+  check Alcotest.string "reads back the new tail" "durable+again"
+    (Ssd.pread ssd f ~off:0 ~len:13);
+  Ssd.append ssd f (String.make 100 'z');
+  check Alcotest.string "grows past its first size" ("durable+again" ^ String.make 100 'z')
+    (Ssd.pread ssd f ~off:0 ~len:113)
+
+let test_write_image_one_request () =
+  let clock, ssd = make () in
+  let b = Sstable.create_builder ~block_bytes:256 ssd in
+  for i = 0 to 199 do
+    Sstable.add b (Util.Kv.entry ~key:(Util.Keys.ycsb_key i) ~seq:(i + 1) (String.make 40 'v'))
+  done;
+  let t0 = Sim.Clock.now clock in
+  let img = Sstable.finish_image b in
+  check (Alcotest.float 0.0) "encoding charges nothing" t0 (Sim.Clock.now clock);
+  check Alcotest.int "no file yet" 0 (List.length (Ssd.live_file_ids ssd));
+  let sst = Sstable.write_image img in
+  let s = Ssd.stats ssd in
+  check Alcotest.int "one write request" 1 s.Ssd.writes;
+  check Alcotest.int "exactly the file" (Sstable.byte_size sst) s.Ssd.bytes_written;
+  check Alcotest.int "one file" 1 (List.length (Ssd.live_file_ids ssd));
+  check Alcotest.int "every entry" 200 (List.length (Sstable.to_list sst))
+
 (* --- Async interface ----------------------------------------------------- *)
 
 let test_async_completion_order_and_latency () =
@@ -279,6 +329,8 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_file_roundtrip;
           Alcotest.test_case "pread bounds" `Quick test_pread_bounds;
           Alcotest.test_case "delete" `Quick test_delete_file;
+          Alcotest.test_case "pread copy survives corruption" `Quick
+            test_pread_copy_survives_corruption;
         ] );
       ( "costs",
         [
@@ -290,11 +342,13 @@ let () =
           Alcotest.test_case "vectored hooks fire once" `Quick test_vectored_hooks_fire_once;
           Alcotest.test_case "failed appendv writes nothing" `Quick
             test_failed_appendv_writes_nothing;
+          Alcotest.test_case "write_image is one request" `Quick test_write_image_one_request;
         ] );
       ( "crash",
         [
           Alcotest.test_case "truncate to durable" `Quick test_crash_truncates_to_durable;
           Alcotest.test_case "torn tail" `Quick test_crash_torn_tail;
+          Alcotest.test_case "re-append after truncation" `Quick test_crash_then_reappend;
           Alcotest.test_case "seal implies durability" `Quick test_seal_implies_durability;
           Alcotest.test_case "pre-existing durable" `Quick test_enable_marks_existing_durable;
           Alcotest.test_case "delete resurrection" `Quick test_delete_resurrected_on_crash;

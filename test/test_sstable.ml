@@ -242,6 +242,81 @@ let test_to_list_names_corrupted_block () =
   | exception Sstable.Corrupted_block { block; _ } ->
       check Alcotest.int "failing block named" k block
 
+(* --- Cursors ---------------------------------------------------------------- *)
+
+(* Sorted entries with repeated keys (several versions each), values of
+   varied length, and a block size small enough for many blocks. *)
+let table_gen =
+  QCheck.(
+    pair (int_range 48 512)
+      (list_of_size Gen.(int_range 1 120)
+         (pair (string_gen_of_size Gen.(int_range 1 3) Gen.(char_range 'a' 'f'))
+            (string_of_size Gen.(int_range 0 60)))))
+
+let sorted_entries pairs =
+  List.mapi (fun seq (key, value) -> Util.Kv.entry ~key ~seq value) pairs
+  |> List.sort Util.Kv.compare_entry
+
+let drain c =
+  let rec go acc = match Sstable.next c with Some e -> go (e :: acc) | None -> List.rev acc in
+  go []
+
+(* A fresh device and table: the same inputs give the same absolute clock,
+   so two setups compare bit for bit. *)
+let fresh_table ~pinned ~block_bytes es =
+  let clock, ssd = make () in
+  let sst = Sstable.of_sorted_list ~block_bytes ssd es in
+  if pinned then Sstable.warm_cache sst;
+  Ssd.reset_stats ssd;
+  (clock, ssd, sst)
+
+(* A cursor pays at open exactly what the list read pays, in the same
+   order, and draining it charges nothing more. On an unpinned table that
+   is one read request, then one 25 ns decode charge per entry. *)
+let prop_cursor_matches_to_list =
+  QCheck.Test.make ~name:"cursor drain = to_list, same clock" ~count:100
+    QCheck.(pair bool table_gen)
+    (fun (pinned, (block_bytes, pairs)) ->
+      let es = sorted_entries pairs in
+      let clock_a, _, a = fresh_table ~pinned ~block_bytes es in
+      let listed = Sstable.to_list a in
+      let clock_b, ssd_b, b = fresh_table ~pinned ~block_bytes es in
+      let t0 = Sim.Clock.now clock_b in
+      let c = Sstable.cursor b in
+      let opened = Sim.Clock.now clock_b in
+      let drained = drain c in
+      let stats = Ssd.stats ssd_b in
+      let model =
+        if pinned then stats.Ssd.reads = 0
+        else
+          stats.Ssd.reads = 1
+          && opened
+             = List.fold_left
+                 (fun acc _ -> acc +. 25.0)
+                 (t0 +. Ssd.service_time ssd_b Ssd.Read stats.Ssd.bytes_read)
+                 es
+      in
+      listed = es && drained = es
+      && Sim.Clock.now clock_a = Sim.Clock.now clock_b
+      && Sim.Clock.now clock_b = opened && model)
+
+(* Damage anywhere in the file: the cursor refuses at open with the first
+   data block the scrub walk names, and reads through damage to the meta
+   block (its index is pinned in the handle). *)
+let prop_cursor_names_corrupted_block =
+  QCheck.Test.make ~name:"cursor names the corrupted block" ~count:100
+    QCheck.(pair (int_range 0 1_000_000) table_gen)
+    (fun (at, (block_bytes, pairs)) ->
+      let es = sorted_entries pairs in
+      let _, ssd, sst = fresh_table ~pinned:false ~block_bytes es in
+      let file = Option.get (Ssd.find_file ssd (Sstable.file_id sst)) in
+      Ssd.corrupt_file ssd file ~off:(at mod Sstable.byte_size sst);
+      match (List.filter (fun i -> i >= 0) (Sstable.verify sst), Sstable.cursor sst) with
+      | [], c -> drain c = es
+      | _ :: _, _ -> false
+      | exception Sstable.Corrupted_block { block; _ } ->
+          List.filter (fun i -> i >= 0) (Sstable.verify sst) = [ block ])
+
 let () =
   Alcotest.run "sstable"
     [
@@ -266,5 +341,7 @@ let () =
           Alcotest.test_case "to_list names corrupted block" `Quick
             test_to_list_names_corrupted_block;
           qtest prop_model;
+          qtest prop_cursor_matches_to_list;
+          qtest prop_cursor_names_corrupted_block;
         ] );
     ]
