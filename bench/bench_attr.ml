@@ -118,11 +118,16 @@ let run () =
   metric "ssd.read_bytes_per_request" (per_request ssd.Ssd.bytes_read ssd.Ssd.reads);
   (* Host allocation of the whole run (load and its major compactions
      included) per measured op: the program is deterministic, so these
-     repeat exactly on one compiler, and a compaction that goes back to
-     materialising whole runs shows up in the promoted words. *)
+     repeat exactly on one compiler. A compaction that goes back to
+     materialising whole runs shows up in the promoted words; a read or
+     build that copies device bytes again shows up in the direct major
+     words (blocks too large for the minor heap, allocated in the major
+     heap without passing through it). *)
   let per_op words = words /. float_of_int ops in
+  let promoted = gc1.Gc.promoted_words -. gc0.Gc.promoted_words in
   metric "host.gc.minor_words_per_op" (per_op (gc1.Gc.minor_words -. gc0.Gc.minor_words));
-  metric "host.gc.promoted_words_per_op"
-    (per_op (gc1.Gc.promoted_words -. gc0.Gc.promoted_words));
+  metric "host.gc.promoted_words_per_op" (per_op promoted);
+  metric "host.gc.direct_major_words_per_op"
+    (per_op (gc1.Gc.major_words -. gc0.Gc.major_words -. promoted));
   Obs.Attr.disable ();
   if planted () then Report.note "PLANTED regression active: block cache disabled"

@@ -17,29 +17,45 @@ let record_bytes = 24 (* 16-byte key + 8-byte payload, fixed stride *)
 let key_of ~table_idx ~i = Util.Keys.fixed_int ~width:16 ((i * 8) + table_idx)
 
 (* The paper's structure: sorted fixed-size records on PM, binary search
-   reading one record per probe (built through the buffered writer so the
-   flush cost is charged like any PM table). *)
+   reading one record per probe in place, through the PM view the engine's
+   own tables read with (built through the table builder so the flush cost
+   is charged like any PM table). *)
 module Pm_array = struct
   type t = { dev : Pmem.t; region : Pmem.region; count : int }
 
   let build dev ~table_idx =
-    let region = Pmem.alloc dev (entries_per_table * record_bytes) in
-    let builder = Pmtable.Builder.create dev region in
+    let image = Bytes.create (entries_per_table * record_bytes) in
     for i = 0 to entries_per_table - 1 do
-      Pmtable.Builder.add_string builder (key_of ~table_idx ~i ^ "payload!")
+      Bytes.blit_string (key_of ~table_idx ~i ^ "payload!") 0 image (i * record_bytes)
+        record_bytes
+    done;
+    let region = Pmem.alloc dev (Bytes.length image) in
+    let builder = Pmtable.Builder.create dev region (Bytes.unsafe_to_string image) in
+    for _ = 1 to entries_per_table do
+      Pmtable.Builder.stage builder record_bytes
     done;
     ignore (Pmtable.Builder.finish builder);
     { dev; region; count = entries_per_table }
+
+  (* The 16-byte key at [off] in the view against [key], in place. *)
+  let compare_at view off key =
+    let rec go i =
+      if i >= 16 then 0
+      else
+        let c = Char.compare view.[off + i] key.[i] in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
 
   let get t key =
     let lo = ref 0 and hi = ref (t.count - 1) in
     let found = ref None in
     while !found = None && !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
-      let record = Pmem.read t.dev t.region ~off:(mid * record_bytes) ~len:record_bytes in
-      let k = String.sub record 0 16 in
-      let c = String.compare k key in
-      if c = 0 then found := Some (String.sub record 16 8)
+      let off = mid * record_bytes in
+      let view = Pmem.read_in_place t.dev t.region ~off ~len:record_bytes in
+      let c = compare_at view off key in
+      if c = 0 then found := Some (String.sub view (off + 16) 8)
       else if c < 0 then lo := mid + 1
       else hi := mid - 1
     done;

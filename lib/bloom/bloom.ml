@@ -63,12 +63,19 @@ let of_keys ~bits_per_key keys =
 
 (* Persisted form: varint nbits, varint k, raw bit bytes — so SSTable meta
    blocks can store the filter and recovery can reopen it. *)
+let serialized_size t =
+  Util.Varint.size t.nbits + Util.Varint.size t.k + Bytes.length t.bits
+
+let serialize_into t b pos =
+  let pos = Util.Varint.put b pos t.nbits in
+  let pos = Util.Varint.put b pos t.k in
+  Bytes.blit t.bits 0 b pos (Bytes.length t.bits);
+  pos + Bytes.length t.bits
+
 let serialize t =
-  let buf = Buffer.create (Bytes.length t.bits + 8) in
-  Util.Varint.write buf t.nbits;
-  Util.Varint.write buf t.k;
-  Buffer.add_bytes buf t.bits;
-  Buffer.contents buf
+  let b = Bytes.create (serialized_size t) in
+  ignore (serialize_into t b 0 : int);
+  Bytes.unsafe_to_string b
 
 let deserialize s =
   let nbits, pos = Util.Varint.read s 0 in

@@ -14,5 +14,12 @@ val of_keys : bits_per_key:int -> string list -> t
 val serialize : t -> string
 (** Persisted form, for SSTable meta blocks. *)
 
+val serialized_size : t -> int
+(** Byte length of {!serialize}'s result. *)
+
+val serialize_into : t -> Bytes.t -> int -> int
+(** {!serialize} at a position of a sized image; returns the position
+    after it. *)
+
 val deserialize : string -> t
 (** Raises [Failure] on truncated input. *)

@@ -70,11 +70,13 @@ let compress input =
     Buffer.contents out
   end
 
-let decompress compressed =
-  let total, pos = Util.Varint.read compressed 0 in
+let decompress ?(pos = 0) ?len compressed =
+  let n = match len with Some len -> pos + len | None -> String.length compressed in
+  if pos < 0 || n < pos || n > String.length compressed then
+    invalid_arg "Lz.decompress: out of bounds";
+  let total, pos = Util.Varint.read compressed pos in
   let out = Buffer.create total in
   let pos = ref pos in
-  let n = String.length compressed in
   while !pos < n do
     let tag = compressed.[!pos] in
     incr pos;

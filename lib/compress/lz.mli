@@ -5,8 +5,10 @@
     ([decompress (compress s) = s]) is property-tested. *)
 
 val compress : string -> string
-val decompress : string -> string
-(** Raises [Failure] on malformed input. *)
+val decompress : ?pos:int -> ?len:int -> string -> string
+(** Decompress the [len] bytes at [pos] (default the whole string), so a
+    compressed unit is decoded where it lies. Raises [Failure] on malformed
+    input. *)
 
 val compress_cost_ns_per_byte : float
 (** Simulated CPU cost charged by table builders that use the codec. *)

@@ -181,7 +181,9 @@ let replay t f =
   if size = 0 then
     { entries = 0; corrupt_records = 0; torn_tail = false; dropped_bytes = 0 }
   else begin
-    let raw = Pmem.read t.pm t.ring ~off:0 ~len:size in
+    (* the ring's durable prefix, decoded in place: every decoded entry is
+       a copy, and [size] bounds every frame *)
+    let raw = Pmem.read_in_place t.pm t.ring ~off:0 ~len:size in
     let pos = ref 0 in
     let entries = ref 0 in
     let corrupt = ref 0 in

@@ -215,30 +215,27 @@ let charge_write t len =
   t.stats.bytes_written <- t.stats.bytes_written + len;
   t.stats.write_time <- t.stats.write_time +. dt
 
-let read t region ~off ~len =
-  check_bounds "Pmem.read" region off len;
+(* One read request over [off, off+len), answered with the region's own
+   bytes instead of a copy: the caller decodes in place and drops the view
+   before the region changes. *)
+let read_in_place t region ~off ~len =
+  check_bounds "Pmem.read_in_place" region off len;
   charge_read t len;
   (match t.san with
   | Some san -> Sanitize.Pmsan.on_read san ~id:region.id ~off ~len
   | None -> ());
-  Bytes.sub_string region.buf off len
+  Bytes.unsafe_to_string region.buf
 
-let read_byte t region ~off =
-  check_bounds "Pmem.read_byte" region off 1;
-  charge_read t 1;
-  (match t.san with
-  | Some san -> Sanitize.Pmsan.on_read san ~id:region.id ~off ~len:1
-  | None -> ());
-  Bytes.get region.buf off
-
-let write t region ~off src =
-  let len = String.length src in
+let write t region ~off ?(src_off = 0) ?len src =
+  let len = match len with Some len -> len | None -> String.length src - src_off in
+  if src_off < 0 || len < 0 || src_off + len > String.length src then
+    invalid_arg "Pmem.write: source out of bounds";
   check_bounds "Pmem.write" region off len;
   charge_write t len;
   (match t.san with
   | Some san -> Sanitize.Pmsan.on_write san ~id:region.id ~off ~len
   | None -> ());
-  Bytes.blit_string src 0 region.buf off len
+  Bytes.blit_string src src_off region.buf off len
 
 let flush t region ~off ~len =
   check_bounds "Pmem.flush" region off len;

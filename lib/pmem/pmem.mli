@@ -64,9 +64,19 @@ val find_region : t -> int -> region option
 val live_regions : t -> region list
 (** Live regions in allocation order. *)
 
-val read : t -> region -> off:int -> len:int -> string
-val read_byte : t -> region -> off:int -> char
-val write : t -> region -> off:int -> string -> unit
+val read_in_place : t -> region -> off:int -> len:int -> string
+(** One read access over [off, off+len), charged to the clock, the stats and
+    the sanitizer like any PM read, answered with a view of the region's own
+    bytes instead of a copy: the requested bytes sit at their region offsets
+    in the returned string. The view is valid until the region is next
+    written, freed, crashed or damaged; the caller must drop it before then,
+    and copy out any bytes it keeps. Raises [Invalid_argument] on an
+    out-of-bounds span or a freed region. *)
+
+val write : t -> region -> off:int -> ?src_off:int -> ?len:int -> string -> unit
+(** One write access: [len] bytes of the source from [src_off] (default the
+    whole string) land at [off]. Raises [Invalid_argument] on an
+    out-of-bounds span on either side. *)
 
 val flush : t -> region -> off:int -> len:int -> unit
 (** Simulated clwb over the range: charges per-cache-line cost and queues

@@ -35,20 +35,23 @@ let build dev (entries : Util.Kv.entry array) =
     if Util.Kv.compare_entry entries.(i - 1) entries.(i) > 0 then
       invalid_arg "Array_table.build: input not sorted by Kv.compare_entry"
   done;
-  let payload = Buffer.create 4096 in
-  let offsets = Array.make n 0 in
+  (* One exact-size image: the entries, then one u32 slot per entry. *)
+  let data_len = Array.fold_left (fun acc e -> acc + Util.Kv.encoded_size e) 0 entries in
+  let total = data_len + (4 * n) in
+  let image = Bytes.create total in
+  let pos = ref 0 in
   Array.iteri
     (fun i e ->
-      offsets.(i) <- Buffer.length payload;
-      Util.Kv.encode payload e)
+      ignore (Builder.put_u32 image (data_len + (4 * i)) !pos : int);
+      pos := Util.Kv.encode_into image !pos e)
     entries;
   charge_cpu dev (float_of_int n *. encode_cpu_ns);
-  let data_len = Buffer.length payload in
-  let total = data_len + (4 * n) in
   let region = Pmem.alloc dev total in
-  let builder = Builder.create dev region in
-  Builder.add_string builder (Buffer.contents payload);
-  Array.iter (fun off -> Builder.add_u32 builder off) offsets;
+  let builder = Builder.create dev region (Bytes.unsafe_to_string image) in
+  (* the data staged whole, the slots staged as the u32s they are encoded
+     from, byte by byte *)
+  Builder.stage builder data_len;
+  Builder.stage_bytewise builder (4 * n);
   let written = Builder.finish builder in
   assert (written = total);
   {
@@ -70,24 +73,23 @@ let max_key t = t.max_key
 let free t = Pmem.free t.dev t.region
 let region_id t = Pmem.region_id t.region
 
+(* One offset slot: a 4-byte PM access, decoded in place. *)
+let read_slot t i =
+  let off = t.slots_off + (4 * i) in
+  Builder.read_u32 (Pmem.read_in_place t.dev t.region ~off ~len:4) off
+
 let entry_bounds t i =
-  let slot = Pmem.read t.dev t.region ~off:(t.slots_off + (4 * i)) ~len:4 in
-  let start = Builder.read_u32 slot 0 in
-  let stop =
-    if i + 1 < t.count then
-      let slot = Pmem.read t.dev t.region ~off:(t.slots_off + (4 * (i + 1))) ~len:4 in
-      Builder.read_u32 slot 0
-    else t.data_len
-  in
+  let start = read_slot t i in
+  let stop = if i + 1 < t.count then read_slot t (i + 1) else t.data_len in
   (start, stop)
 
 (* One probe = offset-slot read + entry read: the two PM accesses per
    lookup step that motivate the compressed layout. *)
 let read_entry t i =
   let start, stop = entry_bounds t i in
-  let raw = Pmem.read t.dev t.region ~off:start ~len:(stop - start) in
+  let view = Pmem.read_in_place t.dev t.region ~off:start ~len:(stop - start) in
   charge_cpu t.dev decode_cpu_ns;
-  fst (Util.Kv.decode raw 0)
+  fst (Util.Kv.decode view start)
 
 (* Index of the first entry >= (key, max seq), i.e. the newest version of
    [key] if present. *)
@@ -112,17 +114,17 @@ let get t key =
   end
 
 (* Sequential scan: read the data area in chunk-sized pieces (charging
-   bandwidth, not per-entry random accesses), then decode. *)
+   bandwidth, not per-entry random accesses), then decode in place. *)
 let read_data_sequential t =
   let chunk = 4096 in
-  let pieces = Buffer.create t.data_len in
+  let view = ref "" in
   let off = ref 0 in
   while !off < t.data_len do
     let len = min chunk (t.data_len - !off) in
-    Buffer.add_string pieces (Pmem.read t.dev t.region ~off:!off ~len);
+    view := Pmem.read_in_place t.dev t.region ~off:!off ~len;
     off := !off + len
   done;
-  Buffer.contents pieces
+  !view
 
 let iter t f =
   let data = read_data_sequential t in

@@ -125,11 +125,15 @@ let pad_slot prefix_len s =
 
 let strip prefix key = String.sub key (String.length prefix) (String.length key - String.length prefix)
 
+(* A group of the plan: entries [gp_lo, gp_hi) of the input, encoded at
+   [gp_off] in the entry layer with [gp_strip] key bytes removed. *)
 type group_plan = {
   gp_meta : int;
-  gp_slot : string;
+  gp_lo : int;
+  gp_hi : int;
   gp_shared : int;  (* extra shared bytes stripped beyond the extended tag *)
-  gp_entries : Util.Kv.entry array;
+  gp_strip : int;   (* extended tag + shared bytes *)
+  gp_off : int;
 }
 
 let check_sorted name entries =
@@ -144,14 +148,37 @@ let check_sorted name entries =
    by its fixed term. *)
 let prefix_len = 24
 
+(* Entry-layer bytes of [e] with its first [strip] key bytes removed. *)
+let entry_bytes strip (e : Util.Kv.entry) =
+  let suffix = String.length e.key - strip in
+  Util.Varint.size suffix + suffix + Util.Varint.size e.seq + 1
+  + Util.Varint.size (String.length e.value)
+  + String.length e.value
+
+(* Encode [e] at [pos] in the image, its first [strip] key bytes removed;
+   returns the position after it. *)
+let put_entry image pos strip (e : Util.Kv.entry) =
+  let suffix = String.length e.key - strip in
+  let pos = Util.Varint.put image pos suffix in
+  Bytes.blit_string e.key strip image pos suffix;
+  let pos = Util.Varint.put image (pos + suffix) e.seq in
+  Bytes.set image pos (match e.kind with Util.Kv.Put -> '\001' | Delete -> '\000');
+  Util.Varint.put_string image (pos + 1) e.value
+
+(* The build sizes every layer from a plan of the groups, encodes the
+   region into one exact-size image, and writes the image through the
+   builder in its five layers, so the write requests end where they did
+   when each layer was staged whole. *)
 let build ?(group_size = 8) ?(bloom_bits_per_key = default_bloom_bits_per_key) dev
     (entries : Util.Kv.entry array) =
   let n = Array.length entries in
   if n = 0 then invalid_arg "Pm_table.build: empty input";
   check_sorted "Pm_table.build" entries;
   (* 1. Cut into tag runs; per run compute the extended tag (tag + common
-     prefix of the whole run, capped); then cut runs into groups. *)
+     prefix of the whole run, capped); then cut runs into groups and size
+     each group's entry-layer extent. *)
   let metas = ref [] and groups = ref [] and group_count = ref 0 in
+  let entry_len = ref 0 in
   let i = ref 0 in
   while !i < n do
     let tag = extract_tag entries.(!i).Util.Kv.key in
@@ -204,19 +231,21 @@ let build ?(group_size = 8) ?(bloom_bits_per_key = default_bloom_bits_per_key) d
       let hi = !hi in
       (* the prefix record's entry count is a u16 *)
       if hi - lo > 0xffff then invalid_arg "Pm_table.build: group over 65535 entries";
-      let stripped_first = strip extended entries.(lo).Util.Kv.key in
-      let stripped_last = strip extended entries.(hi - 1).Util.Kv.key in
+      (* every key of the run opens with the extended tag, so the stripped
+         keys share what the full keys share beyond it *)
       let shared =
-        min prefix_len (Util.Keys.common_prefix_len stripped_first stripped_last)
+        min prefix_len
+          (Util.Keys.common_prefix_len entries.(lo).Util.Kv.key entries.(hi - 1).Util.Kv.key
+          - String.length extended)
       in
+      let strip = String.length extended + shared in
       groups :=
-        {
-          gp_meta = meta_idx;
-          gp_slot = pad_slot prefix_len stripped_first;
-          gp_shared = shared;
-          gp_entries = Array.sub entries lo (hi - lo);
-        }
+        { gp_meta = meta_idx; gp_lo = lo; gp_hi = hi; gp_shared = shared; gp_strip = strip;
+          gp_off = !entry_len }
         :: !groups;
+      for k = lo to hi - 1 do
+        entry_len := !entry_len + entry_bytes strip entries.(k)
+      done;
       incr group_count;
       j := hi
     done;
@@ -224,127 +253,122 @@ let build ?(group_size = 8) ?(bloom_bits_per_key = default_bloom_bits_per_key) d
   done;
   let metas = Array.of_list (List.rev !metas) in
   let groups = Array.of_list (List.rev !groups) in
-  (* 2. Encode the three layers into DRAM staging, charging encode CPU. *)
-  let entry_layer = Buffer.create 4096 in
-  let group_offsets = Array.make (Array.length groups) 0 in
+  let group_count = Array.length groups and entry_len = !entry_len in
+  (* Table-level statistics, persisted in the meta layer. *)
   let min_seq = ref max_int and max_seq = ref min_int and payload = ref 0 in
-  Array.iteri
-    (fun g { gp_shared; gp_entries; gp_meta; _ } ->
-      group_offsets.(g) <- Buffer.length entry_layer;
-      let strip_len = String.length metas.(gp_meta).tag + gp_shared in
-      Array.iter
-        (fun (e : Util.Kv.entry) ->
-          let suffix = String.sub e.key strip_len (String.length e.key - strip_len) in
-          Util.Varint.write_string entry_layer suffix;
-          Util.Varint.write entry_layer e.seq;
-          Buffer.add_char entry_layer
-            (match e.kind with Util.Kv.Put -> '\001' | Delete -> '\000');
-          Util.Varint.write_string entry_layer e.value;
-          payload := !payload + Util.Kv.encoded_size e;
-          if e.seq < !min_seq then min_seq := e.seq;
-          if e.seq > !max_seq then max_seq := e.seq)
-        gp_entries)
+  Array.iter
+    (fun (e : Util.Kv.entry) ->
+      payload := !payload + Util.Kv.encoded_size e;
+      if e.seq < !min_seq then min_seq := e.seq;
+      if e.seq > !max_seq then max_seq := e.seq)
+    entries;
+  (* Format v2: the bloom rides in the meta layer so the meta CRC covers
+     it; bits_per_key = 0 keeps the byte-identical v1 layout. *)
+  let bloom =
+    if bloom_bits_per_key <= 0 then None
+    else begin
+      let b = Bloom.create ~bits_per_key:bloom_bits_per_key n in
+      Array.iter (fun (e : Util.Kv.entry) -> Bloom.add b e.key) entries;
+      Some b
+    end
+  in
+  (* 2. Size the layers: entries, fixed-width prefix records, one u32 CRC
+     per group, the meta layer, the footer. *)
+  let w = prefix_len + 13 in
+  let prefix_off = entry_len in
+  let gcrc_off = prefix_off + (group_count * w) in
+  let meta_off = gcrc_off + (4 * group_count) in
+  let meta_len =
+    Util.Varint.size (Array.length metas)
+    + Array.fold_left
+        (fun acc { tag; g_lo; g_hi } ->
+          acc + Util.Varint.size (String.length tag) + String.length tag
+          + Util.Varint.size g_lo + Util.Varint.size g_hi)
+        0 metas
+    + Util.Varint.size n + Util.Varint.size !min_seq + Util.Varint.size !max_seq
+    + Util.Varint.size !payload
+    + (match bloom with
+      | Some b -> Util.Varint.size (Bloom.serialized_size b) + Bloom.serialized_size b
+      | None -> 0)
+  in
+  let total = meta_off + meta_len + footer_bytes in
+  (* 3. Encode the region into one image, charging encode CPU. CRCs are
+     taken over the image's own bytes once each layer is in place: [view]
+     is only read by calls that return before the next byte is set. *)
+  let image = Bytes.create total in
+  let view = Bytes.unsafe_to_string image in
+  Array.iter
+    (fun { gp_lo; gp_hi; gp_strip; gp_off; _ } ->
+      let pos = ref gp_off in
+      for k = gp_lo to gp_hi - 1 do
+        pos := put_entry image !pos gp_strip entries.(k)
+      done)
     groups;
   charge_cpu dev (float_of_int n *. encode_cpu_ns);
-  (* Per-group CRCs over the entry-layer extents, cached in the handle and
-     persisted in their own layer between the prefix and meta layers. *)
-  let entry_str = Buffer.contents entry_layer in
+  let extent_stop g = if g + 1 < group_count then groups.(g + 1).gp_off else entry_len in
   let gcrcs =
-    Array.init (Array.length groups) (fun g ->
-        let start = group_offsets.(g) in
-        let stop =
-          if g + 1 < Array.length groups then group_offsets.(g + 1)
-          else String.length entry_str
-        in
-        Util.Crc32.update 0 entry_str start (stop - start))
+    Array.init group_count (fun g ->
+        let start = groups.(g).gp_off in
+        Util.Crc32.update 0 view start (extent_stop g - start))
   in
-  let prefix_layer = Buffer.create 1024 in
-  let rec_buf = Buffer.create 64 in
+  (* Prefix layer: the slot is the group's first key past the extended
+     tag, \000-padded; every record carries its own CRC. *)
   Array.iteri
-    (fun g { gp_slot; gp_shared; gp_entries; gp_meta } ->
-      Buffer.clear rec_buf;
-      Buffer.add_string rec_buf gp_slot;
-      let add_u32 v =
-        Buffer.add_char rec_buf (Char.chr ((v lsr 24) land 0xff));
-        Buffer.add_char rec_buf (Char.chr ((v lsr 16) land 0xff));
-        Buffer.add_char rec_buf (Char.chr ((v lsr 8) land 0xff));
-        Buffer.add_char rec_buf (Char.chr (v land 0xff))
-      and add_u16 v =
-        Buffer.add_char rec_buf (Char.chr ((v lsr 8) land 0xff));
-        Buffer.add_char rec_buf (Char.chr (v land 0xff))
-      in
-      add_u32 group_offsets.(g);
-      add_u16 (Array.length gp_entries);
-      Buffer.add_char rec_buf (Char.chr gp_shared);
-      add_u16 gp_meta;
-      (* inline record CRC: every prefix-layer probe self-verifies *)
-      add_u32 (Util.Crc32.string (Buffer.contents rec_buf));
-      Buffer.add_buffer prefix_layer rec_buf)
+    (fun g { gp_meta; gp_lo; gp_hi; gp_shared; gp_off; _ } ->
+      let at = prefix_off + (g * w) in
+      let first = entries.(gp_lo).Util.Kv.key in
+      let ext = String.length metas.(gp_meta).tag in
+      let copied = min prefix_len (String.length first - ext) in
+      Bytes.blit_string first ext image at copied;
+      Bytes.fill image (at + copied) (prefix_len - copied) '\000';
+      let pos = Builder.put_u32 image (at + prefix_len) gp_off in
+      let pos = Builder.put_u16 image pos (gp_hi - gp_lo) in
+      Bytes.set image pos (Char.chr gp_shared);
+      let pos = Builder.put_u16 image (pos + 1) gp_meta in
+      ignore (Builder.put_u32 image pos (Util.Crc32.update 0 view at (w - 4)) : int))
     groups;
-  let gcrc_layer = Buffer.create (4 * Array.length groups) in
-  Array.iter
-    (fun crc ->
-      Buffer.add_char gcrc_layer (Char.chr ((crc lsr 24) land 0xff));
-      Buffer.add_char gcrc_layer (Char.chr ((crc lsr 16) land 0xff));
-      Buffer.add_char gcrc_layer (Char.chr ((crc lsr 8) land 0xff));
-      Buffer.add_char gcrc_layer (Char.chr (crc land 0xff)))
-    gcrcs;
+  Array.iteri (fun g crc -> ignore (Builder.put_u32 image (gcrc_off + (4 * g)) crc : int)) gcrcs;
   (* Meta layer: the tag records, then the table-level statistics the
      handle caches (counts, seq range, payload), so a table can be reopened
      from its region alone after a restart. *)
-  let meta_layer = Buffer.create 128 in
-  Util.Varint.write meta_layer (Array.length metas);
-  Array.iter
-    (fun { tag; g_lo; g_hi } ->
-      Util.Varint.write_string meta_layer tag;
-      Util.Varint.write meta_layer g_lo;
-      Util.Varint.write meta_layer g_hi)
-    metas;
-  Util.Varint.write meta_layer n;
-  Util.Varint.write meta_layer !min_seq;
-  Util.Varint.write meta_layer !max_seq;
-  Util.Varint.write meta_layer !payload;
-  (* Format v2: the bloom rides in the meta layer so the existing meta CRC
-     covers it; bits_per_key = 0 keeps the byte-identical v1 layout. *)
-  let bloom =
-    if bloom_bits_per_key <= 0 then None
-    else
-      Some
-        (Bloom.of_keys ~bits_per_key:bloom_bits_per_key
-           (Array.to_list (Array.map (fun (e : Util.Kv.entry) -> e.key) entries)))
+  let pos = Util.Varint.put image meta_off (Array.length metas) in
+  let pos =
+    Array.fold_left
+      (fun pos { tag; g_lo; g_hi } ->
+        let pos = Util.Varint.put_string image pos tag in
+        let pos = Util.Varint.put image pos g_lo in
+        Util.Varint.put image pos g_hi)
+      pos metas
   in
-  (match bloom with
-  | Some b -> Util.Varint.write_string meta_layer (Bloom.serialize b)
-  | None -> ());
-  (* 3. Allocate and write through the buffered builder; a fixed-width
-     footer closes the region (see open_existing). *)
-  let entry_len = Buffer.length entry_layer in
-  let meta_off = entry_len + Buffer.length prefix_layer + Buffer.length gcrc_layer in
-  let meta_crc = Util.Crc32.string (Buffer.contents meta_layer) in
-  let footer = Buffer.create footer_bytes in
-  let add_u32 v =
-    Buffer.add_char footer (Char.chr ((v lsr 24) land 0xff));
-    Buffer.add_char footer (Char.chr ((v lsr 16) land 0xff));
-    Buffer.add_char footer (Char.chr ((v lsr 8) land 0xff));
-    Buffer.add_char footer (Char.chr (v land 0xff))
+  let pos = Util.Varint.put image pos n in
+  let pos = Util.Varint.put image pos !min_seq in
+  let pos = Util.Varint.put image pos !max_seq in
+  let pos = Util.Varint.put image pos !payload in
+  let pos =
+    match bloom with
+    | Some b ->
+        let pos = Util.Varint.put image pos (Bloom.serialized_size b) in
+        Bloom.serialize_into b image pos
+    | None -> pos
   in
-  add_u32 entry_len;
-  add_u32 meta_off;
-  add_u32 (Array.length groups);
-  Buffer.add_char footer (Char.chr prefix_len);
-  Buffer.add_char footer (Char.chr group_size);
-  add_u32 meta_crc;
-  add_u32 (match bloom with Some _ -> magic_v2 | None -> magic);
-  add_u32 (Util.Crc32.string (Buffer.contents footer));
-  assert (Buffer.length footer = footer_bytes);
-  let total = meta_off + Buffer.length meta_layer + footer_bytes in
+  assert (pos = meta_off + meta_len);
+  let meta_crc = Util.Crc32.update 0 view meta_off meta_len in
+  (* A fixed-width footer closes the region (see open_existing). *)
+  let footer = total - footer_bytes in
+  let pos = Builder.put_u32 image footer entry_len in
+  let pos = Builder.put_u32 image pos meta_off in
+  let pos = Builder.put_u32 image pos group_count in
+  Bytes.set image pos (Char.chr prefix_len);
+  Bytes.set image (pos + 1) (Char.chr group_size);
+  let pos = Builder.put_u32 image (pos + 2) meta_crc in
+  let pos = Builder.put_u32 image pos (match bloom with Some _ -> magic_v2 | None -> magic) in
+  let pos = Builder.put_u32 image pos (Util.Crc32.update 0 view footer (footer_bytes - 4)) in
+  assert (pos = total);
+  (* 4. Allocate and write the image, one layer per staged piece. *)
   let region = Pmem.alloc dev total in
-  let builder = Builder.create dev region in
-  Builder.add_string builder (Buffer.contents entry_layer);
-  Builder.add_string builder (Buffer.contents prefix_layer);
-  Builder.add_string builder (Buffer.contents gcrc_layer);
-  Builder.add_string builder (Buffer.contents meta_layer);
-  Builder.add_string builder (Buffer.contents footer);
+  let builder = Builder.create dev region view in
+  List.iter (Builder.stage builder)
+    [ entry_len; group_count * w; 4 * group_count; meta_len; footer_bytes ];
   let written = Builder.finish builder in
   assert (written = total);
   {
@@ -353,9 +377,9 @@ let build ?(group_size = 8) ?(bloom_bits_per_key = default_bloom_bits_per_key) d
     region;
     count = n;
     prefix_len;
-    group_count = Array.length groups;
+    group_count;
     entry_len;
-    prefix_off = entry_len;
+    prefix_off;
     meta_off;
     metas;
     gcrcs;
@@ -373,82 +397,115 @@ let max_key t = t.max_key
 let free t = Pmem.free t.dev t.region
 let region_id t = Pmem.region_id t.region
 
-type record = { slot : string; offset : int; count_ : int; shared : int; meta_idx : int }
+(* A prefix-layer record, decoded where it lies: [view] is the region's
+   bytes as the probe's read returned them and [slot] the slot's offset in
+   it. Records live for one probe or walk and never leave this module. *)
+type record = {
+  view : string;
+  slot : int;
+  offset : int;
+  count_ : int;
+  shared : int;
+  meta_idx : int;
+}
 
 (* One PM access: the fixed-width prefix-layer record of group [g],
    verified against its inline CRC. *)
 let read_record t g =
   let w = record_width t in
-  let raw = Pmem.read t.dev t.region ~off:(t.prefix_off + (g * w)) ~len:w in
+  let at = t.prefix_off + (g * w) in
+  let view = Pmem.read_in_place t.dev t.region ~off:at ~len:w in
   if
     !verify_checksums
-    && Builder.read_u32 raw (w - 4) <> Util.Crc32.update 0 raw 0 (w - 4)
+    && Builder.read_u32 view (at + w - 4) <> Util.Crc32.update 0 view at (w - 4)
   then
     raise
       (Integrity.Corrupted
          { region_id = Pmem.region_id t.region; layer = "prefix"; index = g });
+  let fields = at + t.prefix_len in
   {
-    slot = String.sub raw 0 t.prefix_len;
-    offset = Builder.read_u32 raw t.prefix_len;
-    count_ = Builder.read_u16 raw (t.prefix_len + 4);
-    shared = Char.code raw.[t.prefix_len + 6];
-    meta_idx = Builder.read_u16 raw (t.prefix_len + 7);
+    view;
+    slot = at;
+    offset = Builder.read_u32 view fields;
+    count_ = Builder.read_u16 view (fields + 4);
+    shared = Char.code view.[fields + 6];
+    meta_idx = Builder.read_u16 view (fields + 7);
   }
 
 let group_prefix t record =
   let tag = t.metas.(record.meta_idx).tag in
-  tag ^ String.sub record.slot 0 record.shared
+  tag ^ String.sub record.view record.slot record.shared
 
 (* The first entry's key of group [g]: read the head of the group's extent
    for the length varint, then the suffix itself (a second access only when
    the suffix outruns the peek). Used only to break slot ties. *)
 let read_first_key t record =
   let peek = min 16 (t.entry_len - record.offset) in
-  let head = Pmem.read t.dev t.region ~off:record.offset ~len:peek in
-  let suffix_len, p = Util.Varint.read head 0 in
-  let available = peek - p in
-  let suffix =
-    if suffix_len <= available then String.sub head p suffix_len
-    else
-      String.sub head p available
-      ^ Pmem.read t.dev t.region ~off:(record.offset + peek) ~len:(suffix_len - available)
-  in
-  group_prefix t record ^ suffix
+  let head = Pmem.read_in_place t.dev t.region ~off:record.offset ~len:peek in
+  let cur = ref record.offset in
+  let suffix_len = Util.Varint.read_at head cur in
+  let available = record.offset + peek - !cur in
+  if available < 0 then failwith "Varint.read: truncated input";
+  if suffix_len > available then
+    ignore
+      (Pmem.read_in_place t.dev t.region ~off:(record.offset + peek)
+         ~len:(suffix_len - available)
+        : string);
+  group_prefix t record ^ String.sub head !cur suffix_len
 
 (* Module-wide telemetry, like [bloom_probes]: group extents decoded. *)
 let group_reads = ref 0
 
-(* Read group [g]'s entry-layer extent, verified. The next group's record
-   ends the extent; it is read here and returned, so a sequential walk
-   reads each record once. The raw extent is checked against the
-   handle-cached group CRC — one string pass, no extra PM access — so a
-   rotten group raises instead of decoding junk. Every decoder of a group
-   starts here and pays the same per-entry decode charge. *)
+(* Read group [g]'s entry-layer extent, verified; returns the view and the
+   extent's end in it. The next group's record ends the extent; it is read
+   here and returned, so a sequential walk reads each record once. The
+   extent is checked in place against the handle-cached group CRC — one
+   pass over the bytes, no extra PM access — so a rotten group raises
+   instead of decoding junk. Every decoder of a group starts here and pays
+   the same per-entry decode charge. *)
 let read_extent t g record =
   let next = if g + 1 < t.group_count then Some (read_record t (g + 1)) else None in
   let stop = match next with Some r -> r.offset | None -> t.entry_len in
   incr group_reads;
-  let raw = Pmem.read t.dev t.region ~off:record.offset ~len:(stop - record.offset) in
-  if !verify_checksums && Util.Crc32.string raw <> t.gcrcs.(g) then
+  let len = stop - record.offset in
+  let view = Pmem.read_in_place t.dev t.region ~off:record.offset ~len in
+  if !verify_checksums && Util.Crc32.update 0 view record.offset len <> t.gcrcs.(g) then
     raise
       (Integrity.Corrupted
          { region_id = Pmem.region_id t.region; layer = "entry"; index = g });
   charge_cpu t.dev (float_of_int record.count_ *. decode_cpu_ns);
-  (raw, next)
+  (view, stop, next)
 
-(* Decode group [g]'s entries, reconstructing full keys. *)
+(* The [len] bytes at [!cur] of a group extent ending at [stop]; a decode
+   never runs past its extent, even over rot no CRC was asked to catch. *)
+let take cur ~stop len =
+  if !cur + len > stop then failwith "Pm_table: entry overruns its group";
+  cur := !cur + len
+
+(* Decode group [g]'s entries, reconstructing full keys: every key and
+   value is a copy, so nothing decoded aliases the region. *)
 let read_group_next t g record =
-  let raw, next = read_extent t g record in
+  let view, stop, next = read_extent t g record in
   let prefix = group_prefix t record in
-  let pos = ref 0 in
+  let plen = String.length prefix in
+  let cur = ref record.offset in
   let entries =
     Array.init record.count_ (fun _ ->
-        let suffix, p = Util.Varint.read_string raw !pos in
-        let seq, p = Util.Varint.read raw p in
-        let kind = if raw.[p] = '\000' then Util.Kv.Delete else Util.Kv.Put in
-        let value, p = Util.Varint.read_string raw (p + 1) in
-        pos := p;
-        { Util.Kv.key = prefix ^ suffix; seq; kind; value })
+        let suffix_len = Util.Varint.read_at view cur in
+        let at = !cur in
+        take cur ~stop suffix_len;
+        let key = Bytes.create (plen + suffix_len) in
+        Bytes.blit_string prefix 0 key 0 plen;
+        Bytes.blit_string view at key plen suffix_len;
+        let seq = Util.Varint.read_at view cur in
+        let at = !cur in
+        take cur ~stop 1;
+        let kind = if view.[at] = '\000' then Util.Kv.Delete else Util.Kv.Put in
+        let value_len = Util.Varint.read_at view cur in
+        let at = !cur in
+        take cur ~stop value_len;
+        { Util.Kv.key = Bytes.unsafe_to_string key; seq; kind;
+          value = String.sub view at value_len })
   in
   (entries, next)
 
@@ -467,38 +524,43 @@ let rec walk t g record f =
 let open_existing dev region =
   let len = Pmem.region_len region in
   if len < footer_bytes then invalid_arg "Pm_table.open_existing: region too small";
-  let raw = Pmem.read dev region ~off:(len - footer_bytes) ~len:footer_bytes in
+  let footer = len - footer_bytes in
+  let raw = Pmem.read_in_place dev region ~off:footer ~len:footer_bytes in
   let format_version =
-    let m = Builder.read_u32 raw 18 in
+    let m = Builder.read_u32 raw (footer + 18) in
     if m = magic then 1
     else if m = magic_v2 then 2
     else failwith "Pm_table.open_existing: bad magic (not a PM table, or torn write)"
   in
   if
     !verify_checksums
-    && Builder.read_u32 raw 22 <> Util.Crc32.update 0 raw 0 (footer_bytes - 4)
+    && Builder.read_u32 raw (footer + 22) <> Util.Crc32.update 0 raw footer (footer_bytes - 4)
   then
     raise
       (Integrity.Corrupted
          { region_id = Pmem.region_id region; layer = "footer"; index = 0 });
-  let entry_len = Builder.read_u32 raw 0 in
-  let meta_off = Builder.read_u32 raw 4 in
-  let group_count = Builder.read_u32 raw 8 in
-  let prefix_len = Char.code raw.[12] in
-  (* raw.[13] is the group size: part of the format, read by nothing *)
-  let meta_crc = Builder.read_u32 raw 14 in
-  let meta_raw = Pmem.read dev region ~off:meta_off ~len:(len - footer_bytes - meta_off) in
-  if !verify_checksums && Util.Crc32.string meta_raw <> meta_crc then
+  let entry_len = Builder.read_u32 raw footer in
+  let meta_off = Builder.read_u32 raw (footer + 4) in
+  let group_count = Builder.read_u32 raw (footer + 8) in
+  let prefix_len = Char.code raw.[footer + 12] in
+  (* the byte after it is the group size: part of the format, read by
+     nothing *)
+  let meta_crc = Builder.read_u32 raw (footer + 14) in
+  let meta_len = footer - meta_off in
+  let meta_raw = Pmem.read_in_place dev region ~off:meta_off ~len:meta_len in
+  if !verify_checksums && Util.Crc32.update 0 meta_raw meta_off meta_len <> meta_crc then
     raise
       (Integrity.Corrupted
          { region_id = Pmem.region_id region; layer = "meta"; index = 0 });
   let gcrc_off = meta_off - (4 * group_count) in
-  let gcrc_raw =
-    if group_count = 0 then ""
-    else Pmem.read dev region ~off:gcrc_off ~len:(4 * group_count)
+  let gcrcs =
+    if group_count = 0 then [||]
+    else begin
+      let gcrc_raw = Pmem.read_in_place dev region ~off:gcrc_off ~len:(4 * group_count) in
+      Array.init group_count (fun g -> Builder.read_u32 gcrc_raw (gcrc_off + (4 * g)))
+    end
   in
-  let gcrcs = Array.init group_count (fun g -> Builder.read_u32 gcrc_raw (4 * g)) in
-  let meta_count, pos = Util.Varint.read meta_raw 0 in
+  let meta_count, pos = Util.Varint.read meta_raw meta_off in
   let pos = ref pos in
   let metas =
     Array.init meta_count (fun _ ->
@@ -575,7 +637,13 @@ let metas_for t key =
    ties. Returns < 0 when the group starts before [key] and 0 when it
    opens with it — it then holds every version of [key]. *)
 let compare_group_start t record ~probe_slot ~key =
-  let c = String.compare record.slot probe_slot in
+  let rec compare_slot i =
+    if i >= t.prefix_len then 0
+    else
+      let c = Char.compare record.view.[record.slot + i] probe_slot.[i] in
+      if c <> 0 then c else compare_slot (i + 1)
+  in
+  let c = compare_slot 0 in
   if c <> 0 then c else String.compare (read_first_key t record) key
 
 (* Last group in [g_lo, g_hi) starting at or before [key], with its
@@ -609,32 +677,34 @@ let rec equal_at s pos key kpos len =
    the hit — the first match, as a full decode followed by a search would
    find. Non-matches are skipped without allocating. *)
 let find_in_group t g record key =
-  let raw, _ = read_extent t g record in
+  let raw, stop, _ = read_extent t g record in
   let tag = t.metas.(record.meta_idx).tag in
   let plen = String.length tag + record.shared in
   let suffix_len = String.length key - plen in
   if
     suffix_len < 0
     || not (equal_at tag 0 key 0 (String.length tag))
-    || not (equal_at record.slot 0 key (String.length tag) record.shared)
+    || not (equal_at record.view record.slot key (String.length tag) record.shared)
   then None
   else begin
-    let cur = ref 0 in
+    let cur = ref record.offset in
     let rec scan i =
       if i >= record.count_ then None
       else begin
         let len = Util.Varint.read_at raw cur in
-        let hit = len = suffix_len && equal_at raw !cur key plen len in
-        cur := !cur + len;
+        let at = !cur in
+        take cur ~stop len;
+        let hit = len = suffix_len && equal_at raw at key plen len in
         let seq = Util.Varint.read_at raw cur in
-        let kind = if raw.[!cur] = '\000' then Util.Kv.Delete else Util.Kv.Put in
-        incr cur;
+        let at = !cur in
+        take cur ~stop 1;
+        let kind = if raw.[at] = '\000' then Util.Kv.Delete else Util.Kv.Put in
         let value_len = Util.Varint.read_at raw cur in
-        if hit then Some { Util.Kv.key; seq; kind; value = String.sub raw !cur value_len }
-        else begin
-          cur := !cur + value_len;
-          scan (i + 1)
-        end
+        let at = !cur in
+        take cur ~stop value_len;
+        (* the value is copied out: the caller keeps it past the view *)
+        if hit then Some { Util.Kv.key; seq; kind; value = String.sub raw at value_len }
+        else scan (i + 1)
       end
     in
     scan 0
@@ -736,27 +806,28 @@ let verify t =
     let bad = ref [] in
     let note layer index = bad := (layer, index) :: !bad in
     let len = Pmem.region_len t.region in
+    let footer = len - footer_bytes in
     (try
-       let raw = Pmem.read t.dev t.region ~off:(len - footer_bytes) ~len:footer_bytes in
-       let m = Builder.read_u32 raw 18 in
+       let raw = Pmem.read_in_place t.dev t.region ~off:footer ~len:footer_bytes in
+       let m = Builder.read_u32 raw (footer + 18) in
        if
          (m <> magic && m <> magic_v2)
-         || Builder.read_u32 raw 22 <> Util.Crc32.update 0 raw 0 (footer_bytes - 4)
+         || Builder.read_u32 raw (footer + 22)
+            <> Util.Crc32.update 0 raw footer (footer_bytes - 4)
        then note "footer" 0
      with _ -> note "footer" 0);
     (try
-       let meta_raw =
-         Pmem.read t.dev t.region ~off:t.meta_off ~len:(len - footer_bytes - t.meta_off)
-       in
-       if Util.Crc32.string meta_raw <> t.meta_crc then note "meta" 0
+       let meta_len = footer - t.meta_off in
+       let meta_raw = Pmem.read_in_place t.dev t.region ~off:t.meta_off ~len:meta_len in
+       if Util.Crc32.update 0 meta_raw t.meta_off meta_len <> t.meta_crc then note "meta" 0
      with _ -> note "meta" 0);
     (* The persisted group-checksum layer itself (the DRAM cache used by
        reads would mask rot in it until the next reopen). *)
     (try
        let gcrc_off = t.meta_off - (4 * t.group_count) in
-       let raw = Pmem.read t.dev t.region ~off:gcrc_off ~len:(4 * t.group_count) in
+       let raw = Pmem.read_in_place t.dev t.region ~off:gcrc_off ~len:(4 * t.group_count) in
        for g = 0 to t.group_count - 1 do
-         if Builder.read_u32 raw (4 * g) <> t.gcrcs.(g) then note "gcrc" g
+         if Builder.read_u32 raw (gcrc_off + (4 * g)) <> t.gcrcs.(g) then note "gcrc" g
        done
      with _ -> note "gcrc" 0);
     for g = 0 to t.group_count - 1 do

@@ -58,29 +58,39 @@ let build ?(mode = Per_pair) dev (entries : Util.Kv.entry array) =
   let members = members_of_mode mode in
   if members <= 0 then invalid_arg "Snappy_table.build: group size must be positive";
   let chunk_count = (n + members - 1) / members in
-  let data = Buffer.create 4096 in
-  let offsets = Array.make chunk_count 0 in
   let payload = ref 0 in
-  for c = 0 to chunk_count - 1 do
-    offsets.(c) <- Buffer.length data;
-    let lo = c * members and hi = min n ((c + 1) * members) in
-    let raw = Buffer.create 256 in
-    for i = lo to hi - 1 do
-      let e = entries.(i) in
-      Util.Kv.encode raw e;
-      payload := !payload + Util.Kv.encoded_size e
-    done;
-    let raw = Buffer.contents raw in
-    charge_compress dev (String.length raw);
-    Buffer.add_string data (Compress.Lz.compress raw)
-  done;
+  let compressed =
+    Array.init chunk_count (fun c ->
+        let lo = c * members and hi = min n ((c + 1) * members) in
+        let raw = Buffer.create 256 in
+        for i = lo to hi - 1 do
+          let e = entries.(i) in
+          Util.Kv.encode raw e;
+          payload := !payload + Util.Kv.encoded_size e
+        done;
+        let raw = Buffer.contents raw in
+        charge_compress dev (String.length raw);
+        Compress.Lz.compress raw)
+  in
   charge_cpu dev (float_of_int n *. encode_cpu_ns);
-  let data_len = Buffer.length data in
+  (* One exact-size image: the compressed units, then one u32 slot per
+     unit. *)
+  let data_len = Array.fold_left (fun acc z -> acc + String.length z) 0 compressed in
   let total = data_len + (4 * chunk_count) in
+  let image = Bytes.create total in
+  let pos = ref 0 in
+  Array.iteri
+    (fun c z ->
+      ignore (Builder.put_u32 image (data_len + (4 * c)) !pos : int);
+      Bytes.blit_string z 0 image !pos (String.length z);
+      pos := !pos + String.length z)
+    compressed;
   let region = Pmem.alloc dev total in
-  let builder = Builder.create dev region in
-  Builder.add_string builder (Buffer.contents data);
-  Array.iter (fun off -> Builder.add_u32 builder off) offsets;
+  let builder = Builder.create dev region (Bytes.unsafe_to_string image) in
+  (* the data staged whole, the slots staged as the u32s they are encoded
+     from, byte by byte *)
+  Builder.stage builder data_len;
+  Builder.stage_bytewise builder (4 * chunk_count);
   let written = Builder.finish builder in
   assert (written = total);
   {
@@ -104,22 +114,21 @@ let max_key t = t.max_key
 let free t = Pmem.free t.dev t.region
 let region_id t = Pmem.region_id t.region
 
+(* One offset slot: a 4-byte PM access, decoded in place. *)
+let read_slot t c =
+  let off = t.slots_off + (4 * c) in
+  Builder.read_u32 (Pmem.read_in_place t.dev t.region ~off ~len:4) off
+
 let chunk_bounds t c =
-  let slot = Pmem.read t.dev t.region ~off:(t.slots_off + (4 * c)) ~len:4 in
-  let start = Builder.read_u32 slot 0 in
-  let stop =
-    if c + 1 < t.chunks then
-      let slot = Pmem.read t.dev t.region ~off:(t.slots_off + (4 * (c + 1))) ~len:4 in
-      Builder.read_u32 slot 0
-    else t.data_len
-  in
+  let start = read_slot t c in
+  let stop = if c + 1 < t.chunks then read_slot t (c + 1) else t.data_len in
   (start, stop)
 
 (* Read + decompress + decode one compressed unit. *)
 let read_chunk t c =
   let start, stop = chunk_bounds t c in
-  let compressed = Pmem.read t.dev t.region ~off:start ~len:(stop - start) in
-  let raw = Compress.Lz.decompress compressed in
+  let view = Pmem.read_in_place t.dev t.region ~off:start ~len:(stop - start) in
+  let raw = Compress.Lz.decompress ~pos:start ~len:(stop - start) view in
   charge_decompress t.dev (String.length raw);
   let members = members_of_mode t.mode in
   let lo = c * members in

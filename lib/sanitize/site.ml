@@ -2,8 +2,9 @@
 
    Walks the current backtrace and returns the first frame that does not
    belong to the sanitizer itself or to the instrumented device shims, so
-   a redundant flush in [Pmtable.Builder.spill] is attributed to
-   "builder.ml:NN" rather than to the pmem wrapper that observed it.
+   a redundant flush issued while [Pmtable.Builder] writes a table image
+   is attributed to "builder.ml:NN" rather than to the pmem wrapper that
+   observed it.
    Requires debug info (dune builds with -g by default); degrades to a
    placeholder otherwise. *)
 

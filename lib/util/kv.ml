@@ -34,6 +34,12 @@ let encode buf e =
   Buffer.add_char buf (match e.kind with Put -> '\001' | Delete -> '\000');
   Varint.write_string buf e.value
 
+let encode_into b pos e =
+  let pos = Varint.put_string b pos e.key in
+  let pos = Varint.put b pos e.seq in
+  Bytes.set b pos (match e.kind with Put -> '\001' | Delete -> '\000');
+  Varint.put_string b (pos + 1) e.value
+
 let decode s pos =
   let key, pos = Varint.read_string s pos in
   let seq, pos = Varint.read s pos in

@@ -17,6 +17,11 @@ val compare_entry : entry -> entry -> int
 val encoded_size : entry -> int
 
 val encode : Buffer.t -> entry -> unit
+
+val encode_into : Bytes.t -> int -> entry -> int
+(** {!encode} at a position of a sized image ({!encoded_size} bytes);
+    returns the position after the entry. *)
+
 val decode : string -> int -> entry * int
 
 val pp : entry Fmt.t

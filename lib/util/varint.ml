@@ -11,6 +11,18 @@ let write buf v =
   done;
   Buffer.add_char buf (Char.chr !v)
 
+(* [write] into a sized image: encode at [pos], return the next position. *)
+let put b pos v =
+  if v < 0 then invalid_arg "Varint.put: negative";
+  let v = ref v and pos = ref pos in
+  while !v >= 0x80 do
+    Bytes.set b !pos (Char.chr ((!v land 0x7f) lor 0x80));
+    incr pos;
+    v := !v lsr 7
+  done;
+  Bytes.set b !pos (Char.chr !v);
+  !pos + 1
+
 (* Decode the varint at [!cur] and move [cur] past it. [read] is this with
    a local cursor; scans that must not allocate per field call it
    directly. *)
@@ -42,6 +54,11 @@ let size v =
 let write_string buf s =
   write buf (String.length s);
   Buffer.add_string buf s
+
+let put_string b pos s =
+  let pos = put b pos (String.length s) in
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
 
 let read_string s pos =
   let len, pos = read s pos in

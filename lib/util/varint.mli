@@ -4,6 +4,11 @@
 val write : Buffer.t -> int -> unit
 (** Append a non-negative integer. Raises [Invalid_argument] on negatives. *)
 
+val put : Bytes.t -> int -> int -> int
+(** [put b pos v] encodes [v] at [pos] in a sized image and returns the
+    position after it: {!write} without a [Buffer]. Raises
+    [Invalid_argument] on negatives or when the image is too short. *)
+
 val read : string -> int -> int * int
 (** [read s pos] decodes at [pos], returning [(value, next_pos)].
     Raises [Failure] on truncated or overlong input. *)
@@ -18,6 +23,9 @@ val size : int -> int
 
 val write_string : Buffer.t -> string -> unit
 (** Append a length-prefixed string. *)
+
+val put_string : Bytes.t -> int -> string -> int
+(** {!write_string} at [pos] in a sized image; returns the next position. *)
 
 val read_string : string -> int -> string * int
 (** Decode a length-prefixed string, returning [(value, next_pos)]. *)

@@ -32,8 +32,11 @@ let test_write_read_roundtrip () =
   let _, dev = make () in
   let r = Pmem.alloc dev 64 in
   Pmem.write dev r ~off:10 "hello";
-  check Alcotest.string "readback" "hello" (Pmem.read dev r ~off:10 ~len:5);
-  check Alcotest.char "read_byte" 'e' (Pmem.read_byte dev r ~off:11)
+  let view = Pmem.read_in_place dev r ~off:10 ~len:5 in
+  check Alcotest.string "readback" "hello" (String.sub view 10 5);
+  Pmem.write dev r ~off:20 ~src_off:1 ~len:3 "hello";
+  check Alcotest.string "a slice of the source" "ell"
+    (String.sub (Pmem.read_in_place dev r ~off:20 ~len:3) 20 3)
 
 let test_bounds_checked () =
   let _, dev = make () in
@@ -41,16 +44,21 @@ let test_bounds_checked () =
   check Alcotest.bool "oob write raises" true
     (try Pmem.write dev r ~off:10 "longer than six"; false with Invalid_argument _ -> true);
   check Alcotest.bool "oob read raises" true
-    (try ignore (Pmem.read dev r ~off:12 ~len:8); false with Invalid_argument _ -> true);
+    (try ignore (Pmem.read_in_place dev r ~off:12 ~len:8); false
+     with Invalid_argument _ -> true);
+  check Alcotest.bool "oob source slice raises" true
+    (try Pmem.write dev r ~off:0 ~src_off:3 ~len:4 "hello"; false
+     with Invalid_argument _ -> true);
   Pmem.free dev r;
   check Alcotest.bool "use after free raises" true
-    (try ignore (Pmem.read dev r ~off:0 ~len:1); false with Invalid_argument _ -> true)
+    (try ignore (Pmem.read_in_place dev r ~off:0 ~len:1); false
+     with Invalid_argument _ -> true)
 
 let test_latency_charged () =
   let clock, dev = make () in
   let r = Pmem.alloc dev 4096 in
   let t0 = Sim.Clock.now clock in
-  ignore (Pmem.read dev r ~off:0 ~len:64);
+  ignore (Pmem.read_in_place dev r ~off:0 ~len:64);
   let read_cost = Sim.Clock.now clock -. t0 in
   check Alcotest.bool "read charges access + bytes" true
     (read_cost >= Pmem.default_params.read_access_ns);
@@ -58,6 +66,27 @@ let test_latency_charged () =
   Pmem.write dev r ~off:0 (String.make 64 'x');
   let write_cost = Sim.Clock.now clock -. t1 in
   check Alcotest.bool "write slower than read" true (write_cost > read_cost)
+
+(* A view costs what a copying read did: one access plus the bytes, on the
+   clock and in every counter. *)
+let test_read_in_place_charges_a_read () =
+  let clock, dev = make () in
+  let r = Pmem.alloc dev 4096 in
+  Pmem.write dev r ~off:0 (String.init 4096 (fun i -> Char.chr (i land 0xff)));
+  Pmem.reset_stats dev;
+  let t0 = Sim.Clock.now clock in
+  let view = Pmem.read_in_place dev r ~off:100 ~len:300 in
+  let p = Pmem.default_params in
+  let dt = p.read_access_ns +. (300.0 *. p.read_byte_ns) in
+  check (Alcotest.float 0.0) "clock advanced by one read" (t0 +. dt) (Sim.Clock.now clock);
+  let s = Pmem.stats dev in
+  check Alcotest.(list int) "reads, bytes read, nothing else"
+    [ 1; 300; 0; 0; 0; 0 ]
+    [ s.Pmem.reads; s.bytes_read; s.writes; s.bytes_written; s.flushes; s.drains ];
+  check (Alcotest.float 0.0) "read time" dt s.Pmem.read_time;
+  check Alcotest.string "the bytes at their region offsets"
+    (String.init 300 (fun i -> Char.chr ((100 + i) land 0xff)))
+    (String.sub view 100 300)
 
 let test_read_write_asymmetry_matches_optane () =
   (* The calibration must keep writes ~3x reads at small sizes. *)
@@ -71,8 +100,8 @@ let test_stats_counters () =
   let _, dev = make () in
   let r = Pmem.alloc dev 1024 in
   Pmem.write dev r ~off:0 (String.make 100 'a');
-  ignore (Pmem.read dev r ~off:0 ~len:50);
-  ignore (Pmem.read dev r ~off:50 ~len:25);
+  ignore (Pmem.read_in_place dev r ~off:0 ~len:50);
+  ignore (Pmem.read_in_place dev r ~off:50 ~len:25);
   let s = Pmem.stats dev in
   check Alcotest.int "writes" 1 s.Pmem.writes;
   check Alcotest.int "bytes written" 100 s.Pmem.bytes_written;
@@ -105,7 +134,9 @@ let prop_roundtrip_random =
       if off + String.length data > 256 then true
       else begin
         Pmem.write dev r ~off data;
-        Pmem.read dev r ~off ~len:(String.length data) = data
+        String.sub (Pmem.read_in_place dev r ~off ~len:(String.length data)) off
+          (String.length data)
+        = data
       end)
 
 let () =
@@ -118,6 +149,8 @@ let () =
           Alcotest.test_case "write/read roundtrip" `Quick test_write_read_roundtrip;
           Alcotest.test_case "bounds checked" `Quick test_bounds_checked;
           Alcotest.test_case "latency charged" `Quick test_latency_charged;
+          Alcotest.test_case "read_in_place charges a read" `Quick
+            test_read_in_place_charges_a_read;
           Alcotest.test_case "optane asymmetry" `Quick test_read_write_asymmetry_matches_optane;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
           Alcotest.test_case "crash discards unflushed" `Quick test_crash_discards_unflushed;

@@ -364,6 +364,382 @@ let test_get_reads_one_group () =
       (!Pmtable.Pm_table.group_reads - reads0)
   done
 
+(* --- the one-image build writes what the staged build wrote ---------------
+
+   [Staged] keeps the build as it was before tables were encoded into one
+   image: every layer went through its own [Buffer] and was appended to a
+   4 KiB staging buffer that spilled whenever it reached a chunk. The image
+   build must leave the same region bytes, the same device statistics (so
+   the same write requests, flushes and fences) and the same clock. *)
+
+module Staged = struct
+  type writer = {
+    dev : Pmem.t;
+    region : Pmem.region;
+    staging : Buffer.t;
+    mutable written : int;
+    mutable flushed_upto : int;
+  }
+
+  let chunk = 4096
+
+  let create dev region =
+    { dev; region; staging = Buffer.create chunk; written = 0; flushed_upto = 0 }
+
+  let flush_upto w upto =
+    if upto > w.flushed_upto then
+      Pmem.flush w.dev w.region ~off:w.flushed_upto ~len:(upto - w.flushed_upto);
+    w.flushed_upto <- max w.flushed_upto upto
+
+  let spill w =
+    let data = Buffer.contents w.staging in
+    if String.length data > 0 then begin
+      Pmem.write w.dev w.region ~off:w.written data;
+      w.written <- w.written + String.length data;
+      Buffer.clear w.staging;
+      flush_upto w (w.written land lnot 63)
+    end
+
+  let add_string w s =
+    Buffer.add_string w.staging s;
+    if Buffer.length w.staging >= chunk then spill w
+
+  let add_char w c =
+    Buffer.add_char w.staging c;
+    if Buffer.length w.staging >= chunk then spill w
+
+  let add_u32 w v =
+    add_char w (Char.chr ((v lsr 24) land 0xff));
+    add_char w (Char.chr ((v lsr 16) land 0xff));
+    add_char w (Char.chr ((v lsr 8) land 0xff));
+    add_char w (Char.chr (v land 0xff))
+
+  let finish w =
+    spill w;
+    flush_upto w w.written;
+    Pmem.drain w.dev;
+    Pmem.commit_point w.dev "pmtable.seal";
+    w.written
+
+  let charge_cpu dev ns = Sim.Clock.advance (Pmem.clock dev) ns
+
+  let buffer_u32 buf v =
+    Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff));
+    Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
+    Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
+    Buffer.add_char buf (Char.chr (v land 0xff))
+
+  let extract_tag key =
+    let digit i = key.[i] >= '0' && key.[i] <= '9' in
+    if String.length key >= 5 && key.[0] = 't' && digit 1 && digit 2 && digit 3 && digit 4
+    then String.sub key 0 5
+    else ""
+
+  let prefix_len = 24
+
+  let pad_slot s =
+    if String.length s >= prefix_len then String.sub s 0 prefix_len
+    else s ^ String.make (prefix_len - String.length s) '\000'
+
+  let strip prefix key =
+    String.sub key (String.length prefix) (String.length key - String.length prefix)
+
+  (* Pm_table.build at group size 8, as it stood. *)
+  let pm_table ~bloom_bits_per_key dev (entries : Util.Kv.entry array) =
+    let group_size = 8 in
+    let n = Array.length entries in
+    let metas = ref [] and groups = ref [] and group_count = ref 0 in
+    let i = ref 0 in
+    while !i < n do
+      let tag = extract_tag entries.(!i).key in
+      let run_start = !i in
+      while !i < n && extract_tag entries.(!i).key = tag do
+        incr i
+      done;
+      let run_end = !i in
+      let extended =
+        let first = entries.(run_start).key and last = entries.(run_end - 1).key in
+        let shared = Util.Keys.common_prefix_len first last in
+        String.sub first 0 (min 40 (max (String.length tag) shared))
+      in
+      let meta_idx = List.length !metas in
+      let g_lo = !group_count in
+      let versions_end k =
+        let k' = ref (k + 1) in
+        while !k' < run_end && entries.(!k').key = entries.(k).key do
+          incr k'
+        done;
+        !k'
+      in
+      let bytes lo hi =
+        let b = ref 0 in
+        for k = lo to hi - 1 do
+          b := !b + Util.Kv.encoded_size entries.(k)
+        done;
+        !b
+      in
+      let j = ref run_start in
+      while !j < run_end do
+        let lo = !j in
+        let hi = ref (versions_end lo) in
+        let size = ref (bytes lo !hi) in
+        let full = ref false in
+        while (not !full) && !hi < run_end do
+          let next = versions_end !hi in
+          let b = bytes !hi next in
+          if next - lo <= group_size && !size + b <= Pmtable.Pm_table.max_group_bytes then begin
+            hi := next;
+            size := !size + b
+          end
+          else full := true
+        done;
+        let hi = !hi in
+        let stripped_first = strip extended entries.(lo).key in
+        let stripped_last = strip extended entries.(hi - 1).key in
+        let shared =
+          min prefix_len (Util.Keys.common_prefix_len stripped_first stripped_last)
+        in
+        groups := (meta_idx, pad_slot stripped_first, shared, Array.sub entries lo (hi - lo))
+                  :: !groups;
+        incr group_count;
+        j := hi
+      done;
+      metas := (extended, g_lo, !group_count) :: !metas
+    done;
+    let metas = Array.of_list (List.rev !metas) in
+    let groups = Array.of_list (List.rev !groups) in
+    let entry_layer = Buffer.create 4096 in
+    let group_offsets = Array.make (Array.length groups) 0 in
+    let min_seq = ref max_int and max_seq = ref min_int and payload = ref 0 in
+    Array.iteri
+      (fun g (meta, _, shared, members) ->
+        group_offsets.(g) <- Buffer.length entry_layer;
+        let tag, _, _ = metas.(meta) in
+        let strip_len = String.length tag + shared in
+        Array.iter
+          (fun (e : Util.Kv.entry) ->
+            Util.Varint.write_string entry_layer
+              (String.sub e.key strip_len (String.length e.key - strip_len));
+            Util.Varint.write entry_layer e.seq;
+            Buffer.add_char entry_layer (match e.kind with Put -> '\001' | Delete -> '\000');
+            Util.Varint.write_string entry_layer e.value;
+            payload := !payload + Util.Kv.encoded_size e;
+            if e.seq < !min_seq then min_seq := e.seq;
+            if e.seq > !max_seq then max_seq := e.seq)
+          members)
+      groups;
+    charge_cpu dev (float_of_int n *. 30.0);
+    let entry_str = Buffer.contents entry_layer in
+    let gcrcs =
+      Array.init (Array.length groups) (fun g ->
+          let start = group_offsets.(g) in
+          let stop =
+            if g + 1 < Array.length groups then group_offsets.(g + 1)
+            else String.length entry_str
+          in
+          Util.Crc32.update 0 entry_str start (stop - start))
+    in
+    let prefix_layer = Buffer.create 1024 in
+    Array.iteri
+      (fun g (meta, slot, shared, members) ->
+        let record = Buffer.create 64 in
+        Buffer.add_string record slot;
+        buffer_u32 record group_offsets.(g);
+        Buffer.add_char record (Char.chr ((Array.length members lsr 8) land 0xff));
+        Buffer.add_char record (Char.chr (Array.length members land 0xff));
+        Buffer.add_char record (Char.chr shared);
+        Buffer.add_char record (Char.chr ((meta lsr 8) land 0xff));
+        Buffer.add_char record (Char.chr (meta land 0xff));
+        buffer_u32 record (Util.Crc32.string (Buffer.contents record));
+        Buffer.add_buffer prefix_layer record)
+      groups;
+    let gcrc_layer = Buffer.create 64 in
+    Array.iter (buffer_u32 gcrc_layer) gcrcs;
+    let meta_layer = Buffer.create 128 in
+    Util.Varint.write meta_layer (Array.length metas);
+    Array.iter
+      (fun (tag, g_lo, g_hi) ->
+        Util.Varint.write_string meta_layer tag;
+        Util.Varint.write meta_layer g_lo;
+        Util.Varint.write meta_layer g_hi)
+      metas;
+    Util.Varint.write meta_layer n;
+    Util.Varint.write meta_layer !min_seq;
+    Util.Varint.write meta_layer !max_seq;
+    Util.Varint.write meta_layer !payload;
+    let bloom =
+      if bloom_bits_per_key <= 0 then None
+      else
+        Some
+          (Bloom.of_keys ~bits_per_key:bloom_bits_per_key
+             (Array.to_list (Array.map (fun (e : Util.Kv.entry) -> e.key) entries)))
+    in
+    Option.iter (fun b -> Util.Varint.write_string meta_layer (Bloom.serialize b)) bloom;
+    let entry_len = Buffer.length entry_layer in
+    let meta_off = entry_len + Buffer.length prefix_layer + Buffer.length gcrc_layer in
+    let footer = Buffer.create 26 in
+    buffer_u32 footer entry_len;
+    buffer_u32 footer meta_off;
+    buffer_u32 footer (Array.length groups);
+    Buffer.add_char footer (Char.chr prefix_len);
+    Buffer.add_char footer (Char.chr group_size);
+    buffer_u32 footer (Util.Crc32.string (Buffer.contents meta_layer));
+    buffer_u32 footer (if bloom = None then 0x504D4254 else 0x504D4232);
+    buffer_u32 footer (Util.Crc32.string (Buffer.contents footer));
+    let total = meta_off + Buffer.length meta_layer + 26 in
+    let region = Pmem.alloc dev total in
+    let w = create dev region in
+    List.iter
+      (fun b -> add_string w (Buffer.contents b))
+      [ entry_layer; prefix_layer; gcrc_layer; meta_layer; footer ];
+    assert (finish w = total);
+    region
+
+  (* Array_table.build and Snappy_table.build, as they stood: the data
+     staged whole, then one u32 slot per unit, staged byte by byte. *)
+  let write_slotted dev data offsets =
+    let region = Pmem.alloc dev (String.length data + (4 * Array.length offsets)) in
+    let w = create dev region in
+    add_string w data;
+    Array.iter (add_u32 w) offsets;
+    ignore (finish w : int);
+    region
+
+  let array_table dev (entries : Util.Kv.entry array) =
+    let payload = Buffer.create 4096 in
+    let offsets =
+      Array.map
+        (fun e ->
+          let off = Buffer.length payload in
+          Util.Kv.encode payload e;
+          off)
+        entries
+    in
+    charge_cpu dev (float_of_int (Array.length entries) *. 30.0);
+    write_slotted dev (Buffer.contents payload) offsets
+
+  let snappy_table ~members dev (entries : Util.Kv.entry array) =
+    let n = Array.length entries in
+    let chunks = (n + members - 1) / members in
+    let data = Buffer.create 4096 in
+    let offsets =
+      Array.init chunks (fun c ->
+          let off = Buffer.length data in
+          let raw = Buffer.create 256 in
+          for i = c * members to min n ((c + 1) * members) - 1 do
+            Util.Kv.encode raw entries.(i)
+          done;
+          let raw = Buffer.contents raw in
+          charge_cpu dev
+            (Compress.Lz.compress_call_ns
+            +. (float_of_int (String.length raw) *. Compress.Lz.compress_cost_ns_per_byte));
+          Buffer.add_string data (Compress.Lz.compress raw);
+          off)
+    in
+    charge_cpu dev (float_of_int n *. 30.0);
+    write_slotted dev (Buffer.contents data) offsets
+end
+
+(* Entry sets for the comparison: several {tableID} tag runs and untagged
+   keys, version runs, values from empty to past one SSD block (a group
+   past [max_group_bytes]), and table sizes whose layers fall on both
+   sides of the 4 KiB chunk. *)
+let gen_build_input =
+  let open QCheck.Gen in
+  let key =
+    oneof
+      [
+        map2 (fun t r -> Printf.sprintf "t%04dr%06d" t r) (int_bound 3) (int_bound 5000);
+        map (fun r -> Util.Keys.ycsb_key r) (int_bound 5000);
+        string_size ~gen:(char_range 'a' 'f') (int_range 1 30);
+      ]
+  in
+  let value_len = frequency [ (12, int_bound 40); (3, int_range 40 600); (1, int_range 4000 6000) ] in
+  let item = triple key (int_range 1 4) value_len in
+  let size = frequency [ (3, int_range 1 60); (2, int_range 60 400); (1, int_range 700 2500) ] in
+  triple (size >>= fun n -> list_size (return n) item) bool (int_bound 1_000_000)
+
+let entries_of (items, _, salt) =
+  let seq = ref salt in
+  List.concat_map
+    (fun (key, versions, value_len) ->
+      List.init versions (fun v ->
+          incr seq;
+          let kind = if (!seq + v) mod 7 = 0 then Util.Kv.Delete else Util.Kv.Put in
+          { Util.Kv.key; seq = !seq; kind; value = String.make value_len (Char.chr (97 + (!seq mod 26))) }))
+    items
+  |> List.sort_uniq Util.Kv.compare_entry
+  |> Array.of_list
+
+(* Build on two fresh devices; the regions, every device statistic and the
+   clocks must agree. *)
+let same_build ~staged ~image entries =
+  let clock_a, dev_a = make_dev () and clock_b, dev_b = make_dev () in
+  let region_a = staged dev_a entries in
+  let region_b =
+    Option.get (Pmem.find_region dev_b (Pmtable.Table.region_id (image dev_b entries)))
+  in
+  let len = Pmem.region_len region_a in
+  Pmem.region_len region_b = len
+  && Pmem.unsafe_peek region_a ~off:0 ~len = Pmem.unsafe_peek region_b ~off:0 ~len
+  && Pmem.stats dev_a = Pmem.stats dev_b
+  && Sim.Clock.now clock_a = Sim.Clock.now clock_b
+
+let prop_image_build_matches_staged =
+  QCheck.Test.make ~name:"one-image build = staged build (bytes, stats, clock)" ~count:60
+    (QCheck.make gen_build_input)
+    (fun input ->
+      let entries = entries_of input in
+      let _, bloom, _ = input in
+      let bloom_bits_per_key = if bloom then 10 else 0 in
+      let kind k dev entries = Pmtable.Table.build ~bloom_bits_per_key dev ~kind:k entries in
+      same_build entries
+        ~staged:(Staged.pm_table ~bloom_bits_per_key)
+        ~image:(kind Pmtable.Table.Pm_compressed)
+      && same_build entries ~staged:Staged.array_table ~image:(kind Pmtable.Table.Array_plain)
+      && same_build entries ~staged:(Staged.snappy_table ~members:1)
+           ~image:(kind Pmtable.Table.Array_snappy)
+      && same_build entries ~staged:(Staged.snappy_table ~members:8)
+           ~image:(kind Pmtable.Table.Array_snappy_group))
+
+(* --- views never leak ---------------------------------------------------
+
+   Reads decode the region's bytes in place; everything a table hands out
+   must be a copy. Damage to the region after the reads must leave their
+   results as they were, and a later get must see the damage (the handle
+   keeps no view of old bytes). *)
+
+let test_views_never_leak (name, kind) () =
+  let _, dev = make_dev () in
+  let entries = make_entries 400 in
+  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
+  let model = newest_by_key entries in
+  let keys = List.sort_uniq String.compare (List.map (fun (e : Util.Kv.entry) -> e.key) entries) in
+  let got = List.map (Pmtable.Table.get tbl) keys in
+  let ranged = ref [] and iterated = ref [] in
+  Pmtable.Table.range tbl ~start:"" ~stop:"\255" (fun e -> ranged := e :: !ranged);
+  Pmtable.Table.iter tbl (fun e -> iterated := e :: !iterated);
+  let salvaged, lost = Pmtable.Table.salvage_entries tbl in
+  check Alcotest.bool (name ^ ": nothing lost before the damage") true (lost = None);
+  let expect_results what =
+    check Alcotest.bool (name ^ ": gets " ^ what) true
+      (got = List.map (fun k -> Hashtbl.find_opt model k) keys);
+    check Alcotest.bool (name ^ ": range " ^ what) true (List.rev !ranged = entries);
+    check Alcotest.bool (name ^ ": iter " ^ what) true (List.rev !iterated = entries);
+    check Alcotest.bool (name ^ ": salvage " ^ what) true (salvaged = entries)
+  in
+  expect_results "read right";
+  let region = Option.get (Pmem.find_region dev (Pmtable.Table.region_id tbl)) in
+  Pmem.corrupt_region ~len:(Pmem.region_len region) ~mode:`Flip dev region ~off:0;
+  expect_results "unchanged by later damage";
+  if kind = Pmtable.Table.Pm_compressed then
+    List.iter
+      (fun key ->
+        match Pmtable.Table.get tbl key with
+        | exception Pmtable.Integrity.Corrupted _ -> ()
+        | _ -> Alcotest.failf "get %S after the damage did not raise Corrupted" key)
+      keys
+
 let per_kind name f =
   List.map (fun (kname, kind) -> Alcotest.test_case (name ^ " [" ^ kname ^ "]") `Quick (f (kname, kind))) all_kinds
 
@@ -378,7 +754,8 @@ let () =
         @ per_kind "free releases" test_free_releases
         @ per_kind "version pileup" test_version_pileup
         @ per_kind "single entry" test_single_entry
-        @ per_kind "empty rejected" test_empty_rejected );
+        @ per_kind "empty rejected" test_empty_rejected
+        @ per_kind "views never leak" test_views_never_leak );
       ( "paper properties",
         [
           Alcotest.test_case "pm table compresses index keys" `Quick test_pm_table_compresses;
@@ -401,4 +778,5 @@ let () =
           Alcotest.test_case "group fits one SSD block" `Quick test_group_fits_one_block;
           Alcotest.test_case "get reads one group" `Quick test_get_reads_one_group;
         ] );
+      ("image build", [ qtest prop_image_build_matches_staged ]);
     ]

@@ -140,10 +140,10 @@ let make_pm () =
 
 let build_table pm ~bytes =
   let region = Pmem.alloc pm (4 * bytes) in
-  let b = Pmtable.Builder.create pm region in
+  let b = Pmtable.Builder.create pm region (String.make (4 * bytes) 'x') in
   let n = bytes / 100 in
   for _ = 1 to n do
-    Pmtable.Builder.add_string b (String.make 100 'x')
+    Pmtable.Builder.stage b 100
   done;
   ignore (Pmtable.Builder.finish b : int)
 
