@@ -45,21 +45,9 @@ let block_cache_arg =
           ~doc:"DRAM budget of the shared SSTable block cache in MiB \
                 (0 disables it; default: the system's configured value).")
 
-let pm_bloom_arg =
-  Arg.(value & opt (some int) None
-      & info [ "pm-bloom-bits" ] ~docv:"BITS"
-          ~doc:"Bloom bits per key of PM level-0 tables (0 writes \
-                bloom-less v1 tables; default: the system's configured \
-                value).")
-
-let apply_read_path cfg block_cache_mb pm_bloom_bits =
-  let cfg =
-    match block_cache_mb with
-    | Some mb -> { cfg with Core.Config.block_cache_mb = mb }
-    | None -> cfg
-  in
-  match pm_bloom_bits with
-  | Some bits -> { cfg with Core.Config.pm_bloom_bits_per_key = bits }
+let apply_read_path cfg block_cache_mb =
+  match block_cache_mb with
+  | Some mb -> { cfg with Core.Config.block_cache_mb = mb }
   | None -> cfg
 
 (* Sharded front-door knobs shared by ycsb/retail/stats/doctor. *)
@@ -268,9 +256,9 @@ let ycsb_cmd =
   let value_bytes =
     Arg.(value & opt int 1024 & info [ "value-bytes" ] ~doc:"Value size in bytes.")
   in
-  let run cfg block_cache_mb pm_bloom_bits no_sanitize shards gc_window gc_max
+  let run cfg block_cache_mb no_sanitize shards gc_window gc_max
       durable workload records ops value_bytes trace trace_no_io metrics interval =
-    let cfg = apply_read_path cfg block_cache_mb pm_bloom_bits in
+    let cfg = apply_read_path cfg block_cache_mb in
     if no_sanitize then Sanitize.Control.disable ();
     let cfg = apply_shard cfg shards gc_window gc_max durable in
     let w = Workload.Ycsb.of_string workload in
@@ -294,7 +282,7 @@ let ycsb_cmd =
         Fmt.pr "%a@." Shard.Router.pp_stats router)
   in
   Cmd.v (Cmd.info "ycsb" ~doc:"Run a YCSB core workload.")
-    Term.(const run $ system_arg $ block_cache_arg $ pm_bloom_arg $ no_sanitize_arg
+    Term.(const run $ system_arg $ block_cache_arg $ no_sanitize_arg
           $ shards_arg $ gc_window_arg $ gc_max_arg $ durable_arg
           $ workload $ records
           $ ops $ value_bytes $ trace_arg $ trace_io_arg $ metrics_arg
@@ -309,9 +297,9 @@ let retail_cmd =
   let transactions =
     Arg.(value & opt int 5_000 & info [ "transactions" ] ~doc:"Transactions to run.")
   in
-  let run cfg block_cache_mb pm_bloom_bits no_sanitize shards gc_window gc_max
+  let run cfg block_cache_mb no_sanitize shards gc_window gc_max
       durable orders transactions trace trace_no_io metrics interval =
-    let cfg = apply_read_path cfg block_cache_mb pm_bloom_bits in
+    let cfg = apply_read_path cfg block_cache_mb in
     if no_sanitize then Sanitize.Control.disable ();
     let cfg = apply_shard cfg shards gc_window gc_max durable in
     let retail = Workload.Retail.create () in
@@ -335,7 +323,7 @@ let retail_cmd =
         Fmt.pr "%a@." Shard.Router.pp_stats router)
   in
   Cmd.v (Cmd.info "retail" ~doc:"Run the online-retail (Meituan-style) workload.")
-    Term.(const run $ system_arg $ block_cache_arg $ pm_bloom_arg $ no_sanitize_arg
+    Term.(const run $ system_arg $ block_cache_arg $ no_sanitize_arg
           $ shards_arg $ gc_window_arg $ gc_max_arg $ durable_arg
           $ orders
           $ transactions $ trace_arg $ trace_io_arg $ metrics_arg
@@ -360,11 +348,11 @@ let stats_cmd =
   let ops =
     Arg.(value & opt int 5_000 & info [ "ops" ] ~doc:"Mixed operations to run first.")
   in
-  let run cfg block_cache_mb pm_bloom_bits shards gc_window gc_max durable ops
+  let run cfg block_cache_mb shards gc_window gc_max durable ops
       format =
     (* A short deterministic mixed workload populates every subsystem, then
        the full registry is dumped — a one-stop look at the metric names. *)
-    let cfg = apply_read_path cfg block_cache_mb pm_bloom_bits in
+    let cfg = apply_read_path cfg block_cache_mb in
     let cfg = apply_shard cfg shards gc_window gc_max durable in
     let records = max 1 (ops / 2) in
     let y = Workload.Ycsb.create ~value_bytes:256 () in
@@ -389,7 +377,7 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Run a short mixed workload and dump the full metrics registry.")
-    Term.(const run $ system_arg $ block_cache_arg $ pm_bloom_arg $ shards_arg
+    Term.(const run $ system_arg $ block_cache_arg $ shards_arg
           $ gc_window_arg $ gc_max_arg $ durable_arg $ ops $ format_arg)
 
 (* --- crashtest ------------------------------------------------------------ *)
@@ -738,7 +726,7 @@ let print_front_door router =
     (fun i e ->
       Fmt.pr "  shard%-3d %7.2f MB %6d r %8d@." i
         (mb (Core.Engine.l0_bytes e))
-        (Core.Policy.pressure e)
+        (Core.Engine.pressure e)
         (Core.Engine.metrics e).Core.Metrics.write_stalls)
     (Shard.Router.engines router);
   Fmt.pr "@."
@@ -864,9 +852,9 @@ let doctor_cmd =
   let value_bytes =
     Arg.(value & opt int 1024 & info [ "value-bytes" ] ~doc:"Value size in bytes.")
   in
-  let run cfg block_cache_mb pm_bloom_bits no_sanitize shards gc_window gc_max
+  let run cfg block_cache_mb no_sanitize shards gc_window gc_max
       durable records ops value_bytes =
-    let cfg = apply_read_path cfg block_cache_mb pm_bloom_bits in
+    let cfg = apply_read_path cfg block_cache_mb in
     if no_sanitize then Sanitize.Control.disable ();
     let cfg = apply_shard cfg shards gc_window gc_max durable in
     doctor cfg ~records ~ops ~value_bytes
@@ -883,7 +871,7 @@ let doctor_cmd =
              per-shard backlog table), shard health and sanitizer status. \
              Exits 1 if the attributed phases fail to cover measured op \
              time within 5%.")
-    Term.(const run $ system_arg $ block_cache_arg $ pm_bloom_arg $ no_sanitize_arg
+    Term.(const run $ system_arg $ block_cache_arg $ no_sanitize_arg
           $ shards_arg $ gc_window_arg $ gc_max_arg $ durable_arg
           $ records $ ops $ value_bytes)
 
@@ -972,9 +960,7 @@ let info_cmd =
               Printf.sprintf "column compaction/%d" columns)
           (match cfg.table_kind with
           | Pmtable.Table.Pm_compressed -> "compressed PM table"
-          | Array_plain -> "array"
-          | Array_snappy -> "array+snappy"
-          | Array_snappy_group -> "array+snappy-group"))
+          | Array_plain -> "array"))
       systems
   in
   Cmd.v (Cmd.info "info" ~doc:"List the engine variants.") Term.(const run $ const ())

@@ -47,9 +47,6 @@ type t = {
   block_cache_mb : int;
       (* DRAM budget of the engine-wide shared SSTable block cache, in MiB;
          0 disables it (every uncached block read hits the SSD) *)
-  pm_bloom_bits_per_key : int;
-      (* Bloom filter density of PM level-0 tables (format v2); 0 writes
-         bloom-less v1 tables — negative lookups then always probe PM *)
   shard_count : int;
       (* range shards behind the router front door (lib/shard); 1 = a
          single engine, the classic configuration *)
@@ -118,7 +115,6 @@ let base =
     durable = false;
     matrix_flush_overhead_ns_per_byte = 0.0;
     block_cache_mb = 0;
-    pm_bloom_bits_per_key = 10;
     shard_count = 1;
     group_commit_window_ns = 20_000.0;  (* 20 us *)
     group_commit_max = 8;
@@ -247,8 +243,6 @@ let fingerprint t =
   add "%s"
     (match t.table_kind with
     | Pmtable.Table.Array_plain -> "plain"
-    | Pmtable.Table.Array_snappy -> "snappy"
-    | Pmtable.Table.Array_snappy_group -> "snappy-group"
     | Pmtable.Table.Pm_compressed -> "compressed");
   add "%d" t.l0_run_table_bytes;
   add "%d" t.partition_count;
@@ -258,7 +252,8 @@ let fingerprint t =
   add "%b" t.durable;
   add "%g" t.matrix_flush_overhead_ns_per_byte;
   add "%d" t.block_cache_mb;
-  add "%d" t.pm_bloom_bits_per_key;
+  (* the PM tables' fixed Bloom density, printed so fingerprints stay comparable *)
+  add "%d" 10;
   add "%d" t.shard_count;
   add "%g" t.group_commit_window_ns;
   add "%d" t.group_commit_max;

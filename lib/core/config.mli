@@ -38,9 +38,6 @@ type t = {
   block_cache_mb : int;
       (** DRAM budget of the engine-wide shared SSTable block cache (MiB);
           0 disables it *)
-  pm_bloom_bits_per_key : int;
-      (** Bloom density of PM level-0 tables (format v2); 0 writes
-          bloom-less v1 tables *)
   shard_count : int;
       (** range shards behind the router front door (lib/shard); 1 = a
           single engine *)

@@ -622,15 +622,20 @@ let force_major_compaction t =
     t.partitions;
   persist_manifest t
 
+(* The level-0 policy's entry points, for callers that hold an engine. *)
+type relief = Policy.relief = Internal | Major
+
+let pressure = Policy.pressure
+let partition_pressure = Policy.partition_pressure
+let relieve = Policy.relieve
+
 (* --- Scrub & salvage ----------------------------------------------------
 
    Walk every live table re-verifying checksums from the medium (around the
    DRAM caches — pinned indexes outlive rot), then repair what failed:
    salvage rebuilds a corrupt table from its surviving blocks and records
    the conservatively-bounded lost key range; with [salvage:false] the
-   table is merely quarantined. The optional rate limit charges the
-   virtual clock so a budgeted scrub models a background task that does
-   not saturate the devices. *)
+   table is merely quarantined. *)
 
 type scrub_report = {
   scrubbed_tables : int;
@@ -672,8 +677,7 @@ let replace_sst p ~old fresh =
   p.ssd_l0 <- subst p.ssd_l0;
   Array.iteri (fun j level -> p.levels.(j) <- subst level) p.levels
 
-let scrub ?(salvage = true) ?rate_limit_mb_s t =
-  let t0 = Sim.Clock.now t.clock in
+let scrub ?(salvage = true) t =
   let scrubbed = ref 0 and bytes = ref 0 in
   let bad_pm = ref [] and bad_sst = ref [] in
   Array.iter
@@ -693,13 +697,6 @@ let scrub ?(salvage = true) ?rate_limit_mb_s t =
       List.iter check_sst p.ssd_l0;
       Array.iter (List.iter check_sst) p.levels)
     t.partitions;
-  (* Rate limit: a budgeted scrub takes at least bytes/rate of wall time. *)
-  (match rate_limit_mb_s with
-  | Some mb_s when mb_s > 0.0 ->
-      let floor_ns = float_of_int !bytes /. (mb_s *. 1048576.) *. 1e9 in
-      let elapsed = Sim.Clock.now t.clock -. t0 in
-      if elapsed < floor_ns then Sim.Clock.advance t.clock (floor_ns -. elapsed)
-  | _ -> ());
   let salvaged = ref 0 and dropped = ref 0 and lost = ref [] in
   let record source = function
     | Some (lo, hi) ->
@@ -724,7 +721,8 @@ let scrub ?(salvage = true) ?rate_limit_mb_s t =
           match entries with
           | [] -> None
           | entries ->
-              Some (new_pmtable t ~kind:(Pmtable.Table.kind tbl) entries)
+              Some
+                (Pmtable.Table.of_sorted_list t.pm ~kind:(Pmtable.Table.kind tbl) entries)
         in
         replace_pm_table p ~old:tbl fresh;
         Pmtable.Table.free tbl;

@@ -11,8 +11,8 @@
     device touch charges the virtual clock, so an operation's latency is
     the clock delta across the call. *)
 
-type t = Lsm.t
-type partition = Lsm.partition
+type t
+type partition
 
 (** {1 Integrity errors}
 
@@ -118,6 +118,10 @@ val block_cache : t -> Cache.Block_cache.t option
     [config.block_cache_mb > 0]. All SSTables the engine creates or reopens
     route {!Sstable.read_block} misses through it. *)
 
+val new_block_cache : Sim.Clock.t -> Config.t -> Cache.Block_cache.t option
+(** A block cache of [config.block_cache_mb] on [clock]; [None] when that
+    is 0. Range shards share one ({!create}'s [cache]). *)
+
 (** {1 Operations} *)
 
 val put : ?update:bool -> t -> key:string -> string -> unit
@@ -187,6 +191,20 @@ val force_major_compaction : t -> unit
     internal compaction that runs out of PM lets {!Policy.make_room}
     relieve it first. *)
 
+(** {1 Level-0 pressure and relief} — {!Policy}'s entry points for the
+    router's admission, the CLI and the tests. *)
+
+type relief = Policy.relief = Internal | Major
+
+val pressure : t -> int
+(** Level-0 runs a point read may probe ({!Policy.pressure}). *)
+
+val partition_pressure : partition -> int
+(** The partition's share of {!pressure}. *)
+
+val relieve : t -> relief option
+(** One bounded unit of compaction relief ({!Policy.relieve}). *)
+
 (** {1 Scrub, salvage & quarantine} *)
 
 type scrub_report = {
@@ -199,12 +217,11 @@ type scrub_report = {
   lost_ranges : (string * string) list;
 }
 
-val scrub : ?salvage:bool -> ?rate_limit_mb_s:float -> t -> scrub_report
+val scrub : ?salvage:bool -> t -> scrub_report
 (** Re-verify every live PM table and SSTable from the medium. Corrupt
     tables are rebuilt from their surviving blocks ([salvage], the default)
     with the lost key range recorded as a damage record, or quarantined
-    ([salvage:false]). [rate_limit_mb_s] (default: none, device speed)
-    floors the scrub's wall time to model a budgeted background task. *)
+    ([salvage:false]). *)
 
 val pp_scrub_report : scrub_report Fmt.t
 

@@ -136,10 +136,6 @@ let attach_cache t sst =
 
 let new_sst t entries = attach_cache t (Sstable.of_sorted_list t.ssd entries)
 
-let new_pmtable t ~kind slice =
-  Pmtable.Table.of_sorted_list ~bloom_bits_per_key:t.config.Config.pm_bloom_bits_per_key t.pm
-    ~kind slice
-
 let partition_of t key =
   let n = Array.length t.partitions in
   let lo = ref 0 and hi = ref (n - 1) in
@@ -288,7 +284,7 @@ let staged_write_sst t img =
 (* PM-table counterpart (internal compaction's output): build and write
    are one section on PM — recorded as a PM write token. *)
 let staged_new_pmtable t slice =
-  let build () = new_pmtable t ~kind:t.config.Config.table_kind slice in
+  let build () = Pmtable.Table.of_sorted_list t.pm ~kind:t.config.Config.table_kind slice in
   match t.pipe_recording with
   | None -> build ()
   | Some r ->
@@ -669,7 +665,7 @@ let split_partition t p key =
     else if String.compare (Pmtable.Table.min_key tbl) key >= 0 then
       (ls, tbl :: rs, (tbl, wm) :: wms)
     else begin
-      let build = new_pmtable t ~kind:(Pmtable.Table.kind tbl) in
+      let build = Pmtable.Table.of_sorted_list t.pm ~kind:(Pmtable.Table.kind tbl) in
       let fresh_left, fresh_right =
         Pmtable.Table.to_list tbl
         |> List.filter (fun (e : Util.Kv.entry) -> String.compare e.key wm >= 0)
@@ -786,7 +782,8 @@ let flush_slice t p slice =
       if t.config.Config.matrix_flush_overhead_ns_per_byte > 0.0 then
         Sim.Clock.advance t.clock
           (float_of_int bytes *. t.config.Config.matrix_flush_overhead_ns_per_byte);
-      p.unsorted <- new_pmtable t ~kind:t.config.Config.table_kind slice :: p.unsorted
+      p.unsorted <-
+        Pmtable.Table.of_sorted_list t.pm ~kind:t.config.Config.table_kind slice :: p.unsorted
   | Config.L0_ssd -> p.ssd_l0 <- new_sst t slice :: p.ssd_l0
 
 (* --- Durability: manifest + WAL ------------------------------------------ *)

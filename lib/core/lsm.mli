@@ -100,9 +100,6 @@ val block_cache : t -> Cache.Block_cache.t option
 val new_sst : t -> Util.Kv.entry list -> Sstable.t
 (** An SSTable that reads through the engine's shared block cache. *)
 
-val new_pmtable : t -> kind:Pmtable.Table.kind -> Util.Kv.entry list -> Pmtable.Table.t
-(** A PM table in the engine's Bloom sizing. *)
-
 val partition_of : t -> string -> partition
 val partitions : t -> partition array
 val partition_l0_bytes : partition -> int

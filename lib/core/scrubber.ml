@@ -22,8 +22,8 @@ let clean r =
      | Some s -> s.Wal.corrupt_records = 0 && not s.Wal.torn_tail
      | None -> true)
 
-let run ?salvage ?rate_limit_mb_s engine =
-  let scrub = Engine.scrub ?salvage ?rate_limit_mb_s engine in
+let run ?salvage engine =
+  let scrub = Engine.scrub ?salvage engine in
   let wal = Option.map Wal.verify (Engine.wal engine) in
   (* A shard engine persists under its own named superblock root. *)
   let root = Engine.manifest_root engine in

@@ -13,9 +13,8 @@ type report = {
   manifest_fallbacks : int;  (** dual-slot fallbacks taken this process *)
 }
 
-val run : ?salvage:bool -> ?rate_limit_mb_s:float -> Engine.t -> report
-(** Defaults mirror {!Engine.scrub}: salvage on, rate limit from the
-    engine's configuration. *)
+val run : ?salvage:bool -> Engine.t -> report
+(** [salvage] defaults to on, as in {!Engine.scrub}. *)
 
 val clean : report -> bool
 (** No corrupt tables, no rotted manifest slot, no corrupt WAL records, no

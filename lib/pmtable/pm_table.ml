@@ -52,7 +52,7 @@
 type meta = { tag : string; g_lo : int; g_hi : int }
 
 type t = {
-  bloom : Bloom.t option;  (* format v2: screens absent keys before any PM access *)
+  bloom : Bloom.t;  (* screens absent keys before any PM access *)
   dev : Pmem.t;
   region : Pmem.region;
   count : int;
@@ -91,21 +91,18 @@ let charge_cpu dev ns = Sim.Clock.advance (Pmem.clock dev) ns
    u32 footer_crc (over the preceding 22 bytes). The per-group entry-CRC
    layer sits between the prefix and meta layers: u32 per group.
 
-   Format v2 ("PMB2") appends a serialized Bloom filter to the meta layer,
-   after the table statistics, so it is covered by the existing meta CRC;
-   everything else is byte-identical to v1 and [open_existing] accepts
-   both magics. A table built with [bloom_bits_per_key = 0] is written in
-   v1 form. *)
+   The meta layer ends with a serialized Bloom filter of
+   [bloom_bits_per_key] bits per key, after the table statistics, so the
+   meta CRC covers it. *)
 let footer_bytes = 26
-let magic = 0x504D4254 (* "PMBT", format v1: no bloom *)
-let magic_v2 = 0x504D4232 (* "PMB2": bloom appended to the meta layer *)
+let magic = 0x504D4232 (* "PMB2" *)
 
 (* Module-wide telemetry (pattern of [Manifest.fallback_count]): how many
    gets consulted a PM bloom, and how many were answered "absent" without
    touching PM. The bench divides these for the filter rate. *)
 let bloom_probes = ref 0
 let bloom_negatives = ref 0
-let default_bloom_bits_per_key = 10
+let bloom_bits_per_key = 10
 
 (* {tableID} extraction: keys built by Util.Keys open with 't' + 4 digits. *)
 let extract_tag key =
@@ -169,8 +166,7 @@ let put_entry image pos strip (e : Util.Kv.entry) =
    region into one exact-size image, and writes the image through the
    builder in its five layers, so the write requests end where they did
    when each layer was staged whole. *)
-let build ?(group_size = 8) ?(bloom_bits_per_key = default_bloom_bits_per_key) dev
-    (entries : Util.Kv.entry array) =
+let build ?(group_size = 8) dev (entries : Util.Kv.entry array) =
   let n = Array.length entries in
   if n = 0 then invalid_arg "Pm_table.build: empty input";
   check_sorted "Pm_table.build" entries;
@@ -262,16 +258,9 @@ let build ?(group_size = 8) ?(bloom_bits_per_key = default_bloom_bits_per_key) d
       if e.seq < !min_seq then min_seq := e.seq;
       if e.seq > !max_seq then max_seq := e.seq)
     entries;
-  (* Format v2: the bloom rides in the meta layer so the meta CRC covers
-     it; bits_per_key = 0 keeps the byte-identical v1 layout. *)
-  let bloom =
-    if bloom_bits_per_key <= 0 then None
-    else begin
-      let b = Bloom.create ~bits_per_key:bloom_bits_per_key n in
-      Array.iter (fun (e : Util.Kv.entry) -> Bloom.add b e.key) entries;
-      Some b
-    end
-  in
+  (* The bloom rides in the meta layer so the meta CRC covers it. *)
+  let bloom = Bloom.create ~bits_per_key:bloom_bits_per_key n in
+  Array.iter (fun (e : Util.Kv.entry) -> Bloom.add bloom e.key) entries;
   (* 2. Size the layers: entries, fixed-width prefix records, one u32 CRC
      per group, the meta layer, the footer. *)
   let w = prefix_len + 13 in
@@ -287,9 +276,8 @@ let build ?(group_size = 8) ?(bloom_bits_per_key = default_bloom_bits_per_key) d
         0 metas
     + Util.Varint.size n + Util.Varint.size !min_seq + Util.Varint.size !max_seq
     + Util.Varint.size !payload
-    + (match bloom with
-      | Some b -> Util.Varint.size (Bloom.serialized_size b) + Bloom.serialized_size b
-      | None -> 0)
+    + Util.Varint.size (Bloom.serialized_size bloom)
+    + Bloom.serialized_size bloom
   in
   let total = meta_off + meta_len + footer_bytes in
   (* 3. Encode the region into one image, charging encode CPU. CRCs are
@@ -344,13 +332,8 @@ let build ?(group_size = 8) ?(bloom_bits_per_key = default_bloom_bits_per_key) d
   let pos = Util.Varint.put image pos !min_seq in
   let pos = Util.Varint.put image pos !max_seq in
   let pos = Util.Varint.put image pos !payload in
-  let pos =
-    match bloom with
-    | Some b ->
-        let pos = Util.Varint.put image pos (Bloom.serialized_size b) in
-        Bloom.serialize_into b image pos
-    | None -> pos
-  in
+  let pos = Util.Varint.put image pos (Bloom.serialized_size bloom) in
+  let pos = Bloom.serialize_into bloom image pos in
   assert (pos = meta_off + meta_len);
   let meta_crc = Util.Crc32.update 0 view meta_off meta_len in
   (* A fixed-width footer closes the region (see open_existing). *)
@@ -361,7 +344,7 @@ let build ?(group_size = 8) ?(bloom_bits_per_key = default_bloom_bits_per_key) d
   Bytes.set image pos (Char.chr prefix_len);
   Bytes.set image (pos + 1) (Char.chr group_size);
   let pos = Builder.put_u32 image (pos + 2) meta_crc in
-  let pos = Builder.put_u32 image pos (match bloom with Some _ -> magic_v2 | None -> magic) in
+  let pos = Builder.put_u32 image pos magic in
   let pos = Builder.put_u32 image pos (Util.Crc32.update 0 view footer (footer_bytes - 4)) in
   assert (pos = total);
   (* 4. Allocate and write the image, one layer per staged piece. *)
@@ -526,12 +509,8 @@ let open_existing dev region =
   if len < footer_bytes then invalid_arg "Pm_table.open_existing: region too small";
   let footer = len - footer_bytes in
   let raw = Pmem.read_in_place dev region ~off:footer ~len:footer_bytes in
-  let format_version =
-    let m = Builder.read_u32 raw (footer + 18) in
-    if m = magic then 1
-    else if m = magic_v2 then 2
-    else failwith "Pm_table.open_existing: bad magic (not a PM table, or torn write)"
-  in
+  if Builder.read_u32 raw (footer + 18) <> magic then
+    failwith "Pm_table.open_existing: bad magic (not a PM table, or torn write)";
   if
     !verify_checksums
     && Builder.read_u32 raw (footer + 22) <> Util.Crc32.update 0 raw footer (footer_bytes - 4)
@@ -575,12 +554,7 @@ let open_existing dev region =
   let _min_seq, p = Util.Varint.read meta_raw p in
   let _max_seq, p = Util.Varint.read meta_raw p in
   let payload_bytes, p = Util.Varint.read meta_raw p in
-  let bloom =
-    if format_version < 2 then None
-    else
-      let raw, _ = Util.Varint.read_string meta_raw p in
-      Some (Bloom.deserialize raw)
-  in
+  let bloom = Bloom.deserialize (fst (Util.Varint.read_string meta_raw p)) in
   let t =
     {
       bloom;
@@ -724,26 +698,20 @@ let groups t =
       let stop = if g + 1 < t.group_count then records.(g + 1).offset else t.entry_len in
       (records.(g).count_, stop - records.(g).offset))
 
-let has_bloom t = t.bloom <> None
-
-let get ?(use_bloom = true) t key =
+let get t key =
   if key < t.min_key || key > t.max_key then None
-  else
-    let screened =
-      match t.bloom with
-      | Some b when use_bloom ->
-          incr bloom_probes;
-          Obs.Attr.charge Obs.Attr.Pm_bloom 0.0;
-          let absent = not (Bloom.mem b key) in
-          if absent then incr bloom_negatives;
-          absent
-      | _ -> false
-    in
-    if screened then None
+  else begin
+    incr bloom_probes;
+    Obs.Attr.charge Obs.Attr.Pm_bloom 0.0;
+    if not (Bloom.mem t.bloom key) then begin
+      incr bloom_negatives;
+      None
+    end
     else
       List.find_map
         (fun { tag; g_lo; g_hi } -> get_in_run t ~g_lo ~g_hi key tag)
         (metas_for t key)
+  end
 
 let iter t f =
   walk t 0 (read_record t 0) (fun entries ->
@@ -809,9 +777,8 @@ let verify t =
     let footer = len - footer_bytes in
     (try
        let raw = Pmem.read_in_place t.dev t.region ~off:footer ~len:footer_bytes in
-       let m = Builder.read_u32 raw (footer + 18) in
        if
-         (m <> magic && m <> magic_v2)
+         Builder.read_u32 raw (footer + 18) <> magic
          || Builder.read_u32 raw (footer + 22)
             <> Util.Crc32.update 0 raw footer (footer_bytes - 4)
        then note "footer" 0

@@ -7,27 +7,20 @@
 
 type t
 
-val build :
-  ?group_size:int ->
-  ?bloom_bits_per_key:int ->
-  Pmem.t ->
-  Util.Kv.entry array ->
-  t
+val build : ?group_size:int -> Pmem.t -> Util.Kv.entry array -> t
 (** Build from entries sorted by {!Util.Kv.compare_entry}. A group closes
     at [group_size] entries (default the paper's 8) or before its entries
     would pass {!max_group_bytes}, and never splits one key's versions: a
     group past either bound holds a single key's version run. Prefix-layer
-    slots are 24 bytes wide. [bloom_bits_per_key] (default 10) sizes
-    the format-v2 Bloom filter persisted in the meta layer; [0] writes the
-    byte-identical v1 layout with no bloom. Raises [Invalid_argument] on
+    slots are 24 bytes wide. A Bloom filter of 10 bits per key is
+    persisted in the meta layer. Raises [Invalid_argument] on
     unsorted or empty input or a key with over 65535 versions, [Pmem.Out_of_space] when the device is
     full. *)
 
 val open_existing : Pmem.t -> Pmem.region -> t
 (** Reopen a table from its persisted region after a restart: the footer
     locates the layers, the meta layer restores the tag index, statistics
-    and (format v2) the Bloom filter; v1 regions open with no bloom; no
-    table data moves. Raises [Failure] on a bad magic (torn or foreign
+    and the Bloom filter; no table data moves. Raises [Failure] on a bad magic (torn or foreign
     region) and [Integrity.Corrupted] on a footer or meta-layer checksum
     failure. *)
 
@@ -50,12 +43,9 @@ val min_key : t -> string
 val max_key : t -> string
 val free : t -> unit
 
-val get : ?use_bloom:bool -> t -> string -> Util.Kv.entry option
-(** Newest version of the key in this table. When the table carries a
-    format-v2 Bloom filter, absent keys are screened in DRAM before any PM
-    access unless [~use_bloom:false]. *)
-
-val has_bloom : t -> bool
+val get : t -> string -> Util.Kv.entry option
+(** Newest version of the key in this table. The Bloom filter screens
+    absent keys in DRAM before any PM access. *)
 
 val bloom_probes : int ref
 val bloom_negatives : int ref

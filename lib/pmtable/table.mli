@@ -1,33 +1,20 @@
-(** Unified handle over the four level-0 table structures, so the engine and
-    compaction machinery are agnostic to which structure a configuration
-    selects. *)
+(** Unified handle over the level-0 table structures a configuration can
+    select, so the engine and compaction machinery are agnostic to which
+    one it is. *)
 
 type kind =
   | Pm_compressed  (** the paper's three-layer prefix-compressed table *)
-  | Array_plain
-  | Array_snappy
-  | Array_snappy_group
+  | Array_plain  (** the array-based table of the ablation variants *)
 
 type t
 
 val kind : t -> kind
 
-val build :
-  ?bloom_bits_per_key:int ->
-  Pmem.t ->
-  kind:kind ->
-  Util.Kv.entry array ->
-  t
+val build : Pmem.t -> kind:kind -> Util.Kv.entry array -> t
 (** Build from entries sorted by {!Util.Kv.compare_entry}, in groups of
-    the paper's 8 keys. [bloom_bits_per_key] applies to {!Pm_compressed} only (see
-    {!Pm_table.build}); the array ablation variants ignore it. *)
+    the paper's 8 keys (see {!Pm_table.build}). *)
 
-val of_sorted_list :
-  ?bloom_bits_per_key:int ->
-  Pmem.t ->
-  kind:kind ->
-  Util.Kv.entry list ->
-  t
+val of_sorted_list : Pmem.t -> kind:kind -> Util.Kv.entry list -> t
 
 val count : t -> int
 val byte_size : t -> int
@@ -36,9 +23,9 @@ val min_key : t -> string
 val max_key : t -> string
 val free : t -> unit
 
-val get : ?use_bloom:bool -> t -> string -> Util.Kv.entry option
-(** [use_bloom] (default true) lets a {!Pm_compressed} table's format-v2
-    Bloom filter screen absent keys before any PM access. *)
+val get : t -> string -> Util.Kv.entry option
+(** A {!Pm_compressed} table's Bloom filter screens absent keys before any
+    PM access. *)
 
 val iter : t -> (Util.Kv.entry -> unit) -> unit
 val to_list : t -> Util.Kv.entry list
@@ -58,7 +45,7 @@ val open_existing : Pmem.t -> Pmem.region -> t
 
 val verify : t -> (string * int) list
 (** Checksum-walk the table (see {!Pm_table.verify}); [[]] for the
-    non-durable array variants, which carry no checksums. *)
+    non-durable array table, which carries no checksums. *)
 
 val salvage_entries : t -> Util.Kv.entry list * (string * string) option
 (** Surviving entries plus the conservative lost key range, if any (see

@@ -170,7 +170,7 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) cfg =
   let rs = ranges cfg boundaries in
   let pm = Pmem.create ~params:cfg.Core.Config.pm_params clock in
   let ssd = Ssd.create ~params:cfg.Core.Config.ssd_params clock in
-  let cache = Core.Lsm.new_block_cache clock cfg in
+  let cache = Core.Engine.new_block_cache clock cfg in
   let shards =
     make_shards cfg
       (fun ~manifest_root ~wal_external_sync scfg ->
@@ -187,7 +187,7 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) cfg =
 let recover ?(boundaries = []) cfg ~pm ~ssd =
   let rs = ranges cfg boundaries in
   let clock = Pmem.clock pm in
-  let cache = Core.Lsm.new_block_cache clock cfg in
+  let cache = Core.Engine.new_block_cache clock cfg in
   let shards =
     make_shards cfg
       (fun ~manifest_root ~wal_external_sync scfg ->
@@ -263,7 +263,7 @@ let will_flush s ~bytes =
 (* --- Admission ---------------------------------------------------------- *)
 
 (* Would [admit] stall a write to this shard now? *)
-let shard_at_hard_limit s = Core.Policy.pressure s.engine >= s.hard_limit
+let shard_at_hard_limit s = Core.Engine.pressure s.engine >= s.hard_limit
 
 (* Who waits. The signal is the policy's pressure, the shard's debt in
    level-0 runs: what a point read may probe, so a resident sorted run on
@@ -271,12 +271,12 @@ let shard_at_hard_limit s = Core.Policy.pressure s.engine >= s.hard_limit
    write passes untouched. In the soft zone it never waits: when the
    worker is idle and the write hands off no memtable (no write waits on
    a step it started itself), the worker takes one relief step
-   ([Core.Policy.relieve]: one partition's compaction, priced by Eq. 2),
+   ([Core.Engine.relieve]: one partition's compaction, priced by Eq. 2),
    so the debt falls while writers keep running. At the hard limit the
    writer stalls, riding the worker and forcing major compaction until
    the debt drops below the limit. *)
 let admit t s ~hands_off =
-  let d = Core.Policy.pressure s.engine in
+  let d = Core.Engine.pressure s.engine in
   if d >= s.hard_limit then begin
     s.stalls <- s.stalls + 1;
     let t0 = Sim.Clock.now t.clock in
@@ -297,7 +297,7 @@ let admit t s ~hands_off =
     s.soft_admits <- s.soft_admits + 1;
     if not (hands_off || s.busy_until > Sim.Clock.now t.clock) then begin
       s.relief_steps <- s.relief_steps + 1;
-      if background_run t s (fun () -> Core.Policy.relieve s.engine) = Some Core.Policy.Internal
+      if background_run t s (fun () -> Core.Engine.relieve s.engine) = Some Core.Engine.Internal
       then s.internal_steps <- s.internal_steps + 1
     end
   end
@@ -562,7 +562,7 @@ let l0_bytes t = sum (fun s -> Core.Engine.l0_bytes s.engine) t
 let space_bytes t = sum (fun s -> Core.Engine.space_bytes s.engine) t
 let logical_bytes t = sum (fun s -> Core.Engine.logical_bytes s.engine) t
 let compaction_debt_bytes t = sum (fun s -> Core.Engine.compaction_debt_bytes s.engine) t
-let debt_runs t = sum (fun s -> Core.Policy.pressure s.engine) t
+let debt_runs t = sum (fun s -> Core.Engine.pressure s.engine) t
 let sum_metric f t = sum (fun s -> f (Core.Engine.metrics s.engine)) t
 
 let write_amplification t =
@@ -697,7 +697,7 @@ let pp_stats ppf t =
         (if s.s_hi = max_key_sentinel then "<max>" else Printf.sprintf "%S" s.s_hi)
         s.stalls s.relief_steps s.internal_steps
         (Group_commit.batches s.gc)
-        (Core.Policy.pressure s.engine))
+        (Core.Engine.pressure s.engine))
     t.shards;
   Array.iter (fun s -> Fmt.pf ppf "@,%a" Core.Engine.pp_stats s.engine) t.shards;
   Fmt.pf ppf "@]"
@@ -884,7 +884,7 @@ let register_metrics reg t =
       let p fmt = Printf.sprintf fmt s.s_idx in
       register_int reg (p "shard%d.debt_runs") ~kind:Gauge
         ~help:"level-0 runs of this shard (the admission signal)" (fun () ->
-          Core.Policy.pressure s.engine);
+          Core.Engine.pressure s.engine);
       register_int reg (p "shard%d.l0_bytes") ~kind:Gauge
         ~help:"PM level-0 resident bytes of this shard" (fun () ->
           Core.Engine.l0_bytes s.engine);

@@ -165,7 +165,7 @@ val logical_bytes : t -> int
 val compaction_debt_bytes : t -> int
 
 val debt_runs : t -> int
-(** {!Core.Policy.pressure} summed over the shards. *)
+(** {!Core.Engine.pressure} summed over the shards. *)
 
 val write_amplification : t -> float
 (** Device bytes written (PM + SSD) per user byte written. *)

@@ -316,20 +316,14 @@ let reserve file len =
     file.data <- data
   end
 
-(* Vectored sequential write: the chunks go out as one request for their
-   total length. *)
-let appendv t file chunks =
-  if file.closed then invalid_arg "Ssd.appendv: file closed";
-  let len = List.fold_left (fun acc c -> acc + String.length c) 0 chunks in
+(* Sequential write: one request of [data]'s length. *)
+let append t file data =
+  if file.closed then invalid_arg "Ssd.append: file closed";
+  let len = String.length data in
   request t Write file len;
   reserve file len;
-  List.iter
-    (fun c ->
-      Bytes.blit_string c 0 file.data file.size (String.length c);
-      file.size <- file.size + String.length c)
-    chunks
-
-let append t file data = appendv t file [ data ]
+  Bytes.blit_string data 0 file.data file.size len;
+  file.size <- file.size + len
 
 (* One write request of [data]'s length; an empty file adopts [data] as its
    storage instead of copying it (a table build writes its whole image). *)
@@ -384,32 +378,12 @@ let corrupt_file ?(len = 1) ?(mode = `Flip) t file ~off =
       done
   | `Zero -> Bytes.fill file.data off len '\000'
 
-(* Vectored read of contiguous [(off, len)] extents: one request for the
-   whole span (readahead over a range), one fresh string per extent — the
-   block cache keeps them, so they must not alias the file. *)
-let preadv t file extents =
-  let size = file.size in
-  let span =
-    match extents with
-    | [] -> 0
-    | (off0, _) :: _ ->
-        let stop =
-          List.fold_left
-            (fun pos (off, len) ->
-              if off <> pos || len < 0 then invalid_arg "Ssd.preadv: extents not contiguous";
-              pos + len)
-            off0 extents
-        in
-        if off0 < 0 || stop > size then invalid_arg "Ssd.preadv: out of bounds";
-        stop - off0
-  in
-  request t Read file span;
-  List.map (fun (off, len) -> Bytes.sub_string file.data off len) extents
-
+(* Random read: one request, answered with a fresh string — the block
+   cache keeps it, so it must not alias the file. *)
 let pread t file ~off ~len =
-  match preadv t file [ (off, len) ] with
-  | [ data ] -> data
-  | _ -> assert false
+  if off < 0 || len < 0 || off + len > file.size then invalid_arg "Ssd.pread: out of bounds";
+  request t Read file len;
+  Bytes.sub_string file.data off len
 
 (* One read request over [off, off+len), answered with the file's own
    storage instead of a copy: the caller decodes in place and drops the

@@ -86,8 +86,8 @@ val live_file_ids : t -> int list
 (** {1 Synchronous access}
 
     Each call is one device request and charges the virtual clock
-    directly: [latency + bytes * byte_ns] for the request's total length,
-    however many chunks or extents it carries. The trace event, the
+    directly: [latency + bytes * byte_ns] for the request's length. The
+    trace event, the
     [Ssd_read] attribution, the stats and the fault hook see the request
     once, with that total length. Requests are atomic: an [Io_fail] from
     the hook raises {!Io_error} before anything is transferred. An
@@ -97,18 +97,14 @@ val live_file_ids : t -> int list
     A file holds exactly the bytes written to it: the first write request
     sizes its storage to that request's length, later appends grow it. *)
 
-val appendv : t -> file -> string list -> unit
-(** Vectored sequential write: append the chunks in order as one request
-    for their total length. Raises {!Io_error} when the write hook fails
-    the request (nothing is written). *)
-
 val append : t -> file -> string -> unit
-(** [appendv] of one chunk. *)
+(** Sequential write: append [data] as one request. Raises {!Io_error}
+    when the write hook fails the request (nothing is written). *)
 
 val append_owned : t -> file -> Bytes.t -> unit
 (** One write request of the whole of [data], which the device takes over:
     an empty file adopts it as its storage without a copy, so the caller
-    must not touch [data] afterwards. Raises {!Io_error} like {!appendv}. *)
+    must not touch [data] afterwards. Raises {!Io_error} like {!append}. *)
 
 val fsync : t -> file -> unit
 (** Flush/FUA barrier: everything appended so far is durable afterwards
@@ -118,16 +114,11 @@ val seal : t -> file -> unit
 (** Mark the file immutable (SSTables are sealed after build); implies
     {!fsync} — sealing is the build's durability point. *)
 
-val preadv : t -> file -> (int * int) list -> string list
-(** Vectored read of contiguous [(off, len)] extents (each starts where the
-    previous one ends): one request for the whole span, one string per
-    extent. Raises [Invalid_argument] on a gap or an out-of-bounds span,
-    {!Io_error} when the read hook fails the request. *)
-
 val pread : t -> file -> off:int -> len:int -> string
-(** [preadv] of one extent: a random read of one request plus transfer.
-    Like {!preadv} it returns a copy, which later damage to the file (or a
-    crash) leaves unchanged. *)
+(** A random read of one request plus transfer. It returns a copy, which
+    later damage to the file (or a crash) leaves unchanged. Raises
+    [Invalid_argument] on an out-of-bounds span, {!Io_error} when the read
+    hook fails the request. *)
 
 val read_in_place : t -> file -> off:int -> len:int -> string
 (** One read request over [off, off+len), charged like {!pread}, answered
@@ -143,7 +134,7 @@ val corrupt_file :
 (** Fault injection: damage [len] bytes (default 1) at [off] in place —
     [`Flip] inverts every byte, [`Zero] models a torn/zeroed page image.
     Charges no simulated time: the fault is the medium's, not the
-    workload's. Strings already returned by {!pread}/{!preadv} keep their
+    workload's. Strings already returned by {!pread} keep their
     old bytes. *)
 
 (** {1 Crash simulation and fault hooks}

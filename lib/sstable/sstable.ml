@@ -3,10 +3,9 @@
    File layout: data blocks (~4 KiB of encoded entries) appended in key
    order. The index (last key + extent per block) and the Bloom filter are
    kept in the handle, modelling RocksDB's pinned index/filter blocks; data
-   block reads hit the device — or DRAM, either via the engine-wide
-   capacity-bounded shared block cache ({!Cache.Block_cache}) or via an
-   explicit per-table pin ({!warm_cache}), which is how the "SSTable in
-   cache" row of Table I is produced.
+   block reads hit the device — or DRAM, via the engine-wide
+   capacity-bounded shared block cache ({!Cache.Block_cache}), which is
+   also how the "SSTable in cache" row of Table I is produced.
 
    Point lookup: bloom check (DRAM, ~free), binary search the index (DRAM),
    read one data block (SSD or cache), scan the block.
@@ -40,13 +39,10 @@ type t = {
   min_key : string;
   max_key : string;
   payload_bytes : int;
-  mutable pinned : string option array option;  (* explicit whole-table pin *)
   mutable shared : Cache.Block_cache.t option;  (* engine-wide bounded cache *)
-  dram_access_ns : float;
 }
 
-let dram_access_ns_default = 100.0
-let dram_byte_ns = 0.05
+let dram_access_ns = 100.0
 let decode_cpu_ns = 25.0
 
 let charge_cpu t ns = Sim.Clock.advance (Ssd.clock t.ssd) ns
@@ -208,9 +204,7 @@ let write_image img =
     min_key = img.i_min_key;
     max_key = img.i_max_key;
     payload_bytes = img.i_payload;
-    pinned = None;
     shared = None;
-    dram_access_ns = dram_access_ns_default;
   }
 
 let finish b = write_image (finish_image b)
@@ -279,9 +273,7 @@ let open_existing ssd file =
     min_key;
     max_key;
     payload_bytes;
-    pinned = None;
     shared = None;
-    dram_access_ns = dram_access_ns_default;
   }
 
 let count t = t.count
@@ -294,12 +286,11 @@ let block_count t = Array.length t.blocks
 
 let attach_shared_cache t cache = t.shared <- Some cache
 
-(* Drop every DRAM copy of this table's blocks — the pin and its entries in
-   the shared cache. Must run whenever the file's bytes stop being
-   authoritative: deletion, quarantine, or a salvage rewrite; otherwise a
-   stale cached block could answer for data the device no longer holds. *)
+(* Drop this table's blocks from the shared cache. Must run whenever the
+   file's bytes stop being authoritative: deletion, quarantine, or a
+   salvage rewrite; otherwise a stale cached block could answer for data
+   the device no longer holds. *)
 let invalidate_cache t =
-  t.pinned <- None;
   match t.shared with
   | Some c -> Cache.Block_cache.invalidate_file c ~file_id:(Ssd.file_id t.file)
   | None -> ()
@@ -314,8 +305,8 @@ let check_block t i data ~off =
   if !verify_checksums && Util.Crc32.update 0 data off t.blocks.(i).len <> t.blocks.(i).crc then
     raise (Corrupted_block { file_id = Ssd.file_id t.file; block = i })
 
-(* Read block [i]: DRAM cost when the block is pinned or resident in the
-   shared cache, SSD cost on miss (then admitted to the shared cache). *)
+(* Read block [i]: DRAM cost when the block is resident in the shared
+   cache, SSD cost on miss (then admitted to the shared cache). *)
 let read_block t i =
   let meta = t.blocks.(i) in
   let fetch () =
@@ -323,44 +314,16 @@ let read_block t i =
     check_block t i data ~off:0;
     data
   in
-  let pinned_hit =
-    match t.pinned with
-    | Some slots -> slots.(i)
-    | None -> None
-  in
-  match pinned_hit with
-  | Some data ->
-      let dt = t.dram_access_ns +. (float_of_int meta.len *. dram_byte_ns) in
-      Sim.Clock.advance (Ssd.clock t.ssd) dt;
-      Obs.Attr.charge Obs.Attr.Cache_hit dt;
-      data
-  | None -> (
-      match t.shared with
-      | None -> fetch ()
-      | Some cache -> (
-          let fid = Ssd.file_id t.file in
-          match Cache.Block_cache.find cache ~file_id:fid ~block:i with
-          | Some data -> data
-          | None ->
-              let data = fetch () in
-              Cache.Block_cache.insert cache ~file_id:fid ~block:i data;
-              data))
-
-(* Every data block from one request over the data region, each verified
-   against its CRC. *)
-let read_data_region t =
-  let extents = Array.fold_right (fun m acc -> (m.off, m.len) :: acc) t.blocks [] in
-  let data = Array.of_list (Ssd.preadv t.ssd t.file extents) in
-  Array.iteri (fun i d -> check_block t i d ~off:0) data;
-  data
-
-(* Explicitly pin the whole table in DRAM (one sequential device read) —
-   the knapsack's "SSTable in cache" placement. Pinned bytes sit outside
-   the shared cache's budget on purpose: the pin is a planner decision,
-   the cache is a reactive safety net. *)
-let warm_cache t = t.pinned <- Some (Array.map Option.some (read_data_region t))
-
-let drop_cache t = t.pinned <- None
+  match t.shared with
+  | None -> fetch ()
+  | Some cache -> (
+      let fid = Ssd.file_id t.file in
+      match Cache.Block_cache.find cache ~file_id:fid ~block:i with
+      | Some data -> data
+      | None ->
+          let data = fetch () in
+          Cache.Block_cache.insert cache ~file_id:fid ~block:i data;
+          data)
 
 (* First block whose last_key >= key. *)
 let locate_block t key =
@@ -369,7 +332,7 @@ let locate_block t key =
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
     (* Index resides in DRAM (pinned); charge a light touch. *)
-    Sim.Clock.advance (Ssd.clock t.ssd) (t.dram_access_ns /. 4.0);
+    Sim.Clock.advance (Ssd.clock t.ssd) (dram_access_ns /. 4.0);
     if String.compare t.blocks.(mid).last_key key < 0 then lo := mid + 1 else hi := mid
   done;
   if !lo >= n then None else Some !lo
@@ -411,46 +374,35 @@ let get ?(use_bloom = true) t key =
    then decoded one entry at a time in place. It bypasses the block cache
    (RocksDB's [fill_cache=false]): the inputs are deleted once the
    compaction installs, so caching their blocks would only evict blocks
-   that gets use. A pinned table is served from its pin. *)
+   that gets use. *)
 type cursor = {
   c_table : t;
-  c_block : int -> string * int;  (* the bytes holding block i, and its offset *)
+  c_view : string;  (* the file's bytes; block i sits at its offset *)
   mutable c_next_block : int;
-  mutable c_src : string;
   mutable c_pos : int;
   mutable c_left : int;  (* entries still to decode in the current block *)
 }
 
 let cursor t =
-  let c_block =
-    match t.pinned with
-    | Some _ ->
-        let data = Array.init (Array.length t.blocks) (read_block t) in
-        fun i -> (data.(i), 0)
-    | None ->
-        let last = t.blocks.(Array.length t.blocks - 1) in
-        let view = Ssd.read_in_place t.ssd t.file ~off:0 ~len:(last.off + last.len) in
-        Array.iteri (fun i m -> check_block t i view ~off:m.off) t.blocks;
-        fun i -> (view, t.blocks.(i).off)
-  in
+  let last = t.blocks.(Array.length t.blocks - 1) in
+  let c_view = Ssd.read_in_place t.ssd t.file ~off:0 ~len:(last.off + last.len) in
+  Array.iteri (fun i m -> check_block t i c_view ~off:m.off) t.blocks;
   (* one charge per entry, as a block scan makes them *)
   for _ = 1 to t.count do
     charge_cpu t decode_cpu_ns
   done;
-  { c_table = t; c_block; c_next_block = 0; c_src = ""; c_pos = 0; c_left = 0 }
+  { c_table = t; c_view; c_next_block = 0; c_pos = 0; c_left = 0 }
 
 let rec next c =
   if c.c_left > 0 then begin
-    let e, pos = Util.Kv.decode c.c_src c.c_pos in
+    let e, pos = Util.Kv.decode c.c_view c.c_pos in
     c.c_pos <- pos;
     c.c_left <- c.c_left - 1;
     Some e
   end
   else if c.c_next_block < Array.length c.c_table.blocks then begin
     let i = c.c_next_block in
-    let src, off = c.c_block i in
-    c.c_src <- src;
-    c.c_pos <- off;
+    c.c_pos <- c.c_table.blocks.(i).off;
     c.c_left <- c.c_table.blocks.(i).entries;
     c.c_next_block <- i + 1;
     next c

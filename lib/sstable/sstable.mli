@@ -1,7 +1,7 @@
 (** SSTable on the simulated SSD, RocksDB-flavoured: ~4 KiB data blocks in
     key order, with the index and Bloom filter pinned in the DRAM handle.
-    Data block reads hit the device, or a DRAM block cache when attached
-    (the "SSTable in cache" configuration of Table I). *)
+    Data block reads hit the device, or the shared DRAM block cache when
+    one is attached (the "SSTable in cache" configuration of Table I). *)
 
 type t
 type builder
@@ -53,24 +53,15 @@ val max_key : t -> string
 val block_count : t -> int
 
 val delete : t -> unit
-(** Deletes the underlying file and invalidates every DRAM copy of its
-    blocks (pin + shared cache). *)
+(** Deletes the underlying file and drops its blocks from the shared
+    cache. *)
 
 val attach_shared_cache : t -> Cache.Block_cache.t -> unit
 (** Route this table's block reads through the engine-wide capacity-bounded
     cache: misses are admitted, hits are charged DRAM latency. *)
 
-val warm_cache : t -> unit
-(** Explicitly pin the whole table in DRAM (one sequential device read,
-    every block CRC-verified) — the knapsack's "SSTable in cache"
-    placement. Pinned bytes sit outside the shared cache's budget. *)
-
-val drop_cache : t -> unit
-(** Drop the {!warm_cache} pin (the shared cache is unaffected). *)
-
 val invalidate_cache : t -> unit
-(** Drop every DRAM copy of this table's blocks — the pin and its entries in
-    the shared cache. Must run whenever the file's bytes stop being
+(** Drop this table's blocks from the shared cache. Must run whenever the file's bytes stop being
     authoritative (quarantine, salvage rewrite); {!delete} calls it. *)
 
 val get : ?use_bloom:bool -> t -> string -> Util.Kv.entry option
@@ -87,8 +78,7 @@ val cursor : t -> cursor
     CPU of every entry, one charge each. Entries are then decoded in place
     from the device's bytes at no further charge, so the cursor must be
     drained before the table's file is deleted or damaged. The block cache
-    is neither consulted nor filled; a pinned table is served from its
-    pin. *)
+    is neither consulted nor filled. *)
 
 val next : cursor -> Util.Kv.entry option
 (** The next entry, [None] once drained. *)

@@ -242,13 +242,13 @@ let test_trivial_move () =
   check Alcotest.int "one run table per flush" 5 (Core.Engine.sorted_table_count eng);
   check Alcotest.int "nothing rewritten" 0
     (Core.Engine.metrics eng).Core.Metrics.internal_compactions;
-  check Alcotest.int "debt is one run" 1 (Core.Policy.pressure eng);
+  check Alcotest.int "debt is one run" 1 (Core.Engine.pressure eng);
   Core.Engine.put ~update:true eng ~key:(key 10) "v1-10";
   Core.Engine.put ~update:true eng ~key:(key 70) "v1-70";
   Core.Engine.flush eng;
   check Alcotest.int "an overlapping flush stays unsorted" 1
     (Core.Engine.unsorted_table_count eng);
-  check Alcotest.int "debt counts it" 2 (Core.Policy.pressure eng);
+  check Alcotest.int "debt counts it" 2 (Core.Engine.pressure eng);
   check Alcotest.(option string) "newest version wins" (Some "v1-10")
     (Core.Engine.get eng (key 10));
   check Alcotest.(option string) "older run still served" (Some "v0-11")
@@ -447,7 +447,6 @@ let test_config_fingerprint () =
       ("memtable size", { base with Core.Config.memtable_bytes = base.Core.Config.memtable_bytes * 2 });
       ("block cache", { base with Core.Config.block_cache_mb = base.Core.Config.block_cache_mb + 16 });
       ("durability", { base with Core.Config.durable = not base.Core.Config.durable });
-      ("pm bloom density", { base with Core.Config.pm_bloom_bits_per_key = 0 });
       ("seed", { base with Core.Config.seed = base.Core.Config.seed + 1 });
       ( "ssd latency",
         { base with
@@ -518,7 +517,7 @@ let test_ledger_stalls_and_debt () =
   Alcotest.(check bool) "debt gauge sees the L0 backlog" true
     (Core.Engine.compaction_debt_bytes eng > 0);
   Alcotest.(check bool) "debt counts runs" true
-    (Core.Policy.pressure eng > 0);
+    (Core.Engine.pressure eng > 0);
   (* Draining level-0 pays the debt down. *)
   Core.Engine.flush eng;
   Core.Engine.force_internal_compaction eng;

@@ -158,19 +158,6 @@ let test_engine_scrub_salvages () =
   check Alcotest.int "re-scrub clean (pm)" 0 again.Core.Engine.corrupt_pm_tables;
   check Alcotest.int "re-scrub clean (sst)" 0 again.Core.Engine.corrupt_sstables
 
-let test_engine_scrub_rate_limit_charges_clock () =
-  let engine = build_engine () in
-  Core.Engine.flush engine;
-  Core.Engine.force_internal_compaction engine;
-  let clock = Pmem.clock (Core.Engine.pm engine) in
-  let t0 = Sim.Clock.now clock in
-  ignore (Core.Engine.scrub ~rate_limit_mb_s:0.001 engine);
-  let slow = Sim.Clock.now clock -. t0 in
-  let t1 = Sim.Clock.now clock in
-  ignore (Core.Engine.scrub engine);
-  let fast = Sim.Clock.now clock -. t1 in
-  check Alcotest.bool "rate limit stretches the scrub" true (slow > fast *. 10.)
-
 (* --- Scrubber: WAL and manifest legs --------------------------------------- *)
 
 let test_scrubber_sees_wal_rot () =
@@ -250,8 +237,6 @@ let () =
           Alcotest.test_case "degraded scan is typed" `Quick
             test_engine_degraded_scan_is_typed;
           Alcotest.test_case "scrub salvages" `Quick test_engine_scrub_salvages;
-          Alcotest.test_case "scrub rate limit" `Quick
-            test_engine_scrub_rate_limit_charges_clock;
         ] );
       ( "scrubber",
         [

@@ -1,16 +1,61 @@
-(* Tests for the four level-0 table structures: model equivalence for every
+(* Tests for the four PM table structures: model equivalence for every
    kind, ordering, ranges, version semantics, compression accounting, and
    the cost asymmetries the paper's Fig. 6 relies on. *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
 
+(* One built table behind the reads the shared cases make: the engine's two
+   kinds through its handle, Fig. 6's snappy baselines directly. *)
+type table = {
+  get : string -> Util.Kv.entry option;
+  iter : (Util.Kv.entry -> unit) -> unit;
+  to_list : unit -> Util.Kv.entry list;
+  range : start:string -> stop:string -> (Util.Kv.entry -> unit) -> unit;
+  min_key : string;
+  max_key : string;
+  count : int;
+  free : unit -> unit;
+  region_id : int;
+  salvage : unit -> Util.Kv.entry list * (string * string) option;
+}
+
+let handle kind dev entries =
+  let t = Pmtable.Table.build dev ~kind entries in
+  {
+    get = Pmtable.Table.get t;
+    iter = Pmtable.Table.iter t;
+    to_list = (fun () -> Pmtable.Table.to_list t);
+    range = Pmtable.Table.range t;
+    min_key = Pmtable.Table.min_key t;
+    max_key = Pmtable.Table.max_key t;
+    count = Pmtable.Table.count t;
+    free = (fun () -> Pmtable.Table.free t);
+    region_id = Pmtable.Table.region_id t;
+    salvage = (fun () -> Pmtable.Table.salvage_entries t);
+  }
+
+let snappy mode dev entries =
+  let t = Pmtable.Snappy_table.build ~mode dev entries in
+  {
+    get = Pmtable.Snappy_table.get t;
+    iter = Pmtable.Snappy_table.iter t;
+    to_list = (fun () -> Pmtable.Snappy_table.to_list t);
+    range = Pmtable.Snappy_table.range t;
+    min_key = Pmtable.Snappy_table.min_key t;
+    max_key = Pmtable.Snappy_table.max_key t;
+    count = Pmtable.Snappy_table.count t;
+    free = (fun () -> Pmtable.Snappy_table.free t);
+    region_id = Pmtable.Snappy_table.region_id t;
+    salvage = (fun () -> (Pmtable.Snappy_table.to_list t, None));
+  }
+
 let all_kinds =
   [
-    ("pm", Pmtable.Table.Pm_compressed);
-    ("array", Pmtable.Table.Array_plain);
-    ("snappy", Pmtable.Table.Array_snappy);
-    ("snappy-group", Pmtable.Table.Array_snappy_group);
+    ("pm", handle Pmtable.Table.Pm_compressed);
+    ("array", handle Pmtable.Table.Array_plain);
+    ("snappy", snappy Pmtable.Snappy_table.Per_pair);
+    ("snappy-group", snappy (Pmtable.Snappy_table.Grouped 8));
   ]
 
 let make_dev () =
@@ -47,65 +92,65 @@ let newest_by_key entries =
     entries;
   model
 
-let test_model_equivalence (name, kind) () =
+let test_model_equivalence (name, build) () =
   let _, dev = make_dev () in
   let entries = make_entries 600 in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
+  let tbl = build dev (Array.of_list entries) in
   let model = newest_by_key entries in
   Hashtbl.iter
     (fun key (expected : Util.Kv.entry) ->
-      match Pmtable.Table.get tbl key with
+      match tbl.get key with
       | Some got ->
           check Alcotest.int (name ^ " newest seq for " ^ key) expected.seq got.Util.Kv.seq
       | None -> Alcotest.failf "%s lost key %s" name key)
     model;
   check (Alcotest.option Alcotest.string) (name ^ " absent key") None
-    (Option.map (fun (e : Util.Kv.entry) -> e.key) (Pmtable.Table.get tbl "zzz-absent"))
+    (Option.map (fun (e : Util.Kv.entry) -> e.key) (tbl.get "zzz-absent"))
 
-let test_iter_sorted_and_complete (name, kind) () =
+let test_iter_sorted_and_complete (name, build) () =
   let _, dev = make_dev () in
   let entries = make_entries 400 in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
-  let got = Pmtable.Table.to_list tbl in
+  let tbl = build dev (Array.of_list entries) in
+  let got = tbl.to_list () in
   check Alcotest.int (name ^ " count") (List.length entries) (List.length got);
   check Alcotest.bool (name ^ " identical stream") true
     (List.for_all2 (fun (a : Util.Kv.entry) b -> a = b) entries got)
 
-let test_range (name, kind) () =
+let test_range (name, build) () =
   let _, dev = make_dev () in
   let entries = make_entries 400 in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
+  let tbl = build dev (Array.of_list entries) in
   let start = "t0001" and stop = "t0002" in
   let expected =
     List.filter (fun (e : Util.Kv.entry) -> e.key >= start && e.key < stop) entries
   in
   let got = ref [] in
-  Pmtable.Table.range tbl ~start ~stop (fun e -> got := e :: !got);
+  tbl.range ~start ~stop (fun e -> got := e :: !got);
   let got = List.rev !got in
   check Alcotest.int (name ^ " range count") (List.length expected) (List.length got);
   check Alcotest.bool (name ^ " range stream") true
     (List.for_all2 (fun (a : Util.Kv.entry) b -> a = b) expected got)
 
-let test_metadata (name, kind) () =
+let test_metadata (name, build) () =
   let _, dev = make_dev () in
   let entries = make_entries 100 in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
+  let tbl = build dev (Array.of_list entries) in
   let first = List.hd entries and last = List.nth entries (List.length entries - 1) in
-  check Alcotest.string (name ^ " min key") first.Util.Kv.key (Pmtable.Table.min_key tbl);
-  check Alcotest.string (name ^ " max key") last.Util.Kv.key (Pmtable.Table.max_key tbl);
-  check Alcotest.int (name ^ " count") (List.length entries) (Pmtable.Table.count tbl)
+  check Alcotest.string (name ^ " min key") first.Util.Kv.key tbl.min_key;
+  check Alcotest.string (name ^ " max key") last.Util.Kv.key tbl.max_key;
+  check Alcotest.int (name ^ " count") (List.length entries) tbl.count
 
-let test_free_releases (name, kind) () =
+let test_free_releases (name, build) () =
   let _, dev = make_dev () in
   let entries = make_entries 100 in
   let before = Pmem.used dev in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
+  let tbl = build dev (Array.of_list entries) in
   check Alcotest.bool (name ^ " allocates") true (Pmem.used dev > before);
-  Pmtable.Table.free tbl;
+  tbl.free ();
   check Alcotest.int (name ^ " frees") before (Pmem.used dev)
 
 (* Version spill across group boundaries: many versions of one key. *)
-let test_version_pileup (name, kind) () =
+let test_version_pileup (name, build) () =
   let _, dev = make_dev () in
   let hot = Util.Keys.record_key ~table_id:1 ~row_id:42 in
   let entries =
@@ -113,26 +158,26 @@ let test_version_pileup (name, kind) () =
     @ [ Util.Kv.entry ~key:(Util.Keys.record_key ~table_id:1 ~row_id:100) ~seq:99 "other" ]
   in
   let entries = List.sort Util.Kv.compare_entry entries in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
-  (match Pmtable.Table.get tbl hot with
+  let tbl = build dev (Array.of_list entries) in
+  (match tbl.get hot with
   | Some e -> check Alcotest.int (name ^ " newest of pileup") 50 e.Util.Kv.seq
   | None -> Alcotest.failf "%s lost hot key" name);
-  match Pmtable.Table.get tbl (Util.Keys.record_key ~table_id:1 ~row_id:100) with
+  match tbl.get (Util.Keys.record_key ~table_id:1 ~row_id:100) with
   | Some e -> check Alcotest.string (name ^ " other key") "other" e.Util.Kv.value
   | None -> Alcotest.failf "%s lost other key" name
 
-let test_single_entry (name, kind) () =
+let test_single_entry (name, build) () =
   let _, dev = make_dev () in
   let e = Util.Kv.entry ~key:"only" ~seq:1 "v" in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind [ e ] in
-  check Alcotest.bool (name ^ " found") true (Pmtable.Table.get tbl "only" <> None);
-  check Alcotest.bool (name ^ " absent below") true (Pmtable.Table.get tbl "aaa" = None);
-  check Alcotest.bool (name ^ " absent above") true (Pmtable.Table.get tbl "zzz" = None)
+  let tbl = build dev [| e |] in
+  check Alcotest.bool (name ^ " found") true (tbl.get "only" <> None);
+  check Alcotest.bool (name ^ " absent below") true (tbl.get "aaa" = None);
+  check Alcotest.bool (name ^ " absent above") true (tbl.get "zzz" = None)
 
-let test_empty_rejected (name, kind) () =
+let test_empty_rejected (name, build) () =
   let _, dev = make_dev () in
   check Alcotest.bool (name ^ " empty raises") true
-    (try ignore (Pmtable.Table.build dev ~kind [||]); false with Invalid_argument _ -> true)
+    (try ignore (build dev [||]); false with Invalid_argument _ -> true)
 
 (* --- Paper-specific properties ------------------------------------------- *)
 
@@ -173,18 +218,18 @@ let test_snappy_read_slower_than_array () =
   let clock, dev = make_dev () in
   let entries = make_entries 1000 in
   let arr = Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Array_plain entries in
-  let snap = Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Array_snappy entries in
+  let snap = Pmtable.Snappy_table.build dev (Array.of_list entries) in
   let probe_keys =
     List.filteri (fun i _ -> i mod 7 = 0) entries
     |> List.map (fun (e : Util.Kv.entry) -> e.key)
   in
-  let time_gets tbl =
+  let time_gets get =
     let t0 = Sim.Clock.now clock in
-    List.iter (fun k -> ignore (Pmtable.Table.get tbl k)) probe_keys;
+    List.iter (fun k -> ignore (get k)) probe_keys;
     Sim.Clock.now clock -. t0
   in
-  let arr_time = time_gets arr in
-  let snap_time = time_gets snap in
+  let arr_time = time_gets (Pmtable.Table.get arr) in
+  let snap_time = time_gets (Pmtable.Snappy_table.get snap) in
   check Alcotest.bool "snappy reads slower (decompression per probe)" true
     (snap_time > arr_time)
 
@@ -192,10 +237,11 @@ let test_snappy_group_builds_faster_than_per_pair () =
   let clock, dev = make_dev () in
   let entries = make_entries 2000 in
   let t0 = Sim.Clock.now clock in
-  ignore (Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Array_snappy entries);
+  let entries = Array.of_list entries in
+  ignore (Pmtable.Snappy_table.build ~mode:Per_pair dev entries);
   let per_pair = Sim.Clock.now clock -. t0 in
   let t1 = Sim.Clock.now clock in
-  ignore (Pmtable.Table.of_sorted_list dev ~kind:Pmtable.Table.Array_snappy_group entries);
+  ignore (Pmtable.Snappy_table.build ~mode:(Grouped 8) dev entries);
   let grouped = Sim.Clock.now clock -. t1 in
   check Alcotest.bool "group compression builds faster" true (grouped < per_pair)
 
@@ -239,7 +285,7 @@ let prop_pm_table_model =
           && agrees (String.sub key 0 (String.length key - 1)))
         model true)
 
-(* --- Format v2: persisted Bloom filters ----------------------------------- *)
+(* --- Persisted Bloom filters ------------------------------------------------ *)
 
 let sorted_ycsb n =
   Array.init n (fun i ->
@@ -249,54 +295,41 @@ let reopen dev t =
   let region = Option.get (Pmem.find_region dev (Pmtable.Pm_table.region_id t)) in
   Pmtable.Pm_table.open_existing dev region
 
-let test_v1_roundtrip_no_bloom () =
-  let _, dev = make_dev () in
-  let t = Pmtable.Pm_table.build ~bloom_bits_per_key:0 dev (sorted_ycsb 300) in
-  check Alcotest.bool "v1 build carries no bloom" false (Pmtable.Pm_table.has_bloom t);
-  let r = reopen dev t in
-  check Alcotest.bool "v1 reopens without bloom" false (Pmtable.Pm_table.has_bloom r);
-  check Alcotest.int "count survives" 300 (Pmtable.Pm_table.count r);
-  for i = 0 to 299 do
-    match Pmtable.Pm_table.get r (Util.Keys.ycsb_key i) with
-    | Some e -> check Alcotest.int "seq" (i + 1) e.Util.Kv.seq
-    | None -> Alcotest.failf "v1 reopen lost rank %d" i
-  done
-
 let test_v2_roundtrip_with_bloom () =
   let _, dev = make_dev () in
   let t = Pmtable.Pm_table.build dev (sorted_ycsb 300) in
-  check Alcotest.bool "v2 build carries bloom" true (Pmtable.Pm_table.has_bloom t);
   check Alcotest.bool "clean table verifies" true (Pmtable.Pm_table.verify t = []);
   let r = reopen dev t in
-  check Alcotest.bool "v2 reopens with bloom" true (Pmtable.Pm_table.has_bloom r);
   for i = 0 to 299 do
     match Pmtable.Pm_table.get r (Util.Keys.ycsb_key i) with
     | Some e -> check Alcotest.int "seq" (i + 1) e.Util.Kv.seq
     | None -> Alcotest.failf "v2 reopen lost rank %d" i
   done;
-  (* absent keys inside the range never come back present *)
+  (* absent keys inside the range never come back present, and the
+     reopened bloom answers most of them *)
+  let negatives = !Pmtable.Pm_table.bloom_negatives in
   for i = 0 to 298 do
     check Alcotest.bool "absent stays absent" true
       (Pmtable.Pm_table.get r (Util.Keys.ycsb_key i ^ "x") = None)
-  done
+  done;
+  check Alcotest.bool "v2 reopens with bloom" true
+    (!Pmtable.Pm_table.bloom_negatives - negatives > 250)
 
 let test_bloom_screens_pm_reads () =
   let _, dev = make_dev () in
   let t = Pmtable.Pm_table.build dev (sorted_ycsb 1000) in
   let stats = Pmem.stats dev in
-  let miss use_bloom =
+  let reads_for keys =
     let r0 = stats.Pmem.reads in
-    for i = 0 to 499 do
-      ignore (Pmtable.Pm_table.get ~use_bloom t (Util.Keys.ycsb_key i ^ "x"))
-    done;
+    List.iter (fun k -> ignore (Pmtable.Pm_table.get t k)) keys;
     stats.Pmem.reads - r0
   in
-  let with_bloom = miss true in
-  let without_bloom = miss false in
+  let absent = reads_for (List.init 500 (fun i -> Util.Keys.ycsb_key i ^ "x")) in
+  let present = reads_for (List.init 500 Util.Keys.ycsb_key) in
   check Alcotest.bool
-    (Printf.sprintf "bloom suppresses PM reads (%d < %d)" with_bloom without_bloom)
+    (Printf.sprintf "bloom suppresses PM reads (%d absent < %d present)" absent present)
     true
-    (with_bloom < without_bloom / 5);
+    (absent < present / 5);
   check Alcotest.bool "probes counted" true (!Pmtable.Pm_table.bloom_probes > 0);
   check Alcotest.bool "negatives counted" true (!Pmtable.Pm_table.bloom_negatives > 0)
 
@@ -445,7 +478,7 @@ module Staged = struct
     String.sub key (String.length prefix) (String.length key - String.length prefix)
 
   (* Pm_table.build at group size 8, as it stood. *)
-  let pm_table ~bloom_bits_per_key dev (entries : Util.Kv.entry array) =
+  let pm_table dev (entries : Util.Kv.entry array) =
     let group_size = 8 in
     let n = Array.length entries in
     let metas = ref [] and groups = ref [] and group_count = ref 0 in
@@ -567,14 +600,10 @@ module Staged = struct
     Util.Varint.write meta_layer !min_seq;
     Util.Varint.write meta_layer !max_seq;
     Util.Varint.write meta_layer !payload;
-    let bloom =
-      if bloom_bits_per_key <= 0 then None
-      else
-        Some
-          (Bloom.of_keys ~bits_per_key:bloom_bits_per_key
-             (Array.to_list (Array.map (fun (e : Util.Kv.entry) -> e.key) entries)))
-    in
-    Option.iter (fun b -> Util.Varint.write_string meta_layer (Bloom.serialize b)) bloom;
+    Util.Varint.write_string meta_layer
+      (Bloom.serialize
+         (Bloom.of_keys ~bits_per_key:10
+            (Array.to_list (Array.map (fun (e : Util.Kv.entry) -> e.key) entries))));
     let entry_len = Buffer.length entry_layer in
     let meta_off = entry_len + Buffer.length prefix_layer + Buffer.length gcrc_layer in
     let footer = Buffer.create 26 in
@@ -584,7 +613,7 @@ module Staged = struct
     Buffer.add_char footer (Char.chr prefix_len);
     Buffer.add_char footer (Char.chr group_size);
     buffer_u32 footer (Util.Crc32.string (Buffer.contents meta_layer));
-    buffer_u32 footer (if bloom = None then 0x504D4254 else 0x504D4232);
+    buffer_u32 footer 0x504D4232;
     buffer_u32 footer (Util.Crc32.string (Buffer.contents footer));
     let total = meta_off + Buffer.length meta_layer + 26 in
     let region = Pmem.alloc dev total in
@@ -657,9 +686,9 @@ let gen_build_input =
   let value_len = frequency [ (12, int_bound 40); (3, int_range 40 600); (1, int_range 4000 6000) ] in
   let item = triple key (int_range 1 4) value_len in
   let size = frequency [ (3, int_range 1 60); (2, int_range 60 400); (1, int_range 700 2500) ] in
-  triple (size >>= fun n -> list_size (return n) item) bool (int_bound 1_000_000)
+  pair (size >>= fun n -> list_size (return n) item) (int_bound 1_000_000)
 
-let entries_of (items, _, salt) =
+let entries_of (items, salt) =
   let seq = ref salt in
   List.concat_map
     (fun (key, versions, value_len) ->
@@ -676,9 +705,7 @@ let entries_of (items, _, salt) =
 let same_build ~staged ~image entries =
   let clock_a, dev_a = make_dev () and clock_b, dev_b = make_dev () in
   let region_a = staged dev_a entries in
-  let region_b =
-    Option.get (Pmem.find_region dev_b (Pmtable.Table.region_id (image dev_b entries)))
-  in
+  let region_b = Option.get (Pmem.find_region dev_b (image dev_b entries)) in
   let len = Pmem.region_len region_a in
   Pmem.region_len region_b = len
   && Pmem.unsafe_peek region_a ~off:0 ~len = Pmem.unsafe_peek region_b ~off:0 ~len
@@ -690,17 +717,16 @@ let prop_image_build_matches_staged =
     (QCheck.make gen_build_input)
     (fun input ->
       let entries = entries_of input in
-      let _, bloom, _ = input in
-      let bloom_bits_per_key = if bloom then 10 else 0 in
-      let kind k dev entries = Pmtable.Table.build ~bloom_bits_per_key dev ~kind:k entries in
-      same_build entries
-        ~staged:(Staged.pm_table ~bloom_bits_per_key)
-        ~image:(kind Pmtable.Table.Pm_compressed)
-      && same_build entries ~staged:Staged.array_table ~image:(kind Pmtable.Table.Array_plain)
-      && same_build entries ~staged:(Staged.snappy_table ~members:1)
-           ~image:(kind Pmtable.Table.Array_snappy)
-      && same_build entries ~staged:(Staged.snappy_table ~members:8)
-           ~image:(kind Pmtable.Table.Array_snappy_group))
+      let image build dev entries = (build dev entries).region_id in
+      List.for_all2
+        (fun staged (_, build) -> same_build entries ~staged ~image:(image build))
+        [
+          Staged.pm_table;
+          Staged.array_table;
+          Staged.snappy_table ~members:1;
+          Staged.snappy_table ~members:8;
+        ]
+        all_kinds)
 
 (* --- views never leak ---------------------------------------------------
 
@@ -709,17 +735,17 @@ let prop_image_build_matches_staged =
    results as they were, and a later get must see the damage (the handle
    keeps no view of old bytes). *)
 
-let test_views_never_leak (name, kind) () =
+let test_views_never_leak (name, build) () =
   let _, dev = make_dev () in
   let entries = make_entries 400 in
-  let tbl = Pmtable.Table.of_sorted_list dev ~kind entries in
+  let tbl = build dev (Array.of_list entries) in
   let model = newest_by_key entries in
   let keys = List.sort_uniq String.compare (List.map (fun (e : Util.Kv.entry) -> e.key) entries) in
-  let got = List.map (Pmtable.Table.get tbl) keys in
+  let got = List.map (tbl.get) keys in
   let ranged = ref [] and iterated = ref [] in
-  Pmtable.Table.range tbl ~start:"" ~stop:"\255" (fun e -> ranged := e :: !ranged);
-  Pmtable.Table.iter tbl (fun e -> iterated := e :: !iterated);
-  let salvaged, lost = Pmtable.Table.salvage_entries tbl in
+  tbl.range ~start:"" ~stop:"\255" (fun e -> ranged := e :: !ranged);
+  tbl.iter (fun e -> iterated := e :: !iterated);
+  let salvaged, lost = tbl.salvage () in
   check Alcotest.bool (name ^ ": nothing lost before the damage") true (lost = None);
   let expect_results what =
     check Alcotest.bool (name ^ ": gets " ^ what) true
@@ -729,19 +755,19 @@ let test_views_never_leak (name, kind) () =
     check Alcotest.bool (name ^ ": salvage " ^ what) true (salvaged = entries)
   in
   expect_results "read right";
-  let region = Option.get (Pmem.find_region dev (Pmtable.Table.region_id tbl)) in
+  let region = Option.get (Pmem.find_region dev tbl.region_id) in
   Pmem.corrupt_region ~len:(Pmem.region_len region) ~mode:`Flip dev region ~off:0;
   expect_results "unchanged by later damage";
-  if kind = Pmtable.Table.Pm_compressed then
+  if name = "pm" then
     List.iter
       (fun key ->
-        match Pmtable.Table.get tbl key with
+        match tbl.get key with
         | exception Pmtable.Integrity.Corrupted _ -> ()
         | _ -> Alcotest.failf "get %S after the damage did not raise Corrupted" key)
       keys
 
 let per_kind name f =
-  List.map (fun (kname, kind) -> Alcotest.test_case (name ^ " [" ^ kname ^ "]") `Quick (f (kname, kind))) all_kinds
+  List.map (fun (kname, build) -> Alcotest.test_case (name ^ " [" ^ kname ^ "]") `Quick (f (kname, build))) all_kinds
 
 let () =
   Alcotest.run "pmtable"
@@ -766,7 +792,6 @@ let () =
         ] );
       ( "format & bloom",
         [
-          Alcotest.test_case "v1 roundtrip (no bloom)" `Quick test_v1_roundtrip_no_bloom;
           Alcotest.test_case "v2 roundtrip (bloom persisted)" `Quick
             test_v2_roundtrip_with_bloom;
           Alcotest.test_case "bloom screens PM reads" `Quick test_bloom_screens_pm_reads;

@@ -135,19 +135,24 @@ let test_batch_crash_atomicity () =
     put r ~key:(Printf.sprintf "a%02d" i) "synced";
     put r ~key:(Printf.sprintf "z%02d" i) "synced"
   done;
-  (* Stage a batch per shard behind the router's back: [wal_external_sync]
-     engines defer the durability point to the group committer, which we
-     never invoke — exactly a crash between staging and the batched sync. *)
+  (* Stage a batch per shard behind the router's back: shard engines defer
+     the durability point to the group committer, which we never invoke —
+     exactly a crash between staging and the batched sync. *)
   let engines = Shard.Router.engines r in
-  Array.iter
-    (fun e ->
-      check Alcotest.bool "shards defer the WAL sync" true
-        e.Core.Lsm.wal_external_sync)
-    engines;
+  let wal e = Option.get (Core.Engine.wal e) in
+  let syncs e = (Core.Wal.stats (wal e)).Core.Wal.syncs in
+  let syncs_before = Array.map syncs engines in
   for i = 10 to 14 do
     Core.Engine.put engines.(0) ~key:(Printf.sprintf "a%02d" i) "staged";
     Core.Engine.put engines.(1) ~key:(Printf.sprintf "z%02d" i) "staged"
   done;
+  Array.iteri
+    (fun j e ->
+      check Alcotest.bool "a shard put stages its WAL record" true
+        (Core.Wal.buffered_bytes (wal e) > 0);
+      check Alcotest.int "and leaves the sync to the group committer" syncs_before.(j)
+        (syncs e))
+    engines;
   let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
   Shard.Sweep.crash ~pm ~ssd ();
   let r2 = Shard.Router.recover ~boundaries cfg ~pm ~ssd in
@@ -302,7 +307,7 @@ let test_admission_stall_and_resume () =
   check Alcotest.bool "stall time accounted" true (Shard.Router.stall_ns r > 0.0);
   check Alcotest.int "no soft zone, no relief step" 0 (Shard.Router.relief_steps r);
   (* relief worked: the shard is below the hard limit and still writable *)
-  let debt = Core.Policy.pressure (Shard.Router.engines r).(0) in
+  let debt = Core.Engine.pressure (Shard.Router.engines r).(0) in
   check Alcotest.bool "debt drained below hard limit" true
     (debt < cfg.Core.Config.admission_hard_tables + 2);
   put r ~key:"post-stall" "ok";
@@ -339,8 +344,8 @@ let test_soft_zone_relieves () =
   let r = Shard.Router.create cfg in
   let twin = Shard.Router.create (triggerless_config ~soft:1_000_000 ~hard:1_000_000 ()) in
   let engine = (Shard.Router.engines r).(0) in
-  let debt () = Core.Policy.pressure engine in
-  let runs () = Array.map Core.Policy.partition_pressure (Core.Engine.partitions engine) in
+  let debt () = Core.Engine.pressure engine in
+  let runs () = Array.map Core.Engine.partition_pressure (Core.Engine.partitions engine) in
   let in_soft_zone () = debt () >= soft in
   let flushes () = (Core.Engine.metrics engine).Core.Metrics.minor_compactions in
   (* (d) through the router: a step of a shard that never hard-stalled
@@ -431,7 +436,7 @@ let test_relieve_one_partition () =
     Core.Engine.flush e
   in
   let parts () = Core.Engine.partitions e in
-  let runs () = Array.map Core.Policy.partition_pressure (parts ()) in
+  let runs () = Array.map Core.Engine.partition_pressure (parts ()) in
   let l0 () = Array.map Core.Engine.partition_l0_bytes (parts ()) in
   let ints = Alcotest.(array int) in
   flush_keys [ "a1"; "i1"; "q1" ];
@@ -439,7 +444,7 @@ let test_relieve_one_partition () =
   flush_keys [ "i3" ];
   check ints "runs per partition" [| 1; 3; 2 |] (runs ());
   let before = l0 () in
-  ignore (Core.Policy.relieve e);
+  ignore (Core.Engine.relieve e);
   check ints "the partition with the most runs emptied" [| 1; 0; 2 |] (runs ());
   let after = l0 () in
   check Alcotest.(pair int int) "other partitions' level-0 untouched"
@@ -447,7 +452,7 @@ let test_relieve_one_partition () =
   check Alcotest.int "its level-0 gone" 0 after.(1);
   flush_keys [ "a2"; "i4" ];
   check ints "a tie" [| 2; 1; 2 |] (runs ());
-  ignore (Core.Policy.relieve e);
+  ignore (Core.Engine.relieve e);
   check ints "the first of the tied partitions emptied" [| 0; 1; 2 |] (runs ());
   List.iter
     (fun key -> check Alcotest.(option string) key (Some "v") (Core.Engine.get e key))
@@ -466,12 +471,12 @@ let test_relieve_priced () =
     }
   in
   let engine cfg = Core.Engine.create ~boundaries:[ "h"; "p" ] cfg in
-  let runs e = Array.map Core.Policy.partition_pressure (Core.Engine.partitions e) in
+  let runs e = Array.map Core.Engine.partition_pressure (Core.Engine.partitions e) in
   let ints = Alcotest.(array int) in
   let kind =
     Alcotest.testable
       (fun ppf k ->
-        Fmt.string ppf (match k with Core.Policy.Internal -> "internal" | Major -> "major"))
+        Fmt.string ppf (match k with Core.Engine.Internal -> "internal" | Major -> "major"))
       ( = )
   in
   (* Three overlapping flushes of the same ten keys in partition 1: the
@@ -511,8 +516,8 @@ let test_relieve_priced () =
   update_heavy e;
   check ints "three runs, all in partition 1" [| 0; 3; 0 |] (runs e);
   let ssd0 = Core.Engine.ssd_bytes_written e in
-  check Alcotest.(option kind) "update-heavy: internal" (Some Core.Policy.Internal)
-    (Core.Policy.relieve e);
+  check Alcotest.(option kind) "update-heavy: internal" (Some Core.Engine.Internal)
+    (Core.Engine.relieve e);
   check ints "one sorted run left" [| 0; 1; 0 |] (runs e);
   check Alcotest.int "no unsorted table left" 0 (Core.Engine.unsorted_table_count e);
   check Alcotest.bool "the run is on PM" true
@@ -521,8 +526,8 @@ let test_relieve_priced () =
   (* (b) insert-only: major compaction empties its level-0 *)
   insert_only e;
   check ints "four runs in partition 0" [| 4; 1; 0 |] (runs e);
-  check Alcotest.(option kind) "insert-only: major" (Some Core.Policy.Major)
-    (Core.Policy.relieve e);
+  check Alcotest.(option kind) "insert-only: major" (Some Core.Engine.Major)
+    (Core.Engine.relieve e);
   check ints "its level-0 is empty" [| 0; 1; 0 |] (runs e);
   check Alcotest.int "and holds no bytes" 0
     (Core.Engine.partition_l0_bytes (Core.Engine.partitions e).(0));
@@ -531,17 +536,17 @@ let test_relieve_priced () =
   let e = engine (cost_based ~tau_m:1 ()) in
   update_heavy e;
   check ints "the same update-heavy runs" [| 0; 3; 0 |] (runs e);
-  check Alcotest.(option kind) "at tau_m: major" (Some Core.Policy.Major)
-    (Core.Policy.relieve e);
+  check Alcotest.(option kind) "at tau_m: major" (Some Core.Engine.Major)
+    (Core.Engine.relieve e);
   check ints "its level-0 is empty" [| 0; 0; 0 |] (runs e);
   (* (d) a conventional strategy always majors *)
   let e = engine (triggerless_config ~soft:2 ~hard:8 ()) in
   update_heavy e;
-  check Alcotest.(option kind) "conventional: major" (Some Core.Policy.Major)
-    (Core.Policy.relieve e);
+  check Alcotest.(option kind) "conventional: major" (Some Core.Engine.Major)
+    (Core.Engine.relieve e);
   check ints "level-0 is empty" [| 0; 0; 0 |] (runs e);
   check Alcotest.(option kind) "an empty level-0: no step" None
-    (Core.Policy.relieve e)
+    (Core.Engine.relieve e)
 
 (* Forced relief meets rot like any other compaction: a zeroed level-0
    table met by the hard limit's relief is quarantined, the writes go on
@@ -556,7 +561,7 @@ let test_hard_relief_quarantines_rot () =
     put r ~key:(key !n) (String.make 64 'x');
     incr n
   in
-  while Core.Policy.pressure engine < 1 do
+  while Core.Engine.pressure engine < 1 do
     put_next ()
   done;
   (* the hand-off write flushed every key before its own *)
@@ -612,11 +617,11 @@ let test_deadline_uses_clamped_hard_limit () =
   let r = Shard.Router.create cfg in
   let engine = (Shard.Router.engines r).(0) in
   let i = ref 0 in
-  while Core.Policy.pressure engine < 4 do
+  while Core.Engine.pressure engine < 4 do
     put r ~key:(Printf.sprintf "k%04d" !i) (String.make 64 'x');
     incr i
   done;
-  let debt = Core.Policy.pressure engine in
+  let debt = Core.Engine.pressure engine in
   check Alcotest.bool "debt past the unclamped limit, under the soft one" true
     (debt >= 4 && debt < 12);
   (match Shard.Router.put_checked r ~key:"late" "v" with

@@ -61,65 +61,33 @@ let test_stats_accumulate () =
   check Alcotest.int "writes" 1 s.Ssd.writes;
   check Alcotest.int "reads" 1 s.Ssd.reads
 
-(* --- Vectored requests: one request per call, whatever its extent count --- *)
+(* --- Requests: one per call, whatever its length --- *)
 
-let test_appendv_one_request () =
-  let clock, ssd = make () in
-  let f = Ssd.create_file ssd in
-  let chunks = [ String.make 4096 'a'; String.make 4096 'b'; "meta" ] in
-  let total = 8196 in
-  let t0 = Sim.Clock.now clock in
-  Ssd.appendv ssd f chunks;
-  let p = Ssd.params ssd and s = Ssd.stats ssd in
-  check Alcotest.int "one write request" 1 s.Ssd.writes;
-  check Alcotest.int "summed bytes" total s.Ssd.bytes_written;
-  check (Alcotest.float 1e-6) "latency + bytes * byte_ns"
-    (p.Ssd.write_latency_ns +. (float_of_int total *. p.Ssd.write_byte_ns))
-    (Sim.Clock.now clock -. t0);
-  check Alcotest.string "chunks land in order" (String.concat "" chunks)
-    (Ssd.pread ssd f ~off:0 ~len:total)
-
-let test_preadv_one_request () =
-  let clock, ssd = make () in
-  let f = Ssd.create_file ssd in
-  Ssd.append ssd f "0123456789abcdef";
-  Ssd.reset_stats ssd;
-  let t0 = Sim.Clock.now clock in
-  let got = Ssd.preadv ssd f [ (2, 3); (5, 0); (5, 6) ] in
-  let p = Ssd.params ssd and s = Ssd.stats ssd in
-  check Alcotest.(list string) "one string per extent" [ "234"; ""; "56789a" ] got;
-  check Alcotest.int "one read request" 1 s.Ssd.reads;
-  check Alcotest.int "span bytes" 9 s.Ssd.bytes_read;
-  check (Alcotest.float 1e-6) "latency + span * byte_ns"
-    (p.Ssd.read_latency_ns +. (9.0 *. p.Ssd.read_byte_ns))
-    (Sim.Clock.now clock -. t0);
-  check Alcotest.bool "gap between extents raises" true
-    (try ignore (Ssd.preadv ssd f [ (0, 2); (3, 2) ]); false
-     with Invalid_argument _ -> true);
-  check Alcotest.bool "span past the end raises" true
-    (try ignore (Ssd.preadv ssd f [ (10, 4); (14, 4) ]); false
-     with Invalid_argument _ -> true)
-
+(* An SSTable build writes its whole multi-block image as one request and
+   a compaction input reads its blocks as one span: the fault hooks see
+   each request once, with its total length. *)
 let test_vectored_hooks_fire_once () =
   let _, ssd = make () in
   let f = Ssd.create_file ssd in
   let writes = ref [] and reads = ref [] in
   Ssd.set_write_hook ssd (Some (fun ~file_id:_ ~len -> writes := len :: !writes; Ssd.Io_ok));
   Ssd.set_read_hook ssd (Some (fun ~file_id:_ ~len -> reads := len :: !reads; Ssd.Io_ok));
-  Ssd.appendv ssd f [ "abc"; "defg"; "hi" ];
-  ignore (Ssd.preadv ssd f [ (1, 4); (5, 3) ]);
+  Ssd.append_owned ssd f (Bytes.of_string "abcdefghi");
+  ignore (Ssd.read_in_place ssd f ~off:1 ~len:7);
   Ssd.set_write_hook ssd None;
   Ssd.set_read_hook ssd None;
   check Alcotest.(list int) "write hook once, total length" [ 9 ] !writes;
   check Alcotest.(list int) "read hook once, span length" [ 7 ] !reads
 
-let test_failed_appendv_writes_nothing () =
+let test_failed_append_writes_nothing () =
   let _, ssd = make () in
   let f = Ssd.create_file ssd in
   Ssd.append ssd f "head";
   Ssd.set_write_hook ssd (Some (fun ~file_id:_ ~len:_ -> Ssd.Io_fail));
-  check Alcotest.bool "appendv raises Io_error" true
-    (try Ssd.appendv ssd f [ "block0"; "block1"; "meta" ]; false
+  check Alcotest.bool "append raises Io_error" true
+    (try Ssd.append ssd f "block0block1meta"; false with Ssd.Io_error _ -> true);
+  check Alcotest.bool "append_owned raises Io_error" true
+    (try Ssd.append_owned ssd f (Bytes.of_string "image"); false
      with Ssd.Io_error _ -> true);
   Ssd.set_write_hook ssd None;
   check Alcotest.int "size unchanged" 4 (Ssd.file_size f);
@@ -337,11 +305,9 @@ let () =
           Alcotest.test_case "latency model" `Quick test_latency_model;
           Alcotest.test_case "SSD slower than PM" `Quick test_ssd_much_slower_than_pm;
           Alcotest.test_case "stats accumulate" `Quick test_stats_accumulate;
-          Alcotest.test_case "appendv is one request" `Quick test_appendv_one_request;
-          Alcotest.test_case "preadv is one request" `Quick test_preadv_one_request;
           Alcotest.test_case "vectored hooks fire once" `Quick test_vectored_hooks_fire_once;
-          Alcotest.test_case "failed appendv writes nothing" `Quick
-            test_failed_appendv_writes_nothing;
+          Alcotest.test_case "failed append writes nothing" `Quick
+            test_failed_append_writes_nothing;
           Alcotest.test_case "write_image is one request" `Quick test_write_image_one_request;
         ] );
       ( "crash",

@@ -59,18 +59,61 @@ let test_bloom_saves_reads () =
 let test_block_cache_latency () =
   let clock, ssd = make () in
   let sst = Sstable.of_sorted_list ssd (entries 1000) in
+  Sstable.attach_shared_cache sst (Cache.Block_cache.create ~clock ~capacity_bytes:(1 lsl 20) ());
   let probe = Util.Keys.ycsb_key 500 in
   let timed f = snd (Sim.Clock.time clock f) in
   let cold = timed (fun () -> ignore (Sstable.get sst probe)) in
-  Sstable.warm_cache sst;
   let warm = timed (fun () -> ignore (Sstable.get sst probe)) in
   check Alcotest.bool
     (Printf.sprintf "cache hit much faster (%.0fns vs %.0fns)" warm cold)
     true
     (warm < cold /. 5.0);
-  Sstable.drop_cache sst;
+  Sstable.invalidate_cache sst;
   let cold2 = timed (fun () -> ignore (Sstable.get sst probe)) in
   check Alcotest.bool "dropping cache restores device reads" true (cold2 > warm *. 5.0)
+
+(* Table I's "SSTable in cache" row: tables attached to one block cache
+   larger than they are, each warmed by one full-range read, answer gets
+   from DRAM alone — no SSD request, and all of the get's device time is
+   cache-hit time. *)
+let test_warmed_cache_serves_gets () =
+  let clock, ssd = make () in
+  let es = entries 3000 in
+  let tables = [ Sstable.of_sorted_list ssd es; Sstable.of_sorted_list ssd es ] in
+  let bytes = List.fold_left (fun acc t -> acc + Sstable.byte_size t) 0 tables in
+  let cache = Cache.Block_cache.create ~clock ~capacity_bytes:(2 * bytes) () in
+  List.iter (fun t -> Sstable.attach_shared_cache t cache) tables;
+  List.iter (fun t -> Sstable.range t ~start:"" ~stop:"\255" ignore) tables;
+  let blocks = List.fold_left (fun acc t -> acc + Sstable.block_count t) 0 tables in
+  check Alcotest.int "every block resident" blocks (Cache.Block_cache.resident_blocks cache);
+  let probes =
+    List.concat_map (fun t -> List.filteri (fun i _ -> i mod 7 = 0) es |> List.map (fun e -> (t, e)))
+      tables
+  in
+  Ssd.reset_stats ssd;
+  Obs.Attr.enable ~clock;
+  let served =
+    List.map
+      (fun (t, (e : Util.Kv.entry)) ->
+        Obs.Attr.with_op Obs.Attr.Read (fun () -> Sstable.get t e.key))
+      probes
+  in
+  let snap = Obs.Attr.snapshot () in
+  Obs.Attr.disable ();
+  let gets = List.length probes in
+  check Alcotest.bool "every get served" true
+    (List.for_all2 (fun (_, e) got -> got = Some e) probes served);
+  check Alcotest.int "no SSD reads" 0 (Ssd.stats ssd).Ssd.reads;
+  check Alcotest.int "one cache hit per get" gets
+    (List.assoc Obs.Attr.Cache_hit snap.Obs.Attr.phase_counts);
+  (* the index search and decode CPU are booked as Other *)
+  List.iter
+    (fun (phase, ns) ->
+      if phase = Obs.Attr.Cache_hit then
+        check Alcotest.bool "cache-hit time charged" true (ns > 0.0)
+      else if phase <> Obs.Attr.Other then
+        check (Alcotest.float 0.0) (Obs.Attr.phase_name phase ^ " time") 0.0 ns)
+    snap.Obs.Attr.op_phases
 
 let test_range () =
   let _, ssd = make () in
@@ -214,16 +257,6 @@ let test_to_list_one_read_bypasses_cache () =
   check Alcotest.int "cache residency unchanged" resident
     (Cache.Block_cache.resident_bytes cache)
 
-let test_pinned_to_list_reads_nothing () =
-  let _, ssd = make () in
-  let es = entries 2000 in
-  let sst = Sstable.of_sorted_list ssd es in
-  Sstable.warm_cache sst;
-  check Alcotest.int "the pin is one read" 1 (Ssd.stats ssd).Ssd.reads;
-  Ssd.reset_stats ssd;
-  check Alcotest.bool "entries intact" true (Sstable.to_list sst = es);
-  check Alcotest.int "no SSD reads" 0 (Ssd.stats ssd).Ssd.reads
-
 let test_to_list_names_corrupted_block () =
   let _, ssd = make () in
   let sst = Sstable.of_sorted_list ssd (entries 2000) in
@@ -263,38 +296,34 @@ let drain c =
 
 (* A fresh device and table: the same inputs give the same absolute clock,
    so two setups compare bit for bit. *)
-let fresh_table ~pinned ~block_bytes es =
+let fresh_table ~block_bytes es =
   let clock, ssd = make () in
   let sst = Sstable.of_sorted_list ~block_bytes ssd es in
-  if pinned then Sstable.warm_cache sst;
   Ssd.reset_stats ssd;
   (clock, ssd, sst)
 
 (* A cursor pays at open exactly what the list read pays, in the same
-   order, and draining it charges nothing more. On an unpinned table that
-   is one read request, then one 25 ns decode charge per entry. *)
+   order, and draining it charges nothing more: one read request, then one
+   25 ns decode charge per entry. *)
 let prop_cursor_matches_to_list =
-  QCheck.Test.make ~name:"cursor drain = to_list, same clock" ~count:100
-    QCheck.(pair bool table_gen)
-    (fun (pinned, (block_bytes, pairs)) ->
+  QCheck.Test.make ~name:"cursor drain = to_list, same clock" ~count:100 table_gen
+    (fun (block_bytes, pairs) ->
       let es = sorted_entries pairs in
-      let clock_a, _, a = fresh_table ~pinned ~block_bytes es in
+      let clock_a, _, a = fresh_table ~block_bytes es in
       let listed = Sstable.to_list a in
-      let clock_b, ssd_b, b = fresh_table ~pinned ~block_bytes es in
+      let clock_b, ssd_b, b = fresh_table ~block_bytes es in
       let t0 = Sim.Clock.now clock_b in
       let c = Sstable.cursor b in
       let opened = Sim.Clock.now clock_b in
       let drained = drain c in
       let stats = Ssd.stats ssd_b in
       let model =
-        if pinned then stats.Ssd.reads = 0
-        else
-          stats.Ssd.reads = 1
-          && opened
-             = List.fold_left
-                 (fun acc _ -> acc +. 25.0)
-                 (t0 +. Ssd.service_time ssd_b Ssd.Read stats.Ssd.bytes_read)
-                 es
+        stats.Ssd.reads = 1
+        && opened
+           = List.fold_left
+               (fun acc _ -> acc +. 25.0)
+               (t0 +. Ssd.service_time ssd_b Ssd.Read stats.Ssd.bytes_read)
+               es
       in
       listed = es && drained = es
       && Sim.Clock.now clock_a = Sim.Clock.now clock_b
@@ -308,7 +337,7 @@ let prop_cursor_names_corrupted_block =
     QCheck.(pair (int_range 0 1_000_000) table_gen)
     (fun (at, (block_bytes, pairs)) ->
       let es = sorted_entries pairs in
-      let _, ssd, sst = fresh_table ~pinned:false ~block_bytes es in
+      let _, ssd, sst = fresh_table ~block_bytes es in
       let file = Option.get (Ssd.find_file ssd (Sstable.file_id sst)) in
       Ssd.corrupt_file ssd file ~off:(at mod Sstable.byte_size sst);
       match (List.filter (fun i -> i >= 0) (Sstable.verify sst), Sstable.cursor sst) with
@@ -326,6 +355,8 @@ let () =
           Alcotest.test_case "absent keys" `Quick test_absent_keys;
           Alcotest.test_case "bloom saves reads" `Quick test_bloom_saves_reads;
           Alcotest.test_case "block cache latency" `Quick test_block_cache_latency;
+          Alcotest.test_case "warmed cache serves gets from DRAM" `Quick
+            test_warmed_cache_serves_gets;
           Alcotest.test_case "range" `Quick test_range;
           Alcotest.test_case "metadata + overlap" `Quick test_metadata_and_overlap;
           Alcotest.test_case "versions within table" `Quick test_versions_within_table;
@@ -336,8 +367,6 @@ let () =
           Alcotest.test_case "build is one write" `Quick test_build_is_one_write;
           Alcotest.test_case "to_list one read, cache untouched" `Quick
             test_to_list_one_read_bypasses_cache;
-          Alcotest.test_case "pinned to_list reads nothing" `Quick
-            test_pinned_to_list_reads_nothing;
           Alcotest.test_case "to_list names corrupted block" `Quick
             test_to_list_names_corrupted_block;
           qtest prop_model;
