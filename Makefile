@@ -33,8 +33,10 @@ scrubtest:
 
 # Sanitizer gauntlet: pmsan (persistence ordering + redundant-flush
 # audit) over a clean workload on the one-shard router, schedsan
-# (happens-before races, lost wakeups) over the scheduling harness, and a
-# sanitized crash-sweep sample. Exits 1 on any finding. SAN_SITES picks
+# (happens-before races, lost wakeups) over the serial replay of synthetic
+# compactions (Compaction.Pipeline.replay_all) under the thread,
+# cooperative and flush-coroutine policies, and a sanitized crash-sweep
+# sample. Exits 1 on any finding. SAN_SITES picks
 # the sweep sample size.
 SAN_SITES ?= 50
 sanitize:

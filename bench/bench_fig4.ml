@@ -13,37 +13,39 @@
    S3 never clips S2 ('q' marks the instantaneous hand-off) and the
    timelines stay dense. *)
 
-type span = { task : int; stage : string; t0 : float; t1 : float }
+module Pipeline = Compaction.Pipeline
+
+type span = { task : int; mark : char; t0 : float; t1 : float }
 
 let run_traced ~offload =
-  let clock = Sim.Clock.create () in
-  let des = Sim.Des.create clock in
-  let ssd = Ssd.create ~params:{ Ssd.default_params with Ssd.channels = 1 } clock in
   let policy =
     if offload then Coroutine.Scheduler.default_flush_coroutine ~q_max:4 ()
     else Coroutine.Scheduler.default_cooperative
   in
-  let sched = Coroutine.Scheduler.create ~cores:1 ~policy des ssd in
   let spans = ref [] in
-  for task = 0 to 1 do
-    let params =
-      {
-        Exec_model.Task.default with
-        input_bytes = 1024 * 1024;
-        value_bytes = 256;
-        read_block = 128 * 1024;
-        write_buffer = 192 * 1024;
-        pm_input_fraction = 1.0;
-        dedup_spread = 0.3;
-        offload_s3 = offload;
-        seed = 7 + (31 * task);
-        on_stage = Some (fun stage t0 t1 -> spans := { task; stage; t0; t1 } :: !spans);
-      }
-    in
-    Coroutine.Scheduler.spawn sched 0 (Exec_model.Task.compaction params)
-  done;
-  let makespan = Coroutine.Scheduler.run_to_completion sched in
-  (List.rev !spans, makespan, Coroutine.Scheduler.report sched ~makespan)
+  let mark = function
+    | Pipeline.Read -> '1'
+    | Merge | Build -> '2'
+    | Write -> if offload then 'q' else '3'
+  in
+  let on_stage task stage t0 t1 = spans := { task; mark = mark stage; t0; t1 } :: !spans in
+  let report =
+    Pipeline.replay_all ~policy ~cores:1 ~on_stage
+      ~ssd_params:{ Ssd.default_params with Ssd.channels = 1 }
+      (List.init 2 (fun task ->
+           Pipeline.synthesize
+             {
+               Pipeline.default_synthetic with
+               input_bytes = 1024 * 1024;
+               value_bytes = 256;
+               read_block = 128 * 1024;
+               write_buffer = 192 * 1024;
+               pm_input_fraction = 1.0;
+               dedup_spread = 0.3;
+               seed = 7 + (31 * task);
+             }))
+  in
+  (List.rev !spans, report.Coroutine.Scheduler.makespan, report)
 
 let render ~title spans makespan =
   Printf.printf "\n%s (makespan %.2f ms)\n" title (makespan /. 1e6);
@@ -54,15 +56,12 @@ let render ~title spans makespan =
     List.iter
       (fun s ->
         if s.task = task then begin
-          let mark =
-            match s.stage with "S1" -> '1' | "S2" -> '2' | "S3" -> '3' | _ -> 'q'
-          in
           let c0 = int_of_float (s.t0 /. bucket) in
           let c1 = int_of_float (s.t1 /. bucket) in
           for c = max 0 c0 to min (columns - 1) (max c0 c1) do
             (* later stages overwrite idle, never a previous stage's mark,
                except the instantaneous hand-off which must stay visible *)
-            if Bytes.get line c = '.' || mark = 'q' then Bytes.set line c mark
+            if Bytes.get line c = '.' || s.mark = 'q' then Bytes.set line c s.mark
           done
         end)
       spans;

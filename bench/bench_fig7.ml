@@ -83,16 +83,16 @@ let latency_during ~device_params ~write_buffer ~with_compaction ~offload =
       done);
   if with_compaction then
     Coroutine.Scheduler.spawn sched 1
-      (Exec_model.Task.compaction
-         {
-           Exec_model.Task.default with
-           input_bytes = 16 * 1024 * 1024;
-           value_bytes = 1024;
-           write_buffer;
-           read_block = 2 * write_buffer;
-           offload_s3 = offload;
-           pm_input_fraction = (if offload then 1.0 else 0.0);
-         });
+      (Compaction.Pipeline.replay
+         (Compaction.Pipeline.synthesize
+            {
+              Compaction.Pipeline.default_synthetic with
+              input_bytes = 16 * 1024 * 1024;
+              value_bytes = 1024;
+              write_buffer;
+              read_block = 2 * write_buffer;
+              pm_input_fraction = (if offload then 1.0 else 0.0);
+            }));
   ignore (Coroutine.Scheduler.run_to_completion sched);
   (Util.Histogram.mean hist, Util.Histogram.percentile hist 99.9)
 

@@ -1,12 +1,11 @@
 (* Pipelined compaction: staged read/merge/build/write overlap vs the
    Table III serial baseline.
 
-   The serial side is the exact Table III threads=1 configuration (one
-   blocking compaction task on one core, all input on the SSD).  The
-   pipelined side replays the same cost tokens — derived with the same
-   seeded dedup discipline as Exec_model.Task.compaction, so the output
-   volume matches — through Compaction.Pipeline.simulate at 1, 2 and 4
-   cores, and reports speedup, bottleneck-core CPU idleness, device
+   One synthetic compaction (Pipeline.synthesize, all input on the SSD)
+   is replayed two ways. The serial side is its Thread replay on one core
+   — the exact Table III threads=1 configuration. The pipelined side is
+   Compaction.Pipeline.simulate of the same recording at 1, 2 and 4
+   cores, which reports speedup, bottleneck-core CPU idleness, device
    idleness and queue behaviour.
 
    The run fails its own floors on a 4-core speedup under 1.8x, a stage
@@ -24,49 +23,6 @@ let planted () =
   match Sys.getenv_opt "PMB_PLANT" with
   | Some "serial_pipeline" -> true
   | _ -> false
-
-(* Mirror Task.compaction's token stream: same block walk, same rng draw
-   order, same survivor arithmetic.  S2's per-entry share is the merge
-   token and its per-byte share (copies, checksums) the build token; the
-   split leaves the serial sum identical to the Thread-mode run. *)
-let recording_of_task (p : Exec_model.Task.params) (sp : Ssd.params) =
-  let r = Pipeline.create_recording () in
-  let rng = Util.Xoshiro.create p.seed in
-  let entry_size = p.value_bytes + p.entry_overhead in
-  let remaining = ref p.input_bytes in
-  let out_bytes = ref 0 in
-  while !remaining > 0 do
-    let block = min p.read_block !remaining in
-    remaining := !remaining - block;
-    (if Util.Xoshiro.float rng 1.0 < p.pm_input_fraction then
-       Pipeline.record_read r Pipeline.Pm ~bytes:block
-         ~cost_ns:(float_of_int block *. p.pm_read_ns_per_byte)
-     else
-       Pipeline.record_read r Pipeline.Ssd ~bytes:block
-         ~cost_ns:
-           (sp.Ssd.read_latency_ns +. (float_of_int block *. sp.Ssd.read_byte_ns)));
-    let entries = max 1 (block / entry_size) in
-    Pipeline.record_merge r ~entries
-      ~cost_ns:(float_of_int entries *. p.cpu_per_entry_ns);
-    Pipeline.record_build r ~cost_ns:(float_of_int block *. p.cpu_per_byte_ns);
-    let dedup =
-      let d =
-        p.dedup_ratio +. ((Util.Xoshiro.float rng 2.0 -. 1.0) *. p.dedup_spread)
-      in
-      Float.max 0.0 (Float.min 0.95 d)
-    in
-    let survivors = int_of_float (float_of_int entries *. (1.0 -. dedup)) in
-    out_bytes := !out_bytes + (survivors * entry_size)
-  done;
-  let rem = ref !out_bytes in
-  while !rem > 0 do
-    let chunk = min p.write_buffer !rem in
-    rem := !rem - chunk;
-    Pipeline.record_write r Pipeline.Ssd ~bytes:chunk
-      ~cost_ns:
-        (sp.Ssd.write_latency_ns +. (float_of_int chunk *. sp.Ssd.write_byte_ns))
-  done;
-  r
 
 let sim_config ~cores = { Pipeline.default_sim_config with cores }
 
@@ -96,31 +52,20 @@ let run () =
   let plant = if planted () then Pipeline.Serial_stages else Pipeline.No_plant in
   if planted () then
     Report.note "PLANTED regression active: stages forced serial";
-  let task_params =
-    {
-      Exec_model.Task.default with
-      input_bytes = total_work;
-      pm_input_fraction = 0.0;
-    }
+  let recording =
+    Pipeline.synthesize
+      { Pipeline.default_synthetic with input_bytes = total_work; pm_input_fraction = 0.0 }
   in
   let serial =
-    Exec_model.Harness.run
-      {
-        Exec_model.Harness.default with
-        mode = Exec_model.Harness.Thread;
-        cores = 1;
-        tasks = 1;
-        task_params;
-      }
+    Pipeline.replay_all ~policy:Coroutine.Scheduler.default_thread_like ~cores:1 [ recording ]
   in
-  let recording = recording_of_task task_params Ssd.default_params in
   Report.note "serial (Table III, 1 thread): makespan %s, CPU idle %s, IO idle %s"
     (Report.ms serial.Coroutine.Scheduler.makespan)
     (Report.pct serial.Coroutine.Scheduler.cpu_idleness)
     (Report.pct serial.Coroutine.Scheduler.io_idleness);
   Report.note "recorded serial token sum: %s over %d read blocks"
     (Report.ms (Pipeline.serial_ns recording))
-    (total_work / Exec_model.Task.default.Exec_model.Task.read_block);
+    (total_work / Pipeline.default_synthetic.Pipeline.read_block);
   let results =
     List.map (fun cores -> (cores, Pipeline.simulate ~plant (sim_config ~cores) recording)) core_points
   in

@@ -585,12 +585,12 @@ let sanitize_cmd =
           incr errors
         end);
 
-    (* Leg 2: schedsan over the scheduling harness, all three policies. *)
+    (* Leg 2: schedsan over the §V replay, all three policies. *)
     Fmt.pr "@.== schedsan: scheduler harness (thread / coroutine / pmblade) ==@.";
     List.iter
-      (fun mode ->
+      (fun policy ->
         ignore
-          (Exec_model.Harness.run
+          (Compaction.Pipeline.replay_all ~policy ~cores:2
              ~inspect:(fun sched ->
                match Coroutine.Scheduler.sanitizer sched with
                | None ->
@@ -599,8 +599,10 @@ let sanitize_cmd =
                | Some s ->
                    Fmt.pr "%a" Sanitize.Schedsan.pp s;
                    if Sanitize.Schedsan.error_count s > 0 then incr errors)
-             { Exec_model.Harness.default with mode; cores = 2; tasks = 4; q_max = 8 }))
-      [ Exec_model.Harness.Thread; Basic_coroutine; Pmblade ];
+             (Compaction.Pipeline.subtasks ~policy ~cores:2 ~q_max:8 ~tasks:4
+                Compaction.Pipeline.default_synthetic)))
+      Coroutine.Scheduler.
+        [ default_thread_like; default_cooperative; default_flush_coroutine ~q_max:8 () ];
 
     (* Leg 3: a sanitized crash-sweep sample on the one-shard router, as
        crashtest sweeps it — every leg's pmsan findings count as violations

@@ -45,36 +45,54 @@ let with_stage stage f =
 
 type medium = Pm | Ssd
 
-type token = { t_medium : medium; t_bytes : int; t_cost_ns : float }
+(* An I/O token: what one read or write section moved, and what it took. *)
+type io = { t_medium : medium; t_bytes : int; t_cost_ns : float }
 
-type recording = {
-  mutable reads : token list;  (* newest first *)
+type token = Read_io of io | Merge_cpu of float | Build_cpu of float | Write_io of io
+
+type recording = { mutable tokens : token list (* newest first *) }
+
+let create_recording () = { tokens = [] }
+let push r tok = r.tokens <- tok :: r.tokens
+
+let io medium ~bytes ~cost_ns =
+  { t_medium = medium; t_bytes = max 0 bytes; t_cost_ns = Float.max 0.0 cost_ns }
+
+let record_read r medium ~bytes ~cost_ns = push r (Read_io (io medium ~bytes ~cost_ns))
+let record_merge r ~cost_ns = push r (Merge_cpu (Float.max 0.0 cost_ns))
+let record_build r ~cost_ns = push r (Build_cpu (Float.max 0.0 cost_ns))
+let record_write r medium ~bytes ~cost_ns = push r (Write_io (io medium ~bytes ~cost_ns))
+
+type by_stage = {
+  mutable reads : io list;  (* newest first *)
   mutable merge_ns : float;
-  mutable merge_entries : int;
   mutable builds_ns : float;
-  mutable writes : token list;  (* newest first *)
+  mutable writes : io list;  (* newest first *)
 }
 
-let create_recording () =
-  { reads = []; merge_ns = 0.0; merge_entries = 0; builds_ns = 0.0; writes = [] }
-
-let record_read r medium ~bytes ~cost_ns =
-  r.reads <- { t_medium = medium; t_bytes = max 0 bytes; t_cost_ns = Float.max 0.0 cost_ns } :: r.reads
-
-let record_merge r ~entries ~cost_ns =
-  r.merge_entries <- r.merge_entries + max 0 entries;
-  r.merge_ns <- r.merge_ns +. Float.max 0.0 cost_ns
-
-let record_build r ~cost_ns = r.builds_ns <- r.builds_ns +. Float.max 0.0 cost_ns
-
-let record_write r medium ~bytes ~cost_ns =
-  r.writes <- { t_medium = medium; t_bytes = max 0 bytes; t_cost_ns = Float.max 0.0 cost_ns } :: r.writes
+(* The recording by stage, CPU costs summed in record order. *)
+let by_stage r =
+  let rec go = function
+    | [] -> { reads = []; merge_ns = 0.0; builds_ns = 0.0; writes = [] }
+    | tok :: older ->
+        let s = go older in
+        (match tok with
+        | Read_io t -> s.reads <- t :: s.reads
+        | Merge_cpu ns -> s.merge_ns <- s.merge_ns +. ns
+        | Build_cpu ns -> s.builds_ns <- s.builds_ns +. ns
+        | Write_io t -> s.writes <- t :: s.writes);
+        s
+  in
+  go r.tokens
 
 let sum_costs = List.fold_left (fun acc t -> acc +. t.t_cost_ns) 0.0
 
-let serial_ns r = sum_costs r.reads +. r.merge_ns +. r.builds_ns +. sum_costs r.writes
+let stage_serial_ns s = sum_costs s.reads +. s.merge_ns +. s.builds_ns +. sum_costs s.writes
+let serial_ns r = stage_serial_ns (by_stage r)
 
-let has_overlap_work r = r.reads <> [] && r.writes <> []
+let has_overlap_work r =
+  List.exists (function Read_io _ -> true | _ -> false) r.tokens
+  && List.exists (function Write_io _ -> true | _ -> false) r.tokens
 
 (* --- Bounded SPSC queues ------------------------------------------------ *)
 
@@ -242,7 +260,7 @@ let chunk_token ~block_bytes tok =
 
 let sim_switch_cost = 500.0 (* ns; coroutine-scale, matches Scheduler defaults *)
 
-let simulate ?(plant = No_plant) cfg r =
+let simulate ?(plant = No_plant) cfg recording =
   (* Detach the caller's attribution context: replay bookkeeping books to
      the background domain, and the caller's op/frame stack survives the
      scheduler's per-task context switching untouched. *)
@@ -257,6 +275,7 @@ let simulate ?(plant = No_plant) cfg r =
   let sched = Scheduler.create ~cores:(max 1 cfg.cores) ~policy des ssd in
   let san = Scheduler.sanitizer sched in
   let block_bytes = max 1 cfg.block_bytes in
+  let r = by_stage recording in
 
   (* Work decomposition: read tokens chunked into blocks; the merge cost
      rides the read stream (prorated by bytes); write tokens chunked, the
@@ -434,7 +453,7 @@ let simulate ?(plant = No_plant) cfg r =
   in
   {
     makespan;
-    sim_serial_ns = serial_ns r;
+    sim_serial_ns = stage_serial_ns r;
     stages;
     queue_max_depths =
       [
@@ -450,6 +469,139 @@ let simulate ?(plant = No_plant) cfg r =
     races = (match san with Some s -> Sanitize.Schedsan.races s | None -> 0);
     lost_wakeups = (match san with Some s -> Sanitize.Schedsan.lost_wakeups s | None -> 0);
   }
+
+(* --- The synthetic §V compaction and its serial replay ------------------ *)
+
+(* The compaction process of the paper's Fig. 4/5 as a token stream. S1
+   reads a block (from PM — memory time — for the level-0 share of the
+   input, else from the SSD), S2 merges it (a per-entry merge token and a
+   per-byte build token: compares and heap ops, then copies and
+   checksums) while dropping duplicates, and S3 writes whenever the
+   survivors fill the write buffer. Per-block dedup is drawn around
+   [dedup_ratio] with spread, so S3's trigger timing is erratic — the
+   behaviour the flush coroutine removes — rather than scripted. *)
+
+type synthetic = {
+  input_bytes : int;
+  value_bytes : int;
+  entry_overhead : int;
+  read_block : int;
+  write_buffer : int;
+  pm_input_fraction : float;
+  dedup_ratio : float;
+  dedup_spread : float;
+  cpu_per_entry_ns : float;
+  cpu_per_byte_ns : float;
+  pm_read_ns_per_byte : float;
+  seed : int;
+}
+
+let default_synthetic =
+  {
+    input_bytes = 2 * 1024 * 1024;
+    value_bytes = 1024;
+    entry_overhead = 24;
+    read_block = 256 * 1024;
+    write_buffer = 1024 * 1024;
+    pm_input_fraction = 0.5;
+    dedup_ratio = 0.2;
+    dedup_spread = 0.15;
+    cpu_per_entry_ns = 250.0;
+    cpu_per_byte_ns = 1.6;
+    pm_read_ns_per_byte = 0.35;
+    seed = 7;
+  }
+
+let synthesize p =
+  let r = create_recording () in
+  let dev = Ssd.default_params in
+  let rng = Util.Xoshiro.create p.seed in
+  let entry_size = p.value_bytes + p.entry_overhead in
+  let remaining = ref p.input_bytes in
+  let write_fill = ref 0 in
+  let write bytes =
+    record_write r Ssd ~bytes
+      ~cost_ns:(dev.Ssd.write_latency_ns +. (float_of_int bytes *. dev.Ssd.write_byte_ns))
+  in
+  while !remaining > 0 do
+    let block = min p.read_block !remaining in
+    remaining := !remaining - block;
+    if Util.Xoshiro.float rng 1.0 < p.pm_input_fraction then
+      record_read r Pm ~bytes:block ~cost_ns:(float_of_int block *. p.pm_read_ns_per_byte)
+    else
+      record_read r Ssd ~bytes:block
+        ~cost_ns:(dev.Ssd.read_latency_ns +. (float_of_int block *. dev.Ssd.read_byte_ns));
+    let entries = max 1 (block / entry_size) in
+    record_merge r ~cost_ns:(float_of_int entries *. p.cpu_per_entry_ns);
+    record_build r ~cost_ns:(float_of_int block *. p.cpu_per_byte_ns);
+    let dedup =
+      let d = p.dedup_ratio +. ((Util.Xoshiro.float rng 2.0 -. 1.0) *. p.dedup_spread) in
+      Float.max 0.0 (Float.min 0.95 d)
+    in
+    let survivors = int_of_float (float_of_int entries *. (1.0 -. dedup)) in
+    write_fill := !write_fill + (survivors * entry_size);
+    while !write_fill >= p.write_buffer do
+      write p.write_buffer;
+      write_fill := !write_fill - p.write_buffer
+    done
+  done;
+  if !write_fill > 0 then write !write_fill;
+  r
+
+(* One compaction task, its tokens in record order. A block's merge and
+   build run as one CPU burst; every write is offloaded, which the
+   scheduler degrades to a blocking write where no flush coroutine runs. *)
+let replay ?on_stage r () =
+  let step stage f =
+    match on_stage with
+    | None -> f ()
+    | Some trace ->
+        let t0 = Co.now () in
+        f ();
+        trace stage t0 (Co.now ())
+  in
+  let io t ssd = match t.t_medium with Pm -> Co.work t.t_cost_ns | Ssd -> ssd t.t_bytes in
+  let rec walk = function
+    | [] -> ()
+    | Merge_cpu merge :: Build_cpu build :: rest ->
+        step Merge (fun () -> Co.work (merge +. build));
+        walk rest
+    | tok :: rest ->
+        (match tok with
+        | Read_io t -> step Read (fun () -> io t (fun bytes -> ignore (Co.read bytes)))
+        | Merge_cpu ns -> step Merge (fun () -> Co.work ns)
+        | Build_cpu ns -> step Build (fun () -> Co.work ns)
+        | Write_io t -> step Write (fun () -> io t Co.offload_write));
+        walk rest
+  in
+  walk (List.rev r.tokens)
+
+(* §V-C's task manager: under coroutine policies each logical task is
+   split into k = max(q/c, 1) subtasks per core; under threads, one unit
+   per task. Unit i draws seed + 31·i. *)
+let subtasks ~policy ~cores ~q_max ~tasks p =
+  let units =
+    match policy with
+    | Scheduler.Thread_like _ -> tasks
+    | Cooperative _ | Flush_coroutine _ -> max tasks (max (q_max / cores) 1 * cores)
+  in
+  let per_unit = p.input_bytes * tasks / units in
+  List.init units (fun i -> synthesize { p with input_bytes = per_unit; seed = p.seed + (31 * i) })
+
+let replay_all ?(inspect = fun (_ : Scheduler.t) -> ()) ?ssd_params ?on_stage ~policy ~cores
+    recordings =
+  let clock = Sim.Clock.create () in
+  let des = Sim.Des.create clock in
+  let ssd = Ssd.create ?params:ssd_params clock in
+  let sched = Scheduler.create ~cores ~policy des ssd in
+  List.iteri
+    (fun i r ->
+      Scheduler.spawn ~name:(Printf.sprintf "compaction-%d" i) sched i
+        (replay ?on_stage:(Option.map (fun f -> f i) on_stage) r))
+    recordings;
+  let makespan = Scheduler.run_to_completion sched in
+  inspect sched;
+  Scheduler.report sched ~makespan
 
 (* --- Cumulative accounting and metrics ---------------------------------- *)
 

@@ -16,8 +16,12 @@
       its own clock, DES and shadow SSD, connected by bounded SPSC queues
       with backpressure. The replay's makespan is what the staged pipeline
       would have taken; the engine rewinds its clock by
-      [serial_ns - makespan], replacing the old fixed
-      [coroutine_overlap_efficiency] rebate with a measured mechanism.
+      [serial_ns - makespan].
+
+    A recording also replays as one serial task ({!replay}) under any of
+    the §V scheduling policies. {!synthesize} generates the synthetic
+    compactions the §V experiments replay that way: this module is the
+    repository's one model of the paper's §V.
 
     Queue handoffs are checked concurrency: every enqueue signals a
     per-item latch the dequeue awaits, which is exactly the
@@ -51,10 +55,11 @@ val current_stage : unit -> stage option
 type medium = Pm | Ssd
 
 type recording
+(** One ordered list of read, merge, build and write cost tokens. *)
 
 val create_recording : unit -> recording
 val record_read : recording -> medium -> bytes:int -> cost_ns:float -> unit
-val record_merge : recording -> entries:int -> cost_ns:float -> unit
+val record_merge : recording -> cost_ns:float -> unit
 val record_build : recording -> cost_ns:float -> unit
 val record_write : recording -> medium -> bytes:int -> cost_ns:float -> unit
 
@@ -149,6 +154,56 @@ val simulate : ?plant:plant -> sim_config -> recording -> result
     SSD and scheduler per call). The caller's {!Obs.Attr} op/frame
     context is detached for the duration, so replay bookkeeping
     ([Pipe_queue_wait], [Sched_wait]) lands in the background books. *)
+
+(** {1 The synthetic §V compaction and its serial replay}
+
+    The paper's Fig. 4/5 compaction process as a {!recording}, replayed as
+    one coroutine per task: the input of Fig. 4, Fig. 7b, Fig. 9,
+    Table III and the pipeline bench. *)
+
+type synthetic = {
+  input_bytes : int;
+  value_bytes : int;
+  entry_overhead : int;  (** key + metadata bytes per entry *)
+  read_block : int;  (** S1 granularity *)
+  write_buffer : int;  (** S3 granularity *)
+  pm_input_fraction : float;  (** share of input blocks living on PM level-0 *)
+  dedup_ratio : float;  (** mean fraction of entries dropped by the merge *)
+  dedup_spread : float;  (** per-block variation around the mean *)
+  cpu_per_entry_ns : float;  (** merge cost per entry: compares, heap ops *)
+  cpu_per_byte_ns : float;  (** build cost per byte: copies, checksums *)
+  pm_read_ns_per_byte : float;
+  seed : int;
+}
+
+val default_synthetic : synthetic
+
+val synthesize : synthetic -> recording
+(** Per input block a read (PM or SSD), a merge and a build token; a write
+    token per full write buffer, and the remainder at the end. SSD tokens
+    cost the default device's service time. *)
+
+val replay : ?on_stage:(stage -> float -> float -> unit) -> recording -> unit -> unit
+(** The recording as one task for {!Coroutine.Scheduler.spawn}. A merge
+    token and the build token after it are one CPU burst ([Merge]); every
+    write is a {!Coroutine.Co.offload_write}. [on_stage] sees each step's
+    stage, start and finish — what the Fig. 4 timelines render. *)
+
+val subtasks :
+  policy:Coroutine.Scheduler.policy -> cores:int -> q_max:int -> tasks:int -> synthetic ->
+  recording list
+(** §V-C's task manager: [tasks] tasks of [input_bytes] each become
+    k = max(q_max / cores, 1) subtasks per core under the coroutine
+    policies, one per task under threads; unit i draws seed [seed + 31 i]. *)
+
+val replay_all :
+  ?inspect:(Coroutine.Scheduler.t -> unit) -> ?ssd_params:Ssd.params ->
+  ?on_stage:(int -> stage -> float -> float -> unit) -> policy:Coroutine.Scheduler.policy ->
+  cores:int -> recording list -> Coroutine.Scheduler.report
+(** Replay recording i on worker i of a fresh clock, DES, SSD (default
+    parameters) and scheduler; [on_stage i] traces recording i.
+    [inspect] sees the scheduler after the run, e.g. to read its
+    sanitizer findings. *)
 
 (** {1 Cumulative accounting and metrics} *)
 

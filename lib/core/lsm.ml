@@ -212,7 +212,7 @@ let with_pipeline_overlap t f =
     if Compaction.Pipeline.has_overlap_work r then begin
       let res = Compaction.Pipeline.simulate (pipeline_sim_config t) r in
       let rebate =
-        Float.max 0.0 (Compaction.Pipeline.serial_ns r -. res.Compaction.Pipeline.makespan)
+        Float.max 0.0 (res.Compaction.Pipeline.sim_serial_ns -. res.Compaction.Pipeline.makespan)
       in
       if rebate > 0.0 then Sim.Clock.rewind t.clock rebate;
       Compaction.Pipeline.note_result t.pipe_totals res ~rebate_ns:rebate
@@ -255,8 +255,7 @@ let staged_merge t f =
       Compaction.Pipeline.with_stage Compaction.Pipeline.Merge @@ fun () ->
       let t0 = Sim.Clock.now t.clock in
       let out, stats = f () in
-      Compaction.Pipeline.record_merge r ~entries:stats.Compaction.Merge.output_entries
-        ~cost_ns:(Sim.Clock.now t.clock -. t0);
+      Compaction.Pipeline.record_merge r ~cost_ns:(Sim.Clock.now t.clock -. t0);
       (out, stats)
 
 let write_sst t img = attach_cache t (Sstable.write_image img)

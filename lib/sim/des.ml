@@ -2,8 +2,8 @@
 
    A binary min-heap of (time, sequence, thunk) events. The sequence number
    makes simultaneous events fire in schedule order, which keeps every run
-   deterministic. Used by the execution model (lib/exec) for the scheduling
-   experiments (Table III, Fig. 9). *)
+   deterministic. Drives Coroutine.Scheduler, and through it the §V replays
+   of Compaction.Pipeline (Table III, Fig. 9). *)
 
 type event = { at : float; seq : int; run : unit -> unit }
 
