@@ -27,7 +27,7 @@ let rules =
     (* Tail latency wobbles more than averages under intentional drift. *)
     Obs.Perf.rule "attr.ycsb_a.read_p999_ns" ~tol:0.10;
     (* Stall time and compaction debt are bulk counters; give them room. *)
-    Obs.Perf.rule "engine.write_stall_ns" ~tol:0.15;
+    Obs.Perf.rule "shard.stall_ns" ~tol:0.15;
     Obs.Perf.rule "engine.debt_bytes" ~tol:0.15;
     (* Sharding bench (BENCH_shard.json): the headline scaling ratio and
        group-commit efficiency must not regress; per-point throughputs
