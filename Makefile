@@ -1,6 +1,6 @@
 # Convenience targets; `make check` is what CI runs.
 
-.PHONY: all build test check crashtest oracles scrubtest sanitize lint pmlint bench readpath-bench shard-bench pipeline-bench soak soak-bench doctor perf-gate fmt clean
+.PHONY: all build test check crashtest oracles examples scrubtest sanitize lint pmlint bench readpath-bench shard-bench pipeline-bench soak soak-bench doctor perf-gate fmt clean
 
 all: build
 
@@ -22,6 +22,16 @@ crashtest:
 # non-empty --metrics time series. PMB_PLANT=wal_skip_drain must fail it.
 oracles:
 	sh scripts/check_oracles.sh
+
+# Run every example to completion. Each asserts its own story
+# (crash_recovery must detect its planted Wal_sync_loss act,
+# corruption_scrub its checksum-off sweep), so any non-zero exit fails.
+EXAMPLES = quickstart takeout_orders ycsb_demo secondary_index crash_recovery corruption_scrub
+examples:
+	@for e in $(EXAMPLES); do \
+	  echo "== examples/$$e.exe"; \
+	  dune exec examples/$$e.exe || { echo "examples/$$e.exe failed" >&2; exit 1; }; \
+	done
 
 # Corruption sweep on the one-shard router: inject seeded bit rot into PM
 # tables, SSTables, the WAL and the manifest, scrub every shard, and fail

@@ -19,14 +19,18 @@ let config =
 
 let key i = Printf.sprintf "user%06d" i
 
+(* A durable one-shard store, written through its front door; the scrub
+   below works on its one engine. *)
 let build_store () =
-  let engine = Core.Engine.create config in
+  let router = Shard.Router.create config in
+  let put = (Shard.Router.sink router).Workload.Sink.put in
   let rng = Util.Xoshiro.create 11 in
   for i = 0 to 299 do
-    Core.Engine.put ~update:true engine ~key:(key (i mod 64))
+    put ~update:true ~key:(key (i mod 64))
       (Printf.sprintf "gen%d:%s" i (Util.Xoshiro.string rng 24))
   done;
-  Core.Engine.flush engine;
+  Shard.Router.flush router;
+  let engine = (Shard.Router.engines router).(0) in
   Core.Engine.force_internal_compaction engine;
   engine
 

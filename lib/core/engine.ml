@@ -211,10 +211,9 @@ let apply t entry =
       Memtable.insert t.memtable entry);
   t.metrics.Metrics.user_bytes_written <-
     t.metrics.Metrics.user_bytes_written + Util.Kv.encoded_size entry;
-  (* Strict durability: the log entry is synced before the write is
-     acknowledged. Under group commit the sync is deferred to the batcher
-     ([sync_wal]) and the record stays staged in the group buffer. *)
-  if not t.wal_external_sync then sync_wal t;
+  (* The record stays staged: the write is durable, and may be
+     acknowledged, only after the shard's group committer runs
+     [sync_wal]. *)
   if Memtable.byte_size t.memtable >= t.config.Config.memtable_bytes then
     flush_in_foreground t;
   Metrics.note_write t.metrics (Sim.Clock.now t.clock -. t0)
@@ -789,7 +788,7 @@ let scrub ?(salvage = true) t =
    stays referenced (each previous manifest is its namespace's dual-slot
    fallback), and quarantined structures are preserved for
    salvage/forensics rather than reclaimed. *)
-let gc_orphans ~pm ~ssd ~states ~rings =
+let gc_orphans ~pm ~ssd ~states =
   let region_referenced = Hashtbl.create 64 and file_referenced = Hashtbl.create 64 in
   let keep_region id = Hashtbl.replace region_referenced id () in
   let keep_file id = Hashtbl.replace file_referenced id () in
@@ -810,7 +809,6 @@ let gc_orphans ~pm ~ssd ~states ~rings =
           | Manifest.Q_file id -> keep_file id)
         state.Manifest.quarantined)
     states;
-  List.iter (fun w -> keep_region (Wal.region_id w)) rings;
   let keep_slots (cur, prev) = List.iter (Option.iter keep_file) [ cur; prev ] in
   keep_slots (Ssd.root_slots ssd);
   List.iter (fun name -> keep_slots (Ssd.root_slots ~name ssd)) (Ssd.root_names ssd);
@@ -826,14 +824,13 @@ let gc_orphans ~pm ~ssd ~states ~rings =
     (fun id -> match Ssd.find_file ssd id with Some f -> Ssd.delete_file ssd f | None -> ())
     orphan_files;
   if Obs.Trace.is_enabled () && (orphan_regions <> [] || orphan_files <> []) then
-    Obs.Trace.instant "recover.orphan_gc" ~attrs:(fun () ->
+    Obs.Trace.instant "recover.gc_orphans" ~attrs:(fun () ->
         [
           ("pm_regions", Obs.Trace.Int (List.length orphan_regions));
           ("ssd_files", Obs.Trace.Int (List.length orphan_files));
         ])
 
-let recover ?(orphan_gc = true) ?cache ?(manifest_root = "") ?(wal_external_sync = false)
-    config ~pm ~ssd =
+let recover ?cache ~manifest_root config ~pm ~ssd =
   let clock = Pmem.clock pm in
   let block_cache = match cache with Some _ -> cache | None -> new_block_cache clock config in
   let fallbacks_before = Manifest.fallback_count () in
@@ -920,7 +917,6 @@ let recover ?(orphan_gc = true) ?cache ?(manifest_root = "") ?(wal_external_sync
     {
       config;
       manifest_root;
-      wal_external_sync;
       clock;
       pm;
       ssd;
@@ -978,14 +974,9 @@ let recover ?(orphan_gc = true) ?cache ?(manifest_root = "") ?(wal_external_sync
                 [ ("region_id", Obs.Trace.Int region_id) ]);
           t.wal <- Some (fresh_ring ()))
   | None -> if config.Config.durable then t.wal <- Some (fresh_ring ()));
-  (* The manifest as loaded names the superseded ring too, so it survives
-     until it is freed below. On a shared multi-shard device one engine's
-     view is too narrow to reclaim safely: shards recover with
-     [~orphan_gc:false] and the router collects the union. *)
-  if orphan_gc then
-    gc_orphans ~pm ~ssd
-      ~states:[ { state with Manifest.quarantined = t.quarantined } ]
-      ~rings:(Option.to_list t.wal);
+  (* Orphans are not collected here: on a shared device one engine's view
+     is too narrow, so [Router.recover] runs [gc_orphans] once over every
+     shard's state. *)
   (* Make any newly-discovered damage durable (the corrupt structures are
      out of the manifest's partition lists, their damage records in), and
      name a ring the manifest does not know yet before anything is logged
@@ -1056,12 +1047,12 @@ let pp_stats ppf t =
   (* Sharding knobs, when this engine runs behind the router front door:
      the perf gate and doctor must be able to tell a sharded run apart. *)
   (let c = t.config in
-   if c.Config.shard_count > 1 || t.manifest_root <> "" || t.wal_external_sync then
+   if c.Config.shard_count > 1 || t.manifest_root <> "" || c.Config.durable then
      Fmt.pf ppf
        "  shard: %d shards, root '%s', group commit %s (window %a, max %d), admission \
         soft/hard %d/%d tables@,"
        c.Config.shard_count t.manifest_root
-       (if t.wal_external_sync then "external" else "inline")
+       (if c.Config.durable then "external" else "inline")
        Sim.Clock.pp_duration c.Config.group_commit_window_ns c.Config.group_commit_max
        c.Config.admission_soft_tables c.Config.admission_hard_tables);
   Fmt.pf ppf "  PM hit ratio: %.2f@]" (Metrics.pm_hit_ratio m)

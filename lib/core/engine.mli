@@ -9,7 +9,13 @@
     models, and major compaction pushes the non-warm partitions to the
     levelled SSD tiers. The state and those mechanisms are {!Lsm}. Every
     device touch charges the virtual clock, so an operation's latency is
-    the clock delta across the call. *)
+    the clock delta across the call.
+
+    Durability has one point and one collector. A durable engine's writes
+    only stage their WAL records; {!sync_wal}, called by the shard's group
+    committer, makes them durable. {!recover} rebuilds one engine and
+    leaves orphan collection to [Shard.Router.recover], which runs
+    {!gc_orphans} once over every shard's state. *)
 
 type t
 type partition
@@ -40,12 +46,10 @@ exception Degraded_scan of scan_error
 
 val create :
   ?boundaries:string list ->
-  ?clock:Sim.Clock.t ->
   ?pm:Pmem.t ->
   ?ssd:Ssd.t ->
   ?cache:Cache.Block_cache.t ->
   ?manifest_root:string ->
-  ?wal_external_sync:bool ->
   Config.t ->
   t
 (** The engine starts with one partition and splits at the data median as
@@ -57,16 +61,12 @@ val create :
     shards pass the same devices and block cache to every engine; when [pm]
     is given its clock becomes the engine clock. The manifest chain
     persists under the named superblock slot [manifest_root] (default
-    [""], the unnamed pair; router shards pass ["shard<i>"]). With
-    [wal_external_sync] (default [false]; the router's durable shards set
-    it) a put stages its WAL record and leaves the sync to the group
-    committer's {!sync_wal}. *)
+    [""], the unnamed pair; router shards pass ["shard<i>"]). A put stages
+    its WAL record; it is durable after the next {!sync_wal}. *)
 
 val recover :
-  ?orphan_gc:bool ->
   ?cache:Cache.Block_cache.t ->
-  ?manifest_root:string ->
-  ?wal_external_sync:bool ->
+  manifest_root:string ->
   Config.t ->
   pm:Pmem.t ->
   ssd:Ssd.t ->
@@ -76,24 +76,20 @@ val recover :
     tables are reopened in place, and the WAL ring replays the (durable) writes the
     memtable lost. A ring whose replay hit a torn tail or a rotten record
     is never appended to: its surviving records are re-logged into a fresh
-    ring, which the manifest names before the old ring is freed. PM regions and SSD files the manifest does not name —
-    crash-resurrected frees and half-built tables from an interrupted
-    compaction — are garbage-collected (every superblock slot, named and
-    unnamed, and quarantined structures stay referenced). On a shared
-    multi-shard device one engine's view is too narrow to reclaim safely:
-    pass [~orphan_gc:false] (the router runs {!gc_orphans} over the union
-    instead). A named
+    ring, which the manifest names before the old ring is freed. Orphans
+    are left in place: on a shared device one engine's view is too narrow
+    to reclaim safely, so the caller runs {!gc_orphans} over every
+    engine's {!manifest_state} ([Shard.Router.recover] does). A named
     table that is present but fails its checksums is quarantined with the
     partition's key range as the lost bound; WAL records that fail their
     CRC are skipped and counted, never applied. Raises [Failure] when the
     device holds no manifest or a named region/file is missing. *)
 
-val gc_orphans :
-  pm:Pmem.t -> ssd:Ssd.t -> states:Manifest.state list -> rings:Wal.t list -> unit
+val gc_orphans : pm:Pmem.t -> ssd:Ssd.t -> states:Manifest.state list -> unit
 (** The orphan GC behind every recovery: free each PM region and SSD file
     that no manifest in [states] names (as a table, a WAL ring or a
-    quarantined structure), that is none of the live [rings], and that is
-    no superblock slot, named or unnamed. *)
+    quarantined structure) and that is no superblock slot, named or
+    unnamed. *)
 
 val manifest_state : t -> Manifest.state
 (** The structure the next manifest would persist: live tables, WAL ring
@@ -135,8 +131,8 @@ val sync_wal : t -> unit
     everything the WAL has staged since the last sync (all writers'
     records), plus the [wal.sync] PM commit point. A group that would
     overflow the ring flushes the memtable first (counted in
-    [wal_ring_full_flushes]). Used by the shard batcher together with
-    [wal_external_sync]; a no-op without a WAL. *)
+    [wal_ring_full_flushes]). The only WAL sync: the shard's group
+    committer calls it; a no-op without a WAL. *)
 
 val memtable_bytes : t -> int
 (** Current encoded byte size of the live memtable (the router's pre-put

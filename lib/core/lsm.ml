@@ -59,10 +59,6 @@ type t = {
      under; "" is the classic unnamed pair. Router shards use "shard<i>" so
      N manifest chains coexist on the shared SSD. *)
   manifest_root : string;
-  (* stage WAL records but leave the durability-point sync to the router's
-     group-commit batcher; a put's ack is then deferred until the batch
-     leader calls [Engine.sync_wal] *)
-  wal_external_sync : bool;
   clock : Sim.Clock.t;
   pm : Pmem.t;
   ssd : Ssd.t;
@@ -823,11 +819,10 @@ let persist_manifest t =
    maybe_split), up to [config.partition_count]. Explicit [boundaries]
    pre-create the partitioning instead. A durable engine records its
    (empty) structure at once, so recovery works before the first flush. *)
-let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) ?pm ?ssd ?cache
-    ?(manifest_root = "") ?(wal_external_sync = false) config =
+let create ?(boundaries = []) ?pm ?ssd ?cache ?(manifest_root = "") config =
   (* Shards pass shared [pm]/[ssd]/[cache] devices; the clock is then the
      devices' clock so every shard charges time to the same timeline. *)
-  let clock = match pm with Some p -> Pmem.clock p | None -> clock in
+  let clock = match pm with Some p -> Pmem.clock p | None -> Sim.Clock.create () in
   let boundaries = List.sort_uniq String.compare boundaries in
   let lows = "" :: boundaries in
   let highs = boundaries @ [ max_key_sentinel ] in
@@ -862,7 +857,6 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) ?pm ?ssd ?cache
     {
       config;
       manifest_root;
-      wal_external_sync;
       clock;
       pm;
       ssd;

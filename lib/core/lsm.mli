@@ -5,7 +5,9 @@
     told: flush one memtable slice, internal / major / column compaction
     (the SSD cascade included), partition split, the manifest install and
     quarantine. A mechanism that runs out of PM part-way
-    ([Pmem.Out_of_space]) leaves level-0 as it was before the call. *)
+    ([Pmem.Out_of_space]) leaves level-0 as it was before the call. A
+    durable state's WAL only stages records: the one sync is
+    [Engine.sync_wal], which the shard's group committer calls. *)
 
 (** Fence pointers of one partition, rebuilt lazily by the read path. Each
     [f_src_*] field holds the exact list value the set was built from, so a
@@ -46,9 +48,6 @@ type t = {
   manifest_root : string;
       (** named superblock root slot of the manifest chain; [""] is the
           classic unnamed pair (router shards use ["shard<i>"]) *)
-  wal_external_sync : bool;
-      (** stage WAL records but leave the sync durability point to the
-          router's group-commit batcher calling [Engine.sync_wal] *)
   clock : Sim.Clock.t;
   pm : Pmem.t;
   ssd : Ssd.t;
@@ -77,16 +76,14 @@ val new_block_cache : Sim.Clock.t -> Config.t -> Cache.Block_cache.t option
 
 val create :
   ?boundaries:string list ->
-  ?clock:Sim.Clock.t ->
   ?pm:Pmem.t ->
   ?ssd:Ssd.t ->
   ?cache:Cache.Block_cache.t ->
   ?manifest_root:string ->
-  ?wal_external_sync:bool ->
   Config.t ->
   t
 (** A fresh engine state; a durable one has persisted its manifest.
-    [manifest_root] defaults to [""], [wal_external_sync] to [false]. *)
+    [manifest_root] defaults to [""]. *)
 
 val config : t -> Config.t
 val manifest_root : t -> string

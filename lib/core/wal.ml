@@ -7,13 +7,14 @@
    flush, when the flushed data is durable in level-0 and the old ring can
    go.
 
-   [append] only stages the record in a DRAM group buffer; [sync] is the
-   durability point. It writes the whole staged group to the ring in one
-   PM write, writes back exactly the cache lines the group touched, and
-   issues one fence. A group of k writers therefore costs one fence. No
-   tail pointer is persisted: each record carries its own validity, so
-   there is no second flush+fence per append (van Renen et al.,
-   "Persistent Memory I/O Primitives").
+   [append] only stages the record in a DRAM group buffer, framing it in
+   place; [sync] is the durability point. It writes the whole staged group
+   to the ring in one PM write straight from that buffer, writes back
+   exactly the cache lines the group touched, and issues one fence. A
+   group of k writers therefore costs one fence. No tail pointer is
+   persisted: each record carries its own validity, so there is no second
+   flush+fence per append (van Renen et al., "Persistent Memory I/O
+   Primitives").
 
    Each record is framed as [crc32 | length | payload] so replay can tell
    medium rot from a torn tail: a record whose checksum fails but whose
@@ -44,8 +45,8 @@ type t = {
   capacity : int;
   mutable ring : Pmem.region;
   mutable tail : int;  (* end of the last synced group: the next append offset *)
-  buf : Buffer.t;  (* the staged group *)
-  scratch : Buffer.t;  (* one encoded entry, reused across appends *)
+  mutable buf : Bytes.t;  (* the staged group is its first [staged] bytes *)
+  mutable staged : int;
   mutable appended : int;  (* entries in the current ring, staged included *)
   mutable sync_hook : (unit -> unit) option;
   stats : stats;
@@ -71,12 +72,6 @@ let chaos_skip_drain = ref false
    32 B; smaller entries reach the ring-full path, which flushes early. *)
 let ring_bytes ~memtable_bytes = memtable_bytes + (memtable_bytes / 4)
 
-let write_u32 buf v =
-  Buffer.add_char buf (Char.chr (v land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
-
 let read_u32 s pos =
   Char.code s.[pos]
   lor (Char.code s.[pos + 1] lsl 8)
@@ -91,8 +86,8 @@ let attach pm ring ~tail =
     capacity = Pmem.region_len ring;
     ring;
     tail;
-    buf = Buffer.create 4096;
-    scratch = Buffer.create 256;
+    buf = Bytes.create 4096;
+    staged = 0;
     appended = 0;
     sync_hook = None;
     stats = { (fresh_stats ()) with high_water = tail };
@@ -107,16 +102,16 @@ let stats t = t.stats
 
 let set_sync_hook t hook = t.sync_hook <- hook
 
-let buffered_bytes t = Buffer.length t.buf
+let buffered_bytes t = t.staged
 
-let fits t = t.tail + Buffer.length t.buf <= t.capacity
+let fits t = t.tail + t.staged <= t.capacity
 
 (* Durability point. The fault hook runs first and may raise (crash at the
    site, nothing written). The group goes to the ring in one write; the
    write-back starts at the line holding the group's first byte, so every
    line the group touched is flushed exactly once. *)
 let sync t =
-  let len = Buffer.length t.buf in
+  let len = t.staged in
   if len > 0 then begin
     if t.tail + len > t.capacity then invalid_arg "Wal.sync: group overflows the ring";
     (match t.sync_hook with Some hook -> hook () | None -> ());
@@ -124,14 +119,14 @@ let sync t =
       Obs.Trace.instant "wal.sync" ~attrs:(fun () -> [ ("bytes", Obs.Trace.Int len) ]);
     let off = t.tail in
     let line0 = off land lnot (line_bytes - 1) in
-    Pmem.write t.pm t.ring ~off (Buffer.contents t.buf);
+    Pmem.write t.pm t.ring ~off ~src_off:0 ~len (Bytes.unsafe_to_string t.buf);
     Pmem.flush t.pm t.ring ~off:line0 ~len:(off + len - line0);
     if not !chaos_skip_drain then begin
       Pmem.drain t.pm;
       t.stats.fences <- t.stats.fences + 1
     end;
     t.tail <- off + len;
-    Buffer.clear t.buf;
+    t.staged <- 0;
     t.stats.syncs <- t.stats.syncs + 1;
     t.stats.bytes <- t.stats.bytes + len;
     t.stats.lines <- t.stats.lines + ((off + len - line0 + line_bytes - 1) / line_bytes);
@@ -144,14 +139,22 @@ let sync t =
   Pmem.commit_point t.pm "wal.sync"
 
 (* Stage the entry in the group buffer; it reaches the ring (and becomes
-   durable) at the next [sync]. *)
+   durable) at the next [sync]. The payload is encoded straight into the
+   buffer behind room for its header, then checksummed where it lies. *)
 let append t entry =
-  Buffer.clear t.scratch;
-  Util.Kv.encode t.scratch entry;
-  let payload = Buffer.contents t.scratch in
-  write_u32 t.buf (Util.Crc32.string payload);
-  write_u32 t.buf (String.length payload);
-  Buffer.add_string t.buf payload;
+  let len = Util.Kv.encoded_size entry in
+  let frame = t.staged and need = t.staged + frame_header_bytes + len in
+  if need > Bytes.length t.buf then begin
+    let grown = Bytes.create (max need (2 * Bytes.length t.buf)) in
+    Bytes.blit t.buf 0 grown 0 t.staged;
+    t.buf <- grown
+  end;
+  let payload_off = frame + frame_header_bytes in
+  ignore (Util.Kv.encode_into t.buf payload_off entry : int);
+  let crc = Util.Crc32.update 0 (Bytes.unsafe_to_string t.buf) payload_off len in
+  Bytes.set_int32_le t.buf frame (Int32.of_int crc);
+  Bytes.set_int32_le t.buf (frame + 4) (Int32.of_int len);
+  t.staged <- need;
   t.appended <- t.appended + 1
 
 (* Start a fresh ring: the old ring's records — staged ones included —
@@ -166,7 +169,7 @@ let rotate t =
   Pmem.free t.pm t.ring;
   t.ring <- fresh;
   t.tail <- 0;
-  Buffer.clear t.buf;
+  t.staged <- 0;
   t.appended <- 0
 
 let free t = Pmem.free t.pm t.ring

@@ -1,9 +1,9 @@
 (* Per-shard group commit: coalesce concurrent writers' WAL syncs into one
    PM ring write and one fence (flush+fence batching).
 
-   Shard engines run with [wal_external_sync]: a put stages its record into
-   the WAL's DRAM group buffer but does not sync — the durability point is
-   here. Two modes:
+   An engine's put only stages its record into the WAL's DRAM group buffer;
+   the durability point, the one call of [Engine.sync_wal], is here. Two
+   modes:
 
    - [Sync]: no scheduler attached (sequential benches, crash sweeps).
      Every commit syncs immediately — a batch of one — so the ack still

@@ -1,8 +1,8 @@
 (** Per-shard group commit: coalesce concurrent writers' WAL syncs into
     one PM ring write and one fence.
 
-    Shard engines run with [wal_external_sync]: a put stages its record
-    but the durability point — {!Core.Engine.sync_wal} — happens here. In
+    An engine's put only stages its record; the durability point, the
+    one call of {!Core.Engine.sync_wal}, happens here. In
     [Sync] mode (no scheduler) every commit syncs immediately, a batch of
     one, so an ack still implies durability. In [Batch] mode the first
     committing coroutine leads: it holds the batch open for

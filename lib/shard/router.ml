@@ -13,8 +13,9 @@
    disjoint ranges, so the concatenation is globally ordered and
    duplicate-free by construction. Each shard also carries:
 
-   - a {!Group_commit} batcher owning the WAL-sync durability point
-     (shard engines run [wal_external_sync]);
+   - a {!Group_commit} batcher owning the WAL-sync durability point (an
+     engine only stages its records; the committer's [Engine.sync_wal] is
+     the one sync);
    - admission limits on the shard's compaction debt: [admit] turns the
      soft zone into relief steps on the idle worker (one partition each,
      priced by Eq. 2) and the hard limit into a stall;
@@ -116,12 +117,11 @@ let make_shards cfg mk_engine rs =
     (List.mapi
        (fun i (lo, hi) ->
          (* its own manifest root on the shared SSD (the unnamed pair when
-            alone), and the WAL durability point handed to the group
-            committer *)
+            alone) *)
          let engine =
            mk_engine
              ~manifest_root:(if n = 1 then "" else Printf.sprintf "shard%d" i)
-             ~wal_external_sync:cfg.Core.Config.durable (shard_config cfg n i)
+             (shard_config cfg n i)
          in
          let soft = cfg.Core.Config.admission_soft_tables in
          {
@@ -173,16 +173,15 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) cfg =
   let cache = Core.Engine.new_block_cache clock cfg in
   let shards =
     make_shards cfg
-      (fun ~manifest_root ~wal_external_sync scfg ->
-        Core.Engine.create ~pm ~ssd ?cache ~manifest_root ~wal_external_sync scfg)
+      (fun ~manifest_root scfg -> Core.Engine.create ~pm ~ssd ?cache ~manifest_root scfg)
       rs
   in
   make cfg clock pm ssd cache shards
 
 (* Rebuild every shard from the shared devices. Each shard recovers its
-   own manifest chain with [~orphan_gc:false] — one shard's view is too
+   own manifest chain, which collects nothing — one shard's view is too
    narrow to reclaim on a shared device — and the router then runs the
-   orphan GC once over the union of the shards' in-memory manifest states
+   one orphan GC over the union of the shards' in-memory manifest states
    as recovery left them (each names its shard's live ring). *)
 let recover ?(boundaries = []) cfg ~pm ~ssd =
   let rs = ranges cfg boundaries in
@@ -190,14 +189,11 @@ let recover ?(boundaries = []) cfg ~pm ~ssd =
   let cache = Core.Engine.new_block_cache clock cfg in
   let shards =
     make_shards cfg
-      (fun ~manifest_root ~wal_external_sync scfg ->
-        Core.Engine.recover ~orphan_gc:false ?cache ~manifest_root ~wal_external_sync scfg ~pm
-          ~ssd)
+      (fun ~manifest_root scfg -> Core.Engine.recover ?cache ~manifest_root scfg ~pm ~ssd)
       rs
   in
   let engines = Array.to_list (Array.map (fun s -> s.engine) shards) in
-  Core.Engine.gc_orphans ~pm ~ssd ~states:(List.map Core.Engine.manifest_state engines)
-    ~rings:[];
+  Core.Engine.gc_orphans ~pm ~ssd ~states:(List.map Core.Engine.manifest_state engines);
   make cfg clock pm ssd cache shards
 
 let config t = t.config

@@ -10,8 +10,8 @@
     Writes route by binary search over the boundaries; cross-shard scans
     concatenate per-shard results in shard order — ranges are disjoint,
     so the result is globally ordered and duplicate-free by construction.
-    Each shard carries a {!Group_commit} batcher (the WAL durability
-    point under [wal_external_sync]), its admission limits (soft-zone
+    Each shard carries a {!Group_commit} batcher (the one WAL durability
+    point: engines only stage records), its admission limits (soft-zone
     relief steps, hard-limit stalls), and one modelled background worker:
     flush/compaction time is rewound and booked to a [busy_until]
     horizon, so one shard serialises background work while N shards
@@ -30,9 +30,10 @@ val recover : ?boundaries:string list -> Core.Config.t -> pm:Pmem.t -> ssd:Ssd.t
 (** Rebuild every shard from the shared crashed devices — the same
     [boundaries] must be supplied as at {!create} (the split is
     configuration, not persisted state). Each shard recovers its own
-    named manifest chain with per-engine orphan GC disabled; the router
-    then reclaims the union's orphans: structures referenced by no
-    shard's manifest, WAL ring, quarantine list, or superblock slot. *)
+    named manifest chain; the router then runs the one orphan GC
+    ({!Core.Engine.gc_orphans}) over the union: it reclaims structures
+    referenced by no shard's manifest, WAL ring, quarantine list, or
+    superblock slot. *)
 
 val ycsb_boundaries : records:int -> shards:int -> string list
 (** Equal-population split of the YCSB key space ([Util.Keys.ycsb_key]). *)

@@ -215,12 +215,15 @@ let test_warm_set_stays_in_pm () =
 (* Step 0 of Algorithm 1: a flush that overlaps no other level-0 table
    joins the sorted run without a PM rewrite; an overlapping one stays
    unsorted and shadows the run. A crash after the moves recovers the same
-   structure and contents. *)
+   structure and contents. The store is a one-shard router, the only
+   durable path; the writes go through its front door. *)
 let test_trivial_move () =
   let cfg =
     { (small Core.Config.pmblade) with Core.Config.durable = true; partition_count = 1 }
   in
-  let eng = Core.Engine.create cfg in
+  let router = Shard.Router.create cfg in
+  let put = (Shard.Router.sink router).Workload.Sink.put in
+  let eng = (Shard.Router.engines router).(0) in
   Pmem.enable_crash_mode (Core.Engine.pm eng);
   Ssd.enable_crash_mode (Core.Engine.ssd eng);
   let key i = Printf.sprintf "key%05d" i in
@@ -232,7 +235,7 @@ let test_trivial_move () =
   for batch = 0 to 4 do
     let before = tables () in
     for i = batch * 20 to (batch * 20) + 19 do
-      Core.Engine.put eng ~key:(key i) (Printf.sprintf "v0-%d" i)
+      put ~update:false ~key:(key i) (Printf.sprintf "v0-%d" i)
     done;
     Core.Engine.flush eng;
     check Alcotest.bool "every earlier table survives the flush" true
@@ -243,8 +246,8 @@ let test_trivial_move () =
   check Alcotest.int "nothing rewritten" 0
     (Core.Engine.metrics eng).Core.Metrics.internal_compactions;
   check Alcotest.int "debt is one run" 1 (Core.Engine.pressure eng);
-  Core.Engine.put ~update:true eng ~key:(key 10) "v1-10";
-  Core.Engine.put ~update:true eng ~key:(key 70) "v1-70";
+  put ~update:true ~key:(key 10) "v1-10";
+  put ~update:true ~key:(key 70) "v1-70";
   Core.Engine.flush eng;
   check Alcotest.int "an overlapping flush stays unsorted" 1
     (Core.Engine.unsorted_table_count eng);
@@ -257,7 +260,7 @@ let test_trivial_move () =
   let contents = all eng in
   let pm = Core.Engine.pm eng and ssd = Core.Engine.ssd eng in
   Shard.Sweep.crash ~pm ~ssd ();
-  let recovered = Core.Engine.recover cfg ~pm ~ssd in
+  let recovered = (Shard.Router.engines (Shard.Router.recover cfg ~pm ~ssd)).(0) in
   check Alcotest.(list (pair string string)) "contents survive the crash" contents
     (all recovered);
   check Alcotest.int "sorted run recovered" 5 (Core.Engine.sorted_table_count recovered);

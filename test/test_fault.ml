@@ -163,23 +163,25 @@ let test_ssd_io_error_retried () =
 
 (* --- corruption targeting --- *)
 
-(* An engine with level-0 tables and a live WAL ring holding synced
-   records: both are live PM regions of similar standing. *)
+(* A one-shard store with level-0 tables and a live WAL ring holding
+   records its group committer synced: both are live PM regions of
+   similar standing. *)
 let ring_and_tables () =
-  let engine = Core.Engine.create (durable_config ()) in
+  let router = Shard.Router.create (durable_config ()) in
+  let sink = Shard.Router.sink router in
   for i = 0 to 299 do
-    Core.Engine.put ~update:true engine ~key:(Printf.sprintf "user%06d" (i mod 64))
+    sink.Workload.Sink.put ~update:true ~key:(Printf.sprintf "user%06d" (i mod 64))
       (Printf.sprintf "v%d" i)
   done;
-  let wal = Option.get (Core.Engine.wal engine) in
+  let wal = Option.get (Core.Engine.wal (Shard.Router.engines router).(0)) in
   check Alcotest.bool "the ring holds synced records" true (Core.Wal.tail wal > 0);
-  (engine, wal)
+  (router, wal)
 
 let victim_region victim = Scanf.sscanf victim "%s@:%d" (fun _ id -> id)
 
 let test_pm_table_target_skips_rings () =
-  let engine, wal = ring_and_tables () in
-  let pm = Core.Engine.pm engine and ssd = Core.Engine.ssd engine in
+  let router, wal = ring_and_tables () in
+  let pm = Shard.Router.pm router and ssd = Shard.Router.ssd router in
   let ring = Core.Wal.region_id wal in
   check Alcotest.bool "tables exist beside the ring" true
     (List.length (Pmem.live_regions pm) > 1);
@@ -196,8 +198,8 @@ let test_pm_table_target_skips_rings () =
   done
 
 let test_wal_target_hits_durable_ring_bytes () =
-  let engine, wal = ring_and_tables () in
-  let pm = Core.Engine.pm engine and ssd = Core.Engine.ssd engine in
+  let router, wal = ring_and_tables () in
+  let pm = Shard.Router.pm router and ssd = Shard.Router.ssd router in
   let durable =
     Pmem.durable_upto (Option.get (Pmem.find_region pm (Core.Wal.region_id wal)))
   in

@@ -17,14 +17,17 @@ let small_config =
 
 let key i = Printf.sprintf "user%06d" i
 
+(* The engine of a durable one-shard store after [ops] writes through its
+   front door, whose group committer synced every acknowledged record. *)
 let build_engine ?(ops = 300) () =
-  let engine = Core.Engine.create small_config in
+  let router = Shard.Router.create small_config in
+  let put = (Shard.Router.sink router).Workload.Sink.put in
   let rng = Util.Xoshiro.create 5 in
   for i = 0 to ops - 1 do
-    Core.Engine.put ~update:true engine ~key:(key (i mod 64))
+    put ~update:true ~key:(key (i mod 64))
       (Printf.sprintf "gen%d:%s" i (Util.Xoshiro.string rng 24))
   done;
-  engine
+  (Shard.Router.engines router).(0)
 
 (* --- Pm_table verify / salvage ------------------------------------------- *)
 

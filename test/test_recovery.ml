@@ -1,6 +1,7 @@
 (* Durability and recovery tests: PM-table and SSTable reopening, WAL
-   semantics, manifest roundtrip, and full engine crash/recover
-   equivalence. *)
+   semantics, manifest roundtrip, and full crash/recover equivalence of
+   the durable store, a one-shard router (its group committer is the one
+   WAL sync, its recovery the one orphan collector). *)
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -330,145 +331,145 @@ let durable_config () =
     durable = true;
   }
 
+(* The durable store's one engine, and writes through its front door: a
+   returned put is synced. *)
+let engine r = (Shard.Router.engines r).(0)
+let put ?(update = false) r ~key v = (Shard.Router.sink r).Workload.Sink.put ~update ~key v
+let recover cfg r = Shard.Router.recover cfg ~pm:(Shard.Router.pm r) ~ssd:(Shard.Router.ssd r)
+
 let run_and_recover ~ops ~with_major =
   let cfg = durable_config () in
-  let eng = Core.Engine.create cfg in
+  let r = Shard.Router.create cfg in
   let model = Hashtbl.create 256 in
   let rng = Util.Xoshiro.create 23 in
   for i = 0 to ops - 1 do
     let key = Util.Keys.record_key ~table_id:(i mod 3) ~row_id:(Util.Xoshiro.int rng 300) in
     if Util.Xoshiro.int rng 12 = 0 then begin
       Hashtbl.remove model key;
-      Core.Engine.delete eng key
+      (Shard.Router.sink r).Workload.Sink.delete key
     end
     else begin
       let v = Util.Xoshiro.string rng 48 in
       Hashtbl.replace model key v;
-      Core.Engine.put ~update:true eng ~key v
+      put ~update:true r ~key v
     end
   done;
-  if with_major then Core.Engine.force_major_compaction eng;
+  if with_major then Core.Engine.force_major_compaction (engine r);
   (* crash: drop every DRAM structure; only the devices survive *)
-  let recovered = Core.Engine.recover cfg ~pm:(Core.Engine.pm eng) ~ssd:(Core.Engine.ssd eng) in
-  (recovered, model)
+  (recover cfg r, model)
 
-let check_model name eng model =
+let check_model name r model =
   let bad = ref 0 in
-  Hashtbl.iter (fun k v -> if Core.Engine.get eng k <> Some v then incr bad) model;
+  Hashtbl.iter (fun k v -> if Core.Engine.get (engine r) k <> Some v then incr bad) model;
   check Alcotest.int (name ^ ": lost or stale keys after recovery") 0 !bad
 
 let test_recover_with_memtable_data () =
   (* Few ops: most data is still in the memtable at crash time, so the WAL
      replay carries the recovery. *)
-  let eng, model = run_and_recover ~ops:40 ~with_major:false in
-  check_model "memtable-heavy" eng model
+  let r, model = run_and_recover ~ops:40 ~with_major:false in
+  check_model "memtable-heavy" r model
 
 let test_recover_after_compactions () =
-  let eng, model = run_and_recover ~ops:2500 ~with_major:false in
-  check_model "level-0-heavy" eng model
+  let r, model = run_and_recover ~ops:2500 ~with_major:false in
+  check_model "level-0-heavy" r model
 
 let test_recover_after_major () =
-  let eng, model = run_and_recover ~ops:2500 ~with_major:true in
-  check_model "post-major" eng model
+  let r, model = run_and_recover ~ops:2500 ~with_major:true in
+  check_model "post-major" r model
 
 let test_recover_continues_writing () =
-  let eng, model = run_and_recover ~ops:1000 ~with_major:false in
-  (* the recovered engine keeps working, with sequence numbers above every
+  let r, model = run_and_recover ~ops:1000 ~with_major:false in
+  (* the recovered store keeps working, with sequence numbers above every
      recovered version *)
   let rng = Util.Xoshiro.create 29 in
   for i = 0 to 499 do
     let key = Util.Keys.record_key ~table_id:(i mod 3) ~row_id:(Util.Xoshiro.int rng 300) in
     let v = Util.Xoshiro.string rng 48 in
     Hashtbl.replace model key v;
-    Core.Engine.put ~update:true eng ~key v
+    put ~update:true r ~key v
   done;
-  check_model "post-recovery writes" eng model
+  check_model "post-recovery writes" r model
 
 let test_recover_twice () =
-  let eng, model = run_and_recover ~ops:800 ~with_major:false in
-  let again =
-    Core.Engine.recover (durable_config ()) ~pm:(Core.Engine.pm eng)
-      ~ssd:(Core.Engine.ssd eng)
-  in
-  check_model "second recovery" again model
+  let r, model = run_and_recover ~ops:800 ~with_major:false in
+  check_model "second recovery" (recover (durable_config ()) r) model
 
 let test_recover_without_manifest_fails () =
   let clock = Sim.Clock.create () in
   let pm = Pmem.create clock in
   let ssd = Ssd.create clock in
   check Alcotest.bool "raises" true
-    (try ignore (Core.Engine.recover (durable_config ()) ~pm ~ssd); false
+    (try ignore (Core.Engine.recover (durable_config ()) ~manifest_root:"" ~pm ~ssd); false
      with Failure _ -> true)
 
 let prop_recover_model =
   QCheck.Test.make ~name:"recover = model over random op counts" ~count:10
     QCheck.(int_range 10 1500)
     (fun ops ->
-      let eng, model = run_and_recover ~ops ~with_major:false in
-      Hashtbl.fold (fun k v acc -> acc && Core.Engine.get eng k = Some v) model true)
+      let r, model = run_and_recover ~ops ~with_major:false in
+      Hashtbl.fold (fun k v acc -> acc && Core.Engine.get (engine r) k = Some v) model true)
 
-(* A fresh engine whose devices crash to their durable contents (its
+(* A fresh store whose devices crash to their durable contents (its
    initial manifest is already durable). *)
-let crashable_engine cfg =
-  let eng = Core.Engine.create cfg in
-  Pmem.enable_crash_mode (Core.Engine.pm eng);
-  Ssd.enable_crash_mode (Core.Engine.ssd eng);
-  eng
+let crashable_store cfg =
+  let r = Shard.Router.create cfg in
+  Pmem.enable_crash_mode (Shard.Router.pm r);
+  Ssd.enable_crash_mode (Shard.Router.ssd r);
+  r
 
 (* Rot the newest manifest slot, pull the plug: recovery must land on the
    previous snapshot (fallback metric ticks) instead of panicking, and the
-   recovered engine must keep serving reads and writes. *)
+   recovered store must keep serving reads and writes. *)
 let test_recover_manifest_fallback () =
   let cfg = durable_config () in
-  let eng = crashable_engine cfg in
-  let pm = Core.Engine.pm eng and ssd = Core.Engine.ssd eng in
+  let r = crashable_store cfg in
+  let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
   let rng = Util.Xoshiro.create 31 in
   for i = 0 to 199 do
     let key = Util.Keys.record_key ~table_id:(i mod 3) ~row_id:(Util.Xoshiro.int rng 300) in
-    Core.Engine.put ~update:true eng ~key (Util.Xoshiro.string rng 32)
+    put ~update:true r ~key (Util.Xoshiro.string rng 32)
   done;
-  Core.Engine.flush eng;
+  Shard.Router.flush r;
   let cur, prev = Ssd.root_slots ssd in
   check Alcotest.bool "two slots populated" true (cur <> None && prev <> None);
   let newest = Option.get (Ssd.find_file ssd (Option.get cur)) in
   Ssd.corrupt_file ssd newest ~off:(Ssd.file_size newest / 2);
   let fb = Core.Manifest.fallback_count () in
   Shard.Sweep.crash ~pm ~ssd ();
-  let recovered = Core.Engine.recover cfg ~pm ~ssd in
+  let recovered = Shard.Router.recover cfg ~pm ~ssd in
   check Alcotest.bool "fallback taken" true (Core.Manifest.fallback_count () > fb);
-  (* no panic on the read paths, and the engine still accepts writes *)
-  (try ignore (Core.Engine.get recovered "post-fallback")
+  (* no panic on the read paths, and the store still accepts writes *)
+  (try ignore (Core.Engine.get (engine recovered) "post-fallback")
    with Core.Engine.Degraded_read _ -> ());
   (try
      ignore
-       (Core.Engine.scan_range recovered ~start:""
+       (Core.Engine.scan_range (engine recovered) ~start:""
           ~stop:"\xff\xff\xff\xff\xff\xff\xff\xff")
    with Core.Engine.Degraded_scan _ -> ());
-  Core.Engine.put recovered ~key:"post-fallback" "alive";
+  put recovered ~key:"post-fallback" "alive";
   check Alcotest.bool "keeps serving" true
-    (Core.Engine.get recovered "post-fallback" = Some "alive")
+    (Core.Engine.get (engine recovered) "post-fallback" = Some "alive")
 
 (* Rot one durable WAL record: recovery skips exactly that record, counts
    it in the metrics, and every other acked write survives. *)
 let test_recover_skips_corrupt_wal_record () =
   let cfg = durable_config () in
-  let eng = crashable_engine cfg in
-  let pm = Core.Engine.pm eng and ssd = Core.Engine.ssd eng in
+  let r = crashable_store cfg in
+  let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
   (* few ops: everything lives in memtable + WAL at crash time *)
   for i = 0 to 19 do
-    Core.Engine.put ~update:true eng ~key:(Printf.sprintf "key%02d" i)
-      (Printf.sprintf "value%02d" i)
+    put ~update:true r ~key:(Printf.sprintf "key%02d" i) (Printf.sprintf "value%02d" i)
   done;
-  let wal = Option.get (Core.Engine.wal eng) in
+  let wal = Option.get (Core.Engine.wal (engine r)) in
   let ring = Option.get (Pmem.find_region pm (Core.Wal.region_id wal)) in
   Pmem.corrupt_region pm ring ~off:(Core.Wal.tail wal / 2);
   Shard.Sweep.crash ~pm ~ssd ();
-  let recovered = Core.Engine.recover cfg ~pm ~ssd in
+  let recovered = Shard.Router.recover cfg ~pm ~ssd in
   check Alcotest.bool "corrupt record counted" true
-    ((Core.Engine.metrics recovered).Core.Metrics.wal_corrupt_records > 0);
+    ((Core.Engine.metrics (engine recovered)).Core.Metrics.wal_corrupt_records > 0);
   let survivors = ref 0 and wrong = ref 0 in
   for i = 0 to 19 do
-    match Core.Engine.get recovered (Printf.sprintf "key%02d" i) with
+    match Core.Engine.get (engine recovered) (Printf.sprintf "key%02d" i) with
     | Some v when v = Printf.sprintf "value%02d" i -> incr survivors
     | Some _ -> incr wrong
     | None -> () (* the skipped record's key: lost, not wrong *)
@@ -478,14 +479,15 @@ let test_recover_skips_corrupt_wal_record () =
   (* the rotten ring was re-logged, not appended to: writes after recovery
      survive the next crash *)
   check Alcotest.bool "fresh ring" true
-    (Core.Wal.region_id (Option.get (Core.Engine.wal recovered)) <> Core.Wal.region_id wal);
-  Core.Engine.put recovered ~key:"after" "recovery";
+    (Core.Wal.region_id (Option.get (Core.Engine.wal (engine recovered)))
+    <> Core.Wal.region_id wal);
+  put recovered ~key:"after" "recovery";
   Shard.Sweep.crash ~pm ~ssd ();
-  let again = Core.Engine.recover cfg ~pm ~ssd in
+  let again = Shard.Router.recover cfg ~pm ~ssd in
   check (Alcotest.option Alcotest.string) "post-recovery write survives" (Some "recovery")
-    (Core.Engine.get again "after");
+    (Core.Engine.get (engine again) "after");
   check Alcotest.int "the re-logged ring replays clean" 0
-    (Core.Engine.metrics again).Core.Metrics.wal_corrupt_records
+    (Core.Engine.metrics (engine again)).Core.Metrics.wal_corrupt_records
 
 (* A group that would overflow the ring flushes the memtable first: the
    flush rotates the log, the write lands in the fresh ring, and nothing
@@ -493,11 +495,12 @@ let test_recover_skips_corrupt_wal_record () =
    ring's headroom before the memtable fills. *)
 let test_ring_full_flushes_and_rotates () =
   let cfg = durable_config () in
-  let eng = crashable_engine cfg in
-  let pm = Core.Engine.pm eng and ssd = Core.Engine.ssd eng in
+  let r = crashable_store cfg in
+  let eng = engine r in
+  let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
   let first_ring = Core.Wal.region_id (Option.get (Core.Engine.wal eng)) in
   for i = 0 to 999 do
-    Core.Engine.put eng ~key:(Printf.sprintf "%03d" i) "v"
+    put r ~key:(Printf.sprintf "%03d" i) "v"
   done;
   let m = Core.Engine.metrics eng in
   check Alcotest.bool "ring-full path taken" true (m.Core.Metrics.wal_ring_full_flushes > 0);
@@ -508,7 +511,7 @@ let test_ring_full_flushes_and_rotates () =
   check Alcotest.bool "the ring never overflowed" true
     ((Core.Wal.stats wal).Core.Wal.high_water <= Core.Wal.capacity wal);
   Shard.Sweep.crash ~pm ~ssd ();
-  let recovered = Core.Engine.recover cfg ~pm ~ssd in
+  let recovered = engine (Shard.Router.recover cfg ~pm ~ssd) in
   for i = 0 to 999 do
     check (Alcotest.option Alcotest.string) "acked write survives" (Some "v")
       (Core.Engine.get recovered (Printf.sprintf "%03d" i))

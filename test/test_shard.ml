@@ -662,23 +662,29 @@ let test_schedsan_clean_when_locked () =
 
 (* --- orphan GC --------------------------------------------------------- *)
 
-(* One collector serves both recoveries. Plant a PM region and an SSD file
-   nothing references, crash, recover: both plants are freed, while every
-   table region and file, WAL ring, quarantined structure and superblock
-   slot the store held before the crash survives. *)
-let check_orphan_gc ~pm ~ssd ~engines ~put ~flush ~recover =
+(* [Router.recover] is the one collector, at any shard count. Plant a PM
+   region and an SSD file nothing references, crash, recover: both plants
+   are freed, while every table region and file, WAL ring, quarantined
+   structure and superblock slot the store held before the crash
+   survives. *)
+let check_gc_orphans ~shards ~boundaries =
+  let cfg = base_config ~shards ~durable:true () in
+  let r = crashable_router cfg ~boundaries in
+  let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
+  let engines () = Array.to_list (Shard.Router.engines r) in
   let fill lo hi =
     for i = lo to hi - 1 do
-      put ~key:(Printf.sprintf "%c%04d" (Char.chr (Char.code 'a' + (i mod 26))) i)
+      put r
+        ~key:(Printf.sprintf "%c%04d" (Char.chr (Char.code 'a' + (i mod 26))) i)
         (String.make 48 'v')
     done
   in
   (* SSD levels below, PM level-0 tables on top *)
   fill 0 400;
-  flush ();
+  Shard.Router.flush r;
   List.iter Core.Engine.force_major_compaction (engines ());
   fill 400 600;
-  flush ();
+  Shard.Router.flush r;
   (* rot one PM table; a scrub without salvage quarantines it in place *)
   (match
      Fault.Plan.inject_corruption (Fault.Plan.create 9) ~pm ~ssd
@@ -712,7 +718,7 @@ let check_orphan_gc ~pm ~ssd ~engines ~put ~flush ~recover =
     Ssd.file_id f
   in
   Shard.Sweep.crash ~pm ~ssd ();
-  recover ();
+  ignore (Shard.Router.recover ~boundaries cfg ~pm ~ssd);
   check Alcotest.bool "planted region freed" true (Pmem.find_region pm planted_region = None);
   check Alcotest.bool "planted file deleted" true (Ssd.find_file ssd planted_file = None);
   check Alcotest.(list int) "no referenced region freed" []
@@ -720,28 +726,9 @@ let check_orphan_gc ~pm ~ssd ~engines ~put ~flush ~recover =
   check Alcotest.(list int) "no referenced file deleted" []
     (List.filter (fun id -> Ssd.find_file ssd id = None) files)
 
-let test_orphan_gc_engine () =
-  let cfg = base_config ~shards:1 ~durable:true () in
-  let e = Core.Engine.create cfg in
-  let pm = Core.Engine.pm e and ssd = Core.Engine.ssd e in
-  Pmem.enable_crash_mode pm;
-  Ssd.enable_crash_mode ssd;
-  check_orphan_gc ~pm ~ssd
-    ~engines:(fun () -> [ e ])
-    ~put:(fun ~key value -> Core.Engine.put e ~key value)
-    ~flush:(fun () -> Core.Engine.flush e)
-    ~recover:(fun () -> ignore (Core.Engine.recover cfg ~pm ~ssd))
-
-let test_orphan_gc_router () =
-  let cfg = base_config ~shards:2 ~durable:true () in
-  let boundaries = [ "m" ] in
-  let r = crashable_router cfg ~boundaries in
-  let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
-  check_orphan_gc ~pm ~ssd
-    ~engines:(fun () -> Array.to_list (Shard.Router.engines r))
-    ~put:(fun ~key value -> put r ~key value)
-    ~flush:(fun () -> Shard.Router.flush r)
-    ~recover:(fun () -> ignore (Shard.Router.recover ~boundaries cfg ~pm ~ssd))
+(* "orphan gc engine" is the one-shard store. *)
+let test_gc_orphans_1_shard () = check_gc_orphans ~shards:1 ~boundaries:[]
+let test_gc_orphans_2_shards () = check_gc_orphans ~shards:2 ~boundaries:[ "m" ]
 
 (* A shard persists its manifest under its own named superblock root, so
    the scrubber must check that root, not the unnamed one: rot shard 1's
@@ -889,8 +876,8 @@ let () =
         [
           Alcotest.test_case "recover all shards" `Quick test_recover_all_shards;
           Alcotest.test_case "batch crash atomicity" `Quick test_batch_crash_atomicity;
-          Alcotest.test_case "orphan gc engine" `Quick test_orphan_gc_engine;
-          Alcotest.test_case "orphan gc 2-shard router" `Quick test_orphan_gc_router;
+          Alcotest.test_case "orphan gc engine" `Quick test_gc_orphans_1_shard;
+          Alcotest.test_case "orphan gc 2-shard router" `Quick test_gc_orphans_2_shards;
           Alcotest.test_case "scrub checks the shard's manifest" `Quick
             test_scrub_checks_shard_manifest;
         ] );
