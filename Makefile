@@ -23,14 +23,22 @@ crashtest:
 oracles:
 	sh scripts/check_oracles.sh
 
-# Run every example to completion. Each asserts its own story
-# (crash_recovery must detect its planted Wal_sync_loss act,
-# corruption_scrub its checksum-off sweep), so any non-zero exit fails.
+# Run every example to completion, then the paper's §VI-A tool
+# (bin/benchmark_kv.exe, a bare engine) at small sizes. Each example
+# asserts its own story (crash_recovery must detect its planted
+# Wal_sync_loss act, corruption_scrub its checksum-off sweep), so any
+# non-zero exit fails.
 EXAMPLES = quickstart takeout_orders ycsb_demo secondary_index crash_recovery corruption_scrub
+BENCHMARK_KV = "fillseq --num 2000" "readrandom --num 2000 --reads 500" \
+  "filltables --tables 2 --indexes 2" "indexscan --tables 2 --indexes 2"
 examples:
 	@for e in $(EXAMPLES); do \
 	  echo "== examples/$$e.exe"; \
 	  dune exec examples/$$e.exe || { echo "examples/$$e.exe failed" >&2; exit 1; }; \
+	done
+	@for c in $(BENCHMARK_KV); do \
+	  echo "== benchmark_kv $$c"; \
+	  dune exec bin/benchmark_kv.exe -- $$c || { echo "benchmark_kv $$c failed" >&2; exit 1; }; \
 	done
 
 # Corruption sweep on the one-shard router: inject seeded bit rot into PM

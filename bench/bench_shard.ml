@@ -93,31 +93,18 @@ let run_one workload shards =
   Workload.Ycsb.load_sink y sink ~records;
   Shard.Router.flush router;
   let clock = Shard.Router.clock router in
-  let des = Sim.Des.create clock in
-  let sched =
-    Coroutine.Scheduler.create ~cores:1
-      ~policy:(Coroutine.Scheduler.Cooperative { switch_cost = 0.0 })
-      des (Shard.Router.ssd router)
-  in
   (* Only the measured phase batches: the load above ran in [Sync] mode,
      so batch statistics are deltas from here. *)
   let batches0 = Shard.Router.gc_batches router in
   let synced0 = Shard.Router.gc_synced_entries router in
   let op_lat = Util.Histogram.create () in
-  Shard.Router.enable_group_commit router sched;
   let t_start = Sim.Clock.now clock in
   let per_client = ops / clients in
-  for c = 0 to clients - 1 do
-    Coroutine.Scheduler.spawn ~name:(Printf.sprintf "client-%d" c) sched 0 (fun () ->
-        for _ = 1 to per_client do
-          let t0 = Sim.Clock.now clock in
-          Workload.Ycsb.step_sink y sink workload;
-          Util.Histogram.record op_lat (Sim.Clock.now clock -. t0);
-          Coroutine.Co.yield ()
-        done)
-  done;
-  ignore (Coroutine.Scheduler.run_to_completion sched);
-  Shard.Router.disable_group_commit router;
+  ignore
+    (Shard.Router.run_clients router ~clients ~per_client (fun _ _ ->
+         let t0 = Sim.Clock.now clock in
+         Workload.Ycsb.step_sink y sink workload;
+         Util.Histogram.record op_lat (Sim.Clock.now clock -. t0)));
   let elapsed = Sim.Clock.now clock -. t_start in
   let run_ops = per_client * clients in
   let batches = Shard.Router.gc_batches router - batches0 in

@@ -213,32 +213,16 @@ let with_observability ~trace ~trace_no_io ~metrics ~interval router f =
 let router_clients = 8
 
 (* Drive [ops] operations through the router from [router_clients]
-   concurrent coroutine clients; durable routers batch their WAL syncs
-   through the group committer for the duration. Every op ticks
-   [sampler], which then takes a final row. Returns elapsed simulated
-   ns. *)
+   concurrent clients (the router's harness). Every op ticks [sampler],
+   which then takes a final row. Returns elapsed simulated ns. *)
 let run_router_ops ?sampler router ~ops step =
   let clock = Shard.Router.clock router in
-  let des = Sim.Des.create clock in
-  let sched =
-    Coroutine.Scheduler.create ~cores:1
-      ~policy:(Coroutine.Scheduler.Cooperative { switch_cost = 0.0 })
-      des (Shard.Router.ssd router)
-  in
-  if (Shard.Router.config router).Core.Config.durable then
-    Shard.Router.enable_group_commit router sched;
   let t0 = Sim.Clock.now clock in
-  let per_client = max 1 (ops / router_clients) in
-  for c = 0 to router_clients - 1 do
-    Coroutine.Scheduler.spawn ~name:(Printf.sprintf "client-%d" c) sched 0 (fun () ->
-        for _ = 1 to per_client do
-          step ();
-          Option.iter Obs.Sampler.tick sampler;
-          Coroutine.Co.yield ()
-        done)
-  done;
-  ignore (Coroutine.Scheduler.run_to_completion sched);
-  Shard.Router.disable_group_commit router;
+  ignore
+    (Shard.Router.run_clients router ~clients:router_clients
+       ~per_client:(max 1 (ops / router_clients)) (fun _ _ ->
+         step ();
+         Option.iter Obs.Sampler.tick sampler));
   Option.iter Obs.Sampler.force sampler;
   Sim.Clock.now clock -. t0
 
@@ -729,7 +713,7 @@ let print_front_door router =
       Fmt.pr "  shard%-3d %7.2f MB %6d r %8d@." i
         (mb (Core.Engine.l0_bytes e))
         (Core.Engine.pressure e)
-        (Core.Engine.metrics e).Core.Metrics.write_stalls)
+        (Shard.Router.shard_stall_count router i))
     (Shard.Router.engines router);
   Fmt.pr "@."
 
@@ -802,8 +786,6 @@ let doctor cfg ~records ~ops ~value_bytes =
     (mb space) (mb logical);
   Fmt.pr "compaction debt: %.1f MB of level-0 backlog in %d run(s)@." (mb debt_bytes)
     debt_runs;
-  Fmt.pr "write stalls: %d stall(s), %s total@." m.Core.Metrics.write_stalls
-    (dur m.Core.Metrics.write_stall_time);
   Array.iteri
     (fun i e ->
       if Core.Engine.wal e <> None then Fmt.pr "shard%d %a@." i Core.Engine.pp_wal e)

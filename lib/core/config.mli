@@ -5,8 +5,9 @@
     EXPERIMENTS.md. A field is a choice some variant, workload or CLI flag
     makes; a setting with one value in use is a constant beside the code
     that reads it (the PM-table group of 8, the 30% background share, the
-    retry jitter), and per-shard wiring (manifest root, external WAL sync)
-    is an {!Engine.create} argument the router passes. *)
+    retry jitter), and per-shard wiring (the shared devices and the
+    manifest root) is an {!Engine.create_shard} argument the router
+    passes. *)
 
 type l0_medium = L0_pm | L0_ssd
 

@@ -784,10 +784,9 @@ let scrub ?(salvage = true) t =
    freed/deleted after the durable manifest was written (the medium still
    held their bytes), and may leave behind half-built tables from an
    interrupted flush or compaction. Nothing the manifests do not name is
-   reachable, so reclaim it. Every superblock slot — unnamed and named —
-   stays referenced (each previous manifest is its namespace's dual-slot
-   fallback), and quarantined structures are preserved for
-   salvage/forensics rather than reclaimed. *)
+   reachable, so reclaim it. Every superblock slot stays referenced (each
+   previous manifest is its shard's dual-slot fallback), and quarantined
+   structures are preserved for salvage/forensics rather than reclaimed. *)
 let gc_orphans ~pm ~ssd ~states =
   let region_referenced = Hashtbl.create 64 and file_referenced = Hashtbl.create 64 in
   let keep_region id = Hashtbl.replace region_referenced id () in
@@ -809,9 +808,11 @@ let gc_orphans ~pm ~ssd ~states =
           | Manifest.Q_file id -> keep_file id)
         state.Manifest.quarantined)
     states;
-  let keep_slots (cur, prev) = List.iter (Option.iter keep_file) [ cur; prev ] in
-  keep_slots (Ssd.root_slots ssd);
-  List.iter (fun name -> keep_slots (Ssd.root_slots ~name ssd)) (Ssd.root_names ssd);
+  List.iter
+    (fun name ->
+      let cur, prev = Ssd.root_slots ~name ssd in
+      List.iter (Option.iter keep_file) [ cur; prev ])
+    (Ssd.root_names ssd);
   let orphan_regions =
     List.filter (fun r -> not (Hashtbl.mem region_referenced (Pmem.region_id r)))
       (Pmem.live_regions pm)
@@ -830,9 +831,8 @@ let gc_orphans ~pm ~ssd ~states =
           ("ssd_files", Obs.Trace.Int (List.length orphan_files));
         ])
 
-let recover ?cache ~manifest_root config ~pm ~ssd =
+let recover ~pm ~ssd ~cache:block_cache ~manifest_root config =
   let clock = Pmem.clock pm in
-  let block_cache = match cache with Some _ -> cache | None -> new_block_cache clock config in
   let fallbacks_before = Manifest.fallback_count () in
   let state =
     match Manifest.load ~root:manifest_root ssd with
@@ -1044,17 +1044,17 @@ let pp_stats ppf t =
        (float_of_int !Pmtable.Pm_table.bloom_negatives /. float_of_int probes));
   Fmt.pf ppf "  fence rebuilds: %d@," m.Metrics.fence_rebuilds;
   if t.wal <> None then Fmt.pf ppf "  %a@," pp_wal t;
-  (* Sharding knobs, when this engine runs behind the router front door:
-     the perf gate and doctor must be able to tell a sharded run apart. *)
+  (* Sharding knobs of a router shard (a bare engine has no root): the
+     perf gate and doctor must be able to tell a sharded run apart. *)
   (let c = t.config in
-   if c.Config.shard_count > 1 || t.manifest_root <> "" || c.Config.durable then
-     Fmt.pf ppf
-       "  shard: %d shards, root '%s', group commit %s (window %a, max %d), admission \
-        soft/hard %d/%d tables@,"
-       c.Config.shard_count t.manifest_root
-       (if c.Config.durable then "external" else "inline")
-       Sim.Clock.pp_duration c.Config.group_commit_window_ns c.Config.group_commit_max
-       c.Config.admission_soft_tables c.Config.admission_hard_tables);
+   if t.manifest_root <> "" then begin
+     Fmt.pf ppf "  shard: %d shards, root '%s', " c.Config.shard_count t.manifest_root;
+     if c.Config.durable then
+       Fmt.pf ppf "group commit (window %a, max %d), " Sim.Clock.pp_duration
+         c.Config.group_commit_window_ns c.Config.group_commit_max;
+     Fmt.pf ppf "admission soft/hard %d/%d tables@," c.Config.admission_soft_tables
+       c.Config.admission_hard_tables
+   end);
   Fmt.pf ppf "  PM hit ratio: %.2f@]" (Metrics.pm_hit_ratio m)
 
 let unsorted_table_count t =

@@ -11,11 +11,12 @@
     device touch charges the virtual clock, so an operation's latency is
     the clock delta across the call.
 
-    Durability has one point and one collector. A durable engine's writes
-    only stage their WAL records; {!sync_wal}, called by the shard's group
-    committer, makes them durable. {!recover} rebuilds one engine and
-    leaves orphan collection to [Shard.Router.recover], which runs
-    {!gc_orphans} once over every shard's state. *)
+    A bare {!create} engine is never durable. A durable or concurrent
+    store is a [Shard.Router], whose shards come from {!create_shard} and,
+    after a crash, {!recover}. A shard's writes only stage their WAL
+    records; {!sync_wal}, called by its group committer, makes them
+    durable, and [Shard.Router.recover] runs {!gc_orphans} once over
+    every shard's state. *)
 
 type t
 type partition
@@ -44,35 +45,34 @@ type scan_error = {
 exception Degraded_read of read_error
 exception Degraded_scan of scan_error
 
-val create :
-  ?boundaries:string list ->
-  ?pm:Pmem.t ->
-  ?ssd:Ssd.t ->
-  ?cache:Cache.Block_cache.t ->
-  ?manifest_root:string ->
-  Config.t ->
-  t
-(** The engine starts with one partition and splits at the data median as
-    partitions grow, up to [config.partition_count]; explicit [boundaries]
-    pre-create the partitioning instead. With [config.durable] a WAL and a
-    persisted manifest make {!recover} possible; the WAL is a ring in one PM
-    region of {!Wal.ring_bytes} for the configured memtable. [pm]/[ssd]/[cache] supply
-    pre-existing (shared) devices instead of creating fresh ones — range
-    shards pass the same devices and block cache to every engine; when [pm]
-    is given its clock becomes the engine clock. The manifest chain
-    persists under the named superblock slot [manifest_root] (default
-    [""], the unnamed pair; router shards pass ["shard<i>"]). A put stages
-    its WAL record; it is durable after the next {!sync_wal}. *)
+val create : ?boundaries:string list -> Config.t -> t
+(** A bare engine on its own clock, PM, SSD and block cache, with one
+    partition that splits at the data median as it grows, up to
+    [config.partition_count] ([boundaries] pre-create the partitioning
+    instead). Raises [Invalid_argument] on a durable config. *)
 
-val recover :
-  ?cache:Cache.Block_cache.t ->
-  manifest_root:string ->
-  Config.t ->
+val create_shard :
   pm:Pmem.t ->
   ssd:Ssd.t ->
+  cache:Cache.Block_cache.t option ->
+  manifest_root:string ->
+  Config.t ->
   t
-(** Rebuild an engine from the devices after a crash: the superblock points
-    at the manifest (the [manifest_root] named slot, as in {!create}),
+(** A router shard on the shared devices and block cache, on [pm]'s clock,
+    its manifest chain under the superblock root [manifest_root]
+    (["shard<i>"]). With [config.durable] a WAL ring (one PM region of
+    {!Wal.ring_bytes}) and a persisted manifest make {!recover} possible;
+    a put stages its record, durable after the next {!sync_wal}. *)
+
+val recover :
+  pm:Pmem.t ->
+  ssd:Ssd.t ->
+  cache:Cache.Block_cache.t option ->
+  manifest_root:string ->
+  Config.t ->
+  t
+(** {!create_shard}'s twin: rebuild a shard from the devices after a
+    crash. The superblock root [manifest_root] points at the manifest,
     tables are reopened in place, and the WAL ring replays the (durable) writes the
     memtable lost. A ring whose replay hit a torn tail or a rotten record
     is never appended to: its surviving records are re-logged into a fresh
@@ -88,8 +88,7 @@ val recover :
 val gc_orphans : pm:Pmem.t -> ssd:Ssd.t -> states:Manifest.state list -> unit
 (** The orphan GC behind every recovery: free each PM region and SSD file
     that no manifest in [states] names (as a table, a WAL ring or a
-    quarantined structure) and that is no superblock slot, named or
-    unnamed. *)
+    quarantined structure) and that is no superblock slot. *)
 
 val manifest_state : t -> Manifest.state
 (** The structure the next manifest would persist: live tables, WAL ring
@@ -98,7 +97,8 @@ val manifest_state : t -> Manifest.state
 val config : t -> Config.t
 
 val manifest_root : t -> string
-(** The named superblock slot this engine's manifest chain persists under. *)
+(** The superblock root this shard's manifest chain persists under; [""]
+    on a bare engine. *)
 
 val clock : t -> Sim.Clock.t
 val pm : t -> Pmem.t
@@ -116,7 +116,7 @@ val block_cache : t -> Cache.Block_cache.t option
 
 val new_block_cache : Sim.Clock.t -> Config.t -> Cache.Block_cache.t option
 (** A block cache of [config.block_cache_mb] on [clock]; [None] when that
-    is 0. Range shards share one ({!create}'s [cache]). *)
+    is 0. Range shards share one ({!create_shard}'s [cache]). *)
 
 (** {1 Operations} *)
 
@@ -282,5 +282,6 @@ val pp_wal : t Fmt.t
 
 val pp_stats : t Fmt.t
 (** One-look storage report: per-tier occupancy, latency percentiles,
-    compaction counters, write amplification, PM hit ratio. *)
+    compaction counters, write amplification, PM hit ratio; a router
+    shard adds its shard line (group commit only when durable). *)
 

@@ -55,9 +55,9 @@ type partition = {
 
 type t = {
   config : Config.t;
-  (* named superblock root slot this engine's manifest chain persists
-     under; "" is the classic unnamed pair. Router shards use "shard<i>" so
-     N manifest chains coexist on the shared SSD. *)
+  (* superblock root a router shard's manifest chain persists under,
+     "shard<i>", so N manifest chains coexist on the shared SSD; "" on a
+     bare engine, which persists nothing *)
   manifest_root : string;
   clock : Sim.Clock.t;
   pm : Pmem.t;
@@ -819,10 +819,8 @@ let persist_manifest t =
    maybe_split), up to [config.partition_count]. Explicit [boundaries]
    pre-create the partitioning instead. A durable engine records its
    (empty) structure at once, so recovery works before the first flush. *)
-let create ?(boundaries = []) ?pm ?ssd ?cache ?(manifest_root = "") config =
-  (* Shards pass shared [pm]/[ssd]/[cache] devices; the clock is then the
-     devices' clock so every shard charges time to the same timeline. *)
-  let clock = match pm with Some p -> Pmem.clock p | None -> Sim.Clock.create () in
+let make ~boundaries ~pm ~ssd ~cache ~manifest_root config =
+  let clock = Pmem.clock pm in
   let boundaries = List.sort_uniq String.compare boundaries in
   let lows = "" :: boundaries in
   let highs = boundaries @ [ max_key_sentinel ] in
@@ -847,12 +845,6 @@ let create ?(boundaries = []) ?pm ?ssd ?cache ?(manifest_root = "") config =
            })
          (List.combine lows highs))
   in
-  let pm =
-    match pm with Some p -> p | None -> Pmem.create ~params:config.Config.pm_params clock
-  in
-  let ssd =
-    match ssd with Some s -> s | None -> Ssd.create ~params:config.Config.ssd_params clock
-  in
   let t =
     {
       config;
@@ -860,7 +852,7 @@ let create ?(boundaries = []) ?pm ?ssd ?cache ?(manifest_root = "") config =
       clock;
       pm;
       ssd;
-      block_cache = (match cache with Some _ -> cache | None -> new_block_cache clock config);
+      block_cache = cache;
       memtable = Memtable.create ~seed:config.Config.seed clock;
       next_seq = 1;
       partitions;
@@ -878,6 +870,20 @@ let create ?(boundaries = []) ?pm ?ssd ?cache ?(manifest_root = "") config =
   in
   if config.Config.durable then persist_manifest t;
   t
+
+(* The bare store owns its clock and devices. Nothing would sync a
+   durable one's WAL — the shard's group committer is the one sync — so
+   it is refused. *)
+let create ?(boundaries = []) config =
+  if config.Config.durable then
+    invalid_arg "Engine.create: a durable store is a Shard.Router shard";
+  let clock = Sim.Clock.create () in
+  let pm = Pmem.create ~params:config.Config.pm_params clock in
+  let ssd = Ssd.create ~params:config.Config.ssd_params clock in
+  make ~boundaries ~pm ~ssd ~cache:(new_block_cache clock config) ~manifest_root:"" config
+
+(* A router shard runs on the shared devices, block cache and clock. *)
+let create_shard = make ~boundaries:[]
 
 (* --- Quarantine & graceful degradation ----------------------------------
 

@@ -5,9 +5,10 @@
     told: flush one memtable slice, internal / major / column compaction
     (the SSD cascade included), partition split, the manifest install and
     quarantine. A mechanism that runs out of PM part-way
-    ([Pmem.Out_of_space]) leaves level-0 as it was before the call. A
-    durable state's WAL only stages records: the one sync is
-    [Engine.sync_wal], which the shard's group committer calls. *)
+    ([Pmem.Out_of_space]) leaves level-0 as it was before the call. Only
+    a router shard ({!create_shard}) is durable, and its WAL only stages
+    records: the one sync is [Engine.sync_wal], which the shard's group
+    committer calls. *)
 
 (** Fence pointers of one partition, rebuilt lazily by the read path. Each
     [f_src_*] field holds the exact list value the set was built from, so a
@@ -46,8 +47,8 @@ type partition = {
 type t = {
   config : Config.t;
   manifest_root : string;
-      (** named superblock root slot of the manifest chain; [""] is the
-          classic unnamed pair (router shards use ["shard<i>"]) *)
+      (** superblock root of a router shard's manifest chain
+          (["shard<i>"]); [""] on a bare engine, which persists nothing *)
   clock : Sim.Clock.t;
   pm : Pmem.t;
   ssd : Ssd.t;
@@ -74,16 +75,19 @@ val new_block_cache : Sim.Clock.t -> Config.t -> Cache.Block_cache.t option
 (** The engine-wide SSTable block cache of [config.block_cache_mb]; [None]
     when that is 0. *)
 
-val create :
-  ?boundaries:string list ->
-  ?pm:Pmem.t ->
-  ?ssd:Ssd.t ->
-  ?cache:Cache.Block_cache.t ->
-  ?manifest_root:string ->
+val create : ?boundaries:string list -> Config.t -> t
+(** A fresh bare engine state on its own clock and devices. Raises
+    [Invalid_argument] on a durable config. *)
+
+val create_shard :
+  pm:Pmem.t ->
+  ssd:Ssd.t ->
+  cache:Cache.Block_cache.t option ->
+  manifest_root:string ->
   Config.t ->
   t
-(** A fresh engine state; a durable one has persisted its manifest.
-    [manifest_root] defaults to [""]. *)
+(** A fresh router shard's state on the shared devices; a durable one has
+    persisted its manifest under [manifest_root]. *)
 
 val config : t -> Config.t
 val manifest_root : t -> string

@@ -169,7 +169,7 @@ let fallback_count () = !fallbacks
    only *after* it — a crash at any point leaves the superblock naming at
    least one complete manifest, and medium rot in the current one still
    has the previous slot to fall back to. *)
-let persist ?(root = "") ssd state =
+let persist ~root ssd state =
   let _, prev = Ssd.root_slots ~name:root ssd in
   let falling_off = Option.bind prev (Ssd.find_file ssd) in
   let file = Ssd.create_file ssd in
@@ -194,7 +194,7 @@ let load_slot ssd id =
    previous one when the current snapshot is rotten. None only on a fresh
    device; raises [Failure] when every slot is unreadable (recovery must
    fail loudly, never proceed on a guess). *)
-let load ?(root = "") ssd =
+let load ~root ssd =
   match Ssd.root_slots ~name:root ssd with
   | None, _ -> None
   | Some current, prev -> (

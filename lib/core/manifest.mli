@@ -35,14 +35,13 @@ val encode : state -> string
 val decode : string -> state
 (** Raises [Failure] on a bad magic, bad checksum, or truncation. *)
 
-val persist : ?root:string -> Ssd.t -> state -> unit
-(** Write a fresh manifest file, repoint the superblock (shifting the
-    current root into the previous slot), and delete the manifest that
-    falls off the two-slot window. [root] names the superblock slot pair
-    used (default the unnamed pair) so several manifest chains — one per
-    shard — can coexist on a shared device. *)
+val persist : root:string -> Ssd.t -> state -> unit
+(** Write a fresh manifest file, repoint the superblock root [root]
+    (shifting its current slot into the previous one), and delete the
+    manifest that falls off the two-slot window. Each shard's chain has
+    its own root name on the shared device. *)
 
-val load : ?root:string -> Ssd.t -> state option
+val load : root:string -> Ssd.t -> state option
 (** [None] on a fresh device. Tries the current superblock slot first and
     falls back to the previous one when the current snapshot is unreadable
     (counting it in {!fallback_count} and emitting a [manifest.fallback]

@@ -272,15 +272,14 @@ let inject_corruption t ~pm ~ssd ~wals ~target ~mode () =
           let r = pick t.rng regions in
           corrupt_pm_region "pm_region" r ~size:(Pmem.region_len r))
   | Sstable_bytes -> (
-      (* Every superblock chain — the unnamed pair and each shard's named
-         namespace — is off-limits: manifests have their own corruption
-         target with its own excusal rules. *)
+      (* Every shard's superblock chain is off-limits: manifests have
+         their own corruption target with its own excusal rules. *)
       let excluded =
         List.concat_map
           (fun name ->
             let cur, prev = Ssd.root_slots ~name ssd in
             List.filter_map Fun.id [ cur; prev ])
-          ("" :: Ssd.root_names ssd)
+          (Ssd.root_names ssd)
       in
       let candidates =
         Ssd.live_file_ids ssd
@@ -309,7 +308,7 @@ let inject_corruption t ~pm ~ssd ~wals ~target ~mode () =
           corrupt_pm_region "wal_ring" r ~size:(Pmem.durable_upto r))
   | Manifest_bytes -> (
       let candidates =
-        ("" :: Ssd.root_names ssd)
+        Ssd.root_names ssd
         |> List.filter_map (fun name -> fst (Ssd.root_slots ~name ssd))
         |> List.filter_map (Ssd.find_file ssd)
       in

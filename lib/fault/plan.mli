@@ -128,7 +128,7 @@ val inject_corruption :
     PM regions yet, or no WAL handle supplied. Pass every live log in
     [wals] (a sharded system has one per shard): [Pm_table_bytes]
     must not mistake a WAL ring for a table, [Sstable_bytes] must not
-    mistake any superblock chain, named or unnamed, for a data file, and
+    mistake any shard's superblock chain for a data file, and
     [Wal_bytes]/[Manifest_bytes] pick a seeded victim among all rings /
     all current manifest slots. *)
 

@@ -1,7 +1,10 @@
 (* The range-sharded front door: N engines partitioned by key range behind
    one router, sharing the PM and SSD devices, the block cache, and the
-   clock, while each shard owns its WAL, memtable, and manifest chain (a
-   named superblock root slot per shard).
+   clock, while each shard owns its WAL, memtable, and manifest chain
+   (the superblock root "shard<i>", at every shard count). It is the only
+   way to build a durable engine ([Core.Engine.create_shard], and
+   [Core.Engine.recover] after a crash) and, through [run_clients], to
+   drive concurrent clients.
 
    Point operations have one path, the health-gated one: put_checked,
    delete_checked and get_checked return typed results, and [sink] wraps
@@ -116,12 +119,9 @@ let make_shards cfg mk_engine rs =
   Array.of_list
     (List.mapi
        (fun i (lo, hi) ->
-         (* its own manifest root on the shared SSD (the unnamed pair when
-            alone) *)
+         (* its own manifest root on the shared SSD *)
          let engine =
-           mk_engine
-             ~manifest_root:(if n = 1 then "" else Printf.sprintf "shard%d" i)
-             (shard_config cfg n i)
+           mk_engine ~manifest_root:(Printf.sprintf "shard%d" i) (shard_config cfg n i)
          in
          let soft = cfg.Core.Config.admission_soft_tables in
          {
@@ -171,11 +171,7 @@ let create ?(boundaries = []) ?(clock = Sim.Clock.create ()) cfg =
   let pm = Pmem.create ~params:cfg.Core.Config.pm_params clock in
   let ssd = Ssd.create ~params:cfg.Core.Config.ssd_params clock in
   let cache = Core.Engine.new_block_cache clock cfg in
-  let shards =
-    make_shards cfg
-      (fun ~manifest_root scfg -> Core.Engine.create ~pm ~ssd ?cache ~manifest_root scfg)
-      rs
-  in
+  let shards = make_shards cfg (Core.Engine.create_shard ~pm ~ssd ~cache) rs in
   make cfg clock pm ssd cache shards
 
 (* Rebuild every shard from the shared devices. Each shard recovers its
@@ -187,11 +183,7 @@ let recover ?(boundaries = []) cfg ~pm ~ssd =
   let rs = ranges cfg boundaries in
   let clock = Pmem.clock pm in
   let cache = Core.Engine.new_block_cache clock cfg in
-  let shards =
-    make_shards cfg
-      (fun ~manifest_root scfg -> Core.Engine.recover ?cache ~manifest_root scfg ~pm ~ssd)
-      rs
-  in
+  let shards = make_shards cfg (Core.Engine.recover ~pm ~ssd ~cache) rs in
   let engines = Array.to_list (Array.map (fun s -> s.engine) shards) in
   Core.Engine.gc_orphans ~pm ~ssd ~states:(List.map Core.Engine.manifest_state engines);
   make cfg clock pm ssd cache shards
@@ -521,12 +513,36 @@ let enable_group_commit t sched =
 let disable_group_commit t =
   Array.iter (fun s -> Group_commit.set_mode s.gc Group_commit.Sync ~san:None) t.shards
 
+(* --- Closed-loop clients ------------------------------------------------ *)
+
+(* The one client harness: a yield after every step, group commit while
+   the router is durable. *)
+let run_clients t ~clients ~per_client step =
+  let des = Sim.Des.create t.clock in
+  let sched =
+    Coroutine.Scheduler.create ~cores:1
+      ~policy:(Coroutine.Scheduler.Cooperative { switch_cost = 0.0 })
+      des t.ssd
+  in
+  if durable t then enable_group_commit t sched;
+  for c = 0 to clients - 1 do
+    Coroutine.Scheduler.spawn ~name:(Printf.sprintf "client-%d" c) sched 0 (fun () ->
+        for i = 0 to per_client - 1 do
+          step c i;
+          Coroutine.Co.yield ()
+        done)
+  done;
+  ignore (Coroutine.Scheduler.run_to_completion sched);
+  disable_group_commit t;
+  sched
+
 (* --- Aggregates --------------------------------------------------------- *)
 
 let sum f t = Array.fold_left (fun acc s -> acc + f s) 0 t.shards
 let sumf f t = Array.fold_left (fun acc s -> acc +. f s) 0.0 t.shards
 
 let stall_count t = sum (fun s -> s.stalls) t
+let shard_stall_count t i = t.shards.(i).stalls
 let at_hard_limit t = Array.exists shard_at_hard_limit t.shards
 let stall_ns t = sumf (fun s -> s.stall_ns) t
 let soft_delays t = sum (fun s -> s.soft_admits) t
@@ -734,11 +750,6 @@ let register_engine_metrics reg t =
   register_float reg "engine.major_compaction_time_ns" ~kind:Counter
     ~help:"simulated ns spent in major compaction"
     (m (fun m -> m.Core.Metrics.major_compaction_time));
-  register_float reg "engine.write_stall_ns" ~kind:Counter
-    ~help:"simulated ns foreground writes spent stalled on backpressure relief"
-    (m (fun m -> m.Core.Metrics.write_stall_time));
-  int "engine.write_stalls" ~help:"foreground writes that blocked on backpressure relief"
-    (fun m -> m.Core.Metrics.write_stalls);
   int "engine.ssd_retries" ~help:"transient SSD errors retried with backoff" (fun m ->
       m.Core.Metrics.ssd_retries);
   int "engine.quarantined" ~help:"structures pulled from the read path on corruption"

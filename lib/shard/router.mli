@@ -5,8 +5,10 @@
     {!delete_checked} and {!get_checked} are the only point operations,
     and {!sink} wraps them for the workload generators. Shards share the
     PM and SSD devices, the block cache, and the clock; each owns its
-    WAL, memtable, and manifest chain (a named superblock root per
-    shard).
+    WAL, memtable, and manifest chain (the superblock root ["shard<i>"],
+    at every shard count). The router is the only way to build a durable
+    engine ({!Core.Engine.create_shard}, {!Core.Engine.recover}) and,
+    through {!run_clients}, to drive concurrent clients.
     Writes route by binary search over the boundaries; cross-shard scans
     concatenate per-shard results in shard order — ranges are disjoint,
     so the result is globally ordered and duplicate-free by construction.
@@ -117,9 +119,20 @@ val enable_group_commit : t -> Coroutine.Scheduler.t -> unit
 
 val disable_group_commit : t -> unit
 
+val run_clients :
+  t -> clients:int -> per_client:int -> (int -> int -> unit) -> Coroutine.Scheduler.t
+(** The closed-loop client harness: [clients] coroutines spawned in order
+    on one cooperative core over the router's clock and SSD; client [c]
+    runs [step c i] for [i] below [per_client], yielding after each. A
+    durable router batches their WAL syncs for the run. Returns the
+    finished scheduler, whose sanitizer holds the schedsan findings. *)
+
 (** {1 Aggregates} *)
 
 val stall_count : t -> int
+
+val shard_stall_count : t -> int -> int
+(** Shard [i]'s admission hard stalls. *)
 
 val at_hard_limit : t -> bool
 (** Is some shard's debt at or past its admission hard limit — would its

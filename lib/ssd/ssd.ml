@@ -106,19 +106,15 @@ type t = {
   mutable in_service : int;
   queue : request Queue.t;
   busy : Sim.Resource.t;
-  (* superblock: a device-level root pointer (the id of the manifest file),
-     the one thing recovery can find without any other state. Updating it
-     is a single-sector write, modelled as atomic and immediately durable.
-     The sector holds two slots: the current root and the one it replaced,
-     so recovery can fall back if the current root's file turns out to be
-     rotten. *)
-  mutable root : int option;
-  mutable root_prev : int option;
-  (* additional named root slots (one dual-slot pair per name) so several
-     logical stores — e.g. range shards — can share the device, each with
-     its own recoverable manifest chain. The unnamed slots above stay the
-     default namespace. *)
-  named_roots : (string, int option * int option) Hashtbl.t;
+  (* superblock: one device-level root pointer per named store (the id of
+     its manifest file), the one thing recovery can find without any other
+     state. Updating a root is a single-sector write, modelled as atomic and
+     immediately durable. Each name holds two slots: the current root and
+     the one it replaced, so recovery can fall back if the current root's
+     file turns out to be rotten. Several logical stores — the range
+     shards — share the device this way, each with its own recoverable
+     manifest chain. *)
+  roots : (string, int option * int option) Hashtbl.t;
   mutable crash_mode : bool;
   (* files deleted while in crash mode: a delete is directory metadata, so
      until the next crash the durable pages are still on the device and the
@@ -140,9 +136,7 @@ let create ?(params = default_params) clock =
     in_service = 0;
     queue = Queue.create ();
     busy = Sim.Resource.create ~name:"ssd" clock;
-    root = None;
-    root_prev = None;
-    named_roots = Hashtbl.create 8;
+    roots = Hashtbl.create 8;
     crash_mode = false;
     graveyard = Hashtbl.create 16;
     write_hook = None;
@@ -150,34 +144,15 @@ let create ?(params = default_params) clock =
     fsync_hook = None;
   }
 
-let set_root ?(name = "") t id =
-  if name = "" then (
-    if t.root <> Some id then t.root_prev <- t.root;
-    t.root <- Some id)
-  else
-    let cur, prev =
-      match Hashtbl.find_opt t.named_roots name with
-      | Some slots -> slots
-      | None -> (None, None)
-    in
-    let prev = if cur <> Some id then cur else prev in
-    Hashtbl.replace t.named_roots name (Some id, prev)
+let root_slots ~name t =
+  match Hashtbl.find_opt t.roots name with Some slots -> slots | None -> (None, None)
 
-let root ?(name = "") t =
-  if name = "" then t.root
-  else
-    match Hashtbl.find_opt t.named_roots name with
-    | Some (cur, _) -> cur
-    | None -> None
+let set_root ~name t id =
+  let cur, prev = root_slots ~name t in
+  let prev = if cur <> Some id then cur else prev in
+  Hashtbl.replace t.roots name (Some id, prev)
 
-let root_slots ?(name = "") t =
-  if name = "" then (t.root, t.root_prev)
-  else
-    match Hashtbl.find_opt t.named_roots name with
-    | Some slots -> slots
-    | None -> (None, None)
-
-let root_names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.named_roots []
+let root_names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.roots []
 
 let stats t = t.stats
 let params t = t.params

@@ -47,23 +47,20 @@ val busy_tracker : t -> Sim.Resource.t
 
 (** {1 File namespace} *)
 
-val set_root : ?name:string -> t -> int -> unit
-(** Superblock root pointer: the file id recovery starts from (the
-    manifest). The superblock sector keeps two slots — setting a new root
-    shifts the current one into the previous slot (one atomic single-sector
-    write), so recovery can fall back if the current root's file is
-    rotten. [name] selects an additional named root namespace (its own
-    dual-slot pair) so several logical stores — e.g. range shards — can
-    share the device; the default [""] is the classic unnamed superblock
-    pair. Named slots are as atomic and durable as the unnamed ones. *)
+val set_root : name:string -> t -> int -> unit
+(** Superblock root pointer of the store [name] (a router shard,
+    ["shard<i>"]): the file id its recovery starts from (the manifest).
+    Each name keeps two slots — setting a new root shifts the current one
+    into the previous slot (one atomic single-sector write), so recovery
+    can fall back if the current root's file is rotten. Several logical
+    stores share the device, one slot pair each. *)
 
-val root : ?name:string -> t -> int option
-
-val root_slots : ?name:string -> t -> int option * int option
-(** [(current, previous)] superblock slots for [name] (default unnamed). *)
+val root_slots : name:string -> t -> int option * int option
+(** [(current, previous)] superblock slots of [name]; [(None, None)] for a
+    name never set. *)
 
 val root_names : t -> string list
-(** Named root namespaces in use (excluding the unnamed pair). *)
+(** Every root namespace in use. *)
 
 val create_file : t -> file
 val file_id : file -> int

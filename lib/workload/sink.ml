@@ -1,6 +1,8 @@
-(* A store the workloads drive, as closures: the single engine and the
+(* A store the workloads drive, as closures: the bare engine and the
    sharded router both satisfy it, so every workload generator runs
-   unchanged against either front door. *)
+   unchanged against either front door. A durable engine is a router
+   shard: a sink over it would ack writes no group committer has synced,
+   so it is refused. *)
 
 type t = {
   put : update:bool -> key:string -> string -> unit;
@@ -11,6 +13,8 @@ type t = {
 }
 
 let of_engine engine =
+  if (Core.Engine.config engine).Core.Config.durable then
+    invalid_arg "Workload.Sink.of_engine: a durable engine is a router shard";
   {
     put = (fun ~update ~key value -> Core.Engine.put ~update engine ~key value);
     delete = (fun key -> Core.Engine.delete engine key);

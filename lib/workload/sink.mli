@@ -11,3 +11,5 @@ type t = {
 }
 
 val of_engine : Core.Engine.t -> t
+(** A bare engine's sink. Raises [Invalid_argument] on a durable engine (a
+    router shard): drive its router's [Shard.Router.sink] instead. *)

@@ -301,19 +301,29 @@ let test_out_of_space_recovers () =
 
 (* A split builds every half before it frees a straddling table: one that
    runs out of PM part-way leaves the partition as it was, not naming
-   freed regions. 4000 puts over 2000 YCSB keys into 48 KiB of PM: no put
-   raises and every key reads back its last value. *)
+   freed regions. 4000 puts over 2000 YCSB keys into 48 KiB of PM, which
+   also holds the durable store's WAL ring: no put raises and every key
+   reads back its last value. The store is a one-shard router with its
+   admission limits out of reach, so every room-making is the policy's. *)
 let test_out_of_space_split () =
-  let eng =
-    Core.Engine.create
-      (with_pm_kib 48 { (small Core.Config.pmblade) with Core.Config.durable = true })
+  let router =
+    Shard.Router.create
+      (with_pm_kib 48
+         {
+           (small Core.Config.pmblade) with
+           Core.Config.durable = true;
+           admission_soft_tables = max_int;
+           admission_hard_tables = max_int;
+         })
   in
+  let eng = (Shard.Router.engines router).(0) in
+  let sink = Shard.Router.sink router in
   let rng = Util.Xoshiro.create 5 in
   let model = Hashtbl.create 4096 in
   for _ = 1 to 4000 do
     let key = Util.Keys.ycsb_key (Util.Xoshiro.int rng 2000) in
     let v = Util.Xoshiro.string rng 64 in
-    Core.Engine.put ~update:(Hashtbl.mem model key) eng ~key v;
+    sink.Workload.Sink.put ~update:(Hashtbl.mem model key) ~key v;
     Hashtbl.replace model key v
   done;
   check Alcotest.bool "partitions split" true (Array.length (Core.Engine.partitions eng) > 1);

@@ -181,7 +181,7 @@ let test_scrubber_sees_manifest_rot () =
   let engine = build_engine () in
   Core.Engine.flush engine;
   let ssd = Core.Engine.ssd engine in
-  let cur, _ = Ssd.root_slots ssd in
+  let cur, _ = Ssd.root_slots ~name:(Core.Engine.manifest_root engine) ssd in
   let file = Option.get (Ssd.find_file ssd (Option.get cur)) in
   Ssd.corrupt_file ssd file ~off:(Ssd.file_size file / 2);
   let report = Core.Scrubber.run engine in

@@ -248,13 +248,13 @@ let test_manifest_roundtrip () =
 let test_manifest_persist_load () =
   let clock = Sim.Clock.create () in
   let ssd = Ssd.create clock in
-  check Alcotest.bool "fresh device has none" true (Core.Manifest.load ssd = None);
-  Core.Manifest.persist ssd manifest_sample;
-  check Alcotest.bool "load returns it" true (Core.Manifest.load ssd = Some manifest_sample);
+  check Alcotest.bool "fresh device has none" true (Core.Manifest.load ~root:"shard0" ssd = None);
+  Core.Manifest.persist ~root:"shard0" ssd manifest_sample;
+  check Alcotest.bool "load returns it" true (Core.Manifest.load ~root:"shard0" ssd = Some manifest_sample);
   (* persist again: superblock repoints, old file deleted *)
   let second = { manifest_sample with Core.Manifest.next_seq = 9999 } in
-  Core.Manifest.persist ssd second;
-  check Alcotest.bool "latest wins" true (Core.Manifest.load ssd = Some second)
+  Core.Manifest.persist ~root:"shard0" ssd second;
+  check Alcotest.bool "latest wins" true (Core.Manifest.load ~root:"shard0" ssd = Some second)
 
 let test_manifest_bad_magic () =
   check Alcotest.bool "garbage raises" true
@@ -265,20 +265,20 @@ let test_manifest_bad_magic () =
 let test_manifest_dual_slot_fallback () =
   let clock = Sim.Clock.create () in
   let ssd = Ssd.create clock in
-  Core.Manifest.persist ssd manifest_sample;
-  Core.Manifest.persist ssd { manifest_sample with Core.Manifest.next_seq = 9999 };
-  let cur, prev = Ssd.root_slots ssd in
+  Core.Manifest.persist ~root:"shard0" ssd manifest_sample;
+  Core.Manifest.persist ~root:"shard0" ssd { manifest_sample with Core.Manifest.next_seq = 9999 };
+  let cur, prev = Ssd.root_slots ~name:"shard0" ssd in
   check Alcotest.bool "two slots populated" true (cur <> None && prev <> None);
   let fb = Core.Manifest.fallback_count () in
   let newest = Option.get (Ssd.find_file ssd (Option.get cur)) in
   Ssd.corrupt_file ssd newest ~off:(Ssd.file_size newest / 2);
   check Alcotest.bool "falls back to the previous snapshot" true
-    (Core.Manifest.load ssd = Some manifest_sample);
+    (Core.Manifest.load ~root:"shard0" ssd = Some manifest_sample);
   check Alcotest.int "fallback counted" (fb + 1) (Core.Manifest.fallback_count ());
   let oldest = Option.get (Ssd.find_file ssd (Option.get prev)) in
   Ssd.corrupt_file ssd oldest ~off:(Ssd.file_size oldest / 2);
   check Alcotest.bool "both slots rotten raises" true
-    (try ignore (Core.Manifest.load ssd); false with Failure _ -> true)
+    (try ignore (Core.Manifest.load ~root:"shard0" ssd); false with Failure _ -> true)
 
 (* Any single corrupted byte anywhere in an encoded manifest must be
    caught by the trailing CRC — there is no undetectable position. *)
@@ -399,7 +399,7 @@ let test_recover_without_manifest_fails () =
   let pm = Pmem.create clock in
   let ssd = Ssd.create clock in
   check Alcotest.bool "raises" true
-    (try ignore (Core.Engine.recover (durable_config ()) ~manifest_root:"" ~pm ~ssd); false
+    (try ignore (Core.Engine.recover ~pm ~ssd ~cache:None ~manifest_root:"shard0" (durable_config ())); false
      with Failure _ -> true)
 
 let prop_recover_model =
@@ -430,7 +430,7 @@ let test_recover_manifest_fallback () =
     put ~update:true r ~key (Util.Xoshiro.string rng 32)
   done;
   Shard.Router.flush r;
-  let cur, prev = Ssd.root_slots ssd in
+  let cur, prev = Ssd.root_slots ~name:"shard0" ssd in
   check Alcotest.bool "two slots populated" true (cur <> None && prev <> None);
   let newest = Option.get (Ssd.find_file ssd (Option.get cur)) in
   Ssd.corrupt_file ssd newest ~off:(Ssd.file_size newest / 2);

@@ -294,7 +294,7 @@ let test_engine_workload_zero_findings () =
 let test_config_opt_out_detaches () =
   Sanitize.Control.disable ();
   Fun.protect ~finally:Sanitize.Control.enable (fun () ->
-      let engine = Core.Engine.create small_config in
+      let engine = (Shard.Router.engines (Shard.Router.create small_config)).(0) in
       check Alcotest.bool "opt-out detaches the engine's checker" true
         (Pmem.sanitizer (Core.Engine.pm engine) = None))
 

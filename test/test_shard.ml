@@ -171,28 +171,10 @@ let test_batch_crash_atomicity () =
 
 (* --- group commit under the scheduler ----------------------------------- *)
 
-let make_sched router =
-  let clock = Shard.Router.clock router in
-  let des = Sim.Des.create clock in
-  Coroutine.Scheduler.create ~cores:1
-    ~policy:(Coroutine.Scheduler.Cooperative { switch_cost = 0.0 })
-    des
-    (Shard.Router.ssd router)
-
 let run_batched_clients r ~clients ~per_client =
-  let sched = make_sched r in
-  Shard.Router.enable_group_commit r sched;
-  for c = 0 to clients - 1 do
-    Coroutine.Scheduler.spawn ~name:(Printf.sprintf "client-%d" c) sched 0 (fun () ->
-        for i = 0 to per_client - 1 do
-          let side = if c mod 2 = 0 then "a" else "z" in
-          put r ~key:(Printf.sprintf "%s%02d-%02d" side c i) "v";
-          Coroutine.Co.yield ()
-        done)
-  done;
-  ignore (Coroutine.Scheduler.run_to_completion sched);
-  Shard.Router.disable_group_commit r;
-  sched
+  Shard.Router.run_clients r ~clients ~per_client (fun c i ->
+      let side = if c mod 2 = 0 then "a" else "z" in
+      put r ~key:(Printf.sprintf "%s%02d-%02d" side c i) "v")
 
 let test_group_commit_coalesces () =
   let cfg = base_config ~shards:2 ~durable:true () in
@@ -248,30 +230,23 @@ let test_default_config_serves_everything () =
   let r = Shard.Router.create ~boundaries:[ "g"; "n"; "t" ] cfg in
   let clients = 8 and per_client = 250 in
   let refused = ref 0 in
-  let sched = make_sched r in
-  Shard.Router.enable_group_commit r sched;
-  for c = 0 to clients - 1 do
-    Coroutine.Scheduler.spawn ~name:(Printf.sprintf "client-%d" c) sched 0 (fun () ->
-        let rng = Util.Xoshiro.create (100 + c) in
-        for i = 0 to per_client - 1 do
-          let key = Printf.sprintf "%c%03d" (Char.chr (Char.code 'a' + Util.Xoshiro.int rng 26)) i in
-          let ok =
-            match Util.Xoshiro.int rng 10 with
-            | 0 -> Shard.Router.delete_checked r key = Shard.Router.Acked
-            | n when n < 6 ->
-                Shard.Router.put_checked ~update:true r ~key (String.make 64 'v')
-                = Shard.Router.Acked
-            | _ -> (
-                match Shard.Router.get_checked r key with
-                | Shard.Router.Served _ -> true
-                | _ -> false)
-          in
-          if not ok then incr refused;
-          Coroutine.Co.yield ()
-        done)
-  done;
-  ignore (Coroutine.Scheduler.run_to_completion sched);
-  Shard.Router.disable_group_commit r;
+  let rngs = Array.init clients (fun c -> Util.Xoshiro.create (100 + c)) in
+  ignore
+    (Shard.Router.run_clients r ~clients ~per_client (fun c i ->
+         let rng = rngs.(c) in
+         let key = Printf.sprintf "%c%03d" (Char.chr (Char.code 'a' + Util.Xoshiro.int rng 26)) i in
+         let ok =
+           match Util.Xoshiro.int rng 10 with
+           | 0 -> Shard.Router.delete_checked r key = Shard.Router.Acked
+           | n when n < 6 ->
+               Shard.Router.put_checked ~update:true r ~key (String.make 64 'v')
+               = Shard.Router.Acked
+           | _ -> (
+               match Shard.Router.get_checked r key with
+               | Shard.Router.Served _ -> true
+               | _ -> false)
+         in
+         if not ok then incr refused));
   let total = clients * per_client in
   check Alcotest.int "no shed, unavailable or degraded result" 0 !refused;
   check Alcotest.int "no breaker trips" 0 (Shard.Router.breaker_trips r);
@@ -631,28 +606,52 @@ let test_deadline_uses_clamped_hard_limit () =
   check Alcotest.int "admission never stalled" 0 (Shard.Router.stall_count r);
   check Alcotest.int "nor entered the soft zone" 0 (Shard.Router.soft_delays r)
 
+(* Behind the router every memtable flush is the shard worker's hand-off:
+   a YCSB-A run from 8 clients flushes, yet never reaches the engine's own
+   foreground flush (no write stall) nor the WAL ring-full flush. With
+   107-byte values every entry past seq 127 encodes to 128 bytes (16-byte
+   key, 5 framing bytes), so a memtable fills to exactly its 4 KiB
+   threshold: a pre-flush check ([Router.entry_overhead]) below those 5
+   bytes lets the engine's inline flush back in behind the router. *)
+let test_flushes_are_hand_offs () =
+  List.iter
+    (fun shards ->
+      let records = 2000 in
+      let r =
+        Shard.Router.create
+          ~boundaries:(Shard.Router.ycsb_boundaries ~records ~shards)
+          (base_config ~shards ~durable:true ())
+      in
+      let y = Workload.Ycsb.create ~value_bytes:107 () in
+      let sink = Shard.Router.sink r in
+      Workload.Ycsb.load_sink y sink ~records;
+      ignore
+        (Shard.Router.run_clients r ~clients:8 ~per_client:250 (fun _ _ ->
+             Workload.Ycsb.step_sink y sink Workload.Ycsb.A));
+      Array.iteri
+        (fun i e ->
+          let m = Core.Engine.metrics e in
+          let label what = Printf.sprintf "%d shard(s), shard %d: %s" shards i what in
+          check Alcotest.int (label "no foreground flush stall") 0 m.Core.Metrics.write_stalls;
+          check Alcotest.int (label "no ring-full flush") 0 m.Core.Metrics.wal_ring_full_flushes;
+          check Alcotest.bool (label "flushed") true (m.Core.Metrics.minor_compactions > 0))
+        (Shard.Router.engines r))
+    [ 1; 2 ]
+
 (* --- schedsan: the planted race in the committer ------------------------ *)
 
 let races_with ~plant =
   let cfg = base_config ~shards:1 ~durable:true () in
   let r = Shard.Router.create cfg in
-  let sched = make_sched r in
-  let san = Option.get (Coroutine.Scheduler.sanitizer sched) in
   Shard.Group_commit.plant_race := plant;
-  Fun.protect
-    ~finally:(fun () -> Shard.Group_commit.plant_race := false)
-    (fun () ->
-      Shard.Router.enable_group_commit r sched;
-      for c = 0 to 3 do
-        Coroutine.Scheduler.spawn ~name:(Printf.sprintf "w%d" c) sched 0 (fun () ->
-            for i = 0 to 3 do
-              put r ~key:(Printf.sprintf "k%d-%d" c i) "v";
-              Coroutine.Co.yield ()
-            done)
-      done;
-      ignore (Coroutine.Scheduler.run_to_completion sched);
-      Shard.Router.disable_group_commit r);
-  Sanitize.Schedsan.races san
+  let sched =
+    Fun.protect
+      ~finally:(fun () -> Shard.Group_commit.plant_race := false)
+      (fun () ->
+        Shard.Router.run_clients r ~clients:4 ~per_client:4 (fun c i ->
+            put r ~key:(Printf.sprintf "k%d-%d" c i) "v"))
+  in
+  Sanitize.Schedsan.races (Option.get (Coroutine.Scheduler.sanitizer sched))
 
 let test_schedsan_catches_planted_race () =
   check Alcotest.bool "unlocked batch state races" true (races_with ~plant:true > 0)
@@ -707,7 +706,7 @@ let check_gc_orphans ~shards ~boundaries =
   let slots (cur, prev) = List.filter_map Fun.id [ cur; prev ] in
   let regions = List.concat_map Core.Engine.owned_region_ids (engines ()) @ q_regions in
   let files =
-    tables @ q_files @ slots (Ssd.root_slots ssd)
+    tables @ q_files
     @ List.concat_map (fun name -> slots (Ssd.root_slots ~name ssd)) (Ssd.root_names ssd)
   in
   let planted_region = Pmem.region_id (Pmem.alloc pm 4096) in
@@ -731,7 +730,7 @@ let test_gc_orphans_1_shard () = check_gc_orphans ~shards:1 ~boundaries:[]
 let test_gc_orphans_2_shards () = check_gc_orphans ~shards:2 ~boundaries:[ "m" ]
 
 (* A shard persists its manifest under its own named superblock root, so
-   the scrubber must check that root, not the unnamed one: rot shard 1's
+   the scrubber must check that root, not another shard's: rot shard 1's
    newest slot and scrub that shard's engine. *)
 let test_scrub_checks_shard_manifest () =
   let cfg = base_config ~shards:2 ~durable:true () in
@@ -750,6 +749,56 @@ let test_scrub_checks_shard_manifest () =
   let report = Core.Scrubber.run engine in
   check Alcotest.int "both slots seen" 2 report.Core.Scrubber.manifest_slots;
   check Alcotest.bool "newest slot flagged" true report.Core.Scrubber.manifest_rotted
+
+(* --- construction: one constructor per role, one root namespace -------- *)
+
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+(* A durable store is a router shard: the bare constructor refuses a
+   durable config, and a bare sink refuses a shard's engine, since nothing
+   would sync the WAL behind either. *)
+let test_durable_is_a_shard () =
+  let cfg = base_config ~shards:1 ~durable:true () in
+  check Alcotest.bool "Engine.create refuses a durable config" true
+    (raises_invalid (fun () -> Core.Engine.create cfg));
+  let r = Shard.Router.create cfg in
+  check Alcotest.bool "Sink.of_engine refuses a router shard" true
+    (raises_invalid (fun () -> Workload.Sink.of_engine (Shard.Router.engines r).(0)))
+
+(* Every shard persists under its own name, the one store of a one-shard
+   router too; the superblock holds exactly those names, and recovery
+   from them equals the fresh state. *)
+let test_shard_roots () =
+  List.iter
+    (fun shards ->
+      let cfg = base_config ~shards ~durable:true () in
+      let r = crashable_router cfg ~boundaries:[] in
+      for i = 0 to 199 do
+        put r ~key:(Printf.sprintf "%c%03d" (Char.chr (Char.code 'a' + (i mod 26))) i) "v"
+      done;
+      Shard.Router.flush r;
+      let pm = Shard.Router.pm r and ssd = Shard.Router.ssd r in
+      let names = List.init shards (Printf.sprintf "shard%d") in
+      check
+        Alcotest.(list string)
+        (Printf.sprintf "%d shard(s): the roots are the shards' names" shards)
+        names
+        (List.sort compare (Ssd.root_names ssd));
+      Array.iteri
+        (fun i e ->
+          let root = Core.Engine.manifest_root e in
+          check Alcotest.string "engine persists under its shard's name" (List.nth names i) root;
+          check Alcotest.bool "its root holds its manifest" true
+            (Core.Manifest.load ~root ssd = Some (Core.Engine.manifest_state e)))
+        (Shard.Router.engines r);
+      let fresh = Shard.Router.scan_range r ~start:"" ~stop:"\xff" in
+      Shard.Sweep.crash ~pm ~ssd ();
+      let recovered = Shard.Router.recover cfg ~pm ~ssd in
+      check pairs
+        (Printf.sprintf "%d shard(s): recovery equals the fresh state" shards)
+        fresh
+        (Shard.Router.scan_range recovered ~start:"" ~stop:"\xff"))
+    [ 1; 4 ]
 
 (* --- the sharded crash sweep -------------------------------------------- *)
 
@@ -890,6 +939,12 @@ let () =
             test_group_commit_one_fence_per_batch;
           Alcotest.test_case "default config serves everything" `Quick
             test_default_config_serves_everything;
+          Alcotest.test_case "flushes are hand-offs" `Quick test_flushes_are_hand_offs;
+        ] );
+      ( "construction",
+        [
+          Alcotest.test_case "durable is a shard" `Quick test_durable_is_a_shard;
+          Alcotest.test_case "shard roots" `Quick test_shard_roots;
         ] );
       ( "admission",
         [
