@@ -1,9 +1,11 @@
 (* Wall-clock micro-benchmarks (Bechamel) of the in-memory primitives, as a
    sanity layer under the simulated-time experiments: the three-layer PM
    table lookup, the plain array-table lookup, the LZ codec, the Bloom
-   filter, and the host kernels every run pays for (the CRC-32 over one
-   SSD-block-sized extent, the PRNG's value strings). These measure real
-   host nanoseconds, not simulated time. *)
+   filter's probe and its build over a table's keys, and the host kernels
+   every run pays for (the CRC-32 over one SSD-block-sized extent and over
+   a 24-byte prefix record, where the per-call setup weighs most, the
+   PRNG's value strings). These measure real host nanoseconds, not
+   simulated time. *)
 
 open Bechamel
 open Toolkit
@@ -31,14 +33,18 @@ let tests () =
   let sample = String.concat "" (List.init 64 (fun i -> Printf.sprintf "key%06d=value" i)) in
   let compressed = Compress.Lz.compress sample in
   let extent = Util.Xoshiro.string rng Sstable.default_block_bytes in
-  let bloom = Bloom.of_keys ~bits_per_key:10 (Array.to_list (Array.map (fun e -> e.Util.Kv.key) entries)) in
+  let record = Util.Xoshiro.string rng 24 in
+  let keys = Array.to_list (Array.map (fun e -> e.Util.Kv.key) entries) in
+  let bloom = Bloom.of_keys ~bits_per_key:10 keys in
   [
     Test.make ~name:"pm_table.get" (Staged.stage (fun () -> ignore (Pmtable.Pm_table.get pm_tbl (key ()))));
     Test.make ~name:"array_table.get" (Staged.stage (fun () -> ignore (Pmtable.Array_table.get arr_tbl (key ()))));
     Test.make ~name:"lz.compress-1KB" (Staged.stage (fun () -> ignore (Compress.Lz.compress sample)));
     Test.make ~name:"lz.decompress-1KB" (Staged.stage (fun () -> ignore (Compress.Lz.decompress compressed)));
     Test.make ~name:"bloom.mem" (Staged.stage (fun () -> ignore (Bloom.mem bloom (key ()))));
+    Test.make ~name:"bloom.of_keys-4096" (Staged.stage (fun () -> ignore (Bloom.of_keys ~bits_per_key:10 keys)));
     Test.make ~name:"crc32-4KB" (Staged.stage (fun () -> ignore (Util.Crc32.string extent)));
+    Test.make ~name:"crc32-24B" (Staged.stage (fun () -> ignore (Util.Crc32.string record)));
     Test.make ~name:"xoshiro.string-1KB" (Staged.stage (fun () -> ignore (Util.Xoshiro.string rng 1024)));
   ]
 

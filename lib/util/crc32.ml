@@ -1,55 +1,19 @@
-(* CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: the main loop
-   folds 8 input bytes per step through eight 256-entry tables, kept in one
-   flat array and built eagerly ([tables.(k * 256 + n)] is byte [n]'s
-   contribution with k more bytes still to come); the tail runs byte by
-   byte through the first table. The result equals the classic
-   byte-at-a-time loop for every input. Used to detect torn or corrupted
-   PM-table, SSTable, WAL and manifest blocks. *)
+(* CRC-32 (IEEE 802.3 polynomial, reflected) through zlib's [crc32_z]: a
+   [noalloc] call with untagged arguments into a C stub
+   (crc32_stubs.c). Its result equals the classic byte-at-a-time loop for
+   every input. The crc is the 32-bit value zlib passes around, so an
+   incoming crc must lie in [0, 2^32): every caller seeds with 0 or a
+   previous result. Used to detect torn or corrupted PM-table, SSTable,
+   WAL and manifest blocks. *)
 
-let tables =
-  let t = Array.make (8 * 256) 0 in
-  for n = 0 to 255 do
-    let c = ref n in
-    for _ = 0 to 7 do
-      if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
-    done;
-    t.(n) <- !c
-  done;
-  for k = 1 to 7 do
-    for n = 0 to 255 do
-      let prev = t.(((k - 1) * 256) + n) in
-      t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xff)
-    done
-  done;
-  t
-
-let u32_le s i = Int32.to_int (String.get_int32_le s i) land 0xFFFFFFFF
+external crc32_z :
+  (int[@untagged]) -> string -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "pmb_crc32_update_byte" "pmb_crc32_update"
+[@@noalloc]
 
 let update crc s pos len =
   if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Crc32.update";
-  let c = ref (crc lxor 0xFFFFFFFF) in
-  let i = ref pos in
-  let stop = pos + len in
-  while !i + 8 <= stop do
-    (* [lo] and [hi] are the state xored with the next 8 bytes; the state's
-       bits past 32 line up with the second word, as the bytewise shift
-       would carry them. *)
-    let lo = !c lxor u32_le s !i in
-    let hi = (!c lsr 32) lxor u32_le s (!i + 4) in
-    c :=
-      tables.(0x700 + (lo land 0xff))
-      lxor tables.(0x600 + ((lo lsr 8) land 0xff))
-      lxor tables.(0x500 + ((lo lsr 16) land 0xff))
-      lxor tables.(0x400 + ((lo lsr 24) land 0xff))
-      lxor tables.(0x300 + (hi land 0xff))
-      lxor tables.(0x200 + ((hi lsr 8) land 0xff))
-      lxor tables.(0x100 + ((hi lsr 16) land 0xff))
-      lxor tables.((hi lsr 24) land 0xff);
-    i := !i + 8
-  done;
-  for j = !i to stop - 1 do
-    c := tables.((!c lxor Char.code s.[j]) land 0xff) lxor (!c lsr 8)
-  done;
-  !c lxor 0xFFFFFFFF
+  if crc < 0 || crc > 0xFFFFFFFF then invalid_arg "Crc32.update: crc outside 32 bits";
+  crc32_z crc s pos len
 
 let string s = update 0 s 0 (String.length s)

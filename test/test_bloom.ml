@@ -70,6 +70,35 @@ let test_size_scales () =
   check Alcotest.bool "bigger n, bigger filter" true
     (Bloom.size_bytes large > Bloom.size_bytes small)
 
+(* Filters persist in SSTable meta blocks and PM meta layers and are
+   reopened at recovery, so their bits are a format: a hashing or probing
+   change that moves one bit fails the recorded CRC-32 of some serialized
+   filter below. *)
+let known_answers =
+  [
+    ("one key", [ "k" ], [ (1, 0x6D42D349); (10, 0xDD1A41E1); (20, 0xBE20702E) ]);
+    ( "100 formatted keys",
+      List.init 100 (fun i -> Printf.sprintf "user%08d" (i * 7919)),
+      [ (1, 0x90962DF7); (10, 0x9C6155D0); (20, 0x8B1B1619) ] );
+    ( "2000 random keys",
+      (let rng = Util.Xoshiro.create 5 in
+       List.init 2000 (fun i -> Util.Xoshiro.string rng (i mod 41))),
+      [ (1, 0x86D10D7B); (10, 0xBDD3BEEA); (20, 0x78D18FC8) ] );
+  ]
+
+let test_known_answers () =
+  List.iter
+    (fun (name, keys, answers) ->
+      List.iter
+        (fun (bits_per_key, expect) ->
+          let t = Bloom.of_keys ~bits_per_key keys in
+          let label = Printf.sprintf "%s at %d bits/key" name bits_per_key in
+          check Alcotest.int (label ^ ": serialized crc") expect
+            (Util.Crc32.string (Bloom.serialize t));
+          check Alcotest.bool (label ^ ": every key present") true (List.for_all (Bloom.mem t) keys))
+        answers)
+    known_answers
+
 let () =
   Alcotest.run "bloom"
     [
@@ -82,5 +111,6 @@ let () =
           Alcotest.test_case "bits/key tradeoff" `Quick test_more_bits_fewer_false_positives;
           Alcotest.test_case "empty filter" `Quick test_empty_filter_rejects;
           Alcotest.test_case "size scales" `Quick test_size_scales;
+          Alcotest.test_case "serialized known answers" `Quick test_known_answers;
         ] );
     ]

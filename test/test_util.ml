@@ -190,7 +190,7 @@ let test_varint_read_at () =
 
 (* --- Crc32 ------------------------------------------------------------ *)
 
-(* The classic byte-at-a-time CRC-32, the reference the sliced kernel must
+(* The classic byte-at-a-time CRC-32, the reference the zlib kernel must
    match bit for bit. *)
 let crc32_reference =
   let table =
@@ -208,27 +208,27 @@ let crc32_reference =
     done;
     !c lxor 0xFFFFFFFF
 
-(* Every start 0-9 (aligned or not) and, from each, every tail length 0-7
-   short of the string's end, with an arbitrary incoming crc. *)
+(* Strings up to 64 KiB (half of them at most 300 bytes, so short tails
+   stay common), a start at offset 0-7 so every alignment reaches the
+   kernel's bulk path, a tail cut of 0-7 bytes, and an incoming crc drawn
+   from the whole 32-bit domain. *)
 let prop_crc32_matches_reference =
   QCheck.Test.make ~name:"update = byte-at-a-time reference" ~count:300
-    QCheck.(pair (string_of_size Gen.(int_range 0 300)) int)
-    (fun (s, crc) ->
+    QCheck.(
+      quad
+        (string_of_size Gen.(oneof [ int_range 0 300; int_range 0 65536 ]))
+        (int_range 0 7) (int_range 0 7) (int_range 0 0xFFFFFFFF))
+    (fun (s, pos, cut, crc) ->
       let n = String.length s in
-      let ok = ref true in
-      for pos = 0 to min 9 n do
-        for cut = 0 to min 7 (n - pos) do
-          let len = n - pos - cut in
-          if Util.Crc32.update crc s pos len <> crc32_reference crc s pos len then ok := false;
-          if Util.Crc32.update 0 s pos len <> crc32_reference 0 s pos len then ok := false
-        done
-      done;
-      !ok)
+      let pos = min pos n in
+      let len = max 0 (n - pos - cut) in
+      Util.Crc32.update crc s pos len = crc32_reference crc s pos len
+      && Util.Crc32.update 0 s pos len = crc32_reference 0 s pos len)
 
 let test_crc32_rejects_bad_range () =
-  let raises pos len =
+  let raises ?(crc = 0) pos len =
     try
-      ignore (Util.Crc32.update 0 "0123456789" pos len);
+      ignore (Util.Crc32.update crc "0123456789" pos len);
       false
     with Invalid_argument _ -> true
   in
@@ -236,7 +236,11 @@ let test_crc32_rejects_bad_range () =
     (fun (pos, len) ->
       check Alcotest.bool (Printf.sprintf "pos %d len %d raises" pos len) true (raises pos len))
     [ (-1, 2); (0, 11); (3, 8); (10, 1); (11, 0); (0, -1) ];
-  check Alcotest.int "empty tail is fine" 0 (Util.Crc32.update 0 "0123456789" 10 0)
+  List.iter
+    (fun crc -> check Alcotest.bool (Printf.sprintf "crc %d raises" crc) true (raises ~crc 0 10))
+    [ -1; 0x1_0000_0000; min_int; max_int ];
+  check Alcotest.int "empty tail is fine" 0 (Util.Crc32.update 0 "0123456789" 10 0);
+  check Alcotest.int "largest crc accepted" 0xFFFFFFFF (Util.Crc32.update 0xFFFFFFFF "" 0 0)
 
 
 let test_crc32_known_value () =
